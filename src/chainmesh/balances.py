@@ -18,7 +18,7 @@ All arithmetic is exact int64; no floats anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,13 +56,6 @@ class TransactionMatrix:
     def __post_init__(self):
         object.__setattr__(self, "amounts", _as_amount_matrix(self.amounts))
 
-    @property
-    def accounts(self) -> int:
-        return self.amounts.shape[0]
-
-    def total(self) -> int:
-        return int(self.amounts.sum())
-
 
 @dataclass(frozen=True)
 class BlockPayload:
@@ -72,9 +65,6 @@ class BlockPayload:
     epoch: int
     matrices: tuple[TransactionMatrix, ...]
     txn_ids: tuple[str, ...] = ()
-
-    def total(self) -> int:
-        return sum(m.total() for m in self.matrices)
 
 
 @dataclass(frozen=True)
@@ -132,39 +122,6 @@ def new_state(chain: int, genesis) -> CumulativeState:
     zero = np.zeros((m, m), dtype=np.int64)
     return CumulativeState(chain=chain, epoch=0, genesis=g,
                            w_in=zero, w_out=zero, last_proposed=zero)
-
-
-def aggregate_flows(incoming: Iterable[TransactionMatrix],
-                    outgoing_confirmed: Iterable[TransactionMatrix],
-                    outgoing_proposed: Iterable[TransactionMatrix],
-                    chain: int, accounts: int, epoch: int) -> FlowAggregates:
-    """Sum per-pair matrices into the three per-epoch aggregates for `chain`.
-
-    Intra-chain transfers (source == dest) are rejected structurally.
-    """
-    inflow = np.zeros((accounts, accounts), dtype=np.int64)
-    out_c = np.zeros((accounts, accounts), dtype=np.int64)
-    out_p = np.zeros((accounts, accounts), dtype=np.int64)
-    for t in incoming:
-        if t.source == t.dest:
-            raise LedgerError(f"intra-chain transfer {t.source}->{t.dest} rejected")
-        if t.dest != chain:
-            raise LedgerError(f"incoming matrix addressed to chain {t.dest}, not {chain}")
-        inflow += _as_amount_matrix(t.amounts, accounts)
-    for t in outgoing_confirmed:
-        if t.source == t.dest:
-            raise LedgerError(f"intra-chain transfer {t.source}->{t.dest} rejected")
-        if t.source != chain:
-            raise LedgerError(f"outgoing matrix from chain {t.source}, not {chain}")
-        out_c += _as_amount_matrix(t.amounts, accounts)
-    for t in outgoing_proposed:
-        if t.source == t.dest:
-            raise LedgerError(f"intra-chain transfer {t.source}->{t.dest} rejected")
-        if t.source != chain:
-            raise LedgerError(f"proposed matrix from chain {t.source}, not {chain}")
-        out_p += _as_amount_matrix(t.amounts, accounts)
-    return FlowAggregates(chain=chain, epoch=epoch, inflow=inflow,
-                          outflow_confirmed=out_c, outflow_proposed=out_p)
 
 
 def update_cumulative(state: CumulativeState, flows: FlowAggregates) -> CumulativeState:
@@ -227,29 +184,16 @@ class ValidationResult:
 
 
 def validate_block(proposed: Sequence[TransactionMatrix],
-                   state: CumulativeState,
-                   inflow: np.ndarray | None = None,
-                   confirmed_outflow: np.ndarray | None = None) -> ValidationResult:
+                   state: CumulativeState) -> ValidationResult:
     """Zero each account's rows whose full proposed spend overdraws its balance.
 
     An account is judged against its balance with the *entire* proposed spend
     (across all destination chains) counted at once; a failing account has its
     row zeroed in every output matrix, atomically for this epoch. Idempotent:
     validating the output again under the same state changes nothing.
-
-    `inflow` and `confirmed_outflow` are the same-epoch flow matrices already
-    known when the proposal is formed; passing them makes the check equal to
-    post-update non-negativity (the stored proposal is replaced, credits and
-    confirmed debits land, the new spend is counted in full).
     """
-    m = state.accounts
-    c_prop = proposed_outflow(proposed, state.chain, m)
-    w = _balances_with_proposal(state, c_prop)
-    if inflow is not None:
-        w = w + _as_amount_matrix(inflow, m).sum(axis=0)
-    if confirmed_outflow is not None:
-        w = w - _as_amount_matrix(confirmed_outflow, m).sum(axis=1)
-    valid = w >= 0
+    c_prop = proposed_outflow(proposed, state.chain, state.accounts)
+    valid = _balances_with_proposal(state, c_prop) >= 0
     out = []
     for t in proposed:
         amounts = t.amounts.copy()

@@ -119,9 +119,6 @@ class GroupPlan:
     total_rows: int
     groups: tuple[GroupSpec, ...]
 
-    def shards_per_epoch(self) -> int:
-        return sum(len(g.data_positions) for g in self.groups)
-
 
 def binary_group_sizes(n: int) -> tuple[int, ...]:
     """Powers of two summing to n, largest first (100 -> 64, 32, 4)."""

@@ -50,7 +50,6 @@ class ScenarioConfig:
     link_latency_ms: float = 100.0
     bandwidth_mbps: float = 20.0
     task_timeout_ms: float = 500.0
-    vote_timeout_ms: float = 500.0
     worker_ms_per_row: float = 2.0      # distributed shard compute cost
     fallback_ms_per_row: float = 40.0   # centralized completion of lost rows
     ledger_interval_s: float = 5.0      # super-block assembly cadence
@@ -115,9 +114,8 @@ def _check(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.amount_max < 1:
         raise ConfigError("amount_max must be at least 1")
     for name in ("link_latency_ms", "bandwidth_mbps", "task_timeout_ms",
-                 "vote_timeout_ms", "worker_ms_per_row",
-                 "fallback_ms_per_row", "ledger_interval_s",
-                 "tip_pool_sample_s"):
+                 "worker_ms_per_row", "fallback_ms_per_row",
+                 "ledger_interval_s", "tip_pool_sample_s"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
     if cfg.double_spend.pairs < 0 or cfg.double_spend.regular < 0:

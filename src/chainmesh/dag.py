@@ -198,44 +198,21 @@ class DagLedger:
         return min(self._confirmed,
                    key=lambda bid: (-self.blocks[bid].depth, bid))
 
-    def select_tips_honest(self, k: int, rng: random.Random) -> list[str]:
-        """Uniform sample of min(k, #tips) tips; falls back when none exist."""
+    def select_tips(self, k: int, rng: random.Random,
+                    skip: Iterable[str]) -> list[str]:
+        """Uniform sample of min(k, #tips) tips outside `skip`.
+
+        Falls back to the deepest confirmed block when no such tip exists.
+        """
         if k < 1:
             raise DagError("parent count must be at least 1")
-        pool = sorted(self.tips)
+        pool = sorted(self.tips.difference(skip))
         if not pool:
             return [self.deepest_confirmed()]
         take = min(k, len(pool))
         return sorted(rng.sample(pool, take)) if take < len(pool) else pool
 
-    def select_tips_orphanage(self, k: int, attacker_chain: int,
-                              rng: random.Random) -> list[str]:
-        """Stale-parent strategy: own tips oldest-first, then oldest others."""
-        if k < 1:
-            raise DagError("parent count must be at least 1")
-        if not self.tips:
-            return [self.deepest_confirmed()]
-
-        def age_key(bid: str):
-            return (self.blocks[bid].attach_time, bid)
-
-        own = sorted((b for b in self.tips
-                      if self.blocks[b].proposer == attacker_chain), key=age_key)
-        others = sorted((b for b in self.tips
-                         if self.blocks[b].proposer != attacker_chain), key=age_key)
-        take = min(k, len(self.tips))
-        return (own + others)[:take]
-
     # -- accounting views --------------------------------------------------
-
-    def confirmed_ids(self) -> set[str]:
-        return set(self._confirmed)
-
-    def status_counts(self) -> dict[str, int]:
-        counts = {TIP: 0, UNCONFIRMED: 0, CONFIRMED: 0}
-        for block in self.blocks.values():
-            counts[block.status] += 1
-        return counts
 
     def snapshot_lines(self) -> list[str]:
         """One line per block in attach order: id, chain, epoch, parents, status, weight."""

@@ -17,7 +17,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -25,15 +25,15 @@ from . import events as ev
 from .balances import (BlockPayload, CumulativeState, FlowAggregates,
                        net_balances, new_state, update_cumulative,
                        validate_block, validate_tip_payloads)
-from .coding import GroupPlan, decodable, plan_groups
+from .coding import CodingError, GroupPlan, plan_groups
 from .config import ScenarioConfig
 from .dag import (CONFIRMED, GENESIS_ID, ChainWeights, DagLedger,
                   assemble_confirmed_superblock)
 from .doublespend import ConflictTracker, InjectionPlan, plan_injections
 from .events import EventPools, propose_and_vote, select_committee
 from .metrics import MetricsReport, SeriesRecorder, gini
-from .roles import (AdversaryPolicy, Fleet, build_fleet, make_invalid_block,
-                    make_valid_block, schedule_issuance)
+from .roles import (build_fleet, make_invalid_block, make_valid_block,
+                    schedule_issuance)
 
 
 class SimulationError(Exception):
@@ -59,8 +59,7 @@ class BlockInfo:
 class _ChainRuntime:
     chain: int
     honest: bool
-    fleet: Fleet
-    plan: GroupPlan | None          # None when uncoded or nothing decodable
+    plan: GroupPlan | None          # None when uncoded or no layout fits
     state: CumulativeState
     pool: EventPools
     candidates: list[tuple[str, int]]
@@ -110,7 +109,6 @@ class Simulation:
         self.scenario = scenario
         self._queue: list = []
         self._seq = 0
-        self._now = 0.0
         self._end = cfg.duration_min * 60.0
         self.recorder = SeriesRecorder()
         self.dag = DagLedger(ChainWeights.equal(cfg.chains),
@@ -119,7 +117,6 @@ class Simulation:
         self._orphaned: set[str] = set()    # tips sighted invalid/conflicting
         self._to_ingest: list[str] = []
         self.superblocks: list[dict[int, str]] = []
-        self._window_index = 0
         self._setup_chains()
         self._setup_injection()
 
@@ -133,25 +130,19 @@ class Simulation:
             rng = np.random.default_rng(derive_seed(cfg.seed, "fleet", c))
             fleet = build_fleet(c, cfg.fleet_size, cfg.straggler_fraction, rng)
             plan = None
-            silent: set[int] | None = None
-            if cfg.coding and cfg.straggler_fraction < 1.0:
-                plan = plan_groups(cfg.fleet_size, cfg.accounts, fleet.profile)
-                # the planner freezes the worst predicted responders; those
+            if cfg.coding:
+                # the planner freezes the worst predicted responders: those
                 # designated positions are exactly the nodes that go silent
-                silent = {g.members[p] for g in plan.groups for p in g.frozen}
-            elif cfg.straggler_fraction >= 1.0:
-                silent = set(range(cfg.fleet_size))
-            if silent is not None:
-                nodes = tuple(dataclasses.replace(n, responds=n.index
-                                                  not in silent)
-                              for n in fleet.nodes)
-                fleet = Fleet(chain=c, nodes=nodes, profile=fleet.profile)
+                try:
+                    plan = plan_groups(cfg.fleet_size, cfg.accounts,
+                                       fleet.profile)
+                except CodingError:
+                    pass            # no layout absorbs the silent set
             genesis = np.full(cfg.accounts, cfg.genesis_balance,
                               dtype=np.int64)
             rt = _ChainRuntime(
                 chain=c,
                 honest=c not in adversarial,
-                fleet=fleet,
                 plan=plan,
                 state=new_state(c, genesis),
                 pool=EventPools(chain=c),
@@ -170,7 +161,6 @@ class Simulation:
                                   cfg.adversarial_chains(), cfg.duration_min)
         self._honest_slot_chains = [s.chain for s in slots if s.honest]
         honest_idx = 0
-        self._slot_carriers: dict[int, str] = {}
         self._slots = slots
         self._honest_indices = []
         for s in slots:
@@ -204,7 +194,6 @@ class Simulation:
     def _drain_queue(self) -> None:
         while self._queue:
             time_s, _, fn, args = heapq.heappop(self._queue)
-            self._now = time_s
             fn(time_s, *args)
 
     # -- timing model ------------------------------------------------------
@@ -223,10 +212,10 @@ class Simulation:
         """Worker round duration for `factor` matrix-sized jobs, and success.
 
         Coded fleets wait for every data position; their silent nodes sit at
-        frozen positions, so the designed reception always decodes. A silent
-        data position forces a re-poll that cannot succeed, so the stage times
-        out. Uncoded fleets fall back to central recomputation of the silent
-        partitions after the task timeout.
+        frozen positions, so the designed reception always decodes. A coded
+        fleet without a plan has nothing to decode: one re-poll, then the
+        stage times out. Uncoded fleets fall back to central recomputation of
+        the silent partitions after the task timeout.
         """
         cfg = self.cfg
         m = cfg.accounts
@@ -236,7 +225,6 @@ class Simulation:
         if cfg.coding:
             if rt.plan is None:
                 return 2.0 * timeout, False      # nothing can be recovered
-            silent = set(rt.fleet.silent())
             worst = 0.0
             for g in rt.plan.groups:
                 rows = factor * g.rows_per_block
@@ -244,13 +232,6 @@ class Simulation:
                      + rows * cfg.worker_ms_per_row / 1000.0
                      + self._transfer_s(8.0 * 2 * rows * m))
                 worst = max(worst, t)
-                received = [p for p in g.data_positions
-                            if g.members[p] not in silent]
-                if len(received) < len(g.data_positions):
-                    if decodable(received, g):
-                        worst = max(worst, timeout)
-                    else:
-                        return 2.0 * timeout, False   # one re-poll, then skip
             return worst, True
         rows_max = factor * max(rt.uncoded_rows)
         nominal = (self._transfer_s(8.0 * 3 * rows_max * m)
@@ -271,10 +252,8 @@ class Simulation:
     def _publish(self, rt: _ChainRuntime, kind: str, epoch: int,
                  payload) -> None:
         committee = self._committee(rt, epoch)
-        validators = {m: (lambda _p, _pl: True) for m in committee.members}
-        record = propose_and_vote(kind, payload, committee, validators,
-                                  chain=rt.chain)
-        rt.pool.publish(record)
+        rt.pool.publish(propose_and_vote(kind, payload, committee,
+                                         chain=rt.chain))
 
     # -- chain pipeline ----------------------------------------------------
 
@@ -336,10 +315,9 @@ class Simulation:
         dest = honest[(epoch - 1) % len(honest)]
         rng = np.random.default_rng(derive_seed(cfg.seed, "spam",
                                                 rt.chain, epoch))
-        policy = AdversaryPolicy(spam_fraction=cfg.spam_fraction,
-                                 invalid_tx_fraction=cfg.invalid_tx_fraction)
         tm = make_invalid_block(dest=dest, epoch=epoch,
-                                balances=net_balances(rt.state), policy=policy,
+                                balances=net_balances(rt.state),
+                                invalid_tx_fraction=cfg.invalid_tx_fraction,
                                 rng=rng, source=rt.chain,
                                 active_rows=cfg.active_rows)
         return BlockPayload(source=rt.chain, epoch=epoch, matrices=(tm,))
@@ -365,7 +343,8 @@ class Simulation:
             outflow_proposed=new_outstanding))
 
         rng = random.Random(derive_seed(self.cfg.seed, "tips", chain, epoch))
-        selected = self._select_tips(self.cfg.tip_sample, rng)
+        selected = self.dag.select_tips(self.cfg.tip_sample, rng,
+                                        self._orphaned)
         batch: list[str] = []
         seen_sources: set[int] = set()
         for bid in selected:
@@ -410,14 +389,6 @@ class Simulation:
         self._push(t_attach, self._attach_block, chain, epoch, payload,
                    tuple(parents))
 
-    def _select_tips(self, k: int, rng: random.Random) -> list[str]:
-        """Uniform tip sample, skipping tips already sighted unapprovable."""
-        pool = sorted(self.dag.tips - self._orphaned)
-        if not pool:
-            return [self.dag.deepest_confirmed()]
-        take = min(k, len(pool))
-        return sorted(rng.sample(pool, take)) if take < len(pool) else pool
-
     def _attach_block(self, now: float, chain: int, epoch: int,
                       payload: BlockPayload, parents: tuple[str, ...]) -> None:
         rt = self.chains[chain]
@@ -426,25 +397,14 @@ class Simulation:
                 if self.tracker is None or not self.tracker.is_labeled(p)]
         if not keep:
             keep = [self.dag.deepest_confirmed()]
-        block_id = f"c{chain:02d}e{epoch:05d}"
-        info = BlockInfo(payload=payload, honest=True, valid=True)
-        self.dag.attach(block_id, proposer=chain, epoch=epoch, parents=keep,
-                        payload=info, time=now)
-        if rt.first_block is None:
-            rt.first_block = block_id
+        block_id = self._attach(now, rt, epoch, payload, keep, honest=True)
         if self.tracker is not None:
-            self.tracker.register_attach(block_id, payload.txn_ids, now)
             # carry every still-unresolved sighting on this proposal too: a
             # claimer that never confirms must not strand the observation
             rt.watch = set(self.tracker.unresolved(sorted(rt.watch)))
             if rt.watch:
                 self.tracker.attribute(block_id, sorted(rt.watch))
-        self._publish(rt, ev.DAG_SUBMISSION, epoch, ("attach", block_id))
-        self._confirmations(now)
-        self._publish(rt, ev.WEIGHT_UPDATE, epoch, ("weights", block_id))
-        rt.pool.drain(epoch)
-        rt.busy = False
-        self._try_start(rt, now)
+        self._end_epoch(now, rt, epoch, block_id)
 
     def _attach_adversarial(self, now: float, chain: int, epoch: int,
                             payload: BlockPayload) -> None:
@@ -452,25 +412,36 @@ class Simulation:
         # stale single parent: the chain's own first block, else genesis --
         # approving an already-covered ancestor removes nothing from the pool
         parent = rt.first_block if rt.first_block is not None else GENESIS_ID
-        block_id = f"c{chain:02d}e{epoch:05d}"
-        info = BlockInfo(payload=payload, honest=False, valid=False)
-        self.dag.attach(block_id, proposer=chain, epoch=epoch,
-                        parents=[parent], payload=info, time=now)
-        if rt.first_block is None:
-            rt.first_block = block_id
-        if self.tracker is not None:
-            self.tracker.register_attach(block_id, payload.txn_ids, now)
-        self._publish(rt, ev.DAG_SUBMISSION, epoch, ("attach", block_id))
-        self._confirmations(now)
-        self._publish(rt, ev.WEIGHT_UPDATE, epoch, ("weights", block_id))
-        rt.pool.drain(epoch)
-        rt.busy = False
-        self._try_start(rt, now)
+        block_id = self._attach(now, rt, epoch, payload, [parent],
+                                honest=False)
+        self._end_epoch(now, rt, epoch, block_id)
 
     def _finish_skipped(self, now: float, chain: int, epoch: int) -> None:
         """Stage timed out: the epoch produced no block; the chain moves on."""
         rt = self.chains[chain]
         rt.skipped += 1
+        self._end_epoch(now, rt, epoch, None)
+
+    def _attach(self, now: float, rt: _ChainRuntime, epoch: int,
+                payload: BlockPayload, parents: list[str],
+                honest: bool) -> str:
+        block_id = f"c{rt.chain:02d}e{epoch:05d}"
+        info = BlockInfo(payload=payload, honest=honest, valid=honest)
+        self.dag.attach(block_id, proposer=rt.chain, epoch=epoch,
+                        parents=parents, payload=info, time=now)
+        if rt.first_block is None:
+            rt.first_block = block_id
+        if self.tracker is not None:
+            self.tracker.register_attach(block_id, payload.txn_ids, now)
+        return block_id
+
+    def _end_epoch(self, now: float, rt: _ChainRuntime, epoch: int,
+                   block_id: str | None) -> None:
+        """Publish and confirm the epoch's block, if any, then free the chain."""
+        if block_id is not None:
+            self._publish(rt, ev.DAG_SUBMISSION, epoch, ("attach", block_id))
+            self._confirmations(now)
+            self._publish(rt, ev.WEIGHT_UPDATE, epoch, ("weights", block_id))
         rt.pool.drain(epoch)
         rt.busy = False
         self._try_start(rt, now)

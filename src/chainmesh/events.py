@@ -1,10 +1,9 @@
 """Committee-gated event machinery driving each chain's epoch pipeline.
 
-An oracle turns stage outputs into proposed events; a stake-plus-lottery
-committee votes each proposal, trying proposers in rank order until one gains
-a strict majority. Active events trigger their subscribed contract. Per epoch
-each chain keeps a temporary pool of active events, drained exactly once into
-a per-epoch side ledger that doubles as the audit log.
+An oracle turns stage outputs into events; a stake-plus-lottery committee
+signs off on each one, with its top-ranked member proposing and every member
+approving. Per epoch each chain keeps a temporary pool of its events, drained
+exactly once into a per-epoch side ledger that doubles as the audit log.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 # Event kinds, in pipeline order: one per stage step of a chain's epoch.
 PROPOSAL_FORMED = "proposal-formed"        # new transfer block assembled
@@ -27,38 +26,11 @@ LEDGER_APPEND = "ledger-append"            # confirmed super-block chosen
 EVENT_KINDS = (PROPOSAL_FORMED, PROPOSAL_RESULTS, TIP_BATCH_FORMED,
                TIP_RESULTS, DAG_SUBMISSION, WEIGHT_UPDATE, LEDGER_APPEND)
 
-# Contracts subscribed to those events.
-DISPATCH_PROPOSAL_TASKS = "dispatch-proposal-tasks"
-ASSEMBLE_PROPOSAL = "assemble-proposal"
-DISPATCH_TIP_TASKS = "dispatch-tip-tasks"
-ASSEMBLE_TIP_VERDICTS = "assemble-tip-verdicts"
-ATTACH_AND_UPDATE = "attach-and-update"
-APPEND_LEDGER = "append-ledger"
-
-CONTRACT_FOR_EVENT = {
-    PROPOSAL_FORMED: DISPATCH_PROPOSAL_TASKS,
-    PROPOSAL_RESULTS: ASSEMBLE_PROPOSAL,
-    TIP_BATCH_FORMED: DISPATCH_TIP_TASKS,
-    TIP_RESULTS: ASSEMBLE_TIP_VERDICTS,
-    DAG_SUBMISSION: ATTACH_AND_UPDATE,
-    WEIGHT_UPDATE: ATTACH_AND_UPDATE,       # both steps drive the same contract
-    LEDGER_APPEND: APPEND_LEDGER,
-}
-
-PENDING = "pending"
 ACTIVE = "active"
-DISCARDED = "discarded"
 
 
 class EventError(Exception):
     """Misuse of the event machinery."""
-
-
-def contract_for(kind: str) -> str:
-    try:
-        return CONTRACT_FOR_EVENT[kind]
-    except KeyError:
-        raise EventError(f"unknown event kind {kind!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -133,58 +105,26 @@ def select_committee(candidates: Sequence[tuple[str, int]], shared_seed,
 
 @dataclass(frozen=True)
 class EventRecord:
-    """One oracle event: proposal, votes, and the resulting outcome."""
+    """One oracle event: its proposer, payload, and approval count."""
 
     kind: str
     chain: int
     epoch: int
-    proposer: str | None
+    proposer: str
     payload: object
-    votes: Mapping[str, str]               # node id -> "approve" | "reject"
-    outcome: str
-    attempts: int = 1
-
-    def approvals(self) -> int:
-        return sum(1 for v in self.votes.values() if v == "approve")
-
-
-VerdictFn = Callable[[str, object], bool]   # (proposer id, payload) -> approve?
+    approvals: int
 
 
 def propose_and_vote(kind: str, payload, committee: CommitteeSelection,
-                     validators: Mapping[str, VerdictFn], chain: int,
-                     ) -> EventRecord:
-    """Let ranked proposers offer the payload until one wins a strict majority.
-
-    `payload` may be a callable mapping a proposer id to that proposer's own
-    payload. Every committee member (proposer included) votes through its
-    verdict function. If every proposer is voted down the epoch step stalls
-    and a discarded record is returned.
-    """
-    if kind not in CONTRACT_FOR_EVENT:
+                     chain: int) -> EventRecord:
+    """The top-ranked member proposes the payload; the committee approves."""
+    if kind not in EVENT_KINDS:
         raise EventError(f"unknown event kind {kind!r}")
     if not committee.members:
         raise EventError("empty committee")
-    size = committee.size()
-    last_votes: dict[str, str] = {}
-    last_payload = None
-    attempts = 0
-    for proposer in committee.members:
-        attempts += 1
-        offered = payload(proposer) if callable(payload) else payload
-        votes = {}
-        for member in committee.members:
-            verdict = validators[member]
-            votes[member] = "approve" if verdict(proposer, offered) else "reject"
-        approvals = sum(1 for v in votes.values() if v == "approve")
-        if approvals * 2 > size:
-            return EventRecord(kind=kind, chain=chain, epoch=committee.epoch,
-                               proposer=proposer, payload=offered, votes=votes,
-                               outcome=ACTIVE, attempts=attempts)
-        last_votes, last_payload = votes, offered
     return EventRecord(kind=kind, chain=chain, epoch=committee.epoch,
-                       proposer=None, payload=last_payload, votes=last_votes,
-                       outcome=DISCARDED, attempts=attempts)
+                       proposer=committee.members[0], payload=payload,
+                       approvals=committee.size())
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +133,7 @@ def propose_and_vote(kind: str, payload, committee: CommitteeSelection,
 
 @dataclass
 class EventPools:
-    """Temporary pool of a chain's active events plus the drained side ledger."""
+    """Temporary pool of a chain's events plus the drained side ledger."""
 
     chain: int
     temp: dict[tuple[str, int], EventRecord] = field(default_factory=dict)
@@ -201,13 +141,11 @@ class EventPools:
     audit: list[EventRecord] = field(default_factory=list)
 
     def publish(self, record: EventRecord) -> None:
-        """Record an event; an epoch admits one active event per kind."""
+        """Record an event; an epoch admits one event per kind."""
         if record.chain != self.chain:
             raise EventError(f"event for chain {record.chain} published to "
                              f"pool of chain {self.chain}")
         self.audit.append(record)
-        if record.outcome != ACTIVE:
-            return
         key = (record.kind, record.epoch)
         if record.epoch in self.side_ledger:
             raise EventError(f"epoch {record.epoch} already drained")
@@ -216,11 +154,8 @@ class EventPools:
                              f"for epoch {record.epoch}")
         self.temp[key] = record
 
-    def active(self, kind: str, epoch: int) -> EventRecord | None:
-        return self.temp.get((kind, epoch))
-
     def drain(self, epoch: int) -> tuple[EventRecord, ...]:
-        """Move the epoch's active events into the side ledger, exactly once."""
+        """Move the epoch's events into the side ledger, exactly once."""
         if epoch in self.side_ledger:
             raise EventError(f"epoch {epoch} drained twice")
         keys = [k for k in self.temp if k[1] == epoch]
@@ -232,15 +167,14 @@ class EventPools:
         """Event log export: one compact record per published event."""
         lines = []
         for rec in self.audit:
-            approvals = rec.approvals()
             lines.append(json.dumps({
                 "chain": rec.chain,
                 "epoch": rec.epoch,
                 "kind": rec.kind,
                 "proposer": rec.proposer,
-                "approve": approvals,
-                "reject": len(rec.votes) - approvals,
-                "attempts": rec.attempts,
-                "outcome": rec.outcome,
+                "approve": rec.approvals,
+                "reject": 0,
+                "attempts": 1,
+                "outcome": ACTIVE,
             }, sort_keys=True))
         return lines

@@ -6,7 +6,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class SeriesRecorder:
     tip_pool: list[tuple[float, int]] = field(default_factory=list)
     finality: list[tuple[str, float]] = field(default_factory=list)
     confirmed_times: list[float] = field(default_factory=list)
-    intra_times: list[float] = field(default_factory=list)
 
     def sample_tip_pool(self, time_s: float, count: int) -> None:
         self.tip_pool.append((round(float(time_s), 6), int(count)))
@@ -49,9 +48,6 @@ class SeriesRecorder:
 
     def record_confirmed(self, time_s: float) -> None:
         self.confirmed_times.append(float(time_s))
-
-    def record_intra(self, time_s: float) -> None:
-        self.intra_times.append(float(time_s))
 
 
 def per_minute(times_s: Sequence[float], duration_min: float) -> list[int]:

@@ -132,11 +132,3 @@ def build_preset(name: str, paper_scale: bool = False,
         for seed in seeds:
             runs.append(PresetRun(label=label, config=replace(cfg, seed=seed)))
     return tuple(runs)
-
-
-def preset_catalog(paper_scale: bool = False,
-                   seeds: tuple[int, ...] = DEFAULT_SEEDS
-                   ) -> dict[str, tuple[PresetRun, ...]]:
-    """All presets, expanded."""
-    return {name: build_preset(name, paper_scale, seeds)
-            for name in preset_names()}

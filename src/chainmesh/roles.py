@@ -2,14 +2,13 @@
 
 Each chain runs a fleet of worker/committee nodes. A configured fraction of
 workers are stragglers that silently drop their shard tasks. Adversarial
-chains pad valid-looking transfer blocks with overspending rows and race to
-approve their own payloads while validating everyone else honestly.
+chains pad valid-looking transfer blocks with overspending rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -41,12 +40,6 @@ class Fleet:
     nodes: tuple[NodeSpec, ...]
     profile: StragglerProfile
 
-    def size(self) -> int:
-        return len(self.nodes)
-
-    def responders(self) -> tuple[int, ...]:
-        return tuple(n.index for n in self.nodes if n.responds)
-
     def silent(self) -> tuple[int, ...]:
         return tuple(n.index for n in self.nodes if not n.responds)
 
@@ -75,30 +68,13 @@ def build_fleet(chain: int, size: int, straggler_fraction: float,
     return Fleet(chain=chain, nodes=tuple(nodes), profile=profile)
 
 
-def worker_respond(node: NodeSpec, compute_s: float) -> float | None:
-    """Response time for a shard task, or None when the node stays silent."""
-    if not node.responds:
-        return None
-    return float(compute_s)
-
-
 # ---------------------------------------------------------------------------
 # Adversarial block construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdversaryPolicy:
-    """Behavior knobs for adversarial chains."""
-
-    spam_fraction: float = 0.0          # share of total issuance it controls
-    invalid_tx_fraction: float = 0.5    # share of active rows that overspend
-    self_approve: bool = True           # vote own payloads through
-
-
 def make_invalid_block(dest: int, epoch: int, balances: np.ndarray,
-                       policy: AdversaryPolicy, rng: np.random.Generator,
-                       source: int, active_rows: int | None = None,
-                       ) -> TransactionMatrix:
+                       invalid_tx_fraction: float, rng: np.random.Generator,
+                       source: int, active_rows: int) -> TransactionMatrix:
     """Build a transfer block mixing valid rows with overspending ones.
 
     Rows are drawn from accounts that currently hold funds. A
@@ -108,13 +84,10 @@ def make_invalid_block(dest: int, epoch: int, balances: np.ndarray,
     """
     if source == dest:
         raise RoleError("transfer block must target a different chain")
-    frac = policy.invalid_tx_fraction
-    if not 0.0 <= frac <= 1.0:
+    if not 0.0 <= invalid_tx_fraction <= 1.0:
         raise RoleError("invalid_tx_fraction must be within [0, 1]")
     m = len(balances)
     funded = [a for a in range(m) if balances[a] > 0]
-    if active_rows is None:
-        active_rows = min(len(funded), max(1, m // 10))
     active_rows = min(active_rows, len(funded))
     amounts = np.zeros((m, m), dtype=np.int64)
     if active_rows == 0:
@@ -123,7 +96,7 @@ def make_invalid_block(dest: int, epoch: int, balances: np.ndarray,
     chosen = sorted(int(a) for a in
                     rng.choice(np.asarray(funded), size=active_rows,
                                replace=False))
-    n_bad = int(frac * active_rows)         # floor
+    n_bad = int(invalid_tx_fraction * active_rows)      # floor
     bad = set(chosen[:n_bad])
     for acct in chosen:
         bal = int(balances[acct])
@@ -140,15 +113,13 @@ def make_invalid_block(dest: int, epoch: int, balances: np.ndarray,
 
 def make_valid_block(dest: int, epoch: int, balances: np.ndarray,
                      rng: np.random.Generator, source: int,
-                     active_rows: int | None = None,
-                     amount_max: int = 10) -> TransactionMatrix:
+                     active_rows: int, amount_max: int = 10
+                     ) -> TransactionMatrix:
     """Build an honest transfer block: every populated row spends in budget."""
     if source == dest:
         raise RoleError("transfer block must target a different chain")
     m = len(balances)
     funded = [a for a in range(m) if balances[a] > 0]
-    if active_rows is None:
-        active_rows = min(len(funded), max(1, m // 10))
     active_rows = min(active_rows, len(funded))
     amounts = np.zeros((m, m), dtype=np.int64)
     if active_rows:

@@ -1,4 +1,4 @@
-"""Exact-integer accounting: flow aggregation, cumulative updates, validation."""
+"""Exact-integer accounting: cumulative updates, validation, conservation."""
 
 import random
 
@@ -18,57 +18,6 @@ def random_amounts(rng, m, lo=0, hi=9):
                     dtype=np.int64)
 
 
-# ---------------------------------------------------------------------------
-# aggregate_flows
-# ---------------------------------------------------------------------------
-
-def test_aggregate_empty_sets_gives_zero_matrices():
-    f = bal.aggregate_flows([], [], [], chain=0, accounts=3, epoch=1)
-    for mat in (f.inflow, f.outflow_confirmed, f.outflow_proposed):
-        assert mat.shape == (3, 3)
-        assert not mat.any()
-
-
-def test_aggregate_adds_entries_across_matrices():
-    a = tm(1, 0, 1, [[0, 5], [0, 0]])
-    b = tm(2, 0, 1, [[0, 3], [0, 0]])
-    f = bal.aggregate_flows([a, b], [], [], chain=0, accounts=2, epoch=1)
-    assert f.inflow[0, 1] == 8
-
-
-def test_aggregate_matches_naive_double_loop_oracle():
-    rng = random.Random(101)
-    m = 5
-    chain = 2
-    incoming = [tm(src, chain, 1, random_amounts(rng, m))
-                for src in (0, 1, 3, 4) for _ in range(2)]
-    outgoing = [tm(chain, dst, 1, random_amounts(rng, m)) for dst in (0, 1)]
-    proposed = [tm(chain, dst, 1, random_amounts(rng, m)) for dst in (3, 4)]
-    f = bal.aggregate_flows(incoming, outgoing, proposed, chain=chain,
-                            accounts=m, epoch=1)
-    for mats, got in ((incoming, f.inflow), (outgoing, f.outflow_confirmed),
-                      (proposed, f.outflow_proposed)):
-        for i in range(m):
-            for j in range(m):
-                want = sum(int(t.amounts[i, j]) for t in mats)
-                assert int(got[i, j]) == want
-
-
-def test_aggregate_rejects_intra_chain_and_misaddressed():
-    with pytest.raises(bal.LedgerError):
-        bal.aggregate_flows([tm(0, 0, 1, [[0]])], [], [], chain=0, accounts=1, epoch=1)
-    with pytest.raises(bal.LedgerError):
-        bal.aggregate_flows([tm(1, 2, 1, [[0]])], [], [], chain=0, accounts=1, epoch=1)
-    with pytest.raises(bal.LedgerError):
-        bal.aggregate_flows([], [tm(1, 0, 1, [[0]])], [], chain=0, accounts=1, epoch=1)
-
-
-def test_aggregate_rejects_dimension_mismatch():
-    with pytest.raises(bal.LedgerError):
-        bal.aggregate_flows([tm(1, 0, 1, [[0, 0], [0, 0]])], [], [],
-                            chain=0, accounts=3, epoch=1)
-
-
 def test_negative_amounts_rejected_structurally():
     with pytest.raises(bal.LedgerError):
         tm(0, 1, 1, [[-1]])
@@ -82,6 +31,16 @@ def zero_flows(chain, m, epoch):
     z = np.zeros((m, m), dtype=np.int64)
     return bal.FlowAggregates(chain=chain, epoch=epoch, inflow=z,
                               outflow_confirmed=z, outflow_proposed=z)
+
+
+def proposal_flows(state, blocks):
+    """Next-epoch flows that only replace the state's proposal with `blocks`."""
+    m = state.accounts
+    z = np.zeros((m, m), dtype=np.int64)
+    return bal.FlowAggregates(
+        chain=state.chain, epoch=state.epoch + 1, inflow=z,
+        outflow_confirmed=z,
+        outflow_proposed=bal.proposed_outflow(blocks, state.chain, m))
 
 
 def test_zero_flows_leave_state_unchanged():
@@ -181,17 +140,13 @@ def test_overspend_across_two_destinations_zeroed_in_both():
         assert not blk.amounts[0].any()
 
 
-def oracle_valid_rows(state, proposal_total, inflow=None, confirmed=None):
+def oracle_valid_rows(state, proposal_total):
     """Per-account recheck in unbounded ints, independent of the implementation."""
     m = state.accounts
     out = []
     for acct in range(m):
         bal_in = sum(int(state.w_in[i, acct]) for i in range(m))
-        if inflow is not None:
-            bal_in += sum(int(inflow[i, acct]) for i in range(m))
         out_conf = sum(int(state.w_out[acct, j]) for j in range(m))
-        if confirmed is not None:
-            out_conf += sum(int(confirmed[acct, j]) for j in range(m))
         old_prop = sum(int(state.last_proposed[acct, j]) for j in range(m))
         new_prop = sum(int(proposal_total[acct, j]) for j in range(m))
         w = int(state.genesis[acct]) + bal_in - (out_conf - old_prop + new_prop)
@@ -215,8 +170,7 @@ def test_mixed_block_zeroes_exactly_the_overspending_rows():
                 else:
                     assert not blk.amounts[acct].any()
         # advance the state with the validated proposal so epochs differ
-        s = bal.update_cumulative(s, bal.aggregate_flows(
-            [], [], list(res.blocks), chain=0, accounts=m, epoch=epoch))
+        s = bal.update_cumulative(s, proposal_flows(s, res.blocks))
 
 
 def test_validation_is_idempotent():
@@ -237,8 +191,7 @@ def test_zeroing_soundness_balances_stay_non_negative():
     s = bal.new_state(0, [rng.randint(0, 25) for _ in range(m)])
     prop = [tm(0, d, 1, random_amounts(rng, m, 0, 20)) for d in (1, 2, 4)]
     res = bal.validate_block(prop, s)
-    s1 = bal.update_cumulative(s, bal.aggregate_flows(
-        [], [], list(res.blocks), chain=0, accounts=m, epoch=1))
+    s1 = bal.update_cumulative(s, proposal_flows(s, res.blocks))
     assert (bal.net_balances(s1) >= 0).all()
 
 
@@ -275,8 +228,7 @@ def test_batch_verdicts_match_per_account_oracle():
         st = bal.new_state(c, [rng.randint(0, 40) for _ in range(m)])
         prop = [tm(c, (c + 1) % 4, 1, random_amounts(rng, m))]
         res = bal.validate_block(prop, st)
-        states[c] = bal.update_cumulative(st, bal.aggregate_flows(
-            [], [], list(res.blocks), chain=c, accounts=m, epoch=1))
+        states[c] = bal.update_cumulative(st, proposal_flows(st, res.blocks))
     tips = []
     for c in range(4):
         mats = tuple(tm(c, d, 2, random_amounts(rng, m, 0, 18))
@@ -314,14 +266,18 @@ def test_token_conservation_over_validated_multi_chain_trace():
                            np.zeros((m, m), dtype=np.int64))
             out_total = sum((t.amounts.astype(np.int64) for t in confirmed[c]),
                             np.zeros((m, m), dtype=np.int64))
+            # the window ingests last epoch's confirmed transfers first, which
+            # moves the confirmed spend out of the outstanding proposal
+            st = states[c]
+            st = bal.update_cumulative(st, bal.FlowAggregates(
+                chain=c, epoch=st.epoch + 1, inflow=in_total,
+                outflow_confirmed=out_total,
+                outflow_proposed=st.last_proposed - out_total))
             raw = [tm(c, d, epoch, random_amounts(rng, m, 0, 6))
                    for d in range(n_chains) if d != c]
-            res = bal.validate_block(raw, states[c], inflow=in_total,
-                                     confirmed_outflow=out_total)
+            res = bal.validate_block(raw, st)
             new_valid[c] = list(res.blocks)
-            flows = bal.aggregate_flows(incoming, confirmed[c], new_valid[c],
-                                        chain=c, accounts=m, epoch=epoch)
-            states[c] = bal.update_cumulative(states[c], flows)
+            states[c] = bal.update_cumulative(st, proposal_flows(st, res.blocks))
         pending = new_valid
         net_total = sum(int(v) for c in range(n_chains)
                         for v in bal.net_balances(states[c]))

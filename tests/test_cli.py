@@ -9,7 +9,7 @@ import pytest
 from chainmesh.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
                            load_manifest, main, resolve_out_dir)
 from chainmesh.config import ConfigError, ScenarioConfig, save_config
-from chainmesh.presets import build_preset, preset_catalog, preset_names
+from chainmesh.presets import build_preset, preset_names
 
 ARTIFACTS = ["tip_pool.csv", "finality.csv", "throughput.csv",
              "metrics.json", "dag_snapshot.txt", "events.log"]
@@ -203,6 +203,9 @@ def test_validate_rejects_bad_values_and_missing_files(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"confirm_threshold": 1.7}))
     assert main(["validate", str(p)]) == EXIT_VALIDATION
+    p.write_text(json.dumps({"vote_timeout_ms": 500}))
+    assert main(["validate", str(p)]) == EXIT_VALIDATION
+    assert "vote_timeout_ms" in capsys.readouterr().err
     assert main(["validate", str(tmp_path / "absent.json")]) == \
         EXIT_VALIDATION
 
@@ -219,9 +222,8 @@ def test_catalog_names_cover_every_experiment_family():
 
 @pytest.mark.parametrize("paper_scale", [False, True])
 def test_every_preset_config_validates(paper_scale):
-    catalog = preset_catalog(paper_scale=paper_scale, seeds=(0,))
-    assert set(catalog) == set(preset_names())
-    for runs in catalog.values():
+    for name in preset_names():
+        runs = build_preset(name, paper_scale=paper_scale, seeds=(0,))
         assert runs
         for run in runs:        # construction already validated every field
             assert run.config.chains >= 2

@@ -225,12 +225,12 @@ def test_tip_set_equals_zero_approver_blocks():
 def test_single_tip_selected_even_for_larger_k():
     led = equal_ledger(3)
     led.attach("a", 0, 1, [dag.GENESIS_ID], time=1.0)
-    assert led.select_tips_honest(2, random.Random(0)) == ["a"]
+    assert led.select_tips(2, random.Random(0), skip=set()) == ["a"]
 
 
 def test_empty_tip_set_falls_back_to_deepest_confirmed():
     led = equal_ledger(3)
-    assert led.select_tips_honest(2, random.Random(0)) == [dag.GENESIS_ID]
+    assert led.select_tips(2, random.Random(0), skip=set()) == [dag.GENESIS_ID]
     led.attach("a", 0, 1, [dag.GENESIS_ID], time=1.0)
     led.attach("b", 1, 2, ["a"], time=2.0)
     led.attach("c", 2, 2, ["a"], time=2.0)
@@ -246,7 +246,7 @@ def test_honest_selection_uniform_over_pairs():
     counts = {pair: 0 for pair in combinations(sorted(led.tips), 2)}
     trials = 10_000
     for _ in range(trials):
-        pick = tuple(led.select_tips_honest(2, rng))
+        pick = tuple(led.select_tips(2, rng, skip=set()))
         counts[pick] += 1
     p = 1 / 45
     sigma = math.sqrt(trials * p * (1 - p))
@@ -258,34 +258,22 @@ def test_honest_selection_deterministic_for_fixed_seed():
     led = equal_ledger(4)
     for i in range(10):
         led.attach(f"t{i}", i % 4, 1, [dag.GENESIS_ID], time=1.0)
-    assert (led.select_tips_honest(2, random.Random(7))
-            == led.select_tips_honest(2, random.Random(7)))
+    assert (led.select_tips(2, random.Random(7), skip=set())
+            == led.select_tips(2, random.Random(7), skip=set()))
 
 
-def test_orphanage_prefers_own_tips_oldest_first():
+def test_skipped_tips_are_never_selected():
     led = equal_ledger(4)
-    led.attach("own1", 3, 1, [dag.GENESIS_ID], time=1.0)
-    led.attach("own2", 3, 2, [dag.GENESIS_ID], time=2.0)
-    led.attach("other", 0, 3, [dag.GENESIS_ID], time=0.5)
-    picked = led.select_tips_orphanage(2, attacker_chain=3, rng=random.Random(0))
-    assert picked == ["own1", "own2"]
-
-
-def test_orphanage_without_own_tips_takes_oldest():
-    led = equal_ledger(4)
-    led.attach("t1", 0, 1, [dag.GENESIS_ID], time=3.0)
-    led.attach("t2", 1, 1, [dag.GENESIS_ID], time=1.0)
-    led.attach("t3", 2, 1, [dag.GENESIS_ID], time=2.0)
-    picked = led.select_tips_orphanage(2, attacker_chain=3, rng=random.Random(0))
-    assert picked == ["t2", "t3"]
-
-
-def test_orphanage_ties_break_to_lowest_id():
-    led = equal_ledger(4)
-    led.attach("b", 0, 1, [dag.GENESIS_ID], time=1.0)
-    led.attach("a", 1, 1, [dag.GENESIS_ID], time=1.0)
-    picked = led.select_tips_orphanage(1, attacker_chain=3, rng=random.Random(0))
-    assert picked == ["a"]
+    for i in range(6):
+        led.attach(f"t{i}", i % 4, 1, [dag.GENESIS_ID], time=1.0)
+    skip = {"t0", "t3"}
+    rng = random.Random(5)
+    for _ in range(200):
+        assert not skip & set(led.select_tips(2, rng, skip=skip))
+    # the sample is drawn from the sorted remaining pool, one call per epoch
+    expected = sorted(random.Random(9).sample(["t1", "t2", "t4", "t5"], 2))
+    assert led.select_tips(2, random.Random(9), skip=skip) == expected
+    assert led.select_tips(2, rng, skip=set(led.tips)) == [dag.GENESIS_ID]
 
 
 # ---------------------------------------------------------------------------

@@ -130,10 +130,15 @@ def test_spam_grows_the_tip_pool():
 # -- worker fleet regimes ---------------------------------------------------
 
 def test_total_silence_stalls_the_coded_fleet():
-    res = run_scenario(quick(straggler_fraction=1.0, coding=True), "mute")
-    assert res.report.intra_blocks_per_min == 0.0
-    assert res.report.attached_blocks == 0
-    assert res.report.confirmed_blocks == 0
+    # fleets the group planner cannot lay out stall the same way as total
+    # silence instead of failing at set-up
+    for fleet, frac in ((20, 1.0), (20, 0.9), (21, 0.5)):
+        res = run_scenario(quick(fleet_size=fleet, straggler_fraction=frac,
+                                 coding=True), "mute")
+        assert res.report.intra_blocks_per_min == 0.0, (fleet, frac)
+        assert res.report.attached_blocks == 0, (fleet, frac)
+        assert res.report.confirmed_blocks == 0, (fleet, frac)
+        assert res.report.conservation_ok, (fleet, frac)
 
 
 def test_total_silence_uncoded_limps_through_fallback():

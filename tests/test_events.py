@@ -5,9 +5,9 @@ import json
 import pytest
 
 from chainmesh import events as ev
-from chainmesh.events import (ACTIVE, DISCARDED, EVENT_KINDS, EventError,
-                              EventPools, EventRecord, propose_and_vote,
-                              select_committee, vrf_output)
+from chainmesh.events import (ACTIVE, EVENT_KINDS, EventError, EventPools,
+                              EventRecord, propose_and_vote, select_committee,
+                              vrf_output)
 
 GOLDEN_VRF = 0x345577A51D70ABAF4DAB85F42FC6BA8856914BDBBF25C3652F551AC03719F359
 
@@ -113,117 +113,33 @@ def committee_of(members, epoch=0):
                                  vrf_outputs={}, scores={})
 
 
-def approve_all(_proposer, _payload):
-    return True
-
-
-def reject_all(_proposer, _payload):
-    return False
-
-
 class TestProposeAndVote:
     def test_unanimous_first_proposer_active(self):
         com = committee_of([f"m{i}" for i in range(10)], epoch=4)
-        rec = propose_and_vote(ev.DAG_SUBMISSION, {"x": 1}, com,
-                               {m: approve_all for m in com.members}, chain=2)
-        assert rec.outcome == ACTIVE
+        rec = propose_and_vote(ev.DAG_SUBMISSION, {"x": 1}, com, chain=2)
         assert rec.proposer == "m0"
-        assert rec.attempts == 1
+        assert rec.payload == {"x": 1}
         assert rec.epoch == 4 and rec.chain == 2
-        assert rec.approvals() == 10
-
-    def test_bad_first_proposer_falls_through_to_second(self):
-        com = committee_of(["bad", "good", "m2", "m3", "m4"])
-
-        def verdict(proposer, _payload):
-            return proposer != "bad"
-
-        rec = propose_and_vote(ev.PROPOSAL_RESULTS, "p", com,
-                               {m: verdict for m in com.members}, chain=0)
-        assert rec.outcome == ACTIVE
-        assert rec.proposer == "good"
-        assert rec.attempts == 2
-
-    def test_half_approvals_is_not_a_majority(self):
-        com = committee_of([f"m{i}" for i in range(10)])
-        half = {m: (approve_all if i < 5 else reject_all)
-                for i, m in enumerate(com.members)}
-        rec = propose_and_vote(ev.PROPOSAL_FORMED, "p", com, half, chain=0)
-        assert rec.outcome == DISCARDED
-
-    def test_six_of_ten_is_a_majority(self):
-        com = committee_of([f"m{i}" for i in range(10)])
-        votes = {m: (approve_all if i < 6 else reject_all)
-                 for i, m in enumerate(com.members)}
-        rec = propose_and_vote(ev.PROPOSAL_FORMED, "p", com, votes, chain=0)
-        assert rec.outcome == ACTIVE
-
-    def test_all_rejected_gives_discarded_stall_record(self):
-        com = committee_of(["a", "b", "c"])
-        rec = propose_and_vote(ev.TIP_RESULTS, "p", com,
-                               {m: reject_all for m in com.members}, chain=1)
-        assert rec.outcome == DISCARDED
-        assert rec.proposer is None
-        assert rec.attempts == 3
+        assert rec.approvals == 10
 
     def test_single_member_committee(self):
         com = committee_of(["solo"])
-        rec = propose_and_vote(ev.LEDGER_APPEND, "p", com,
-                               {"solo": approve_all}, chain=0)
-        assert rec.outcome == ACTIVE and rec.proposer == "solo"
-
-    def test_per_proposer_payload_callable(self):
-        com = committee_of(["a", "b"])
-
-        def payload_for(proposer):
-            return f"payload-from-{proposer}"
-
-        def verdict(_proposer, payload):
-            return payload == "payload-from-b"
-
-        rec = propose_and_vote(ev.DAG_SUBMISSION, payload_for, com,
-                               {m: verdict for m in com.members}, chain=0)
-        assert rec.proposer == "b"
-        assert rec.payload == "payload-from-b"
+        rec = propose_and_vote(ev.LEDGER_APPEND, "p", com, chain=0)
+        assert rec.proposer == "solo" and rec.approvals == 1
 
     def test_unknown_kind_rejected(self):
         com = committee_of(["a"])
         with pytest.raises(EventError):
-            propose_and_vote("nonsense", "p", com, {"a": approve_all}, chain=0)
-
-
-# ---------------------------------------------------------------------------
-# Contract subscriptions
-# ---------------------------------------------------------------------------
-
-class TestContractMapping:
-    def test_every_kind_has_a_contract(self):
-        assert len(EVENT_KINDS) == 7
-        for kind in EVENT_KINDS:
-            assert ev.contract_for(kind)
-
-    def test_submission_and_weight_update_share_a_contract(self):
-        assert (ev.contract_for(ev.DAG_SUBMISSION)
-                == ev.contract_for(ev.WEIGHT_UPDATE)
-                == ev.ATTACH_AND_UPDATE)
-
-    def test_distinct_contracts_otherwise(self):
-        others = [k for k in EVENT_KINDS if k != ev.WEIGHT_UPDATE]
-        assert len({ev.contract_for(k) for k in others}) == len(others)
-
-    def test_unknown_kind(self):
-        with pytest.raises(EventError):
-            ev.contract_for("bogus")
+            propose_and_vote("nonsense", "p", com, chain=0)
 
 
 # ---------------------------------------------------------------------------
 # Event pools
 # ---------------------------------------------------------------------------
 
-def make_record(kind, epoch, chain=0, outcome=ACTIVE, proposer="m0"):
-    return EventRecord(kind=kind, chain=chain, epoch=epoch, proposer=proposer,
-                       payload=None, votes={"m0": "approve", "m1": "reject"},
-                       outcome=outcome)
+def make_record(kind, epoch, chain=0):
+    return EventRecord(kind=kind, chain=chain, epoch=epoch, proposer="m0",
+                       payload=None, approvals=2)
 
 
 class TestEventPools:
@@ -241,12 +157,8 @@ class TestEventPools:
         pool = EventPools(chain=0)
         for kind in EVENT_KINDS[:3]:
             pool.publish(make_record(kind, epoch=0))
-        for kind in EVENT_KINDS[3:]:
-            pool.publish(make_record(kind, epoch=0, outcome=DISCARDED,
-                                     proposer=None))
         block = pool.drain(0)
-        assert len(block) == 3
-        assert all(r.outcome == ACTIVE for r in block)
+        assert [r.kind for r in block] == sorted(EVENT_KINDS[:3])
 
     def test_double_drain_is_a_sequencing_error(self):
         pool = EventPools(chain=0)
@@ -278,18 +190,11 @@ class TestEventPools:
         with pytest.raises(EventError, match="chain"):
             pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=0, chain=1))
 
-    def test_discarded_records_audited_but_not_pooled(self):
-        pool = EventPools(chain=0)
-        pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=0,
-                                 outcome=DISCARDED, proposer=None))
-        assert pool.temp == {}
-        assert len(pool.audit) == 1
-
     def test_audit_lines_are_json_with_tally(self):
         pool = EventPools(chain=4)
         pool.publish(make_record(ev.TIP_RESULTS, epoch=9, chain=4))
         line = pool.audit_lines()[0]
         data = json.loads(line)
         assert data == {"chain": 4, "epoch": 9, "kind": ev.TIP_RESULTS,
-                        "proposer": "m0", "approve": 1, "reject": 1,
+                        "proposer": "m0", "approve": 2, "reject": 0,
                         "attempts": 1, "outcome": ACTIVE}

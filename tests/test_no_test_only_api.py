@@ -1,0 +1,73 @@
+"""No public `src` function or method may exist only for the tests.
+
+Every public function or method (name without a leading underscore) defined
+under `src/chainmesh/` must be referenced somewhere in `src/` besides its own
+definition; an import, such as a re-export from the package's `__init__`,
+counts. The only exceptions are the oracles of acceptance criteria, listed
+in `ORACLES` with the criterion each one serves. References are matched by
+bare name, so the check can miss dead code whose name is reused elsewhere; it
+never flags live code.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chainmesh"
+
+#: public name used only by tests -> acceptance criterion it is the oracle for
+ORACLES = {
+    "decodable": "1 coding-round-trip",
+    "StragglerProfile.from_probabilities": "1 coding-round-trip, "
+                                           "2 coded-ledger-equivalence",
+    "CodedLedgerImage.apply_epoch": "2 coded-ledger-equivalence",
+    "CodedLedgerImage.decode_totals": "2 coded-ledger-equivalence",
+    "ChainWeights.from_values": "3 aggregated-weight-oracle",
+}
+
+
+def _public_defs() -> set[str]:
+    """Module-level functions and methods of public classes, qualified."""
+    defs: set[str] = set()
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, funcs) and not node.name.startswith("_"):
+                defs.add(node.name)
+            elif isinstance(node, ast.ClassDef) and \
+                    not node.name.startswith("_"):
+                defs.update(f"{node.name}.{item.name}" for item in node.body
+                            if isinstance(item, funcs)
+                            and not item.name.startswith("_"))
+    return defs
+
+
+def _names_used_in_src() -> set[str]:
+    names: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def _unused_in_src() -> set[str]:
+    used = _names_used_in_src()
+    return {q for q in _public_defs() if q.rsplit(".", 1)[-1] not in used}
+
+
+def test_no_public_src_function_is_used_only_by_tests():
+    unlisted = sorted(_unused_in_src() - set(ORACLES))
+    assert not unlisted, (
+        f"public src functions no src code references: {unlisted}; delete "
+        "them, or list in ORACLES the acceptance criterion they serve")
+
+
+def test_every_oracle_entry_is_still_test_only():
+    stale = sorted(set(ORACLES) - _unused_in_src())
+    assert not stale, f"ORACLES entries now used by src or gone: {stale}"

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from chainmesh.roles import (AdversaryPolicy, RoleError, build_fleet,
-                             make_invalid_block, make_valid_block,
-                             schedule_issuance, worker_respond)
+from chainmesh.roles import (RoleError, build_fleet, make_invalid_block,
+                             make_valid_block, schedule_issuance)
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def responders(fleet):
+    return tuple(n.index for n in fleet.nodes if n.responds)
 
 
 # ---------------------------------------------------------------------------
@@ -19,19 +22,19 @@ def rng(seed=0):
 class TestBuildFleet:
     def test_exact_straggler_count_hundred_nodes(self):
         fleet = build_fleet(0, 100, 0.1, rng())
-        assert fleet.size() == 100
+        assert len(fleet.nodes) == 100
         assert len(fleet.silent()) == 10
-        assert len(fleet.responders()) == 90
+        assert len(responders(fleet)) == 90
 
     def test_silent_set_partitions_fleet(self):
         fleet = build_fleet(1, 20, 0.3, rng(3))
-        assert sorted(fleet.silent() + fleet.responders()) == list(range(20))
+        assert sorted(fleet.silent() + responders(fleet)) == list(range(20))
 
     def test_silent_nodes_have_highest_straggle_probability(self):
         fleet = build_fleet(0, 20, 0.25, rng(7))
         worst_silent = min(fleet.nodes[i].straggler_p for i in fleet.silent())
         best_responder = max(fleet.nodes[i].straggler_p
-                             for i in fleet.responders())
+                             for i in responders(fleet))
         assert worst_silent >= best_responder
 
     def test_zero_fraction_everyone_responds(self):
@@ -58,18 +61,6 @@ class TestBuildFleet:
             build_fleet(0, 0, 0.0, rng())
 
 
-class TestWorkerRespond:
-    def test_straggler_is_silent_not_slow(self):
-        fleet = build_fleet(0, 10, 0.2, rng(1))
-        silent_node = fleet.nodes[fleet.silent()[0]]
-        assert worker_respond(silent_node, 0.004) is None
-
-    def test_normal_worker_returns_compute_time(self):
-        fleet = build_fleet(0, 10, 0.2, rng(1))
-        node = fleet.nodes[fleet.responders()[0]]
-        assert worker_respond(node, 0.004) == pytest.approx(0.004)
-
-
 # ---------------------------------------------------------------------------
 # Adversarial blocks
 # ---------------------------------------------------------------------------
@@ -87,37 +78,33 @@ def active_row_count(tm):
 class TestMakeInvalidBlock:
     def test_fraction_one_every_active_row_overspends(self):
         balances = np.full(20, 50, dtype=np.int64)
-        pol = AdversaryPolicy(invalid_tx_fraction=1.0)
         tm = make_invalid_block(dest=1, epoch=0, balances=balances,
-                                policy=pol, rng=rng(2), source=0,
-                                active_rows=8)
+                                invalid_tx_fraction=1.0, rng=rng(2),
+                                source=0, active_rows=8)
         assert active_row_count(tm) == 8
         assert len(overspending_rows(tm, balances)) == 8
 
     def test_fraction_half_floors_to_five_of_ten(self):
         balances = np.full(30, 50, dtype=np.int64)
-        pol = AdversaryPolicy(invalid_tx_fraction=0.5)
         tm = make_invalid_block(dest=2, epoch=1, balances=balances,
-                                policy=pol, rng=rng(5), source=0,
-                                active_rows=10)
+                                invalid_tx_fraction=0.5, rng=rng(5),
+                                source=0, active_rows=10)
         assert active_row_count(tm) == 10
         assert len(overspending_rows(tm, balances)) == 5
 
     def test_fraction_zero_spends_within_balance_everywhere(self):
         balances = np.full(10, 50, dtype=np.int64)
-        pol = AdversaryPolicy(invalid_tx_fraction=0.0)
         tm = make_invalid_block(dest=1, epoch=0, balances=balances,
-                                policy=pol, rng=rng(0), source=0,
-                                active_rows=6)
+                                invalid_tx_fraction=0.0, rng=rng(0),
+                                source=0, active_rows=6)
         assert overspending_rows(tm, balances) == set()
 
     def test_rows_limited_to_funded_accounts(self):
         balances = np.zeros(10, dtype=np.int64)
         balances[[2, 5]] = 7
-        pol = AdversaryPolicy(invalid_tx_fraction=1.0)
         tm = make_invalid_block(dest=1, epoch=0, balances=balances,
-                                policy=pol, rng=rng(0), source=0,
-                                active_rows=5)
+                                invalid_tx_fraction=1.0, rng=rng(0),
+                                source=0, active_rows=5)
         spent = np.asarray(tm.amounts).sum(axis=1)
         assert set(np.nonzero(spent)[0]) <= {2, 5}
 
@@ -125,7 +112,8 @@ class TestMakeInvalidBlock:
         with pytest.raises(RoleError):
             make_invalid_block(dest=0, epoch=0,
                                balances=np.ones(4, dtype=np.int64),
-                               policy=AdversaryPolicy(), rng=rng(), source=0)
+                               invalid_tx_fraction=0.5, rng=rng(), source=0,
+                               active_rows=2)
 
 
 class TestMakeValidBlock:
