@@ -10,12 +10,14 @@ approve, so no chain can push its own blocks over the threshold by itself.
 Approver stake is maintained incrementally: each block carries a bitmask of
 contributing chains which is pushed to its ancestors on attach, pruned where
 already present (a chain present on a block is always present on all of that
-block's ancestors). A brute-force reachability recomputation is reserved for
-test oracles.
+block's ancestors). Only blocks whose mask grew since the last pass can newly
+confirm, so only those are checked, in integer stake numerators over one
+common denominator. Reachability walks are reserved for test oracles.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,7 +93,6 @@ class DagBlock:
     confirm_time: float | None = None
     chains: int = 0
     depth: int = 0
-    approvers: int = 0          # direct children count
 
 
 class DagLedger:
@@ -102,15 +103,19 @@ class DagLedger:
         self.eta = _as_fraction(eta)
         if not 0 < self.eta <= 1:
             raise DagError("confirmation threshold must lie in (0, 1]")
+        # stakes and threshold as integer numerators over one denominator
+        self._denom = math.lcm(self.eta.denominator,
+                               *(w.denominator for w in weights.weights))
+        self._stakes = [int(w * self._denom) for w in weights.weights]
+        self._threshold = int(self.eta * self._denom)
         genesis = DagBlock(id=GENESIS_ID, proposer=None, epoch=0, parents=(),
                            payload=None, attach_time=genesis_time,
                            status=CONFIRMED, confirm_time=genesis_time,
                            chains=0, depth=0)
         self.blocks: dict[str, DagBlock] = {GENESIS_ID: genesis}
-        self.children: dict[str, list[str]] = {GENESIS_ID: []}
         self.order: list[str] = [GENESIS_ID]
         self.tips: set[str] = set()
-        self._pending: set[str] = set()
+        self._grown: set[str] = set()   # mask grew since the last pass
         self._confirmed: set[str] = {GENESIS_ID}
 
     # -- attachment --------------------------------------------------------
@@ -131,21 +136,16 @@ class DagLedger:
                 raise DagError(f"unknown parent {p!r}")
         block = DagBlock(id=block_id, proposer=proposer, epoch=epoch,
                          parents=parent_ids, payload=payload, attach_time=time,
-                         chains=1 << proposer,
                          depth=1 + max(self.blocks[p].depth for p in parent_ids))
         self.blocks[block_id] = block
-        self.children[block_id] = []
         self.order.append(block_id)
         self.tips.add(block_id)
-        self._pending.add(block_id)
         for p in parent_ids:
-            self.children[p].append(block_id)
             parent = self.blocks[p]
-            parent.approvers += 1
             if parent.status == TIP:
                 parent.status = UNCONFIRMED
                 self.tips.discard(p)
-        self._propagate(parent_ids, 1 << proposer)
+        self._propagate((block_id,), 1 << proposer)
         return block
 
     def _propagate(self, start: Sequence[str], bit: int) -> None:
@@ -156,9 +156,13 @@ class DagLedger:
             if block.chains & bit:
                 continue            # ancestors already carry this chain
             block.chains |= bit
+            self._grown.add(bid)
             stack.extend(block.parents)
 
     # -- weight and confirmation ------------------------------------------
+
+    def _stake(self, mask: int) -> int:
+        return sum(s for c, s in enumerate(self._stakes) if mask >> c & 1)
 
     def aggregated_weight(self, block_id: str) -> Fraction:
         """Stake share backing a block, deduplicated per chain, in (0, 1]."""
@@ -167,28 +171,23 @@ class DagLedger:
             raise DagError(f"unknown block {block_id!r}")
         if block_id == GENESIS_ID:
             return Fraction(1)
-        total = Fraction(0)
-        mask = block.chains
-        chain = 0
-        while mask:
-            if mask & 1:
-                total += self.weights[chain]
-            mask >>= 1
-            chain += 1
-        return total
+        return Fraction(self._stake(block.chains), self._denom)
 
     def update_confirmations(self, now: float = 0.0) -> set[str]:
-        """Flip every pending block whose aggregated weight meets the threshold."""
+        """Flip every pending block whose aggregated weight meets the threshold.
+
+        Only blocks whose mask grew since the last call can newly confirm."""
         newly: set[str] = set()
-        for bid in sorted(self._pending):
-            if self.aggregated_weight(bid) >= self.eta:
-                block = self.blocks[bid]
+        for bid in self._grown:
+            block = self.blocks[bid]
+            if block.status != CONFIRMED and \
+                    self._stake(block.chains) >= self._threshold:
                 block.status = CONFIRMED
                 block.confirm_time = now
                 self.tips.discard(bid)
                 self._confirmed.add(bid)
                 newly.add(bid)
-        self._pending -= newly
+        self._grown.clear()
         return newly
 
     # -- parent selection --------------------------------------------------

@@ -77,6 +77,8 @@ class _ChainRuntime:
     # labeled conflict candidates this chain has sighted but whose detection
     # has not yet been finalised by any confirmed proposal
     watch: set = field(default_factory=set)
+    # one committee per epoch still open in `pool`, dropped when it drains
+    committees: dict[int, ev.CommitteeSelection] = field(default_factory=dict)
 
 
 @dataclass
@@ -245,14 +247,13 @@ class Simulation:
 
     # -- committee helpers -------------------------------------------------
 
-    def _committee(self, rt: _ChainRuntime, epoch: int):
-        return select_committee(rt.candidates, rt.committee_seed, epoch,
-                                self.cfg.committee_size())
-
     def _publish(self, rt: _ChainRuntime, kind: str, epoch: int,
                  payload) -> None:
-        committee = self._committee(rt, epoch)
-        rt.pool.publish(propose_and_vote(kind, payload, committee,
+        if epoch not in rt.committees:
+            rt.committees[epoch] = select_committee(
+                rt.candidates, rt.committee_seed, epoch,
+                self.cfg.committee_size())
+        rt.pool.publish(propose_and_vote(kind, payload, rt.committees[epoch],
                                          chain=rt.chain))
 
     # -- chain pipeline ----------------------------------------------------
@@ -443,6 +444,7 @@ class Simulation:
             self._confirmations(now)
             self._publish(rt, ev.WEIGHT_UPDATE, epoch, ("weights", block_id))
         rt.pool.drain(epoch)
+        del rt.committees[epoch]
         rt.busy = False
         self._try_start(rt, now)
 
@@ -494,6 +496,7 @@ class Simulation:
             for rt in self.chains.values():
                 self._publish(rt, ev.LEDGER_APPEND, window_epoch, payload)
                 rt.pool.drain(window_epoch)
+                del rt.committees[window_epoch]
         self._push(now + self.cfg.ledger_interval_s, self._window, index + 1)
 
     def _sample(self, now: float) -> None:
@@ -529,6 +532,8 @@ class Simulation:
         self._push(cfg.ledger_interval_s, self._window, 0)
         self._push(cfg.tip_pool_sample_s, self._sample)
         self._drain_queue()
+        for rt in self.chains.values():
+            rt.committees.clear()   # epochs cut off by the end never drain
         if (not self.recorder.tip_pool
                 or self.recorder.tip_pool[-1][0] != round(self._end, 6)):
             self.recorder.sample_tip_pool(self._end, len(self.dag.tips))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 # Event kinds, in pipeline order: one per stage step of a chain's epoch.
@@ -54,9 +53,6 @@ def vrf_output(node_secret, shared_seed, epoch: int) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-_VRF_SPAN = 1 << 256
-
-
 @dataclass(frozen=True)
 class CommitteeSelection:
     """Ranked committee for one chain and epoch."""
@@ -64,7 +60,7 @@ class CommitteeSelection:
     epoch: int
     members: tuple[str, ...]               # rank order, best first
     vrf_outputs: Mapping[str, int]
-    scores: Mapping[str, Fraction]
+    scores: Mapping[str, int]              # stake * draw, numerator over 2**256
 
     def size(self) -> int:
         return len(self.members)
@@ -85,14 +81,14 @@ def select_committee(candidates: Sequence[tuple[str, int]], shared_seed,
         raise EventError(f"committee of {committee_size} from "
                          f"{len(candidates)} candidates")
     draws: dict[str, int] = {}
-    scores: dict[str, Fraction] = {}
+    scores: dict[str, int] = {}
     for node_id, stake in candidates:
         if stake <= 0:
             raise EventError(f"node {node_id!r} has non-positive stake")
         secret = secrets[node_id] if secrets is not None else node_id
         draw = vrf_output(secret, shared_seed, epoch)
         draws[node_id] = draw
-        scores[node_id] = stake * Fraction(draw, _VRF_SPAN)
+        scores[node_id] = stake * draw
     ranked = sorted(scores, key=lambda nid: (-scores[nid], nid))
     members = tuple(ranked[:committee_size])
     return CommitteeSelection(epoch=epoch, members=members,

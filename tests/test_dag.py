@@ -201,6 +201,56 @@ def test_six_chain_two_stage_confirmation_fixture():
         assert led.aggregated_weight(bid) == brute_force_weight(led, bid)
 
 
+def check_against_rescan(rng, stakes, blocks, cadence):
+    """Attach `blocks` random blocks, confirming with probability `cadence`
+    after each; compare every pass with a full brute-force rescan."""
+    eta = Fraction(67, 100)
+    led = dag.DagLedger(dag.ChainWeights.from_values(stakes), eta)
+    ids = [dag.GENESIS_ID]
+    confirmed = {dag.GENESIS_ID: 0.0}
+    for i in range(blocks):
+        parents = rng.sample(ids, min(len(ids), rng.randint(1, 3)))
+        bid = f"b{i}"
+        led.attach(bid, rng.randrange(len(stakes)), i, parents, time=float(i))
+        ids.append(bid)
+        if rng.random() >= cadence and i < blocks - 1:
+            continue
+        now = i + 0.5
+        want = {b for b in ids if b not in confirmed
+                and brute_force_weight(led, b) >= eta}
+        assert led.update_confirmations(now=now) == want
+        confirmed.update(dict.fromkeys(want, now))
+        approved = {p for b in ids for p in led.blocks[b].parents}
+        for b in ids:
+            block = led.blocks[b]
+            if b in confirmed:
+                assert (block.status, block.confirm_time) == \
+                    (dag.CONFIRMED, confirmed[b])
+            else:
+                status = dag.UNCONFIRMED if b in approved else dag.TIP
+                assert (block.status, block.confirm_time) == (status, None)
+
+
+def test_incremental_confirmation_matches_full_rescan():
+    rng = random.Random(2024)
+    for trial in range(40):
+        n = rng.randint(2, 8)
+        stakes = rng.sample(range(1, 100), n)
+        check_against_rescan(rng, stakes, rng.randint(5, 60),
+                             cadence=rng.choice((0.1, 0.3, 1.0)))
+
+
+def test_whale_chain_confirms_its_block_at_attach():
+    led = dag.DagLedger(dag.ChainWeights.from_values([70, 10, 10, 10]),
+                        Fraction(67, 100))
+    led.attach("w", 0, 1, [dag.GENESIS_ID], time=1.0)
+    assert led.update_confirmations(now=1.0) == {"w"}
+    assert led.blocks["w"].confirm_time == 1.0
+    led.attach("s", 1, 1, ["w"], time=2.0)
+    assert led.update_confirmations(now=2.0) == set()
+    check_against_rescan(random.Random(5), [70, 10, 10, 10], 50, cadence=0.5)
+
+
 def test_tip_set_equals_zero_approver_blocks():
     rng = random.Random(9)
     led = equal_ledger(5)
@@ -212,8 +262,9 @@ def test_tip_set_equals_zero_approver_blocks():
         ids.append(bid)
         if i % 7 == 0:
             led.update_confirmations(now=float(i))
-        want = {b.id for b in led.blocks.values()
-                if b.approvers == 0 and b.id != dag.GENESIS_ID
+        approved = {p for b in led.blocks.values() for p in b.parents}
+        want = {bid for bid, b in led.blocks.items()
+                if bid not in approved and bid != dag.GENESIS_ID
                 and b.status != dag.CONFIRMED}
         assert led.tips == want
 

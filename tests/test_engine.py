@@ -1,9 +1,11 @@
 """End-to-end behaviour of the discrete-event simulation."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from chainmesh import engine
 from chainmesh.balances import net_balances
 from chainmesh.config import ScenarioConfig, replace
 from chainmesh.engine import Simulation, SimulationError, run_scenario
@@ -47,6 +49,27 @@ def test_changing_the_seed_changes_the_artifacts():
     a = run_scenario(quick(spam_fraction=0.55, duration_min=2.0, seed=0), "s")
     b = run_scenario(quick(spam_fraction=0.55, duration_min=2.0, seed=1), "s")
     assert a.snapshot_lines != b.snapshot_lines
+
+
+def test_one_committee_draw_per_chain_and_epoch(monkeypatch):
+    draws = Counter()
+    select = engine.select_committee
+
+    def counting(candidates, shared_seed, epoch, *rest, **kw):
+        draws[shared_seed, epoch] += 1
+        return select(candidates, shared_seed, epoch, *rest, **kw)
+
+    monkeypatch.setattr(engine, "select_committee", counting)
+    sim = Simulation(quick(spam_fraction=0.55, tip_sample=2))
+    result = sim.run()
+    published = set()
+    for line in result.event_lines:
+        rec = json.loads(line)
+        published.add((sim.chains[rec["chain"]].committee_seed, rec["epoch"]))
+    assert set(draws) == published
+    assert set(draws.values()) == {1}
+    assert len(result.event_lines) > len(draws)     # committees were reused
+    assert all(not rt.committees for rt in sim.chains.values())
 
 
 # -- accounting -------------------------------------------------------------

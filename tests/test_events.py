@@ -1,6 +1,8 @@
 """Committee lottery, proposal voting, and event pool behavior."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -97,6 +99,32 @@ class TestSelectCommittee:
     def test_non_positive_stake_rejected(self):
         with pytest.raises(EventError):
             select_committee([("a", 0)], "s", 0, 1)
+
+    def test_integer_scores_rank_like_fraction_scores(self):
+        rng = random.Random(17)
+        for trial in range(60):
+            cands, secrets = [], {}
+            for i in range(rng.randint(1, 30)):
+                nid = f"n{i:02d}"
+                # equal secret and stake: equal scores, ties to the lower id
+                tied = i % 2 == 0
+                secrets[nid] = "shared" if tied else nid
+                cands.append((nid, 3 if tied else rng.randint(1, 5)))
+            if trial % 3 == 0:
+                cands.append(("whale", 1000))
+                secrets["whale"] = "whale"
+            rng.shuffle(cands)
+            size = rng.randint(1, len(cands))
+            epoch = rng.randrange(100)
+            sel = select_committee(cands, "seed", epoch, size,
+                                   secrets=secrets)
+            old = {nid: stake * Fraction(vrf_output(secrets[nid], "seed",
+                                                    epoch), 1 << 256)
+                   for nid, stake in cands}
+            ranked = sorted(old, key=lambda nid: (-old[nid], nid))
+            assert sel.members == tuple(ranked[:size])
+            for nid, stake in cands:
+                assert sel.scores[nid] == stake * sel.vrf_outputs[nid]
 
     def test_epoch_rotates_committee(self):
         sels = {select_committee(equal_candidates(100), "seed", e, 10).members
