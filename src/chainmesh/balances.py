@@ -1,9 +1,9 @@
 """Exact cross-chain balance accounting.
 
-Token movement between chains is tracked as per-epoch transfer matrices.
-Entry [m, m'] of a matrix for the ordered chain pair (j, l) is the amount
-account m on chain j sends to account m' on chain l during one epoch.
-Three per-epoch aggregates drive the bookkeeping for a chain:
+Token movement between chains is tracked as per-epoch transfer triplets:
+triplet k of a `Transfers` for the ordered chain pair (j, l) is the amount
+account senders[k] on chain j sends to account receivers[k] on chain l during
+one epoch. Three per-epoch aggregates drive the bookkeeping for a chain:
 
   inflow             sum of confirmed transfers arriving from every other chain
   outflow_confirmed  sum of this chain's transfers that reached confirmation
@@ -12,7 +12,11 @@ Three per-epoch aggregates drive the bookkeeping for a chain:
 Cumulative in/out totals fold these in recursively; the proposed component is
 *replaced* each epoch (only the latest proposal counts against balances), so
 its delta may be negative when a previously proposed spend was dropped.
-All arithmetic is exact int64; no floats anywhere.
+
+A state keeps its totals either as MxM matrices, as coded workers store them,
+or summed over the counterparty (w_in 1xM, w_out Mx1), as the engine does;
+balances and validation read only those sums. All arithmetic is exact int64;
+no floats anywhere.
 """
 
 from __future__ import annotations
@@ -31,30 +35,37 @@ class SequencingError(LedgerError):
     """Epoch applied out of order."""
 
 
-def _as_amount_matrix(amounts, accounts: int | None = None) -> np.ndarray:
-    arr = np.asarray(amounts, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise LedgerError(f"amount matrix must be square, got shape {arr.shape}")
-    if accounts is not None and arr.shape[0] != accounts:
-        raise LedgerError(f"expected {accounts}x{accounts} matrix, got {arr.shape}")
+def _as_amounts(values, ndim: int) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.ndim != ndim:
+        raise LedgerError(f"expected a {ndim}-D int64 array, got shape {arr.shape}")
     if (arr < 0).any():
-        raise LedgerError("transfer amounts must be non-negative")
+        raise LedgerError("amounts and account indices must be non-negative")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
-class TransactionMatrix:
-    """One epoch of proposed or confirmed transfers from chain `source` to `dest`."""
+class Transfers:
+    """One epoch of proposed or confirmed transfers from chain `source` to `dest`.
+
+    Equal-length triplet vectors: account senders[k] on `source` pays
+    amounts[k] to account receivers[k] on `dest`.
+    """
 
     source: int
     dest: int
     epoch: int
+    senders: np.ndarray
+    receivers: np.ndarray
     amounts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amounts", _as_amount_matrix(self.amounts))
+        for name in ("senders", "receivers", "amounts"):
+            object.__setattr__(self, name, _as_amounts(getattr(self, name), ndim=1))
+        if not self.senders.shape == self.receivers.shape == self.amounts.shape:
+            raise LedgerError("transfer triplet vectors must have equal length")
 
 
 @dataclass(frozen=True)
@@ -63,13 +74,13 @@ class BlockPayload:
 
     source: int
     epoch: int
-    matrices: tuple[TransactionMatrix, ...]
+    transfers: tuple[Transfers, ...]
     txn_ids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class FlowAggregates:
-    """Per-epoch flow totals for one chain, all MxM int64."""
+    """Per-epoch flow totals for one chain, at the resolution of its state."""
 
     chain: int
     epoch: int
@@ -79,7 +90,7 @@ class FlowAggregates:
 
     def __post_init__(self):
         for name in ("inflow", "outflow_confirmed", "outflow_proposed"):
-            object.__setattr__(self, name, _as_amount_matrix(getattr(self, name)))
+            object.__setattr__(self, name, _as_amounts(getattr(self, name), ndim=2))
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,8 @@ class CumulativeState:
     """Cumulative in/out totals for one chain through `epoch`.
 
     w_out includes the latest proposed spend (`last_proposed`), which the next
-    epoch replaces rather than accumulates.
+    epoch replaces rather than accumulates. The totals are either all MxM, or
+    summed over the counterparty: w_in 1xM, w_out and last_proposed Mx1.
     """
 
     chain: int
@@ -98,17 +110,13 @@ class CumulativeState:
     last_proposed: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.genesis, dtype=np.int64)
-        if g.ndim != 1:
-            raise LedgerError("genesis must be a 1-D account vector")
-        if (g < 0).any():
-            raise LedgerError("genesis balances must be non-negative")
-        g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "genesis", g)
-        m = g.shape[0]
+        object.__setattr__(self, "genesis", _as_amounts(self.genesis, ndim=1))
         for name in ("w_in", "w_out", "last_proposed"):
-            object.__setattr__(self, name, _as_amount_matrix(getattr(self, name), m))
+            object.__setattr__(self, name, _as_amounts(getattr(self, name), ndim=2))
+        m = self.accounts
+        shapes = (self.w_in.shape, self.w_out.shape, self.last_proposed.shape)
+        if shapes not in (((m, m),) * 3, ((1, m), (m, 1), (m, 1))):
+            raise LedgerError(f"totals of shapes {shapes} are neither MxM nor 1xM/Mx1")
 
     @property
     def accounts(self) -> int:
@@ -116,7 +124,7 @@ class CumulativeState:
 
 
 def new_state(chain: int, genesis) -> CumulativeState:
-    """Fresh state at epoch 0; the genesis allocation is modeled as epoch-0 inflow."""
+    """Fresh MxM state at epoch 0; the genesis allocation is modeled as epoch-0 inflow."""
     g = np.asarray(genesis, dtype=np.int64)
     m = g.shape[0]
     zero = np.zeros((m, m), dtype=np.int64)
@@ -136,6 +144,10 @@ def update_cumulative(state: CumulativeState, flows: FlowAggregates) -> Cumulati
     if flows.epoch != state.epoch + 1:
         raise SequencingError(
             f"epoch {flows.epoch} applied to state at epoch {state.epoch}")
+    # numpy would broadcast summed totals against MxM flows without complaint
+    if (flows.inflow.shape, flows.outflow_confirmed.shape, flows.outflow_proposed.shape) \
+            != (state.w_in.shape, state.w_out.shape, state.w_out.shape):
+        raise LedgerError("flows differ in shape from the state's totals")
     w_in = state.w_in + flows.inflow
     delta_proposed = flows.outflow_proposed - state.last_proposed
     w_out = state.w_out + flows.outflow_confirmed + delta_proposed
@@ -149,66 +161,66 @@ def net_balances(state: CumulativeState) -> np.ndarray:
     return state.genesis + state.w_in.sum(axis=0) - state.w_out.sum(axis=1)
 
 
-def proposed_outflow(matrices: Sequence[TransactionMatrix], chain: int,
+def proposed_outflow(transfers: Sequence[Transfers], chain: int,
                      accounts: int) -> np.ndarray:
-    """Total proposed spend matrix: sum over destination chains, source fixed."""
-    c = np.zeros((accounts, accounts), dtype=np.int64)
-    for t in matrices:
+    """Total proposed spend per sending account, over all destination chains."""
+    spend = np.zeros(accounts, dtype=np.int64)
+    for t in transfers:
         if t.source != chain:
-            raise LedgerError(f"matrix from chain {t.source} in proposal for {chain}")
+            raise LedgerError(f"transfers from chain {t.source} in proposal for {chain}")
         if t.dest == chain:
             raise LedgerError("intra-chain transfer rejected in proposal")
-        c += _as_amount_matrix(t.amounts, accounts)
-    return c
+        if (t.senders >= accounts).any() or (t.receivers >= accounts).any():
+            raise LedgerError(f"account index out of range for {accounts} accounts")
+        np.add.at(spend, t.senders, t.amounts)
+    return spend
 
 
 def _balances_with_proposal(state: CumulativeState, proposal: np.ndarray) -> np.ndarray:
     # Replace the stored proposed component with `proposal` when judging spend.
-    out_rows = (state.w_out.sum(axis=1)
-                - state.last_proposed.sum(axis=1)
-                + proposal.sum(axis=1))
-    return state.genesis + state.w_in.sum(axis=0) - out_rows
+    return net_balances(state) + state.last_proposed.sum(axis=1) - proposal
 
 
 @dataclass(frozen=True)
 class ValidationResult:
     """Outcome of validating a proposed transfer set."""
 
-    blocks: tuple[TransactionMatrix, ...]
+    blocks: tuple[Transfers, ...]
     valid_rows: np.ndarray          # bool per account
-    proposed: np.ndarray            # total proposed spend of the *input* set
+    proposed: np.ndarray            # per-account spend of the *input* set
 
     @property
     def any_zeroed(self) -> bool:
         return not bool(self.valid_rows.all())
 
 
-def validate_block(proposed: Sequence[TransactionMatrix],
+def validate_block(proposed: Sequence[Transfers],
                    state: CumulativeState) -> ValidationResult:
-    """Zero each account's rows whose full proposed spend overdraws its balance.
+    """Zero each account's transfers when its full proposed spend overdraws.
 
     An account is judged against its balance with the *entire* proposed spend
     (across all destination chains) counted at once; a failing account has its
-    row zeroed in every output matrix, atomically for this epoch. Idempotent:
-    validating the output again under the same state changes nothing.
+    triplets dropped from every output block, atomically for this epoch.
+    Idempotent: validating the output again under the same state changes
+    nothing.
     """
-    c_prop = proposed_outflow(proposed, state.chain, state.accounts)
-    valid = _balances_with_proposal(state, c_prop) >= 0
+    spend = proposed_outflow(proposed, state.chain, state.accounts)
+    valid = _balances_with_proposal(state, spend) >= 0
     out = []
     for t in proposed:
-        amounts = t.amounts.copy()
-        amounts[~valid, :] = 0
-        out.append(TransactionMatrix(source=t.source, dest=t.dest,
-                                     epoch=t.epoch, amounts=amounts))
-    return ValidationResult(blocks=tuple(out), valid_rows=valid, proposed=c_prop)
+        keep = valid[t.senders]
+        out.append(Transfers(source=t.source, dest=t.dest, epoch=t.epoch,
+                             senders=t.senders[keep], receivers=t.receivers[keep],
+                             amounts=t.amounts[keep]))
+    return ValidationResult(blocks=tuple(out), valid_rows=valid, proposed=spend)
 
 
 def validate_tip_payloads(tips: Sequence[BlockPayload],
                           states: Mapping[int, CumulativeState]) -> list[bool]:
     """Block-level verdicts for foreign tips against the validator's ledger view.
 
-    Each tip's proposed spend is the sum of its payload matrices; the verdict
-    is valid only if every account with a nonzero spend row stays non-negative.
+    Each tip's proposed spend is the sum of its payload transfers; the verdict
+    is valid only if every account with a nonzero spend stays non-negative.
     At most one tip per source chain may appear in a batch.
     """
     seen: set[int] = set()
@@ -220,11 +232,7 @@ def validate_tip_payloads(tips: Sequence[BlockPayload],
         state = states.get(tip.source)
         if state is None:
             raise LedgerError(f"no ledger state for chain {tip.source}")
-        if not tip.matrices:
-            verdicts.append(True)       # all-zero payload spends nothing
-            continue
-        c_tip = proposed_outflow(tip.matrices, tip.source, state.accounts)
-        w = _balances_with_proposal(state, c_tip)
-        spending = c_tip.sum(axis=1) > 0
-        verdicts.append(bool((w[spending] >= 0).all()))
+        spend = proposed_outflow(tip.transfers, tip.source, state.accounts)
+        w = _balances_with_proposal(state, spend)
+        verdicts.append(bool((w[spend > 0] >= 0).all()))
     return verdicts

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import events as ev
 from .balances import (BlockPayload, CumulativeState, FlowAggregates,
-                       net_balances, new_state, update_cumulative,
+                       net_balances, update_cumulative,
                        validate_block, validate_tip_payloads)
 from .coding import CodingError, GroupPlan, plan_groups
 from .config import ScenarioConfig
@@ -142,11 +142,14 @@ class Simulation:
                     pass            # no layout absorbs the silent set
             genesis = np.full(cfg.accounts, cfg.genesis_balance,
                               dtype=np.int64)
+            spent = np.zeros((cfg.accounts, 1), dtype=np.int64)
             rt = _ChainRuntime(
                 chain=c,
                 honest=c not in adversarial,
                 plan=plan,
-                state=new_state(c, genesis),
+                state=CumulativeState(chain=c, epoch=0, genesis=genesis,
+                                      w_in=spent.T, w_out=spent,
+                                      last_proposed=spent),
                 pool=EventPools(chain=c),
                 candidates=[(n.node_id, n.stake) for n in fleet.nodes],
                 committee_seed=f"{cfg.seed}|committee|{c}",
@@ -306,7 +309,7 @@ class Simulation:
                               source=rt.chain, active_rows=cfg.active_rows,
                               amount_max=cfg.amount_max)
         ids = (txn,) if txn else ()
-        return BlockPayload(source=rt.chain, epoch=epoch, matrices=(tm,),
+        return BlockPayload(source=rt.chain, epoch=epoch, transfers=(tm,),
                             txn_ids=ids)
 
     def _adversarial_payload(self, rt: _ChainRuntime,
@@ -321,7 +324,7 @@ class Simulation:
                                 invalid_tx_fraction=cfg.invalid_tx_fraction,
                                 rng=rng, source=rt.chain,
                                 active_rows=cfg.active_rows)
-        return BlockPayload(source=rt.chain, epoch=epoch, matrices=(tm,))
+        return BlockPayload(source=rt.chain, epoch=epoch, transfers=(tm,))
 
     def _stage_tips(self, now: float, chain: int, epoch: int,
                     payload: BlockPayload) -> None:
@@ -332,14 +335,14 @@ class Simulation:
                       ("results", chain, epoch))
         check_state = dataclasses.replace(
             rt.state, last_proposed=np.zeros_like(rt.state.last_proposed))
-        result = validate_block(payload.matrices, check_state)
+        result = validate_block(payload.transfers, check_state)
         if result.any_zeroed:
             raise SimulationError(
                 f"honest proposal of chain {chain} failed validation")
-        new_outstanding = rt.state.last_proposed + result.proposed
+        new_outstanding = rt.state.last_proposed + result.proposed[:, None]
         rt.state = update_cumulative(rt.state, FlowAggregates(
             chain=chain, epoch=rt.state.epoch + 1,
-            inflow=np.zeros_like(new_outstanding),
+            inflow=np.zeros_like(rt.state.w_in),
             outflow_confirmed=np.zeros_like(new_outstanding),
             outflow_proposed=new_outstanding))
 
@@ -469,17 +472,17 @@ class Simulation:
             ids = sorted(self._to_ingest)
             self._to_ingest.clear()
             m = self.cfg.accounts
-            inflow = {c: np.zeros((m, m), dtype=np.int64)
+            inflow = {c: np.zeros((1, m), dtype=np.int64)
                       for c in range(self.cfg.chains)}
-            confirmed = {c: np.zeros((m, m), dtype=np.int64)
+            confirmed = {c: np.zeros((m, 1), dtype=np.int64)
                          for c in range(self.cfg.chains)}
             for bid in ids:
                 info: BlockInfo = self.dag.blocks[bid].payload
                 if not info.honest:
                     raise SimulationError(f"ingesting dishonest block {bid}")
-                for tm in info.payload.matrices:
-                    inflow[tm.dest] += tm.amounts
-                    confirmed[tm.source] += tm.amounts
+                for t in info.payload.transfers:
+                    np.add.at(inflow[t.dest], (0, t.receivers), t.amounts)
+                    np.add.at(confirmed[t.source], (t.senders, 0), t.amounts)
             for c, rt in self.chains.items():
                 if not inflow[c].any() and not confirmed[c].any():
                     continue

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .balances import TransactionMatrix
+from .balances import Transfers
 from .coding import StragglerProfile
 
 
@@ -72,9 +72,37 @@ def build_fleet(chain: int, size: int, straggler_fraction: float,
 # Adversarial block construction
 # ---------------------------------------------------------------------------
 
+def _draw_block(dest: int, epoch: int, balances: np.ndarray,
+                invalid_tx_fraction: float, rng: np.random.Generator,
+                source: int, active_rows: int, amount_max: int) -> Transfers:
+    if source == dest:
+        raise RoleError("transfer block must target a different chain")
+    if not 0.0 <= invalid_tx_fraction <= 1.0:
+        raise RoleError("invalid_tx_fraction must be within [0, 1]")
+    m = len(balances)
+    funded = np.flatnonzero(np.asarray(balances) > 0)
+    active_rows = min(active_rows, len(funded))
+    chosen = sorted(int(a) for a in
+                    rng.choice(funded, size=active_rows, replace=False))
+    receivers, amounts = [], []
+    n_bad = int(invalid_tx_fraction * active_rows)      # floor
+    bad = set(chosen[:n_bad])
+    for acct in chosen:
+        bal = int(balances[acct])
+        receivers.append(int(rng.integers(0, m)))
+        if acct in bad:
+            # Overspend by more than any possible future balance so the row
+            # stays invalid no matter what inflows land before validation.
+            amounts.append(bal + 1_000_000_000 + int(rng.integers(0, 100)))
+        else:
+            amounts.append(max(1, min(bal, int(rng.integers(1, amount_max + 1)))))
+    return Transfers(source=source, dest=dest, epoch=epoch, senders=chosen,
+                     receivers=receivers, amounts=amounts)
+
+
 def make_invalid_block(dest: int, epoch: int, balances: np.ndarray,
                        invalid_tx_fraction: float, rng: np.random.Generator,
-                       source: int, active_rows: int) -> TransactionMatrix:
+                       source: int, active_rows: int) -> Transfers:
     """Build a transfer block mixing valid rows with overspending ones.
 
     Rows are drawn from accounts that currently hold funds. A
@@ -82,56 +110,17 @@ def make_invalid_block(dest: int, epoch: int, balances: np.ndarray,
     holds; the rest spend within balance. With fraction 1.0 every populated
     row overspends.
     """
-    if source == dest:
-        raise RoleError("transfer block must target a different chain")
-    if not 0.0 <= invalid_tx_fraction <= 1.0:
-        raise RoleError("invalid_tx_fraction must be within [0, 1]")
-    m = len(balances)
-    funded = [a for a in range(m) if balances[a] > 0]
-    active_rows = min(active_rows, len(funded))
-    amounts = np.zeros((m, m), dtype=np.int64)
-    if active_rows == 0:
-        return TransactionMatrix(source=source, dest=dest, epoch=epoch,
-                                 amounts=amounts)
-    chosen = sorted(int(a) for a in
-                    rng.choice(np.asarray(funded), size=active_rows,
-                               replace=False))
-    n_bad = int(invalid_tx_fraction * active_rows)      # floor
-    bad = set(chosen[:n_bad])
-    for acct in chosen:
-        bal = int(balances[acct])
-        target = int(rng.integers(0, m))
-        if acct in bad:
-            # Overspend by more than any possible future balance so the row
-            # stays invalid no matter what inflows land before validation.
-            amounts[acct, target] = bal + 1_000_000_000 + int(rng.integers(0, 100))
-        else:
-            amounts[acct, target] = max(1, min(bal, int(rng.integers(1, 11))))
-    return TransactionMatrix(source=source, dest=dest, epoch=epoch,
-                             amounts=amounts)
+    return _draw_block(dest, epoch, balances, invalid_tx_fraction, rng,
+                       source, active_rows, amount_max=10)
 
 
 def make_valid_block(dest: int, epoch: int, balances: np.ndarray,
                      rng: np.random.Generator, source: int,
                      active_rows: int, amount_max: int = 10
-                     ) -> TransactionMatrix:
+                     ) -> Transfers:
     """Build an honest transfer block: every populated row spends in budget."""
-    if source == dest:
-        raise RoleError("transfer block must target a different chain")
-    m = len(balances)
-    funded = [a for a in range(m) if balances[a] > 0]
-    active_rows = min(active_rows, len(funded))
-    amounts = np.zeros((m, m), dtype=np.int64)
-    if active_rows:
-        chosen = rng.choice(np.asarray(funded), size=active_rows,
-                            replace=False)
-        for acct in sorted(int(a) for a in chosen):
-            bal = int(balances[acct])
-            target = int(rng.integers(0, m))
-            amounts[acct, target] = max(1, min(bal,
-                                               int(rng.integers(1, amount_max + 1))))
-    return TransactionMatrix(source=source, dest=dest, epoch=epoch,
-                             amounts=amounts)
+    return _draw_block(dest, epoch, balances, 0.0, rng, source, active_rows,
+                       amount_max)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,22 @@ from chainmesh import balances as bal
 
 
 def tm(source, dest, epoch, amounts):
-    return bal.TransactionMatrix(source=source, dest=dest, epoch=epoch,
-                                 amounts=np.array(amounts, dtype=np.int64))
+    """Transfers holding the nonzero entries of a dense m x m amount matrix."""
+    a = np.array(amounts, dtype=np.int64)
+    senders, receivers = np.nonzero(a)
+    return bal.Transfers(source=source, dest=dest, epoch=epoch, senders=senders,
+                         receivers=receivers, amounts=a[senders, receivers])
+
+
+def dense(t, m):
+    """The m x m amount matrix of Transfers `t`."""
+    out = np.zeros((m, m), dtype=np.int64)
+    np.add.at(out, (t.senders, t.receivers), t.amounts)
+    return out
+
+
+def dense_total(transfers, m):
+    return sum((dense(t, m) for t in transfers), np.zeros((m, m), dtype=np.int64))
 
 
 def random_amounts(rng, m, lo=0, hi=9):
@@ -40,7 +54,7 @@ def proposal_flows(state, blocks):
     return bal.FlowAggregates(
         chain=state.chain, epoch=state.epoch + 1, inflow=z,
         outflow_confirmed=z,
-        outflow_proposed=bal.proposed_outflow(blocks, state.chain, m))
+        outflow_proposed=dense_total(blocks, m))
 
 
 def test_zero_flows_leave_state_unchanged():
@@ -127,7 +141,7 @@ def test_affordable_spend_copied_verbatim():
     res = bal.validate_block(prop, s)
     assert res.valid_rows.all()
     assert not res.any_zeroed
-    assert np.array_equal(res.blocks[0].amounts, prop[0].amounts)
+    assert np.array_equal(dense(res.blocks[0], 2), dense(prop[0], 2))
 
 
 def test_overspend_across_two_destinations_zeroed_in_both():
@@ -137,7 +151,7 @@ def test_overspend_across_two_destinations_zeroed_in_both():
     assert not res.valid_rows[0]
     assert res.valid_rows[1]
     for blk in res.blocks:
-        assert not blk.amounts[0].any()
+        assert not dense(blk, 2)[0].any()
 
 
 def oracle_valid_rows(state, proposal_total):
@@ -161,14 +175,15 @@ def test_mixed_block_zeroes_exactly_the_overspending_rows():
     for epoch in range(1, 4):
         prop = [tm(0, d, epoch, random_amounts(rng, m, 0, 12)) for d in (1, 2)]
         res = bal.validate_block(prop, s)
-        want = oracle_valid_rows(s, res.proposed)
+        want = oracle_valid_rows(s, dense_total(prop, m))
+        assert np.array_equal(res.proposed, dense_total(prop, m).sum(axis=1))
         assert list(res.valid_rows) == want
         for blk, raw in zip(res.blocks, prop):
             for acct in range(m):
                 if want[acct]:
-                    assert np.array_equal(blk.amounts[acct], raw.amounts[acct])
+                    assert np.array_equal(dense(blk, m)[acct], dense(raw, m)[acct])
                 else:
-                    assert not blk.amounts[acct].any()
+                    assert not dense(blk, m)[acct].any()
         # advance the state with the validated proposal so epochs differ
         s = bal.update_cumulative(s, proposal_flows(s, res.blocks))
 
@@ -182,7 +197,7 @@ def test_validation_is_idempotent():
     twice = bal.validate_block(list(once.blocks), s)
     assert not twice.any_zeroed
     for a, b in zip(once.blocks, twice.blocks):
-        assert np.array_equal(a.amounts, b.amounts)
+        assert np.array_equal(dense(a, m), dense(b, m))
 
 
 def test_zeroing_soundness_balances_stay_non_negative():
@@ -201,21 +216,21 @@ def test_zeroing_soundness_balances_stay_non_negative():
 
 def test_empty_tip_payload_is_valid():
     states = {1: bal.new_state(1, [0, 0])}
-    tip = bal.BlockPayload(source=1, epoch=3, matrices=())
+    tip = bal.BlockPayload(source=1, epoch=3, transfers=())
     assert bal.validate_tip_payloads([tip], states) == [True]
 
 
 def test_overspending_tip_is_invalid():
     states = {1: bal.new_state(1, [10, 0])}
-    tip = bal.BlockPayload(source=1, epoch=1, matrices=(
+    tip = bal.BlockPayload(source=1, epoch=1, transfers=(
         tm(1, 0, 1, [[0, 7], [0, 0]]), tm(1, 2, 1, [[0, 7], [0, 0]])))
     assert bal.validate_tip_payloads([tip], states) == [False]
 
 
 def test_two_tips_from_one_chain_rejected():
     states = {1: bal.new_state(1, [5])}
-    tips = [bal.BlockPayload(source=1, epoch=1, matrices=()),
-            bal.BlockPayload(source=1, epoch=2, matrices=())]
+    tips = [bal.BlockPayload(source=1, epoch=1, transfers=()),
+            bal.BlockPayload(source=1, epoch=2, transfers=())]
     with pytest.raises(bal.LedgerError):
         bal.validate_tip_payloads(tips, states)
 
@@ -233,13 +248,13 @@ def test_batch_verdicts_match_per_account_oracle():
     for c in range(4):
         mats = tuple(tm(c, d, 2, random_amounts(rng, m, 0, 18))
                      for d in range(4) if d != c)
-        tips.append(bal.BlockPayload(source=c, epoch=2, matrices=mats))
+        tips.append(bal.BlockPayload(source=c, epoch=2, transfers=mats))
     got = bal.validate_tip_payloads(tips, states)
     for tip, verdict in zip(tips, got):
         st = states[tip.source]
         total = np.zeros((m, m), dtype=object)
-        for t in tip.matrices:
-            total = total + t.amounts.astype(object)
+        for t in tip.transfers:
+            total = total + dense(t, m).astype(object)
         spending = [i for i in range(m) if sum(total[i]) > 0]
         ok = all(oracle_valid_rows(st, total)[i] for i in spending)
         assert verdict == ok
@@ -262,10 +277,8 @@ def test_token_conservation_over_validated_multi_chain_trace():
         for c in range(n_chains):
             incoming = [t for src in range(n_chains) if src != c
                         for t in confirmed[src] if t.dest == c]
-            in_total = sum((t.amounts.astype(np.int64) for t in incoming),
-                           np.zeros((m, m), dtype=np.int64))
-            out_total = sum((t.amounts.astype(np.int64) for t in confirmed[c]),
-                            np.zeros((m, m), dtype=np.int64))
+            in_total = dense_total(incoming, m)
+            out_total = dense_total(confirmed[c], m)
             # the window ingests last epoch's confirmed transfers first, which
             # moves the confirmed spend out of the outstanding proposal
             st = states[c]
@@ -286,3 +299,95 @@ def test_token_conservation_over_validated_multi_chain_trace():
         assert net_total + in_flight == total_genesis
         for c in range(n_chains):
             assert (bal.net_balances(states[c]) >= 0).all()
+
+
+# ---------------------------------------------------------------------------
+# MxM and 1xM/Mx1 resolutions of one state
+# ---------------------------------------------------------------------------
+
+def summed_state(chain, genesis):
+    m = len(genesis)
+    spent = np.zeros((m, 1), dtype=np.int64)
+    return bal.CumulativeState(chain=chain, epoch=0, genesis=genesis,
+                               w_in=spent.T, w_out=spent, last_proposed=spent)
+
+
+def random_transfers(rng, source, dest, epoch, m, hi):
+    senders = sorted(rng.sample(range(m), rng.randint(0, m)))
+    return bal.Transfers(source=source, dest=dest, epoch=epoch, senders=senders,
+                         receivers=[rng.randrange(m) for _ in senders],
+                         amounts=[rng.randint(0, hi) for _ in senders])
+
+
+def fold(state, inflow, confirmed, proposed):
+    """Next epoch of dense m x m flows, summed to the state's resolution."""
+    if state.w_in.shape[0] == 1:
+        inflow = inflow.sum(axis=0, keepdims=True)
+        confirmed, proposed = (x.sum(axis=1, keepdims=True)
+                               for x in (confirmed, proposed))
+    return bal.update_cumulative(state, bal.FlowAggregates(
+        chain=state.chain, epoch=state.epoch + 1, inflow=inflow,
+        outflow_confirmed=confirmed, outflow_proposed=proposed))
+
+
+def test_dense_and_summed_states_agree_every_epoch():
+    rng = random.Random(808)
+    m = 6
+    genesis = [rng.randint(0, 30) for _ in range(m)]
+    states = [bal.new_state(0, genesis), summed_state(0, genesis)]
+    zero = np.zeros((m, m), dtype=np.int64)
+    pending = []                # validated proposal awaiting confirmation
+    for epoch in range(1, 9):
+        # the window confirms only the proposal's transfers to chain 1, so the
+        # rest stays outstanding while the next proposal is validated
+        incoming = dense_total([random_transfers(rng, src, 0, epoch, m, 9)
+                                for src in (1, 2)], m)
+        confirmed = dense_total([t for t in pending if t.dest == 1], m)
+        outstanding = dense_total([t for t in pending if t.dest == 2], m)
+        full, summed = states = [fold(s, incoming, confirmed, outstanding)
+                                 for s in states]
+        assert full.w_in.shape == (m, m) and summed.w_in.shape == (1, m)
+        assert summed.w_out.shape == summed.last_proposed.shape == (m, 1)
+        assert np.array_equal(bal.net_balances(full), bal.net_balances(summed))
+
+        raw = [random_transfers(rng, 0, d, epoch, m, 15) for d in (1, 2)]
+        res_full, res_summed = (bal.validate_block(raw, s) for s in states)
+        assert np.array_equal(res_full.valid_rows, res_summed.valid_rows)
+        assert np.array_equal(res_full.proposed, res_summed.proposed)
+        tips = [bal.BlockPayload(source=0, epoch=epoch, transfers=tuple(raw))]
+        assert bal.validate_tip_payloads(tips, {0: full}) == \
+            bal.validate_tip_payloads(tips, {0: summed})
+
+        pending = list(res_full.blocks)
+        states = [fold(s, zero, zero, dense_total(pending, m)) for s in states]
+    for s in states:
+        assert (bal.net_balances(s) >= 0).all()
+
+
+def test_dense_flows_on_a_summed_state_raise():
+    summed = summed_state(0, [5, 5, 5])
+    with pytest.raises(bal.LedgerError):
+        bal.update_cumulative(summed, zero_flows(0, 3, 1))
+
+
+def test_out_of_range_sender_or_receiver_raises():
+    m = 3
+    s = summed_state(0, [5] * m)
+    for senders, receivers in (([m], [0]), ([0], [m])):
+        t = bal.Transfers(source=0, dest=1, epoch=1, senders=senders,
+                          receivers=receivers, amounts=[1])
+        with pytest.raises(bal.LedgerError):
+            bal.validate_block([t], s)
+        with pytest.raises(bal.LedgerError):
+            bal.validate_tip_payloads(
+                [bal.BlockPayload(source=0, epoch=1, transfers=(t,))], {0: s})
+
+
+def test_malformed_triplets_and_totals_rejected_structurally():
+    with pytest.raises(bal.LedgerError):
+        bal.Transfers(source=0, dest=1, epoch=1, senders=[0, 1],
+                      receivers=[0], amounts=[1, 1])
+    col = np.zeros((2, 1), dtype=np.int64)
+    with pytest.raises(bal.LedgerError):
+        bal.CumulativeState(chain=0, epoch=0, genesis=[1, 1], w_in=col,
+                            w_out=col, last_proposed=col)

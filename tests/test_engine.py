@@ -1,6 +1,7 @@
 """End-to-end behaviour of the discrete-event simulation."""
 
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -84,6 +85,28 @@ def test_conservation_identity_is_exact(base_run):
         supply += int(state.genesis.sum())
     assert total_net + outstanding == supply
     assert base_run.report.conservation_ok is True
+
+
+def test_state_and_payloads_are_sized_to_their_content():
+    m = 1000
+    cfg = quick(accounts=m, spam_fraction=0.35)
+    tracemalloc.start()
+    try:
+        result = run_scenario(cfg, "sized")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (accounts, accounts) int64 array would take 8 MB on its own
+    assert peak < 8 * m * m
+    for state in result.states.values():
+        assert state.w_in.shape == (1, m)
+        assert state.w_out.shape == state.last_proposed.shape == (m, 1)
+    infos = [b.payload for b in result.dag.blocks.values()
+             if b.payload is not None]
+    assert {info.honest for info in infos} == {True, False}
+    for info in infos:
+        for t in info.payload.transfers:
+            assert len(t.senders) <= cfg.active_rows
 
 
 def test_conservation_holds_under_spam_and_conflicts(spam_run):

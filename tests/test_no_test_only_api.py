@@ -24,6 +24,7 @@ ORACLES = {
     "CodedLedgerImage.apply_epoch": "2 coded-ledger-equivalence",
     "CodedLedgerImage.decode_totals": "2 coded-ledger-equivalence",
     "ChainWeights.from_values": "3 aggregated-weight-oracle",
+    "new_state": "2 coded-ledger-equivalence",
 }
 
 

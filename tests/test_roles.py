@@ -65,14 +65,21 @@ class TestBuildFleet:
 # Adversarial blocks
 # ---------------------------------------------------------------------------
 
+def dense(t, m):
+    """The m x m amount matrix of Transfers `t`."""
+    out = np.zeros((m, m), dtype=np.int64)
+    np.add.at(out, (t.senders, t.receivers), t.amounts)
+    return out
+
+
 def overspending_rows(tm, balances):
-    spent = np.asarray(tm.amounts).sum(axis=1)
+    spent = dense(tm, len(balances)).sum(axis=1)
     return {a for a in range(len(balances))
             if spent[a] > balances[a] and spent[a] > 0}
 
 
-def active_row_count(tm):
-    return int((np.asarray(tm.amounts).sum(axis=1) > 0).sum())
+def active_row_count(tm, m):
+    return int((dense(tm, m).sum(axis=1) > 0).sum())
 
 
 class TestMakeInvalidBlock:
@@ -81,7 +88,7 @@ class TestMakeInvalidBlock:
         tm = make_invalid_block(dest=1, epoch=0, balances=balances,
                                 invalid_tx_fraction=1.0, rng=rng(2),
                                 source=0, active_rows=8)
-        assert active_row_count(tm) == 8
+        assert active_row_count(tm, 20) == 8
         assert len(overspending_rows(tm, balances)) == 8
 
     def test_fraction_half_floors_to_five_of_ten(self):
@@ -89,7 +96,7 @@ class TestMakeInvalidBlock:
         tm = make_invalid_block(dest=2, epoch=1, balances=balances,
                                 invalid_tx_fraction=0.5, rng=rng(5),
                                 source=0, active_rows=10)
-        assert active_row_count(tm) == 10
+        assert active_row_count(tm, 30) == 10
         assert len(overspending_rows(tm, balances)) == 5
 
     def test_fraction_zero_spends_within_balance_everywhere(self):
@@ -105,7 +112,7 @@ class TestMakeInvalidBlock:
         tm = make_invalid_block(dest=1, epoch=0, balances=balances,
                                 invalid_tx_fraction=1.0, rng=rng(0),
                                 source=0, active_rows=5)
-        spent = np.asarray(tm.amounts).sum(axis=1)
+        spent = dense(tm, 10).sum(axis=1)
         assert set(np.nonzero(spent)[0]) <= {2, 5}
 
     def test_same_chain_target_rejected(self):
@@ -121,15 +128,25 @@ class TestMakeValidBlock:
         balances = np.arange(1, 21, dtype=np.int64)
         tm = make_valid_block(dest=1, epoch=0, balances=balances, rng=rng(4),
                               source=0, active_rows=12)
-        spent = np.asarray(tm.amounts).sum(axis=1)
+        spent = dense(tm, 20).sum(axis=1)
         assert np.all(spent <= balances)
-        assert active_row_count(tm) == 12
+        assert active_row_count(tm, 20) == 12
 
     def test_deterministic_under_same_rng_seed(self):
         balances = np.full(15, 9, dtype=np.int64)
         a = make_valid_block(1, 0, balances, rng(9), source=0, active_rows=5)
         b = make_valid_block(1, 0, balances, rng(9), source=0, active_rows=5)
-        assert np.array_equal(a.amounts, b.amounts)
+        assert np.array_equal(dense(a, 15), dense(b, 15))
+
+    def test_same_draw_as_an_invalid_block_with_fraction_zero(self):
+        balances = np.array([0, 3, 50, 7, 0, 12, 1, 40, 9, 2], dtype=np.int64)
+        a = make_valid_block(1, 4, balances, rng(11), source=0,
+                             active_rows=6, amount_max=10)
+        b = make_invalid_block(1, 4, balances, invalid_tx_fraction=0.0,
+                               rng=rng(11), source=0, active_rows=6)
+        for field in ("senders", "receivers", "amounts"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert len(a.senders) == 6
 
 
 # ---------------------------------------------------------------------------
