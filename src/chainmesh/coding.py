@@ -14,10 +14,10 @@ wires are known, using exact integer halving (a failed halving means a
 corrupted shard, never a wrong answer). Peeling alone is sound but not
 complete -- some solvable loss patterns spread their information across cells
 so that no single cell ever holds two known wires -- so both `decodable` and
-`decode` finish stalled cases with an exact rational elimination over the
-residual +-1 system. The verdict of `decodable` therefore always equals the
-solvability of that system, and `decode` either returns the exact data or
-raises; it never returns a wrong slice.
+`decode` finish stalled cases with an exact fraction-free (Bareiss) integer
+elimination over the residual +-1 system. The verdict of `decodable` therefore
+always equals the solvability of that system over the rationals, and `decode`
+either returns the exact data or raises; it never returns a wrong slice.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ class ShardCorruptionError(CodingError):
 
 def _round_half_up(x: Fraction) -> int:
     # Deterministic tie handling: .5 rounds up.
-    from math import floor
-    return int(floor(x + Fraction(1, 2)))
+    return math.floor(x + Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -168,23 +167,24 @@ def _repair_frozen(size: int, probs: Sequence[float],
         return cand
 
     def self_decodable(frozen: Sequence[int]) -> bool:
-        received = [p for p in range(size) if p not in set(frozen)]
+        fro = set(frozen)
+        received = [p for p in range(size) if p not in fro]
         return _peel_flags(size, frozen, received) or _rank_full(size, frozen, received)
 
     if self_decodable(cand):
         return cand
-    inside = list(cand)
-    outside = [p for p in range(size) if p not in set(cand)]
-    swaps = sorted(((probs[o] - probs[i], i, o) for i in inside for o in outside),
+    inside = set(cand)
+    outside = [p for p in range(size) if p not in inside]
+    swaps = sorted(((probs[o] - probs[i], i, o) for i in cand for o in outside),
                    key=lambda t: (-t[0], t[1], t[2]))
     for _, i, o in swaps:
-        trial = tuple(sorted(set(cand) - {i} | {o}))
+        trial = tuple(sorted(inside - {i} | {o}))
         if self_decodable(trial):
             return trial
     for (i1, i2), (o1, o2) in ((pi, po)
-                               for pi in combinations(inside, 2)
+                               for pi in combinations(cand, 2)
                                for po in combinations(outside, 2)):
-        trial = tuple(sorted(set(cand) - {i1, i2} | {o1, o2}))
+        trial = tuple(sorted(inside - {i1, i2} | {o1, o2}))
         if self_decodable(trial):
             return trial
     fallback = tuple(range(s))
@@ -330,26 +330,40 @@ def _h_sign(row: int, col: int) -> int:
     return -1 if (row & col).bit_count() & 1 else 1
 
 
+def _bareiss(rows: list[list[int]], ncols: int, jordan: bool = False) -> int:
+    """Fraction-free elimination of the leading `ncols` columns, in place.
+
+    Each step maps row_i to (pivot * row_i - row_i[c] * pivot_row) // prev,
+    a division that is always exact (Bareiss, 1968): every entry stays a minor
+    of the row-permuted input. Forward mode clears below each pivot; `jordan`
+    clears above as well, leaving det * I in the leading block, so the tail
+    columns of row t hold det times the row combination that isolates unknown
+    t. Returns det, the last pivot, or 0 when some column has no pivot (rank
+    below `ncols`).
+    """
+    prev = 1
+    for c in range(ncols):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            return 0
+        rows[c], rows[piv] = rows[piv], rows[c]
+        p = rows[c]
+        pc = p[c]
+        for i in range(0 if jordan else c + 1, len(rows)):
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [(pc * a - f * b) // prev for a, b in zip(rows[i], p)]
+        prev = pc
+    return prev
+
+
 def _rank_full(n: int, frozen: Iterable[int], received: Iterable[int]) -> bool:
     """Exact test: do the received output rows span all non-frozen inputs?"""
-    data = [p for p in range(n) if p not in set(frozen)]
+    fro = set(frozen)
+    data = [p for p in range(n) if p not in fro]
     rec = sorted(set(received))
-    if len(rec) < len(data):
-        return False
-    rows = [[Fraction(_h_sign(r, c)) for c in data] for r in rec]
-    rank = 0
-    for c in range(len(data)):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            return False
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][c]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c] / pivot
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return True
+    return (len(rec) >= len(data)
+            and _bareiss([[_h_sign(r, c) for c in data] for r in rec], len(data)) != 0)
 
 
 def _solve_blocks(n: int, frozen: Iterable[int],
@@ -357,50 +371,32 @@ def _solve_blocks(n: int, frozen: Iterable[int],
                   block_shape: tuple[int, int]) -> list[np.ndarray]:
     """Exact elimination fallback: recover all data blocks from received outputs.
 
-    Solves sign-matrix * data = received over the rationals, demands integer
-    results, and returns the full list of level-0 blocks (zeros at frozen
-    positions). Used when peeling stalls on a still-solvable loss pattern.
+    Gauss-Jordan reduces [sign-matrix | I] over the integers, which gives each
+    data block as an integer combination of the received blocks divided by
+    det; the division must come out even. Returns the full list of level-0
+    blocks (zeros at frozen positions). Used when peeling stalls on a
+    still-solvable loss pattern.
     """
     frozen = set(frozen)
     data = [p for p in range(n) if p not in frozen]
     rec = sorted(received)
-    if len(rec) < len(data):
-        raise NotDecodableError("received blocks do not determine the data")
     m, k = len(rec), len(data)
-    aug = [[Fraction(_h_sign(rec[i], data[j])) for j in range(k)]
-           + [Fraction(1 if t == i else 0) for t in range(m)]
-           for i in range(m)]
-    for c in range(k):
-        piv = next((i for i in range(c, m) if aug[i][c]), None)
-        if piv is None:
-            raise NotDecodableError("received blocks do not determine the data")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pivot = aug[c][c]
-        aug[c] = [a / pivot for a in aug[c]]
-        for i in range(m):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    # Row t of the reduced system expresses data block t as a rational
-    # combination of the received blocks; evaluate it in exact big-int
-    # arithmetic and insist the division comes out even.
+    aug = [[_h_sign(r, c) for c in data] + [int(t == i) for t in range(m)]
+           for i, r in enumerate(rec)]
+    det = _bareiss(aug, k, jordan=True)
+    if not det:
+        raise NotDecodableError("received blocks do not determine the data")
     recs = [np.asarray(received[p], dtype=np.int64).astype(object) for p in rec]
     zero = np.zeros(block_shape, dtype=np.int64)
     out: list[np.ndarray] = [zero] * n
     for t, pos in enumerate(data):
-        coeffs = aug[t][k:]
-        den = 1
-        for fr in coeffs:
-            if fr:
-                den = den * fr.denominator // math.gcd(den, fr.denominator)
         acc = np.zeros(block_shape, dtype=object)
-        for fr, blk in zip(coeffs, recs):
-            if fr:
-                acc = acc + (fr.numerator * (den // fr.denominator)) * blk
-        if den != 1:
-            if (acc % den != 0).any():
-                raise ShardCorruptionError("non-integer block solve: corrupted shard")
-            acc = acc // den
+        for coef, blk in zip(aug[t][k:], recs):
+            if coef:
+                acc = acc + coef * blk
+        if (acc % det != 0).any():
+            raise ShardCorruptionError("non-integer block solve: corrupted shard")
+        acc = acc // det
         if acc.size and int(np.abs(acc).max()) >= 2 ** 63:
             raise CodingError("decoded block overflows 64-bit range")
         out[pos] = acc.astype(np.int64)

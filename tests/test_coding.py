@@ -8,6 +8,9 @@ import pytest
 
 from chainmesh import balances as bal
 from chainmesh import coding
+from chainmesh.config import ScenarioConfig
+from chainmesh.engine import derive_seed
+from chainmesh.roles import build_fleet
 
 
 def make_group(size, frozen, rows, index=0, start=0):
@@ -339,6 +342,109 @@ def test_decode_insufficient_blocks_raises():
         coding.decode({0: blocks[0], 1: blocks[1]}, g)
     with pytest.raises(coding.NotDecodableError):
         coding.decode({}, g)
+
+
+# ---------------------------------------------------------------------------
+# Exact rank test and elimination fallback
+# ---------------------------------------------------------------------------
+
+#: frozen positions per group (64, 32, 4) that `plan_groups` picks for the
+#: engine's seed-0 fleets at paper scale (100 workers, 1000 accounts, coded)
+PAPER_FROZEN = {
+    0: ((22, 33, 39, 49, 54, 60), (11, 19, 28), ()),
+    1: ((6, 8, 18, 46, 53, 60), (8, 25, 28), ()),
+}
+
+#: (size, frozen, received) where peeling stalls yet the system is solvable;
+#: the last one has more received rows than data positions
+STALLED_SOLVABLE = [
+    (4, (0, 2), (1, 2)),
+    (8, (2, 4, 6), (0, 2, 3, 4, 5, 7)),
+    (16, (4, 6, 10, 13), (0, 1, 2, 3, 5, 6, 7, 8, 9, 12, 13, 14, 15)),
+]
+
+
+def paper_plan(chain):
+    cfg = ScenarioConfig(fleet_size=100, accounts=1000, coding=True)
+    rng = np.random.default_rng(derive_seed(0, "fleet", chain))
+    fleet = build_fleet(chain, cfg.fleet_size, cfg.straggler_fraction, rng)
+    return coding.plan_groups(cfg.fleet_size, cfg.accounts, fleet.profile)
+
+
+@pytest.mark.parametrize("chain", sorted(PAPER_FROZEN))
+def test_paper_scale_frozen_sets_are_pinned(chain):
+    plan = paper_plan(chain)
+    assert [g.size for g in plan.groups] == [64, 32, 4]
+    assert tuple(g.frozen for g in plan.groups) == PAPER_FROZEN[chain]
+
+
+@pytest.mark.parametrize("size,trials", [(8, 60), (16, 40), (32, 8)])
+def test_rank_full_matches_oracle_on_rectangular_received_sets(size, trials):
+    rng = random.Random(size)
+    verdicts = set()
+    for _ in range(trials):
+        frozen = rng.sample(range(size), rng.randint(1, size // 2))
+        received = rng.sample(range(size), rng.randint(size - len(frozen) + 1, size))
+        verdict = coding._rank_full(size, frozen, received)
+        assert verdict == rank_oracle(size, frozen, received)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_rank_full_matches_oracle_where_peeling_stalls():
+    rng = random.Random(7)
+    verdicts = []
+    for _ in range(400):
+        size = rng.choice([4, 8, 16])
+        frozen = rng.sample(range(size), rng.randint(1, size // 2))
+        received = rng.sample(range(size), rng.randint(size - len(frozen), size))
+        if coding._peel_flags(size, frozen, received):
+            continue
+        verdict = coding._rank_full(size, frozen, received)
+        assert verdict == rank_oracle(size, frozen, received)
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+    for size, frozen, received in STALLED_SOLVABLE:
+        assert not coding._peel_flags(size, frozen, received)
+        assert coding._rank_full(size, frozen, received)
+
+
+@pytest.mark.parametrize("frozen", [PAPER_FROZEN[0][0], PAPER_FROZEN[1][0], (1, 2)])
+def test_rank_full_matches_oracle_on_64_groups(frozen):
+    # (1, 2) is never planned: H[{1,2},{1,2}] is singular, so by Jacobi's
+    # complementary-minor identity so is the survivors' submatrix
+    survivors = [p for p in range(64) if p not in frozen]
+    verdict = coding._rank_full(64, frozen, survivors)
+    assert verdict == rank_oracle(64, frozen, survivors)
+    assert verdict == (frozen != (1, 2))
+
+
+def test_eliminations_build_no_fractions(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("elimination built a Fraction")
+
+    monkeypatch.setattr(coding, "Fraction", no_fraction)
+    frozen = PAPER_FROZEN[0][0]
+    assert coding._rank_full(64, frozen, [p for p in range(64) if p not in frozen])
+    assert not coding._rank_full(64, (1, 2), [p for p in range(64) if p not in (1, 2)])
+    nprng = np.random.default_rng(11)
+    for size, frozen, received in STALLED_SOLVABLE:
+        g = make_group(size, frozen, rows=(size - len(frozen)) * 3)
+        x = nprng.integers(-500, 500, size=(g.rows, 4)).astype(np.int64)
+        blocks = coding.hadamard(coding.expand(x, g))
+        shards = {p: blocks[p] for p in received}
+        assert coding._peel_values(size, g.frozen, shards, (3, 4)) is None
+        assert np.array_equal(coding.decode(shards, g), x)
+        one_short = received[:size - len(frozen) - 1]
+        with pytest.raises(coding.NotDecodableError):
+            coding.decode({p: blocks[p] for p in one_short}, g)
+    # det = 2 for the 4-group pattern: an odd shard error leaves no integer solution
+    g = make_group(4, (0, 2), rows=4)
+    x = np.arange(8, dtype=np.int64).reshape(4, 2)
+    blocks = coding.hadamard(coding.expand(x, g))
+    shards = {1: blocks[1], 2: blocks[2] + 1}
+    with pytest.raises(coding.ShardCorruptionError, match="non-integer"):
+        coding.decode(shards, g)
 
 
 # ---------------------------------------------------------------------------
