@@ -3,21 +3,21 @@
 A fleet of n workers is split into power-of-two groups (binary decomposition
 of n, largest group first). Each group codes its slice of the account matrix:
 the slice rows are packed into the group's non-frozen block positions, zero
-blocks sit at the frozen positions (the designated likely stragglers), and an
-unnormalized Sylvester-Hadamard butterfly mixes the blocks. Every worker holds
-one coded row block; updates are linear, so workers fold per-epoch coded
-deltas into their stored totals without seeing plaintext rows.
+blocks sit at the frozen positions F (the designated likely stragglers), and
+an unnormalized Sylvester-Hadamard butterfly mixes the blocks, y = Hx. Every
+worker holds one coded row block; updates are linear, so workers fold
+per-epoch coded deltas into their stored totals without seeing plaintext rows.
 
-Decoding works from any subset of returned blocks that pins down the data:
-a peeling pass over the butterfly resolves each 2x2 cell once two of its four
-wires are known, using exact integer halving (a failed halving means a
-corrupted shard, never a wrong answer). Peeling alone is sound but not
-complete -- some solvable loss patterns spread their information across cells
-so that no single cell ever holds two known wires -- so both `decodable` and
-`decode` finish stalled cases with an exact fraction-free (Bareiss) integer
-elimination over the residual +-1 system. The verdict of `decodable` therefore
-always equals the solvability of that system over the rationals, and `decode`
-either returns the exact data or raises; it never returns a wrong slice.
+Because H^-1 = H/n, x_F = 0 means every valid codeword satisfies
+H[F, :] y = 0. So the outputs y_L at the lost positions L (the complement of
+the received set R) are pinned down exactly when the small frozen-by-lost
+block H[F, L] has full column rank. That one |F| x |L| system,
+eliminated fraction-free (Bareiss) over Python ints, gives the verdict of
+`decodable`, the planner's check that losing exactly F is decodable (the
+s x s minor H[F, F]), and the solve in `decode`: y_L from
+H[F, L] y_L = -H[F, R] y_R, then x = H y / n through the same butterfly.
+Every division is exact or the shards are corrupt, so `decode` either returns
+the exact data or raises; it never returns a wrong slice.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ def _repair_frozen(size: int, probs: Sequence[float],
                    candidate: Sequence[int]) -> tuple[int, ...]:
     """Adjust a frozen set until losing exactly that set is decodable.
 
-    Some highest-probability sets make the surviving +-1 submatrix singular
-    (e.g. positions {1, 2} of a 4-group); the code must be planned around a
+    Some highest-probability sets make the +-1 block H[F, F] singular (e.g.
+    positions {1, 2} of a 4-group); the code must be planned around a
     set it can actually absorb. Candidates are tried in decreasing total
     probability: the original set, then single swaps, then pair swaps, then a
     leading-positions fallback that is always absorbable.
@@ -166,12 +166,9 @@ def _repair_frozen(size: int, probs: Sequence[float],
     if s == 0:
         return cand
 
-    def self_decodable(frozen: Sequence[int]) -> bool:
-        fro = set(frozen)
-        received = [p for p in range(size) if p not in fro]
-        return _peel_flags(size, frozen, received) or _rank_full(size, frozen, received)
-
-    if self_decodable(cand):
+    # Losing exactly F is decodable iff H[F, F] is nonsingular (Jacobi's
+    # complementary-minor identity, since H^-1 = H/n): an s x s test.
+    if _pins_lost(cand, cand):
         return cand
     inside = set(cand)
     outside = [p for p in range(size) if p not in inside]
@@ -179,16 +176,16 @@ def _repair_frozen(size: int, probs: Sequence[float],
                    key=lambda t: (-t[0], t[1], t[2]))
     for _, i, o in swaps:
         trial = tuple(sorted(inside - {i} | {o}))
-        if self_decodable(trial):
+        if _pins_lost(trial, trial):
             return trial
     for (i1, i2), (o1, o2) in ((pi, po)
                                for pi in combinations(cand, 2)
                                for po in combinations(outside, 2)):
         trial = tuple(sorted(inside - {i1, i2} | {o1, o2}))
-        if self_decodable(trial):
+        if _pins_lost(trial, trial):
             return trial
     fallback = tuple(range(s))
-    if not self_decodable(fallback):
+    if not _pins_lost(fallback, fallback):
         raise CodingError(f"no absorbable straggler set of size {s} in group of {size}")
     return fallback
 
@@ -243,87 +240,40 @@ def expand(matrix: np.ndarray, group: GroupSpec) -> np.ndarray:
     return blocks
 
 
-def hadamard(blocks: np.ndarray) -> np.ndarray:
-    """Unnormalized Sylvester-Hadamard butterfly over the leading block axis."""
-    blocks = np.array(blocks, dtype=np.int64)
+def _butterfly(blocks: np.ndarray) -> np.ndarray:
+    """Unnormalized Sylvester-Hadamard transform in log2(n) reshaped stages.
+
+    Stage h pairs block i with block i | h and maps (a, b) to (a + b, a - b);
+    works on any dtype, so object arrays of Python ints stay exact.
+    """
     n = blocks.shape[0]
     if n & (n - 1) or n == 0:
         raise CodingError(f"block count {n} is not a power of two")
     h = 1
     while h < n:
-        for i in range(n):
-            if not i & h:
-                a = blocks[i].copy()
-                b = blocks[i | h]
-                blocks[i] = a + b
-                blocks[i | h] = a - b
+        pairs = blocks.reshape((n // (2 * h), 2, h) + blocks.shape[1:])
+        a, b = pairs[:, 0], pairs[:, 1]
+        blocks = np.stack((a + b, a - b), axis=1).reshape((n,) + a.shape[2:])
         h <<= 1
     return blocks
 
 
-# ---------------------------------------------------------------------------
-# Peeling over the butterfly
-# ---------------------------------------------------------------------------
+def hadamard(blocks: np.ndarray) -> np.ndarray:
+    """Unnormalized Sylvester-Hadamard butterfly over the leading block axis.
 
-def _cell_resolve(w):
-    """Fill a butterfly cell (a, b) -> (a+b, a-b) once two wires are known.
-
-    w = [a, b, c, d] with None for unknown; returns resolved list or None.
-    Halving is exact: odd sums mean corrupted inputs.
+    Runs in int64 and raises CodingError when an output could leave the int64
+    range, i.e. when max|blocks| exceeds (2**63 - 1) // n.
     """
-    a, b, c, d = w
-    for _ in range(2):
-        if a is not None and b is not None:
-            c2, d2 = a + b, a - b
-            if c is None:
-                c = c2
-            if d is None:
-                d = d2
-        if c is not None and d is not None and (a is None or b is None):
-            top, bot = c + d, c - d
-            if np.any(top & 1) or np.any(bot & 1):
-                raise ShardCorruptionError("odd butterfly sum: corrupted shard")
-            a = top >> 1 if a is None else a
-            b = bot >> 1 if b is None else b
-        if a is not None and c is not None and b is None:
-            b = c - a
-        if a is not None and d is not None and b is None:
-            b = a - d
-        if b is not None and c is not None and a is None:
-            a = c - b
-        if b is not None and d is not None and a is None:
-            a = b + d
-    return [a, b, c, d]
+    blocks = np.array(blocks, dtype=np.int64)
+    if blocks.size and max(int(blocks.max()),
+                           -int(blocks.min())) > (2 ** 63 - 1) // blocks.shape[0]:
+        raise CodingError("butterfly output overflows 64-bit range")
+    return _butterfly(blocks)
 
 
-def _levels(n: int) -> int:
-    return n.bit_length() - 1
-
-
-def _peel_flags(n: int, frozen: Iterable[int], received: Iterable[int]) -> bool:
-    """Presence-only peeling: can the data wires be pinned down at all?"""
-    levels = _levels(n)
-    known = [[False] * n for _ in range(levels + 1)]
-    for p in frozen:
-        known[0][p] = True
-    for p in received:
-        known[levels][p] = True
-    changed = True
-    while changed:
-        changed = False
-        for lv in range(levels):
-            h = 1 << lv
-            row_in, row_out = known[lv], known[lv + 1]
-            for i in range(n):
-                if i & h:
-                    continue
-                j = i | h
-                cnt = row_in[i] + row_in[j] + row_out[i] + row_out[j]
-                if 2 <= cnt < 4:
-                    row_in[i] = row_in[j] = row_out[i] = row_out[j] = True
-                    changed = True
-    return all(known[0])
-
+# ---------------------------------------------------------------------------
+# The frozen-by-lost system
+# ---------------------------------------------------------------------------
 
 def _h_sign(row: int, col: int) -> int:
     # Entry of the unnormalized Sylvester-Hadamard matrix: (-1)^popcount(row & col).
@@ -339,7 +289,7 @@ def _bareiss(rows: list[list[int]], ncols: int, jordan: bool = False) -> int:
     clears above as well, leaving det * I in the leading block, so the tail
     columns of row t hold det times the row combination that isolates unknown
     t. Returns det, the last pivot, or 0 when some column has no pivot (rank
-    below `ncols`).
+    below `ncols`, which includes fewer rows than `ncols`).
     """
     prev = 1
     for c in range(ncols):
@@ -357,105 +307,49 @@ def _bareiss(rows: list[list[int]], ncols: int, jordan: bool = False) -> int:
     return prev
 
 
-def _rank_full(n: int, frozen: Iterable[int], received: Iterable[int]) -> bool:
-    """Exact test: do the received output rows span all non-frozen inputs?"""
-    fro = set(frozen)
-    data = [p for p in range(n) if p not in fro]
-    rec = sorted(set(received))
-    return (len(rec) >= len(data)
-            and _bareiss([[_h_sign(r, c) for c in data] for r in rec], len(data)) != 0)
+def _frozen_by_lost(frozen: Sequence[int], lost: Sequence[int],
+                    augment: bool = False) -> list[list[int]]:
+    """Rows of H[F, L], followed by an |F| x |F| identity when `augment`."""
+    eye = range(len(frozen)) if augment else ()
+    return [[_h_sign(f, p) for p in lost] + [int(t == i) for t in eye]
+            for i, f in enumerate(frozen)]
 
 
-def _solve_blocks(n: int, frozen: Iterable[int],
-                  received: Mapping[int, np.ndarray],
-                  block_shape: tuple[int, int]) -> list[np.ndarray]:
-    """Exact elimination fallback: recover all data blocks from received outputs.
+def _pins_lost(frozen: Sequence[int], lost: Sequence[int]) -> bool:
+    """True when H[F, L] has full column rank, so H[F, :] y = 0 fixes y_L."""
+    return _bareiss(_frozen_by_lost(frozen, lost), len(lost)) != 0
 
-    Gauss-Jordan reduces [sign-matrix | I] over the integers, which gives each
-    data block as an integer combination of the received blocks divided by
-    det; the division must come out even. Returns the full list of level-0
-    blocks (zeros at frozen positions). Used when peeling stalls on a
-    still-solvable loss pattern.
-    """
-    frozen = set(frozen)
-    data = [p for p in range(n) if p not in frozen]
-    rec = sorted(received)
-    m, k = len(rec), len(data)
-    aug = [[_h_sign(r, c) for c in data] + [int(t == i) for t in range(m)]
-           for i, r in enumerate(rec)]
-    det = _bareiss(aug, k, jordan=True)
-    if not det:
-        raise NotDecodableError("received blocks do not determine the data")
-    recs = [np.asarray(received[p], dtype=np.int64).astype(object) for p in rec]
-    zero = np.zeros(block_shape, dtype=np.int64)
-    out: list[np.ndarray] = [zero] * n
-    for t, pos in enumerate(data):
-        acc = np.zeros(block_shape, dtype=object)
-        for coef, blk in zip(aug[t][k:], recs):
-            if coef:
-                acc = acc + coef * blk
-        if (acc % det != 0).any():
-            raise ShardCorruptionError("non-integer block solve: corrupted shard")
-        acc = acc // det
-        if acc.size and int(np.abs(acc).max()) >= 2 ** 63:
-            raise CodingError("decoded block overflows 64-bit range")
-        out[pos] = acc.astype(np.int64)
-    return out
+
+def _lost_positions(received: Iterable[int], size: int) -> list[int]:
+    rec = set(received)
+    if not rec <= set(range(size)):
+        raise CodingError("received positions out of range")
+    return [p for p in range(size) if p not in rec]
 
 
 def decodable(received: Iterable[int], group: GroupSpec) -> bool:
-    """True when the received block positions determine every data block."""
-    rec = set(received)
-    if not rec <= set(range(group.size)):
-        raise CodingError("received positions out of range")
-    return (_peel_flags(group.size, group.frozen, rec)
-            or _rank_full(group.size, group.frozen, rec))
+    """True when the received block positions determine every data block.
 
-
-def _peel_values(n: int, frozen: Iterable[int],
-                 received: Mapping[int, np.ndarray],
-                 block_shape: tuple[int, int]) -> list[np.ndarray] | None:
-    """Peel the butterfly on values; None when peeling stalls short of level 0."""
-    levels = _levels(n)
-    zero = np.zeros(block_shape, dtype=np.int64)
-    wires: list[list[np.ndarray | None]] = [[None] * n for _ in range(levels + 1)]
-    for p in frozen:
-        wires[0][p] = zero
-    for p, v in received.items():
-        v = np.asarray(v, dtype=np.int64)
-        if v.shape != block_shape:
-            raise CodingError(f"block at position {p} has shape {v.shape}, "
-                              f"expected {block_shape}")
-        wires[levels][p] = v
-    changed = True
-    while changed:
-        changed = False
-        for lv in range(levels):
-            h = 1 << lv
-            row_in, row_out = wires[lv], wires[lv + 1]
-            for i in range(n):
-                if i & h:
-                    continue
-                j = i | h
-                w = [row_in[i], row_in[j], row_out[i], row_out[j]]
-                cnt = sum(x is not None for x in w)
-                if 2 <= cnt < 4:
-                    w = _cell_resolve(w)
-                    row_in[i], row_in[j], row_out[i], row_out[j] = w
-                    changed = True
-    if any(v is None for v in wires[0]):
-        return None
-    return [v for v in wires[0]]  # type: ignore[misc]
+    Every codeword y = Hx with x_F = 0 satisfies H[F, :] y = 0 (H^-1 = H/n),
+    so the lost outputs y_L are determined exactly when the small frozen-by-lost
+    block H[F, L] has full column rank; that needs |L| <= |F|.
+    """
+    return _pins_lost(group.frozen, _lost_positions(received, group.size))
 
 
 def decode(received: Mapping[int, np.ndarray], group: GroupSpec) -> np.ndarray:
     """Reconstruct the group's data slice from returned coded blocks.
 
-    Peels the butterfly first; if peeling stalls, falls back to the exact
-    elimination solve, so every position set accepted by `decodable` decodes.
-    Raises NotDecodableError when the positions are insufficient and
-    ShardCorruptionError when the values are inconsistent with every valid
-    data assignment; never returns a wrong slice.
+    Solves H[F, L] y_L = -H[F, R] y_R for the lost outputs over Python ints
+    (Gauss-Jordan on [H[F, L] | I], one exact division per lost block), then
+    recovers x = H y / n with the same butterfly and an exact division.
+
+    Raises NotDecodableError whenever `decodable` says False for the received
+    positions, before any value is looked at, so a corrupted shard on an
+    undecodable position set raises NotDecodableError too. Otherwise raises
+    ShardCorruptionError when the values fit no valid data assignment (an
+    inexact division, a nonzero frozen block, nonzero padding rows) and
+    CodingError for a decoded value outside int64; never returns a wrong slice.
     """
     r = group.rows_per_block
     cols = None
@@ -468,18 +362,40 @@ def decode(received: Mapping[int, np.ndarray], group: GroupSpec) -> np.ndarray:
         raise NotDecodableError("no blocks received")
     if group.rows == 0:
         return np.zeros((0, cols), dtype=np.int64)
-    x = _peel_values(group.size, group.frozen, received, (r, cols))
-    if x is None:
-        x = _solve_blocks(group.size, group.frozen, received, (r, cols))
-    # Cross-check: re-encode and compare against everything that was received.
-    forward = hadamard(np.stack(x))
+    n, frozen = group.size, list(group.frozen)
+    lost = _lost_positions(received, n)
+    k = len(lost)
+    rows = _frozen_by_lost(frozen, lost, augment=True)
+    det = _bareiss(rows, k, jordan=True)
+    if not det:
+        raise NotDecodableError("received blocks do not determine the data")
+    y = np.zeros((n, r, cols), dtype=object)
     for p, v in received.items():
-        if not np.array_equal(forward[p], np.asarray(v, dtype=np.int64)):
-            raise ShardCorruptionError(f"block at position {p} inconsistent with decode")
+        v = np.asarray(v, dtype=np.int64)
+        if v.shape != (r, cols):
+            raise CodingError(f"block at position {p} has shape {v.shape}, "
+                              f"expected {(r, cols)}")
+        y[p] = v
+    if lost:
+        rhs = -_butterfly(y)[frozen]          # -H[F, R] y_R, lost outputs zero
+        num = np.tensordot(np.array([row[k:] for row in rows[:k]], dtype=object),
+                           rhs, axes=1)
+        if (num % det != 0).any():
+            raise ShardCorruptionError("non-integer lost-output solve: corrupted shard")
+        y[lost] = num // det
+    x = _butterfly(y)
+    if (x % n != 0).any():
+        raise ShardCorruptionError("non-integer inverse transform: corrupted shard")
+    x //= n
+    if x[frozen].any():
+        raise ShardCorruptionError("nonzero frozen block after decode")
     data = np.concatenate([x[p] for p in group.data_positions], axis=0)
-    if (data[group.rows:] != 0).any():
+    if data[group.rows:].any():
         raise ShardCorruptionError("nonzero padding rows after decode")
-    return data[:group.rows]
+    data = data[:group.rows]
+    if data.size and (data.max() >= 2 ** 63 or data.min() < -2 ** 63):
+        raise CodingError("decoded block overflows 64-bit range")
+    return data.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def test_hadamard_two_blocks_by_hand():
     assert np.array_equal(out[1], [[-2, -2]])
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 16])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 64])
 def test_hadamard_equals_dense_matrix_product(n):
     rng = np.random.default_rng(n)
     blocks = rng.integers(-20, 20, size=(n, 3, 2)).astype(np.int64)
@@ -200,6 +200,28 @@ def test_hadamard_equals_dense_matrix_product(n):
 def test_hadamard_rejects_non_power_of_two():
     with pytest.raises(coding.CodingError):
         coding.hadamard(np.zeros((3, 1, 1), dtype=np.int64))
+
+
+def test_butterfly_on_python_ints_is_exact_beyond_int64():
+    rng = random.Random(8)
+    blocks = np.array([[[rng.randint(-2 ** 70, 2 ** 70)] * 2] for _ in range(8)],
+                      dtype=object)
+    got = coding._butterfly(blocks)
+    h = dense_hadamard(8)
+    for i in range(8):
+        want = sum(int(h[i, k]) * blocks[k] for k in range(8))
+        assert (got[i] == want).all()
+
+
+def test_hadamard_raises_instead_of_wrapping_int64():
+    # int64 would wrap 2**62 + 2**62 to -2**63, and decoding the wrapped
+    # blocks would return [-2**62, -2**62]: a wrong slice
+    g = make_group(2, (), rows=2)
+    with pytest.raises(coding.CodingError, match="overflows"):
+        coding.hadamard(coding.expand(np.array([[2 ** 62], [2 ** 62]]), g))
+    x = np.array([[2 ** 62 - 1], [-(2 ** 62 - 1)]], dtype=np.int64)
+    blocks = coding.hadamard(coding.expand(x, g))
+    assert np.array_equal(coding.decode({0: blocks[0], 1: blocks[1]}, g), x)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +282,14 @@ def test_decode_round_trip_with_designed_losses():
 
 
 def test_decode_solves_patterns_that_stall_cell_peeling():
-    # frozen {0,2} with outputs {1,2}: solvable (det +-2) yet every butterfly
-    # cell holds only one known wire, so this must go through the exact solve.
+    # frozen {0,2} with outputs {1,2}: every butterfly cell holds only one
+    # known wire, so cell-by-cell peeling stalls, yet the frozen-by-lost block
+    # H[{0,2}, {0,3}] is nonsingular (det -2) and the exact solve recovers it.
     g = make_group(4, (0, 2), rows=4)
     x = np.array([[1, 7], [2, 5], [9, 0], [4, 4]], dtype=np.int64)
     blocks = coding.hadamard(coding.expand(x, g))
     received = {1: blocks[1], 2: blocks[2]}
-    assert coding._peel_values(4, g.frozen, received, (2, 2)) is None
+    assert coding._bareiss(coding._frozen_by_lost((0, 2), (0, 3)), 2) == -2
     assert coding.decodable([1, 2], g)
     assert np.array_equal(coding.decode(received, g), x)
 
@@ -334,6 +357,29 @@ def test_corruption_detected_through_exact_solve_path():
         coding.decode(received, g)
 
 
+def test_corrupted_shard_on_undecodable_positions_is_not_decodable():
+    # the verdict depends on the positions only and comes first: a corrupted
+    # shard on a position set `decodable` rejects raises NotDecodableError,
+    # although here cell peeling could already see an odd butterfly sum
+    g = make_group(8, (0, 4), rows=12)
+    x = np.arange(36, dtype=np.int64).reshape(12, 3)
+    blocks = coding.hadamard(coding.expand(x, g))
+    received = {p: blocks[p].copy() for p in range(6)}
+    received[0][0, 0] += 1
+    assert not coding.decodable(received, g)
+    with pytest.raises(coding.NotDecodableError):
+        coding.decode(received, g)
+
+
+def test_decode_rejects_misshapen_blocks():
+    g = make_group(4, (1,), rows=6)
+    blocks = coding.hadamard(coding.expand(np.ones((6, 2), dtype=np.int64), g))
+    received = {p: blocks[p] for p in (0, 2, 3)}
+    received[2] = blocks[2][:, :1]
+    with pytest.raises(coding.CodingError, match="shape"):
+        coding.decode(received, g)
+
+
 def test_decode_insufficient_blocks_raises():
     g = make_group(4, (), rows=8)
     x = np.ones((8, 2), dtype=np.int64)
@@ -345,7 +391,8 @@ def test_decode_insufficient_blocks_raises():
 
 
 # ---------------------------------------------------------------------------
-# Exact rank test and elimination fallback
+# The frozen-by-lost system: "rank_full" below is its verdict, H[F, L] having
+# full column rank
 # ---------------------------------------------------------------------------
 
 #: frozen positions per group (64, 32, 4) that `plan_groups` picks for the
@@ -355,8 +402,16 @@ PAPER_FROZEN = {
     1: ((6, 8, 18, 46, 53, 60), (8, 25, 28), ()),
 }
 
-#: (size, frozen, received) where peeling stalls yet the system is solvable;
-#: the last one has more received rows than data positions
+#: the same for seed 6, chains 7 and 8: the fleets where the top-probability
+#: 64-group set and every single swap are singular, so the planner reaches
+#: its pair swaps
+PAPER_FROZEN_SEED6 = {
+    7: ((0, 2, 27, 28, 37, 50), (1, 2, 28), ()),
+    8: ((1, 4, 15, 42, 51, 63), (6, 21, 29), ()),
+}
+
+#: (size, frozen, received) where cell peeling stalls yet the system is
+#: solvable; the last one has more received rows than data positions
 STALLED_SOLVABLE = [
     (4, (0, 2), (1, 2)),
     (8, (2, 4, 6), (0, 2, 3, 4, 5, 7)),
@@ -364,11 +419,23 @@ STALLED_SOLVABLE = [
 ]
 
 
-def paper_plan(chain):
-    cfg = ScenarioConfig(fleet_size=100, accounts=1000, coding=True)
-    rng = np.random.default_rng(derive_seed(0, "fleet", chain))
-    fleet = build_fleet(chain, cfg.fleet_size, cfg.straggler_fraction, rng)
-    return coding.plan_groups(cfg.fleet_size, cfg.accounts, fleet.profile)
+PAPER_CFG = ScenarioConfig(fleet_size=100, accounts=1000, coding=True)
+
+
+def paper_profile(chain, seed=0):
+    rng = np.random.default_rng(derive_seed(seed, "fleet", chain))
+    return build_fleet(chain, PAPER_CFG.fleet_size,
+                       PAPER_CFG.straggler_fraction, rng).profile
+
+
+def paper_plan(chain, seed=0):
+    return coding.plan_groups(PAPER_CFG.fleet_size, PAPER_CFG.accounts,
+                              paper_profile(chain, seed))
+
+
+def lost_of(size, received):
+    rec = set(received)
+    return [p for p in range(size) if p not in rec]
 
 
 @pytest.mark.parametrize("chain", sorted(PAPER_FROZEN))
@@ -378,6 +445,18 @@ def test_paper_scale_frozen_sets_are_pinned(chain):
     assert tuple(g.frozen for g in plan.groups) == PAPER_FROZEN[chain]
 
 
+@pytest.mark.parametrize("chain", sorted(PAPER_FROZEN_SEED6))
+def test_paper_scale_seed6_frozen_sets_are_pinned(chain):
+    plan = paper_plan(chain, seed=6)
+    assert [g.size for g in plan.groups] == [64, 32, 4]
+    assert tuple(g.frozen for g in plan.groups) == PAPER_FROZEN_SEED6[chain]
+    top = coding._group_frozen_positions(
+        paper_profile(chain, seed=6).probabilities[:64], 6)
+    swaps = [sorted(set(top) - {i} | {o})
+             for i in top for o in range(64) if o not in top]
+    assert not any(coding._pins_lost(f, f) for f in [top] + swaps)
+
+
 @pytest.mark.parametrize("size,trials", [(8, 60), (16, 40), (32, 8)])
 def test_rank_full_matches_oracle_on_rectangular_received_sets(size, trials):
     rng = random.Random(size)
@@ -385,60 +464,80 @@ def test_rank_full_matches_oracle_on_rectangular_received_sets(size, trials):
     for _ in range(trials):
         frozen = rng.sample(range(size), rng.randint(1, size // 2))
         received = rng.sample(range(size), rng.randint(size - len(frozen) + 1, size))
-        verdict = coding._rank_full(size, frozen, received)
+        verdict = coding._pins_lost(frozen, lost_of(size, received))
         assert verdict == rank_oracle(size, frozen, received)
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
 def test_rank_full_matches_oracle_where_peeling_stalls():
-    rng = random.Random(7)
-    verdicts = []
-    for _ in range(400):
-        size = rng.choice([4, 8, 16])
-        frozen = rng.sample(range(size), rng.randint(1, size // 2))
-        received = rng.sample(range(size), rng.randint(size - len(frozen), size))
-        if coding._peel_flags(size, frozen, received):
-            continue
-        verdict = coding._rank_full(size, frozen, received)
-        assert verdict == rank_oracle(size, frozen, received)
-        verdicts.append(verdict)
-    assert 0 < sum(verdicts) < len(verdicts)
     for size, frozen, received in STALLED_SOLVABLE:
-        assert not coding._peel_flags(size, frozen, received)
-        assert coding._rank_full(size, frozen, received)
+        assert coding._pins_lost(frozen, lost_of(size, received))
+        assert rank_oracle(size, frozen, received)
 
 
-@pytest.mark.parametrize("frozen", [PAPER_FROZEN[0][0], PAPER_FROZEN[1][0], (1, 2)])
+@pytest.mark.parametrize("frozen", [PAPER_FROZEN[0][0], PAPER_FROZEN[1][0], (1, 2),
+                                    PAPER_FROZEN_SEED6[7][0]])
 def test_rank_full_matches_oracle_on_64_groups(frozen):
     # (1, 2) is never planned: H[{1,2},{1,2}] is singular, so by Jacobi's
     # complementary-minor identity so is the survivors' submatrix
     survivors = [p for p in range(64) if p not in frozen]
-    verdict = coding._rank_full(64, frozen, survivors)
+    verdict = coding._pins_lost(frozen, frozen)
     assert verdict == rank_oracle(64, frozen, survivors)
+    assert verdict == coding.decodable(survivors, make_group(64, frozen, rows=64))
     assert verdict == (frozen != (1, 2))
+
+
+def test_rank_full_matches_oracle_on_random_64_groups():
+    rng = random.Random(64)
+    verdicts = []
+    for _ in range(8):
+        frozen = sorted(rng.sample(range(64), 6))
+        lost = sorted(rng.sample(range(64), rng.randint(5, 6)))
+        verdict = coding._pins_lost(frozen, lost)
+        assert verdict == rank_oracle(64, frozen, lost_of(64, lost))
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("solvable", [True, False])
+def test_rank_full_matches_oracle_on_128_groups(solvable):
+    if solvable:
+        rng = random.Random(128)
+        profile = coding.StragglerProfile.from_probabilities(
+            [rng.random() for _ in range(128)], 0.1)
+        (g,) = coding.plan_groups(128, 256, profile).groups
+        frozen = g.frozen
+    else:
+        frozen = (1, 2)
+    survivors = [p for p in range(128) if p not in frozen]
+    assert coding._pins_lost(frozen, frozen) == solvable
+    assert rank_oracle(128, frozen, survivors) == solvable
 
 
 def test_eliminations_build_no_fractions(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("elimination built a Fraction")
 
+    probs = paper_profile(7, seed=6).probabilities[:64]
     monkeypatch.setattr(coding, "Fraction", no_fraction)
     frozen = PAPER_FROZEN[0][0]
-    assert coding._rank_full(64, frozen, [p for p in range(64) if p not in frozen])
-    assert not coding._rank_full(64, (1, 2), [p for p in range(64) if p not in (1, 2)])
+    assert coding._pins_lost(frozen, frozen)
+    assert not coding._pins_lost((1, 2), (1, 2))
+    # the planner's repair walks every single swap and into the pair swaps
+    candidate = coding._group_frozen_positions(probs, 6)
+    assert coding._repair_frozen(64, probs, candidate) == PAPER_FROZEN_SEED6[7][0]
     nprng = np.random.default_rng(11)
     for size, frozen, received in STALLED_SOLVABLE:
         g = make_group(size, frozen, rows=(size - len(frozen)) * 3)
         x = nprng.integers(-500, 500, size=(g.rows, 4)).astype(np.int64)
         blocks = coding.hadamard(coding.expand(x, g))
         shards = {p: blocks[p] for p in received}
-        assert coding._peel_values(size, g.frozen, shards, (3, 4)) is None
         assert np.array_equal(coding.decode(shards, g), x)
         one_short = received[:size - len(frozen) - 1]
         with pytest.raises(coding.NotDecodableError):
             coding.decode({p: blocks[p] for p in one_short}, g)
-    # det = 2 for the 4-group pattern: an odd shard error leaves no integer solution
+    # det = -2 for the 4-group pattern: an odd shard error leaves no integer solution
     g = make_group(4, (0, 2), rows=4)
     x = np.arange(8, dtype=np.int64).reshape(4, 2)
     blocks = coding.hadamard(coding.expand(x, g))
