@@ -16,7 +16,9 @@ its delta may be negative when a previously proposed spend was dropped.
 A state keeps its totals either as MxM matrices, as coded workers store them,
 or summed over the counterparty (w_in 1xM, w_out Mx1), as the engine does;
 balances and validation read only those sums. All arithmetic is exact int64;
-no floats anywhere.
+no floats anywhere. A total that would leave int64 raises
+`LedgerOverflowError` when the state holding it is built, so that reading
+balances never wraps.
 """
 
 from __future__ import annotations
@@ -35,15 +37,39 @@ class SequencingError(LedgerError):
     """Epoch applied out of order."""
 
 
+class LedgerOverflowError(LedgerError):
+    """An exact ledger amount or total does not fit in int64."""
+
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_amounts(values, ndim: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
+    """`values` as a read-only, non-negative int64 array of `ndim` dimensions.
+
+    A read-only int64 array that owns its memory is taken as it is: that is
+    how this module leaves every array it has checked, so an array one
+    ledger object already holds is neither checked nor copied again. Code
+    that builds such an array itself vouches that it is non-negative.
+    """
+    if (type(values) is np.ndarray and values.dtype == np.int64
+            and values.ndim == ndim and not values.flags.writeable
+            and values.base is None):
+        return values
+    try:
+        arr = np.asarray(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise LedgerOverflowError("amount or account index exceeds int64") from exc
     if arr.ndim != ndim:
         raise LedgerError(f"expected a {ndim}-D int64 array, got shape {arr.shape}")
     if (arr < 0).any():
         raise LedgerError("amounts and account indices must be non-negative")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr.copy())
 
 
 @dataclass(frozen=True)
@@ -117,10 +143,32 @@ class CumulativeState:
         shapes = (self.w_in.shape, self.w_out.shape, self.last_proposed.shape)
         if shapes not in (((m, m),) * 3, ((1, m), (m, 1), (m, 1))):
             raise LedgerError(f"totals of shapes {shapes} are neither MxM nor 1xM/Mx1")
+        if not (_sums_fit(self.w_in, axis=0, base=self.genesis)
+                and _sums_fit(self.w_out, axis=1)):
+            raise LedgerOverflowError(
+                f"chain {self.chain} balances at epoch {self.epoch} exceed int64")
 
     @property
     def accounts(self) -> int:
         return self.genesis.shape[0]
+
+
+def _sums_fit(terms: np.ndarray, axis: int,
+              base: np.ndarray | None = None) -> bool:
+    """Whether base + terms.sum(axis) stays within int64; no entry is negative.
+
+    A bound from the largest entries settles nearly every case; only when it
+    is inconclusive are the sums taken exactly, over Python ints.
+    """
+    if base is None and terms.shape[axis] <= 1:
+        return True                     # one int64 term always fits
+    top = int(base.max(initial=0)) if base is not None else 0
+    if top + terms.shape[axis] * int(terms.max(initial=0)) <= INT64_MAX:
+        return True
+    exact = terms.astype(object).sum(axis=axis)
+    if base is not None:
+        exact = exact + base.astype(object)
+    return max(exact, default=0) <= INT64_MAX
 
 
 def new_state(chain: int, genesis) -> CumulativeState:
@@ -149,10 +197,17 @@ def update_cumulative(state: CumulativeState, flows: FlowAggregates) -> Cumulati
             != (state.w_in.shape, state.w_out.shape, state.w_out.shape):
         raise LedgerError("flows differ in shape from the state's totals")
     w_in = state.w_in + flows.inflow
-    delta_proposed = flows.outflow_proposed - state.last_proposed
-    w_out = state.w_out + flows.outflow_confirmed + delta_proposed
+    spent = state.w_out + flows.outflow_confirmed
+    w_out = spent + flows.outflow_proposed
+    # every operand so far is non-negative, so a sum past int64 wraps negative
+    if (w_in < 0).any() or (spent < 0).any() or (w_out < 0).any():
+        raise LedgerOverflowError(
+            f"chain {state.chain} totals at epoch {flows.epoch} exceed int64")
+    w_out -= state.last_proposed
+    if (w_out < 0).any():
+        raise LedgerError("amounts and account indices must be non-negative")
     return CumulativeState(chain=state.chain, epoch=flows.epoch, genesis=state.genesis,
-                           w_in=w_in, w_out=w_out,
+                           w_in=_frozen(w_in), w_out=_frozen(w_out),
                            last_proposed=flows.outflow_proposed)
 
 
@@ -194,24 +249,31 @@ class ValidationResult:
         return not bool(self.valid_rows.all())
 
 
-def validate_block(proposed: Sequence[Transfers],
-                   state: CumulativeState) -> ValidationResult:
+def validate_block(proposed: Sequence[Transfers], state: CumulativeState,
+                   available: np.ndarray | None = None) -> ValidationResult:
     """Zero each account's transfers when its full proposed spend overdraws.
 
-    An account is judged against its balance with the *entire* proposed spend
-    (across all destination chains) counted at once; a failing account has its
-    triplets dropped from every output block, atomically for this epoch.
-    Idempotent: validating the output again under the same state changes
-    nothing.
+    An account is judged against its `available` funds with the *entire*
+    proposed spend (across all destination chains) counted at once; a failing
+    account has its triplets dropped from every output block, atomically for
+    this epoch. `available` defaults to the net balances with the stored
+    proposal released, as this proposal replaces it; a caller whose proposals
+    add up as outstanding spend passes `net_balances(state)`. Idempotent:
+    validating the output again under the same state changes nothing.
     """
     spend = proposed_outflow(proposed, state.chain, state.accounts)
-    valid = _balances_with_proposal(state, spend) >= 0
+    if available is None:
+        valid = _balances_with_proposal(state, spend) >= 0
+    else:
+        valid = available - spend >= 0
     out = []
     for t in proposed:
         keep = valid[t.senders]
+        # subsets of checked triplets need no second check
         out.append(Transfers(source=t.source, dest=t.dest, epoch=t.epoch,
-                             senders=t.senders[keep], receivers=t.receivers[keep],
-                             amounts=t.amounts[keep]))
+                             senders=_frozen(t.senders[keep]),
+                             receivers=_frozen(t.receivers[keep]),
+                             amounts=_frozen(t.amounts[keep])))
     return ValidationResult(blocks=tuple(out), valid_rows=valid, proposed=spend)
 
 

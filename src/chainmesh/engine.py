@@ -11,7 +11,6 @@ scenario seed, so a rerun reproduces every artifact byte for byte.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import heapq
 import random
@@ -30,7 +29,7 @@ from .config import ScenarioConfig
 from .dag import (CONFIRMED, GENESIS_ID, ChainWeights, DagLedger,
                   assemble_confirmed_superblock)
 from .doublespend import ConflictTracker, InjectionPlan, plan_injections
-from .events import EventPools, propose_and_vote, select_committee
+from .events import Candidates, EventPools, propose_and_vote, select_committee
 from .metrics import MetricsReport, SeriesRecorder, gini
 from .roles import (build_fleet, make_invalid_block, make_valid_block,
                     schedule_issuance)
@@ -62,7 +61,7 @@ class _ChainRuntime:
     plan: GroupPlan | None          # None when uncoded or no layout fits
     state: CumulativeState
     pool: EventPools
-    candidates: list[tuple[str, int]]
+    candidates: Candidates
     committee_seed: str
     slots: deque = field(default_factory=deque)   # (time_s, txn_id | None)
     epoch: int = 0
@@ -151,7 +150,8 @@ class Simulation:
                                       w_in=spent.T, w_out=spent,
                                       last_proposed=spent),
                 pool=EventPools(chain=c),
-                candidates=[(n.node_id, n.stake) for n in fleet.nodes],
+                candidates=Candidates([(n.node_id, n.stake)
+                                       for n in fleet.nodes]),
                 committee_seed=f"{cfg.seed}|committee|{c}",
             )
             if not cfg.coding:
@@ -333,9 +333,9 @@ class Simulation:
         rt.intra_done += 1
         self._publish(rt, ev.PROPOSAL_RESULTS, epoch,
                       ("results", chain, epoch))
-        check_state = dataclasses.replace(
-            rt.state, last_proposed=np.zeros_like(rt.state.last_proposed))
-        result = validate_block(payload.transfers, check_state)
+        # proposals add up as outstanding spend: judge against the net balance
+        result = validate_block(payload.transfers, rt.state,
+                                available=net_balances(rt.state))
         if result.any_zeroed:
             raise SimulationError(
                 f"honest proposal of chain {chain} failed validation")

@@ -9,7 +9,7 @@ exactly once into a per-epoch side ledger that doubles as the audit log.
 from __future__ import annotations
 
 import hashlib
-import json
+from json.encoder import encode_basestring_ascii as _json_str
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -42,15 +42,56 @@ def _to_bytes(value) -> bytes:
     return str(value).encode()
 
 
-def vrf_output(node_secret, shared_seed, epoch: int) -> int:
-    """Deterministic per-node lottery draw; verification is recomputation."""
-    h = hashlib.sha256()
-    h.update(_to_bytes(node_secret))
-    h.update(b"|")
-    h.update(_to_bytes(shared_seed))
-    h.update(b"|")
-    h.update(str(int(epoch)).encode())
-    return int.from_bytes(h.digest(), "big")
+def vrf_key(node_secret, shared_seed) -> bytes:
+    """A node's lottery key under `shared_seed`: the `secret | seed |`
+    prefix that every epoch's draw hashes before the epoch."""
+    return b"%s|%s|" % (_to_bytes(node_secret), _to_bytes(shared_seed))
+
+
+def vrf_draws(keys: Sequence[bytes], epoch: int) -> list[int]:
+    """Deterministic lottery draw of each key at `epoch`, in [0, 2**256).
+
+    A node's draw is sha256(secret | seed | epoch); verification is
+    recomputation.
+    """
+    e = str(int(epoch)).encode()
+    return [int.from_bytes(hashlib.sha256(key + e).digest(), "big")
+            for key in keys]
+
+
+class Candidates:
+    """A chain's committee candidates and their lottery keys.
+
+    `stakes` is a sequence of (node id, stake); node secrets default to the
+    node id itself. The candidates are checked and keyed for a shared seed
+    at its first draw, not when built, so every later epoch hashes only a
+    stored key plus the epoch.
+    """
+
+    def __init__(self, stakes: Sequence[tuple[str, int]],
+                 secrets: Mapping[str, object] | None = None):
+        self.stakes = tuple(stakes)
+        self._secrets = secrets
+        self._keys: dict[object, tuple[bytes, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self.stakes)
+
+    def keys(self, shared_seed) -> tuple[bytes, ...]:
+        """Lottery key of every candidate under `shared_seed`, in order."""
+        keys = self._keys.get(shared_seed)
+        if keys is None:
+            for node_id, stake in self.stakes:
+                if stake <= 0:
+                    raise EventError(f"node {node_id!r} has non-positive stake")
+            if len({node_id for node_id, _ in self.stakes}) < len(self.stakes):
+                raise EventError("duplicate candidate node id")
+            secrets = self._secrets
+            keys = tuple(vrf_key(secrets[node_id] if secrets is not None
+                                 else node_id, shared_seed)
+                         for node_id, _ in self.stakes)
+            self._keys[shared_seed] = keys
+        return keys
 
 
 @dataclass(frozen=True)
@@ -59,40 +100,28 @@ class CommitteeSelection:
 
     epoch: int
     members: tuple[str, ...]               # rank order, best first
-    vrf_outputs: Mapping[str, int]
-    scores: Mapping[str, int]              # stake * draw, numerator over 2**256
 
     def size(self) -> int:
         return len(self.members)
 
 
-def select_committee(candidates: Sequence[tuple[str, int]], shared_seed,
-                     epoch: int, committee_size: int,
-                     secrets: Mapping[str, object] | None = None
-                     ) -> CommitteeSelection:
+def select_committee(candidates: Candidates, shared_seed, epoch: int,
+                     committee_size: int) -> CommitteeSelection:
     """Pick the `committee_size` best stake-times-draw scores, rank ordered.
 
-    `candidates` is a sequence of (node id, stake). Node secrets default to
-    the node id itself; ties break to the lower node id.
+    A score is the integer stake * draw; ties break to the lower node id.
     """
     if committee_size < 1:
         raise EventError("committee size must be at least 1")
     if committee_size > len(candidates):
         raise EventError(f"committee of {committee_size} from "
                          f"{len(candidates)} candidates")
-    draws: dict[str, int] = {}
-    scores: dict[str, int] = {}
-    for node_id, stake in candidates:
-        if stake <= 0:
-            raise EventError(f"node {node_id!r} has non-positive stake")
-        secret = secrets[node_id] if secrets is not None else node_id
-        draw = vrf_output(secret, shared_seed, epoch)
-        draws[node_id] = draw
-        scores[node_id] = stake * draw
-    ranked = sorted(scores, key=lambda nid: (-scores[nid], nid))
-    members = tuple(ranked[:committee_size])
-    return CommitteeSelection(epoch=epoch, members=members,
-                              vrf_outputs=draws, scores=scores)
+    draws = vrf_draws(candidates.keys(shared_seed), epoch)
+    ranked = sorted((-stake * draw, node_id)
+                    for (node_id, stake), draw in zip(candidates.stakes, draws))
+    return CommitteeSelection(
+        epoch=epoch,
+        members=tuple(node_id for _, node_id in ranked[:committee_size]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +189,14 @@ class EventPools:
         return block
 
     def audit_lines(self) -> list[str]:
-        """Event log export: one compact record per published event."""
-        lines = []
-        for rec in self.audit:
-            lines.append(json.dumps({
-                "chain": rec.chain,
-                "epoch": rec.epoch,
-                "kind": rec.kind,
-                "proposer": rec.proposer,
-                "approve": rec.approvals,
-                "reject": 0,
-                "attempts": 1,
-                "outcome": ACTIVE,
-            }, sort_keys=True))
-        return lines
+        """Event log export: one compact record per published event.
+
+        Each line is the JSON object with keys in sorted order, as
+        `json.dumps(..., sort_keys=True)` writes it.
+        """
+        outcome = _json_str(ACTIVE)
+        return [f'{{"approve": {rec.approvals}, "attempts": 1, '
+                f'"chain": {rec.chain}, "epoch": {rec.epoch}, '
+                f'"kind": {_json_str(rec.kind)}, "outcome": {outcome}, '
+                f'"proposer": {_json_str(rec.proposer)}, "reject": 0}}'
+                for rec in self.audit]

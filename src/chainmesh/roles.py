@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .balances import Transfers
+from .balances import INT64_MAX, LedgerOverflowError, Transfers
 from .coding import StragglerProfile
 
 
@@ -72,6 +72,11 @@ def build_fleet(chain: int, size: int, straggler_fraction: float,
 # Adversarial block construction
 # ---------------------------------------------------------------------------
 
+#: an overspending row spends its balance plus this plus a draw below 100,
+#: more than any inflow can add before the row is validated
+OVERSPEND_MARGIN = 1_000_000_000
+
+
 def _draw_block(dest: int, epoch: int, balances: np.ndarray,
                 invalid_tx_fraction: float, rng: np.random.Generator,
                 source: int, active_rows: int, amount_max: int) -> Transfers:
@@ -79,24 +84,35 @@ def _draw_block(dest: int, epoch: int, balances: np.ndarray,
         raise RoleError("transfer block must target a different chain")
     if not 0.0 <= invalid_tx_fraction <= 1.0:
         raise RoleError("invalid_tx_fraction must be within [0, 1]")
+    balances = np.asarray(balances, dtype=np.int64)
     m = len(balances)
-    funded = np.flatnonzero(np.asarray(balances) > 0)
-    active_rows = min(active_rows, len(funded))
-    chosen = sorted(int(a) for a in
-                    rng.choice(funded, size=active_rows, replace=False))
-    receivers, amounts = [], []
-    n_bad = int(invalid_tx_fraction * active_rows)      # floor
-    bad = set(chosen[:n_bad])
-    for acct in chosen:
-        bal = int(balances[acct])
-        receivers.append(int(rng.integers(0, m)))
-        if acct in bad:
-            # Overspend by more than any possible future balance so the row
-            # stays invalid no matter what inflows land before validation.
-            amounts.append(bal + 1_000_000_000 + int(rng.integers(0, 100)))
-        else:
-            amounts.append(max(1, min(bal, int(rng.integers(1, amount_max + 1)))))
-    return Transfers(source=source, dest=dest, epoch=epoch, senders=chosen,
+    funded = np.flatnonzero(balances > 0)
+    rows = min(active_rows, len(funded))
+    senders = np.sort(rng.choice(funded, size=rows, replace=False))
+    n_bad = int(invalid_tx_fraction * rows)             # floor
+    # Row by row a receiver in [0, m), then an amount draw: overspending rows
+    # (the first n_bad) draw from [0, 100), the others from [1, amount_max].
+    # One call over the interleaved bounds draws the same values, in order.
+    low = np.zeros((rows, 2), dtype=np.int64)
+    high = np.full((rows, 2), m, dtype=np.int64)
+    low[n_bad:, 1] = 1
+    high[:n_bad, 1] = 100
+    high[n_bad:, 1] = amount_max + 1
+    draws = rng.integers(low, high)
+    held = balances[senders]
+    bad, extra = held[:n_bad], draws[:n_bad, 1]
+    if (bad > INT64_MAX - OVERSPEND_MARGIN - extra).any():
+        raise LedgerOverflowError(
+            f"overspending row of chain {source} on a balance of "
+            f"{int(bad.max())} exceeds int64")
+    amounts = np.empty(rows, dtype=np.int64)
+    amounts[:n_bad] = bad + OVERSPEND_MARGIN + extra
+    # funded balances and the draws are both at least 1
+    np.minimum(held[n_bad:], draws[n_bad:, 1], out=amounts[n_bad:])
+    receivers = draws[:, 0].copy()
+    for arr in (senders, receivers, amounts):
+        arr.setflags(write=False)       # non-negative by construction
+    return Transfers(source=source, dest=dest, epoch=epoch, senders=senders,
                      receivers=receivers, amounts=amounts)
 
 

@@ -391,3 +391,103 @@ def test_malformed_triplets_and_totals_rejected_structurally():
     with pytest.raises(bal.LedgerError):
         bal.CumulativeState(chain=0, epoch=0, genesis=[1, 1], w_in=col,
                             w_out=col, last_proposed=col)
+
+
+# ---------------------------------------------------------------------------
+# int64 overflow and array ownership
+# ---------------------------------------------------------------------------
+
+def test_state_whose_net_balance_would_wrap_raises():
+    # genesis + w_in = 2**63 would read back as net balance -2**63
+    with pytest.raises(bal.LedgerOverflowError):
+        bal.CumulativeState(chain=0, epoch=0, genesis=[2**62],
+                            w_in=[[2**62]], w_out=[[0]], last_proposed=[[0]])
+    with pytest.raises(bal.LedgerOverflowError):
+        bal.CumulativeState(chain=0, epoch=0, genesis=[0, 0],
+                            w_in=[[2**62, 0], [2**62, 0]],
+                            w_out=[[0, 0], [0, 0]],
+                            last_proposed=[[0, 0], [0, 0]])
+    with pytest.raises(bal.LedgerOverflowError):
+        bal.CumulativeState(chain=0, epoch=0, genesis=[0, 0],
+                            w_in=[[0, 0], [0, 0]],
+                            w_out=[[2**62, 2**62], [0, 0]],
+                            last_proposed=[[0, 0], [0, 0]])
+
+
+def test_largest_state_that_fits_reads_exact_balances():
+    top = bal.INT64_MAX
+    s = bal.CumulativeState(chain=0, epoch=0, genesis=[top - 2**62, 5],
+                            w_in=[[2**62, 0]], w_out=[[top], [0]],
+                            last_proposed=[[0], [0]])
+    assert bal.net_balances(s).tolist() == [0, 5]
+    # the largest entries alone would overflow; the per-account sums do not
+    s = bal.CumulativeState(chain=0, epoch=0, genesis=[top, 0],
+                            w_in=[[0, 5]], w_out=[[0], [0]],
+                            last_proposed=[[0], [0]])
+    assert bal.net_balances(s).tolist() == [top, 5]
+    s = bal.CumulativeState(chain=0, epoch=0, genesis=[0, 0],
+                            w_in=[[top, 0], [0, top]],
+                            w_out=[[top, 0], [0, top]],
+                            last_proposed=[[0, 0], [0, 0]])
+    assert bal.net_balances(s).tolist() == [0, 0]
+
+
+def test_update_that_wraps_raises_a_named_overflow_error():
+    s = bal.CumulativeState(chain=0, epoch=0, genesis=[0], w_in=[[bal.INT64_MAX]],
+                            w_out=[[0]], last_proposed=[[0]])
+    flows = bal.FlowAggregates(chain=0, epoch=1, inflow=[[1]],
+                               outflow_confirmed=[[0]], outflow_proposed=[[0]])
+    with pytest.raises(bal.LedgerOverflowError):
+        bal.update_cumulative(s, flows)
+    s = bal.CumulativeState(chain=0, epoch=0, genesis=[0], w_in=[[0]],
+                            w_out=[[2**62]], last_proposed=[[0]])
+    flows = bal.FlowAggregates(chain=0, epoch=1, inflow=[[0]],
+                               outflow_confirmed=[[2**62]],
+                               outflow_proposed=[[2**62]])
+    with pytest.raises(bal.LedgerOverflowError):
+        bal.update_cumulative(s, flows)
+
+
+def test_amount_beyond_int64_raises_a_named_overflow_error():
+    with pytest.raises(bal.LedgerOverflowError):
+        bal.Transfers(source=0, dest=1, epoch=1, senders=[0], receivers=[0],
+                      amounts=[2**63])
+
+
+def test_checked_arrays_are_shared_not_copied():
+    s = bal.new_state(0, [5, 7])
+    flows = zero_flows(0, 2, 1)
+    s2 = bal.update_cumulative(s, flows)
+    assert s2.genesis is s.genesis
+    assert s2.last_proposed is flows.outflow_proposed
+    for arr in (s2.w_in, s2.w_out):
+        assert not arr.flags.writeable
+    t = tm(0, 1, 1, [[0, 3], [2, 0]])
+    again = bal.Transfers(source=0, dest=1, epoch=1, senders=t.senders,
+                          receivers=t.receivers, amounts=t.amounts)
+    assert again.amounts is t.amounts
+
+
+def test_writable_or_borrowed_arrays_are_still_checked():
+    bad = np.array([-1], dtype=np.int64)
+    with pytest.raises(bal.LedgerError):
+        bal.Transfers(source=0, dest=1, epoch=1, senders=[0], receivers=[0],
+                      amounts=bad)
+    view = np.broadcast_to(np.int64(-1), (1,))      # read-only, not owned
+    with pytest.raises(bal.LedgerError):
+        bal.Transfers(source=0, dest=1, epoch=1, senders=[0], receivers=[0],
+                      amounts=view)
+    mine = np.array([4], dtype=np.int64)
+    t = bal.Transfers(source=0, dest=1, epoch=1, senders=[0], receivers=[0],
+                      amounts=mine)
+    mine[0] = 9
+    assert t.amounts[0] == 4
+
+
+def test_validation_against_available_funds():
+    s = summed_state(0, [5, 5])
+    t = bal.Transfers(source=0, dest=1, epoch=1, senders=[0, 1],
+                      receivers=[0, 0], amounts=[4, 4])
+    res = bal.validate_block([t], s, available=np.array([3, 4]))
+    assert res.valid_rows.tolist() == [False, True]
+    assert res.blocks[0].senders.tolist() == [1]

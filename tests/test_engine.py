@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from chainmesh import engine
+from chainmesh import events as ev
 from chainmesh.balances import net_balances
 from chainmesh.config import ScenarioConfig, replace
 from chainmesh.engine import Simulation, SimulationError, run_scenario
@@ -71,6 +72,31 @@ def test_one_committee_draw_per_chain_and_epoch(monkeypatch):
     assert set(draws.values()) == {1}
     assert len(result.event_lines) > len(draws)     # committees were reused
     assert all(not rt.committees for rt in sim.chains.values())
+
+
+def test_committee_keys_are_built_at_the_first_draw_not_at_set_up(
+        monkeypatch):
+    def no_hashing(*args):
+        raise AssertionError("lottery hashing during set-up")
+
+    monkeypatch.setattr(ev, "vrf_key", no_hashing)
+    monkeypatch.setattr(ev, "vrf_draws", no_hashing)
+    cfg = quick(duration_min=0.5)
+    sim = Simulation(cfg)
+    monkeypatch.undo()
+
+    keys = Counter()
+    vrf_key = ev.vrf_key
+
+    def counting(secret, shared_seed):
+        keys[shared_seed] += 1
+        return vrf_key(secret, shared_seed)
+
+    monkeypatch.setattr(ev, "vrf_key", counting)
+    assert sim.run().event_lines
+    # each chain keys its fleet once, for its own seed, whatever the epochs
+    assert set(keys) == {rt.committee_seed for rt in sim.chains.values()}
+    assert set(keys.values()) == {cfg.fleet_size}
 
 
 # -- accounting -------------------------------------------------------------

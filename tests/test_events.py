@@ -7,11 +7,16 @@ from fractions import Fraction
 import pytest
 
 from chainmesh import events as ev
-from chainmesh.events import (ACTIVE, EVENT_KINDS, EventError, EventPools,
-                              EventRecord, propose_and_vote, select_committee,
-                              vrf_output)
+from chainmesh.events import (ACTIVE, EVENT_KINDS, Candidates, EventError,
+                              EventPools, EventRecord, propose_and_vote,
+                              select_committee, vrf_draws, vrf_key)
 
 GOLDEN_VRF = 0x345577A51D70ABAF4DAB85F42FC6BA8856914BDBBF25C3652F551AC03719F359
+
+
+def vrf_output(node_secret, shared_seed, epoch):
+    """One node's lottery draw, through the keys the committee draw uses."""
+    return vrf_draws([vrf_key(node_secret, shared_seed)], epoch)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +54,7 @@ class TestVrfOutput:
 # ---------------------------------------------------------------------------
 
 def equal_candidates(n, stake=1):
-    return [(f"n{i:03d}", stake) for i in range(n)]
+    return Candidates([(f"n{i:03d}", stake) for i in range(n)])
 
 
 class TestSelectCommittee:
@@ -59,26 +64,32 @@ class TestSelectCommittee:
         assert len(set(sel.members)) == 10
 
     def test_rank_strictly_descending_scores(self):
-        sel = select_committee(equal_candidates(100), "seed", 0, 10)
-        scores = [sel.scores[m] for m in sel.members]
+        cands = equal_candidates(100)
+        sel = select_committee(cands, "seed", 0, 10)
+        all_scores = {nid: stake * vrf_output(nid, "seed", 0)
+                      for nid, stake in cands.stakes}
+        scores = [all_scores[m] for m in sel.members]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         # the cut keeps only top scores
         floor = min(scores)
-        outside = [s for nid, s in sel.scores.items()
+        outside = [s for nid, s in all_scores.items()
                    if nid not in sel.members]
         assert all(s <= floor for s in outside)
 
     def test_tie_breaks_to_lower_node_id(self):
         secrets = {"a": "shared", "b": "shared", "c": "unique"}
-        sel = select_committee([("b", 1), ("a", 1), ("c", 1)], "s", 0, 3,
-                               secrets=secrets)
+        sel = select_committee(
+            Candidates([("b", 1), ("a", 1), ("c", 1)], secrets=secrets),
+            "s", 0, 3)
         pos_a = sel.members.index("a")
         pos_b = sel.members.index("b")
-        assert sel.scores["a"] == sel.scores["b"]
+        assert vrf_output(secrets["a"], "s", 0) == \
+            vrf_output(secrets["b"], "s", 0)
         assert pos_a < pos_b
 
     def test_heavy_stake_nearly_always_selected(self):
-        cands = [("whale", 100)] + [(f"n{i:03d}", 1) for i in range(99)]
+        cands = Candidates([("whale", 100)]
+                           + [(f"n{i:03d}", 1) for i in range(99)])
         hits = sum(1 for epoch in range(1000)
                    if "whale" in select_committee(cands, "seed", epoch,
                                                   10).members)
@@ -98,7 +109,7 @@ class TestSelectCommittee:
 
     def test_non_positive_stake_rejected(self):
         with pytest.raises(EventError):
-            select_committee([("a", 0)], "s", 0, 1)
+            select_committee(Candidates([("a", 0)]), "s", 0, 1)
 
     def test_integer_scores_rank_like_fraction_scores(self):
         rng = random.Random(17)
@@ -116,15 +127,17 @@ class TestSelectCommittee:
             rng.shuffle(cands)
             size = rng.randint(1, len(cands))
             epoch = rng.randrange(100)
-            sel = select_committee(cands, "seed", epoch, size,
-                                   secrets=secrets)
+            sel = select_committee(Candidates(cands, secrets=secrets),
+                                   "seed", epoch, size)
             old = {nid: stake * Fraction(vrf_output(secrets[nid], "seed",
                                                     epoch), 1 << 256)
                    for nid, stake in cands}
             ranked = sorted(old, key=lambda nid: (-old[nid], nid))
             assert sel.members == tuple(ranked[:size])
-            for nid, stake in cands:
-                assert sel.scores[nid] == stake * sel.vrf_outputs[nid]
+            scores = {nid: stake * vrf_output(secrets[nid], "seed", epoch)
+                      for nid, stake in cands}
+            integer_ranked = sorted(scores, key=lambda nid: (-scores[nid], nid))
+            assert sel.members == tuple(integer_ranked[:size])
 
     def test_epoch_rotates_committee(self):
         sels = {select_committee(equal_candidates(100), "seed", e, 10).members
@@ -137,8 +150,7 @@ class TestSelectCommittee:
 # ---------------------------------------------------------------------------
 
 def committee_of(members, epoch=0):
-    return ev.CommitteeSelection(epoch=epoch, members=tuple(members),
-                                 vrf_outputs={}, scores={})
+    return ev.CommitteeSelection(epoch=epoch, members=tuple(members))
 
 
 class TestProposeAndVote:
@@ -226,3 +238,50 @@ class TestEventPools:
         assert data == {"chain": 4, "epoch": 9, "kind": ev.TIP_RESULTS,
                         "proposer": "m0", "approve": 2, "reject": 0,
                         "attempts": 1, "outcome": ACTIVE}
+
+    def test_audit_lines_equal_sorted_json_dumps(self):
+        proposers = ["m0", 'quo"te', "back\\slash", "né中\U0001f600",
+                     "tab\tnew\nline"]
+        pool = EventPools(chain=3)
+        for epoch, (kind, proposer) in enumerate(zip(EVENT_KINDS, proposers)):
+            pool.publish(EventRecord(kind=kind, chain=3, epoch=epoch - 2,
+                                     proposer=proposer, payload=None,
+                                     approvals=epoch + 1))
+        expected = [json.dumps({
+            "chain": rec.chain, "epoch": rec.epoch, "kind": rec.kind,
+            "proposer": rec.proposer, "approve": rec.approvals, "reject": 0,
+            "attempts": 1, "outcome": ACTIVE}, sort_keys=True)
+            for rec in pool.audit]
+        assert pool.audit_lines() == expected
+        assert [json.loads(line)["proposer"] for line in expected] == proposers
+
+
+# ---------------------------------------------------------------------------
+# Candidates and their lottery keys
+# ---------------------------------------------------------------------------
+
+class TestCandidates:
+    def test_keyed_draws_equal_vrf_output(self):
+        secrets = {"a": b"sa", "b": "sb", "c": 7}
+        cands = Candidates([("a", 1), ("b", 2), ("c", 3)], secrets=secrets)
+        for epoch in (0, 1, 99, -4):
+            sel = select_committee(cands, "seed", epoch, 3)
+            scores = {nid: stake * vrf_output(secrets[nid], "seed", epoch)
+                      for nid, stake in cands.stakes}
+            assert sel.members == tuple(sorted(
+                scores, key=lambda nid: (-scores[nid], nid)))
+
+    def test_one_call_draws_every_key_as_single_draws(self):
+        keys = [vrf_key(f"n{i}", "seed") for i in range(20)]
+        assert vrf_draws(keys, 11) == [vrf_draws([k], 11)[0] for k in keys]
+        assert vrf_draws([], 11) == []
+
+    def test_keys_built_once_per_seed(self):
+        cands = equal_candidates(5)
+        keys = cands.keys("s")
+        assert cands.keys("s") is keys
+        assert cands.keys("t") != keys
+
+    def test_duplicate_node_id_rejected(self):
+        with pytest.raises(EventError, match="duplicate"):
+            select_committee(Candidates([("a", 1), ("a", 2)]), "s", 0, 1)

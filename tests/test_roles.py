@@ -1,10 +1,14 @@
 """Fleet construction, straggler silence, adversarial blocks, issuance."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from chainmesh.roles import (RoleError, build_fleet, make_invalid_block,
-                             make_valid_block, schedule_issuance)
+from chainmesh.balances import INT64_MAX, LedgerOverflowError, Transfers
+from chainmesh.roles import (RoleError, _draw_block, build_fleet,
+                             make_invalid_block, make_valid_block,
+                             schedule_issuance)
 
 
 def rng(seed=0):
@@ -147,6 +151,70 @@ class TestMakeValidBlock:
         for field in ("senders", "receivers", "amounts"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert len(a.senders) == 6
+
+
+def per_row_draw(dest, epoch, balances, invalid_tx_fraction, rng, source,
+                 active_rows, amount_max):
+    """The block draw as one scalar `rng.integers` call per value, row by
+    row: the oracle for the single array-bounds call of `_draw_block`."""
+    m = len(balances)
+    funded = np.flatnonzero(np.asarray(balances) > 0)
+    active_rows = min(active_rows, len(funded))
+    chosen = sorted(int(a) for a in
+                    rng.choice(funded, size=active_rows, replace=False))
+    receivers, amounts = [], []
+    n_bad = int(invalid_tx_fraction * active_rows)
+    bad = set(chosen[:n_bad])
+    for acct in chosen:
+        bal = int(balances[acct])
+        receivers.append(int(rng.integers(0, m)))
+        if acct in bad:
+            amounts.append(bal + 1_000_000_000 + int(rng.integers(0, 100)))
+        else:
+            amounts.append(max(1, min(bal, int(rng.integers(1, amount_max + 1)))))
+    return Transfers(source=source, dest=dest, epoch=epoch, senders=chosen,
+                     receivers=receivers, amounts=amounts)
+
+
+class TestDrawBlockOracle:
+    @pytest.mark.parametrize("accounts", [1, 7, 100, 1000])
+    def test_equals_the_per_row_draw_and_leaves_the_same_stream(self,
+                                                               accounts):
+        cases = itertools.product(range(4), (0, 1, 10, accounts + 5),
+                                  (0.0, 0.3, 1.0), (1, 10))
+        for seed, rows, fraction, amount_max in cases:
+            setup = np.random.default_rng([seed, accounts])
+            balances = setup.integers(0, 60, size=accounts)
+            balances[setup.random(accounts) < 0.2] = 0      # some unfunded
+            a, b = rng(seed), rng(seed)
+            got = _draw_block(1, 3, balances, fraction, a, 0, rows,
+                              amount_max)
+            want = per_row_draw(1, 3, balances, fraction, b, 0, rows,
+                                amount_max)
+            for field in ("senders", "receivers", "amounts"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field)), field
+            assert a.integers(0, 2**62) == b.integers(0, 2**62)
+
+    def test_arrays_are_read_only_int64(self):
+        tm = make_valid_block(1, 0, np.full(9, 5), rng(1), source=0,
+                              active_rows=4)
+        for arr in (tm.senders, tm.receivers, tm.amounts):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+
+
+class TestOverspendOverflow:
+    def test_overspend_past_int64_raises_a_named_error(self):
+        balances = np.array([INT64_MAX - 1_000_000_000, 5], dtype=np.int64)
+        with pytest.raises(LedgerOverflowError):
+            make_invalid_block(1, 0, balances, invalid_tx_fraction=1.0,
+                               rng=rng(0), source=0, active_rows=2)
+
+    def test_overspend_that_reaches_int64_max_exactly_is_drawn(self):
+        top = INT64_MAX - 1_000_000_000 - 99
+        tm = make_invalid_block(1, 0, np.array([top]), invalid_tx_fraction=1.0,
+                                rng=rng(0), source=0, active_rows=1)
+        assert top + 1_000_000_000 <= int(tm.amounts[0]) <= INT64_MAX
 
 
 # ---------------------------------------------------------------------------
