@@ -218,8 +218,13 @@ def net_balances(state: CumulativeState) -> np.ndarray:
 
 def proposed_outflow(transfers: Sequence[Transfers], chain: int,
                      accounts: int) -> np.ndarray:
-    """Total proposed spend per sending account, over all destination chains."""
+    """Total proposed spend per sending account, over all destination chains.
+
+    A total past int64 raises LedgerOverflowError; as in `_sums_fit`, exact
+    sums are taken only when the largest-entry bound is inconclusive.
+    """
     spend = np.zeros(accounts, dtype=np.int64)
+    count = largest = 0
     for t in transfers:
         if t.source != chain:
             raise LedgerError(f"transfers from chain {t.source} in proposal for {chain}")
@@ -228,6 +233,15 @@ def proposed_outflow(transfers: Sequence[Transfers], chain: int,
         if (t.senders >= accounts).any() or (t.receivers >= accounts).any():
             raise LedgerError(f"account index out of range for {accounts} accounts")
         np.add.at(spend, t.senders, t.amounts)
+        count += len(t.amounts)
+        largest = max(largest, int(t.amounts.max(initial=0)))
+    if count * largest > INT64_MAX:
+        exact = np.zeros(accounts, dtype=object)
+        for t in transfers:
+            np.add.at(exact, t.senders, t.amounts.astype(object))
+        if max(exact) > INT64_MAX:
+            raise LedgerOverflowError(
+                f"proposed spend of an account on chain {chain} exceeds int64")
     return spend
 
 

@@ -43,11 +43,6 @@ class ShardCorruptionError(CodingError):
     """Returned blocks are inconsistent with any valid data assignment."""
 
 
-def _round_half_up(x: Fraction) -> int:
-    # Deterministic tie handling: .5 rounds up.
-    return math.floor(x + Fraction(1, 2))
-
-
 # ---------------------------------------------------------------------------
 # Fleet profile and group planning
 # ---------------------------------------------------------------------------
@@ -76,14 +71,14 @@ class StragglerProfile:
         return cls(probabilities=probs, fraction=float(fraction))
 
     def straggler_count(self, size: int | None = None) -> int:
+        """The design rate's share of `size` (default: all), .5 rounding up."""
         size = len(self.probabilities) if size is None else size
-        return _round_half_up(Fraction(str(self.fraction)) * size)
+        return math.floor(Fraction(str(self.fraction)) * size + Fraction(1, 2))
 
     def straggler_set(self) -> tuple[int, ...]:
         """Fleet-wide designated stragglers: highest p first, ties by low index."""
-        order = sorted(range(len(self.probabilities)),
-                       key=lambda i: (-self.probabilities[i], i))
-        return tuple(sorted(order[:self.straggler_count()]))
+        return tuple(_group_frozen_positions(self.probabilities,
+                                             self.straggler_count()))
 
 
 @dataclass(frozen=True)
@@ -114,7 +109,6 @@ class GroupSpec:
 class GroupPlan:
     """Full fleet layout: group sizes, row apportionment, frozen positions."""
 
-    workers: int
     total_rows: int
     groups: tuple[GroupSpec, ...]
 
@@ -199,11 +193,10 @@ def plan_groups(n: int, total_rows: int, profile: StragglerProfile) -> GroupPlan
     groups = []
     start = 0
     row_start = 0
-    frac = Fraction(str(profile.fraction))
     for gi, (size, r) in enumerate(zip(sizes, rows)):
         members = tuple(range(start, start + size))
         probs = profile.probabilities[start:start + size]
-        s = _round_half_up(frac * size)
+        s = profile.straggler_count(size)
         if s >= size:
             raise CodingError(f"group of {size} cannot freeze {s} positions")
         frozen = _repair_frozen(size, probs, _group_frozen_positions(probs, s))
@@ -211,7 +204,7 @@ def plan_groups(n: int, total_rows: int, profile: StragglerProfile) -> GroupPlan
                                 rows=r, row_start=row_start, frozen=frozen))
         start += size
         row_start += r
-    return GroupPlan(workers=n, total_rows=total_rows, groups=tuple(groups))
+    return GroupPlan(total_rows=total_rows, groups=tuple(groups))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from . import events as ev
 from .balances import (BlockPayload, CumulativeState, FlowAggregates,
                        net_balances, update_cumulative,
                        validate_block, validate_tip_payloads)
-from .coding import CodingError, GroupPlan, plan_groups
+from .coding import CodingError, plan_groups
 from .config import ScenarioConfig
 from .dag import (CONFIRMED, GENESIS_ID, ChainWeights, DagLedger,
                   assemble_confirmed_superblock)
@@ -58,7 +59,7 @@ class BlockInfo:
 class _ChainRuntime:
     chain: int
     honest: bool
-    plan: GroupPlan | None          # None when uncoded or no layout fits
+    worker_rows: int | None         # largest job; None: no coded layout
     state: CumulativeState
     pool: EventPools
     candidates: Candidates
@@ -71,8 +72,7 @@ class _ChainRuntime:
     confirmed_count: int = 0
     intra_done: int = 0
     skipped: int = 0
-    uncoded_rows: tuple[int, ...] = ()
-    missing_rows: int = 0
+    missing_rows: int = 0           # rows of silent workers on a plain fleet
     # labeled conflict candidates this chain has sighted but whose detection
     # has not yet been finalised by any confirmed proposal
     watch: set = field(default_factory=set)
@@ -129,63 +129,55 @@ class Simulation:
         self.chains: dict[int, _ChainRuntime] = {}
         for c in range(cfg.chains):
             rng = np.random.default_rng(derive_seed(cfg.seed, "fleet", c))
-            fleet = build_fleet(c, cfg.fleet_size, cfg.straggler_fraction, rng)
-            plan = None
+            profile = build_fleet(cfg.fleet_size, cfg.straggler_fraction, rng)
+            missing = 0
             if cfg.coding:
                 # the planner freezes the worst predicted responders: those
                 # designated positions are exactly the nodes that go silent
                 try:
-                    plan = plan_groups(cfg.fleet_size, cfg.accounts,
-                                       fleet.profile)
+                    plan = plan_groups(cfg.fleet_size, cfg.accounts, profile)
+                    rows = max(g.rows_per_block for g in plan.groups)
                 except CodingError:
-                    pass            # no layout absorbs the silent set
+                    rows = None     # no layout absorbs the silent set
+            else:
+                base, extra = divmod(cfg.accounts, cfg.fleet_size)
+                rows = base + (extra > 0)
+                missing = sum(base + (i < extra)
+                              for i in profile.straggler_set())
             genesis = np.full(cfg.accounts, cfg.genesis_balance,
                               dtype=np.int64)
             spent = np.zeros((cfg.accounts, 1), dtype=np.int64)
-            rt = _ChainRuntime(
+            self.chains[c] = _ChainRuntime(
                 chain=c,
                 honest=c not in adversarial,
-                plan=plan,
+                worker_rows=rows,
                 state=CumulativeState(chain=c, epoch=0, genesis=genesis,
                                       w_in=spent.T, w_out=spent,
                                       last_proposed=spent),
                 pool=EventPools(chain=c),
-                candidates=Candidates([(n.node_id, n.stake)
-                                       for n in fleet.nodes]),
+                candidates=Candidates([(f"c{c}n{i}", 1)
+                                       for i in range(cfg.fleet_size)]),
                 committee_seed=f"{cfg.seed}|committee|{c}",
+                missing_rows=missing,
             )
-            if not cfg.coding:
-                base, extra = divmod(cfg.accounts, cfg.fleet_size)
-                rows = tuple(base + (1 if i < extra else 0)
-                             for i in range(cfg.fleet_size))
-                rt.uncoded_rows = rows
-                rt.missing_rows = sum(rows[i] for i in fleet.silent())
-            self.chains[c] = rt
+
+    def _setup_injection(self) -> None:
+        cfg = self.cfg
         slots = schedule_issuance(cfg.issuance_rate, cfg.spam_fraction,
                                   cfg.honest_chains(),
                                   cfg.adversarial_chains(), cfg.duration_min)
-        self._honest_slot_chains = [s.chain for s in slots if s.honest]
-        honest_idx = 0
-        self._slots = slots
-        self._honest_indices = []
-        for s in slots:
-            if s.honest:
-                self._honest_indices.append(honest_idx)
-                honest_idx += 1
-            else:
-                self._honest_indices.append(-1)
-
-    def _setup_injection(self) -> None:
-        ds = self.cfg.double_spend
+        ds = cfg.double_spend
         self.injection: InjectionPlan | None = None
         if ds.pairs or ds.regular:
-            rng = np.random.default_rng(derive_seed(self.cfg.seed, "inject"))
-            self.injection = plan_injections(self._honest_slot_chains,
-                                             ds.pairs, ds.regular, rng)
+            rng = np.random.default_rng(derive_seed(cfg.seed, "inject"))
+            self.injection = plan_injections(
+                [s.chain for s in slots if s.honest], ds.pairs, ds.regular,
+                rng)
             self.tracker = ConflictTracker()
         carriers = self.injection.carriers if self.injection else {}
-        for s, hidx in zip(self._slots, self._honest_indices):
-            txn = carriers.get(hidx) if hidx >= 0 else None
+        honest_idx = itertools.count()  # carriers are keyed by honest slot
+        for s in slots:
+            txn = carriers.get(next(honest_idx)) if s.honest else None
             self.chains[s.chain].slots.append((s.time_s, txn))
 
     # -- scheduler ---------------------------------------------------------
@@ -216,32 +208,23 @@ class Simulation:
                        ) -> tuple[float, bool]:
         """Worker round duration for `factor` matrix-sized jobs, and success.
 
-        Coded fleets wait for every data position; their silent nodes sit at
-        frozen positions, so the designed reception always decodes. A coded
-        fleet without a plan has nothing to decode: one re-poll, then the
-        stage times out. Uncoded fleets fall back to central recomputation of
-        the silent partitions after the task timeout.
+        The round lasts as long as the largest job: no term of it decreases
+        as the rows grow. Coded fleets wait for every data position; their silent
+        nodes sit at frozen positions, so the designed reception always
+        decodes. A coded fleet without a layout has nothing to decode: one
+        re-poll, then the stage times out. Plain fleets fall back to central
+        recomputation of the silent partitions after the task timeout.
         """
         cfg = self.cfg
-        m = cfg.accounts
         timeout = cfg.task_timeout_ms / 1000.0
         if factor <= 0:
             return 0.0, True
-        if cfg.coding:
-            if rt.plan is None:
-                return 2.0 * timeout, False      # nothing can be recovered
-            worst = 0.0
-            for g in rt.plan.groups:
-                rows = factor * g.rows_per_block
-                t = (self._transfer_s(8.0 * 3 * rows * m)
-                     + rows * cfg.worker_ms_per_row / 1000.0
-                     + self._transfer_s(8.0 * 2 * rows * m))
-                worst = max(worst, t)
-            return worst, True
-        rows_max = factor * max(rt.uncoded_rows)
-        nominal = (self._transfer_s(8.0 * 3 * rows_max * m)
-                   + rows_max * cfg.worker_ms_per_row / 1000.0
-                   + self._transfer_s(8.0 * 2 * rows_max * m))
+        if rt.worker_rows is None:
+            return 2.0 * timeout, False          # nothing can be recovered
+        rows = factor * rt.worker_rows
+        nominal = (self._transfer_s(8.0 * 3 * rows * cfg.accounts)
+                   + rows * cfg.worker_ms_per_row / 1000.0
+                   + self._transfer_s(8.0 * 2 * rows * cfg.accounts))
         if rt.missing_rows:
             fallback = (timeout + factor * rt.missing_rows
                         * cfg.fallback_ms_per_row / 1000.0)

@@ -1,8 +1,10 @@
 """Node fleets and behavior policies: stragglers, adversaries, issuance.
 
-Each chain runs a fleet of worker/committee nodes. A configured fraction of
-workers are stragglers that silently drop their shard tasks. Adversarial
-chains pad valid-looking transfer blocks with overspending rows.
+Each chain runs a fleet of worker/committee nodes, all of stake 1. A fleet
+is its straggler profile: one straggling likelihood per node, of which the
+configured fraction with the highest likelihoods are stragglers that
+silently drop their shard tasks. Adversarial chains pad valid-looking
+transfer blocks with overspending rows.
 """
 
 from __future__ import annotations
@@ -20,52 +22,19 @@ class RoleError(Exception):
     """Misconfigured fleet or behavior policy."""
 
 
-@dataclass(frozen=True)
-class NodeSpec:
-    """One node of a chain's fleet."""
+def build_fleet(size: int, straggler_fraction: float,
+                rng: np.random.Generator) -> StragglerProfile:
+    """Draw a fleet's straggling likelihoods; the worst fraction go silent.
 
-    node_id: str
-    chain: int
-    index: int                      # worker slot within the fleet
-    stake: int = 1
-    straggler_p: float = 0.0
-    responds: bool = True           # stragglers never respond at all
-
-
-@dataclass(frozen=True)
-class Fleet:
-    """A chain's worker fleet plus its straggler designation."""
-
-    chain: int
-    nodes: tuple[NodeSpec, ...]
-    profile: StragglerProfile
-
-    def silent(self) -> tuple[int, ...]:
-        return tuple(n.index for n in self.nodes if not n.responds)
-
-
-def build_fleet(chain: int, size: int, straggler_fraction: float,
-                rng: np.random.Generator, stakes: Sequence[int] | None = None,
-                ) -> Fleet:
-    """Assemble a fleet; the worst `straggler_fraction` of nodes go silent.
-
-    Per-node straggle probabilities are drawn uniformly, then the designated
-    straggler set (the highest-probability nodes, count rounded half-up) is
-    marked as never responding. Remaining nodes always respond in time.
+    Per-node straggle probabilities are drawn uniformly. The profile's
+    straggler set (the highest-probability nodes, count rounded half-up)
+    never responds; the remaining nodes always respond in time.
     """
     if size < 1:
         raise RoleError("fleet needs at least one node")
-    probs = tuple(float(p) for p in rng.uniform(0.0, 1.0, size=size))
-    profile = StragglerProfile(probabilities=probs,
-                               fraction=straggler_fraction)
-    silent = set(profile.straggler_set())
-    nodes = []
-    for i in range(size):
-        stake = int(stakes[i]) if stakes is not None else 1
-        nodes.append(NodeSpec(node_id=f"c{chain}n{i}", chain=chain, index=i,
-                              stake=stake, straggler_p=probs[i],
-                              responds=i not in silent))
-    return Fleet(chain=chain, nodes=tuple(nodes), profile=profile)
+    probs = rng.uniform(0.0, 1.0, size=size).tolist()
+    return StragglerProfile(probabilities=tuple(probs),
+                            fraction=straggler_fraction)
 
 
 # ---------------------------------------------------------------------------

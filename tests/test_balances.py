@@ -454,6 +454,33 @@ def test_amount_beyond_int64_raises_a_named_overflow_error():
                       amounts=[2**63])
 
 
+def test_summed_spend_beyond_int64_raises_a_named_overflow_error():
+    # two 2**62 transfers from one account sum to 2**63, which int64 would
+    # read as -2**63: a negative spend that no overdraft check looks at
+    s = bal.CumulativeState(chain=0, epoch=0, genesis=[5, 0],
+                            w_in=[[0, 0]], w_out=[[0], [0]],
+                            last_proposed=[[0], [0]])
+    t = bal.Transfers(source=0, dest=1, epoch=1, senders=[0, 0],
+                      receivers=[0, 1], amounts=[2**62, 2**62])
+    tip = bal.BlockPayload(source=0, epoch=1, transfers=(t,))
+    with pytest.raises(bal.LedgerOverflowError):
+        bal.validate_tip_payloads([tip], {0: s})
+    with pytest.raises(bal.LedgerOverflowError):
+        bal.validate_block([t], s)
+    # the same total split over two blocks to different chains
+    halves = [bal.Transfers(source=0, dest=d, epoch=1, senders=[0],
+                            receivers=[0], amounts=[2**62]) for d in (1, 2)]
+    with pytest.raises(bal.LedgerOverflowError):
+        bal.proposed_outflow(halves, 0, 2)
+    # the largest entries alone would overflow; the per-sender sums do not
+    fits = bal.Transfers(source=0, dest=1, epoch=1, senders=[0, 1],
+                         receivers=[0, 0], amounts=[bal.INT64_MAX, 5])
+    assert bal.proposed_outflow([fits], 0, 2).tolist() == [bal.INT64_MAX, 5]
+    top = bal.Transfers(source=0, dest=1, epoch=1, senders=[0, 0],
+                        receivers=[0, 1], amounts=[bal.INT64_MAX - 1, 1])
+    assert bal.proposed_outflow([top], 0, 2).tolist() == [bal.INT64_MAX, 0]
+
+
 def test_checked_arrays_are_shared_not_copied():
     s = bal.new_state(0, [5, 7])
     flows = zero_flows(0, 2, 1)

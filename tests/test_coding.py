@@ -115,6 +115,13 @@ def test_straggler_count_rounds_half_up():
     assert profile.straggler_count(8) == 2
 
 
+def test_straggler_set_takes_highest_probabilities_ties_to_lower_index():
+    profile = coding.StragglerProfile.from_probabilities(
+        [0.5, 0.9, 0.5, 0.5, 0.1], fraction=0.5)
+    assert profile.straggler_count() == 3          # 2.5 rounds up
+    assert profile.straggler_set() == (0, 1, 2)
+
+
 self_loss_cases = [(size, lam) for size in (2, 4, 8, 16) for lam in (0.25, 0.5)]
 
 
@@ -424,8 +431,8 @@ PAPER_CFG = ScenarioConfig(fleet_size=100, accounts=1000, coding=True)
 
 def paper_profile(chain, seed=0):
     rng = np.random.default_rng(derive_seed(seed, "fleet", chain))
-    return build_fleet(chain, PAPER_CFG.fleet_size,
-                       PAPER_CFG.straggler_fraction, rng).profile
+    return build_fleet(PAPER_CFG.fleet_size, PAPER_CFG.straggler_fraction,
+                       rng)
 
 
 def paper_plan(chain, seed=0):

@@ -4,14 +4,17 @@ import json
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from chainmesh import engine
 from chainmesh import events as ev
 from chainmesh.balances import net_balances
+from chainmesh.coding import plan_groups
 from chainmesh.config import ScenarioConfig, replace
 from chainmesh.engine import Simulation, SimulationError, run_scenario
 from chainmesh.events import EVENT_KINDS, LEDGER_APPEND
+from chainmesh.roles import build_fleet
 
 ARTIFACTS = ["tip_pool.csv", "finality.csv", "throughput.csv",
              "metrics.json", "dag_snapshot.txt", "events.log"]
@@ -224,6 +227,56 @@ def test_coding_outpaces_plain_sharding_under_stragglers():
     plain = run_scenario(quick(straggler_fraction=0.3, coding=False,
                                issuance_rate=240.0), "u")
     assert coded.report.intra_blocks_per_min > plain.report.intra_blocks_per_min
+
+
+def slowest_group_stage_s(sim, chain, factor):
+    """The coded shard stage as the slowest of the layout's groups."""
+    cfg, m = sim.cfg, sim.cfg.accounts
+    rng = np.random.default_rng(engine.derive_seed(cfg.seed, "fleet", chain))
+    profile = build_fleet(cfg.fleet_size, cfg.straggler_fraction, rng)
+    worst = 0.0
+    for g in plan_groups(cfg.fleet_size, m, profile).groups:
+        rows = factor * g.rows_per_block
+        worst = max(worst, sim._transfer_s(8.0 * 3 * rows * m)
+                    + rows * cfg.worker_ms_per_row / 1000.0
+                    + sim._transfer_s(8.0 * 2 * rows * m))
+    return worst
+
+
+@pytest.mark.parametrize("fleet,accounts", [(20, 100), (37, 100), (100, 1000),
+                                            (7, 5)])
+def test_coded_shard_stage_lasts_as_long_as_the_slowest_group(fleet,
+                                                              accounts):
+    sim = Simulation(quick(fleet_size=fleet, accounts=accounts, coding=True,
+                           straggler_fraction=0.3))
+    for c, rt in sim.chains.items():
+        assert rt.missing_rows == 0
+        assert sim._shard_stage_s(rt, 0) == (0.0, True)
+        for factor in range(1, 6):
+            stage_s, ok = sim._shard_stage_s(rt, factor)
+            assert ok
+            assert stage_s == slowest_group_stage_s(sim, c, factor)
+
+
+def test_plain_shard_rows_follow_the_uneven_split():
+    # 100 rows over 7 workers: workers 0 and 1 hold 15 rows, the rest 14
+    sim = Simulation(quick(fleet_size=7, accounts=100, coding=False,
+                           straggler_fraction=0.3))
+    for rt in sim.chains.values():
+        rng = np.random.default_rng(
+            engine.derive_seed(0, "fleet", rt.chain))
+        silent = build_fleet(7, 0.3, rng).straggler_set()
+        assert len(silent) == 2
+        assert rt.worker_rows == 15
+        assert rt.missing_rows == sum(15 if i < 2 else 14 for i in silent)
+
+
+def test_candidate_node_ids_are_unique_and_chain_scoped():
+    sim = Simulation(quick(fleet_size=10))
+    for c, rt in sim.chains.items():
+        ids = [node_id for node_id, _ in rt.candidates.stakes]
+        assert ids == [f"c{c}n{i}" for i in range(10)]
+        assert {stake for _, stake in rt.candidates.stakes} == {1}
 
 
 # -- guards -----------------------------------------------------------------

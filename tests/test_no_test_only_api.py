@@ -1,12 +1,18 @@
-"""No public `src` function or method may exist only for the tests.
+"""No `src` function, method or dataclass field may exist only for the tests.
 
 Every public function or method (name without a leading underscore) defined
 under `src/chainmesh/` must be referenced somewhere in `src/` besides its own
 definition; an import, such as a re-export from the package's `__init__`,
 counts. The only exceptions are the oracles of acceptance criteria, listed
-in `ORACLES` with the criterion each one serves. References are matched by
-bare name, so the check can miss dead code whose name is reused elsewhere; it
-never flags live code.
+in `ORACLES` with the criterion each one serves.
+
+Every field of a dataclass defined under `src/chainmesh/` must be read by
+name somewhere in `src/`: loaded as a name or an attribute, or updated in
+place (`x.f += 1` reads `x.f`). Setting a field, by keyword or by
+assignment, is not a read. Exceptions go in `UNREAD_FIELDS` with a reason.
+
+References are matched by bare name, so the checks can miss dead code whose
+name is reused elsewhere; they never flag live code.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ ORACLES = {
     "ChainWeights.from_values": "3 aggregated-weight-oracle",
     "new_state": "2 coded-ledger-equivalence",
 }
+
+#: "Class.field" of a src dataclass that src never reads -> why it stays
+UNREAD_FIELDS: dict[str, str] = {}
 
 
 def _public_defs() -> set[str]:
@@ -72,3 +81,56 @@ def test_no_public_src_function_is_used_only_by_tests():
 def test_every_oracle_entry_is_still_test_only():
     stale = sorted(set(ORACLES) - _unused_in_src())
     assert not stale, f"ORACLES entries now used by src or gone: {stale}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        fn = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(fn, ast.Name) and fn.id == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields() -> set[str]:
+    """Annotated fields of every dataclass under src, qualified."""
+    fields: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields.update(f"{node.name}.{item.target.id}"
+                              for item in node.body
+                              if isinstance(item, ast.AnnAssign)
+                              and isinstance(item.target, ast.Name))
+    return fields
+
+
+def _names_read_in_src() -> set[str]:
+    names: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.AugAssign):
+                node = node.target
+            elif not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _unread_fields() -> set[str]:
+    read = _names_read_in_src()
+    return {q for q in _dataclass_fields() if q.rsplit(".", 1)[-1] not in read}
+
+
+def test_every_src_dataclass_field_is_read_in_src():
+    unlisted = sorted(_unread_fields() - set(UNREAD_FIELDS))
+    assert not unlisted, (
+        f"dataclass fields no src code reads: {unlisted}; delete them, or "
+        "list them in UNREAD_FIELDS with the reason they stay")
+
+
+def test_every_unread_field_entry_is_still_unread():
+    stale = sorted(set(UNREAD_FIELDS) - _unread_fields())
+    assert not stale, f"UNREAD_FIELDS entries now read by src or gone: {stale}"

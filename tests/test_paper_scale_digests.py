@@ -1,10 +1,20 @@
-"""Byte-identity pins of the two benchmark scenarios at paper and spam scale.
+"""Byte-identity pins of scenarios the golden preset suite does not cover.
 
-The golden preset suite covers desk-scale presets only. These two runs pin
-the six artifacts of a 1000-account, 100-worker uncoded run and of a
-16-minute spam run (55% spam, two tips per sample) at seed 0, as one SHA-256
-in the format of `perfbench/child.py`, together with the attached and
-confirmed block counts. Together they take about a second.
+The golden preset suite covers desk-scale presets only, and every preset
+splits its rows evenly over the workers. These runs pin, at seed 0, the six
+artifacts as one SHA-256 in the format of `perfbench/child.py`, together
+with the attached and confirmed block counts:
+
+- the two benchmark scenarios: a 1000-account, 100-worker uncoded run and a
+  16-minute spam run (55% spam, two tips per sample);
+- the coded paper-scale run, whose 100 workers form groups of 64, 32 and 4;
+- an uncoded fleet of 7 over 100 accounts at straggler rate 0.3, where the
+  rows split unevenly (14 or 15 per worker) and the silent workers' rows
+  fall back to central recomputation;
+- a coded fleet of 20 at straggler rate 0.9, where the 4-group cannot
+  freeze 4 positions, no layout exists and every honest stage stalls.
+
+Together they take about two seconds.
 """
 
 from __future__ import annotations
@@ -29,6 +39,20 @@ PINS = {
         {"tip_sample": 2, "spam_fraction": 0.55, "duration_min": 16.0},
         "9b8b351bde6c08d3e4e3820b36a6b4cf0076808e5be99ca2a94288156612ea04",
         958, 42),
+    "paper-coded-1m": (
+        {"fleet_size": 100, "accounts": 1000, "coding": True,
+         "duration_min": 1.0},
+        "3029d1484566730d876f7295718ad77a6897f08cc767d5fd6feac7460f42df8b",
+        57, 50),
+    "plain-fleet7-uneven-fallback": (
+        {"fleet_size": 7, "accounts": 100, "coding": False,
+         "straggler_fraction": 0.3},
+        "e5471810bd5af1c833c0ecc38aec69b70bcafebd5dbd30a61ff63e40465be42f",
+        114, 94),
+    "coded-fleet20-no-layout": (
+        {"fleet_size": 20, "straggler_fraction": 0.9},
+        "cf4273a5905e9dd9ff13c646778e40e400041f535468089464e11044f4674f36",
+        0, 0),
 }
 
 

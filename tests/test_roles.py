@@ -15,54 +15,41 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def responders(fleet):
-    return tuple(n.index for n in fleet.nodes if n.responds)
-
-
 # ---------------------------------------------------------------------------
 # Fleet and stragglers
 # ---------------------------------------------------------------------------
 
 class TestBuildFleet:
     def test_exact_straggler_count_hundred_nodes(self):
-        fleet = build_fleet(0, 100, 0.1, rng())
-        assert len(fleet.nodes) == 100
-        assert len(fleet.silent()) == 10
-        assert len(responders(fleet)) == 90
+        profile = build_fleet(100, 0.1, rng())
+        assert len(profile.probabilities) == 100
+        assert len(profile.straggler_set()) == 10
 
     def test_silent_set_partitions_fleet(self):
-        fleet = build_fleet(1, 20, 0.3, rng(3))
-        assert sorted(fleet.silent() + responders(fleet)) == list(range(20))
+        silent = build_fleet(20, 0.3, rng(3)).straggler_set()
+        assert list(silent) == sorted(set(silent))
+        assert set(silent) <= set(range(20))
+        assert len(silent) == 6
 
     def test_silent_nodes_have_highest_straggle_probability(self):
-        fleet = build_fleet(0, 20, 0.25, rng(7))
-        worst_silent = min(fleet.nodes[i].straggler_p for i in fleet.silent())
-        best_responder = max(fleet.nodes[i].straggler_p
-                             for i in responders(fleet))
+        profile = build_fleet(20, 0.25, rng(7))
+        silent = set(profile.straggler_set())
+        probs = profile.probabilities
+        worst_silent = min(probs[i] for i in silent)
+        best_responder = max(p for i, p in enumerate(probs)
+                             if i not in silent)
         assert worst_silent >= best_responder
 
     def test_zero_fraction_everyone_responds(self):
-        fleet = build_fleet(0, 15, 0.0, rng())
-        assert fleet.silent() == ()
+        assert build_fleet(15, 0.0, rng()).straggler_set() == ()
 
     def test_half_up_rounding_of_straggler_count(self):
         # 0.25 of 10 rounds to 3
-        fleet = build_fleet(0, 10, 0.25, rng())
-        assert len(fleet.silent()) == 3
-
-    def test_custom_stakes(self):
-        fleet = build_fleet(0, 4, 0.0, rng(), stakes=[5, 1, 1, 1])
-        assert fleet.nodes[0].stake == 5
-
-    def test_node_ids_unique_and_chain_scoped(self):
-        fleet = build_fleet(3, 10, 0.0, rng())
-        ids = {n.node_id for n in fleet.nodes}
-        assert len(ids) == 10
-        assert all(n.node_id.startswith("c3n") for n in fleet.nodes)
+        assert len(build_fleet(10, 0.25, rng()).straggler_set()) == 3
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(RoleError):
-            build_fleet(0, 0, 0.0, rng())
+            build_fleet(0, 0.0, rng())
 
 
 # ---------------------------------------------------------------------------
