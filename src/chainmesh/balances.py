@@ -13,6 +13,10 @@ Cumulative in/out totals fold these in recursively; the proposed component is
 *replaced* each epoch (only the latest proposal counts against balances), so
 its delta may be negative when a previously proposed spend was dropped.
 
+Validation reads net balances, which count the outstanding spend: a chain's
+own proposal must fit in them, while a foreign tip, whose spend its chain
+already holds as outstanding, is judged with that spend released.
+
 A state keeps its totals either as MxM matrices, as coded workers store them,
 or summed over the counterparty (w_in 1xM, w_out Mx1), as the engine does;
 balances and validation read only those sums. All arithmetic is exact int64;
@@ -245,50 +249,30 @@ def proposed_outflow(transfers: Sequence[Transfers], chain: int,
     return spend
 
 
-def _balances_with_proposal(state: CumulativeState, proposal: np.ndarray) -> np.ndarray:
-    # Replace the stored proposed component with `proposal` when judging spend.
-    return net_balances(state) + state.last_proposed.sum(axis=1) - proposal
-
-
 @dataclass(frozen=True)
 class ValidationResult:
     """Outcome of validating a proposed transfer set."""
 
-    blocks: tuple[Transfers, ...]
     valid_rows: np.ndarray          # bool per account
-    proposed: np.ndarray            # per-account spend of the *input* set
+    proposed: np.ndarray            # per-account spend of the proposal
 
     @property
     def any_zeroed(self) -> bool:
         return not bool(self.valid_rows.all())
 
 
-def validate_block(proposed: Sequence[Transfers], state: CumulativeState,
-                   available: np.ndarray | None = None) -> ValidationResult:
-    """Zero each account's transfers when its full proposed spend overdraws.
+def validate_block(proposed: Sequence[Transfers],
+                   state: CumulativeState) -> ValidationResult:
+    """Judge each account's entire proposed spend against its net balance.
 
-    An account is judged against its `available` funds with the *entire*
-    proposed spend (across all destination chains) counted at once; a failing
-    account has its triplets dropped from every output block, atomically for
-    this epoch. `available` defaults to the net balances with the stored
-    proposal released, as this proposal replaces it; a caller whose proposals
-    add up as outstanding spend passes `net_balances(state)`. Idempotent:
-    validating the output again under the same state changes nothing.
+    The spend is summed across all destination chains and added to the
+    outstanding spend the state already holds: an account whose net balance
+    it would overdraw is an invalid row, to be zeroed in every block of the
+    proposal at once.
     """
     spend = proposed_outflow(proposed, state.chain, state.accounts)
-    if available is None:
-        valid = _balances_with_proposal(state, spend) >= 0
-    else:
-        valid = available - spend >= 0
-    out = []
-    for t in proposed:
-        keep = valid[t.senders]
-        # subsets of checked triplets need no second check
-        out.append(Transfers(source=t.source, dest=t.dest, epoch=t.epoch,
-                             senders=_frozen(t.senders[keep]),
-                             receivers=_frozen(t.receivers[keep]),
-                             amounts=_frozen(t.amounts[keep])))
-    return ValidationResult(blocks=tuple(out), valid_rows=valid, proposed=spend)
+    return ValidationResult(valid_rows=net_balances(state) - spend >= 0,
+                            proposed=spend)
 
 
 def validate_tip_payloads(tips: Sequence[BlockPayload],
@@ -309,6 +293,9 @@ def validate_tip_payloads(tips: Sequence[BlockPayload],
         if state is None:
             raise LedgerError(f"no ledger state for chain {tip.source}")
         spend = proposed_outflow(tip.transfers, tip.source, state.accounts)
-        w = _balances_with_proposal(state, spend)
+        # an honest chain debits its proposal as outstanding spend before the
+        # block attaches: release the stored outstanding spend and charge the
+        # tip's in its place, so the tip is judged on confirmed flows alone
+        w = net_balances(state) + state.last_proposed.sum(axis=1) - spend
         verdicts.append(bool((w[spend > 0] >= 0).all()))
     return verdicts

@@ -82,46 +82,44 @@ class ScenarioConfig:
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(ScenarioConfig)}
 _DS_FIELDS = {f.name for f in dataclasses.fields(DoubleSpendPlan)}
+# annotation -> accepted types; a bool is accepted only where annotated
+_TYPES = {"int": int, "float": (int, float), "bool": bool,
+          "DoubleSpendPlan": DoubleSpendPlan}
+
+
+def _check_types(obj, prefix: str = "") -> None:
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not isinstance(value, _TYPES[f.type]) or \
+                (isinstance(value, bool) and f.type != "bool"):
+            raise ConfigError(f"{prefix}{f.name} must be of type {f.type}, "
+                              f"not {type(value).__name__}")
+
+
+# (fields, test every valid value passes, what the fields must be)
+_BOUNDS = (
+    (("chains", "fleet_size", "accounts", "tip_sample", "amount_max"),
+     lambda v: v >= 1, "at least 1"),
+    (("genesis_balance", "active_rows", "seed"),
+     lambda v: v >= 0, "non-negative"),
+    (("straggler_fraction", "spam_fraction", "adversary_fraction",
+      "invalid_tx_fraction"), lambda v: 0 <= v <= 1, "within [0, 1]"),
+    (("confirm_threshold",), lambda v: 0 < v <= 1, "within (0, 1]"),
+    (("issuance_rate", "duration_min", "link_latency_ms", "bandwidth_mbps",
+      "task_timeout_ms", "worker_ms_per_row", "fallback_ms_per_row",
+      "ledger_interval_s", "tip_pool_sample_s"), lambda v: v > 0, "positive"),
+)
 
 
 def _check(cfg: ScenarioConfig) -> ScenarioConfig:
-    if cfg.chains < 1:
-        raise ConfigError("chains must be at least 1")
-    if cfg.fleet_size < 1:
-        raise ConfigError("fleet_size must be at least 1")
-    if cfg.accounts < 1:
-        raise ConfigError("accounts must be at least 1")
-    if cfg.tip_sample < 1:
-        raise ConfigError("tip_sample must be at least 1")
-    if not 0.0 <= cfg.straggler_fraction <= 1.0:
-        raise ConfigError("straggler_fraction must be within [0, 1]")
-    if not 0.0 < cfg.confirm_threshold <= 1.0:
-        raise ConfigError("confirm_threshold must be within (0, 1]")
-    if not 0.0 <= cfg.spam_fraction <= 1.0:
-        raise ConfigError("spam_fraction must be within [0, 1]")
-    if not 0.0 <= cfg.adversary_fraction <= 1.0:
-        raise ConfigError("adversary_fraction must be within [0, 1]")
-    if not 0.0 <= cfg.invalid_tx_fraction <= 1.0:
-        raise ConfigError("invalid_tx_fraction must be within [0, 1]")
-    if cfg.issuance_rate <= 0:
-        raise ConfigError("issuance_rate must be positive")
-    if cfg.duration_min <= 0:
-        raise ConfigError("duration_min must be positive")
-    if cfg.genesis_balance < 0:
-        raise ConfigError("genesis_balance must be non-negative")
-    if cfg.active_rows < 0:
-        raise ConfigError("active_rows must be non-negative")
-    if cfg.amount_max < 1:
-        raise ConfigError("amount_max must be at least 1")
-    for name in ("link_latency_ms", "bandwidth_mbps", "task_timeout_ms",
-                 "worker_ms_per_row", "fallback_ms_per_row",
-                 "ledger_interval_s", "tip_pool_sample_s"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
+    _check_types(cfg)
+    _check_types(cfg.double_spend, "double_spend.")
+    for names, ok, bound in _BOUNDS:
+        for name in names:
+            if not ok(getattr(cfg, name)):
+                raise ConfigError(f"{name} must be {bound}")
     if cfg.double_spend.pairs < 0 or cfg.double_spend.regular < 0:
         raise ConfigError("double_spend counts must be non-negative")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
     return cfg
 
 
@@ -141,8 +139,7 @@ def config_from_mapping(data: Mapping[str, Any]) -> ScenarioConfig:
         if bad:
             raise ConfigError(f"unknown configuration field "
                               f"'double_spend.{bad[0]}'")
-        kwargs["double_spend"] = DoubleSpendPlan(**{k: int(v)
-                                                    for k, v in ds.items()})
+        kwargs["double_spend"] = DoubleSpendPlan(**ds)
     try:
         cfg = ScenarioConfig(**kwargs)
     except TypeError as exc:

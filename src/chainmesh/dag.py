@@ -112,11 +112,11 @@ class DagLedger:
                            payload=None, attach_time=genesis_time,
                            status=CONFIRMED, confirm_time=genesis_time,
                            chains=0, depth=0)
+        # in attach order, which the snapshot follows
         self.blocks: dict[str, DagBlock] = {GENESIS_ID: genesis}
-        self.order: list[str] = [GENESIS_ID]
         self.tips: set[str] = set()
         self._grown: set[str] = set()   # mask grew since the last pass
-        self._confirmed: set[str] = {GENESIS_ID}
+        self._deepest = GENESIS_ID      # deepest confirmed block, ties to low id
 
     # -- attachment --------------------------------------------------------
 
@@ -138,7 +138,6 @@ class DagLedger:
                          parents=parent_ids, payload=payload, attach_time=time,
                          depth=1 + max(self.blocks[p].depth for p in parent_ids))
         self.blocks[block_id] = block
-        self.order.append(block_id)
         self.tips.add(block_id)
         for p in parent_ids:
             parent = self.blocks[p]
@@ -178,6 +177,7 @@ class DagLedger:
 
         Only blocks whose mask grew since the last call can newly confirm."""
         newly: set[str] = set()
+        deepest = self.blocks[self._deepest]
         for bid in self._grown:
             block = self.blocks[bid]
             if block.status != CONFIRMED and \
@@ -185,17 +185,18 @@ class DagLedger:
                 block.status = CONFIRMED
                 block.confirm_time = now
                 self.tips.discard(bid)
-                self._confirmed.add(bid)
                 newly.add(bid)
+                if (-block.depth, bid) < (-deepest.depth, deepest.id):
+                    deepest = block
         self._grown.clear()
+        self._deepest = deepest.id
         return newly
 
     # -- parent selection --------------------------------------------------
 
     def deepest_confirmed(self) -> str:
         """Fallback attachment target: deepest confirmed block, ties to low id."""
-        return min(self._confirmed,
-                   key=lambda bid: (-self.blocks[bid].depth, bid))
+        return self._deepest
 
     def select_tips(self, k: int, rng: random.Random,
                     skip: Iterable[str]) -> list[str]:
@@ -216,8 +217,7 @@ class DagLedger:
     def snapshot_lines(self) -> list[str]:
         """One line per block in attach order: id, chain, epoch, parents, status, weight."""
         lines = []
-        for bid in self.order:
-            b = self.blocks[bid]
+        for bid, b in self.blocks.items():
             aw = self.aggregated_weight(bid)
             proposer = "-" if b.proposer is None else str(b.proposer)
             parents = ",".join(b.parents) if b.parents else "-"

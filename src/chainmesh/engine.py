@@ -3,10 +3,13 @@
 Each chain runs a staged epoch pipeline driven by issuance slots: form a
 transfer proposal, shard it across the worker fleet (coded or plain
 partitions), validate, pick and check foreign tips, attach to the shared DAG,
-and update confirmations. Confirmed blocks are ingested into the exact
-cross-chain balance states at fixed ledger windows, where the super-block
-artifact is assembled. All randomness flows from purpose-keyed streams of the
-scenario seed, so a rerun reproduces every artifact byte for byte.
+and update confirmations; a committee drawn as the epoch opens signs off on
+each stage event. Confirmed blocks are ingested into the exact cross-chain
+balance states at fixed ledger windows, where the super-block artifact is
+assembled. Only honest chains propose valid blocks: that cross-checks every
+tip verdict, confirmation and ingestion. All randomness flows from
+purpose-keyed streams of the scenario seed, so a rerun reproduces every
+artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -46,15 +49,6 @@ def derive_seed(seed: int, *keys) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-@dataclass(frozen=True)
-class BlockInfo:
-    """Engine-side payload attached to each DAG block."""
-
-    payload: BlockPayload
-    honest: bool
-    valid: bool                     # ground truth used to cross-check verdicts
-
-
 @dataclass
 class _ChainRuntime:
     chain: int
@@ -76,8 +70,8 @@ class _ChainRuntime:
     # labeled conflict candidates this chain has sighted but whose detection
     # has not yet been finalised by any confirmed proposal
     watch: set = field(default_factory=set)
-    # one committee per epoch still open in `pool`, dropped when it drains
-    committees: dict[int, ev.CommitteeSelection] = field(default_factory=dict)
+    # drawn when an epoch opens; a chain runs one epoch at a time (`busy`)
+    committee: ev.CommitteeSelection | None = None
 
 
 @dataclass
@@ -155,7 +149,7 @@ class Simulation:
                                       w_in=spent.T, w_out=spent,
                                       last_proposed=spent),
                 pool=EventPools(chain=c),
-                candidates=Candidates([(f"c{c}n{i}", 1)
+                candidates=Candidates([f"c{c}n{i}"
                                        for i in range(cfg.fleet_size)]),
                 committee_seed=f"{cfg.seed}|committee|{c}",
                 missing_rows=missing,
@@ -233,14 +227,13 @@ class Simulation:
 
     # -- committee helpers -------------------------------------------------
 
-    def _publish(self, rt: _ChainRuntime, kind: str, epoch: int,
-                 payload) -> None:
-        if epoch not in rt.committees:
-            rt.committees[epoch] = select_committee(
-                rt.candidates, rt.committee_seed, epoch,
-                self.cfg.committee_size())
-        rt.pool.publish(propose_and_vote(kind, payload, rt.committees[epoch],
-                                         chain=rt.chain))
+    def _committee(self, rt: _ChainRuntime,
+                   epoch: int) -> ev.CommitteeSelection:
+        return select_committee(rt.candidates, rt.committee_seed, epoch,
+                                self.cfg.committee_size())
+
+    def _publish(self, rt: _ChainRuntime, kind: str) -> None:
+        rt.pool.publish(propose_and_vote(kind, rt.committee, chain=rt.chain))
 
     # -- chain pipeline ----------------------------------------------------
 
@@ -264,14 +257,15 @@ class Simulation:
                      txn: str | None) -> None:
         rt.epoch += 1
         e = rt.epoch
+        rt.committee = self._committee(rt, e)
         if not rt.honest:
             payload = self._adversarial_payload(rt, e)
-            self._publish(rt, ev.PROPOSAL_FORMED, e, ("form", rt.chain, e))
+            self._publish(rt, ev.PROPOSAL_FORMED)
             self._push(t0 + 3.0 * self._vote_s, self._attach_adversarial,
                        rt.chain, e, payload)
             return
         payload = self._honest_payload(rt, e, txn)
-        self._publish(rt, ev.PROPOSAL_FORMED, e, ("form", rt.chain, e))
+        self._publish(rt, ev.PROPOSAL_FORMED)
         stage_s, ok = self._shard_stage_s(rt, factor=1)
         if not ok:
             self._push(t0 + self._vote_s + stage_s, self._finish_skipped,
@@ -314,11 +308,9 @@ class Simulation:
         """Proposal validated; debit it, then pick and check foreign tips."""
         rt = self.chains[chain]
         rt.intra_done += 1
-        self._publish(rt, ev.PROPOSAL_RESULTS, epoch,
-                      ("results", chain, epoch))
-        # proposals add up as outstanding spend: judge against the net balance
-        result = validate_block(payload.transfers, rt.state,
-                                available=net_balances(rt.state))
+        self._publish(rt, ev.PROPOSAL_RESULTS)
+        # honest proposals are drawn within the net balance: none is zeroed
+        result = validate_block(payload.transfers, rt.state)
         if result.any_zeroed:
             raise SimulationError(
                 f"honest proposal of chain {chain} failed validation")
@@ -332,23 +324,19 @@ class Simulation:
         rng = random.Random(derive_seed(self.cfg.seed, "tips", chain, epoch))
         selected = self.dag.select_tips(self.cfg.tip_sample, rng,
                                         self._orphaned)
-        batch: list[str] = []
-        seen_sources: set[int] = set()
+        batch: dict[int, str] = {}      # one tip per source chain
         for bid in selected:
             block = self.dag.blocks[bid]
-            if block.status != CONFIRMED and block.payload is not None:
-                src = block.payload.payload.source
-                if src in seen_sources:
-                    continue        # one tip per source chain in a batch
-                seen_sources.add(src)
-                batch.append(bid)
+            if block.status != CONFIRMED:
+                batch.setdefault(block.proposer, bid)
         parents: list[str] = []
         if batch:
-            infos = [self.dag.blocks[b].payload for b in batch]
-            verdicts = validate_tip_payloads([i.payload for i in infos],
-                                             self.states)
-            for bid, info, verdict in zip(batch, infos, verdicts):
-                if verdict != info.valid:
+            verdicts = validate_tip_payloads(
+                [self.dag.blocks[b].payload for b in batch.values()],
+                self.states)
+            for (src, bid), verdict in zip(batch.items(), verdicts):
+                # only honest chains propose valid blocks
+                if verdict != self.chains[src].honest:
                     raise SimulationError(
                         f"tip verdict for {bid} disagrees with ground truth")
                 conflicting = False
@@ -363,10 +351,9 @@ class Simulation:
                     # invalid or conflicting is never sampled again, so it
                     # wastes one approval slot in total, not one per epoch
                     self._orphaned.add(bid)
-        elif selected and selected[0] in self.dag.blocks and \
-                self.dag.blocks[selected[0]].status == CONFIRMED:
+        else:
             parents = [selected[0]]         # fallback parent, nothing to check
-        self._publish(rt, ev.TIP_BATCH_FORMED, epoch, ("tips", tuple(batch)))
+        self._publish(rt, ev.TIP_BATCH_FORMED)
         stage_s, ok = self._shard_stage_s(rt, factor=len(batch))
         if not ok:
             self._push(now + self._vote_s + stage_s, self._finish_skipped,
@@ -379,12 +366,12 @@ class Simulation:
     def _attach_block(self, now: float, chain: int, epoch: int,
                       payload: BlockPayload, parents: tuple[str, ...]) -> None:
         rt = self.chains[chain]
-        self._publish(rt, ev.TIP_RESULTS, epoch, ("verdicts", parents))
+        self._publish(rt, ev.TIP_RESULTS)
         keep = [p for p in parents
                 if self.tracker is None or not self.tracker.is_labeled(p)]
         if not keep:
             keep = [self.dag.deepest_confirmed()]
-        block_id = self._attach(now, rt, epoch, payload, keep, honest=True)
+        block_id = self._attach(now, rt, epoch, payload, keep)
         if self.tracker is not None:
             # carry every still-unresolved sighting on this proposal too: a
             # claimer that never confirms must not strand the observation
@@ -399,8 +386,7 @@ class Simulation:
         # stale single parent: the chain's own first block, else genesis --
         # approving an already-covered ancestor removes nothing from the pool
         parent = rt.first_block if rt.first_block is not None else GENESIS_ID
-        block_id = self._attach(now, rt, epoch, payload, [parent],
-                                honest=False)
+        block_id = self._attach(now, rt, epoch, payload, [parent])
         self._end_epoch(now, rt, epoch, block_id)
 
     def _finish_skipped(self, now: float, chain: int, epoch: int) -> None:
@@ -410,12 +396,10 @@ class Simulation:
         self._end_epoch(now, rt, epoch, None)
 
     def _attach(self, now: float, rt: _ChainRuntime, epoch: int,
-                payload: BlockPayload, parents: list[str],
-                honest: bool) -> str:
+                payload: BlockPayload, parents: list[str]) -> str:
         block_id = f"c{rt.chain:02d}e{epoch:05d}"
-        info = BlockInfo(payload=payload, honest=honest, valid=honest)
         self.dag.attach(block_id, proposer=rt.chain, epoch=epoch,
-                        parents=parents, payload=info, time=now)
+                        parents=parents, payload=payload, time=now)
         if rt.first_block is None:
             rt.first_block = block_id
         if self.tracker is not None:
@@ -426,11 +410,10 @@ class Simulation:
                    block_id: str | None) -> None:
         """Publish and confirm the epoch's block, if any, then free the chain."""
         if block_id is not None:
-            self._publish(rt, ev.DAG_SUBMISSION, epoch, ("attach", block_id))
+            self._publish(rt, ev.DAG_SUBMISSION)
             self._confirmations(now)
-            self._publish(rt, ev.WEIGHT_UPDATE, epoch, ("weights", block_id))
+            self._publish(rt, ev.WEIGHT_UPDATE)
         rt.pool.drain(epoch)
-        del rt.committees[epoch]
         rt.busy = False
         self._try_start(rt, now)
 
@@ -440,8 +423,7 @@ class Simulation:
         newly = self.dag.update_confirmations(now=now)
         for bid in sorted(newly):
             block = self.dag.blocks[bid]
-            info: BlockInfo = block.payload
-            if not info.valid:
+            if not self.chains[block.proposer].honest:
                 raise SimulationError(f"invalid block {bid} confirmed")
             self.recorder.record_finality(bid, now - block.attach_time)
             self.recorder.record_confirmed(now)
@@ -460,10 +442,10 @@ class Simulation:
             confirmed = {c: np.zeros((m, 1), dtype=np.int64)
                          for c in range(self.cfg.chains)}
             for bid in ids:
-                info: BlockInfo = self.dag.blocks[bid].payload
-                if not info.honest:
+                block = self.dag.blocks[bid]
+                if not self.chains[block.proposer].honest:
                     raise SimulationError(f"ingesting dishonest block {bid}")
-                for t in info.payload.transfers:
+                for t in block.payload.transfers:
                     np.add.at(inflow[t.dest], (0, t.receivers), t.amounts)
                     np.add.at(confirmed[t.source], (t.senders, 0), t.amounts)
             for c, rt in self.chains.items():
@@ -478,11 +460,11 @@ class Simulation:
             superblock = assemble_confirmed_superblock(self.dag, ids, rng)
             self.superblocks.append(superblock)
             window_epoch = -(index + 1)     # windows use their own epoch space
-            payload = ("superblock", tuple(sorted(superblock.items())))
             for rt in self.chains.values():
-                self._publish(rt, ev.LEDGER_APPEND, window_epoch, payload)
+                rt.pool.publish(propose_and_vote(
+                    ev.LEDGER_APPEND, self._committee(rt, window_epoch),
+                    chain=rt.chain))
                 rt.pool.drain(window_epoch)
-                del rt.committees[window_epoch]
         self._push(now + self.cfg.ledger_interval_s, self._window, index + 1)
 
     def _sample(self, now: float) -> None:
@@ -518,8 +500,6 @@ class Simulation:
         self._push(cfg.ledger_interval_s, self._window, 0)
         self._push(cfg.tip_pool_sample_s, self._sample)
         self._drain_queue()
-        for rt in self.chains.values():
-            rt.committees.clear()   # epochs cut off by the end never drain
         if (not self.recorder.tip_pool
                 or self.recorder.tip_pool[-1][0] != round(self._end, 6)):
             self.recorder.sample_tip_pool(self._end, len(self.dag.tips))
@@ -541,7 +521,7 @@ class Simulation:
         intra = sum(rt.intra_done for rt in self.chains.values()
                     if rt.honest)
         confirmed = sum(rt.confirmed_count for rt in self.chains.values())
-        attached = len(self.dag.order) - 1
+        attached = len(self.dag.blocks) - 1
         finals = [s for _, s in self.recorder.finality]
         pools = [c for _, c in self.recorder.tip_pool]
         counts = [self.chains[c].confirmed_count

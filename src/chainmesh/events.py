@@ -1,9 +1,9 @@
 """Committee-gated event machinery driving each chain's epoch pipeline.
 
-An oracle turns stage outputs into events; a stake-plus-lottery committee
-signs off on each one, with its top-ranked member proposing and every member
-approving. Per epoch each chain keeps a temporary pool of its events, drained
-exactly once into a per-epoch side ledger that doubles as the audit log.
+An oracle turns stage outputs into events; a lottery committee signs off on
+each one, with its top-ranked member proposing and every member approving.
+A chain's pool admits one event per kind to an open epoch, closes each epoch
+exactly once, and keeps every accepted event for the audit log.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from json.encoder import encode_basestring_ascii as _json_str
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 # Event kinds, in pipeline order: one per stage step of a chain's epoch.
 PROPOSAL_FORMED = "proposal-formed"        # new transfer block assembled
@@ -62,34 +62,26 @@ def vrf_draws(keys: Sequence[bytes], epoch: int) -> list[int]:
 class Candidates:
     """A chain's committee candidates and their lottery keys.
 
-    `stakes` is a sequence of (node id, stake); node secrets default to the
-    node id itself. The candidates are checked and keyed for a shared seed
-    at its first draw, not when built, so every later epoch hashes only a
-    stored key plus the epoch.
+    A node's secret is its id. The candidates are checked and keyed for a
+    shared seed at its first draw, not when built, so every later epoch
+    hashes only a stored key plus the epoch.
     """
 
-    def __init__(self, stakes: Sequence[tuple[str, int]],
-                 secrets: Mapping[str, object] | None = None):
-        self.stakes = tuple(stakes)
-        self._secrets = secrets
+    def __init__(self, node_ids: Sequence[str]):
+        self.node_ids = tuple(node_ids)
         self._keys: dict[object, tuple[bytes, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self.stakes)
+        return len(self.node_ids)
 
     def keys(self, shared_seed) -> tuple[bytes, ...]:
         """Lottery key of every candidate under `shared_seed`, in order."""
         keys = self._keys.get(shared_seed)
         if keys is None:
-            for node_id, stake in self.stakes:
-                if stake <= 0:
-                    raise EventError(f"node {node_id!r} has non-positive stake")
-            if len({node_id for node_id, _ in self.stakes}) < len(self.stakes):
+            if len(set(self.node_ids)) < len(self.node_ids):
                 raise EventError("duplicate candidate node id")
-            secrets = self._secrets
-            keys = tuple(vrf_key(secrets[node_id] if secrets is not None
-                                 else node_id, shared_seed)
-                         for node_id, _ in self.stakes)
+            keys = tuple(vrf_key(node_id, shared_seed)
+                         for node_id in self.node_ids)
             self._keys[shared_seed] = keys
         return keys
 
@@ -101,15 +93,12 @@ class CommitteeSelection:
     epoch: int
     members: tuple[str, ...]               # rank order, best first
 
-    def size(self) -> int:
-        return len(self.members)
-
 
 def select_committee(candidates: Candidates, shared_seed, epoch: int,
                      committee_size: int) -> CommitteeSelection:
-    """Pick the `committee_size` best stake-times-draw scores, rank ordered.
+    """Pick the `committee_size` highest draws, rank ordered.
 
-    A score is the integer stake * draw; ties break to the lower node id.
+    Ties break to the lower node id.
     """
     if committee_size < 1:
         raise EventError("committee size must be at least 1")
@@ -117,8 +106,7 @@ def select_committee(candidates: Candidates, shared_seed, epoch: int,
         raise EventError(f"committee of {committee_size} from "
                          f"{len(candidates)} candidates")
     draws = vrf_draws(candidates.keys(shared_seed), epoch)
-    ranked = sorted((-stake * draw, node_id)
-                    for (node_id, stake), draw in zip(candidates.stakes, draws))
+    ranked = sorted(zip((-draw for draw in draws), candidates.node_ids))
     return CommitteeSelection(
         epoch=epoch,
         members=tuple(node_id for _, node_id in ranked[:committee_size]))
@@ -130,26 +118,23 @@ def select_committee(candidates: Candidates, shared_seed, epoch: int,
 
 @dataclass(frozen=True)
 class EventRecord:
-    """One oracle event: its proposer, payload, and approval count."""
+    """One oracle event: its proposer and approval count."""
 
     kind: str
     chain: int
     epoch: int
     proposer: str
-    payload: object
     approvals: int
 
 
-def propose_and_vote(kind: str, payload, committee: CommitteeSelection,
+def propose_and_vote(kind: str, committee: CommitteeSelection,
                      chain: int) -> EventRecord:
-    """The top-ranked member proposes the payload; the committee approves."""
+    """The top-ranked member proposes the event; the committee approves."""
     if kind not in EVENT_KINDS:
         raise EventError(f"unknown event kind {kind!r}")
-    if not committee.members:
-        raise EventError("empty committee")
     return EventRecord(kind=kind, chain=chain, epoch=committee.epoch,
-                       proposer=committee.members[0], payload=payload,
-                       approvals=committee.size())
+                       proposer=committee.members[0],
+                       approvals=len(committee.members))
 
 
 # ---------------------------------------------------------------------------
@@ -158,35 +143,36 @@ def propose_and_vote(kind: str, payload, committee: CommitteeSelection,
 
 @dataclass
 class EventPools:
-    """Temporary pool of a chain's events plus the drained side ledger."""
+    """A chain's accepted events, the kinds each open epoch has published,
+    and the epochs already drained."""
 
     chain: int
-    temp: dict[tuple[str, int], EventRecord] = field(default_factory=dict)
-    side_ledger: dict[int, tuple[EventRecord, ...]] = field(default_factory=dict)
     audit: list[EventRecord] = field(default_factory=list)
+    open_kinds: dict[int, set[str]] = field(default_factory=dict)
+    drained: set[int] = field(default_factory=set)
 
     def publish(self, record: EventRecord) -> None:
-        """Record an event; an epoch admits one event per kind."""
+        """Record an event; an epoch admits one event per kind.
+
+        A rejected event leaves the pool unchanged."""
         if record.chain != self.chain:
             raise EventError(f"event for chain {record.chain} published to "
                              f"pool of chain {self.chain}")
-        self.audit.append(record)
-        key = (record.kind, record.epoch)
-        if record.epoch in self.side_ledger:
+        if record.epoch in self.drained:
             raise EventError(f"epoch {record.epoch} already drained")
-        if key in self.temp:
+        kinds = self.open_kinds.setdefault(record.epoch, set())
+        if record.kind in kinds:
             raise EventError(f"second active {record.kind!r} event "
                              f"for epoch {record.epoch}")
-        self.temp[key] = record
+        kinds.add(record.kind)
+        self.audit.append(record)
 
-    def drain(self, epoch: int) -> tuple[EventRecord, ...]:
-        """Move the epoch's events into the side ledger, exactly once."""
-        if epoch in self.side_ledger:
+    def drain(self, epoch: int) -> None:
+        """Close the epoch, exactly once."""
+        if epoch in self.drained:
             raise EventError(f"epoch {epoch} drained twice")
-        keys = [k for k in self.temp if k[1] == epoch]
-        block = tuple(self.temp.pop(k) for k in sorted(keys))
-        self.side_ledger[epoch] = block
-        return block
+        self.open_kinds.pop(epoch, None)
+        self.drained.add(epoch)
 
     def audit_lines(self) -> list[str]:
         """Event log export: one compact record per published event.

@@ -128,7 +128,8 @@ def schedule_issuance(rate_per_min: float, spam_fraction: float,
     The honest faction issues at (1 - spam_fraction) * rate and the
     adversarial faction at spam_fraction * rate, each stream evenly spaced
     and dealt round-robin over its chains. Slot i of a stream with per-minute
-    rate r lands at i * 60 / r seconds, for i = 1 .. floor(duration * r).
+    rate r lands at i * 60 / r seconds, for i = 1 .. round(duration * r),
+    rounding halves to even.
     """
     if rate_per_min <= 0:
         raise RoleError("issuance rate must be positive")

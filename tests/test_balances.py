@@ -48,13 +48,24 @@ def zero_flows(chain, m, epoch):
 
 
 def proposal_flows(state, blocks):
-    """Next-epoch flows that only replace the state's proposal with `blocks`."""
+    """Next-epoch flows that only add `blocks` to the outstanding spend."""
     m = state.accounts
     z = np.zeros((m, m), dtype=np.int64)
     return bal.FlowAggregates(
         chain=state.chain, epoch=state.epoch + 1, inflow=z,
         outflow_confirmed=z,
-        outflow_proposed=dense_total(blocks, m))
+        outflow_proposed=state.last_proposed + dense_total(blocks, m))
+
+
+def zero_invalid_rows(blocks, valid_rows):
+    """`blocks` without the triplets of the senders validation rejected.
+
+    The engine raises on any invalid row of its own proposals; traces that
+    go on past one drop its triplets from every block of the proposal."""
+    return [bal.Transfers(source=t.source, dest=t.dest, epoch=t.epoch,
+                          senders=t.senders[keep], receivers=t.receivers[keep],
+                          amounts=t.amounts[keep])
+            for t in blocks for keep in [valid_rows[t.senders]]]
 
 
 def test_zero_flows_leave_state_unchanged():
@@ -141,7 +152,9 @@ def test_affordable_spend_copied_verbatim():
     res = bal.validate_block(prop, s)
     assert res.valid_rows.all()
     assert not res.any_zeroed
-    assert np.array_equal(dense(res.blocks[0], 2), dense(prop[0], 2))
+    assert res.proposed.tolist() == [7, 0]
+    kept = zero_invalid_rows(prop, res.valid_rows)
+    assert np.array_equal(dense(kept[0], 2), dense(prop[0], 2))
 
 
 def test_overspend_across_two_destinations_zeroed_in_both():
@@ -150,20 +163,26 @@ def test_overspend_across_two_destinations_zeroed_in_both():
     res = bal.validate_block(prop, s)     # total spend 12 > balance 10
     assert not res.valid_rows[0]
     assert res.valid_rows[1]
-    for blk in res.blocks:
+    assert res.proposed.tolist() == [12, 0]
+    for blk in zero_invalid_rows(prop, res.valid_rows):
         assert not dense(blk, 2)[0].any()
 
 
-def oracle_valid_rows(state, proposal_total):
-    """Per-account recheck in unbounded ints, independent of the implementation."""
+def oracle_valid_rows(state, proposal_total, release=False):
+    """Per-account recheck in unbounded ints, independent of the implementation.
+
+    The proposal adds to the state's outstanding spend, or with `release`
+    takes its place, as a foreign tip's does."""
     m = state.accounts
     out = []
     for acct in range(m):
         bal_in = sum(int(state.w_in[i, acct]) for i in range(m))
-        out_conf = sum(int(state.w_out[acct, j]) for j in range(m))
+        out_total = sum(int(state.w_out[acct, j]) for j in range(m))
         old_prop = sum(int(state.last_proposed[acct, j]) for j in range(m))
         new_prop = sum(int(proposal_total[acct, j]) for j in range(m))
-        w = int(state.genesis[acct]) + bal_in - (out_conf - old_prop + new_prop)
+        if release:
+            out_total -= old_prop
+        w = int(state.genesis[acct]) + bal_in - (out_total + new_prop)
         out.append(w >= 0)
     return out
 
@@ -178,14 +197,15 @@ def test_mixed_block_zeroes_exactly_the_overspending_rows():
         want = oracle_valid_rows(s, dense_total(prop, m))
         assert np.array_equal(res.proposed, dense_total(prop, m).sum(axis=1))
         assert list(res.valid_rows) == want
-        for blk, raw in zip(res.blocks, prop):
+        kept = zero_invalid_rows(prop, res.valid_rows)
+        for blk, raw in zip(kept, prop):
             for acct in range(m):
                 if want[acct]:
                     assert np.array_equal(dense(blk, m)[acct], dense(raw, m)[acct])
                 else:
                     assert not dense(blk, m)[acct].any()
         # advance the state with the validated proposal so epochs differ
-        s = bal.update_cumulative(s, proposal_flows(s, res.blocks))
+        s = bal.update_cumulative(s, proposal_flows(s, kept))
 
 
 def test_validation_is_idempotent():
@@ -194,10 +214,12 @@ def test_validation_is_idempotent():
     s = bal.new_state(0, [rng.randint(0, 20) for _ in range(m)])
     prop = [tm(0, d, 1, random_amounts(rng, m, 0, 15)) for d in (1, 3)]
     once = bal.validate_block(prop, s)
-    twice = bal.validate_block(list(once.blocks), s)
+    assert once.any_zeroed
+    kept = zero_invalid_rows(prop, once.valid_rows)
+    twice = bal.validate_block(kept, s)
     assert not twice.any_zeroed
-    for a, b in zip(once.blocks, twice.blocks):
-        assert np.array_equal(dense(a, m), dense(b, m))
+    assert np.array_equal(twice.proposed,
+                          np.where(once.valid_rows, once.proposed, 0))
 
 
 def test_zeroing_soundness_balances_stay_non_negative():
@@ -206,7 +228,8 @@ def test_zeroing_soundness_balances_stay_non_negative():
     s = bal.new_state(0, [rng.randint(0, 25) for _ in range(m)])
     prop = [tm(0, d, 1, random_amounts(rng, m, 0, 20)) for d in (1, 2, 4)]
     res = bal.validate_block(prop, s)
-    s1 = bal.update_cumulative(s, proposal_flows(s, res.blocks))
+    kept = zero_invalid_rows(prop, res.valid_rows)
+    s1 = bal.update_cumulative(s, proposal_flows(s, kept))
     assert (bal.net_balances(s1) >= 0).all()
 
 
@@ -243,7 +266,8 @@ def test_batch_verdicts_match_per_account_oracle():
         st = bal.new_state(c, [rng.randint(0, 40) for _ in range(m)])
         prop = [tm(c, (c + 1) % 4, 1, random_amounts(rng, m))]
         res = bal.validate_block(prop, st)
-        states[c] = bal.update_cumulative(st, proposal_flows(st, res.blocks))
+        kept = zero_invalid_rows(prop, res.valid_rows)
+        states[c] = bal.update_cumulative(st, proposal_flows(st, kept))
     tips = []
     for c in range(4):
         mats = tuple(tm(c, d, 2, random_amounts(rng, m, 0, 18))
@@ -256,7 +280,8 @@ def test_batch_verdicts_match_per_account_oracle():
         for t in tip.transfers:
             total = total + dense(t, m).astype(object)
         spending = [i for i in range(m) if sum(total[i]) > 0]
-        ok = all(oracle_valid_rows(st, total)[i] for i in spending)
+        ok = all(oracle_valid_rows(st, total, release=True)[i]
+                 for i in spending)
         assert verdict == ok
 
 
@@ -289,8 +314,8 @@ def test_token_conservation_over_validated_multi_chain_trace():
             raw = [tm(c, d, epoch, random_amounts(rng, m, 0, 6))
                    for d in range(n_chains) if d != c]
             res = bal.validate_block(raw, st)
-            new_valid[c] = list(res.blocks)
-            states[c] = bal.update_cumulative(st, proposal_flows(st, res.blocks))
+            new_valid[c] = zero_invalid_rows(raw, res.valid_rows)
+            states[c] = bal.update_cumulative(st, proposal_flows(st, new_valid[c]))
         pending = new_valid
         net_total = sum(int(v) for c in range(n_chains)
                         for v in bal.net_balances(states[c]))
@@ -358,7 +383,7 @@ def test_dense_and_summed_states_agree_every_epoch():
         assert bal.validate_tip_payloads(tips, {0: full}) == \
             bal.validate_tip_payloads(tips, {0: summed})
 
-        pending = list(res_full.blocks)
+        pending = zero_invalid_rows(raw, res_full.valid_rows)
         states = [fold(s, zero, zero, dense_total(pending, m)) for s in states]
     for s in states:
         assert (bal.net_balances(s) >= 0).all()
@@ -512,9 +537,14 @@ def test_writable_or_borrowed_arrays_are_still_checked():
 
 
 def test_validation_against_available_funds():
-    s = summed_state(0, [5, 5])
+    # outstanding spend of 2 and 1 leaves net balances of 3 and 4
+    s = bal.CumulativeState(chain=0, epoch=0, genesis=[5, 5], w_in=[[0, 0]],
+                            w_out=[[2], [1]], last_proposed=[[2], [1]])
+    assert bal.net_balances(s).tolist() == [3, 4]
     t = bal.Transfers(source=0, dest=1, epoch=1, senders=[0, 1],
                       receivers=[0, 0], amounts=[4, 4])
-    res = bal.validate_block([t], s, available=np.array([3, 4]))
+    res = bal.validate_block([t], s)
     assert res.valid_rows.tolist() == [False, True]
-    assert res.blocks[0].senders.tolist() == [1]
+    # the same spend as a foreign tip takes the outstanding spend's place
+    tip = bal.BlockPayload(source=0, epoch=1, transfers=(t,))
+    assert bal.validate_tip_payloads([tip], {0: s}) == [True]

@@ -132,6 +132,28 @@ def test_run_isolates_invalid_scenarios_and_exits_one(tmp_path, capsys):
     assert summary["scenarios"]["good"]["status"] == "ok"
 
 
+def test_mistyped_scenario_is_isolated_and_exits_one(tmp_path, capsys):
+    p = write_manifest(tmp_path / "m.json", [
+        {"label": "bad", "config": {"chains": "10"}},
+        {"label": "good", "config": TINY},
+    ])
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out), "--quiet"]) == \
+        EXIT_VALIDATION
+    assert "chains" in capsys.readouterr().err
+    assert (out / "good" / "seed-000" / "metrics.json").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["scenarios"]["bad"]["status"] == "failed"
+    assert summary["scenarios"]["good"]["status"] == "ok"
+
+
+def test_validate_rejects_a_mistyped_value(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"chains": "10"}))
+    assert main(["validate", str(p)]) == EXIT_VALIDATION
+    assert "chains must be of type int" in capsys.readouterr().err
+
+
 def test_run_rejects_missing_manifest(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == EXIT_VALIDATION
     assert "error" in capsys.readouterr().err

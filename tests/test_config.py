@@ -99,6 +99,38 @@ class TestValidation:
         with pytest.raises(ConfigError):
             replace(ScenarioConfig(), confirm_threshold=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("coding", "false"),            # a non-empty string is truthy
+        ("coding", 0),
+        ("chains", 2.5),
+        ("accounts", 1000.0),
+        ("chains", "10"),
+        ("chains", True),               # a bool is no count
+        ("seed", None),
+        ("duration_min", "2"),
+        ("spam_fraction", False),
+    ])
+    def test_mistyped_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            config_from_mapping({field: value})
+        with pytest.raises(ConfigError, match=field):
+            replace(ScenarioConfig(), **{field: value})
+
+    @pytest.mark.parametrize("value", [2.7, "x", True, None])
+    def test_mistyped_double_spend_count_rejected(self, value):
+        with pytest.raises(ConfigError, match="double_spend.pairs"):
+            config_from_mapping({"double_spend": {"pairs": value}})
+        with pytest.raises(ConfigError, match="double_spend.pairs"):
+            replace(ScenarioConfig(), double_spend={"pairs": value})
+
+    def test_double_spend_must_be_a_plan(self):
+        with pytest.raises(ConfigError, match="double_spend"):
+            replace(ScenarioConfig(), double_spend=5)
+
+    def test_int_accepted_where_a_float_is_annotated(self):
+        cfg = config_from_mapping({"duration_min": 3, "issuance_rate": 60})
+        assert (cfg.duration_min, cfg.issuance_rate) == (3, 60)
+
 
 class TestDerivedViews:
     def test_adversarial_chains_take_the_tail(self):

@@ -220,6 +220,8 @@ def check_against_rescan(rng, stakes, blocks, cadence):
                 and brute_force_weight(led, b) >= eta}
         assert led.update_confirmations(now=now) == want
         confirmed.update(dict.fromkeys(want, now))
+        assert led.deepest_confirmed() == min(
+            confirmed, key=lambda b: (-led.blocks[b].depth, b))
         approved = {p for b in ids for p in led.blocks[b].parents}
         for b in ids:
             block = led.blocks[b]

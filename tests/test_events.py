@@ -53,21 +53,20 @@ class TestVrfOutput:
 # Committee selection
 # ---------------------------------------------------------------------------
 
-def equal_candidates(n, stake=1):
-    return Candidates([(f"n{i:03d}", stake) for i in range(n)])
+def equal_candidates(n):
+    return Candidates([f"n{i:03d}" for i in range(n)])
 
 
 class TestSelectCommittee:
     def test_size_ten_from_hundred(self):
         sel = select_committee(equal_candidates(100), "seed", 0, 10)
-        assert sel.size() == 10
-        assert len(set(sel.members)) == 10
+        assert len(sel.members) == len(set(sel.members)) == 10
 
     def test_rank_strictly_descending_scores(self):
         cands = equal_candidates(100)
         sel = select_committee(cands, "seed", 0, 10)
-        all_scores = {nid: stake * vrf_output(nid, "seed", 0)
-                      for nid, stake in cands.stakes}
+        all_scores = {nid: vrf_output(nid, "seed", 0)
+                      for nid in cands.node_ids}
         scores = [all_scores[m] for m in sel.members]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         # the cut keeps only top scores
@@ -76,24 +75,11 @@ class TestSelectCommittee:
                    if nid not in sel.members]
         assert all(s <= floor for s in outside)
 
-    def test_tie_breaks_to_lower_node_id(self):
-        secrets = {"a": "shared", "b": "shared", "c": "unique"}
-        sel = select_committee(
-            Candidates([("b", 1), ("a", 1), ("c", 1)], secrets=secrets),
-            "s", 0, 3)
-        pos_a = sel.members.index("a")
-        pos_b = sel.members.index("b")
-        assert vrf_output(secrets["a"], "s", 0) == \
-            vrf_output(secrets["b"], "s", 0)
-        assert pos_a < pos_b
-
-    def test_heavy_stake_nearly_always_selected(self):
-        cands = Candidates([("whale", 100)]
-                           + [(f"n{i:03d}", 1) for i in range(99)])
-        hits = sum(1 for epoch in range(1000)
-                   if "whale" in select_committee(cands, "seed", epoch,
-                                                  10).members)
-        assert hits >= 950
+    def test_tie_breaks_to_lower_node_id(self, monkeypatch):
+        # candidates b, a, c draw 5, 5, 9: c ranks first, then a before b
+        monkeypatch.setattr(ev, "vrf_draws", lambda keys, epoch: [5, 5, 9])
+        sel = select_committee(Candidates(["b", "a", "c"]), "s", 0, 3)
+        assert sel.members == ("c", "a", "b")
 
     def test_committee_of_everyone_is_full_ranking(self):
         sel = select_committee(equal_candidates(7), "s", 1, 7)
@@ -107,37 +93,19 @@ class TestSelectCommittee:
         with pytest.raises(EventError):
             select_committee(equal_candidates(3), "s", 0, 0)
 
-    def test_non_positive_stake_rejected(self):
-        with pytest.raises(EventError):
-            select_committee(Candidates([("a", 0)]), "s", 0, 1)
-
     def test_integer_scores_rank_like_fraction_scores(self):
         rng = random.Random(17)
         for trial in range(60):
-            cands, secrets = [], {}
-            for i in range(rng.randint(1, 30)):
-                nid = f"n{i:02d}"
-                # equal secret and stake: equal scores, ties to the lower id
-                tied = i % 2 == 0
-                secrets[nid] = "shared" if tied else nid
-                cands.append((nid, 3 if tied else rng.randint(1, 5)))
-            if trial % 3 == 0:
-                cands.append(("whale", 1000))
-                secrets["whale"] = "whale"
+            cands = [f"n{i:02d}" for i in range(rng.randint(1, 30))]
             rng.shuffle(cands)
             size = rng.randint(1, len(cands))
             epoch = rng.randrange(100)
-            sel = select_committee(Candidates(cands, secrets=secrets),
-                                   "seed", epoch, size)
-            old = {nid: stake * Fraction(vrf_output(secrets[nid], "seed",
-                                                    epoch), 1 << 256)
-                   for nid, stake in cands}
+            sel = select_committee(Candidates(cands), "seed", epoch, size)
+            # a draw as a share of 2**256, as a unit-stake score once was
+            old = {nid: Fraction(vrf_output(nid, "seed", epoch), 1 << 256)
+                   for nid in cands}
             ranked = sorted(old, key=lambda nid: (-old[nid], nid))
             assert sel.members == tuple(ranked[:size])
-            scores = {nid: stake * vrf_output(secrets[nid], "seed", epoch)
-                      for nid, stake in cands}
-            integer_ranked = sorted(scores, key=lambda nid: (-scores[nid], nid))
-            assert sel.members == tuple(integer_ranked[:size])
 
     def test_epoch_rotates_committee(self):
         sels = {select_committee(equal_candidates(100), "seed", e, 10).members
@@ -156,21 +124,20 @@ def committee_of(members, epoch=0):
 class TestProposeAndVote:
     def test_unanimous_first_proposer_active(self):
         com = committee_of([f"m{i}" for i in range(10)], epoch=4)
-        rec = propose_and_vote(ev.DAG_SUBMISSION, {"x": 1}, com, chain=2)
+        rec = propose_and_vote(ev.DAG_SUBMISSION, com, chain=2)
         assert rec.proposer == "m0"
-        assert rec.payload == {"x": 1}
         assert rec.epoch == 4 and rec.chain == 2
         assert rec.approvals == 10
 
     def test_single_member_committee(self):
         com = committee_of(["solo"])
-        rec = propose_and_vote(ev.LEDGER_APPEND, "p", com, chain=0)
+        rec = propose_and_vote(ev.LEDGER_APPEND, com, chain=0)
         assert rec.proposer == "solo" and rec.approvals == 1
 
     def test_unknown_kind_rejected(self):
         com = committee_of(["a"])
         with pytest.raises(EventError):
-            propose_and_vote("nonsense", "p", com, chain=0)
+            propose_and_vote("nonsense", com, chain=0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +146,7 @@ class TestProposeAndVote:
 
 def make_record(kind, epoch, chain=0):
     return EventRecord(kind=kind, chain=chain, epoch=epoch, proposer="m0",
-                       payload=None, approvals=2)
+                       approvals=2)
 
 
 class TestEventPools:
@@ -187,18 +154,21 @@ class TestEventPools:
         pool = EventPools(chain=0)
         for kind in EVENT_KINDS:
             pool.publish(make_record(kind, epoch=3))
-        block = pool.drain(3)
-        assert len(block) == 7
-        assert {r.kind for r in block} == set(EVENT_KINDS)
-        assert pool.side_ledger[3] == block
-        assert pool.temp == {}
+        assert pool.open_kinds == {3: set(EVENT_KINDS)}
+        assert pool.drain(3) is None
+        assert pool.open_kinds == {}
+        assert pool.drained == {3}
+        assert [r.kind for r in pool.audit] == list(EVENT_KINDS)
 
     def test_stalled_epoch_drains_only_active(self):
         pool = EventPools(chain=0)
         for kind in EVENT_KINDS[:3]:
             pool.publish(make_record(kind, epoch=0))
-        block = pool.drain(0)
-        assert [r.kind for r in block] == sorted(EVENT_KINDS[:3])
+        pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
+        assert pool.open_kinds[0] == set(EVENT_KINDS[:3])
+        pool.drain(0)
+        assert pool.open_kinds == {1: {ev.PROPOSAL_FORMED}}
+        assert pool.drained == {0}
 
     def test_double_drain_is_a_sequencing_error(self):
         pool = EventPools(chain=0)
@@ -223,12 +193,26 @@ class TestEventPools:
         pool = EventPools(chain=0)
         pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
         pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=2))
-        assert len(pool.temp) == 2
+        assert pool.open_kinds == {1: {ev.PROPOSAL_FORMED},
+                                   2: {ev.PROPOSAL_FORMED}}
 
     def test_wrong_chain_rejected(self):
         pool = EventPools(chain=0)
         with pytest.raises(EventError, match="chain"):
             pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=0, chain=1))
+
+    def test_rejected_publish_leaves_the_pool_unchanged(self):
+        pool = EventPools(chain=0)
+        pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
+        with pytest.raises(EventError, match="second active"):
+            pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
+        pool.drain(1)
+        with pytest.raises(EventError, match="drained"):
+            pool.publish(make_record(ev.PROPOSAL_RESULTS, epoch=1))
+        with pytest.raises(EventError, match="chain"):
+            pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=2, chain=1))
+        assert len(pool.audit_lines()) == 1
+        assert (pool.open_kinds, pool.drained) == ({}, {1})
 
     def test_audit_lines_are_json_with_tally(self):
         pool = EventPools(chain=4)
@@ -245,8 +229,7 @@ class TestEventPools:
         pool = EventPools(chain=3)
         for epoch, (kind, proposer) in enumerate(zip(EVENT_KINDS, proposers)):
             pool.publish(EventRecord(kind=kind, chain=3, epoch=epoch - 2,
-                                     proposer=proposer, payload=None,
-                                     approvals=epoch + 1))
+                                     proposer=proposer, approvals=epoch + 1))
         expected = [json.dumps({
             "chain": rec.chain, "epoch": rec.epoch, "kind": rec.kind,
             "proposer": rec.proposer, "approve": rec.approvals, "reject": 0,
@@ -262,12 +245,11 @@ class TestEventPools:
 
 class TestCandidates:
     def test_keyed_draws_equal_vrf_output(self):
-        secrets = {"a": b"sa", "b": "sb", "c": 7}
-        cands = Candidates([("a", 1), ("b", 2), ("c", 3)], secrets=secrets)
+        cands = Candidates(["a", "b", "c"])
         for epoch in (0, 1, 99, -4):
             sel = select_committee(cands, "seed", epoch, 3)
-            scores = {nid: stake * vrf_output(secrets[nid], "seed", epoch)
-                      for nid, stake in cands.stakes}
+            scores = {nid: vrf_output(nid, "seed", epoch)
+                      for nid in cands.node_ids}
             assert sel.members == tuple(sorted(
                 scores, key=lambda nid: (-scores[nid], nid)))
 
@@ -284,4 +266,4 @@ class TestCandidates:
 
     def test_duplicate_node_id_rejected(self):
         with pytest.raises(EventError, match="duplicate"):
-            select_committee(Candidates([("a", 1), ("a", 2)]), "s", 0, 1)
+            select_committee(Candidates(["a", "a"]), "s", 0, 1)

@@ -1,0 +1,65 @@
+"""Every layer boundary the benchmark tracer wraps is still bound.
+
+`perfbench/tracer.py` wraps names bound in `chainmesh.engine` and methods of
+classes bound there. A boundary that a refactor removed or renamed is
+recorded as absent when a traced run installs the wrappers, so its
+per-layer metrics quietly read zero. This test reads the tracer's two
+tables from its source, without importing or editing it, and fails on every
+such boundary. Exceptions go in `UNBOUND` with a reason; an entry fails once
+its name is bound again or the tracer no longer lists it.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import chainmesh.engine as engine
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+#: boundary the tracer lists but the engine does not bind -> why
+UNBOUND = {"coding.decodable": "dropped by ROADMAP item 2"}
+
+
+def _tracer_tables() -> tuple[dict, dict]:
+    """The tracer's `ENGINE_NAMES` and `ENGINE_METHODS` literals."""
+    tables = {}
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign):
+            target = node.targets[0]
+        elif isinstance(node, ast.AnnAssign):
+            target = node.target
+        else:
+            continue
+        if isinstance(target, ast.Name) and \
+                target.id in ("ENGINE_NAMES", "ENGINE_METHODS"):
+            tables[target.id] = ast.literal_eval(node.value)
+    return tables["ENGINE_NAMES"], tables["ENGINE_METHODS"]
+
+
+def _unbound() -> set[str]:
+    names, methods = _tracer_tables()
+    missing = {b for b, attr in names.items() if not hasattr(engine, attr)}
+    missing |= {b for b, (cls, method) in methods.items()
+                if not hasattr(getattr(engine, cls, None), method)}
+    return missing
+
+
+def test_tracer_tables_are_read():
+    names, methods = _tracer_tables()
+    assert "events.select_committee" in names
+    assert methods["events.publish"] == ("EventPools", "publish")
+
+
+def test_every_traced_boundary_is_bound_in_the_engine():
+    unlisted = sorted(_unbound() - set(UNBOUND))
+    assert not unlisted, (
+        f"boundaries perfbench/tracer.py wraps that chainmesh.engine no "
+        f"longer binds: {unlisted}; keep the names bound, or list them in "
+        "UNBOUND with the reason")
+
+
+def test_every_unbound_entry_is_still_listed_and_unbound():
+    stale = sorted(set(UNBOUND) - _unbound())
+    assert not stale, f"UNBOUND entries now bound or no longer traced: {stale}"
