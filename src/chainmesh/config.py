@@ -23,7 +23,11 @@ class DoubleSpendPlan:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a simulation run needs, fully deterministic given a seed."""
+    """Everything a simulation run needs, fully deterministic given a seed.
+
+    Every instance is validated when built; a bad value raises
+    `ConfigError` naming its field.
+    """
 
     # Topology
     chains: int = 10                    # interoperating chains
@@ -60,6 +64,9 @@ class ScenarioConfig:
 
     # Reproducibility
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check(self)
 
     def adversarial_chains(self) -> tuple[int, ...]:
         if self.spam_fraction <= 0:
@@ -111,7 +118,7 @@ _BOUNDS = (
 )
 
 
-def _check(cfg: ScenarioConfig) -> ScenarioConfig:
+def _check(cfg: ScenarioConfig) -> None:
     _check_types(cfg)
     _check_types(cfg.double_spend, "double_spend.")
     for names, ok, bound in _BOUNDS:
@@ -120,7 +127,6 @@ def _check(cfg: ScenarioConfig) -> ScenarioConfig:
                 raise ConfigError(f"{name} must be {bound}")
     if cfg.double_spend.pairs < 0 or cfg.double_spend.regular < 0:
         raise ConfigError("double_spend counts must be non-negative")
-    return cfg
 
 
 def config_from_mapping(data: Mapping[str, Any]) -> ScenarioConfig:
@@ -141,10 +147,9 @@ def config_from_mapping(data: Mapping[str, Any]) -> ScenarioConfig:
                               f"'double_spend.{bad[0]}'")
         kwargs["double_spend"] = DoubleSpendPlan(**ds)
     try:
-        cfg = ScenarioConfig(**kwargs)
+        return ScenarioConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
-    return _check(cfg)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -175,4 +180,4 @@ def replace(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
     if "double_spend" in changes and isinstance(changes["double_spend"],
                                                 Mapping):
         changes["double_spend"] = DoubleSpendPlan(**changes["double_spend"])
-    return _check(dataclasses.replace(cfg, **changes))
+    return dataclasses.replace(cfg, **changes)

@@ -2,6 +2,9 @@
 
 An oracle turns stage outputs into events; a lottery committee signs off on
 each one, with its top-ranked member proposing and every member approving.
+A candidate's lottery draw is the SHA-256 digest of its key and the epoch,
+finished from a hash state that has already taken the key; committees rank
+the raw digests as bytes.
 A chain's pool admits one event per kind to an open epoch, closes each epoch
 exactly once, and keeps every accepted event for the audit log.
 """
@@ -48,42 +51,50 @@ def vrf_key(node_secret, shared_seed) -> bytes:
     return b"%s|%s|" % (_to_bytes(node_secret), _to_bytes(shared_seed))
 
 
-def vrf_draws(keys: Sequence[bytes], epoch: int) -> list[int]:
-    """Deterministic lottery draw of each key at `epoch`, in [0, 2**256).
+def vrf_draws(states: Sequence, epoch: int) -> list[bytes]:
+    """Deterministic lottery draw of each keyed state at `epoch`.
 
-    A node's draw is sha256(secret | seed | epoch); verification is
+    A state is a SHA-256 that has hashed one node's `vrf_key`; the node's
+    draw is the 32-byte digest sha256(secret | seed | epoch), taken from a
+    copy so the state serves every epoch. Big-endian digests of one length
+    order as the 256-bit integers they encode. Verification is
     recomputation.
     """
-    e = str(int(epoch)).encode()
-    return [int.from_bytes(hashlib.sha256(key + e).digest(), "big")
-            for key in keys]
+    e = b"%d" % epoch
+    draws = []
+    for state in states:
+        h = state.copy()
+        h.update(e)
+        draws.append(h.digest())
+    return draws
 
 
 class Candidates:
-    """A chain's committee candidates and their lottery keys.
+    """A chain's committee candidates, in node-id order, and their lottery
+    states.
 
     A node's secret is its id. The candidates are checked and keyed for a
     shared seed at its first draw, not when built, so every later epoch
-    hashes only a stored key plus the epoch.
+    hashes only the epoch into a copy of a stored state.
     """
 
     def __init__(self, node_ids: Sequence[str]):
-        self.node_ids = tuple(node_ids)
-        self._keys: dict[object, tuple[bytes, ...]] = {}
+        self.node_ids = tuple(sorted(node_ids))
+        self._keys: dict[object, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.node_ids)
 
-    def keys(self, shared_seed) -> tuple[bytes, ...]:
-        """Lottery key of every candidate under `shared_seed`, in order."""
-        keys = self._keys.get(shared_seed)
-        if keys is None:
+    def keys(self, shared_seed) -> tuple:
+        """SHA-256 state of every candidate's key under `shared_seed`."""
+        states = self._keys.get(shared_seed)
+        if states is None:
             if len(set(self.node_ids)) < len(self.node_ids):
                 raise EventError("duplicate candidate node id")
-            keys = tuple(vrf_key(node_id, shared_seed)
-                         for node_id in self.node_ids)
-            self._keys[shared_seed] = keys
-        return keys
+            states = tuple(hashlib.sha256(vrf_key(node_id, shared_seed))
+                           for node_id in self.node_ids)
+            self._keys[shared_seed] = states
+        return states
 
 
 @dataclass(frozen=True)
@@ -106,10 +117,12 @@ def select_committee(candidates: Candidates, shared_seed, epoch: int,
         raise EventError(f"committee of {committee_size} from "
                          f"{len(candidates)} candidates")
     draws = vrf_draws(candidates.keys(shared_seed), epoch)
-    ranked = sorted(zip((-draw for draw in draws), candidates.node_ids))
+    # a reverse sort is stable, so equal draws keep node-id order
+    ranked = sorted(range(len(draws)), key=draws.__getitem__, reverse=True)
+    node_ids = candidates.node_ids
     return CommitteeSelection(
         epoch=epoch,
-        members=tuple(node_id for _, node_id in ranked[:committee_size]))
+        members=tuple(node_ids[i] for i in ranked[:committee_size]))
 
 
 # ---------------------------------------------------------------------------

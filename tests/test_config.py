@@ -7,6 +7,7 @@ import pytest
 from chainmesh.config import (ConfigError, ScenarioConfig,
                               config_from_mapping, config_to_mapping,
                               load_config, replace, save_config)
+from chainmesh.engine import Simulation
 
 
 class TestDefaults:
@@ -90,6 +91,8 @@ class TestValidation:
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             config_from_mapping({field: value})
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**{field: value})
 
     def test_negative_double_spend_rejected(self):
         with pytest.raises(ConfigError, match="double_spend"):
@@ -115,6 +118,17 @@ class TestValidation:
             config_from_mapping({field: value})
         with pytest.raises(ConfigError, match=field):
             replace(ScenarioConfig(), **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("coding", "false"),            # once ran coded
+        ("chains", 2.5),                # once a bare TypeError in set-up
+    ])
+    def test_a_config_built_directly_never_reaches_the_simulation(
+            self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            Simulation(ScenarioConfig(duration_min=0.25, **{field: value}))
 
     @pytest.mark.parametrize("value", [2.7, "x", True, None])
     def test_mistyped_double_spend_count_rejected(self, value):

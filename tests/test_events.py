@@ -1,5 +1,6 @@
 """Committee lottery, proposal voting, and event pool behavior."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -15,8 +16,16 @@ GOLDEN_VRF = 0x345577A51D70ABAF4DAB85F42FC6BA8856914BDBBF25C3652F551AC03719F359
 
 
 def vrf_output(node_secret, shared_seed, epoch):
-    """One node's lottery draw, through the keys the committee draw uses."""
-    return vrf_draws([vrf_key(node_secret, shared_seed)], epoch)[0]
+    """One node's lottery draw as an integer, through the keyed state the
+    committee draw uses."""
+    state = hashlib.sha256(vrf_key(node_secret, shared_seed))
+    return int.from_bytes(vrf_draws([state], epoch)[0], "big")
+
+
+def reference_draw(node_id, seed, epoch):
+    """A draw computed from its definition alone, sha256(id|seed|epoch)."""
+    digest = hashlib.sha256(f"{node_id}|{seed}|{epoch}".encode()).digest()
+    return int.from_bytes(digest, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +57,12 @@ class TestVrfOutput:
         for i in range(50):
             assert 0 <= vrf_output(f"n{i}", "s", i) < (1 << 256)
 
+    @pytest.mark.parametrize("epoch", [0, 7, 123456, -1, -42])
+    def test_draw_is_the_digest_of_id_seed_and_epoch(self, epoch):
+        state = hashlib.sha256(vrf_key("c0n10", "0|committee|0"))
+        digest = hashlib.sha256(f"c0n10|0|committee|0|{epoch}".encode())
+        assert vrf_draws([state], epoch) == [digest.digest()]
+
 
 # ---------------------------------------------------------------------------
 # Committee selection
@@ -76,8 +91,11 @@ class TestSelectCommittee:
         assert all(s <= floor for s in outside)
 
     def test_tie_breaks_to_lower_node_id(self, monkeypatch):
-        # candidates b, a, c draw 5, 5, 9: c ranks first, then a before b
-        monkeypatch.setattr(ev, "vrf_draws", lambda keys, epoch: [5, 5, 9])
+        # draws come in node-id order: a and b draw equal digests, c a
+        # higher one, so c ranks first, then a before b
+        low, high = bytes(32), b"\x09" + bytes(31)
+        monkeypatch.setattr(ev, "vrf_draws",
+                            lambda states, epoch: [low, low, high])
         sel = select_committee(Candidates(["b", "a", "c"]), "s", 0, 3)
         assert sel.members == ("c", "a", "b")
 
@@ -94,18 +112,21 @@ class TestSelectCommittee:
             select_committee(equal_candidates(3), "s", 0, 0)
 
     def test_integer_scores_rank_like_fraction_scores(self):
+        # ids like c0n2 and c0n10, whose string order is not their index
+        # order, in shuffled order; window epochs are negative
         rng = random.Random(17)
         for trial in range(60):
-            cands = [f"n{i:02d}" for i in range(rng.randint(1, 30))]
+            cands = [f"c{trial % 3}n{i}" for i in range(rng.randint(1, 30))]
             rng.shuffle(cands)
-            size = rng.randint(1, len(cands))
-            epoch = rng.randrange(100)
-            sel = select_committee(Candidates(cands), "seed", epoch, size)
+            epoch = rng.randrange(-50, 100)
             # a draw as a share of 2**256, as a unit-stake score once was
-            old = {nid: Fraction(vrf_output(nid, "seed", epoch), 1 << 256)
+            old = {nid: Fraction(reference_draw(nid, "seed", epoch), 1 << 256)
                    for nid in cands}
             ranked = sorted(old, key=lambda nid: (-old[nid], nid))
-            assert sel.members == tuple(ranked[:size])
+            candidates = Candidates(cands)
+            for size in range(1, len(cands) + 1):
+                sel = select_committee(candidates, "seed", epoch, size)
+                assert sel.members == tuple(ranked[:size])
 
     def test_epoch_rotates_committee(self):
         sels = {select_committee(equal_candidates(100), "seed", e, 10).members
@@ -254,15 +275,43 @@ class TestCandidates:
                 scores, key=lambda nid: (-scores[nid], nid)))
 
     def test_one_call_draws_every_key_as_single_draws(self):
-        keys = [vrf_key(f"n{i}", "seed") for i in range(20)]
-        assert vrf_draws(keys, 11) == [vrf_draws([k], 11)[0] for k in keys]
+        states = [hashlib.sha256(vrf_key(f"n{i}", "seed")) for i in range(20)]
+        assert vrf_draws(states, 11) == [vrf_draws([s], 11)[0]
+                                         for s in states]
         assert vrf_draws([], 11) == []
+
+    def test_draws_leave_the_stored_states_unchanged(self):
+        cands = Candidates(["a", "b", "c"])
+        before = [s.digest() for s in cands.keys("seed")]
+        first = vrf_draws(cands.keys("seed"), -3)
+        assert [s.digest() for s in cands.keys("seed")] == before
+        assert vrf_draws(cands.keys("seed"), -3) == first
 
     def test_keys_built_once_per_seed(self):
         cands = equal_candidates(5)
         keys = cands.keys("s")
         assert cands.keys("s") is keys
-        assert cands.keys("t") != keys
+        assert [s.digest() for s in cands.keys("t")] != \
+            [s.digest() for s in keys]
+
+    def test_candidates_are_held_in_node_id_order(self):
+        cands = Candidates(["c0n10", "c0n2", "c0n1"])
+        assert cands.node_ids == ("c0n1", "c0n10", "c0n2")
+
+    def test_a_later_epoch_only_copies_the_stored_states(self, monkeypatch):
+        cands = equal_candidates(20)
+        first = select_committee(cands, "seed", 0, 5)
+
+        def no_new_state(*args):
+            raise AssertionError("SHA-256 state built from key bytes")
+
+        monkeypatch.setattr(ev, "vrf_key", no_new_state)
+        monkeypatch.setattr(ev.hashlib, "sha256", no_new_state)
+        later = [select_committee(cands, "seed", e, 5) for e in (1, -1, 9)]
+        monkeypatch.undo()
+        assert [first] + later == [
+            select_committee(equal_candidates(20), "seed", e, 5)
+            for e in (0, 1, -1, 9)]
 
     def test_duplicate_node_id_rejected(self):
         with pytest.raises(EventError, match="duplicate"):

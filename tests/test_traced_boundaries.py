@@ -12,6 +12,7 @@ its name is bound again or the tracer no longer lists it.
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import chainmesh.engine as engine
@@ -63,3 +64,12 @@ def test_every_traced_boundary_is_bound_in_the_engine():
 def test_every_unbound_entry_is_still_listed_and_unbound():
     stale = sorted(set(UNBOUND) - _unbound())
     assert not stale, f"UNBOUND entries now bound or no longer traced: {stale}"
+
+
+def test_select_committee_keeps_the_argument_positions_the_tracer_reads():
+    # the tracer's committee hook keys each draw by args[1:3], the shared
+    # seed and the epoch, so those positions may not move
+    assert "args[1:3]" in TRACER.read_text()
+    params = list(inspect.signature(engine.select_committee).parameters)
+    assert params[:4] == ["candidates", "shared_seed", "epoch",
+                          "committee_size"]
