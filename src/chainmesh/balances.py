@@ -1,9 +1,9 @@
 """Exact cross-chain balance accounting.
 
-Token movement between chains is tracked as per-epoch transfer triplets:
-triplet k of a `Transfers` for the ordered chain pair (j, l) is the amount
-account senders[k] on chain j sends to account receivers[k] on chain l during
-one epoch. Three per-epoch aggregates drive the bookkeeping for a chain:
+Token movement between chains is tracked as transfer triplets: triplet k of
+a `Transfers` from chain j to chain l is the amount account senders[k] on
+chain j sends to account receivers[k] on chain l. A block carries one
+`Transfers`. Three per-epoch aggregates drive the bookkeeping for a chain:
 
   inflow             sum of confirmed transfers arriving from every other chain
   outflow_confirmed  sum of this chain's transfers that reached confirmation
@@ -78,7 +78,7 @@ def _as_amounts(values, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Transfers:
-    """One epoch of proposed or confirmed transfers from chain `source` to `dest`.
+    """One block's transfers from chain `source` to chain `dest`.
 
     Equal-length triplet vectors: account senders[k] on `source` pays
     amounts[k] to account receivers[k] on `dest`.
@@ -86,7 +86,6 @@ class Transfers:
 
     source: int
     dest: int
-    epoch: int
     senders: np.ndarray
     receivers: np.ndarray
     amounts: np.ndarray
@@ -96,16 +95,6 @@ class Transfers:
             object.__setattr__(self, name, _as_amounts(getattr(self, name), ndim=1))
         if not self.senders.shape == self.receivers.shape == self.amounts.shape:
             raise LedgerError("transfer triplet vectors must have equal length")
-
-
-@dataclass(frozen=True)
-class BlockPayload:
-    """Validated transfer set carried by one block, plus transaction ids."""
-
-    source: int
-    epoch: int
-    transfers: tuple[Transfers, ...]
-    txn_ids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -220,29 +209,23 @@ def net_balances(state: CumulativeState) -> np.ndarray:
     return state.genesis + state.w_in.sum(axis=0) - state.w_out.sum(axis=1)
 
 
-def proposed_outflow(transfers: Sequence[Transfers], chain: int,
-                     accounts: int) -> np.ndarray:
-    """Total proposed spend per sending account, over all destination chains.
+def proposed_outflow(t: Transfers, chain: int, accounts: int) -> np.ndarray:
+    """Total proposed spend per sending account.
 
     A total past int64 raises LedgerOverflowError; as in `_sums_fit`, exact
     sums are taken only when the largest-entry bound is inconclusive.
     """
+    if t.source != chain:
+        raise LedgerError(f"transfers from chain {t.source} in proposal for {chain}")
+    if t.dest == chain:
+        raise LedgerError("intra-chain transfer rejected in proposal")
+    if (t.senders >= accounts).any() or (t.receivers >= accounts).any():
+        raise LedgerError(f"account index out of range for {accounts} accounts")
     spend = np.zeros(accounts, dtype=np.int64)
-    count = largest = 0
-    for t in transfers:
-        if t.source != chain:
-            raise LedgerError(f"transfers from chain {t.source} in proposal for {chain}")
-        if t.dest == chain:
-            raise LedgerError("intra-chain transfer rejected in proposal")
-        if (t.senders >= accounts).any() or (t.receivers >= accounts).any():
-            raise LedgerError(f"account index out of range for {accounts} accounts")
-        np.add.at(spend, t.senders, t.amounts)
-        count += len(t.amounts)
-        largest = max(largest, int(t.amounts.max(initial=0)))
-    if count * largest > INT64_MAX:
+    np.add.at(spend, t.senders, t.amounts)
+    if len(t.amounts) * int(t.amounts.max(initial=0)) > INT64_MAX:
         exact = np.zeros(accounts, dtype=object)
-        for t in transfers:
-            np.add.at(exact, t.senders, t.amounts.astype(object))
+        np.add.at(exact, t.senders, t.amounts.astype(object))
         if max(exact) > INT64_MAX:
             raise LedgerOverflowError(
                 f"proposed spend of an account on chain {chain} exceeds int64")
@@ -261,27 +244,26 @@ class ValidationResult:
         return not bool(self.valid_rows.all())
 
 
-def validate_block(proposed: Sequence[Transfers],
+def validate_block(proposed: Transfers,
                    state: CumulativeState) -> ValidationResult:
     """Judge each account's entire proposed spend against its net balance.
 
-    The spend is summed across all destination chains and added to the
+    The spend is summed over the account's triplets and added to the
     outstanding spend the state already holds: an account whose net balance
-    it would overdraw is an invalid row, to be zeroed in every block of the
-    proposal at once.
+    it would overdraw is an invalid row.
     """
     spend = proposed_outflow(proposed, state.chain, state.accounts)
     return ValidationResult(valid_rows=net_balances(state) - spend >= 0,
                             proposed=spend)
 
 
-def validate_tip_payloads(tips: Sequence[BlockPayload],
+def validate_tip_payloads(tips: Sequence[Transfers],
                           states: Mapping[int, CumulativeState]) -> list[bool]:
     """Block-level verdicts for foreign tips against the validator's ledger view.
 
-    Each tip's proposed spend is the sum of its payload transfers; the verdict
-    is valid only if every account with a nonzero spend stays non-negative.
-    At most one tip per source chain may appear in a batch.
+    Each tip's proposed spend is the sum of its triplets per sending account;
+    the verdict is valid only if every account with a nonzero spend stays
+    non-negative. At most one tip per source chain may appear in a batch.
     """
     seen: set[int] = set()
     verdicts: list[bool] = []
@@ -292,7 +274,7 @@ def validate_tip_payloads(tips: Sequence[BlockPayload],
         state = states.get(tip.source)
         if state is None:
             raise LedgerError(f"no ledger state for chain {tip.source}")
-        spend = proposed_outflow(tip.transfers, tip.source, state.accounts)
+        spend = proposed_outflow(tip, tip.source, state.accounts)
         # an honest chain debits its proposal as outstanding spend before the
         # block attaches: release the stored outstanding spend and charge the
         # tip's in its place, so the tip is judged on confirmed flows alone

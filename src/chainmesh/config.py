@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -105,7 +106,8 @@ def _check_types(obj, prefix: str = "") -> None:
 
 # (fields, test every valid value passes, what the fields must be)
 _BOUNDS = (
-    (("chains", "fleet_size", "accounts", "tip_sample", "amount_max"),
+    (("chains",), lambda v: v >= 2, "at least 2"),
+    (("fleet_size", "accounts", "tip_sample", "amount_max"),
      lambda v: v >= 1, "at least 1"),
     (("genesis_balance", "active_rows", "seed"),
      lambda v: v >= 0, "non-negative"),
@@ -127,6 +129,20 @@ def _check(cfg: ScenarioConfig) -> None:
                 raise ConfigError(f"{name} must be {bound}")
     if cfg.double_spend.pairs < 0 or cfg.double_spend.regular < 0:
         raise ConfigError("double_spend counts must be non-negative")
+    if cfg.spam_fraction > 0:
+        # every spam block must overspend and never confirm: its first
+        # floor(invalid_tx_fraction * rows) rows overspend, its rows are
+        # funded accounts, and only its own chain's later blocks approve it;
+        # the threshold is compared exactly, as the DAG reads it
+        if cfg.genesis_balance < 1:
+            raise ConfigError("genesis_balance must be at least 1 with spam")
+        if int(cfg.invalid_tx_fraction
+               * min(cfg.active_rows, cfg.accounts)) < 1:
+            raise ConfigError("invalid_tx_fraction times min(active_rows, "
+                              "accounts) must reach 1 with spam")
+        if Fraction(str(cfg.confirm_threshold)) <= Fraction(1, cfg.chains):
+            raise ConfigError("confirm_threshold must exceed one chain's "
+                              "stake share 1/chains with spam")
 
 
 def config_from_mapping(data: Mapping[str, Any]) -> ScenarioConfig:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .balances import BlockPayload
+from .balances import Transfers
 
 TIP = "tip"
 UNCONFIRMED = "unconfirmed"
@@ -87,7 +87,7 @@ class DagBlock:
     proposer: int | None
     epoch: int
     parents: tuple[str, ...]
-    payload: BlockPayload | None
+    payload: Transfers | None
     attach_time: float
     status: str = TIP
     confirm_time: float | None = None
@@ -98,7 +98,7 @@ class DagBlock:
 class DagLedger:
     """Single-writer DAG rooted at a synthetic confirmed genesis block."""
 
-    def __init__(self, weights: ChainWeights, eta, genesis_time: float = 0.0):
+    def __init__(self, weights: ChainWeights, eta):
         self.weights = weights
         self.eta = _as_fraction(eta)
         if not 0 < self.eta <= 1:
@@ -109,8 +109,8 @@ class DagLedger:
         self._stakes = [int(w * self._denom) for w in weights.weights]
         self._threshold = int(self.eta * self._denom)
         genesis = DagBlock(id=GENESIS_ID, proposer=None, epoch=0, parents=(),
-                           payload=None, attach_time=genesis_time,
-                           status=CONFIRMED, confirm_time=genesis_time,
+                           payload=None, attach_time=0.0,
+                           status=CONFIRMED, confirm_time=0.0,
                            chains=0, depth=0)
         # in attach order, which the snapshot follows
         self.blocks: dict[str, DagBlock] = {GENESIS_ID: genesis}
@@ -121,7 +121,7 @@ class DagLedger:
     # -- attachment --------------------------------------------------------
 
     def attach(self, block_id: str, proposer: int, epoch: int,
-               parents: Iterable[str], payload: BlockPayload | None = None,
+               parents: Iterable[str], payload: Transfers | None = None,
                time: float = 0.0) -> DagBlock:
         """Add a block approving `parents`; errors leave the ledger unchanged."""
         if block_id in self.blocks:

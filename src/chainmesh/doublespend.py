@@ -29,20 +29,23 @@ class InjectionPlan:
     regular_ids: tuple[str, ...]
 
 
+#: share of the honest slots, from and to, that carriers are drawn from
+INJECTION_WINDOW = (0.1, 0.5)
+
+
 def plan_injections(slot_chains: Sequence[int], pairs: int, regular: int,
-                    rng: np.random.Generator,
-                    window: tuple[float, float] = (0.1, 0.5)) -> InjectionPlan:
+                    rng: np.random.Generator) -> InjectionPlan:
     """Choose carrier slots for conflicting pairs and regular tagged blocks.
 
     `slot_chains` lists the proposing chain of each honest issuance slot in
-    time order. Carriers are drawn from the given fractional window of the
-    run so detections can complete before it ends; the two slots of a pair
-    land on different chains whenever possible.
+    time order. Carriers are drawn from `INJECTION_WINDOW` of the run so
+    detections can complete before it ends; the two slots of a pair land on
+    different chains whenever possible.
     """
     total = len(slot_chains)
     need = 2 * pairs + regular
-    lo = int(window[0] * total)
-    hi = max(lo, int(window[1] * total))
+    lo = int(INJECTION_WINDOW[0] * total)
+    hi = max(lo, int(INJECTION_WINDOW[1] * total))
     eligible = list(range(lo, hi))
     if need > len(eligible):
         raise InjectionError(f"{need} carrier slots needed but only "

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import events as ev
-from .balances import (BlockPayload, CumulativeState, FlowAggregates,
+from .balances import (CumulativeState, FlowAggregates, Transfers,
                        net_balances, update_cumulative,
                        validate_block, validate_tip_payloads)
 from .coding import CodingError, plan_groups
@@ -70,8 +70,9 @@ class _ChainRuntime:
     # labeled conflict candidates this chain has sighted but whose detection
     # has not yet been finalised by any confirmed proposal
     watch: set = field(default_factory=set)
-    # drawn when an epoch opens; a chain runs one epoch at a time (`busy`)
-    committee: ev.CommitteeSelection | None = None
+    # set when an epoch opens; a chain runs one epoch at a time (`busy`)
+    proposer: str | None = None     # the epoch's committee proposer
+    txn: str | None = None          # the epoch's slot transaction id
 
 
 @dataclass
@@ -93,13 +94,6 @@ class Simulation:
     """One deterministic run of a scenario."""
 
     def __init__(self, cfg: ScenarioConfig, scenario: str = "scenario"):
-        if cfg.chains < 2:
-            raise SimulationError("simulation needs at least two chains")
-        if cfg.spam_fraction > 0 and \
-                int(cfg.invalid_tx_fraction * cfg.active_rows) < 1:
-            raise SimulationError(
-                "spam requires at least one overspending row per spam block; "
-                "raise invalid_tx_fraction or active_rows")
         self.cfg = cfg
         self.scenario = scenario
         self._queue: list = []
@@ -148,7 +142,7 @@ class Simulation:
                 state=CumulativeState(chain=c, epoch=0, genesis=genesis,
                                       w_in=spent.T, w_out=spent,
                                       last_proposed=spent),
-                pool=EventPools(chain=c),
+                pool=EventPools(chain=c, approvals=cfg.committee_size()),
                 candidates=Candidates([f"c{c}n{i}"
                                        for i in range(cfg.fleet_size)]),
                 committee_seed=f"{cfg.seed}|committee|{c}",
@@ -227,13 +221,12 @@ class Simulation:
 
     # -- committee helpers -------------------------------------------------
 
-    def _committee(self, rt: _ChainRuntime,
-                   epoch: int) -> ev.CommitteeSelection:
+    def _proposer(self, rt: _ChainRuntime, epoch: int) -> str:
         return select_committee(rt.candidates, rt.committee_seed, epoch,
                                 self.cfg.committee_size())
 
     def _publish(self, rt: _ChainRuntime, kind: str) -> None:
-        rt.pool.publish(propose_and_vote(kind, rt.committee, chain=rt.chain))
+        rt.pool.publish(propose_and_vote(kind, rt.proposer, rt.epoch))
 
     # -- chain pipeline ----------------------------------------------------
 
@@ -257,14 +250,15 @@ class Simulation:
                      txn: str | None) -> None:
         rt.epoch += 1
         e = rt.epoch
-        rt.committee = self._committee(rt, e)
+        rt.proposer = self._proposer(rt, e)
+        rt.txn = txn
         if not rt.honest:
             payload = self._adversarial_payload(rt, e)
             self._publish(rt, ev.PROPOSAL_FORMED)
             self._push(t0 + 3.0 * self._vote_s, self._attach_adversarial,
                        rt.chain, e, payload)
             return
-        payload = self._honest_payload(rt, e, txn)
+        payload = self._honest_payload(rt, e)
         self._publish(rt, ev.PROPOSAL_FORMED)
         stage_s, ok = self._shard_stage_s(rt, factor=1)
         if not ok:
@@ -274,43 +268,37 @@ class Simulation:
         t2 = t0 + self._vote_s + stage_s + self._vote_s
         self._push(t2, self._stage_tips, rt.chain, e, payload)
 
-    def _honest_payload(self, rt: _ChainRuntime, epoch: int,
-                        txn: str | None) -> BlockPayload:
+    def _honest_payload(self, rt: _ChainRuntime, epoch: int) -> Transfers:
         cfg = self.cfg
         others = [c for c in range(cfg.chains) if c != rt.chain]
         dest = others[(epoch - 1) % len(others)]
         rng = np.random.default_rng(derive_seed(cfg.seed, "payload",
                                                 rt.chain, epoch))
-        tm = make_valid_block(dest=dest, epoch=epoch,
-                              balances=net_balances(rt.state), rng=rng,
-                              source=rt.chain, active_rows=cfg.active_rows,
-                              amount_max=cfg.amount_max)
-        ids = (txn,) if txn else ()
-        return BlockPayload(source=rt.chain, epoch=epoch, transfers=(tm,),
-                            txn_ids=ids)
+        return make_valid_block(dest=dest, balances=net_balances(rt.state),
+                                rng=rng, source=rt.chain,
+                                active_rows=cfg.active_rows,
+                                amount_max=cfg.amount_max)
 
     def _adversarial_payload(self, rt: _ChainRuntime,
-                             epoch: int) -> BlockPayload:
+                             epoch: int) -> Transfers:
         cfg = self.cfg
         honest = cfg.honest_chains()
         dest = honest[(epoch - 1) % len(honest)]
         rng = np.random.default_rng(derive_seed(cfg.seed, "spam",
                                                 rt.chain, epoch))
-        tm = make_invalid_block(dest=dest, epoch=epoch,
-                                balances=net_balances(rt.state),
-                                invalid_tx_fraction=cfg.invalid_tx_fraction,
-                                rng=rng, source=rt.chain,
-                                active_rows=cfg.active_rows)
-        return BlockPayload(source=rt.chain, epoch=epoch, transfers=(tm,))
+        return make_invalid_block(dest=dest, balances=net_balances(rt.state),
+                                  invalid_tx_fraction=cfg.invalid_tx_fraction,
+                                  rng=rng, source=rt.chain,
+                                  active_rows=cfg.active_rows)
 
     def _stage_tips(self, now: float, chain: int, epoch: int,
-                    payload: BlockPayload) -> None:
+                    payload: Transfers) -> None:
         """Proposal validated; debit it, then pick and check foreign tips."""
         rt = self.chains[chain]
         rt.intra_done += 1
         self._publish(rt, ev.PROPOSAL_RESULTS)
         # honest proposals are drawn within the net balance: none is zeroed
-        result = validate_block(payload.transfers, rt.state)
+        result = validate_block(payload, rt.state)
         if result.any_zeroed:
             raise SimulationError(
                 f"honest proposal of chain {chain} failed validation")
@@ -364,7 +352,7 @@ class Simulation:
                    tuple(parents))
 
     def _attach_block(self, now: float, chain: int, epoch: int,
-                      payload: BlockPayload, parents: tuple[str, ...]) -> None:
+                      payload: Transfers, parents: tuple[str, ...]) -> None:
         rt = self.chains[chain]
         self._publish(rt, ev.TIP_RESULTS)
         keep = [p for p in parents
@@ -381,7 +369,7 @@ class Simulation:
         self._end_epoch(now, rt, epoch, block_id)
 
     def _attach_adversarial(self, now: float, chain: int, epoch: int,
-                            payload: BlockPayload) -> None:
+                            payload: Transfers) -> None:
         rt = self.chains[chain]
         # stale single parent: the chain's own first block, else genesis --
         # approving an already-covered ancestor removes nothing from the pool
@@ -396,14 +384,14 @@ class Simulation:
         self._end_epoch(now, rt, epoch, None)
 
     def _attach(self, now: float, rt: _ChainRuntime, epoch: int,
-                payload: BlockPayload, parents: list[str]) -> str:
+                payload: Transfers, parents: list[str]) -> str:
         block_id = f"c{rt.chain:02d}e{epoch:05d}"
         self.dag.attach(block_id, proposer=rt.chain, epoch=epoch,
                         parents=parents, payload=payload, time=now)
         if rt.first_block is None:
             rt.first_block = block_id
-        if self.tracker is not None:
-            self.tracker.register_attach(block_id, payload.txn_ids, now)
+        if self.tracker is not None and rt.txn:
+            self.tracker.register_attach(block_id, (rt.txn,), now)
         return block_id
 
     def _end_epoch(self, now: float, rt: _ChainRuntime, epoch: int,
@@ -445,9 +433,9 @@ class Simulation:
                 block = self.dag.blocks[bid]
                 if not self.chains[block.proposer].honest:
                     raise SimulationError(f"ingesting dishonest block {bid}")
-                for t in block.payload.transfers:
-                    np.add.at(inflow[t.dest], (0, t.receivers), t.amounts)
-                    np.add.at(confirmed[t.source], (t.senders, 0), t.amounts)
+                t = block.payload
+                np.add.at(inflow[t.dest], (0, t.receivers), t.amounts)
+                np.add.at(confirmed[t.source], (t.senders, 0), t.amounts)
             for c, rt in self.chains.items():
                 if not inflow[c].any() and not confirmed[c].any():
                     continue
@@ -462,8 +450,8 @@ class Simulation:
             window_epoch = -(index + 1)     # windows use their own epoch space
             for rt in self.chains.values():
                 rt.pool.publish(propose_and_vote(
-                    ev.LEDGER_APPEND, self._committee(rt, window_epoch),
-                    chain=rt.chain))
+                    ev.LEDGER_APPEND, self._proposer(rt, window_epoch),
+                    window_epoch))
                 rt.pool.drain(window_epoch)
         self._push(now + self.cfg.ledger_interval_s, self._window, index + 1)
 

@@ -1,10 +1,10 @@
 """Committee-gated event machinery driving each chain's epoch pipeline.
 
 An oracle turns stage outputs into events; a lottery committee signs off on
-each one, with its top-ranked member proposing and every member approving.
+each one: the member of the highest draw proposes, every member approves.
 A candidate's lottery draw is the SHA-256 digest of its key and the epoch,
-finished from a hash state that has already taken the key; committees rank
-the raw digests as bytes.
+finished from a hash state that has already taken the key; draws compare as
+raw bytes. A committee is held as its proposer and its size.
 A chain's pool admits one event per kind to an open epoch, closes each epoch
 exactly once, and keeps every accepted event for the audit log.
 """
@@ -97,17 +97,9 @@ class Candidates:
         return states
 
 
-@dataclass(frozen=True)
-class CommitteeSelection:
-    """Ranked committee for one chain and epoch."""
-
-    epoch: int
-    members: tuple[str, ...]               # rank order, best first
-
-
 def select_committee(candidates: Candidates, shared_seed, epoch: int,
-                     committee_size: int) -> CommitteeSelection:
-    """Pick the `committee_size` highest draws, rank ordered.
+                     committee_size: int) -> str:
+    """The proposer of a `committee_size` committee: the highest draw.
 
     Ties break to the lower node id.
     """
@@ -117,12 +109,8 @@ def select_committee(candidates: Candidates, shared_seed, epoch: int,
         raise EventError(f"committee of {committee_size} from "
                          f"{len(candidates)} candidates")
     draws = vrf_draws(candidates.keys(shared_seed), epoch)
-    # a reverse sort is stable, so equal draws keep node-id order
-    ranked = sorted(range(len(draws)), key=draws.__getitem__, reverse=True)
-    node_ids = candidates.node_ids
-    return CommitteeSelection(
-        epoch=epoch,
-        members=tuple(node_ids[i] for i in ranked[:committee_size]))
+    # max keeps the first of equal draws, so node-id order breaks ties
+    return candidates.node_ids[max(range(len(draws)), key=draws.__getitem__)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,23 +119,18 @@ def select_committee(candidates: Candidates, shared_seed, epoch: int,
 
 @dataclass(frozen=True)
 class EventRecord:
-    """One oracle event: its proposer and approval count."""
+    """One oracle event and its proposer."""
 
     kind: str
-    chain: int
     epoch: int
     proposer: str
-    approvals: int
 
 
-def propose_and_vote(kind: str, committee: CommitteeSelection,
-                     chain: int) -> EventRecord:
-    """The top-ranked member proposes the event; the committee approves."""
+def propose_and_vote(kind: str, proposer: str, epoch: int) -> EventRecord:
+    """The committee's proposer proposes the event; the committee approves."""
     if kind not in EVENT_KINDS:
         raise EventError(f"unknown event kind {kind!r}")
-    return EventRecord(kind=kind, chain=chain, epoch=committee.epoch,
-                       proposer=committee.members[0],
-                       approvals=len(committee.members))
+    return EventRecord(kind=kind, epoch=epoch, proposer=proposer)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +139,11 @@ def propose_and_vote(kind: str, committee: CommitteeSelection,
 
 @dataclass
 class EventPools:
-    """A chain's accepted events, the kinds each open epoch has published,
-    and the epochs already drained."""
+    """A chain's accepted events, approved by `approvals` members each, the
+    kinds each open epoch has published, and the epochs already drained."""
 
     chain: int
+    approvals: int
     audit: list[EventRecord] = field(default_factory=list)
     open_kinds: dict[int, set[str]] = field(default_factory=dict)
     drained: set[int] = field(default_factory=set)
@@ -168,9 +152,6 @@ class EventPools:
         """Record an event; an epoch admits one event per kind.
 
         A rejected event leaves the pool unchanged."""
-        if record.chain != self.chain:
-            raise EventError(f"event for chain {record.chain} published to "
-                             f"pool of chain {self.chain}")
         if record.epoch in self.drained:
             raise EventError(f"epoch {record.epoch} already drained")
         kinds = self.open_kinds.setdefault(record.epoch, set())
@@ -194,8 +175,8 @@ class EventPools:
         `json.dumps(..., sort_keys=True)` writes it.
         """
         outcome = _json_str(ACTIVE)
-        return [f'{{"approve": {rec.approvals}, "attempts": 1, '
-                f'"chain": {rec.chain}, "epoch": {rec.epoch}, '
+        return [f'{{"approve": {self.approvals}, "attempts": 1, '
+                f'"chain": {self.chain}, "epoch": {rec.epoch}, '
                 f'"kind": {_json_str(rec.kind)}, "outcome": {outcome}, '
                 f'"proposer": {_json_str(rec.proposer)}, "reject": 0}}'
                 for rec in self.audit]

@@ -46,9 +46,9 @@ def build_fleet(size: int, straggler_fraction: float,
 OVERSPEND_MARGIN = 1_000_000_000
 
 
-def _draw_block(dest: int, epoch: int, balances: np.ndarray,
-                invalid_tx_fraction: float, rng: np.random.Generator,
-                source: int, active_rows: int, amount_max: int) -> Transfers:
+def _draw_block(dest: int, balances: np.ndarray, invalid_tx_fraction: float,
+                rng: np.random.Generator, source: int, active_rows: int,
+                amount_max: int) -> Transfers:
     if source == dest:
         raise RoleError("transfer block must target a different chain")
     if not 0.0 <= invalid_tx_fraction <= 1.0:
@@ -81,11 +81,11 @@ def _draw_block(dest: int, epoch: int, balances: np.ndarray,
     receivers = draws[:, 0].copy()
     for arr in (senders, receivers, amounts):
         arr.setflags(write=False)       # non-negative by construction
-    return Transfers(source=source, dest=dest, epoch=epoch, senders=senders,
+    return Transfers(source=source, dest=dest, senders=senders,
                      receivers=receivers, amounts=amounts)
 
 
-def make_invalid_block(dest: int, epoch: int, balances: np.ndarray,
+def make_invalid_block(dest: int, balances: np.ndarray,
                        invalid_tx_fraction: float, rng: np.random.Generator,
                        source: int, active_rows: int) -> Transfers:
     """Build a transfer block mixing valid rows with overspending ones.
@@ -95,16 +95,15 @@ def make_invalid_block(dest: int, epoch: int, balances: np.ndarray,
     holds; the rest spend within balance. With fraction 1.0 every populated
     row overspends.
     """
-    return _draw_block(dest, epoch, balances, invalid_tx_fraction, rng,
-                       source, active_rows, amount_max=10)
+    return _draw_block(dest, balances, invalid_tx_fraction, rng, source,
+                       active_rows, amount_max=10)
 
 
-def make_valid_block(dest: int, epoch: int, balances: np.ndarray,
+def make_valid_block(dest: int, balances: np.ndarray,
                      rng: np.random.Generator, source: int,
-                     active_rows: int, amount_max: int = 10
-                     ) -> Transfers:
+                     active_rows: int, amount_max: int = 10) -> Transfers:
     """Build an honest transfer block: every populated row spends in budget."""
-    return _draw_block(dest, epoch, balances, 0.0, rng, source, active_rows,
+    return _draw_block(dest, balances, 0.0, rng, source, active_rows,
                        amount_max)
 
 

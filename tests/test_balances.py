@@ -8,11 +8,11 @@ import pytest
 from chainmesh import balances as bal
 
 
-def tm(source, dest, epoch, amounts):
+def tm(source, dest, amounts):
     """Transfers holding the nonzero entries of a dense m x m amount matrix."""
     a = np.array(amounts, dtype=np.int64)
     senders, receivers = np.nonzero(a)
-    return bal.Transfers(source=source, dest=dest, epoch=epoch, senders=senders,
+    return bal.Transfers(source=source, dest=dest, senders=senders,
                          receivers=receivers, amounts=a[senders, receivers])
 
 
@@ -23,10 +23,6 @@ def dense(t, m):
     return out
 
 
-def dense_total(transfers, m):
-    return sum((dense(t, m) for t in transfers), np.zeros((m, m), dtype=np.int64))
-
-
 def random_amounts(rng, m, lo=0, hi=9):
     return np.array([[rng.randint(lo, hi) for _ in range(m)] for _ in range(m)],
                     dtype=np.int64)
@@ -34,7 +30,7 @@ def random_amounts(rng, m, lo=0, hi=9):
 
 def test_negative_amounts_rejected_structurally():
     with pytest.raises(bal.LedgerError):
-        tm(0, 1, 1, [[-1]])
+        tm(0, 1, [[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -47,25 +43,25 @@ def zero_flows(chain, m, epoch):
                               outflow_confirmed=z, outflow_proposed=z)
 
 
-def proposal_flows(state, blocks):
-    """Next-epoch flows that only add `blocks` to the outstanding spend."""
+def proposal_flows(state, block):
+    """Next-epoch flows that only add `block` to the outstanding spend."""
     m = state.accounts
     z = np.zeros((m, m), dtype=np.int64)
     return bal.FlowAggregates(
         chain=state.chain, epoch=state.epoch + 1, inflow=z,
         outflow_confirmed=z,
-        outflow_proposed=state.last_proposed + dense_total(blocks, m))
+        outflow_proposed=state.last_proposed + dense(block, m))
 
 
-def zero_invalid_rows(blocks, valid_rows):
-    """`blocks` without the triplets of the senders validation rejected.
+def zero_invalid_rows(t, valid_rows):
+    """`t` without the triplets of the senders validation rejected.
 
     The engine raises on any invalid row of its own proposals; traces that
-    go on past one drop its triplets from every block of the proposal."""
-    return [bal.Transfers(source=t.source, dest=t.dest, epoch=t.epoch,
-                          senders=t.senders[keep], receivers=t.receivers[keep],
-                          amounts=t.amounts[keep])
-            for t in blocks for keep in [valid_rows[t.senders]]]
+    go on past one drop its triplets from the block."""
+    keep = valid_rows[t.senders]
+    return bal.Transfers(source=t.source, dest=t.dest,
+                         senders=t.senders[keep], receivers=t.receivers[keep],
+                         amounts=t.amounts[keep])
 
 
 def test_zero_flows_leave_state_unchanged():
@@ -148,24 +144,13 @@ def test_net_balances_sender_and_receiver_sides():
 
 def test_affordable_spend_copied_verbatim():
     s = bal.new_state(0, [10, 10])
-    prop = [tm(0, 1, 1, [[0, 7], [0, 0]])]
+    prop = tm(0, 1, [[0, 7], [0, 0]])
     res = bal.validate_block(prop, s)
     assert res.valid_rows.all()
     assert not res.any_zeroed
     assert res.proposed.tolist() == [7, 0]
     kept = zero_invalid_rows(prop, res.valid_rows)
-    assert np.array_equal(dense(kept[0], 2), dense(prop[0], 2))
-
-
-def test_overspend_across_two_destinations_zeroed_in_both():
-    s = bal.new_state(0, [10, 10])
-    prop = [tm(0, 1, 1, [[0, 6], [0, 0]]), tm(0, 2, 1, [[0, 6], [0, 0]])]
-    res = bal.validate_block(prop, s)     # total spend 12 > balance 10
-    assert not res.valid_rows[0]
-    assert res.valid_rows[1]
-    assert res.proposed.tolist() == [12, 0]
-    for blk in zero_invalid_rows(prop, res.valid_rows):
-        assert not dense(blk, 2)[0].any()
+    assert np.array_equal(dense(kept, 2), dense(prop, 2))
 
 
 def oracle_valid_rows(state, proposal_total, release=False):
@@ -192,18 +177,17 @@ def test_mixed_block_zeroes_exactly_the_overspending_rows():
     m = 6
     s = bal.new_state(0, [rng.randint(0, 30) for _ in range(m)])
     for epoch in range(1, 4):
-        prop = [tm(0, d, epoch, random_amounts(rng, m, 0, 12)) for d in (1, 2)]
+        prop = tm(0, 1 + epoch % 2, random_amounts(rng, m, 0, 4))
         res = bal.validate_block(prop, s)
-        want = oracle_valid_rows(s, dense_total(prop, m))
-        assert np.array_equal(res.proposed, dense_total(prop, m).sum(axis=1))
+        want = oracle_valid_rows(s, dense(prop, m))
+        assert np.array_equal(res.proposed, dense(prop, m).sum(axis=1))
         assert list(res.valid_rows) == want
         kept = zero_invalid_rows(prop, res.valid_rows)
-        for blk, raw in zip(kept, prop):
-            for acct in range(m):
-                if want[acct]:
-                    assert np.array_equal(dense(blk, m)[acct], dense(raw, m)[acct])
-                else:
-                    assert not dense(blk, m)[acct].any()
+        for acct in range(m):
+            if want[acct]:
+                assert np.array_equal(dense(kept, m)[acct], dense(prop, m)[acct])
+            else:
+                assert not dense(kept, m)[acct].any()
         # advance the state with the validated proposal so epochs differ
         s = bal.update_cumulative(s, proposal_flows(s, kept))
 
@@ -212,7 +196,7 @@ def test_validation_is_idempotent():
     rng = random.Random(31)
     m = 5
     s = bal.new_state(0, [rng.randint(0, 20) for _ in range(m)])
-    prop = [tm(0, d, 1, random_amounts(rng, m, 0, 15)) for d in (1, 3)]
+    prop = tm(0, 1, random_amounts(rng, m, 0, 8))
     once = bal.validate_block(prop, s)
     assert once.any_zeroed
     kept = zero_invalid_rows(prop, once.valid_rows)
@@ -226,7 +210,7 @@ def test_zeroing_soundness_balances_stay_non_negative():
     rng = random.Random(13)
     m = 5
     s = bal.new_state(0, [rng.randint(0, 25) for _ in range(m)])
-    prop = [tm(0, d, 1, random_amounts(rng, m, 0, 20)) for d in (1, 2, 4)]
+    prop = tm(0, 1, random_amounts(rng, m, 0, 10))
     res = bal.validate_block(prop, s)
     kept = zero_invalid_rows(prop, res.valid_rows)
     s1 = bal.update_cumulative(s, proposal_flows(s, kept))
@@ -239,21 +223,21 @@ def test_zeroing_soundness_balances_stay_non_negative():
 
 def test_empty_tip_payload_is_valid():
     states = {1: bal.new_state(1, [0, 0])}
-    tip = bal.BlockPayload(source=1, epoch=3, transfers=())
+    tip = tm(1, 0, [[0, 0], [0, 0]])
     assert bal.validate_tip_payloads([tip], states) == [True]
 
 
 def test_overspending_tip_is_invalid():
+    # each triplet fits the balance of 10; their sum of 14 does not
     states = {1: bal.new_state(1, [10, 0])}
-    tip = bal.BlockPayload(source=1, epoch=1, transfers=(
-        tm(1, 0, 1, [[0, 7], [0, 0]]), tm(1, 2, 1, [[0, 7], [0, 0]])))
+    tip = bal.Transfers(source=1, dest=0, senders=[0, 0], receivers=[0, 1],
+                        amounts=[7, 7])
     assert bal.validate_tip_payloads([tip], states) == [False]
 
 
 def test_two_tips_from_one_chain_rejected():
     states = {1: bal.new_state(1, [5])}
-    tips = [bal.BlockPayload(source=1, epoch=1, transfers=()),
-            bal.BlockPayload(source=1, epoch=2, transfers=())]
+    tips = [tm(1, 0, [[0]]), tm(1, 2, [[0]])]
     with pytest.raises(bal.LedgerError):
         bal.validate_tip_payloads(tips, states)
 
@@ -264,21 +248,16 @@ def test_batch_verdicts_match_per_account_oracle():
     states = {}
     for c in range(4):
         st = bal.new_state(c, [rng.randint(0, 40) for _ in range(m)])
-        prop = [tm(c, (c + 1) % 4, 1, random_amounts(rng, m))]
+        prop = tm(c, (c + 1) % 4, random_amounts(rng, m))
         res = bal.validate_block(prop, st)
         kept = zero_invalid_rows(prop, res.valid_rows)
         states[c] = bal.update_cumulative(st, proposal_flows(st, kept))
-    tips = []
-    for c in range(4):
-        mats = tuple(tm(c, d, 2, random_amounts(rng, m, 0, 18))
-                     for d in range(4) if d != c)
-        tips.append(bal.BlockPayload(source=c, epoch=2, transfers=mats))
+    tips = [tm(c, (c + 2) % 4, random_amounts(rng, m, 0, 5))
+            for c in range(4)]
     got = bal.validate_tip_payloads(tips, states)
     for tip, verdict in zip(tips, got):
         st = states[tip.source]
-        total = np.zeros((m, m), dtype=object)
-        for t in tip.transfers:
-            total = total + dense(t, m).astype(object)
+        total = dense(tip, m).astype(object)
         spending = [i for i in range(m) if sum(total[i]) > 0]
         ok = all(oracle_valid_rows(st, total, release=True)[i]
                  for i in spending)
@@ -295,15 +274,15 @@ def test_token_conservation_over_validated_multi_chain_trace():
     genesis = {c: [rng.randint(5, 30) for _ in range(m)] for c in range(n_chains)}
     states = {c: bal.new_state(c, genesis[c]) for c in range(n_chains)}
     total_genesis = sum(sum(g) for g in genesis.values())
-    pending = {c: [] for c in range(n_chains)}   # validated proposal awaiting confirm
+    zero = np.zeros((m, m), dtype=np.int64)
+    pending = {}                    # validated proposal awaiting confirmation
     for epoch in range(1, epochs + 1):
         confirmed = pending
         new_valid = {}
         for c in range(n_chains):
-            incoming = [t for src in range(n_chains) if src != c
-                        for t in confirmed[src] if t.dest == c]
-            in_total = dense_total(incoming, m)
-            out_total = dense_total(confirmed[c], m)
+            in_total = sum((dense(t, m) for t in confirmed.values()
+                            if t.dest == c), zero)
+            out_total = dense(confirmed[c], m) if c in confirmed else zero
             # the window ingests last epoch's confirmed transfers first, which
             # moves the confirmed spend out of the outstanding proposal
             st = states[c]
@@ -311,8 +290,8 @@ def test_token_conservation_over_validated_multi_chain_trace():
                 chain=c, epoch=st.epoch + 1, inflow=in_total,
                 outflow_confirmed=out_total,
                 outflow_proposed=st.last_proposed - out_total))
-            raw = [tm(c, d, epoch, random_amounts(rng, m, 0, 6))
-                   for d in range(n_chains) if d != c]
+            dest = (c + 1 + epoch % (n_chains - 1)) % n_chains
+            raw = tm(c, dest, random_amounts(rng, m, 0, 6))
             res = bal.validate_block(raw, st)
             new_valid[c] = zero_invalid_rows(raw, res.valid_rows)
             states[c] = bal.update_cumulative(st, proposal_flows(st, new_valid[c]))
@@ -337,9 +316,9 @@ def summed_state(chain, genesis):
                                w_in=spent.T, w_out=spent, last_proposed=spent)
 
 
-def random_transfers(rng, source, dest, epoch, m, hi):
+def random_transfers(rng, source, dest, m, hi):
     senders = sorted(rng.sample(range(m), rng.randint(0, m)))
-    return bal.Transfers(source=source, dest=dest, epoch=epoch, senders=senders,
+    return bal.Transfers(source=source, dest=dest, senders=senders,
                          receivers=[rng.randrange(m) for _ in senders],
                          amounts=[rng.randint(0, hi) for _ in senders])
 
@@ -361,30 +340,33 @@ def test_dense_and_summed_states_agree_every_epoch():
     genesis = [rng.randint(0, 30) for _ in range(m)]
     states = [bal.new_state(0, genesis), summed_state(0, genesis)]
     zero = np.zeros((m, m), dtype=np.int64)
-    pending = []                # validated proposal awaiting confirmation
+    pending = None              # validated proposal awaiting confirmation
     for epoch in range(1, 9):
-        # the window confirms only the proposal's transfers to chain 1, so the
-        # rest stays outstanding while the next proposal is validated
-        incoming = dense_total([random_transfers(rng, src, 0, epoch, m, 9)
-                                for src in (1, 2)], m)
-        confirmed = dense_total([t for t in pending if t.dest == 1], m)
-        outstanding = dense_total([t for t in pending if t.dest == 2], m)
+        # the window confirms only proposals to chain 1; one to chain 2
+        # stays outstanding while the next proposal is validated
+        incoming = sum((dense(random_transfers(rng, src, 0, m, 9), m)
+                        for src in (1, 2)), zero)
+        confirmed = outstanding = zero
+        if pending is not None:
+            if pending.dest == 1:
+                confirmed = dense(pending, m)
+            else:
+                outstanding = dense(pending, m)
         full, summed = states = [fold(s, incoming, confirmed, outstanding)
                                  for s in states]
         assert full.w_in.shape == (m, m) and summed.w_in.shape == (1, m)
         assert summed.w_out.shape == summed.last_proposed.shape == (m, 1)
         assert np.array_equal(bal.net_balances(full), bal.net_balances(summed))
 
-        raw = [random_transfers(rng, 0, d, epoch, m, 15) for d in (1, 2)]
+        raw = random_transfers(rng, 0, 1 + epoch % 2, m, 30)
         res_full, res_summed = (bal.validate_block(raw, s) for s in states)
         assert np.array_equal(res_full.valid_rows, res_summed.valid_rows)
         assert np.array_equal(res_full.proposed, res_summed.proposed)
-        tips = [bal.BlockPayload(source=0, epoch=epoch, transfers=tuple(raw))]
-        assert bal.validate_tip_payloads(tips, {0: full}) == \
-            bal.validate_tip_payloads(tips, {0: summed})
+        assert bal.validate_tip_payloads([raw], {0: full}) == \
+            bal.validate_tip_payloads([raw], {0: summed})
 
         pending = zero_invalid_rows(raw, res_full.valid_rows)
-        states = [fold(s, zero, zero, dense_total(pending, m)) for s in states]
+        states = [fold(s, zero, zero, dense(pending, m)) for s in states]
     for s in states:
         assert (bal.net_balances(s) >= 0).all()
 
@@ -399,18 +381,17 @@ def test_out_of_range_sender_or_receiver_raises():
     m = 3
     s = summed_state(0, [5] * m)
     for senders, receivers in (([m], [0]), ([0], [m])):
-        t = bal.Transfers(source=0, dest=1, epoch=1, senders=senders,
+        t = bal.Transfers(source=0, dest=1, senders=senders,
                           receivers=receivers, amounts=[1])
         with pytest.raises(bal.LedgerError):
-            bal.validate_block([t], s)
+            bal.validate_block(t, s)
         with pytest.raises(bal.LedgerError):
-            bal.validate_tip_payloads(
-                [bal.BlockPayload(source=0, epoch=1, transfers=(t,))], {0: s})
+            bal.validate_tip_payloads([t], {0: s})
 
 
 def test_malformed_triplets_and_totals_rejected_structurally():
     with pytest.raises(bal.LedgerError):
-        bal.Transfers(source=0, dest=1, epoch=1, senders=[0, 1],
+        bal.Transfers(source=0, dest=1, senders=[0, 1],
                       receivers=[0], amounts=[1, 1])
     col = np.zeros((2, 1), dtype=np.int64)
     with pytest.raises(bal.LedgerError):
@@ -475,7 +456,7 @@ def test_update_that_wraps_raises_a_named_overflow_error():
 
 def test_amount_beyond_int64_raises_a_named_overflow_error():
     with pytest.raises(bal.LedgerOverflowError):
-        bal.Transfers(source=0, dest=1, epoch=1, senders=[0], receivers=[0],
+        bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
                       amounts=[2**63])
 
 
@@ -485,25 +466,21 @@ def test_summed_spend_beyond_int64_raises_a_named_overflow_error():
     s = bal.CumulativeState(chain=0, epoch=0, genesis=[5, 0],
                             w_in=[[0, 0]], w_out=[[0], [0]],
                             last_proposed=[[0], [0]])
-    t = bal.Transfers(source=0, dest=1, epoch=1, senders=[0, 0],
+    t = bal.Transfers(source=0, dest=1, senders=[0, 0],
                       receivers=[0, 1], amounts=[2**62, 2**62])
-    tip = bal.BlockPayload(source=0, epoch=1, transfers=(t,))
     with pytest.raises(bal.LedgerOverflowError):
-        bal.validate_tip_payloads([tip], {0: s})
+        bal.validate_tip_payloads([t], {0: s})
     with pytest.raises(bal.LedgerOverflowError):
-        bal.validate_block([t], s)
-    # the same total split over two blocks to different chains
-    halves = [bal.Transfers(source=0, dest=d, epoch=1, senders=[0],
-                            receivers=[0], amounts=[2**62]) for d in (1, 2)]
+        bal.validate_block(t, s)
     with pytest.raises(bal.LedgerOverflowError):
-        bal.proposed_outflow(halves, 0, 2)
+        bal.proposed_outflow(t, 0, 2)
     # the largest entries alone would overflow; the per-sender sums do not
-    fits = bal.Transfers(source=0, dest=1, epoch=1, senders=[0, 1],
+    fits = bal.Transfers(source=0, dest=1, senders=[0, 1],
                          receivers=[0, 0], amounts=[bal.INT64_MAX, 5])
-    assert bal.proposed_outflow([fits], 0, 2).tolist() == [bal.INT64_MAX, 5]
-    top = bal.Transfers(source=0, dest=1, epoch=1, senders=[0, 0],
+    assert bal.proposed_outflow(fits, 0, 2).tolist() == [bal.INT64_MAX, 5]
+    top = bal.Transfers(source=0, dest=1, senders=[0, 0],
                         receivers=[0, 1], amounts=[bal.INT64_MAX - 1, 1])
-    assert bal.proposed_outflow([top], 0, 2).tolist() == [bal.INT64_MAX, 0]
+    assert bal.proposed_outflow(top, 0, 2).tolist() == [bal.INT64_MAX, 0]
 
 
 def test_checked_arrays_are_shared_not_copied():
@@ -514,8 +491,8 @@ def test_checked_arrays_are_shared_not_copied():
     assert s2.last_proposed is flows.outflow_proposed
     for arr in (s2.w_in, s2.w_out):
         assert not arr.flags.writeable
-    t = tm(0, 1, 1, [[0, 3], [2, 0]])
-    again = bal.Transfers(source=0, dest=1, epoch=1, senders=t.senders,
+    t = tm(0, 1, [[0, 3], [2, 0]])
+    again = bal.Transfers(source=0, dest=1, senders=t.senders,
                           receivers=t.receivers, amounts=t.amounts)
     assert again.amounts is t.amounts
 
@@ -523,14 +500,14 @@ def test_checked_arrays_are_shared_not_copied():
 def test_writable_or_borrowed_arrays_are_still_checked():
     bad = np.array([-1], dtype=np.int64)
     with pytest.raises(bal.LedgerError):
-        bal.Transfers(source=0, dest=1, epoch=1, senders=[0], receivers=[0],
+        bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
                       amounts=bad)
     view = np.broadcast_to(np.int64(-1), (1,))      # read-only, not owned
     with pytest.raises(bal.LedgerError):
-        bal.Transfers(source=0, dest=1, epoch=1, senders=[0], receivers=[0],
+        bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
                       amounts=view)
     mine = np.array([4], dtype=np.int64)
-    t = bal.Transfers(source=0, dest=1, epoch=1, senders=[0], receivers=[0],
+    t = bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
                       amounts=mine)
     mine[0] = 9
     assert t.amounts[0] == 4
@@ -541,10 +518,9 @@ def test_validation_against_available_funds():
     s = bal.CumulativeState(chain=0, epoch=0, genesis=[5, 5], w_in=[[0, 0]],
                             w_out=[[2], [1]], last_proposed=[[2], [1]])
     assert bal.net_balances(s).tolist() == [3, 4]
-    t = bal.Transfers(source=0, dest=1, epoch=1, senders=[0, 1],
+    t = bal.Transfers(source=0, dest=1, senders=[0, 1],
                       receivers=[0, 0], amounts=[4, 4])
-    res = bal.validate_block([t], s)
+    res = bal.validate_block(t, s)
     assert res.valid_rows.tolist() == [False, True]
     # the same spend as a foreign tip takes the outstanding spend's place
-    tip = bal.BlockPayload(source=0, epoch=1, transfers=(t,))
-    assert bal.validate_tip_payloads([tip], {0: s}) == [True]
+    assert bal.validate_tip_payloads([t], {0: s}) == [True]

@@ -7,6 +7,7 @@ import pytest
 from chainmesh.config import (ConfigError, ScenarioConfig,
                               config_from_mapping, config_to_mapping,
                               load_config, replace, save_config)
+from chainmesh.cli import EXIT_VALIDATION, main
 from chainmesh.engine import Simulation
 
 
@@ -129,6 +130,54 @@ class TestValidation:
             self, field, value):
         with pytest.raises(ConfigError, match=field):
             Simulation(ScenarioConfig(duration_min=0.25, **{field: value}))
+
+    def test_single_chain_is_rejected(self):
+        with pytest.raises(ConfigError, match="chains must be at least 2"):
+            ScenarioConfig(chains=1)
+
+    def test_spam_without_overspending_rows_is_rejected(self):
+        with pytest.raises(ConfigError, match="invalid_tx_fraction"):
+            ScenarioConfig(spam_fraction=0.2, invalid_tx_fraction=0.0)
+
+    # each of these once passed validation and then failed the run
+    @pytest.mark.parametrize("field,changes", [
+        ("chains", {"chains": 1}),
+        # one account gives a spam block one row, and half a row floors to 0
+        ("invalid_tx_fraction", {"accounts": 1, "active_rows": 10,
+                                 "invalid_tx_fraction": 0.5}),
+        ("genesis_balance", {"genesis_balance": 0}),
+        # a chain's own stake of 1/2 confirms its own spam blocks
+        ("confirm_threshold", {"chains": 2, "confirm_threshold": 0.5}),
+        ("confirm_threshold", {"chains": 4, "confirm_threshold": 0.25}),
+    ], ids=["one-chain", "one-account", "unfunded", "threshold-half",
+            "threshold-quarter"])
+    def test_a_config_the_run_would_reject_fails_validation(
+            self, tmp_path, field, changes):
+        data = {"spam_fraction": 0.3, "duration_min": 0.5, **changes}
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**data)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("changes", [
+        {"chains": 2},
+        {"chains": 2, "confirm_threshold": 0.5000001},
+        {"chains": 3, "confirm_threshold": 0.34},
+        {"accounts": 2, "active_rows": 10, "invalid_tx_fraction": 0.5},
+        {"genesis_balance": 1},
+    ], ids=["two-chains", "threshold-past-half", "threshold-past-third",
+            "two-accounts", "funded"])
+    def test_the_least_config_past_each_spam_rule_runs(self, changes):
+        cfg = ScenarioConfig(spam_fraction=0.3, duration_min=0.5, **changes)
+        result = Simulation(cfg).run()
+        assert result.report.attached_blocks > 0
+        assert result.report.conservation_ok
+
+    def test_spam_rules_wait_for_spam(self):
+        for changes in ({"genesis_balance": 0}, {"invalid_tx_fraction": 0.0},
+                        {"chains": 2, "confirm_threshold": 0.5}):
+            ScenarioConfig(**changes)           # no spam, no spam rule
 
     @pytest.mark.parametrize("value", [2.7, "x", True, None])
     def test_mistyped_double_spend_count_rejected(self, value):

@@ -28,8 +28,7 @@ def test_plan_counts_and_id_scheme():
 def test_plan_respects_slot_window():
     slots = [0, 1] * 50                       # 100 slots
     plan = plan_injections(slots, pairs=3, regular=4,
-                           rng=np.random.default_rng(7),
-                           window=(0.1, 0.5))
+                           rng=np.random.default_rng(7))
     assert all(10 <= idx < 50 for idx in plan.carriers)
 
 

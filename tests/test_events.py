@@ -73,35 +73,26 @@ def equal_candidates(n):
 
 
 class TestSelectCommittee:
-    def test_size_ten_from_hundred(self):
-        sel = select_committee(equal_candidates(100), "seed", 0, 10)
-        assert len(sel.members) == len(set(sel.members)) == 10
-
     def test_rank_strictly_descending_scores(self):
+        # the proposer heads the descending ranking: no draw beats its own
         cands = equal_candidates(100)
-        sel = select_committee(cands, "seed", 0, 10)
+        proposer = select_committee(cands, "seed", 0, 10)
         all_scores = {nid: vrf_output(nid, "seed", 0)
                       for nid in cands.node_ids}
-        scores = [all_scores[m] for m in sel.members]
-        assert all(a >= b for a, b in zip(scores, scores[1:]))
-        # the cut keeps only top scores
-        floor = min(scores)
-        outside = [s for nid, s in all_scores.items()
-                   if nid not in sel.members]
-        assert all(s <= floor for s in outside)
+        assert all_scores[proposer] == max(all_scores.values())
+        assert sum(s == all_scores[proposer]
+                   for s in all_scores.values()) == 1
 
     def test_tie_breaks_to_lower_node_id(self, monkeypatch):
-        # draws come in node-id order: a and b draw equal digests, c a
-        # higher one, so c ranks first, then a before b
+        # draws come in node-id order: a and c draw equal top digests, b a
+        # lower one, so a proposes
         low, high = bytes(32), b"\x09" + bytes(31)
         monkeypatch.setattr(ev, "vrf_draws",
-                            lambda states, epoch: [low, low, high])
-        sel = select_committee(Candidates(["b", "a", "c"]), "s", 0, 3)
-        assert sel.members == ("c", "a", "b")
-
-    def test_committee_of_everyone_is_full_ranking(self):
-        sel = select_committee(equal_candidates(7), "s", 1, 7)
-        assert sorted(sel.members) == [f"n{i:03d}" for i in range(7)]
+                            lambda states, epoch: [high, low, high])
+        assert select_committee(Candidates(["b", "c", "a"]), "s", 0, 3) == "a"
+        monkeypatch.setattr(ev, "vrf_draws",
+                            lambda states, epoch: [low, high, high])
+        assert select_committee(Candidates(["b", "c", "a"]), "s", 0, 1) == "b"
 
     def test_oversized_committee_rejected(self):
         with pytest.raises(EventError):
@@ -122,57 +113,54 @@ class TestSelectCommittee:
             # a draw as a share of 2**256, as a unit-stake score once was
             old = {nid: Fraction(reference_draw(nid, "seed", epoch), 1 << 256)
                    for nid in cands}
-            ranked = sorted(old, key=lambda nid: (-old[nid], nid))
+            top = min(old, key=lambda nid: (-old[nid], nid))
             candidates = Candidates(cands)
             for size in range(1, len(cands) + 1):
-                sel = select_committee(candidates, "seed", epoch, size)
-                assert sel.members == tuple(ranked[:size])
+                assert select_committee(candidates, "seed", epoch,
+                                        size) == top
 
     def test_epoch_rotates_committee(self):
-        sels = {select_committee(equal_candidates(100), "seed", e, 10).members
-                for e in range(20)}
-        assert len(sels) > 1
+        proposers = {select_committee(equal_candidates(100), "seed", e, 10)
+                     for e in range(20)}
+        assert len(proposers) > 1
 
 
 # ---------------------------------------------------------------------------
 # Proposal voting
 # ---------------------------------------------------------------------------
 
-def committee_of(members, epoch=0):
-    return ev.CommitteeSelection(epoch=epoch, members=tuple(members))
-
-
 class TestProposeAndVote:
     def test_unanimous_first_proposer_active(self):
-        com = committee_of([f"m{i}" for i in range(10)], epoch=4)
-        rec = propose_and_vote(ev.DAG_SUBMISSION, com, chain=2)
-        assert rec.proposer == "m0"
-        assert rec.epoch == 4 and rec.chain == 2
-        assert rec.approvals == 10
+        rec = propose_and_vote(ev.DAG_SUBMISSION, "m0", 4)
+        assert rec == EventRecord(kind=ev.DAG_SUBMISSION, epoch=4,
+                                  proposer="m0")
 
     def test_single_member_committee(self):
-        com = committee_of(["solo"])
-        rec = propose_and_vote(ev.LEDGER_APPEND, com, chain=0)
-        assert rec.proposer == "solo" and rec.approvals == 1
+        pool = EventPools(chain=0, approvals=1)
+        pool.publish(propose_and_vote(ev.LEDGER_APPEND, "solo", -1))
+        data = json.loads(pool.audit_lines()[0])
+        assert data["proposer"] == "solo" and data["approve"] == 1
 
     def test_unknown_kind_rejected(self):
-        com = committee_of(["a"])
         with pytest.raises(EventError):
-            propose_and_vote("nonsense", com, chain=0)
+            propose_and_vote("nonsense", "a", 0)
 
 
 # ---------------------------------------------------------------------------
 # Event pools
 # ---------------------------------------------------------------------------
 
-def make_record(kind, epoch, chain=0):
-    return EventRecord(kind=kind, chain=chain, epoch=epoch, proposer="m0",
-                       approvals=2)
+def make_record(kind, epoch):
+    return EventRecord(kind=kind, epoch=epoch, proposer="m0")
+
+
+def make_pool(chain=0):
+    return EventPools(chain=chain, approvals=2)
 
 
 class TestEventPools:
     def test_full_epoch_drains_all_seven(self):
-        pool = EventPools(chain=0)
+        pool = make_pool()
         for kind in EVENT_KINDS:
             pool.publish(make_record(kind, epoch=3))
         assert pool.open_kinds == {3: set(EVENT_KINDS)}
@@ -182,7 +170,7 @@ class TestEventPools:
         assert [r.kind for r in pool.audit] == list(EVENT_KINDS)
 
     def test_stalled_epoch_drains_only_active(self):
-        pool = EventPools(chain=0)
+        pool = make_pool()
         for kind in EVENT_KINDS[:3]:
             pool.publish(make_record(kind, epoch=0))
         pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
@@ -192,52 +180,45 @@ class TestEventPools:
         assert pool.drained == {0}
 
     def test_double_drain_is_a_sequencing_error(self):
-        pool = EventPools(chain=0)
+        pool = make_pool()
         pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
         pool.drain(1)
         with pytest.raises(EventError, match="twice"):
             pool.drain(1)
 
     def test_second_active_event_same_kind_and_epoch_rejected(self):
-        pool = EventPools(chain=0)
+        pool = make_pool()
         pool.publish(make_record(ev.DAG_SUBMISSION, epoch=2))
         with pytest.raises(EventError, match="second active"):
             pool.publish(make_record(ev.DAG_SUBMISSION, epoch=2))
 
     def test_publish_after_drain_rejected(self):
-        pool = EventPools(chain=0)
+        pool = make_pool()
         pool.drain(5)
         with pytest.raises(EventError, match="drained"):
             pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=5))
 
     def test_same_kind_different_epochs_coexist(self):
-        pool = EventPools(chain=0)
+        pool = make_pool()
         pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
         pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=2))
         assert pool.open_kinds == {1: {ev.PROPOSAL_FORMED},
                                    2: {ev.PROPOSAL_FORMED}}
 
-    def test_wrong_chain_rejected(self):
-        pool = EventPools(chain=0)
-        with pytest.raises(EventError, match="chain"):
-            pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=0, chain=1))
-
     def test_rejected_publish_leaves_the_pool_unchanged(self):
-        pool = EventPools(chain=0)
+        pool = make_pool()
         pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
         with pytest.raises(EventError, match="second active"):
             pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
         pool.drain(1)
         with pytest.raises(EventError, match="drained"):
             pool.publish(make_record(ev.PROPOSAL_RESULTS, epoch=1))
-        with pytest.raises(EventError, match="chain"):
-            pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=2, chain=1))
         assert len(pool.audit_lines()) == 1
         assert (pool.open_kinds, pool.drained) == ({}, {1})
 
     def test_audit_lines_are_json_with_tally(self):
-        pool = EventPools(chain=4)
-        pool.publish(make_record(ev.TIP_RESULTS, epoch=9, chain=4))
+        pool = make_pool(chain=4)
+        pool.publish(make_record(ev.TIP_RESULTS, epoch=9))
         line = pool.audit_lines()[0]
         data = json.loads(line)
         assert data == {"chain": 4, "epoch": 9, "kind": ev.TIP_RESULTS,
@@ -247,17 +228,20 @@ class TestEventPools:
     def test_audit_lines_equal_sorted_json_dumps(self):
         proposers = ["m0", 'quo"te', "back\\slash", "né中\U0001f600",
                      "tab\tnew\nline"]
-        pool = EventPools(chain=3)
-        for epoch, (kind, proposer) in enumerate(zip(EVENT_KINDS, proposers)):
-            pool.publish(EventRecord(kind=kind, chain=3, epoch=epoch - 2,
-                                     proposer=proposer, approvals=epoch + 1))
-        expected = [json.dumps({
-            "chain": rec.chain, "epoch": rec.epoch, "kind": rec.kind,
-            "proposer": rec.proposer, "approve": rec.approvals, "reject": 0,
-            "attempts": 1, "outcome": ACTIVE}, sort_keys=True)
-            for rec in pool.audit]
-        assert pool.audit_lines() == expected
-        assert [json.loads(line)["proposer"] for line in expected] == proposers
+        for approvals in (1, 3, 12):
+            pool = EventPools(chain=3, approvals=approvals)
+            for epoch, (kind, proposer) in enumerate(zip(EVENT_KINDS,
+                                                         proposers)):
+                pool.publish(EventRecord(kind=kind, epoch=epoch - 2,
+                                         proposer=proposer))
+            expected = [json.dumps({
+                "chain": 3, "epoch": rec.epoch, "kind": rec.kind,
+                "proposer": rec.proposer, "approve": approvals, "reject": 0,
+                "attempts": 1, "outcome": ACTIVE}, sort_keys=True)
+                for rec in pool.audit]
+            assert pool.audit_lines() == expected
+            assert [json.loads(line)["proposer"]
+                    for line in expected] == proposers
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +252,10 @@ class TestCandidates:
     def test_keyed_draws_equal_vrf_output(self):
         cands = Candidates(["a", "b", "c"])
         for epoch in (0, 1, 99, -4):
-            sel = select_committee(cands, "seed", epoch, 3)
             scores = {nid: vrf_output(nid, "seed", epoch)
                       for nid in cands.node_ids}
-            assert sel.members == tuple(sorted(
-                scores, key=lambda nid: (-scores[nid], nid)))
+            assert select_committee(cands, "seed", epoch, 3) == max(
+                scores, key=scores.__getitem__)
 
     def test_one_call_draws_every_key_as_single_draws(self):
         states = [hashlib.sha256(vrf_key(f"n{i}", "seed")) for i in range(20)]

@@ -76,7 +76,7 @@ def active_row_count(tm, m):
 class TestMakeInvalidBlock:
     def test_fraction_one_every_active_row_overspends(self):
         balances = np.full(20, 50, dtype=np.int64)
-        tm = make_invalid_block(dest=1, epoch=0, balances=balances,
+        tm = make_invalid_block(dest=1, balances=balances,
                                 invalid_tx_fraction=1.0, rng=rng(2),
                                 source=0, active_rows=8)
         assert active_row_count(tm, 20) == 8
@@ -84,7 +84,7 @@ class TestMakeInvalidBlock:
 
     def test_fraction_half_floors_to_five_of_ten(self):
         balances = np.full(30, 50, dtype=np.int64)
-        tm = make_invalid_block(dest=2, epoch=1, balances=balances,
+        tm = make_invalid_block(dest=2, balances=balances,
                                 invalid_tx_fraction=0.5, rng=rng(5),
                                 source=0, active_rows=10)
         assert active_row_count(tm, 30) == 10
@@ -92,7 +92,7 @@ class TestMakeInvalidBlock:
 
     def test_fraction_zero_spends_within_balance_everywhere(self):
         balances = np.full(10, 50, dtype=np.int64)
-        tm = make_invalid_block(dest=1, epoch=0, balances=balances,
+        tm = make_invalid_block(dest=1, balances=balances,
                                 invalid_tx_fraction=0.0, rng=rng(0),
                                 source=0, active_rows=6)
         assert overspending_rows(tm, balances) == set()
@@ -100,7 +100,7 @@ class TestMakeInvalidBlock:
     def test_rows_limited_to_funded_accounts(self):
         balances = np.zeros(10, dtype=np.int64)
         balances[[2, 5]] = 7
-        tm = make_invalid_block(dest=1, epoch=0, balances=balances,
+        tm = make_invalid_block(dest=1, balances=balances,
                                 invalid_tx_fraction=1.0, rng=rng(0),
                                 source=0, active_rows=5)
         spent = dense(tm, 10).sum(axis=1)
@@ -108,7 +108,7 @@ class TestMakeInvalidBlock:
 
     def test_same_chain_target_rejected(self):
         with pytest.raises(RoleError):
-            make_invalid_block(dest=0, epoch=0,
+            make_invalid_block(dest=0,
                                balances=np.ones(4, dtype=np.int64),
                                invalid_tx_fraction=0.5, rng=rng(), source=0,
                                active_rows=2)
@@ -117,7 +117,7 @@ class TestMakeInvalidBlock:
 class TestMakeValidBlock:
     def test_every_row_within_budget(self):
         balances = np.arange(1, 21, dtype=np.int64)
-        tm = make_valid_block(dest=1, epoch=0, balances=balances, rng=rng(4),
+        tm = make_valid_block(dest=1, balances=balances, rng=rng(4),
                               source=0, active_rows=12)
         spent = dense(tm, 20).sum(axis=1)
         assert np.all(spent <= balances)
@@ -125,22 +125,22 @@ class TestMakeValidBlock:
 
     def test_deterministic_under_same_rng_seed(self):
         balances = np.full(15, 9, dtype=np.int64)
-        a = make_valid_block(1, 0, balances, rng(9), source=0, active_rows=5)
-        b = make_valid_block(1, 0, balances, rng(9), source=0, active_rows=5)
+        a = make_valid_block(1, balances, rng(9), source=0, active_rows=5)
+        b = make_valid_block(1, balances, rng(9), source=0, active_rows=5)
         assert np.array_equal(dense(a, 15), dense(b, 15))
 
     def test_same_draw_as_an_invalid_block_with_fraction_zero(self):
         balances = np.array([0, 3, 50, 7, 0, 12, 1, 40, 9, 2], dtype=np.int64)
-        a = make_valid_block(1, 4, balances, rng(11), source=0,
+        a = make_valid_block(1, balances, rng(11), source=0,
                              active_rows=6, amount_max=10)
-        b = make_invalid_block(1, 4, balances, invalid_tx_fraction=0.0,
+        b = make_invalid_block(1, balances, invalid_tx_fraction=0.0,
                                rng=rng(11), source=0, active_rows=6)
         for field in ("senders", "receivers", "amounts"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert len(a.senders) == 6
 
 
-def per_row_draw(dest, epoch, balances, invalid_tx_fraction, rng, source,
+def per_row_draw(dest, balances, invalid_tx_fraction, rng, source,
                  active_rows, amount_max):
     """The block draw as one scalar `rng.integers` call per value, row by
     row: the oracle for the single array-bounds call of `_draw_block`."""
@@ -159,7 +159,7 @@ def per_row_draw(dest, epoch, balances, invalid_tx_fraction, rng, source,
             amounts.append(bal + 1_000_000_000 + int(rng.integers(0, 100)))
         else:
             amounts.append(max(1, min(bal, int(rng.integers(1, amount_max + 1)))))
-    return Transfers(source=source, dest=dest, epoch=epoch, senders=chosen,
+    return Transfers(source=source, dest=dest, senders=chosen,
                      receivers=receivers, amounts=amounts)
 
 
@@ -174,9 +174,9 @@ class TestDrawBlockOracle:
             balances = setup.integers(0, 60, size=accounts)
             balances[setup.random(accounts) < 0.2] = 0      # some unfunded
             a, b = rng(seed), rng(seed)
-            got = _draw_block(1, 3, balances, fraction, a, 0, rows,
+            got = _draw_block(1, balances, fraction, a, 0, rows,
                               amount_max)
-            want = per_row_draw(1, 3, balances, fraction, b, 0, rows,
+            want = per_row_draw(1, balances, fraction, b, 0, rows,
                                 amount_max)
             for field in ("senders", "receivers", "amounts"):
                 assert np.array_equal(getattr(got, field),
@@ -184,7 +184,7 @@ class TestDrawBlockOracle:
             assert a.integers(0, 2**62) == b.integers(0, 2**62)
 
     def test_arrays_are_read_only_int64(self):
-        tm = make_valid_block(1, 0, np.full(9, 5), rng(1), source=0,
+        tm = make_valid_block(1, np.full(9, 5), rng(1), source=0,
                               active_rows=4)
         for arr in (tm.senders, tm.receivers, tm.amounts):
             assert arr.dtype == np.int64 and not arr.flags.writeable
@@ -194,12 +194,12 @@ class TestOverspendOverflow:
     def test_overspend_past_int64_raises_a_named_error(self):
         balances = np.array([INT64_MAX - 1_000_000_000, 5], dtype=np.int64)
         with pytest.raises(LedgerOverflowError):
-            make_invalid_block(1, 0, balances, invalid_tx_fraction=1.0,
+            make_invalid_block(1, balances, invalid_tx_fraction=1.0,
                                rng=rng(0), source=0, active_rows=2)
 
     def test_overspend_that_reaches_int64_max_exactly_is_drawn(self):
         top = INT64_MAX - 1_000_000_000 - 99
-        tm = make_invalid_block(1, 0, np.array([top]), invalid_tx_fraction=1.0,
+        tm = make_invalid_block(1, np.array([top]), invalid_tx_fraction=1.0,
                                 rng=rng(0), source=0, active_rows=1)
         assert top + 1_000_000_000 <= int(tm.amounts[0]) <= INT64_MAX
 
