@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
+
+from .doublespend import injection_window
+from .roles import stream_slots
 
 
 class ConfigError(Exception):
@@ -127,7 +131,10 @@ def _check(cfg: ScenarioConfig) -> None:
         for name in names:
             if not ok(getattr(cfg, name)):
                 raise ConfigError(f"{name} must be {bound}")
-    if cfg.double_spend.pairs < 0 or cfg.double_spend.regular < 0:
+    if not math.isfinite(cfg.issuance_rate * cfg.duration_min):
+        raise ConfigError("issuance_rate times duration_min must be finite")
+    ds = cfg.double_spend
+    if ds.pairs < 0 or ds.regular < 0:
         raise ConfigError("double_spend counts must be non-negative")
     if cfg.spam_fraction > 0:
         # every spam block must overspend and never confirm: its first
@@ -143,6 +150,15 @@ def _check(cfg: ScenarioConfig) -> None:
         if Fraction(str(cfg.confirm_threshold)) <= Fraction(1, cfg.chains):
             raise ConfigError("confirm_threshold must exceed one chain's "
                               "stake share 1/chains with spam")
+    # carriers ride on honest slots, the stream `schedule_issuance` draws at
+    # the honest share of the rate
+    honest = stream_slots(cfg.issuance_rate * (1.0 - cfg.spam_fraction),
+                          cfg.duration_min)
+    need, room = 2 * ds.pairs + ds.regular, len(injection_window(honest))
+    if need > room:
+        raise ConfigError(f"double_spend needs {need} carrier slots but only "
+                          f"{room} of the {honest} honest slots fall in the "
+                          "injection window")
 
 
 def config_from_mapping(data: Mapping[str, Any]) -> ScenarioConfig:

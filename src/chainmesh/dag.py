@@ -90,7 +90,6 @@ class DagBlock:
     payload: Transfers | None
     attach_time: float
     status: str = TIP
-    confirm_time: float | None = None
     chains: int = 0
     depth: int = 0
 
@@ -110,11 +109,11 @@ class DagLedger:
         self._threshold = int(self.eta * self._denom)
         genesis = DagBlock(id=GENESIS_ID, proposer=None, epoch=0, parents=(),
                            payload=None, attach_time=0.0,
-                           status=CONFIRMED, confirm_time=0.0,
-                           chains=0, depth=0)
+                           status=CONFIRMED, chains=0, depth=0)
         # in attach order, which the snapshot follows
         self.blocks: dict[str, DagBlock] = {GENESIS_ID: genesis}
         self.tips: set[str] = set()
+        self._excluded: set[str] = set()    # never offered as a tip again
         self._grown: set[str] = set()   # mask grew since the last pass
         self._deepest = GENESIS_ID      # deepest confirmed block, ties to low id
 
@@ -175,7 +174,9 @@ class DagLedger:
     def update_confirmations(self, now: float = 0.0) -> set[str]:
         """Flip every pending block whose aggregated weight meets the threshold.
 
-        Only blocks whose mask grew since the last call can newly confirm."""
+        Only blocks whose mask grew since the last call can newly confirm.
+        `now` is unread: the engine records finality. Criterion 3 passes it.
+        """
         newly: set[str] = set()
         deepest = self.blocks[self._deepest]
         for bid in self._grown:
@@ -183,7 +184,6 @@ class DagLedger:
             if block.status != CONFIRMED and \
                     self._stake(block.chains) >= self._threshold:
                 block.status = CONFIRMED
-                block.confirm_time = now
                 self.tips.discard(bid)
                 newly.add(bid)
                 if (-block.depth, bid) < (-deepest.depth, deepest.id):
@@ -198,15 +198,18 @@ class DagLedger:
         """Fallback attachment target: deepest confirmed block, ties to low id."""
         return self._deepest
 
-    def select_tips(self, k: int, rng: random.Random,
-                    skip: Iterable[str]) -> list[str]:
-        """Uniform sample of min(k, #tips) tips outside `skip`.
+    def exclude(self, block_id: str) -> None:
+        """Never offer `block_id` as a tip again, e.g. once sighted invalid."""
+        self._excluded.add(block_id)
+
+    def select_tips(self, k: int, rng: random.Random) -> list[str]:
+        """Uniform sample of min(k, #tips) tips not excluded.
 
         Falls back to the deepest confirmed block when no such tip exists.
         """
         if k < 1:
             raise DagError("parent count must be at least 1")
-        pool = sorted(self.tips.difference(skip))
+        pool = sorted(self.tips.difference(self._excluded))
         if not pool:
             return [self.deepest_confirmed()]
         take = min(k, len(pool))

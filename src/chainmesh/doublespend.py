@@ -2,16 +2,18 @@
 
 A conflicting pair is two blocks carrying the same transaction id. The
 earlier-attached block passes; the later one is a conflict candidate. The
-first honest chain whose tip batch sights a candidate labels it, excluding it
-from every later parent set. The sighting chain then carries the observation
-on each of its follow-up proposals until one of them confirms, which is when
-the detection becomes final ledger knowledge.
+first honest chain whose tip batch sights a candidate labels it, and the DAG
+never offers it as a tip again, so no block approves it. The sighting chain
+then claims the observation on each of its proposals until one of them
+confirms, which is when the detection becomes final ledger knowledge.
+Carriers are drawn from the honest slots of `injection_window`, which config
+validation reads too, so every accepted plan fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +35,12 @@ class InjectionPlan:
 INJECTION_WINDOW = (0.1, 0.5)
 
 
+def injection_window(honest_slots: int) -> range:
+    """Indices of the honest slots that carriers are drawn from."""
+    lo = int(INJECTION_WINDOW[0] * honest_slots)
+    return range(lo, max(lo, int(INJECTION_WINDOW[1] * honest_slots)))
+
+
 def plan_injections(slot_chains: Sequence[int], pairs: int, regular: int,
                     rng: np.random.Generator) -> InjectionPlan:
     """Choose carrier slots for conflicting pairs and regular tagged blocks.
@@ -42,11 +50,8 @@ def plan_injections(slot_chains: Sequence[int], pairs: int, regular: int,
     detections can complete before it ends; the two slots of a pair land on
     different chains whenever possible.
     """
-    total = len(slot_chains)
     need = 2 * pairs + regular
-    lo = int(INJECTION_WINDOW[0] * total)
-    hi = max(lo, int(INJECTION_WINDOW[1] * total))
-    eligible = list(range(lo, hi))
+    eligible = injection_window(len(slot_chains))
     if need > len(eligible):
         raise InjectionError(f"{need} carrier slots needed but only "
                              f"{len(eligible)} fall in the injection window")
@@ -80,66 +85,47 @@ class ConflictTracker:
 
     first_carrier: dict[str, str] = field(default_factory=dict)
     candidates: dict[str, str] = field(default_factory=dict)   # block -> txn
-    second_attach: dict[str, tuple[str, float]] = field(default_factory=dict)
-    labeled: dict[str, float] = field(default_factory=dict)    # block -> time
-    _labeler_claims: dict[str, list[str]] = field(default_factory=dict)
-    detections: dict[str, tuple[float, str]] = field(default_factory=dict)
+    second_attach: dict[str, float] = field(default_factory=dict)
+    labeled: set[str] = field(default_factory=set)
+    _claims: dict[str, list[str]] = field(default_factory=dict)
+    detections: dict[str, float] = field(default_factory=dict)  # txn -> time
 
-    def register_attach(self, block_id: str, txn_ids: Sequence[str],
-                        time_s: float) -> None:
-        """Record a block's transaction ids; repeats become candidates."""
-        for tid in txn_ids:
-            owner = self.first_carrier.get(tid)
-            if owner is None:
-                self.first_carrier[tid] = block_id
-            elif owner != block_id:
-                self.candidates[block_id] = tid
-                self.second_attach.setdefault(tid, (block_id, time_s))
+    def register_attach(self, block_id: str, txn: str, time_s: float) -> None:
+        """Record a block's transaction id; a repeat makes it a candidate."""
+        if txn in self.first_carrier:
+            self.candidates[block_id] = txn
+            self.second_attach.setdefault(txn, time_s)
+        else:
+            self.first_carrier[txn] = block_id
 
-    def inspect_tip(self, block_id: str, time_s: float) -> bool:
+    def inspect_tip(self, block_id: str) -> bool:
         """Label a sighted conflict candidate; True if the tip is conflicting."""
-        if block_id in self.labeled:
-            return True
         if block_id in self.candidates:
-            self.labeled[block_id] = time_s
+            self.labeled.add(block_id)
             return True
         return False
 
-    def is_labeled(self, block_id: str) -> bool:
-        return block_id in self.labeled
-
-    def attribute(self, claimer_block: str, labeled_blocks: Sequence[str]
-                  ) -> None:
-        """Tie sighted, still-undetected conflicts to a chain's proposal.
-
-        A chain may claim the same observation on successive proposals; the
-        first claimer to confirm finalises the detection.
-        """
-        txns = [self.candidates[b] for b in labeled_blocks
-                if b in self.candidates
-                and self.candidates[b] not in self.detections]
-        if txns:
-            self._labeler_claims.setdefault(claimer_block, []).extend(txns)
-
-    def unresolved(self, labeled_blocks: Sequence[str]) -> tuple[str, ...]:
-        """Subset of labeled candidate blocks whose conflict is undetected."""
-        return tuple(b for b in labeled_blocks
-                     if self.candidates.get(b) not in self.detections)
+    def claim(self, claimer_block: str, watched: Iterable[str]) -> set[str]:
+        """Tie a chain's sighted, still-undetected conflicts to its proposal,
+        and return them; the first claimer to confirm finalises them."""
+        pending = {b for b in watched
+                   if self.candidates[b] not in self.detections}
+        if pending:
+            self._claims[claimer_block] = [self.candidates[b]
+                                           for b in sorted(pending)]
+        return pending
 
     def on_confirm(self, block_id: str, time_s: float) -> None:
         """A claiming proposal confirmed: its observations are now final."""
-        for tid in self._labeler_claims.pop(block_id, ()):
-            self.detections.setdefault(tid, (time_s, block_id))
+        for tid in self._claims.pop(block_id, ()):
+            self.detections.setdefault(tid, time_s)
 
     def score(self, pair_ids: Sequence[str], regular_ids: Sequence[str]
               ) -> dict[str, float]:
         pairs = len(pair_ids)
         detected = [tid for tid in pair_ids if tid in self.detections]
-        delays = []
-        for tid in detected:
-            confirm_time, _ = self.detections[tid]
-            _, attach_time = self.second_attach[tid]
-            delays.append(confirm_time - attach_time)
+        delays = [self.detections[t] - self.second_attach[t]
+                  for t in detected]
         regular_blocks = [self.first_carrier[tid] for tid in regular_ids
                           if tid in self.first_carrier]
         false_alarms = sum(1 for b in regular_blocks if b in self.labeled)

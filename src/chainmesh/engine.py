@@ -4,12 +4,13 @@ Each chain runs a staged epoch pipeline driven by issuance slots: form a
 transfer proposal, shard it across the worker fleet (coded or plain
 partitions), validate, pick and check foreign tips, attach to the shared DAG,
 and update confirmations; a committee drawn as the epoch opens signs off on
-each stage event. Confirmed blocks are ingested into the exact cross-chain
-balance states at fixed ledger windows, where the super-block artifact is
-assembled. Only honest chains propose valid blocks: that cross-checks every
-tip verdict, confirmation and ingestion. All randomness flows from
-purpose-keyed streams of the scenario seed, so a rerun reproduces every
-artifact byte for byte.
+each stage event. A chain runs one epoch at a time, held on its runtime. A
+tip sighted invalid or conflicting is excluded in the DAG for good.
+Confirmed blocks are ingested into the exact cross-chain balance states at
+fixed ledger windows, where the super-block artifact is assembled. Only
+honest chains propose valid blocks: that cross-checks every tip verdict,
+confirmation and ingestion. All randomness flows from purpose-keyed streams
+of the scenario seed, so a rerun reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ class _ChainRuntime:
     candidates: Candidates
     committee_seed: str
     slots: deque = field(default_factory=deque)   # (time_s, txn_id | None)
-    epoch: int = 0
-    busy: bool = False
-    next_wake: float = -1.0
     first_block: str | None = None
     confirmed_count: int = 0
     intra_done: int = 0
@@ -70,9 +68,11 @@ class _ChainRuntime:
     # labeled conflict candidates this chain has sighted but whose detection
     # has not yet been finalised by any confirmed proposal
     watch: set = field(default_factory=set)
-    # set when an epoch opens; a chain runs one epoch at a time (`busy`)
+    # the epoch in flight, set when it opens: a chain runs one at a time
+    epoch: int = 0
     proposer: str | None = None     # the epoch's committee proposer
     txn: str | None = None          # the epoch's slot transaction id
+    payload: Transfers | None = None    # the epoch's proposal
 
 
 @dataclass
@@ -103,7 +103,6 @@ class Simulation:
         self.dag = DagLedger(ChainWeights.equal(cfg.chains),
                              eta=cfg.confirm_threshold)
         self.tracker: ConflictTracker | None = None
-        self._orphaned: set[str] = set()    # tips sighted invalid/conflicting
         self._to_ingest: list[str] = []
         self.superblocks: list[dict[int, str]] = []
         self._setup_chains()
@@ -192,32 +191,27 @@ class Simulation:
     def _vote_s(self) -> float:
         return 2.0 * self.cfg.link_latency_ms / 1000.0
 
-    def _shard_stage_s(self, rt: _ChainRuntime, factor: int
-                       ) -> tuple[float, bool]:
-        """Worker round duration for `factor` matrix-sized jobs, and success.
+    def _shard_stage_s(self, rt: _ChainRuntime, factor: int) -> float:
+        """Worker round duration for `factor` matrix-sized jobs.
 
         The round lasts as long as the largest job: no term of it decreases
-        as the rows grow. Coded fleets wait for every data position; their silent
-        nodes sit at frozen positions, so the designed reception always
-        decodes. A coded fleet without a layout has nothing to decode: one
-        re-poll, then the stage times out. Plain fleets fall back to central
-        recomputation of the silent partitions after the task timeout.
+        as the rows grow. Coded fleets wait for every data position; their
+        silent nodes sit at frozen positions, so the designed reception
+        always decodes. Plain fleets fall back to central recomputation of
+        the silent partitions after the task timeout.
         """
         cfg = self.cfg
-        timeout = cfg.task_timeout_ms / 1000.0
         if factor <= 0:
-            return 0.0, True
-        if rt.worker_rows is None:
-            return 2.0 * timeout, False          # nothing can be recovered
+            return 0.0
         rows = factor * rt.worker_rows
         nominal = (self._transfer_s(8.0 * 3 * rows * cfg.accounts)
                    + rows * cfg.worker_ms_per_row / 1000.0
                    + self._transfer_s(8.0 * 2 * rows * cfg.accounts))
         if rt.missing_rows:
-            fallback = (timeout + factor * rt.missing_rows
-                        * cfg.fallback_ms_per_row / 1000.0)
-            return max(nominal, fallback), True
-        return nominal, True
+            fallback = (cfg.task_timeout_ms / 1000.0 + factor
+                        * rt.missing_rows * cfg.fallback_ms_per_row / 1000.0)
+            return max(nominal, fallback)
+        return nominal
 
     # -- committee helpers -------------------------------------------------
 
@@ -229,89 +223,82 @@ class Simulation:
         rt.pool.publish(propose_and_vote(kind, rt.proposer, rt.epoch))
 
     # -- chain pipeline ----------------------------------------------------
+    # Each stage reads the epoch in flight from `rt`. `_try_start` runs on an
+    # idle chain with no start pending: at set-up, at its slot, at epoch end.
 
-    def _wake(self, now: float, chain: int) -> None:
-        self._try_start(self.chains[chain], now)
-
-    def _try_start(self, rt: _ChainRuntime, now: float) -> None:
-        if rt.busy or not rt.slots:
+    def _try_start(self, now: float, rt: _ChainRuntime) -> None:
+        if not rt.slots:
             return
         slot_time, txn = rt.slots[0]
         if slot_time > now:
-            if rt.next_wake != slot_time:
-                rt.next_wake = slot_time
-                self._push(slot_time, self._wake, rt.chain)
+            self._push(slot_time, self._try_start, rt)
             return
         rt.slots.popleft()
-        rt.busy = True
-        self._epoch_begin(rt, max(now, slot_time), txn)
+        self._epoch_begin(now, rt, txn)
 
-    def _epoch_begin(self, rt: _ChainRuntime, t0: float,
+    def _epoch_begin(self, t0: float, rt: _ChainRuntime,
                      txn: str | None) -> None:
         rt.epoch += 1
-        e = rt.epoch
-        rt.proposer = self._proposer(rt, e)
+        rt.proposer = self._proposer(rt, rt.epoch)
         rt.txn = txn
         if not rt.honest:
-            payload = self._adversarial_payload(rt, e)
+            rt.payload = self._adversarial_payload(rt)
             self._publish(rt, ev.PROPOSAL_FORMED)
-            self._push(t0 + 3.0 * self._vote_s, self._attach_adversarial,
-                       rt.chain, e, payload)
+            self._push(t0 + 3.0 * self._vote_s, self._attach_adversarial, rt)
             return
-        payload = self._honest_payload(rt, e)
+        rt.payload = self._honest_payload(rt)
         self._publish(rt, ev.PROPOSAL_FORMED)
-        stage_s, ok = self._shard_stage_s(rt, factor=1)
-        if not ok:
-            self._push(t0 + self._vote_s + stage_s, self._finish_skipped,
-                       rt.chain, e)
+        if rt.worker_rows is None:
+            # a coded fleet without a layout has nothing to decode: one
+            # re-poll, then the stage times out
+            timeout = self.cfg.task_timeout_ms / 1000.0
+            self._push(t0 + self._vote_s + 2.0 * timeout,
+                       self._finish_skipped, rt)
             return
-        t2 = t0 + self._vote_s + stage_s + self._vote_s
-        self._push(t2, self._stage_tips, rt.chain, e, payload)
+        t2 = t0 + self._vote_s + self._shard_stage_s(rt, 1) + self._vote_s
+        self._push(t2, self._stage_tips, rt)
 
-    def _honest_payload(self, rt: _ChainRuntime, epoch: int) -> Transfers:
+    def _honest_payload(self, rt: _ChainRuntime) -> Transfers:
         cfg = self.cfg
         others = [c for c in range(cfg.chains) if c != rt.chain]
-        dest = others[(epoch - 1) % len(others)]
+        dest = others[(rt.epoch - 1) % len(others)]
         rng = np.random.default_rng(derive_seed(cfg.seed, "payload",
-                                                rt.chain, epoch))
+                                                rt.chain, rt.epoch))
         return make_valid_block(dest=dest, balances=net_balances(rt.state),
                                 rng=rng, source=rt.chain,
                                 active_rows=cfg.active_rows,
                                 amount_max=cfg.amount_max)
 
-    def _adversarial_payload(self, rt: _ChainRuntime,
-                             epoch: int) -> Transfers:
+    def _adversarial_payload(self, rt: _ChainRuntime) -> Transfers:
         cfg = self.cfg
         honest = cfg.honest_chains()
-        dest = honest[(epoch - 1) % len(honest)]
+        dest = honest[(rt.epoch - 1) % len(honest)]
         rng = np.random.default_rng(derive_seed(cfg.seed, "spam",
-                                                rt.chain, epoch))
+                                                rt.chain, rt.epoch))
         return make_invalid_block(dest=dest, balances=net_balances(rt.state),
                                   invalid_tx_fraction=cfg.invalid_tx_fraction,
                                   rng=rng, source=rt.chain,
                                   active_rows=cfg.active_rows)
 
-    def _stage_tips(self, now: float, chain: int, epoch: int,
-                    payload: Transfers) -> None:
+    def _stage_tips(self, now: float, rt: _ChainRuntime) -> None:
         """Proposal validated; debit it, then pick and check foreign tips."""
-        rt = self.chains[chain]
         rt.intra_done += 1
         self._publish(rt, ev.PROPOSAL_RESULTS)
         # honest proposals are drawn within the net balance: none is zeroed
-        result = validate_block(payload, rt.state)
+        result = validate_block(rt.payload, rt.state)
         if result.any_zeroed:
             raise SimulationError(
-                f"honest proposal of chain {chain} failed validation")
+                f"honest proposal of chain {rt.chain} failed validation")
         new_outstanding = rt.state.last_proposed + result.proposed[:, None]
         rt.state = update_cumulative(rt.state, FlowAggregates(
-            chain=chain, epoch=rt.state.epoch + 1,
+            chain=rt.chain, epoch=rt.state.epoch + 1,
             inflow=np.zeros_like(rt.state.w_in),
             outflow_confirmed=np.zeros_like(new_outstanding),
             outflow_proposed=new_outstanding))
 
-        rng = random.Random(derive_seed(self.cfg.seed, "tips", chain, epoch))
-        selected = self.dag.select_tips(self.cfg.tip_sample, rng,
-                                        self._orphaned)
+        rng = random.Random(derive_seed(self.cfg.seed, "tips", rt.chain,
+                                        rt.epoch))
+        selected = self.dag.select_tips(self.cfg.tip_sample, rng)
         batch: dict[int, str] = {}      # one tip per source chain
         for bid in selected:
             block = self.dag.blocks[bid]
@@ -327,88 +314,70 @@ class Simulation:
                 if verdict != self.chains[src].honest:
                     raise SimulationError(
                         f"tip verdict for {bid} disagrees with ground truth")
-                conflicting = False
-                if self.tracker is not None:
-                    conflicting = self.tracker.inspect_tip(bid, now)
-                    if conflicting:
-                        rt.watch.add(bid)
+                conflicting = (self.tracker is not None
+                               and self.tracker.inspect_tip(bid))
+                if conflicting:
+                    rt.watch.add(bid)
                 if verdict and not conflicting:
                     parents.append(bid)
                 else:
                     # verdicts are deterministic and shared: a tip sighted
                     # invalid or conflicting is never sampled again, so it
                     # wastes one approval slot in total, not one per epoch
-                    self._orphaned.add(bid)
+                    self.dag.exclude(bid)
         else:
             parents = [selected[0]]         # fallback parent, nothing to check
         self._publish(rt, ev.TIP_BATCH_FORMED)
-        stage_s, ok = self._shard_stage_s(rt, factor=len(batch))
-        if not ok:
-            self._push(now + self._vote_s + stage_s, self._finish_skipped,
-                       chain, epoch)
-            return
-        t_attach = now + self._vote_s + stage_s + 2.0 * self._vote_s
-        self._push(t_attach, self._attach_block, chain, epoch, payload,
-                   tuple(parents))
+        t_attach = (now + self._vote_s + self._shard_stage_s(rt, len(batch))
+                    + 2.0 * self._vote_s)
+        self._push(t_attach, self._attach_block, rt, parents)
 
-    def _attach_block(self, now: float, chain: int, epoch: int,
-                      payload: Transfers, parents: tuple[str, ...]) -> None:
-        rt = self.chains[chain]
+    def _attach_block(self, now: float, rt: _ChainRuntime,
+                      parents: list[str]) -> None:
         self._publish(rt, ev.TIP_RESULTS)
-        keep = [p for p in parents
-                if self.tracker is None or not self.tracker.is_labeled(p)]
-        if not keep:
-            keep = [self.dag.deepest_confirmed()]
-        block_id = self._attach(now, rt, epoch, payload, keep)
-        if self.tracker is not None:
-            # carry every still-unresolved sighting on this proposal too: a
-            # claimer that never confirms must not strand the observation
-            rt.watch = set(self.tracker.unresolved(sorted(rt.watch)))
-            if rt.watch:
-                self.tracker.attribute(block_id, sorted(rt.watch))
-        self._end_epoch(now, rt, epoch, block_id)
+        # every checked tip failed: fall back to the deepest confirmed block
+        # as of attach time
+        self._attach(now, rt, parents or [self.dag.deepest_confirmed()])
 
-    def _attach_adversarial(self, now: float, chain: int, epoch: int,
-                            payload: Transfers) -> None:
-        rt = self.chains[chain]
+    def _attach_adversarial(self, now: float, rt: _ChainRuntime) -> None:
         # stale single parent: the chain's own first block, else genesis --
         # approving an already-covered ancestor removes nothing from the pool
         parent = rt.first_block if rt.first_block is not None else GENESIS_ID
-        block_id = self._attach(now, rt, epoch, payload, [parent])
-        self._end_epoch(now, rt, epoch, block_id)
+        self._attach(now, rt, [parent])
 
-    def _finish_skipped(self, now: float, chain: int, epoch: int) -> None:
+    def _finish_skipped(self, now: float, rt: _ChainRuntime) -> None:
         """Stage timed out: the epoch produced no block; the chain moves on."""
-        rt = self.chains[chain]
         rt.skipped += 1
-        self._end_epoch(now, rt, epoch, None)
+        self._end_epoch(now, rt)
 
-    def _attach(self, now: float, rt: _ChainRuntime, epoch: int,
-                payload: Transfers, parents: list[str]) -> str:
-        block_id = f"c{rt.chain:02d}e{epoch:05d}"
-        self.dag.attach(block_id, proposer=rt.chain, epoch=epoch,
-                        parents=parents, payload=payload, time=now)
+    def _attach(self, now: float, rt: _ChainRuntime,
+                parents: list[str]) -> None:
+        """Attach, publish and confirm the epoch's block; end the epoch."""
+        block_id = f"c{rt.chain:02d}e{rt.epoch:05d}"
+        self.dag.attach(block_id, proposer=rt.chain, epoch=rt.epoch,
+                        parents=parents, payload=rt.payload, time=now)
         if rt.first_block is None:
             rt.first_block = block_id
-        if self.tracker is not None and rt.txn:
-            self.tracker.register_attach(block_id, (rt.txn,), now)
-        return block_id
+        if self.tracker is not None:
+            if rt.txn:
+                self.tracker.register_attach(block_id, rt.txn, now)
+            # carry every still-unresolved sighting on this proposal too: a
+            # claimer that never confirms must not strand the observation
+            rt.watch = self.tracker.claim(block_id, rt.watch)
+        self._publish(rt, ev.DAG_SUBMISSION)
+        self._confirmations(now)
+        self._publish(rt, ev.WEIGHT_UPDATE)
+        self._end_epoch(now, rt)
 
-    def _end_epoch(self, now: float, rt: _ChainRuntime, epoch: int,
-                   block_id: str | None) -> None:
-        """Publish and confirm the epoch's block, if any, then free the chain."""
-        if block_id is not None:
-            self._publish(rt, ev.DAG_SUBMISSION)
-            self._confirmations(now)
-            self._publish(rt, ev.WEIGHT_UPDATE)
-        rt.pool.drain(epoch)
-        rt.busy = False
-        self._try_start(rt, now)
+    def _end_epoch(self, now: float, rt: _ChainRuntime) -> None:
+        """Close the epoch and free the chain for its next slot."""
+        rt.pool.drain(rt.epoch)
+        self._try_start(now, rt)
 
     # -- confirmation and ingestion ----------------------------------------
 
     def _confirmations(self, now: float) -> None:
-        newly = self.dag.update_confirmations(now=now)
+        newly = self.dag.update_confirmations()
         for bid in sorted(newly):
             block = self.dag.blocks[bid]
             if not self.chains[block.proposer].honest:
@@ -429,11 +398,8 @@ class Simulation:
                       for c in range(self.cfg.chains)}
             confirmed = {c: np.zeros((m, 1), dtype=np.int64)
                          for c in range(self.cfg.chains)}
-            for bid in ids:
-                block = self.dag.blocks[bid]
-                if not self.chains[block.proposer].honest:
-                    raise SimulationError(f"ingesting dishonest block {bid}")
-                t = block.payload
+            for bid in ids:     # confirmed, so honest (`_confirmations`)
+                t = self.dag.blocks[bid].payload
                 np.add.at(inflow[t.dest], (0, t.receivers), t.amounts)
                 np.add.at(confirmed[t.source], (t.senders, 0), t.amounts)
             for c, rt in self.chains.items():
@@ -466,7 +432,7 @@ class Simulation:
         return {c: rt.state for c, rt in self.chains.items()}
 
     def conservation_holds(self) -> bool:
-        """Exact identity: genesis supply = net balances + outstanding spend."""
+        """Exact identity in Python ints: supply = nets + outstanding spend."""
         total = 0
         outstanding = 0
         supply = 0
@@ -474,17 +440,15 @@ class Simulation:
             nets = net_balances(rt.state)
             if rt.honest and (nets < 0).any():
                 return False
-            total += int(nets.sum())
-            outstanding += int(rt.state.last_proposed.sum())
-            supply += int(rt.state.genesis.sum())
+            total += sum(nets.tolist())
+            outstanding += sum(rt.state.last_proposed.ravel().tolist())
+            supply += sum(rt.state.genesis.tolist())
         return total + outstanding == supply
 
     def run(self) -> RunResult:
         cfg = self.cfg
         for rt in self.chains.values():
-            if rt.slots:
-                rt.next_wake = rt.slots[0][0]
-                self._push(rt.slots[0][0], self._wake, rt.chain)
+            self._try_start(0.0, rt)
         self._push(cfg.ledger_interval_s, self._window, 0)
         self._push(cfg.tip_pool_sample_s, self._sample)
         self._drain_queue()

@@ -118,6 +118,11 @@ class IssuanceSlot:
     honest: bool
 
 
+def stream_slots(rate_per_min: float, duration_min: float) -> int:
+    """Slot count of one issuance stream, rounding halves to even."""
+    return int(round(duration_min * rate_per_min))
+
+
 def schedule_issuance(rate_per_min: float, spam_fraction: float,
                       honest_chains: Sequence[int],
                       adversarial_chains: Sequence[int],
@@ -144,8 +149,7 @@ def schedule_issuance(rate_per_min: float, spam_fraction: float,
         if rate <= 0 or not chains:
             return
         period = 60.0 / rate
-        count = int(round(duration_min * rate))
-        for i in range(1, count + 1):
+        for i in range(1, stream_slots(rate, duration_min) + 1):
             chain = chains[(i - 1) % len(chains)]
             slots.append(IssuanceSlot(time_s=i * period, chain=chain,
                                       honest=honest))

@@ -1,14 +1,19 @@
 """Scenario configuration loading, defaults, and validation."""
 
 import json
+import random
 
+import numpy as np
 import pytest
 
 from chainmesh.config import (ConfigError, ScenarioConfig,
                               config_from_mapping, config_to_mapping,
                               load_config, replace, save_config)
 from chainmesh.cli import EXIT_VALIDATION, main
+from chainmesh.balances import LedgerOverflowError
+from chainmesh.doublespend import InjectionError, plan_injections
 from chainmesh.engine import Simulation
+from chainmesh.roles import schedule_issuance
 
 
 class TestDefaults:
@@ -149,8 +154,10 @@ class TestValidation:
         # a chain's own stake of 1/2 confirms its own spam blocks
         ("confirm_threshold", {"chains": 2, "confirm_threshold": 0.5}),
         ("confirm_threshold", {"chains": 4, "confirm_threshold": 0.25}),
+        # an infinite slot count raised a bare OverflowError at set-up
+        ("issuance_rate", {"issuance_rate": 1e200, "duration_min": 1e200}),
     ], ids=["one-chain", "one-account", "unfunded", "threshold-half",
-            "threshold-quarter"])
+            "threshold-quarter", "infinite-slots"])
     def test_a_config_the_run_would_reject_fails_validation(
             self, tmp_path, field, changes):
         data = {"spam_fraction": 0.3, "duration_min": 0.5, **changes}
@@ -190,6 +197,42 @@ class TestValidation:
         with pytest.raises(ConfigError, match="double_spend"):
             replace(ScenarioConfig(), double_spend=5)
 
+    def test_double_spend_beyond_the_injection_window_fails_validation(
+            self, tmp_path):
+        # the default 2-min run has 120 honest slots, 48 in the window
+        for pairs, code in ((25, EXIT_VALIDATION), (24, 0)):
+            data = {"double_spend": {"pairs": pairs}}
+            path = tmp_path / f"p{pairs}.json"
+            path.write_text(json.dumps(data))
+            assert main(["validate", str(path)]) == code
+        with pytest.raises(ConfigError, match="double_spend"):
+            config_from_mapping({"double_spend": {"pairs": 25}})
+
+    @pytest.mark.parametrize("rate,spam,duration", [
+        (60.0, 0.0, 2.0), (37.0, 0.35, 0.7), (240.0, 0.55, 0.25),
+        (7.0, 0.5, 1.0), (1.0, 0.0, 0.1)])
+    def test_validation_admits_exactly_the_carriers_the_window_holds(
+            self, rate, spam, duration):
+        base = ScenarioConfig(issuance_rate=rate, spam_fraction=spam,
+                              duration_min=duration)
+
+        def valid(regular):
+            try:
+                replace(base, double_spend={"regular": regular})
+            except ConfigError as exc:
+                assert "double_spend" in str(exc)
+                return False
+            return True
+
+        room = next(n for n in range(1000) if not valid(n + 1))
+        honest = [s.chain for s in schedule_issuance(
+            rate, spam, base.honest_chains(), base.adversarial_chains(),
+            duration) if s.honest]
+        if room:
+            plan_injections(honest, 0, room, np.random.default_rng(0))
+        with pytest.raises(InjectionError):
+            plan_injections(honest, 0, room + 1, np.random.default_rng(0))
+
     def test_int_accepted_where_a_float_is_annotated(self):
         cfg = config_from_mapping({"duration_min": 3, "issuance_rate": 60})
         assert (cfg.duration_min, cfg.issuance_rate) == (3, 60)
@@ -223,3 +266,62 @@ class TestDerivedViews:
                        tip_sample=2).orphanage_critical_spam() == 0.5
         assert replace(ScenarioConfig(),
                        tip_sample=4).orphanage_critical_spam() == 0.75
+
+
+# -- every config that validates runs ----------------------------------------
+
+#: values at and near each field's bounds; durations are drawn separately
+FUZZ_VALUES = {
+    "chains": (2, 3, 4, 10),
+    "fleet_size": (1, 2, 3, 10, 21, 40),
+    "accounts": (1, 2, 3, 10, 100),
+    "tip_sample": (1, 2, 5),
+    "straggler_fraction": (0.0, 0.05, 0.5, 0.95, 1.0),
+    "confirm_threshold": (0.01, 0.34, 0.5, 0.5000001, 0.67, 1.0),
+    "spam_fraction": (0.0, 0.0, 0.01, 0.5, 0.99, 1.0),
+    "adversary_fraction": (0.0, 0.1, 0.5, 1.0),
+    "invalid_tx_fraction": (0.0, 0.1, 0.5, 1.0),
+    "coding": (True, False),
+    "issuance_rate": (1.0, 7.0, 60.0, 240.0),
+    "genesis_balance": (0, 1, 2, 1000, 2**62),
+    "active_rows": (0, 1, 2, 10),
+    "amount_max": (1, 2, 10, 2**40),
+    "link_latency_ms": (0.001, 100.0),
+    "bandwidth_mbps": (0.01, 20.0),
+    "task_timeout_ms": (0.001, 500.0),
+    "worker_ms_per_row": (0.001, 2.0),
+    "fallback_ms_per_row": (0.001, 40.0),
+    "ledger_interval_s": (0.5, 5.0),
+    "tip_pool_sample_s": (0.25, 1.0),
+    "seed": (0, 1, 2**40),
+}
+
+
+def test_every_config_that_validates_runs_with_conservation():
+    """Seeded fuzz: a config is rejected by name, overflows by name, or runs.
+
+    Double-spend counts reach past the injection window of short runs."""
+    rng = random.Random(20240611)
+    outcomes = dict.fromkeys(("rejected", "double_spend", "overflow", "ran"),
+                             0)
+    for _ in range(100):
+        data = {name: rng.choice(values)
+                for name, values in FUZZ_VALUES.items()}
+        data["duration_min"] = round(rng.uniform(0.1, 0.25), 3)
+        data["double_spend"] = {"pairs": rng.choice((0,) * 6 + (1, 3)),
+                                "regular": rng.choice((0,) * 6 + (2, 20))}
+        try:
+            cfg = config_from_mapping(data)
+        except ConfigError as exc:
+            outcomes["rejected"] += 1
+            outcomes["double_spend"] += str(exc).startswith("double_spend")
+            continue
+        try:
+            result = Simulation(cfg).run()
+        except LedgerOverflowError:
+            outcomes["overflow"] += 1
+            continue
+        assert result.report.conservation_ok, data
+        outcomes["ran"] += 1
+    # the fuzz reaches the window rule, and a third of the configs run
+    assert outcomes["double_spend"] and outcomes["ran"] >= 30, outcomes

@@ -157,7 +157,6 @@ def test_block_approved_by_both_other_chains_confirms():
     newly = led.update_confirmations(now=3.0)
     assert newly == {"a"}
     assert led.blocks["a"].status == dag.CONFIRMED
-    assert led.blocks["a"].confirm_time == 3.0
     assert led.update_confirmations(now=4.0) == set()
 
 
@@ -168,9 +167,8 @@ def test_confirmed_is_absorbing():
     led.attach("c", 2, 2, ["a"], time=2.0)
     led.update_confirmations(now=3.0)
     led.attach("d", 0, 3, ["b"], time=4.0)
-    led.update_confirmations(now=5.0)
+    assert "a" not in led.update_confirmations(now=5.0)
     assert led.blocks["a"].status == dag.CONFIRMED
-    assert led.blocks["a"].confirm_time == 3.0
 
 
 def test_six_chain_two_stage_confirmation_fixture():
@@ -207,7 +205,7 @@ def check_against_rescan(rng, stakes, blocks, cadence):
     eta = Fraction(67, 100)
     led = dag.DagLedger(dag.ChainWeights.from_values(stakes), eta)
     ids = [dag.GENESIS_ID]
-    confirmed = {dag.GENESIS_ID: 0.0}
+    confirmed = {dag.GENESIS_ID}
     for i in range(blocks):
         parents = rng.sample(ids, min(len(ids), rng.randint(1, 3)))
         bid = f"b{i}"
@@ -219,18 +217,16 @@ def check_against_rescan(rng, stakes, blocks, cadence):
         want = {b for b in ids if b not in confirmed
                 and brute_force_weight(led, b) >= eta}
         assert led.update_confirmations(now=now) == want
-        confirmed.update(dict.fromkeys(want, now))
+        confirmed.update(want)
         assert led.deepest_confirmed() == min(
             confirmed, key=lambda b: (-led.blocks[b].depth, b))
         approved = {p for b in ids for p in led.blocks[b].parents}
         for b in ids:
-            block = led.blocks[b]
             if b in confirmed:
-                assert (block.status, block.confirm_time) == \
-                    (dag.CONFIRMED, confirmed[b])
+                status = dag.CONFIRMED
             else:
                 status = dag.UNCONFIRMED if b in approved else dag.TIP
-                assert (block.status, block.confirm_time) == (status, None)
+            assert led.blocks[b].status == status
 
 
 def test_incremental_confirmation_matches_full_rescan():
@@ -247,7 +243,6 @@ def test_whale_chain_confirms_its_block_at_attach():
                         Fraction(67, 100))
     led.attach("w", 0, 1, [dag.GENESIS_ID], time=1.0)
     assert led.update_confirmations(now=1.0) == {"w"}
-    assert led.blocks["w"].confirm_time == 1.0
     led.attach("s", 1, 1, ["w"], time=2.0)
     assert led.update_confirmations(now=2.0) == set()
     check_against_rescan(random.Random(5), [70, 10, 10, 10], 50, cadence=0.5)
@@ -278,12 +273,12 @@ def test_tip_set_equals_zero_approver_blocks():
 def test_single_tip_selected_even_for_larger_k():
     led = equal_ledger(3)
     led.attach("a", 0, 1, [dag.GENESIS_ID], time=1.0)
-    assert led.select_tips(2, random.Random(0), skip=set()) == ["a"]
+    assert led.select_tips(2, random.Random(0)) == ["a"]
 
 
 def test_empty_tip_set_falls_back_to_deepest_confirmed():
     led = equal_ledger(3)
-    assert led.select_tips(2, random.Random(0), skip=set()) == [dag.GENESIS_ID]
+    assert led.select_tips(2, random.Random(0)) == [dag.GENESIS_ID]
     led.attach("a", 0, 1, [dag.GENESIS_ID], time=1.0)
     led.attach("b", 1, 2, ["a"], time=2.0)
     led.attach("c", 2, 2, ["a"], time=2.0)
@@ -299,7 +294,7 @@ def test_honest_selection_uniform_over_pairs():
     counts = {pair: 0 for pair in combinations(sorted(led.tips), 2)}
     trials = 10_000
     for _ in range(trials):
-        pick = tuple(led.select_tips(2, rng, skip=set()))
+        pick = tuple(led.select_tips(2, rng))
         counts[pick] += 1
     p = 1 / 45
     sigma = math.sqrt(trials * p * (1 - p))
@@ -311,22 +306,26 @@ def test_honest_selection_deterministic_for_fixed_seed():
     led = equal_ledger(4)
     for i in range(10):
         led.attach(f"t{i}", i % 4, 1, [dag.GENESIS_ID], time=1.0)
-    assert (led.select_tips(2, random.Random(7), skip=set())
-            == led.select_tips(2, random.Random(7), skip=set()))
+    assert (led.select_tips(2, random.Random(7))
+            == led.select_tips(2, random.Random(7)))
 
 
 def test_skipped_tips_are_never_selected():
     led = equal_ledger(4)
     for i in range(6):
         led.attach(f"t{i}", i % 4, 1, [dag.GENESIS_ID], time=1.0)
-    skip = {"t0", "t3"}
+    for bid in ("t0", "t3"):
+        led.exclude(bid)
+    assert led.tips == {f"t{i}" for i in range(6)}     # still tips
     rng = random.Random(5)
     for _ in range(200):
-        assert not skip & set(led.select_tips(2, rng, skip=skip))
+        assert not {"t0", "t3"} & set(led.select_tips(2, rng))
     # the sample is drawn from the sorted remaining pool, one call per epoch
     expected = sorted(random.Random(9).sample(["t1", "t2", "t4", "t5"], 2))
-    assert led.select_tips(2, random.Random(9), skip=skip) == expected
-    assert led.select_tips(2, rng, skip=set(led.tips)) == [dag.GENESIS_ID]
+    assert led.select_tips(2, random.Random(9)) == expected
+    for bid in ("t1", "t2", "t4", "t5"):
+        led.exclude(bid)
+    assert led.select_tips(2, rng) == [dag.GENESIS_ID]
 
 
 # ---------------------------------------------------------------------------

@@ -72,88 +72,79 @@ def test_plan_deterministic_for_seed():
 
 def test_second_carrier_becomes_candidate():
     tr = ConflictTracker()
-    tr.register_attach("A1", ["pair-0"], 10.0)
-    tr.register_attach("B1", ["pair-0"], 11.5)
+    tr.register_attach("A1", "pair-0", 10.0)
+    tr.register_attach("B1", "pair-0", 11.5)
     assert tr.first_carrier["pair-0"] == "A1"
     assert tr.candidates == {"B1": "pair-0"}
-    assert tr.second_attach["pair-0"] == ("B1", 11.5)
-
-
-def test_reregistering_same_block_is_not_a_conflict():
-    tr = ConflictTracker()
-    tr.register_attach("A1", ["pair-0"], 10.0)
-    tr.register_attach("A1", ["pair-0"], 10.0)
-    assert tr.candidates == {}
+    assert tr.second_attach["pair-0"] == 11.5
 
 
 def test_inspection_labels_candidates_only():
     tr = ConflictTracker()
-    tr.register_attach("A1", ["pair-0"], 1.0)
-    tr.register_attach("B1", ["pair-0"], 2.0)
-    assert tr.inspect_tip("A1", 3.0) is False        # earlier carrier passes
-    assert tr.inspect_tip("B1", 3.0) is True
-    assert tr.inspect_tip("B1", 9.0) is True         # stays labeled
-    assert tr.labeled["B1"] == 3.0                   # first sighting time kept
-    assert tr.is_labeled("B1") and not tr.is_labeled("A1")
+    tr.register_attach("A1", "pair-0", 1.0)
+    tr.register_attach("B1", "pair-0", 2.0)
+    assert tr.inspect_tip("A1") is False             # earlier carrier passes
+    assert tr.inspect_tip("B1") is True
+    assert tr.labeled == {"B1"}
 
 
 def test_detection_completes_when_claimer_confirms():
     tr = ConflictTracker()
-    tr.register_attach("A1", ["pair-0"], 1.0)
-    tr.register_attach("B1", ["pair-0"], 4.0)
-    tr.inspect_tip("B1", 5.0)
-    tr.attribute("C9", ["B1"])
+    tr.register_attach("A1", "pair-0", 1.0)
+    tr.register_attach("B1", "pair-0", 4.0)
+    tr.inspect_tip("B1")
+    assert tr.claim("C9", {"B1"}) == {"B1"}
     assert "pair-0" not in tr.detections
     tr.on_confirm("C9", 12.5)
-    assert tr.detections["pair-0"] == (12.5, "C9")
+    assert tr.detections["pair-0"] == 12.5
 
 
 def test_claims_ride_until_one_claimer_confirms():
     tr = ConflictTracker()
-    tr.register_attach("A1", ["p"], 1.0)
-    tr.register_attach("B1", ["p"], 2.0)
-    tr.inspect_tip("B1", 3.0)
-    tr.attribute("L1", ["B1"])                 # L1 never confirms
-    assert tr.unresolved(["B1"]) == ("B1",)
-    tr.attribute("L2", ["B1"])                 # next proposal re-claims
+    tr.register_attach("A1", "p", 1.0)
+    tr.register_attach("B1", "p", 2.0)
+    tr.inspect_tip("B1")
+    watch = tr.claim("L1", {"B1"})             # L1 never confirms
+    assert watch == {"B1"}
+    watch = tr.claim("L2", watch)              # next proposal re-claims
     tr.on_confirm("L2", 9.0)
-    assert tr.detections["p"] == (9.0, "L2")
-    assert tr.unresolved(["B1"]) == ()
+    assert tr.detections["p"] == 9.0
+    assert tr.claim("L3", watch) == set()      # resolved: nothing to carry
     tr.on_confirm("L1", 15.0)                  # late confirm cannot override
-    assert tr.detections["p"] == (9.0, "L2")
+    assert tr.detections["p"] == 9.0
 
 
 def test_resolved_conflicts_are_not_reclaimed():
     tr = ConflictTracker()
-    tr.register_attach("A1", ["p"], 1.0)
-    tr.register_attach("B1", ["p"], 2.0)
-    tr.inspect_tip("B1", 3.0)
-    tr.attribute("L1", ["B1"])
+    tr.register_attach("A1", "p", 1.0)
+    tr.register_attach("B1", "p", 2.0)
+    tr.inspect_tip("B1")
+    tr.claim("L1", {"B1"})
     tr.on_confirm("L1", 6.0)
-    tr.attribute("L2", ["B1"])                 # after resolution: no claim
+    assert tr.claim("L2", {"B1"}) == set()     # after resolution: no claim
     tr.on_confirm("L2", 7.0)
-    assert tr.detections["p"] == (6.0, "L1")
-    assert tr._labeler_claims == {}
+    assert tr.detections["p"] == 6.0
+    assert tr._claims == {}
 
 
 def test_confirming_an_unrelated_block_records_nothing():
     tr = ConflictTracker()
-    tr.register_attach("A1", ["p"], 1.0)
+    tr.register_attach("A1", "p", 1.0)
     tr.on_confirm("A1", 5.0)
     assert tr.detections == {}
 
 
 def test_score_full_detection():
     tr = ConflictTracker()
-    tr.register_attach("A1", ["pair-0"], 10.0)
-    tr.register_attach("B1", ["pair-0"], 12.0)
-    tr.register_attach("A2", ["pair-1"], 20.0)
-    tr.register_attach("B2", ["pair-1"], 21.0)
-    tr.register_attach("R1", ["tx-0"], 30.0)
-    tr.inspect_tip("B1", 13.0)
-    tr.inspect_tip("B2", 22.0)
-    tr.attribute("L1", ["B1"])
-    tr.attribute("L2", ["B2"])
+    tr.register_attach("A1", "pair-0", 10.0)
+    tr.register_attach("B1", "pair-0", 12.0)
+    tr.register_attach("A2", "pair-1", 20.0)
+    tr.register_attach("B2", "pair-1", 21.0)
+    tr.register_attach("R1", "tx-0", 30.0)
+    tr.inspect_tip("B1")
+    tr.inspect_tip("B2")
+    tr.claim("L1", {"B1"})
+    tr.claim("L2", {"B2"})
     tr.on_confirm("L1", 18.0)                  # delay 18 - 12 = 6
     tr.on_confirm("L2", 31.0)                  # delay 31 - 21 = 10
     s = tr.score(["pair-0", "pair-1"], ["tx-0"])
@@ -166,12 +157,13 @@ def test_score_full_detection():
 
 def test_score_counts_misses_and_false_alarms():
     tr = ConflictTracker()
-    tr.register_attach("A1", ["pair-0"], 1.0)
-    tr.register_attach("B1", ["pair-0"], 2.0)  # candidate, never sighted
-    # one block carries both a regular txn and a repeat of another pair
-    tr.register_attach("A2", ["pair-1"], 3.0)
-    tr.register_attach("X", ["tx-0", "pair-1"], 4.0)
-    tr.inspect_tip("X", 5.0)                   # labels X, tainting tx-0
+    tr.register_attach("A1", "pair-0", 1.0)
+    tr.register_attach("B1", "pair-0", 2.0)    # candidate, never sighted
+    tr.register_attach("A2", "pair-1", 3.0)
+    tr.register_attach("X", "pair-1", 4.0)
+    tr.inspect_tip("X")                        # labeled, never claimed
+    tr.register_attach("R0", "tx-0", 5.0)
+    tr.labeled.add("R0")                       # a labeled regular carrier
     s = tr.score(["pair-0", "pair-1"], ["tx-0", "tx-1"])
     assert s["p_detect"] == 0.0                # labels alone are not detection
     assert s["false_alarms"] == 1.0

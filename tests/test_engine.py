@@ -280,11 +280,10 @@ def test_coded_shard_stage_lasts_as_long_as_the_slowest_group(fleet,
                            straggler_fraction=0.3))
     for c, rt in sim.chains.items():
         assert rt.missing_rows == 0
-        assert sim._shard_stage_s(rt, 0) == (0.0, True)
+        assert sim._shard_stage_s(rt, 0) == 0.0
         for factor in range(1, 6):
-            stage_s, ok = sim._shard_stage_s(rt, factor)
-            assert ok
-            assert stage_s == slowest_group_stage_s(sim, c, factor)
+            assert (sim._shard_stage_s(rt, factor)
+                    == slowest_group_stage_s(sim, c, factor))
 
 
 def test_plain_shard_rows_follow_the_uneven_split():
@@ -339,6 +338,37 @@ def test_artifact_files_round_trip(tmp_path, base_run):
     rows = (out / "tip_pool.csv").read_text().strip().splitlines()
     assert rows[0] == "time_s,count"
     assert len(rows) - 1 == 60          # one per sample second through the end
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_labeled_candidates_are_never_approved_nor_confirmed(k):
+    from chainmesh.dag import CONFIRMED
+    from chainmesh.presets import build_preset
+    (run,) = build_preset(f"double-spend-k{k}", seeds=(0,))
+    res = run_scenario(run.config, "ds")
+    labeled = set(res.tracker.labeled)
+    assert labeled                       # the check below is not vacuous
+    for bid, block in res.dag.blocks.items():
+        assert not labeled & set(block.parents), bid
+        if bid in labeled:
+            assert block.status != CONFIRMED, bid
+
+
+@pytest.mark.parametrize("changes", [
+    {"spam_fraction": 0.35, "double_spend": {"pairs": 2, "regular": 6}},
+    {"straggler_fraction": 0.3, "coding": False, "issuance_rate": 240.0},
+    {"fleet_size": 21, "straggler_fraction": 0.5},      # every epoch skips
+], ids=["spam-conflicts", "plain-fallback", "no-layout"])
+def test_a_chain_runs_one_epoch_at_a_time(tmp_path, changes):
+    run_scenario(quick(**changes), "serial", tmp_path)
+    last: dict[int, int] = {}
+    for line in (tmp_path / "events.log").read_text().splitlines():
+        rec = json.loads(line)
+        if rec["epoch"] > 0:             # window epochs are negative
+            # an epoch's events are contiguous: the log never returns to it
+            assert rec["epoch"] >= last.get(rec["chain"], 0), rec
+            last[rec["chain"]] = rec["epoch"]
+    assert last
 
 
 def test_double_spend_metrics_in_report():

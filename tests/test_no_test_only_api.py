@@ -7,9 +7,10 @@ counts. The only exceptions are the oracles of acceptance criteria, listed
 in `ORACLES` with the criterion each one serves.
 
 Every field of a dataclass defined under `src/chainmesh/` must be read by
-name somewhere in `src/`: loaded as a name or an attribute, or updated in
-place (`x.f += 1` reads `x.f`). Setting a field, by keyword or by
-assignment, is not a read. Exceptions go in `UNREAD_FIELDS` with a reason.
+name somewhere in `src/`: loaded as an attribute, or updated in place
+(`x.f += 1` reads `x.f`). A bare name, such as a local variable or a
+keyword argument's value, is not a field read, nor is setting a field by
+keyword or by assignment. Exceptions go in `UNREAD_FIELDS` with a reason.
 
 References are matched by bare name, so the checks can miss dead code whose
 name is reused elsewhere; they never flag live code.
@@ -34,7 +35,9 @@ ORACLES = {
 }
 
 #: "Class.field" of a src dataclass that src never reads -> why it stays
-UNREAD_FIELDS: dict[str, str] = {}
+UNREAD_FIELDS = {
+    "GroupSpec.members": "acceptance criterion 1 builds GroupSpec with it",
+}
 
 
 def _public_defs() -> set[str]:
@@ -112,9 +115,7 @@ def _names_read_in_src() -> set[str]:
                 node = node.target
             elif not isinstance(getattr(node, "ctx", None), ast.Load):
                 continue
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
 
