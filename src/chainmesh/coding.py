@@ -7,6 +7,7 @@ blocks sit at the frozen positions F (the designated likely stragglers), and
 an unnormalized Sylvester-Hadamard butterfly mixes the blocks, y = Hx. Every
 worker holds one coded row block; updates are linear, so workers fold
 per-epoch coded deltas into their stored totals without seeing plaintext rows.
+`CodedLedgerImage` holds those stores as one array per group.
 
 Because H^-1 = H/n, x_F = 0 means every valid codeword satisfies
 H[F, :] y = 0. So the outputs y_L at the lost positions L (the complement of
@@ -64,11 +65,9 @@ class StragglerProfile:
 
     @classmethod
     def from_probabilities(cls, probabilities: Sequence[float],
-                           fraction: float | None = None) -> "StragglerProfile":
-        probs = tuple(float(p) for p in probabilities)
-        if fraction is None:
-            fraction = sum(probs) / len(probs)
-        return cls(probabilities=probs, fraction=float(fraction))
+                           fraction: float) -> "StragglerProfile":
+        return cls(probabilities=tuple(float(p) for p in probabilities),
+                   fraction=float(fraction))
 
     def straggler_count(self, size: int | None = None) -> int:
         """The design rate's share of `size` (default: all), .5 rounding up."""
@@ -392,101 +391,54 @@ def decode(received: Mapping[int, np.ndarray], group: GroupSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Epoch encoding and worker-side state
+# Worker-side coded stores
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CodedTask:
-    """Per-epoch coded update for one worker: three r x M blocks."""
-
-    group: int
-    position: int
-    inflow: np.ndarray
-    outflow: np.ndarray
-    delta_proposed: np.ndarray
-
-
-@dataclass(frozen=True)
-class WorkerShardState:
-    """Coded running totals one worker stores for a chain."""
-
-    group: int
-    position: int
-    w_in: np.ndarray
-    w_out: np.ndarray
-
-
-def encode_epoch(inflow: np.ndarray, outflow_confirmed: np.ndarray,
-                 delta_proposed: np.ndarray, plan: GroupPlan
-                 ) -> dict[tuple[int, int], CodedTask]:
-    """Code the three epoch matrices; frozen positions receive nothing."""
-    mats = [np.asarray(m, dtype=np.int64)
-            for m in (inflow, outflow_confirmed, delta_proposed)]
-    rows = mats[0].shape[0]
-    if any(m.shape[0] != rows for m in mats):
-        raise CodingError("epoch matrices must share row count")
-    if rows != plan.total_rows:
-        raise CodingError(f"plan covers {plan.total_rows} rows, matrices have {rows}")
-    tasks: dict[tuple[int, int], CodedTask] = {}
-    for g in plan.groups:
-        sl = slice(g.row_start, g.row_start + g.rows)
-        coded = [hadamard(expand(m[sl], g)) for m in mats]
-        for pos in g.data_positions:
-            tasks[(g.index, pos)] = CodedTask(
-                group=g.index, position=pos,
-                inflow=coded[0][pos], outflow=coded[1][pos],
-                delta_proposed=coded[2][pos])
-    return tasks
-
-
-def worker_update(state: WorkerShardState, task: CodedTask) -> WorkerShardState:
-    """Linear fold of a coded epoch update into stored totals."""
-    if (state.group, state.position) != (task.group, task.position):
-        raise CodingError("task addressed to a different block position")
-    return WorkerShardState(group=state.group, position=state.position,
-                            w_in=state.w_in + task.inflow,
-                            w_out=state.w_out + task.outflow + task.delta_proposed)
-
 
 class CodedLedgerImage:
     """Fleet-side coded mirror of one chain's cumulative in/out matrices.
 
-    Tracks exactly what each non-frozen worker would store; decoding from the
+    `w_in[k][p]` and `w_out[k][p]` are what the worker at block position p of
+    group k stores: coded totals of shape (rows_per_block, cols). Updates are
+    linear, so each store is the running sum of the coded rows sent to it;
+    frozen positions receive nothing and stay zero. Decoding from the
     designated-survivor subset must reproduce the central totals bit for bit.
     """
 
     def __init__(self, plan: GroupPlan, cols: int):
         self.plan = plan
         self.cols = cols
-        self.stores: dict[tuple[int, int], WorkerShardState] = {}
-        for g in plan.groups:
-            shape = (g.rows_per_block, cols)
-            for pos in g.data_positions:
-                self.stores[(g.index, pos)] = WorkerShardState(
-                    group=g.index, position=pos,
-                    w_in=np.zeros(shape, dtype=np.int64),
-                    w_out=np.zeros(shape, dtype=np.int64))
+        self.w_in = [np.zeros((g.size, g.rows_per_block, cols), dtype=np.int64)
+                     for g in plan.groups]
+        self.w_out = [np.zeros_like(w) for w in self.w_in]
 
-    def apply_epoch(self, inflow, outflow_confirmed, delta_proposed,
-                    responders: set[tuple[int, int]] | None = None) -> None:
-        tasks = encode_epoch(inflow, outflow_confirmed, delta_proposed, self.plan)
-        for key, task in tasks.items():
-            if responders is not None and key not in responders:
-                continue
-            self.stores[key] = worker_update(self.stores[key], task)
+    def apply_epoch(self, inflow, outflow_confirmed, delta_proposed) -> None:
+        """Fold one epoch's coded flows into the stores at the data positions.
 
-    def decode_totals(self, received: Iterable[tuple[int, int]] | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Reassemble (w_in, w_out) from worker stores at `received` positions."""
-        keys = set(self.stores if received is None else received)
-        w_in = np.zeros((self.plan.total_rows, self.cols), dtype=np.int64)
-        w_out = np.zeros((self.plan.total_rows, self.cols), dtype=np.int64)
-        for g in self.plan.groups:
-            rec_in = {pos: self.stores[(g.index, pos)].w_in
-                      for gi, pos in keys if gi == g.index}
-            rec_out = {pos: self.stores[(g.index, pos)].w_out
-                       for gi, pos in keys if gi == g.index}
-            sl = slice(g.row_start, g.row_start + g.rows)
-            w_in[sl] = decode(rec_in, g)
-            w_out[sl] = decode(rec_out, g)
-        return w_in, w_out
+        Codes every group before storing any, so an error leaves the image
+        unchanged.
+        """
+        mats = [np.asarray(m, dtype=np.int64)
+                for m in (inflow, outflow_confirmed, delta_proposed)]
+        if any(m.shape != mats[0].shape for m in mats):
+            raise CodingError("epoch matrices must share one shape")
+        if mats[0].shape != (self.plan.total_rows, self.cols):
+            raise CodingError(f"image holds {(self.plan.total_rows, self.cols)}, "
+                              f"matrices have {mats[0].shape}")
+        coded = [[hadamard(expand(m[g.row_start:g.row_start + g.rows], g))
+                  for m in mats] for g in self.plan.groups]
+        for g, (a, b, d), w_in, w_out in zip(self.plan.groups, coded,
+                                              self.w_in, self.w_out):
+            data = list(g.data_positions)
+            w_in[data] += a[data]
+            w_out[data] += b[data] + d[data]
+
+    def decode_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reassemble (w_in, w_out), decoding each group from its data positions."""
+        totals = []
+        for stores in (self.w_in, self.w_out):
+            full = np.zeros((self.plan.total_rows, self.cols), dtype=np.int64)
+            for g, y in zip(self.plan.groups, stores):
+                full[g.row_start:g.row_start + g.rows] = decode(
+                    {p: y[p] for p in g.data_positions}, g)
+            totals.append(full)
+        return totals[0], totals[1]

@@ -203,15 +203,10 @@ class DagLedger:
         self._excluded.add(block_id)
 
     def select_tips(self, k: int, rng: random.Random) -> list[str]:
-        """Uniform sample of min(k, #tips) tips not excluded.
-
-        Falls back to the deepest confirmed block when no such tip exists.
-        """
+        """Uniform sample of min(k, #tips) tips not excluded; [] when none is."""
         if k < 1:
             raise DagError("parent count must be at least 1")
         pool = sorted(self.tips.difference(self._excluded))
-        if not pool:
-            return [self.deepest_confirmed()]
         take = min(k, len(pool))
         return sorted(rng.sample(pool, take)) if take < len(pool) else pool
 

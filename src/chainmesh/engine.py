@@ -31,7 +31,7 @@ from .balances import (CumulativeState, FlowAggregates, Transfers,
                        validate_block, validate_tip_payloads)
 from .coding import CodingError, plan_groups
 from .config import ScenarioConfig
-from .dag import (CONFIRMED, GENESIS_ID, ChainWeights, DagLedger,
+from .dag import (GENESIS_ID, ChainWeights, DagLedger,
                   assemble_confirmed_superblock)
 from .doublespend import ConflictTracker, InjectionPlan, plan_injections
 from .events import Candidates, EventPools, propose_and_vote, select_committee
@@ -301,9 +301,7 @@ class Simulation:
         selected = self.dag.select_tips(self.cfg.tip_sample, rng)
         batch: dict[int, str] = {}      # one tip per source chain
         for bid in selected:
-            block = self.dag.blocks[bid]
-            if block.status != CONFIRMED:
-                batch.setdefault(block.proposer, bid)
+            batch.setdefault(self.dag.blocks[bid].proposer, bid)
         parents: list[str] = []
         if batch:
             verdicts = validate_tip_payloads(
@@ -326,7 +324,8 @@ class Simulation:
                     # wastes one approval slot in total, not one per epoch
                     self.dag.exclude(bid)
         else:
-            parents = [selected[0]]         # fallback parent, nothing to check
+            # no tip to check: fall back to the deepest confirmed block
+            parents = [self.dag.deepest_confirmed()]
         self._publish(rt, ev.TIP_BATCH_FORMED)
         t_attach = (now + self._vote_s + self._shard_stage_s(rt, len(batch))
                     + 2.0 * self._vote_s)

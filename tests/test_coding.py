@@ -554,7 +554,7 @@ def test_eliminations_build_no_fractions(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Epoch encoding, worker updates, linearity
+# Coded worker stores, linearity
 # ---------------------------------------------------------------------------
 
 def small_plan(n=6, rows=12, lam=0.0, probs=None):
@@ -564,44 +564,58 @@ def small_plan(n=6, rows=12, lam=0.0, probs=None):
     return coding.plan_groups(n, rows, profile)
 
 
+def coded_stores(plan, mat):
+    """Per-group stores holding coded `mat`; frozen positions store nothing."""
+    stores = []
+    for g in plan.groups:
+        y = coding.hadamard(coding.expand(mat[g.row_start:g.row_start + g.rows], g))
+        y[list(g.frozen)] = 0
+        stores.append(y)
+    return stores
+
+
 def test_encode_epoch_zero_inputs_give_zero_shards():
     plan = small_plan()
     z = np.zeros((12, 12), dtype=np.int64)
-    tasks = coding.encode_epoch(z, z, z, plan)
-    assert tasks
-    for t in tasks.values():
-        assert not t.inflow.any() and not t.outflow.any() and not t.delta_proposed.any()
+    image = coding.CodedLedgerImage(plan, cols=12)
+    image.apply_epoch(z, z, z)
+    assert len(image.w_in) == len(image.w_out) == len(plan.groups)
+    for w_in, w_out in zip(image.w_in, image.w_out):
+        assert w_in.size and not w_in.any() and not w_out.any()
 
 
 def test_encode_epoch_without_frozen_concatenates_plain_partitions():
     plan = small_plan(n=4, rows=8, lam=0.0)
+    (g,) = plan.groups
+    assert g.data_positions == (0, 1, 2, 3)
     rng = np.random.default_rng(11)
     a = rng.integers(0, 50, size=(8, 8)).astype(np.int64)
     z = np.zeros_like(a)
-    tasks = coding.encode_epoch(a, z, z, plan)
+    image = coding.CodedLedgerImage(plan, cols=8)
+    image.apply_epoch(a, z, z)
     # lam=0: the butterfly still mixes blocks, but decoding from everyone
     # must reproduce the plain row partition exactly
-    (g,) = plan.groups
-    received = {p: tasks[(0, p)].inflow for p in range(4)}
-    assert np.array_equal(coding.decode(received, g), a)
+    assert np.array_equal(image.w_in[0], coding.hadamard(coding.expand(a, g)))
+    assert np.array_equal(image.decode_totals()[0], a)
 
 
 def test_two_group_fleet_round_trips_the_full_matrix():
     plan = small_plan(n=6, rows=12, lam=0.25,
                       probs=[0.9, 0.1, 0.1, 0.2, 0.8, 0.0])
+    assert any(g.frozen for g in plan.groups)
     rng = np.random.default_rng(21)
-    a = rng.integers(0, 30, size=(12, 12)).astype(np.int64)
-    b = rng.integers(0, 30, size=(12, 12)).astype(np.int64)
-    dc = rng.integers(0, 30, size=(12, 12)).astype(np.int64)
-    tasks = coding.encode_epoch(a, b, dc, plan)
-    for mat, field in ((a, "inflow"), (b, "outflow"), (dc, "delta_proposed")):
-        full = np.zeros_like(mat)
-        for g in plan.groups:
-            received = {pos: getattr(tasks[(g.index, pos)], field)
-                        for pos in g.data_positions}
-            sl = slice(g.row_start, g.row_start + g.rows)
-            full[sl] = coding.decode(received, g)
-        assert np.array_equal(full, mat)
+    a, b, dc = (rng.integers(0, 30, size=(12, 12)).astype(np.int64)
+                for _ in range(3))
+    z = np.zeros_like(a)
+    for mat in (a, b, dc):
+        image = coding.CodedLedgerImage(plan, cols=12)
+        image.apply_epoch(mat, z, z)
+        assert np.array_equal(image.decode_totals()[0], mat)
+    image = coding.CodedLedgerImage(plan, cols=12)
+    image.apply_epoch(a, b, dc)
+    dec_in, dec_out = image.decode_totals()
+    assert np.array_equal(dec_in, a)
+    assert np.array_equal(dec_out, b + dc)
 
 
 def test_encode_is_linear():
@@ -609,36 +623,53 @@ def test_encode_is_linear():
     rng = np.random.default_rng(31)
     x = rng.integers(0, 40, size=(8, 8)).astype(np.int64)
     y = rng.integers(0, 40, size=(8, 8)).astype(np.int64)
-    z = np.zeros_like(x)
-    tx = coding.encode_epoch(x, z, z, plan)
-    ty = coding.encode_epoch(y, z, z, plan)
-    txy = coding.encode_epoch(x + y, z, z, plan)
-    for key in txy:
-        assert np.array_equal(txy[key].inflow, tx[key].inflow + ty[key].inflow)
+    for sx, sy, sxy in zip(coded_stores(plan, x), coded_stores(plan, y),
+                           coded_stores(plan, x + y)):
+        assert np.array_equal(sxy, sx + sy)
 
 
 def test_worker_update_zero_incoming_is_identity():
-    state = coding.WorkerShardState(group=0, position=1,
-                                    w_in=np.zeros((2, 4), dtype=np.int64),
-                                    w_out=np.zeros((2, 4), dtype=np.int64))
-    task = coding.CodedTask(group=0, position=1,
-                            inflow=np.zeros((2, 4), dtype=np.int64),
-                            outflow=np.zeros((2, 4), dtype=np.int64),
-                            delta_proposed=np.zeros((2, 4), dtype=np.int64))
-    out = coding.worker_update(state, task)
-    assert not out.w_in.any() and not out.w_out.any()
+    plan = small_plan(n=4, rows=8, lam=0.25, probs=[0.5, 0.1, 0.2, 0.3])
+    rng = np.random.default_rng(41)
+    a, b, c = (rng.integers(0, 40, size=(8, 8)).astype(np.int64)
+               for _ in range(3))
+    image = coding.CodedLedgerImage(plan, cols=8)
+    image.apply_epoch(a, b, c)
+    before = [w.copy() for w in image.w_in + image.w_out]
+    z = np.zeros_like(a)
+    image.apply_epoch(z, z, z)
+    assert all(np.array_equal(w, v)
+               for w, v in zip(image.w_in + image.w_out, before))
 
 
-def test_worker_update_addressing_checked():
-    state = coding.WorkerShardState(group=0, position=1,
-                                    w_in=np.zeros((1, 1), dtype=np.int64),
-                                    w_out=np.zeros((1, 1), dtype=np.int64))
-    task = coding.CodedTask(group=0, position=2,
-                            inflow=np.zeros((1, 1), dtype=np.int64),
-                            outflow=np.zeros((1, 1), dtype=np.int64),
-                            delta_proposed=np.zeros((1, 1), dtype=np.int64))
-    with pytest.raises(coding.CodingError):
-        coding.worker_update(state, task)
+def test_apply_epoch_rejects_mismatched_shapes():
+    plan = small_plan(n=4, rows=8)
+    image = coding.CodedLedgerImage(plan, cols=8)
+    z = np.zeros((8, 8), dtype=np.int64)
+    with pytest.raises(coding.CodingError, match="one shape"):
+        image.apply_epoch(z, z, np.zeros((8, 1), dtype=np.int64))
+    with pytest.raises(coding.CodingError, match="image holds"):
+        image.apply_epoch(*(np.zeros((6, 8), dtype=np.int64),) * 3)
+    # a narrower matrix would broadcast into every store column
+    with pytest.raises(coding.CodingError, match="image holds"):
+        image.apply_epoch(*(np.zeros((8, 1), dtype=np.int64),) * 3)
+    assert not any(w.any() for w in image.w_in + image.w_out)
+
+
+def test_apply_epoch_error_leaves_the_stores_unchanged():
+    plan = small_plan(n=6, rows=12)
+    assert len(plan.groups) == 2
+    image = coding.CodedLedgerImage(plan, cols=2)
+    ok = np.ones((12, 2), dtype=np.int64)
+    image.apply_epoch(ok, ok, ok)
+    before = [w.copy() for w in image.w_in + image.w_out]
+    # only the last group's slice overflows the butterfly
+    big = ok.copy()
+    big[-1, 0] = 2 ** 62
+    with pytest.raises(coding.CodingError, match="overflows"):
+        image.apply_epoch(ok, big, ok)
+    assert all(np.array_equal(w, v)
+               for w, v in zip(image.w_in + image.w_out, before))
 
 
 def test_five_epoch_worker_trace_equals_encoding_the_aggregate():
@@ -661,10 +692,9 @@ def test_five_epoch_worker_trace_equals_encoding_the_aggregate():
         w_in_total += a
         w_out_total += b + dc
         last_prop = c
-        expected_in = coding.encode_epoch(
-            w_in_total, np.zeros_like(a), np.zeros_like(a), plan)
-        for key, store in image.stores.items():
-            assert np.array_equal(store.w_in, expected_in[key].inflow)
+        for got, want in ((image.w_in, coded_stores(plan, w_in_total)),
+                          (image.w_out, coded_stores(plan, w_out_total))):
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
         dec_in, dec_out = image.decode_totals()
         assert np.array_equal(dec_in, w_in_total)
         assert np.array_equal(dec_out, w_out_total)
@@ -676,18 +706,50 @@ def test_coded_image_matches_central_ledger_over_trace():
     plan = small_plan(n=4, rows=m, lam=0.25, probs=[0.8, 0.1, 0.0, 0.3])
     state = bal.new_state(0, [20] * m)
     image = coding.CodedLedgerImage(plan, cols=m)
-    survivors = {(g.index, p) for g in plan.groups
-                 for p in g.data_positions}
     for epoch in range(1, 8):
         def rnd():
             return np.array([[rng.randint(0, 4) for _ in range(m)]
                              for _ in range(m)], dtype=np.int64)
         a, b, c = rnd(), rnd(), rnd()
         dc = c - state.last_proposed
-        image.apply_epoch(a, b, dc, responders=survivors)
+        image.apply_epoch(a, b, dc)
         state = bal.update_cumulative(state, bal.FlowAggregates(
             chain=0, epoch=epoch, inflow=a, outflow_confirmed=b,
             outflow_proposed=c))
-        dec_in, dec_out = image.decode_totals(survivors)
+        dec_in, dec_out = image.decode_totals()
         assert np.array_equal(dec_in, state.w_in)
         assert np.array_equal(dec_out, state.w_out)
+
+
+def test_coded_image_tracks_the_engine_state_at_cols_1():
+    # the engine's summed resolution: w_in is 1xM, w_out and proposals Mx1
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(derive_seed(cfg.seed, "fleet", 0))
+    profile = build_fleet(cfg.fleet_size, cfg.straggler_fraction, rng)
+    plan = coding.plan_groups(cfg.fleet_size, cfg.accounts, profile)
+    assert any(g.frozen for g in plan.groups)
+    m = cfg.accounts
+    spent = np.zeros((m, 1), dtype=np.int64)
+    state = bal.CumulativeState(
+        chain=0, epoch=0, genesis=np.full(m, cfg.genesis_balance, dtype=np.int64),
+        w_in=spent.T, w_out=spent, last_proposed=spent)
+    image = coding.CodedLedgerImage(plan, cols=1)
+    flows = np.random.default_rng(13)
+    shrunk = 0
+    for epoch in range(1, 21):
+        inflow = flows.integers(0, 6, size=(1, m))
+        confirmed = flows.integers(0, 6, size=(m, 1))
+        proposed = flows.integers(0, 6, size=(m, 1))
+        delta = proposed - state.last_proposed
+        shrunk += int((delta < 0).any())
+        image.apply_epoch(inflow.T, confirmed, delta)
+        state = bal.update_cumulative(state, bal.FlowAggregates(
+            chain=0, epoch=epoch, inflow=inflow, outflow_confirmed=confirmed,
+            outflow_proposed=proposed))
+        dec_in, dec_out = image.decode_totals()
+        assert np.array_equal(dec_in, state.w_in.T)
+        assert np.array_equal(dec_out, state.w_out)
+        for g, w_in, w_out in zip(plan.groups, image.w_in, image.w_out):
+            assert not w_in[list(g.frozen)].any()
+            assert not w_out[list(g.frozen)].any()
+    assert shrunk

@@ -277,8 +277,10 @@ def test_single_tip_selected_even_for_larger_k():
 
 
 def test_empty_tip_set_falls_back_to_deepest_confirmed():
+    # select_tips offers only tips; the engine falls back to deepest_confirmed
     led = equal_ledger(3)
-    assert led.select_tips(2, random.Random(0)) == [dag.GENESIS_ID]
+    assert led.select_tips(2, random.Random(0)) == []
+    assert led.deepest_confirmed() == dag.GENESIS_ID
     led.attach("a", 0, 1, [dag.GENESIS_ID], time=1.0)
     led.attach("b", 1, 2, ["a"], time=2.0)
     led.attach("c", 2, 2, ["a"], time=2.0)
@@ -325,7 +327,7 @@ def test_skipped_tips_are_never_selected():
     assert led.select_tips(2, random.Random(9)) == expected
     for bid in ("t1", "t2", "t4", "t5"):
         led.exclude(bid)
-    assert led.select_tips(2, rng) == [dag.GENESIS_ID]
+    assert led.select_tips(2, rng) == []
 
 
 # ---------------------------------------------------------------------------
