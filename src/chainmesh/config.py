@@ -161,23 +161,28 @@ def _check(cfg: ScenarioConfig) -> None:
                           "injection window")
 
 
+def _known(data: Mapping, names: set[str], prefix: str = "") -> Mapping:
+    """`data`, once no key of it falls outside `names`."""
+    unknown = sorted(set(data) - names)
+    if unknown:
+        raise ConfigError(f"unknown configuration field "
+                          f"{prefix + unknown[0]!r}")
+    return data
+
+
+def _plan(ds: Mapping) -> DoubleSpendPlan:
+    return DoubleSpendPlan(**_known(ds, _DS_FIELDS, "double_spend."))
+
+
 def config_from_mapping(data: Mapping[str, Any]) -> ScenarioConfig:
     """Build a validated config; unknown fields are rejected by name."""
     if not isinstance(data, Mapping):
         raise ConfigError("configuration must be a JSON object")
-    unknown = sorted(set(data) - _FIELD_NAMES)
-    if unknown:
-        raise ConfigError(f"unknown configuration field {unknown[0]!r}")
-    kwargs = dict(data)
+    kwargs = dict(_known(data, _FIELD_NAMES))
     if "double_spend" in kwargs:
-        ds = kwargs["double_spend"]
-        if not isinstance(ds, Mapping):
+        if not isinstance(kwargs["double_spend"], Mapping):
             raise ConfigError("double_spend must be an object")
-        bad = sorted(set(ds) - _DS_FIELDS)
-        if bad:
-            raise ConfigError(f"unknown configuration field "
-                              f"'double_spend.{bad[0]}'")
-        kwargs["double_spend"] = DoubleSpendPlan(**ds)
+        kwargs["double_spend"] = _plan(kwargs["double_spend"])
     try:
         return ScenarioConfig(**kwargs)
     except TypeError as exc:
@@ -208,8 +213,8 @@ def save_config(cfg: ScenarioConfig, path: str | Path) -> None:
 
 
 def replace(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
-    """Validated copy-with-changes."""
-    if "double_spend" in changes and isinstance(changes["double_spend"],
-                                                Mapping):
-        changes["double_spend"] = DoubleSpendPlan(**changes["double_spend"])
+    """Validated copy-with-changes; unknown fields are rejected by name."""
+    _known(changes, _FIELD_NAMES)
+    if isinstance(changes.get("double_spend"), Mapping):
+        changes["double_spend"] = _plan(changes["double_spend"])
     return dataclasses.replace(cfg, **changes)

@@ -13,12 +13,16 @@ already present (a chain present on a block is always present on all of that
 block's ancestors). Only blocks whose mask grew since the last pass can newly
 confirm, so only those are checked, in integer stake numerators over one
 common denominator. Reachability walks are reserved for test oracles.
+
+The eligible tips, those not excluded, are kept as a sorted list updated on
+attach, approval, confirmation and exclusion; selection never rescans tips.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -113,7 +117,8 @@ class DagLedger:
         # in attach order, which the snapshot follows
         self.blocks: dict[str, DagBlock] = {GENESIS_ID: genesis}
         self.tips: set[str] = set()
-        self._excluded: set[str] = set()    # never offered as a tip again
+        self._eligible: list[str] = []  # sorted tips not excluded
+        self._stakes_of: dict[int, int] = {}    # chain mask -> stake, memo
         self._grown: set[str] = set()   # mask grew since the last pass
         self._deepest = GENESIS_ID      # deepest confirmed block, ties to low id
 
@@ -138,11 +143,13 @@ class DagLedger:
                          depth=1 + max(self.blocks[p].depth for p in parent_ids))
         self.blocks[block_id] = block
         self.tips.add(block_id)
+        insort(self._eligible, block_id)
         for p in parent_ids:
             parent = self.blocks[p]
             if parent.status == TIP:
                 parent.status = UNCONFIRMED
                 self.tips.discard(p)
+                self.exclude(p)
         self._propagate((block_id,), 1 << proposer)
         return block
 
@@ -160,7 +167,10 @@ class DagLedger:
     # -- weight and confirmation ------------------------------------------
 
     def _stake(self, mask: int) -> int:
-        return sum(s for c, s in enumerate(self._stakes) if mask >> c & 1)
+        if mask not in self._stakes_of:
+            self._stakes_of[mask] = sum(
+                s for c, s in enumerate(self._stakes) if mask >> c & 1)
+        return self._stakes_of[mask]
 
     def aggregated_weight(self, block_id: str) -> Fraction:
         """Stake share backing a block, deduplicated per chain, in (0, 1]."""
@@ -185,6 +195,7 @@ class DagLedger:
                     self._stake(block.chains) >= self._threshold:
                 block.status = CONFIRMED
                 self.tips.discard(bid)
+                self.exclude(bid)
                 newly.add(bid)
                 if (-block.depth, bid) < (-deepest.depth, deepest.id):
                     deepest = block
@@ -200,15 +211,17 @@ class DagLedger:
 
     def exclude(self, block_id: str) -> None:
         """Never offer `block_id` as a tip again, e.g. once sighted invalid."""
-        self._excluded.add(block_id)
+        i = bisect_left(self._eligible, block_id)
+        if self._eligible[i:i + 1] == [block_id]:
+            del self._eligible[i]
 
     def select_tips(self, k: int, rng: random.Random) -> list[str]:
         """Uniform sample of min(k, #tips) tips not excluded; [] when none is."""
         if k < 1:
             raise DagError("parent count must be at least 1")
-        pool = sorted(self.tips.difference(self._excluded))
+        pool = self._eligible
         take = min(k, len(pool))
-        return sorted(rng.sample(pool, take)) if take < len(pool) else pool
+        return sorted(rng.sample(pool, take)) if take < len(pool) else pool[:]
 
     # -- accounting views --------------------------------------------------
 

@@ -46,7 +46,7 @@ class SimulationError(Exception):
 
 def derive_seed(seed: int, *keys) -> int:
     """Stable purpose-keyed sub-seed."""
-    text = "|".join([str(seed)] + [str(k) for k in keys])
+    text = "|".join(map(str, (seed, *keys)))
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
@@ -59,6 +59,7 @@ class _ChainRuntime:
     pool: EventPools
     candidates: Candidates
     committee_seed: str
+    dests: tuple[int, ...]          # destination chains, cycled by epoch
     slots: deque = field(default_factory=deque)   # (time_s, txn_id | None)
     first_block: str | None = None
     confirmed_count: int = 0
@@ -105,6 +106,13 @@ class Simulation:
         self.tracker: ConflictTracker | None = None
         self._to_ingest: list[str] = []
         self.superblocks: list[dict[int, str]] = []
+        self._committee_size = cfg.committee_size()
+        # a proposal debit moves no confirmed flow: read-only zeros, taken
+        # by `FlowAggregates` without a check or a copy
+        self._no_inflow = np.zeros((1, cfg.accounts), dtype=np.int64)
+        self._no_outflow = np.zeros((cfg.accounts, 1), dtype=np.int64)
+        for arr in (self._no_inflow, self._no_outflow):
+            arr.setflags(write=False)
         self._setup_chains()
         self._setup_injection()
 
@@ -113,6 +121,7 @@ class Simulation:
     def _setup_chains(self) -> None:
         cfg = self.cfg
         adversarial = set(cfg.adversarial_chains())
+        honest = cfg.honest_chains()
         self.chains: dict[int, _ChainRuntime] = {}
         for c in range(cfg.chains):
             rng = np.random.default_rng(derive_seed(cfg.seed, "fleet", c))
@@ -137,11 +146,13 @@ class Simulation:
             self.chains[c] = _ChainRuntime(
                 chain=c,
                 honest=c not in adversarial,
+                dests=(tuple(d for d in range(cfg.chains) if d != c)
+                       if c not in adversarial else honest),
                 worker_rows=rows,
                 state=CumulativeState(chain=c, epoch=0, genesis=genesis,
                                       w_in=spent.T, w_out=spent,
                                       last_proposed=spent),
-                pool=EventPools(chain=c, approvals=cfg.committee_size()),
+                pool=EventPools(chain=c, approvals=self._committee_size),
                 candidates=Candidates([f"c{c}n{i}"
                                        for i in range(cfg.fleet_size)]),
                 committee_seed=f"{cfg.seed}|committee|{c}",
@@ -217,7 +228,7 @@ class Simulation:
 
     def _proposer(self, rt: _ChainRuntime, epoch: int) -> str:
         return select_committee(rt.candidates, rt.committee_seed, epoch,
-                                self.cfg.committee_size())
+                                self._committee_size)
 
     def _publish(self, rt: _ChainRuntime, kind: str) -> None:
         rt.pool.publish(propose_and_vote(kind, rt.proposer, rt.epoch))
@@ -260,8 +271,7 @@ class Simulation:
 
     def _honest_payload(self, rt: _ChainRuntime) -> Transfers:
         cfg = self.cfg
-        others = [c for c in range(cfg.chains) if c != rt.chain]
-        dest = others[(rt.epoch - 1) % len(others)]
+        dest = rt.dests[(rt.epoch - 1) % len(rt.dests)]
         rng = np.random.default_rng(derive_seed(cfg.seed, "payload",
                                                 rt.chain, rt.epoch))
         return make_valid_block(dest=dest, balances=net_balances(rt.state),
@@ -271,8 +281,7 @@ class Simulation:
 
     def _adversarial_payload(self, rt: _ChainRuntime) -> Transfers:
         cfg = self.cfg
-        honest = cfg.honest_chains()
-        dest = honest[(rt.epoch - 1) % len(honest)]
+        dest = rt.dests[(rt.epoch - 1) % len(rt.dests)]
         rng = np.random.default_rng(derive_seed(cfg.seed, "spam",
                                                 rt.chain, rt.epoch))
         return make_invalid_block(dest=dest, balances=net_balances(rt.state),
@@ -292,8 +301,7 @@ class Simulation:
         new_outstanding = rt.state.last_proposed + result.proposed[:, None]
         rt.state = update_cumulative(rt.state, FlowAggregates(
             chain=rt.chain, epoch=rt.state.epoch + 1,
-            inflow=np.zeros_like(rt.state.w_in),
-            outflow_confirmed=np.zeros_like(new_outstanding),
+            inflow=self._no_inflow, outflow_confirmed=self._no_outflow,
             outflow_proposed=new_outstanding))
 
         rng = random.Random(derive_seed(self.cfg.seed, "tips", rt.chain,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from json.encoder import encode_basestring_ascii as _json_str
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # Event kinds, in pipeline order: one per stage step of a chain's epoch.
 PROPOSAL_FORMED = "proposal-formed"        # new transfer block assembled
@@ -109,16 +109,15 @@ def select_committee(candidates: Candidates, shared_seed, epoch: int,
         raise EventError(f"committee of {committee_size} from "
                          f"{len(candidates)} candidates")
     draws = vrf_draws(candidates.keys(shared_seed), epoch)
-    # max keeps the first of equal draws, so node-id order breaks ties
-    return candidates.node_ids[max(range(len(draws)), key=draws.__getitem__)]
+    # index finds the first of equal draws, so node-id order breaks ties
+    return candidates.node_ids[draws.index(max(draws))]
 
 
 # ---------------------------------------------------------------------------
 # Proposal voting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One oracle event and its proposer."""
 
     kind: str
@@ -176,7 +175,7 @@ class EventPools:
         """
         outcome = _json_str(ACTIVE)
         return [f'{{"approve": {self.approvals}, "attempts": 1, '
-                f'"chain": {self.chain}, "epoch": {rec.epoch}, '
-                f'"kind": {_json_str(rec.kind)}, "outcome": {outcome}, '
-                f'"proposer": {_json_str(rec.proposer)}, "reject": 0}}'
-                for rec in self.audit]
+                f'"chain": {self.chain}, "epoch": {epoch}, '
+                f'"kind": {_json_str(kind)}, "outcome": {outcome}, '
+                f'"proposer": {_json_str(proposer)}, "reject": 0}}'
+                for kind, epoch, proposer in self.audit]

@@ -57,7 +57,8 @@ def _draw_block(dest: int, balances: np.ndarray, invalid_tx_fraction: float,
     m = len(balances)
     funded = np.flatnonzero(balances > 0)
     rows = min(active_rows, len(funded))
-    senders = np.sort(rng.choice(funded, size=rows, replace=False))
+    senders = rng.choice(funded, size=rows, replace=False)
+    senders.sort()
     n_bad = int(invalid_tx_fraction * rows)             # floor
     # Row by row a receiver in [0, m), then an amount draw: overspending rows
     # (the first n_bad) draw from [0, 100), the others from [1, amount_max].
@@ -69,15 +70,15 @@ def _draw_block(dest: int, balances: np.ndarray, invalid_tx_fraction: float,
     high[n_bad:, 1] = amount_max + 1
     draws = rng.integers(low, high)
     held = balances[senders]
-    bad, extra = held[:n_bad], draws[:n_bad, 1]
-    if (bad > INT64_MAX - OVERSPEND_MARGIN - extra).any():
-        raise LedgerOverflowError(
-            f"overspending row of chain {source} on a balance of "
-            f"{int(bad.max())} exceeds int64")
-    amounts = np.empty(rows, dtype=np.int64)
-    amounts[:n_bad] = bad + OVERSPEND_MARGIN + extra
-    # funded balances and the draws are both at least 1
-    np.minimum(held[n_bad:], draws[n_bad:, 1], out=amounts[n_bad:])
+    # funded balances and honest draws are at least 1; bad rows follow
+    amounts = np.minimum(held, draws[:, 1])
+    if n_bad:
+        bad, extra = held[:n_bad], draws[:n_bad, 1]
+        if (bad > INT64_MAX - OVERSPEND_MARGIN - extra).any():
+            raise LedgerOverflowError(
+                f"overspending row of chain {source} on a balance of "
+                f"{int(bad.max())} exceeds int64")
+        amounts[:n_bad] = bad + OVERSPEND_MARGIN + extra
     receivers = draws[:, 0].copy()
     for arr in (senders, receivers, amounts):
         arr.setflags(write=False)       # non-negative by construction

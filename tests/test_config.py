@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from chainmesh.config import (ConfigError, ScenarioConfig,
+from chainmesh.config import (ConfigError, DoubleSpendPlan, ScenarioConfig,
                               config_from_mapping, config_to_mapping,
                               load_config, replace, save_config)
 from chainmesh.cli import EXIT_VALIDATION, main
@@ -196,6 +196,17 @@ class TestValidation:
     def test_double_spend_must_be_a_plan(self):
         with pytest.raises(ConfigError, match="double_spend"):
             replace(ScenarioConfig(), double_spend=5)
+
+    def test_replace_rejects_an_unknown_field_by_name(self):
+        with pytest.raises(ConfigError, match="'bogus'"):
+            replace(ScenarioConfig(), bogus=1)
+        with pytest.raises(ConfigError, match="'double_spend.bogus'"):
+            replace(ScenarioConfig(), double_spend={"pairs": 1, "bogus": 2})
+        plan = DoubleSpendPlan(pairs=1, regular=2)
+        assert replace(ScenarioConfig(), double_spend=plan).double_spend \
+            == replace(ScenarioConfig(), double_spend={"pairs": 1,
+                                                        "regular": 2}
+                       ).double_spend == plan
 
     def test_double_spend_beyond_the_injection_window_fails_validation(
             self, tmp_path):

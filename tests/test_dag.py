@@ -330,6 +330,53 @@ def test_skipped_tips_are_never_selected():
     assert led.select_tips(2, rng) == []
 
 
+def test_tip_confirming_while_still_a_tip_leaves_the_pool():
+    # at threshold 1/2 of two chains, a block's own stake confirms it
+    led = dag.DagLedger(dag.ChainWeights.equal(2), Fraction(1, 2))
+    led.attach("a", 0, 1, [dag.GENESIS_ID], time=1.0)
+    assert led.select_tips(2, random.Random(0)) == ["a"]
+    assert led.update_confirmations(now=1.0) == {"a"}
+    assert led.tips == set()
+    assert led.select_tips(2, random.Random(0)) == []
+
+
+def test_eligible_pool_matches_a_rescan_through_a_spam_trace():
+    """After every attach, exclusion and confirmation pass of a seeded spam
+    run, the pool `select_tips` draws from is the sorted tips not
+    excluded, with the exclusions tracked here."""
+    from chainmesh.config import ScenarioConfig
+    from chainmesh.engine import Simulation
+
+    sim = Simulation(ScenarioConfig(tip_sample=2, spam_fraction=0.55,
+                                    duration_min=4.0))
+    led = sim.dag
+    excluded: set[str] = set()
+    calls = {"attach": 0, "exclude": 0, "update_confirmations": 0}
+
+    def checked(name):
+        method = getattr(led, name)
+
+        def run(*args, **kwargs):
+            # the engine excludes tips; the DAG's own calls drop non-tips
+            if name == "exclude" and args[0] in led.tips:
+                excluded.add(args[0])
+            calls[name] += 1
+            out = method(*args, **kwargs)
+            # k above the pool size takes the whole pool, drawing nothing
+            pool = led.select_tips(len(led.blocks), random.Random(0))
+            assert pool == sorted(led.tips - excluded), name
+            return out
+        setattr(led, name, run)
+
+    for name in calls:
+        checked(name)
+    result = sim.run()
+    assert result.report.conservation_ok
+    assert calls["attach"] == result.report.attached_blocks > 200
+    assert result.report.confirmed_blocks > 0
+    assert len(excluded) > 50 and calls["update_confirmations"] > 200
+
+
 # ---------------------------------------------------------------------------
 # Super-block assembly
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from chainmesh.balances import INT64_MAX, LedgerOverflowError, Transfers
-from chainmesh.roles import (RoleError, _draw_block, build_fleet,
-                             make_invalid_block, make_valid_block,
-                             schedule_issuance)
+from chainmesh.roles import (OVERSPEND_MARGIN, RoleError, _draw_block,
+                             build_fleet, make_invalid_block,
+                             make_valid_block, schedule_issuance)
 
 
 def rng(seed=0):
@@ -188,6 +188,67 @@ class TestDrawBlockOracle:
                               active_rows=4)
         for arr in (tm.senders, tm.receivers, tm.amounts):
             assert arr.dtype == np.int64 and not arr.flags.writeable
+
+
+def two_pass_draw(dest, balances, invalid_tx_fraction, rng, source,
+                  active_rows, amount_max):
+    """The block draw that fills the overspending and the honest amounts in
+    two separate passes, checking for overflow on every block: the oracle
+    for the single `np.minimum` pass of `_draw_block`."""
+    balances = np.asarray(balances, dtype=np.int64)
+    m = len(balances)
+    funded = np.flatnonzero(balances > 0)
+    rows = min(active_rows, len(funded))
+    senders = np.sort(rng.choice(funded, size=rows, replace=False))
+    n_bad = int(invalid_tx_fraction * rows)
+    low = np.zeros((rows, 2), dtype=np.int64)
+    high = np.full((rows, 2), m, dtype=np.int64)
+    low[n_bad:, 1] = 1
+    high[:n_bad, 1] = 100
+    high[n_bad:, 1] = amount_max + 1
+    draws = rng.integers(low, high)
+    held = balances[senders]
+    bad, extra = held[:n_bad], draws[:n_bad, 1]
+    if (bad > INT64_MAX - OVERSPEND_MARGIN - extra).any():
+        raise LedgerOverflowError("overspending row exceeds int64")
+    amounts = np.empty(rows, dtype=np.int64)
+    amounts[:n_bad] = bad + OVERSPEND_MARGIN + extra
+    np.minimum(held[n_bad:], draws[n_bad:, 1], out=amounts[n_bad:])
+    return Transfers(source=source, dest=dest, senders=senders,
+                     receivers=draws[:, 0].copy(), amounts=amounts)
+
+
+class TestDrawBlockTwoPassOracle:
+    @pytest.mark.parametrize("funded", [3, 10, 40])    # active_rows is 10
+    def test_equals_the_two_pass_draw(self, funded):
+        for seed, fraction in itertools.product(range(100), (0.0, 0.5, 1.0)):
+            setup = np.random.default_rng([seed, funded])
+            balances = np.zeros(50, dtype=np.int64)
+            balances[setup.choice(50, size=funded, replace=False)] = \
+                setup.integers(1, 30, size=funded)
+            a, b = rng(seed), rng(seed)
+            got = _draw_block(1, balances, fraction, a, 0, 10, 10)
+            want = two_pass_draw(1, balances, fraction, b, 0, 10, 10)
+            for field in ("senders", "receivers", "amounts"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field)), (seed, field)
+            assert a.integers(0, 2**62) == b.integers(0, 2**62)
+
+    # one past the largest balance an overspending row can cover
+    NEAR = INT64_MAX - OVERSPEND_MARGIN + 1
+
+    def test_overspend_near_the_int64_limit_still_raises(self):
+        near = np.full(4, self.NEAR, dtype=np.int64)
+        for seed in range(20):
+            with pytest.raises(LedgerOverflowError):
+                _draw_block(1, near, 0.5, rng(seed), 0, 4, 10)
+
+    def test_honest_block_near_the_int64_limit_is_drawn(self):
+        near = np.full(4, self.NEAR, dtype=np.int64)
+        for seed in range(20):
+            tm = make_valid_block(1, near, rng(seed), source=0,
+                                  active_rows=4)
+            assert 1 <= tm.amounts.min() and tm.amounts.max() <= 10
 
 
 class TestOverspendOverflow:
