@@ -4,8 +4,9 @@ Each chain runs a staged epoch pipeline driven by issuance slots: form a
 transfer proposal, shard it across the worker fleet (coded or plain
 partitions), validate, pick and check foreign tips, attach to the shared DAG,
 and update confirmations; a committee drawn as the epoch opens signs off on
-each stage event. A chain runs one epoch at a time, held on its runtime. A
-tip sighted invalid or conflicting is excluded in the DAG for good.
+each stage event. A chain runs one epoch at a time: its epochs are one
+generator, resumed by the event queue at each time it waits for. A tip
+sighted invalid or conflicting is excluded in the DAG for good.
 Confirmed blocks are ingested into the exact cross-chain balance states at
 fixed ledger windows, where the super-block artifact is assembled. Only
 honest chains propose valid blocks: that cross-checks every tip verdict,
@@ -19,9 +20,8 @@ import hashlib
 import heapq
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -60,27 +60,17 @@ class _ChainRuntime:
     candidates: Candidates
     committee_seed: str
     dests: tuple[int, ...]          # destination chains, cycled by epoch
-    slots: deque = field(default_factory=deque)   # (time_s, txn_id | None)
-    first_block: str | None = None
+    slots: list = field(default_factory=list)   # (time_s, txn_id | None)
     confirmed_count: int = 0
     intra_done: int = 0
     skipped: int = 0
     missing_rows: int = 0           # rows of silent workers on a plain fleet
-    # labeled conflict candidates this chain has sighted but whose detection
-    # has not yet been finalised by any confirmed proposal
-    watch: set = field(default_factory=set)
-    # the epoch in flight, set when it opens: a chain runs one at a time
-    epoch: int = 0
-    proposer: str | None = None     # the epoch's committee proposer
-    txn: str | None = None          # the epoch's slot transaction id
-    payload: Transfers | None = None    # the epoch's proposal
 
 
 @dataclass
 class RunResult:
     """Everything a finished run exposes for reporting and inspection."""
 
-    config: ScenarioConfig
     report: MetricsReport
     recorder: SeriesRecorder
     snapshot_lines: list[str]
@@ -186,6 +176,13 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self._queue, (time_s, self._seq, fn, args))
 
+    def _step(self, now: float, epochs: Iterator[float]) -> None:
+        """Resume a chain's epochs at `now`, the time they last yielded, and
+        wake them at the next time they wait for."""
+        wake = next(epochs, None)
+        if wake is not None:
+            self._push(wake, self._step, epochs)
+
     def _drain_queue(self) -> None:
         while self._queue:
             time_s, _, fn, args = heapq.heappop(self._queue)
@@ -230,71 +227,96 @@ class Simulation:
         return select_committee(rt.candidates, rt.committee_seed, epoch,
                                 self._committee_size)
 
-    def _publish(self, rt: _ChainRuntime, kind: str) -> None:
-        rt.pool.publish(propose_and_vote(kind, rt.proposer, rt.epoch))
-
     # -- chain pipeline ----------------------------------------------------
-    # Each stage reads the epoch in flight from `rt`. `_try_start` runs on an
-    # idle chain with no start pending: at set-up, at its slot, at epoch end.
 
-    def _try_start(self, now: float, rt: _ChainRuntime) -> None:
-        if not rt.slots:
-            return
-        slot_time, txn = rt.slots[0]
-        if slot_time > now:
-            self._push(slot_time, self._try_start, rt)
-            return
-        rt.slots.popleft()
-        self._epoch_begin(now, rt, txn)
-
-    def _epoch_begin(self, t0: float, rt: _ChainRuntime,
-                     txn: str | None) -> None:
-        rt.epoch += 1
-        rt.proposer = self._proposer(rt, rt.epoch)
-        rt.txn = txn
-        if not rt.honest:
-            rt.payload = self._adversarial_payload(rt)
-            self._publish(rt, ev.PROPOSAL_FORMED)
-            self._push(t0 + 3.0 * self._vote_s, self._attach_adversarial, rt)
-            return
-        rt.payload = self._honest_payload(rt)
-        self._publish(rt, ev.PROPOSAL_FORMED)
-        if rt.worker_rows is None:
-            # a coded fleet without a layout has nothing to decode: one
-            # re-poll, then the stage times out
-            timeout = self.cfg.task_timeout_ms / 1000.0
-            self._push(t0 + self._vote_s + 2.0 * timeout,
-                       self._finish_skipped, rt)
-            return
-        t2 = t0 + self._vote_s + self._shard_stage_s(rt, 1) + self._vote_s
-        self._push(t2, self._stage_tips, rt)
-
-    def _honest_payload(self, rt: _ChainRuntime) -> Transfers:
+    def _epochs(self, rt: _ChainRuntime) -> Iterator[float]:
+        """The chain's epochs, one at a time and in slot order; yields each
+        time the pipeline waits for, at which `_step` resumes it."""
         cfg = self.cfg
-        dest = rt.dests[(rt.epoch - 1) % len(rt.dests)]
-        rng = np.random.default_rng(derive_seed(cfg.seed, "payload",
-                                                rt.chain, rt.epoch))
-        return make_valid_block(dest=dest, balances=net_balances(rt.state),
-                                rng=rng, source=rt.chain,
-                                active_rows=cfg.active_rows,
-                                amount_max=cfg.amount_max)
+        first_block: str | None = None
+        # labeled conflict candidates this chain has sighted but whose
+        # detection has not yet been finalised by any confirmed proposal
+        watch: set[str] = set()
 
-    def _adversarial_payload(self, rt: _ChainRuntime) -> Transfers:
-        cfg = self.cfg
-        dest = rt.dests[(rt.epoch - 1) % len(rt.dests)]
-        rng = np.random.default_rng(derive_seed(cfg.seed, "spam",
-                                                rt.chain, rt.epoch))
-        return make_invalid_block(dest=dest, balances=net_balances(rt.state),
-                                  invalid_tx_fraction=cfg.invalid_tx_fraction,
-                                  rng=rng, source=rt.chain,
-                                  active_rows=cfg.active_rows)
+        def publish(kind: str) -> None:
+            rt.pool.publish(propose_and_vote(kind, proposer, epoch))
 
-    def _stage_tips(self, now: float, rt: _ChainRuntime) -> None:
-        """Proposal validated; debit it, then pick and check foreign tips."""
-        rt.intra_done += 1
-        self._publish(rt, ev.PROPOSAL_RESULTS)
+        now = 0.0
+        for epoch, (slot_time, txn) in enumerate(rt.slots, 1):
+            if slot_time > now:
+                yield slot_time
+                now = slot_time
+            t0 = now
+            proposer = self._proposer(rt, epoch)
+            dest = rt.dests[(epoch - 1) % len(rt.dests)]
+            rng = np.random.default_rng(derive_seed(
+                cfg.seed, "payload" if rt.honest else "spam", rt.chain, epoch))
+            if rt.honest:
+                payload = make_valid_block(
+                    dest=dest, balances=net_balances(rt.state), rng=rng,
+                    source=rt.chain, active_rows=cfg.active_rows,
+                    amount_max=cfg.amount_max)
+            else:
+                payload = make_invalid_block(
+                    dest=dest, balances=net_balances(rt.state),
+                    invalid_tx_fraction=cfg.invalid_tx_fraction, rng=rng,
+                    source=rt.chain, active_rows=cfg.active_rows)
+            publish(ev.PROPOSAL_FORMED)
+
+            if not rt.honest:
+                now = t0 + 3.0 * self._vote_s
+                yield now
+                # stale single parent: the chain's own first block, else
+                # genesis -- approving an already-covered ancestor removes
+                # nothing from the pool
+                parents = [first_block or GENESIS_ID]
+            elif rt.worker_rows is None:
+                # a coded fleet without a layout has nothing to decode: one
+                # re-poll, then the stage times out and the chain moves on
+                timeout = cfg.task_timeout_ms / 1000.0
+                now = t0 + self._vote_s + 2.0 * timeout
+                yield now
+                rt.skipped += 1
+                rt.pool.drain(epoch)
+                continue
+            else:
+                now = (t0 + self._vote_s + self._shard_stage_s(rt, 1)
+                       + self._vote_s)
+                yield now
+                rt.intra_done += 1
+                publish(ev.PROPOSAL_RESULTS)
+                parents, tips = self._stage_tips(rt, epoch, payload, watch)
+                publish(ev.TIP_BATCH_FORMED)
+                now = (now + self._vote_s + self._shard_stage_s(rt, tips)
+                       + 2.0 * self._vote_s)
+                yield now
+                publish(ev.TIP_RESULTS)
+                # every checked tip failed: fall back to the deepest
+                # confirmed block as of attach time
+                parents = parents or [self.dag.deepest_confirmed()]
+
+            block_id = f"c{rt.chain:02d}e{epoch:05d}"
+            self.dag.attach(block_id, proposer=rt.chain, epoch=epoch,
+                            parents=parents, payload=payload, time=now)
+            first_block = first_block or block_id
+            if self.tracker is not None:
+                if txn:
+                    self.tracker.register_attach(block_id, txn, now)
+                # carry every still-unresolved sighting on this proposal
+                # too: a claimer that never confirms must not strand it
+                watch = self.tracker.claim(block_id, watch)
+            publish(ev.DAG_SUBMISSION)
+            self._confirmations(now)
+            publish(ev.WEIGHT_UPDATE)
+            rt.pool.drain(epoch)
+
+    def _stage_tips(self, rt: _ChainRuntime, epoch: int, payload: Transfers,
+                    watch: set[str]) -> tuple[list[str], int]:
+        """Debit the validated proposal, then pick and check foreign tips:
+        returns the approvable ones and the batch size; conflicting tips
+        join `watch`."""
         # honest proposals are drawn within the net balance: none is zeroed
-        result = validate_block(rt.payload, rt.state)
+        result = validate_block(payload, rt.state)
         if result.any_zeroed:
             raise SimulationError(
                 f"honest proposal of chain {rt.chain} failed validation")
@@ -305,7 +327,7 @@ class Simulation:
             outflow_proposed=new_outstanding))
 
         rng = random.Random(derive_seed(self.cfg.seed, "tips", rt.chain,
-                                        rt.epoch))
+                                        epoch))
         selected = self.dag.select_tips(self.cfg.tip_sample, rng)
         batch: dict[int, str] = {}      # one tip per source chain
         for bid in selected:
@@ -323,7 +345,7 @@ class Simulation:
                 conflicting = (self.tracker is not None
                                and self.tracker.inspect_tip(bid))
                 if conflicting:
-                    rt.watch.add(bid)
+                    watch.add(bid)
                 if verdict and not conflicting:
                     parents.append(bid)
                 else:
@@ -334,52 +356,7 @@ class Simulation:
         else:
             # no tip to check: fall back to the deepest confirmed block
             parents = [self.dag.deepest_confirmed()]
-        self._publish(rt, ev.TIP_BATCH_FORMED)
-        t_attach = (now + self._vote_s + self._shard_stage_s(rt, len(batch))
-                    + 2.0 * self._vote_s)
-        self._push(t_attach, self._attach_block, rt, parents)
-
-    def _attach_block(self, now: float, rt: _ChainRuntime,
-                      parents: list[str]) -> None:
-        self._publish(rt, ev.TIP_RESULTS)
-        # every checked tip failed: fall back to the deepest confirmed block
-        # as of attach time
-        self._attach(now, rt, parents or [self.dag.deepest_confirmed()])
-
-    def _attach_adversarial(self, now: float, rt: _ChainRuntime) -> None:
-        # stale single parent: the chain's own first block, else genesis --
-        # approving an already-covered ancestor removes nothing from the pool
-        parent = rt.first_block if rt.first_block is not None else GENESIS_ID
-        self._attach(now, rt, [parent])
-
-    def _finish_skipped(self, now: float, rt: _ChainRuntime) -> None:
-        """Stage timed out: the epoch produced no block; the chain moves on."""
-        rt.skipped += 1
-        self._end_epoch(now, rt)
-
-    def _attach(self, now: float, rt: _ChainRuntime,
-                parents: list[str]) -> None:
-        """Attach, publish and confirm the epoch's block; end the epoch."""
-        block_id = f"c{rt.chain:02d}e{rt.epoch:05d}"
-        self.dag.attach(block_id, proposer=rt.chain, epoch=rt.epoch,
-                        parents=parents, payload=rt.payload, time=now)
-        if rt.first_block is None:
-            rt.first_block = block_id
-        if self.tracker is not None:
-            if rt.txn:
-                self.tracker.register_attach(block_id, rt.txn, now)
-            # carry every still-unresolved sighting on this proposal too: a
-            # claimer that never confirms must not strand the observation
-            rt.watch = self.tracker.claim(block_id, rt.watch)
-        self._publish(rt, ev.DAG_SUBMISSION)
-        self._confirmations(now)
-        self._publish(rt, ev.WEIGHT_UPDATE)
-        self._end_epoch(now, rt)
-
-    def _end_epoch(self, now: float, rt: _ChainRuntime) -> None:
-        """Close the epoch and free the chain for its next slot."""
-        rt.pool.drain(rt.epoch)
-        self._try_start(now, rt)
+        return parents, len(batch)
 
     # -- confirmation and ingestion ----------------------------------------
 
@@ -455,14 +432,14 @@ class Simulation:
     def run(self) -> RunResult:
         cfg = self.cfg
         for rt in self.chains.values():
-            self._try_start(0.0, rt)
+            self._step(0.0, self._epochs(rt))
         self._push(cfg.ledger_interval_s, self._window, 0)
         self._push(cfg.tip_pool_sample_s, self._sample)
         self._drain_queue()
         if (not self.recorder.tip_pool
                 or self.recorder.tip_pool[-1][0] != round(self._end, 6)):
             self.recorder.sample_tip_pool(self._end, len(self.dag.tips))
-        return RunResult(config=cfg, report=self._report(),
+        return RunResult(report=self._report(),
                          recorder=self.recorder,
                          snapshot_lines=self.dag.snapshot_lines(),
                          event_lines=self._event_lines(),

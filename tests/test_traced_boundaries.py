@@ -1,11 +1,12 @@
-"""Every layer boundary the benchmark tracer wraps is still bound.
+"""Every layer boundary the benchmark tracer wraps is still bound and called.
 
 `perfbench/tracer.py` wraps names bound in `chainmesh.engine` and methods of
 classes bound there. A boundary that a refactor removed or renamed is
 recorded as absent when a traced run installs the wrappers, so its
 per-layer metrics quietly read zero. This test reads the tracer's two
 tables from its source, without importing or editing it, and fails on every
-such boundary. Exceptions go in `UNBOUND` with a reason; an entry fails once
+such boundary, and on one the engine binds but never calls, whose wrapper
+would never run. Exceptions go in `UNBOUND` with a reason; an entry fails once
 its name is bound again or the tracer no longer lists it.
 """
 
@@ -64,6 +65,27 @@ def test_every_traced_boundary_is_bound_in_the_engine():
 def test_every_unbound_entry_is_still_listed_and_unbound():
     stale = sorted(set(UNBOUND) - _unbound())
     assert not stale, f"UNBOUND entries now bound or no longer traced: {stale}"
+
+
+def test_every_traced_boundary_is_called_in_the_engine():
+    # a name the engine imports but no longer calls is bound, yet its
+    # wrapper never runs: the engine must load each traced name, and each
+    # traced method as an attribute, somewhere in its own source
+    tree = ast.parse(inspect.getsource(engine))
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    attrs = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    names, methods = _tracer_tables()
+    uncalled = {b for b, attr in names.items() if attr not in loaded}
+    uncalled |= {b for b, (_, method) in methods.items()
+                 if method not in attrs}
+    unlisted = sorted(uncalled - set(UNBOUND))
+    assert not unlisted, (
+        f"boundaries perfbench/tracer.py wraps that chainmesh.engine binds "
+        f"but never calls: {unlisted}; call them from the engine module, or "
+        "list them in UNBOUND with the reason")
 
 
 def test_select_committee_keeps_the_argument_positions_the_tracer_reads():
