@@ -3,32 +3,28 @@
 Token movement between chains is tracked as transfer triplets: triplet k of
 a `Transfers` from chain j to chain l is the amount account senders[k] on
 chain j sends to account receivers[k] on chain l. A block carries one
-`Transfers`. Three per-epoch aggregates drive the bookkeeping for a chain:
+`Transfers`.
 
-  inflow             sum of confirmed transfers arriving from every other chain
-  outflow_confirmed  sum of this chain's transfers that reached confirmation
-  outflow_proposed   sum of this chain's currently proposed (unconfirmed) spend
-
-Cumulative in/out totals fold these in recursively; the proposed component is
-*replaced* each epoch (only the latest proposal counts against balances), so
-its delta may be negative when a previously proposed spend was dropped.
-
+The engine keeps every chain's totals in one `LedgerBook`, updated in place:
+a proposal debit holds its spend as outstanding, and a ledger window moves
+its confirmed blocks' spend to spent and credits their destinations.
 Validation reads net balances, which count the outstanding spend: a chain's
 own proposal must fit in them, while a foreign tip, whose spend its chain
 already holds as outstanding, is judged with that spend released.
 
-A state keeps its totals either as MxM matrices, as coded workers store them,
-or summed over the counterparty (w_in 1xM, w_out Mx1), as the engine does;
-balances and validation read only those sums. All arithmetic is exact int64;
-no floats anywhere. A total that would leave int64 raises
-`LedgerOverflowError` when the state holding it is built, so that reading
-balances never wraps.
+A `CumulativeState` folds one chain's per-epoch `FlowAggregates` -- inflow,
+confirmed outflow and the proposed spend, which each epoch replaces -- as
+MxM matrices, as coded workers store them, or summed (w_in 1xM, w_out Mx1),
+as the book reports them after a run; `update_cumulative` and
+`net_balances` are the oracle the book is tested against. All arithmetic is
+exact int64; no floats anywhere. A total that would leave int64 raises
+`LedgerOverflowError` before it is stored, so reading balances never wraps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -153,15 +149,33 @@ def _sums_fit(terms: np.ndarray, axis: int,
     A bound from the largest entries settles nearly every case; only when it
     is inconclusive are the sums taken exactly, over Python ints.
     """
-    if base is None and terms.shape[axis] <= 1:
-        return True                     # one int64 term always fits
     top = int(base.max(initial=0)) if base is not None else 0
     if top + terms.shape[axis] * int(terms.max(initial=0)) <= INT64_MAX:
         return True
     exact = terms.astype(object).sum(axis=axis)
     if base is not None:
         exact = exact + base.astype(object)
-    return max(exact, default=0) <= INT64_MAX
+    return exact.max(initial=0) <= INT64_MAX
+
+
+def _sum_at(base: np.ndarray, index, amounts: np.ndarray,
+            what: str) -> np.ndarray:
+    """A copy of the non-negative `base` with `amounts` added at `index`.
+
+    An entry past int64 raises LedgerOverflowError naming `what`. As in
+    `_sums_fit`, the largest base entry plus the count times the largest
+    amount settles nearly every case; only when it is inconclusive are the
+    sums taken exactly.
+    """
+    total = base.copy()
+    np.add.at(total, index, amounts)
+    if (int(base.max(initial=0)) + len(amounts) * int(amounts.max(initial=0))
+            > INT64_MAX):
+        exact = base.astype(object)
+        np.add.at(exact, index, amounts.astype(object))
+        if exact.max(initial=0) > INT64_MAX:
+            raise LedgerOverflowError(f"{what} exceeds int64")
+    return total
 
 
 def new_state(chain: int, genesis) -> CumulativeState:
@@ -209,27 +223,84 @@ def net_balances(state: CumulativeState) -> np.ndarray:
     return state.genesis + state.w_in.sum(axis=0) - state.w_out.sum(axis=1)
 
 
-def proposed_outflow(t: Transfers, chain: int, accounts: int) -> np.ndarray:
-    """Total proposed spend per sending account.
+class LedgerBook:
+    """Every chain's exact totals, updated in place as int64 rows of shape
+    (chains, accounts): `received` confirmed transfers credited, `spent`
+    the chain's own confirmed transfers and `outstanding` its proposed,
+    unconfirmed spend.
 
-    A total past int64 raises LedgerOverflowError; as in `_sums_fit`, exact
-    sums are taken only when the largest-entry bound is inconclusive.
+    genesis + received fits int64 by the check at each window, and so does
+    spent + outstanding: a debit fits the net balance and a window only
+    moves spend from outstanding to spent.
     """
-    if t.source != chain:
-        raise LedgerError(f"transfers from chain {t.source} in proposal for {chain}")
-    if t.dest == chain:
+
+    def __init__(self, genesis):
+        self.genesis = _as_amounts(genesis, ndim=2)
+        self.received = np.zeros(self.genesis.shape, dtype=np.int64)
+        self.spent = np.zeros(self.genesis.shape, dtype=np.int64)
+        self.outstanding = np.zeros(self.genesis.shape, dtype=np.int64)
+        self.windows = 0                # windows ingested so far
+
+    @property
+    def accounts(self) -> int:
+        return self.genesis.shape[1]
+
+    def net(self, chain: int | None = None) -> np.ndarray:
+        """One chain's net balances, or every chain's as rows; a chain
+        outside [0, chains) raises instead of wrapping to another's row."""
+        if chain is not None and not 0 <= chain < len(self.genesis):
+            raise LedgerError(f"no ledger state for chain {chain}")
+        rows = slice(None) if chain is None else chain
+        return (self.genesis[rows] + self.received[rows]
+                - self.spent[rows] - self.outstanding[rows])
+
+    def debit(self, chain: int, spend: np.ndarray) -> None:
+        """Hold a proposal's per-account spend as outstanding; the spend must
+        have passed `validate_block`, so it fits the net balance."""
+        self.outstanding[chain] += spend
+
+    def ingest(self, blocks: Sequence[Transfers]) -> None:
+        """Land one window's confirmed blocks: each moves its spend from its
+        source chain's outstanding to spent and credits its destination.
+
+        Nothing lands when a sum leaves int64 (LedgerOverflowError) or a
+        block spends more than its chain holds as outstanding (LedgerError).
+        """
+        sizes = [len(t.amounts) for t in blocks]
+        amounts = np.concatenate([t.amounts for t in blocks])
+        held = _sum_at(self.genesis + self.received, (
+            np.repeat([t.dest for t in blocks], sizes),
+            np.concatenate([t.receivers for t in blocks])),
+            amounts, f"a balance at ledger window {self.windows}")
+        outflow = _sum_at(np.zeros_like(self.spent), (
+            np.repeat([t.source for t in blocks], sizes),
+            np.concatenate([t.senders for t in blocks])),
+            amounts, f"a confirmed spend at ledger window {self.windows}")
+        if (outflow > self.outstanding).any():
+            raise LedgerError("a window confirms spend no proposal held")
+        np.subtract(held, self.genesis, out=self.received)
+        self.spent += outflow
+        self.outstanding -= outflow
+        self.windows += 1
+
+    def state(self, chain: int) -> CumulativeState:
+        """One chain's totals as a summed state through the latest window."""
+        return CumulativeState(
+            chain=chain, epoch=self.windows, genesis=self.genesis[chain],
+            w_in=self.received[chain][None, :],
+            w_out=(self.spent[chain] + self.outstanding[chain])[:, None],
+            last_proposed=self.outstanding[chain][:, None])
+
+
+def proposed_outflow(t: Transfers, accounts: int) -> np.ndarray:
+    """Total proposed spend per sending account; past int64 it raises
+    LedgerOverflowError."""
+    if t.dest == t.source:
         raise LedgerError("intra-chain transfer rejected in proposal")
     if (t.senders >= accounts).any() or (t.receivers >= accounts).any():
         raise LedgerError(f"account index out of range for {accounts} accounts")
-    spend = np.zeros(accounts, dtype=np.int64)
-    np.add.at(spend, t.senders, t.amounts)
-    if len(t.amounts) * int(t.amounts.max(initial=0)) > INT64_MAX:
-        exact = np.zeros(accounts, dtype=object)
-        np.add.at(exact, t.senders, t.amounts.astype(object))
-        if max(exact) > INT64_MAX:
-            raise LedgerOverflowError(
-                f"proposed spend of an account on chain {chain} exceeds int64")
-    return spend
+    return _sum_at(np.zeros(accounts, dtype=np.int64), t.senders, t.amounts,
+                   f"proposed spend of an account on chain {t.source}")
 
 
 @dataclass(frozen=True)
@@ -244,21 +315,20 @@ class ValidationResult:
         return not bool(self.valid_rows.all())
 
 
-def validate_block(proposed: Transfers,
-                   state: CumulativeState) -> ValidationResult:
+def validate_block(proposed: Transfers, book: LedgerBook) -> ValidationResult:
     """Judge each account's entire proposed spend against its net balance.
 
     The spend is summed over the account's triplets and added to the
-    outstanding spend the state already holds: an account whose net balance
-    it would overdraw is an invalid row.
+    outstanding spend the book already holds for the source chain: an
+    account whose net balance it would overdraw is an invalid row.
     """
-    spend = proposed_outflow(proposed, state.chain, state.accounts)
-    return ValidationResult(valid_rows=net_balances(state) - spend >= 0,
-                            proposed=spend)
+    net = book.net(proposed.source)
+    spend = proposed_outflow(proposed, book.accounts)
+    return ValidationResult(valid_rows=net - spend >= 0, proposed=spend)
 
 
 def validate_tip_payloads(tips: Sequence[Transfers],
-                          states: Mapping[int, CumulativeState]) -> list[bool]:
+                          book: LedgerBook) -> list[bool]:
     """Block-level verdicts for foreign tips against the validator's ledger view.
 
     Each tip's proposed spend is the sum of its triplets per sending account;
@@ -271,13 +341,11 @@ def validate_tip_payloads(tips: Sequence[Transfers],
         if tip.source in seen:
             raise LedgerError(f"two tips from chain {tip.source} in one batch")
         seen.add(tip.source)
-        state = states.get(tip.source)
-        if state is None:
-            raise LedgerError(f"no ledger state for chain {tip.source}")
-        spend = proposed_outflow(tip, tip.source, state.accounts)
+        net = book.net(tip.source)
+        spend = proposed_outflow(tip, book.accounts)
         # an honest chain debits its proposal as outstanding spend before the
         # block attaches: release the stored outstanding spend and charge the
         # tip's in its place, so the tip is judged on confirmed flows alone
-        w = net_balances(state) + state.last_proposed.sum(axis=1) - spend
+        w = net + book.outstanding[tip.source] - spend
         verdicts.append(bool((w[spend > 0] >= 0).all()))
     return verdicts

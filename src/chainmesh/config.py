@@ -61,7 +61,7 @@ class ScenarioConfig:
     task_timeout_ms: float = 500.0
     worker_ms_per_row: float = 2.0      # distributed shard compute cost
     fallback_ms_per_row: float = 40.0   # centralized completion of lost rows
-    ledger_interval_s: float = 5.0      # super-block assembly cadence
+    ledger_interval_s: float = 5.0      # ledger window cadence
     tip_pool_sample_s: float = 1.0      # tip-pool size sampling cadence
 
     # Fault injection

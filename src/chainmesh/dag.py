@@ -8,11 +8,12 @@ threshold. Each chain's stake counts once no matter how many of its blocks
 approve, so no chain can push its own blocks over the threshold by itself.
 
 Approver stake is maintained incrementally: each block carries a bitmask of
-contributing chains which is pushed to its ancestors on attach, pruned where
-already present (a chain present on a block is always present on all of that
-block's ancestors). Only blocks whose mask grew since the last pass can newly
-confirm, so only those are checked, in integer stake numerators over one
-common denominator. Reachability walks are reserved for test oracles.
+contributing chains and their summed stake numerator, over one common
+denominator. A new block's chain is pushed to its ancestors on attach, pruned
+where already present (a chain present on a block is always present on all of
+that block's ancestors), and its stake added where its bit is set. Only
+blocks whose mask grew since the last pass can newly confirm, so only those
+are checked. Reachability walks are reserved for test oracles.
 
 The eligible tips, those not excluded, are kept as a sorted list updated on
 attach, approval, confirmation and exclusion; selection never rescans tips.
@@ -85,6 +86,7 @@ class DagBlock:
 
     `chains` is the bitmask of chains contributing stake to this block:
     its own proposer plus the proposers of everything in its future cone.
+    `stake` is their summed stake numerator.
     """
 
     id: str
@@ -95,6 +97,7 @@ class DagBlock:
     attach_time: float
     status: str = TIP
     chains: int = 0
+    stake: int = 0
     depth: int = 0
 
 
@@ -118,7 +121,6 @@ class DagLedger:
         self.blocks: dict[str, DagBlock] = {GENESIS_ID: genesis}
         self.tips: set[str] = set()
         self._eligible: list[str] = []  # sorted tips not excluded
-        self._stakes_of: dict[int, int] = {}    # chain mask -> stake, memo
         self._grown: set[str] = set()   # mask grew since the last pass
         self._deepest = GENESIS_ID      # deepest confirmed block, ties to low id
 
@@ -150,27 +152,20 @@ class DagLedger:
                 parent.status = UNCONFIRMED
                 self.tips.discard(p)
                 self.exclude(p)
-        self._propagate((block_id,), 1 << proposer)
+        # push the proposer's chain and stake to the block and its ancestors
+        bit, stake = 1 << proposer, self._stakes[proposer]
+        stack = [block_id]
+        while stack:
+            b = self.blocks[stack.pop()]
+            if b.chains & bit:
+                continue            # ancestors already carry this chain
+            b.chains |= bit
+            b.stake += stake
+            self._grown.add(b.id)
+            stack.extend(b.parents)
         return block
 
-    def _propagate(self, start: Sequence[str], bit: int) -> None:
-        stack = list(start)
-        while stack:
-            bid = stack.pop()
-            block = self.blocks[bid]
-            if block.chains & bit:
-                continue            # ancestors already carry this chain
-            block.chains |= bit
-            self._grown.add(bid)
-            stack.extend(block.parents)
-
     # -- weight and confirmation ------------------------------------------
-
-    def _stake(self, mask: int) -> int:
-        if mask not in self._stakes_of:
-            self._stakes_of[mask] = sum(
-                s for c, s in enumerate(self._stakes) if mask >> c & 1)
-        return self._stakes_of[mask]
 
     def aggregated_weight(self, block_id: str) -> Fraction:
         """Stake share backing a block, deduplicated per chain, in (0, 1]."""
@@ -179,7 +174,7 @@ class DagLedger:
             raise DagError(f"unknown block {block_id!r}")
         if block_id == GENESIS_ID:
             return Fraction(1)
-        return Fraction(self._stake(block.chains), self._denom)
+        return Fraction(block.stake, self._denom)
 
     def update_confirmations(self, now: float = 0.0) -> set[str]:
         """Flip every pending block whose aggregated weight meets the threshold.
@@ -191,8 +186,7 @@ class DagLedger:
         deepest = self.blocks[self._deepest]
         for bid in self._grown:
             block = self.blocks[bid]
-            if block.status != CONFIRMED and \
-                    self._stake(block.chains) >= self._threshold:
+            if block.status != CONFIRMED and block.stake >= self._threshold:
                 block.status = CONFIRMED
                 self.tips.discard(bid)
                 self.exclude(bid)
@@ -236,23 +230,3 @@ class DagLedger:
                          f"{b.status} {aw.numerator}/{aw.denominator}")
         return lines
 
-
-def assemble_confirmed_superblock(ledger: DagLedger, block_ids: Iterable[str],
-                                  rng: random.Random) -> dict[int, str]:
-    """Pick one confirmed block per proposing chain from the given candidates.
-
-    Chains with no confirmed candidate are omitted. Selection is uniform per
-    chain, iterated in chain order so a seeded generator gives every caller
-    the same choice.
-    """
-    by_chain: dict[int, list[str]] = {}
-    for bid in sorted(set(block_ids)):
-        block = ledger.blocks.get(bid)
-        if block is None:
-            raise DagError(f"unknown block {bid!r}")
-        if block.status != CONFIRMED:
-            raise DagError(f"block {bid!r} is not confirmed")
-        if block.proposer is None:
-            continue
-        by_chain.setdefault(block.proposer, []).append(bid)
-    return {chain: rng.choice(by_chain[chain]) for chain in sorted(by_chain)}

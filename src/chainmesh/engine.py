@@ -7,10 +7,10 @@ and update confirmations; a committee drawn as the epoch opens signs off on
 each stage event. A chain runs one epoch at a time: its epochs are one
 generator, resumed by the event queue at each time it waits for. A tip
 sighted invalid or conflicting is excluded in the DAG for good.
-Confirmed blocks are ingested into the exact cross-chain balance states at
-fixed ledger windows, where the super-block artifact is assembled. Only
-honest chains propose valid blocks: that cross-checks every tip verdict,
-confirmation and ingestion. All randomness flows from purpose-keyed streams
+Confirmed blocks are ingested into the exact cross-chain ledger book at
+fixed ledger windows, where every chain's committee signs off on the append.
+Only honest chains propose valid blocks: that cross-checks every tip
+verdict, confirmation and ingestion. All randomness flows from purpose-keyed streams
 of the scenario seed, so a rerun reproduces every artifact byte for byte.
 """
 
@@ -26,13 +26,11 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import events as ev
-from .balances import (CumulativeState, FlowAggregates, Transfers,
-                       net_balances, update_cumulative,
+from .balances import (CumulativeState, LedgerBook, Transfers,
                        validate_block, validate_tip_payloads)
 from .coding import CodingError, plan_groups
 from .config import ScenarioConfig
-from .dag import (GENESIS_ID, ChainWeights, DagLedger,
-                  assemble_confirmed_superblock)
+from .dag import GENESIS_ID, ChainWeights, DagLedger
 from .doublespend import ConflictTracker, InjectionPlan, plan_injections
 from .events import Candidates, EventPools, propose_and_vote, select_committee
 from .metrics import MetricsReport, SeriesRecorder, gini
@@ -55,7 +53,6 @@ class _ChainRuntime:
     chain: int
     honest: bool
     worker_rows: int | None         # largest job; None: no coded layout
-    state: CumulativeState
     pool: EventPools
     candidates: Candidates
     committee_seed: str
@@ -78,7 +75,6 @@ class RunResult:
     states: dict[int, CumulativeState]
     dag: DagLedger
     tracker: ConflictTracker | None
-    superblocks: list[dict[int, str]]
 
 
 class Simulation:
@@ -95,14 +91,9 @@ class Simulation:
                              eta=cfg.confirm_threshold)
         self.tracker: ConflictTracker | None = None
         self._to_ingest: list[str] = []
-        self.superblocks: list[dict[int, str]] = []
+        self.book = LedgerBook(np.full((cfg.chains, cfg.accounts),
+                                       cfg.genesis_balance, dtype=np.int64))
         self._committee_size = cfg.committee_size()
-        # a proposal debit moves no confirmed flow: read-only zeros, taken
-        # by `FlowAggregates` without a check or a copy
-        self._no_inflow = np.zeros((1, cfg.accounts), dtype=np.int64)
-        self._no_outflow = np.zeros((cfg.accounts, 1), dtype=np.int64)
-        for arr in (self._no_inflow, self._no_outflow):
-            arr.setflags(write=False)
         self._setup_chains()
         self._setup_injection()
 
@@ -130,18 +121,12 @@ class Simulation:
                 rows = base + (extra > 0)
                 missing = sum(base + (i < extra)
                               for i in profile.straggler_set())
-            genesis = np.full(cfg.accounts, cfg.genesis_balance,
-                              dtype=np.int64)
-            spent = np.zeros((cfg.accounts, 1), dtype=np.int64)
             self.chains[c] = _ChainRuntime(
                 chain=c,
                 honest=c not in adversarial,
                 dests=(tuple(d for d in range(cfg.chains) if d != c)
                        if c not in adversarial else honest),
                 worker_rows=rows,
-                state=CumulativeState(chain=c, epoch=0, genesis=genesis,
-                                      w_in=spent.T, w_out=spent,
-                                      last_proposed=spent),
                 pool=EventPools(chain=c, approvals=self._committee_size),
                 candidates=Candidates([f"c{c}n{i}"
                                        for i in range(cfg.fleet_size)]),
@@ -253,12 +238,12 @@ class Simulation:
                 cfg.seed, "payload" if rt.honest else "spam", rt.chain, epoch))
             if rt.honest:
                 payload = make_valid_block(
-                    dest=dest, balances=net_balances(rt.state), rng=rng,
+                    dest=dest, balances=self.book.net(rt.chain), rng=rng,
                     source=rt.chain, active_rows=cfg.active_rows,
                     amount_max=cfg.amount_max)
             else:
                 payload = make_invalid_block(
-                    dest=dest, balances=net_balances(rt.state),
+                    dest=dest, balances=self.book.net(rt.chain),
                     invalid_tx_fraction=cfg.invalid_tx_fraction, rng=rng,
                     source=rt.chain, active_rows=cfg.active_rows)
             publish(ev.PROPOSAL_FORMED)
@@ -316,15 +301,11 @@ class Simulation:
         returns the approvable ones and the batch size; conflicting tips
         join `watch`."""
         # honest proposals are drawn within the net balance: none is zeroed
-        result = validate_block(payload, rt.state)
+        result = validate_block(payload, self.book)
         if result.any_zeroed:
             raise SimulationError(
                 f"honest proposal of chain {rt.chain} failed validation")
-        new_outstanding = rt.state.last_proposed + result.proposed[:, None]
-        rt.state = update_cumulative(rt.state, FlowAggregates(
-            chain=rt.chain, epoch=rt.state.epoch + 1,
-            inflow=self._no_inflow, outflow_confirmed=self._no_outflow,
-            outflow_proposed=new_outstanding))
+        self.book.debit(rt.chain, result.proposed)
 
         rng = random.Random(derive_seed(self.cfg.seed, "tips", rt.chain,
                                         epoch))
@@ -336,7 +317,7 @@ class Simulation:
         if batch:
             verdicts = validate_tip_payloads(
                 [self.dag.blocks[b].payload for b in batch.values()],
-                self.states)
+                self.book)
             for (src, bid), verdict in zip(batch.items(), verdicts):
                 # only honest chains propose valid blocks
                 if verdict != self.chains[src].honest:
@@ -375,28 +356,10 @@ class Simulation:
 
     def _window(self, now: float, index: int) -> None:
         if self._to_ingest:
-            ids = sorted(self._to_ingest)
+            # confirmed, so honest (`_confirmations`) and debited
+            self.book.ingest([self.dag.blocks[bid].payload
+                              for bid in self._to_ingest])
             self._to_ingest.clear()
-            m = self.cfg.accounts
-            inflow = {c: np.zeros((1, m), dtype=np.int64)
-                      for c in range(self.cfg.chains)}
-            confirmed = {c: np.zeros((m, 1), dtype=np.int64)
-                         for c in range(self.cfg.chains)}
-            for bid in ids:     # confirmed, so honest (`_confirmations`)
-                t = self.dag.blocks[bid].payload
-                np.add.at(inflow[t.dest], (0, t.receivers), t.amounts)
-                np.add.at(confirmed[t.source], (t.senders, 0), t.amounts)
-            for c, rt in self.chains.items():
-                if not inflow[c].any() and not confirmed[c].any():
-                    continue
-                rt.state = update_cumulative(rt.state, FlowAggregates(
-                    chain=c, epoch=rt.state.epoch + 1, inflow=inflow[c],
-                    outflow_confirmed=confirmed[c],
-                    outflow_proposed=rt.state.last_proposed - confirmed[c]))
-            rng = random.Random(derive_seed(self.cfg.seed, "superblock",
-                                            index))
-            superblock = assemble_confirmed_superblock(self.dag, ids, rng)
-            self.superblocks.append(superblock)
             window_epoch = -(index + 1)     # windows use their own epoch space
             for rt in self.chains.values():
                 rt.pool.publish(propose_and_vote(
@@ -411,23 +374,16 @@ class Simulation:
 
     # -- top level ---------------------------------------------------------
 
-    @property
-    def states(self) -> dict[int, CumulativeState]:
-        return {c: rt.state for c, rt in self.chains.items()}
-
     def conservation_holds(self) -> bool:
         """Exact identity in Python ints: supply = nets + outstanding spend."""
-        total = 0
-        outstanding = 0
-        supply = 0
-        for rt in self.chains.values():
-            nets = net_balances(rt.state)
-            if rt.honest and (nets < 0).any():
-                return False
-            total += sum(nets.tolist())
-            outstanding += sum(rt.state.last_proposed.ravel().tolist())
-            supply += sum(rt.state.genesis.tolist())
-        return total + outstanding == supply
+        book = self.book
+        nets = book.net()
+        honest = [rt.honest for rt in self.chains.values()]
+        if (nets[honest] < 0).any():
+            return False
+        return (sum(nets.ravel().tolist())
+                + sum(book.outstanding.ravel().tolist())
+                == sum(book.genesis.ravel().tolist()))
 
     def run(self) -> RunResult:
         cfg = self.cfg
@@ -443,8 +399,9 @@ class Simulation:
                          recorder=self.recorder,
                          snapshot_lines=self.dag.snapshot_lines(),
                          event_lines=self._event_lines(),
-                         states=self.states, dag=self.dag,
-                         tracker=self.tracker, superblocks=self.superblocks)
+                         states={c: self.book.state(c) for c in self.chains},
+                         dag=self.dag,
+                         tracker=self.tracker)
 
     def _event_lines(self) -> list[str]:
         lines: list[str] = []

@@ -1,4 +1,5 @@
-"""Exact-integer accounting: cumulative updates, validation, conservation."""
+"""Exact-integer accounting: the ledger book, its cumulative-state oracle,
+validation and conservation."""
 
 import random
 
@@ -23,6 +24,16 @@ def dense(t, m):
     return out
 
 
+def book(*genesis):
+    """A ledger book holding one genesis row per chain."""
+    return bal.LedgerBook(np.array(genesis, dtype=np.int64))
+
+
+def debit_kept(b, t):
+    """Debit the spend of `t`, a block validation kept, on its chain."""
+    b.debit(t.source, dense(t, b.accounts).sum(axis=1))
+
+
 def random_amounts(rng, m, lo=0, hi=9):
     return np.array([[rng.randint(lo, hi) for _ in range(m)] for _ in range(m)],
                     dtype=np.int64)
@@ -41,16 +52,6 @@ def zero_flows(chain, m, epoch):
     z = np.zeros((m, m), dtype=np.int64)
     return bal.FlowAggregates(chain=chain, epoch=epoch, inflow=z,
                               outflow_confirmed=z, outflow_proposed=z)
-
-
-def proposal_flows(state, block):
-    """Next-epoch flows that only add `block` to the outstanding spend."""
-    m = state.accounts
-    z = np.zeros((m, m), dtype=np.int64)
-    return bal.FlowAggregates(
-        chain=state.chain, epoch=state.epoch + 1, inflow=z,
-        outflow_confirmed=z,
-        outflow_proposed=state.last_proposed + dense(block, m))
 
 
 def zero_invalid_rows(t, valid_rows):
@@ -143,9 +144,9 @@ def test_net_balances_sender_and_receiver_sides():
 # ---------------------------------------------------------------------------
 
 def test_affordable_spend_copied_verbatim():
-    s = bal.new_state(0, [10, 10])
+    b = book([10, 10], [0, 0])
     prop = tm(0, 1, [[0, 7], [0, 0]])
-    res = bal.validate_block(prop, s)
+    res = bal.validate_block(prop, b)
     assert res.valid_rows.all()
     assert not res.any_zeroed
     assert res.proposed.tolist() == [7, 0]
@@ -156,15 +157,15 @@ def test_affordable_spend_copied_verbatim():
 def oracle_valid_rows(state, proposal_total, release=False):
     """Per-account recheck in unbounded ints, independent of the implementation.
 
-    The proposal adds to the state's outstanding spend, or with `release`
-    takes its place, as a foreign tip's does."""
-    m = state.accounts
+    `state` holds MxM or summed totals. The proposal adds to the
+    outstanding spend, or with `release` takes its place, as a foreign
+    tip's does."""
     out = []
-    for acct in range(m):
-        bal_in = sum(int(state.w_in[i, acct]) for i in range(m))
-        out_total = sum(int(state.w_out[acct, j]) for j in range(m))
-        old_prop = sum(int(state.last_proposed[acct, j]) for j in range(m))
-        new_prop = sum(int(proposal_total[acct, j]) for j in range(m))
+    for acct in range(state.accounts):
+        bal_in = sum(int(x) for x in state.w_in[:, acct])
+        out_total = sum(int(x) for x in state.w_out[acct])
+        old_prop = sum(int(x) for x in state.last_proposed[acct])
+        new_prop = sum(int(x) for x in proposal_total[acct])
         if release:
             out_total -= old_prop
         w = int(state.genesis[acct]) + bal_in - (out_total + new_prop)
@@ -175,11 +176,11 @@ def oracle_valid_rows(state, proposal_total, release=False):
 def test_mixed_block_zeroes_exactly_the_overspending_rows():
     rng = random.Random(77)
     m = 6
-    s = bal.new_state(0, [rng.randint(0, 30) for _ in range(m)])
+    b = book([rng.randint(0, 30) for _ in range(m)], [0] * m, [0] * m)
     for epoch in range(1, 4):
         prop = tm(0, 1 + epoch % 2, random_amounts(rng, m, 0, 4))
-        res = bal.validate_block(prop, s)
-        want = oracle_valid_rows(s, dense(prop, m))
+        res = bal.validate_block(prop, b)
+        want = oracle_valid_rows(b.state(0), dense(prop, m))
         assert np.array_equal(res.proposed, dense(prop, m).sum(axis=1))
         assert list(res.valid_rows) == want
         kept = zero_invalid_rows(prop, res.valid_rows)
@@ -188,19 +189,19 @@ def test_mixed_block_zeroes_exactly_the_overspending_rows():
                 assert np.array_equal(dense(kept, m)[acct], dense(prop, m)[acct])
             else:
                 assert not dense(kept, m)[acct].any()
-        # advance the state with the validated proposal so epochs differ
-        s = bal.update_cumulative(s, proposal_flows(s, kept))
+        # debit the validated proposal so epochs differ
+        debit_kept(b, kept)
 
 
 def test_validation_is_idempotent():
     rng = random.Random(31)
     m = 5
-    s = bal.new_state(0, [rng.randint(0, 20) for _ in range(m)])
+    b = book([rng.randint(0, 20) for _ in range(m)], [0] * m)
     prop = tm(0, 1, random_amounts(rng, m, 0, 8))
-    once = bal.validate_block(prop, s)
+    once = bal.validate_block(prop, b)
     assert once.any_zeroed
     kept = zero_invalid_rows(prop, once.valid_rows)
-    twice = bal.validate_block(kept, s)
+    twice = bal.validate_block(kept, b)
     assert not twice.any_zeroed
     assert np.array_equal(twice.proposed,
                           np.where(once.valid_rows, once.proposed, 0))
@@ -209,12 +210,12 @@ def test_validation_is_idempotent():
 def test_zeroing_soundness_balances_stay_non_negative():
     rng = random.Random(13)
     m = 5
-    s = bal.new_state(0, [rng.randint(0, 25) for _ in range(m)])
+    b = book([rng.randint(0, 25) for _ in range(m)], [0] * m)
     prop = tm(0, 1, random_amounts(rng, m, 0, 10))
-    res = bal.validate_block(prop, s)
+    res = bal.validate_block(prop, b)
     kept = zero_invalid_rows(prop, res.valid_rows)
-    s1 = bal.update_cumulative(s, proposal_flows(s, kept))
-    assert (bal.net_balances(s1) >= 0).all()
+    debit_kept(b, kept)
+    assert (b.net(0) >= 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -222,44 +223,50 @@ def test_zeroing_soundness_balances_stay_non_negative():
 # ---------------------------------------------------------------------------
 
 def test_empty_tip_payload_is_valid():
-    states = {1: bal.new_state(1, [0, 0])}
     tip = tm(1, 0, [[0, 0], [0, 0]])
-    assert bal.validate_tip_payloads([tip], states) == [True]
+    assert bal.validate_tip_payloads([tip], book([0, 0], [0, 0])) == [True]
 
 
 def test_overspending_tip_is_invalid():
     # each triplet fits the balance of 10; their sum of 14 does not
-    states = {1: bal.new_state(1, [10, 0])}
     tip = bal.Transfers(source=1, dest=0, senders=[0, 0], receivers=[0, 1],
                         amounts=[7, 7])
-    assert bal.validate_tip_payloads([tip], states) == [False]
+    assert bal.validate_tip_payloads([tip], book([0, 0], [10, 0])) == [False]
 
 
 def test_two_tips_from_one_chain_rejected():
-    states = {1: bal.new_state(1, [5])}
     tips = [tm(1, 0, [[0]]), tm(1, 2, [[0]])]
     with pytest.raises(bal.LedgerError):
-        bal.validate_tip_payloads(tips, states)
+        bal.validate_tip_payloads(tips, book([0], [5], [0]))
+
+
+@pytest.mark.parametrize("source", [-1, -3, 3])
+def test_tip_or_block_from_a_chain_outside_the_book_raises(source):
+    # a negative chain must not wrap round to the last rows of the book
+    b = book([5], [5], [5])
+    t = bal.Transfers(source=source, dest=0, senders=[0], receivers=[0],
+                      amounts=[1])
+    with pytest.raises(bal.LedgerError, match="no ledger state"):
+        bal.validate_tip_payloads([t], b)
+    with pytest.raises(bal.LedgerError, match="no ledger state"):
+        bal.validate_block(t, b)
 
 
 def test_batch_verdicts_match_per_account_oracle():
     rng = random.Random(202)
     m = 4
-    states = {}
+    b = book(*([rng.randint(0, 40) for _ in range(m)] for _ in range(4)))
     for c in range(4):
-        st = bal.new_state(c, [rng.randint(0, 40) for _ in range(m)])
         prop = tm(c, (c + 1) % 4, random_amounts(rng, m))
-        res = bal.validate_block(prop, st)
-        kept = zero_invalid_rows(prop, res.valid_rows)
-        states[c] = bal.update_cumulative(st, proposal_flows(st, kept))
+        res = bal.validate_block(prop, b)
+        debit_kept(b, zero_invalid_rows(prop, res.valid_rows))
     tips = [tm(c, (c + 2) % 4, random_amounts(rng, m, 0, 5))
             for c in range(4)]
-    got = bal.validate_tip_payloads(tips, states)
+    got = bal.validate_tip_payloads(tips, b)
     for tip, verdict in zip(tips, got):
-        st = states[tip.source]
         total = dense(tip, m).astype(object)
         spending = [i for i in range(m) if sum(total[i]) > 0]
-        ok = all(oracle_valid_rows(st, total, release=True)[i]
+        ok = all(oracle_valid_rows(b.state(tip.source), total, release=True)[i]
                  for i in spending)
         assert verdict == ok
 
@@ -271,38 +278,26 @@ def test_batch_verdicts_match_per_account_oracle():
 def test_token_conservation_over_validated_multi_chain_trace():
     rng = random.Random(909)
     n_chains, m, epochs = 3, 4, 8
-    genesis = {c: [rng.randint(5, 30) for _ in range(m)] for c in range(n_chains)}
-    states = {c: bal.new_state(c, genesis[c]) for c in range(n_chains)}
-    total_genesis = sum(sum(g) for g in genesis.values())
-    zero = np.zeros((m, m), dtype=np.int64)
-    pending = {}                    # validated proposal awaiting confirmation
+    genesis = [[rng.randint(5, 30) for _ in range(m)] for _ in range(n_chains)]
+    b = book(*genesis)
+    total_genesis = sum(map(sum, genesis))
+    pending = []                    # validated proposals awaiting confirmation
     for epoch in range(1, epochs + 1):
-        confirmed = pending
-        new_valid = {}
+        # the window ingests last epoch's confirmed transfers first, which
+        # moves the confirmed spend out of the outstanding proposals
+        if pending:
+            b.ingest(pending)
+        pending = []
         for c in range(n_chains):
-            in_total = sum((dense(t, m) for t in confirmed.values()
-                            if t.dest == c), zero)
-            out_total = dense(confirmed[c], m) if c in confirmed else zero
-            # the window ingests last epoch's confirmed transfers first, which
-            # moves the confirmed spend out of the outstanding proposal
-            st = states[c]
-            st = bal.update_cumulative(st, bal.FlowAggregates(
-                chain=c, epoch=st.epoch + 1, inflow=in_total,
-                outflow_confirmed=out_total,
-                outflow_proposed=st.last_proposed - out_total))
             dest = (c + 1 + epoch % (n_chains - 1)) % n_chains
             raw = tm(c, dest, random_amounts(rng, m, 0, 6))
-            res = bal.validate_block(raw, st)
-            new_valid[c] = zero_invalid_rows(raw, res.valid_rows)
-            states[c] = bal.update_cumulative(st, proposal_flows(st, new_valid[c]))
-        pending = new_valid
-        net_total = sum(int(v) for c in range(n_chains)
-                        for v in bal.net_balances(states[c]))
-        in_flight = sum(int(states[c].last_proposed.sum())
-                        for c in range(n_chains))
+            res = bal.validate_block(raw, b)
+            pending.append(zero_invalid_rows(raw, res.valid_rows))
+            debit_kept(b, pending[-1])
+        net_total = sum(b.net().ravel().tolist())
+        in_flight = sum(b.outstanding.ravel().tolist())
         assert net_total + in_flight == total_genesis
-        for c in range(n_chains):
-            assert (bal.net_balances(states[c]) >= 0).all()
+        assert (b.net() >= 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -335,40 +330,54 @@ def fold(state, inflow, confirmed, proposed):
 
 
 def test_dense_and_summed_states_agree_every_epoch():
+    # the MxM and summed states fed the same flows agree with each other
+    # and with the book's rows, and validation on the book agrees with the
+    # per-account oracle on the MxM state
     rng = random.Random(808)
     m = 6
     genesis = [rng.randint(0, 30) for _ in range(m)]
     states = [bal.new_state(0, genesis), summed_state(0, genesis)]
+    b = book(genesis, [10**6] * m, [10**6] * m)
     zero = np.zeros((m, m), dtype=np.int64)
-    pending = None              # validated proposal awaiting confirmation
+    outstanding = zero          # chain 0's validated, unconfirmed spend
+    pending = None              # its latest validated proposal
     for epoch in range(1, 9):
-        # the window confirms only proposals to chain 1; one to chain 2
-        # stays outstanding while the next proposal is validated
-        incoming = sum((dense(random_transfers(rng, src, 0, m, 9), m)
-                        for src in (1, 2)), zero)
-        confirmed = outstanding = zero
-        if pending is not None:
-            if pending.dest == 1:
-                confirmed = dense(pending, m)
-            else:
-                outstanding = dense(pending, m)
-        full, summed = states = [fold(s, incoming, confirmed, outstanding)
+        # the window confirms only proposals to chain 1; those to chain 2
+        # stay outstanding while the next proposal is validated
+        incoming = [random_transfers(rng, src, 0, m, 9) for src in (1, 2)]
+        for t in incoming:
+            debit_kept(b, t)
+        confirmed = zero
+        if pending is not None and pending.dest == 1:
+            confirmed = dense(pending, m)
+            incoming.append(pending)
+        b.ingest(incoming)
+        outstanding = outstanding - confirmed
+        inflow = sum((dense(t, m) for t in incoming if t.dest == 0), zero)
+        full, summed = states = [fold(s, inflow, confirmed, outstanding)
                                  for s in states]
         assert full.w_in.shape == (m, m) and summed.w_in.shape == (1, m)
         assert summed.w_out.shape == summed.last_proposed.shape == (m, 1)
         assert np.array_equal(bal.net_balances(full), bal.net_balances(summed))
+        assert np.array_equal(bal.net_balances(full), b.net(0))
+        assert np.array_equal(summed.last_proposed[:, 0], b.outstanding[0])
 
         raw = random_transfers(rng, 0, 1 + epoch % 2, m, 30)
-        res_full, res_summed = (bal.validate_block(raw, s) for s in states)
-        assert np.array_equal(res_full.valid_rows, res_summed.valid_rows)
-        assert np.array_equal(res_full.proposed, res_summed.proposed)
-        assert bal.validate_tip_payloads([raw], {0: full}) == \
-            bal.validate_tip_payloads([raw], {0: summed})
+        res = bal.validate_block(raw, b)
+        assert res.valid_rows.tolist() == oracle_valid_rows(full, dense(raw, m))
+        assert np.array_equal(res.proposed, dense(raw, m).sum(axis=1))
+        spending = res.proposed > 0
+        tip_ok = np.array(oracle_valid_rows(full, dense(raw, m), release=True))
+        assert bal.validate_tip_payloads([raw], b) == [
+            bool(tip_ok[spending].all())]
 
-        pending = zero_invalid_rows(raw, res_full.valid_rows)
-        states = [fold(s, zero, zero, dense(pending, m)) for s in states]
+        pending = zero_invalid_rows(raw, res.valid_rows)
+        debit_kept(b, pending)
+        outstanding = outstanding + dense(pending, m)
+        states = [fold(s, zero, zero, outstanding) for s in states]
     for s in states:
         assert (bal.net_balances(s) >= 0).all()
+    assert (b.net(0) >= 0).all()
 
 
 def test_dense_flows_on_a_summed_state_raise():
@@ -379,14 +388,14 @@ def test_dense_flows_on_a_summed_state_raise():
 
 def test_out_of_range_sender_or_receiver_raises():
     m = 3
-    s = summed_state(0, [5] * m)
+    b = book([5] * m, [5] * m)
     for senders, receivers in (([m], [0]), ([0], [m])):
         t = bal.Transfers(source=0, dest=1, senders=senders,
                           receivers=receivers, amounts=[1])
         with pytest.raises(bal.LedgerError):
-            bal.validate_block(t, s)
+            bal.validate_block(t, b)
         with pytest.raises(bal.LedgerError):
-            bal.validate_tip_payloads([t], {0: s})
+            bal.validate_tip_payloads([t], b)
 
 
 def test_malformed_triplets_and_totals_rejected_structurally():
@@ -463,24 +472,22 @@ def test_amount_beyond_int64_raises_a_named_overflow_error():
 def test_summed_spend_beyond_int64_raises_a_named_overflow_error():
     # two 2**62 transfers from one account sum to 2**63, which int64 would
     # read as -2**63: a negative spend that no overdraft check looks at
-    s = bal.CumulativeState(chain=0, epoch=0, genesis=[5, 0],
-                            w_in=[[0, 0]], w_out=[[0], [0]],
-                            last_proposed=[[0], [0]])
+    b = book([5, 0], [0, 0])
     t = bal.Transfers(source=0, dest=1, senders=[0, 0],
                       receivers=[0, 1], amounts=[2**62, 2**62])
     with pytest.raises(bal.LedgerOverflowError):
-        bal.validate_tip_payloads([t], {0: s})
+        bal.validate_tip_payloads([t], b)
     with pytest.raises(bal.LedgerOverflowError):
-        bal.validate_block(t, s)
+        bal.validate_block(t, b)
     with pytest.raises(bal.LedgerOverflowError):
-        bal.proposed_outflow(t, 0, 2)
+        bal.proposed_outflow(t, 2)
     # the largest entries alone would overflow; the per-sender sums do not
     fits = bal.Transfers(source=0, dest=1, senders=[0, 1],
                          receivers=[0, 0], amounts=[bal.INT64_MAX, 5])
-    assert bal.proposed_outflow(fits, 0, 2).tolist() == [bal.INT64_MAX, 5]
+    assert bal.proposed_outflow(fits, 2).tolist() == [bal.INT64_MAX, 5]
     top = bal.Transfers(source=0, dest=1, senders=[0, 0],
                         receivers=[0, 1], amounts=[bal.INT64_MAX - 1, 1])
-    assert bal.proposed_outflow(top, 0, 2).tolist() == [bal.INT64_MAX, 0]
+    assert bal.proposed_outflow(top, 2).tolist() == [bal.INT64_MAX, 0]
 
 
 def test_checked_arrays_are_shared_not_copied():
@@ -515,12 +522,82 @@ def test_writable_or_borrowed_arrays_are_still_checked():
 
 def test_validation_against_available_funds():
     # outstanding spend of 2 and 1 leaves net balances of 3 and 4
-    s = bal.CumulativeState(chain=0, epoch=0, genesis=[5, 5], w_in=[[0, 0]],
-                            w_out=[[2], [1]], last_proposed=[[2], [1]])
-    assert bal.net_balances(s).tolist() == [3, 4]
+    b = book([5, 5], [0, 0])
+    b.debit(0, np.array([2, 1]))
+    assert b.net(0).tolist() == [3, 4]
+    assert bal.net_balances(b.state(0)).tolist() == [3, 4]
     t = bal.Transfers(source=0, dest=1, senders=[0, 1],
                       receivers=[0, 0], amounts=[4, 4])
-    res = bal.validate_block(t, s)
+    res = bal.validate_block(t, b)
     assert res.valid_rows.tolist() == [False, True]
     # the same spend as a foreign tip takes the outstanding spend's place
-    assert bal.validate_tip_payloads([t], {0: s}) == [True]
+    assert bal.validate_tip_payloads([t], b) == [True]
+
+
+# ---------------------------------------------------------------------------
+# The ledger book's windows
+# ---------------------------------------------------------------------------
+
+def test_a_window_moves_confirmed_spend_and_credits_the_destination():
+    b = book([10, 10], [0, 0], [0, 0])
+    t = bal.Transfers(source=0, dest=2, senders=[0, 0, 1],
+                      receivers=[1, 1, 0], amounts=[3, 4, 2])
+    debit_kept(b, t)
+    b.ingest([t])
+    assert b.spent.tolist() == [[7, 2], [0, 0], [0, 0]]
+    assert b.received.tolist() == [[0, 0], [0, 0], [2, 7]]
+    assert not b.outstanding.any()
+    assert b.net().tolist() == [[3, 8], [0, 0], [2, 7]]
+    assert b.windows == 1
+    s = b.state(2)
+    assert (s.w_in.shape, s.w_out.shape) == ((1, 2), (2, 1))
+    assert bal.net_balances(s).tolist() == [2, 7]
+
+
+def test_a_window_confirming_spend_no_proposal_held_lands_nothing():
+    b = book([10], [0])
+    t = bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
+                      amounts=[4])
+    b.debit(0, np.array([3]))
+    with pytest.raises(bal.LedgerError):
+        b.ingest([t])
+    assert not b.received.any() and not b.spent.any()
+    assert b.windows == 0
+
+
+def test_a_window_whose_inflow_sum_wraps_raises_a_named_overflow_error():
+    # four 2**61 transfers into one account sum to 2**63, which np.add.at
+    # would wrap to -2**63 before any check saw it
+    b = book(*[[2**61]] * 5)
+    blocks = [bal.Transfers(source=c, dest=0, senders=[0], receivers=[0],
+                            amounts=[2**61]) for c in range(1, 5)]
+    for t in blocks:
+        debit_kept(b, t)
+    with pytest.raises(bal.LedgerOverflowError):
+        b.ingest(blocks)
+    assert not b.received.any() and not b.spent.any()
+    # three of them fit the flow, but not on top of chain 0's genesis
+    b = book(*[[2**61]] * 4)
+    for t in blocks[:3]:
+        debit_kept(b, t)
+    with pytest.raises(bal.LedgerOverflowError):
+        b.ingest(blocks[:3])
+    assert not b.received.any()
+
+
+def test_the_largest_window_that_fits_lands_exactly():
+    # the count-times-largest bounds are inconclusive; the exact sums fit
+    top = bal.INT64_MAX
+    b = book([0, 0], [top, 0])
+    t = bal.Transfers(source=1, dest=0, senders=[0, 0], receivers=[0, 1],
+                      amounts=[top - 5, 5])
+    debit_kept(b, t)
+    b.ingest([t])
+    assert b.net(0).tolist() == [top - 5, 5]
+    assert b.net(1).tolist() == [0, 0]
+    b = book([1, 0], [top - 1, 0])
+    t = bal.Transfers(source=1, dest=0, senders=[0, 0], receivers=[0, 0],
+                      amounts=[top - 2, 1])
+    debit_kept(b, t)
+    b.ingest([t])
+    assert b.net(0).tolist() == [top, 0]

@@ -214,10 +214,12 @@ def check_against_rescan(rng, stakes, blocks, cadence):
         if rng.random() >= cadence and i < blocks - 1:
             continue
         now = i + 0.5
-        want = {b for b in ids if b not in confirmed
-                and brute_force_weight(led, b) >= eta}
+        weights = {b: brute_force_weight(led, b) for b in ids}
+        want = {b for b in ids if b not in confirmed and weights[b] >= eta}
         assert led.update_confirmations(now=now) == want
         confirmed.update(want)
+        for b in ids:
+            assert led.aggregated_weight(b) == weights[b], b
         assert led.deepest_confirmed() == min(
             confirmed, key=lambda b: (-led.blocks[b].depth, b))
         approved = {p for b in ids for p in led.blocks[b].parents}
@@ -236,6 +238,12 @@ def test_incremental_confirmation_matches_full_rescan():
         stakes = rng.sample(range(1, 100), n)
         check_against_rescan(rng, stakes, rng.randint(5, 60),
                              cadence=rng.choice((0.1, 0.3, 1.0)))
+    # 64 chains of unequal stake: each block sums the stakes of many
+    # distinct chain masks as its approvers arrive
+    for trial in range(4):
+        stakes = [rng.randint(1, 1000) for _ in range(64)]
+        check_against_rescan(rng, stakes, rng.randint(60, 120),
+                             cadence=rng.choice((0.1, 0.3)))
 
 
 def test_whale_chain_confirms_its_block_at_attach():
@@ -375,57 +383,6 @@ def test_eligible_pool_matches_a_rescan_through_a_spam_trace():
     assert calls["attach"] == result.report.attached_blocks > 200
     assert result.report.confirmed_blocks > 0
     assert len(excluded) > 50 and calls["update_confirmations"] > 200
-
-
-# ---------------------------------------------------------------------------
-# Super-block assembly
-# ---------------------------------------------------------------------------
-
-def confirmed_fixture():
-    led = equal_ledger(4)
-    for i in range(3):
-        led.attach(f"c0-{i}", 0, 1, [dag.GENESIS_ID], time=1.0)
-    led.attach("c1-0", 1, 1, [dag.GENESIS_ID], time=1.0)
-    for i, bid in enumerate(("c0-0", "c0-1", "c0-2", "c1-0")):
-        led.attach(f"approve-a{i}", 2, 2, [bid], time=2.0)
-        led.attach(f"approve-b{i}", 3, 2, [bid], time=2.0)
-        led.attach(f"approve-c{i}", 1 if bid.startswith("c0") else 0, 2, [bid], time=2.0)
-    led.update_confirmations(now=3.0)
-    return led
-
-
-def test_superblock_empty_candidates():
-    led = equal_ledger(3)
-    assert dag.assemble_confirmed_superblock(led, [], random.Random(0)) == {}
-
-
-def test_superblock_single_candidate_always_chosen():
-    led = confirmed_fixture()
-    for seed in range(5):
-        sel = dag.assemble_confirmed_superblock(led, ["c1-0"], random.Random(seed))
-        assert sel == {1: "c1-0"}
-
-
-def test_superblock_choice_uniform_over_three_candidates():
-    led = confirmed_fixture()
-    candidates = ["c0-0", "c0-1", "c0-2"]
-    counts = {c: 0 for c in candidates}
-    trials = 10_000
-    rng = random.Random(99)
-    for _ in range(trials):
-        sel = dag.assemble_confirmed_superblock(led, candidates, rng)
-        counts[sel[0]] += 1
-    p = 1 / 3
-    sigma = math.sqrt(trials * p * (1 - p))
-    for c in counts.values():
-        assert abs(c - trials * p) <= 3 * sigma
-
-
-def test_superblock_rejects_unconfirmed():
-    led = equal_ledger(3)
-    led.attach("a", 0, 1, [dag.GENESIS_ID], time=1.0)
-    with pytest.raises(dag.DagError):
-        dag.assemble_confirmed_superblock(led, ["a"], random.Random(0))
 
 
 # ---------------------------------------------------------------------------

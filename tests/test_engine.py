@@ -1,7 +1,9 @@
 """End-to-end behaviour of the discrete-event simulation."""
 
 import hashlib
+import itertools
 import json
+import math
 import tracemalloc
 from collections import Counter
 
@@ -10,7 +12,9 @@ import pytest
 
 from chainmesh import engine
 from chainmesh import events as ev
-from chainmesh.balances import net_balances
+from chainmesh.balances import (FlowAggregates, LedgerBook,
+                                LedgerOverflowError, net_balances, new_state,
+                                update_cumulative)
 from chainmesh.coding import plan_groups
 from chainmesh.config import ScenarioConfig, replace
 from chainmesh.engine import Simulation, run_scenario
@@ -173,27 +177,115 @@ def test_honest_net_balances_never_negative(spam_run):
             assert (net_balances(state) >= 0).all()
 
 
+def test_the_book_equals_a_dense_state_replay_at_every_window(monkeypatch):
+    """Every debit and window the book takes, replayed per chain through MxM
+    `update_cumulative`, gives the book's rows after every window."""
+    cfg = quick(spam_fraction=0.3, duration_min=2.0,
+                double_spend={"pairs": 3, "regular": 6})
+    sim = Simulation(cfg)
+    m = cfg.accounts
+    zero = np.zeros((m, m), dtype=np.int64)
+    states = {c: new_state(c, sim.book.genesis[c]) for c in sim.chains}
+    validated = {}                  # chain -> proposal awaiting its debit
+    windows = []
+
+    def fold(c, inflow, confirmed, proposed):
+        s = states[c]
+        states[c] = update_cumulative(s, FlowAggregates(
+            chain=c, epoch=s.epoch + 1, inflow=inflow,
+            outflow_confirmed=confirmed, outflow_proposed=proposed))
+
+    validate, debit, ingest = (engine.validate_block, LedgerBook.debit,
+                               LedgerBook.ingest)
+
+    def validate_and_keep(proposed, book):
+        validated[proposed.source] = proposed
+        return validate(proposed, book)
+
+    def replay_debit(book, chain, spend):
+        t = validated.pop(chain)
+        block = np.zeros((m, m), dtype=np.int64)
+        np.add.at(block, (t.senders, t.receivers), t.amounts)
+        assert block.sum(axis=1).tolist() == spend.tolist()
+        fold(chain, zero, zero, states[chain].last_proposed + block)
+        debit(book, chain, spend)
+
+    def replay_ingest(book, blocks):
+        ingest(book, blocks)
+        inflow = {c: zero.copy() for c in states}
+        confirmed = {c: zero.copy() for c in states}
+        for t in blocks:
+            np.add.at(inflow[t.dest], (t.senders, t.receivers), t.amounts)
+            np.add.at(confirmed[t.source], (t.senders, t.receivers),
+                      t.amounts)
+        for c, s in states.items():
+            fold(c, inflow[c], confirmed[c],
+                 s.last_proposed - confirmed[c])
+            s = states[c]
+            assert (s.genesis + s.w_in.sum(axis=0)).tolist() == \
+                (book.genesis[c] + book.received[c]).tolist()
+            assert s.w_out.sum(axis=1).tolist() == \
+                (book.spent[c] + book.outstanding[c]).tolist()
+            assert s.last_proposed.sum(axis=1).tolist() == \
+                book.outstanding[c].tolist()
+        windows.append(len(blocks))
+
+    monkeypatch.setattr(engine, "validate_block", validate_and_keep)
+    monkeypatch.setattr(LedgerBook, "debit", replay_debit)
+    monkeypatch.setattr(LedgerBook, "ingest", replay_ingest)
+    result = sim.run()
+    assert len(windows) > 10 and sum(windows) == \
+        result.report.confirmed_blocks
+    assert result.report.double_spend is not None
+    assert not validated
+    for c, s in states.items():
+        assert net_balances(s).tolist() == \
+            net_balances(result.states[c]).tolist()
+
+
+#: ledger amounts near the top of int64
+EXTREME = (2**60, 2**61, 2**62)
+
+
+def test_extreme_amounts_run_or_stop_on_a_named_overflow():
+    # a window's summed flows are checked before they land: none may wrap
+    # into a balance, or into another error
+    outcomes = Counter()
+    for chains, accounts, genesis, amount, minutes in itertools.product(
+            (2, 10), (1, 2, 3), EXTREME, EXTREME, (1.0, 2.0)):
+        cfg = replace(ScenarioConfig(), chains=chains, accounts=accounts,
+                      active_rows=accounts, genesis_balance=genesis,
+                      amount_max=amount, duration_min=minutes, seed=0)
+        try:
+            result = Simulation(cfg).run()
+        except LedgerOverflowError:
+            outcomes["overflow"] += 1
+            continue
+        assert result.report.conservation_ok, cfg
+        outcomes["ran"] += 1
+    assert outcomes["ran"] and outcomes["overflow"], outcomes
+
+
 # -- inter-chain ledger -----------------------------------------------------
 
 def test_every_chain_appends_at_every_superblock_window():
-    res = run_scenario(quick(chains=2, duration_min=2.0), "pair")
-    assert len(res.superblocks) > 0
+    cfg = quick(chains=2, duration_min=2.0)
+    res = run_scenario(cfg, "pair")
     appends = {0: [], 1: []}
     for line in res.event_lines:
         rec = json.loads(line)
         if rec["kind"] == LEDGER_APPEND:
             appends[rec["chain"]].append(rec["epoch"])
-    # window i appends at epoch -(i + 1), but only if it ingested blocks
-    # and so assembled a super-block
-    assert appends[0] == appends[1] == sorted(appends[0], reverse=True)
-    assert len(appends[0]) == len(res.superblocks)
-    assert all(e < 0 for e in appends[0])
-
-
-def test_superblocks_take_one_block_per_chain(base_run):
-    for sb in base_run.superblocks:
-        for chain, bid in sb.items():
-            assert base_run.dag.blocks[bid].proposer == chain
+    # window i runs at (i + 1) intervals and appends at epoch -(i + 1), but
+    # only if it ingests blocks: those confirmed since the window before
+    interval = cfg.ledger_interval_s
+    times = res.recorder.confirmed_times
+    assert all(t % interval for t in times)     # no tie with a window
+    windows = {math.ceil(t / interval) for t in times}
+    want = sorted((-w for w in windows
+                   if w * interval <= cfg.duration_min * 60), reverse=True)
+    assert len(want) > 1
+    assert appends[0] == appends[1] == want
 
 
 def test_confirmed_blocks_are_honest_and_valid(spam_run):

@@ -32,11 +32,17 @@ ORACLES = {
     "CodedLedgerImage.decode_totals": "2 coded-ledger-equivalence",
     "ChainWeights.from_values": "3 aggregated-weight-oracle",
     "new_state": "2 coded-ledger-equivalence",
+    "update_cumulative": "2 coded-ledger-equivalence; the oracle of the "
+                         "engine's ledger book",
+    "net_balances": "9 exact-conservation; the oracle of "
+                    "LedgerBook.net",
 }
 
 #: "Class.field" of a src dataclass that src never reads -> why it stays
 UNREAD_FIELDS = {
     "GroupSpec.members": "acceptance criterion 1 builds GroupSpec with it",
+    "RunResult.states": "acceptance criterion 9 and the benchmark's child "
+                        "process read the end-of-run states",
 }
 
 

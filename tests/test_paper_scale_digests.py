@@ -12,9 +12,16 @@ with the attached and confirmed block counts:
   rows split unevenly (14 or 15 per worker) and the silent workers' rows
   fall back to central recomputation;
 - a coded fleet of 20 at straggler rate 0.9, where the 4-group cannot
-  freeze 4 positions, no layout exists and every honest stage stalls.
+  freeze 4 positions, no layout exists and every honest stage stalls;
+- a 4-minute spam run (20% spam) with three double-spend pairs and ten
+  tagged regular transactions, which pins the ingestion of conflicting
+  blocks into the ledger book;
+- a 4-minute run over two chains, where every block pays the one other
+  chain;
+- a 4-minute spam run (30% spam) over 64 chains, whose blocks carry many
+  distinct chain masks and so pin the stake each mask confers.
 
-Together they take about two seconds.
+Together they take about three seconds.
 """
 
 from __future__ import annotations
@@ -53,6 +60,19 @@ PINS = {
         {"fleet_size": 20, "straggler_fraction": 0.9},
         "cf4273a5905e9dd9ff13c646778e40e400041f535468089464e11044f4674f36",
         0, 0),
+    "spam-doublespend-4m": (
+        {"spam_fraction": 0.2, "duration_min": 4.0,
+         "double_spend": {"pairs": 3, "regular": 10}},
+        "fd8c58f279f8b052d524ca423b41b812d75df9bb1591a52e6beeaf2520faee69",
+        237, 167),
+    "two-chains-4m": (
+        {"chains": 2, "duration_min": 4.0},
+        "68b0a997e091be5a9738cd8b882969ec26f3337e1a2f1c4790d7a77b5346e949",
+        238, 237),
+    "chains64-spam-4m": (
+        {"chains": 64, "spam_fraction": 0.3, "duration_min": 4.0},
+        "277ba9829d053c8478f64e9b0b1505cf22fc220bcf0aa54b3624d6add189139b",
+        237, 124),
 }
 
 

@@ -21,7 +21,18 @@ import chainmesh.engine as engine
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 #: boundary the tracer lists but the engine does not bind -> why
-UNBOUND = {"coding.decodable": "dropped by ROADMAP item 2"}
+UNBOUND = {
+    "coding.decodable": "unbound since the planner decides groups itself; "
+                        "ROADMAP item 1's harness mend drops it",
+    "balances.update_cumulative": "the engine's ledger book updates in "
+                                  "place; the MxM fold is its test oracle",
+    "balances.FlowAggregates": "a window lands its blocks in the ledger "
+                               "book without per-chain flow records",
+    "balances.net_balances": "the engine reads net balances from its "
+                             "ledger book; criterion 9 reads the oracle",
+    "dag.assemble_confirmed_superblock": "no artifact read the super-block, "
+                                         "so its assembly was deleted",
+}
 
 
 def _tracer_tables() -> tuple[dict, dict]:
