@@ -26,7 +26,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .balances import Transfers
 
@@ -86,7 +86,8 @@ class DagBlock:
 
     `chains` is the bitmask of chains contributing stake to this block:
     its own proposer plus the proposers of everything in its future cone.
-    `stake` is their summed stake numerator.
+    `stake` is their summed stake numerator. `payload` is None on genesis
+    and on every block a ledger window has ingested.
     """
 
     id: str
@@ -219,14 +220,12 @@ class DagLedger:
 
     # -- accounting views --------------------------------------------------
 
-    def snapshot_lines(self) -> list[str]:
+    def snapshot_lines(self) -> Iterator[str]:
         """One line per block in attach order: id, chain, epoch, parents, status, weight."""
-        lines = []
         for bid, b in self.blocks.items():
             aw = self.aggregated_weight(bid)
             proposer = "-" if b.proposer is None else str(b.proposer)
             parents = ",".join(b.parents) if b.parents else "-"
-            lines.append(f"{b.id} {proposer} {b.epoch} {parents} "
-                         f"{b.status} {aw.numerator}/{aw.denominator}")
-        return lines
+            yield (f"{b.id} {proposer} {b.epoch} {parents} "
+                   f"{b.status} {aw.numerator}/{aw.denominator}")
 

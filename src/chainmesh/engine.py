@@ -4,14 +4,18 @@ Each chain runs a staged epoch pipeline driven by issuance slots: form a
 transfer proposal, shard it across the worker fleet (coded or plain
 partitions), validate, pick and check foreign tips, attach to the shared DAG,
 and update confirmations; a committee drawn as the epoch opens signs off on
-each stage event. A chain runs one epoch at a time: its epochs are one
+each stage event. A chain runs one epoch at a time. Every timed process --
+a chain's epochs, the ledger windows, the tip-pool samples -- is one
 generator, resumed by the event queue at each time it waits for. A tip
 sighted invalid or conflicting is excluded in the DAG for good.
 Confirmed blocks are ingested into the exact cross-chain ledger book at
-fixed ledger windows, where every chain's committee signs off on the append.
-Only honest chains propose valid blocks: that cross-checks every tip
-verdict, confirmation and ingestion. All randomness flows from purpose-keyed streams
-of the scenario seed, so a rerun reproduces every artifact byte for byte.
+fixed ledger windows, where every chain's committee signs off on the append;
+an ingested block's payload is released. Only honest chains propose valid
+blocks: that cross-checks every tip verdict, confirmation and ingestion.
+The run keeps each event as a tuple; the `events.log` and DAG snapshot lines
+are formatted only as they are written. All randomness flows from
+purpose-keyed streams of the scenario seed, so a rerun reproduces every
+artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -30,9 +34,9 @@ from .balances import (CumulativeState, LedgerBook, Transfers,
                        validate_block, validate_tip_payloads)
 from .coding import CodingError, plan_groups
 from .config import ScenarioConfig
-from .dag import GENESIS_ID, ChainWeights, DagLedger
+from .dag import GENESIS_ID, ChainWeights, DagBlock, DagLedger
 from .doublespend import ConflictTracker, InjectionPlan, plan_injections
-from .events import Candidates, EventPools, propose_and_vote, select_committee
+from .events import Candidates, EventPools, select_committee
 from .metrics import MetricsReport, SeriesRecorder, gini
 from .roles import (build_fleet, make_invalid_block, make_valid_block,
                     schedule_issuance)
@@ -70,11 +74,21 @@ class RunResult:
 
     report: MetricsReport
     recorder: SeriesRecorder
-    snapshot_lines: list[str]
-    event_lines: list[str]
+    pools: list[EventPools]         # in chain order
     states: dict[int, CumulativeState]
     dag: DagLedger
     tracker: ConflictTracker | None
+
+    @property
+    def event_lines(self) -> Iterator[str]:
+        """The `events.log` lines, chain by chain; a fresh iterator."""
+        return itertools.chain.from_iterable(
+            pool.audit_lines() for pool in self.pools)
+
+    @property
+    def snapshot_lines(self) -> Iterator[str]:
+        """The `dag_snapshot.txt` lines; a fresh iterator."""
+        return self.dag.snapshot_lines()
 
 
 class Simulation:
@@ -90,7 +104,7 @@ class Simulation:
         self.dag = DagLedger(ChainWeights.equal(cfg.chains),
                              eta=cfg.confirm_threshold)
         self.tracker: ConflictTracker | None = None
-        self._to_ingest: list[str] = []
+        self._to_ingest: list[DagBlock] = []
         self.book = LedgerBook(np.full((cfg.chains, cfg.accounts),
                                        cfg.genesis_balance, dtype=np.int64))
         self._committee_size = cfg.committee_size()
@@ -155,23 +169,13 @@ class Simulation:
 
     # -- scheduler ---------------------------------------------------------
 
-    def _push(self, time_s: float, fn: Callable, *args) -> None:
-        if time_s > self._end:
-            return
-        self._seq += 1
-        heapq.heappush(self._queue, (time_s, self._seq, fn, args))
-
-    def _step(self, now: float, epochs: Iterator[float]) -> None:
-        """Resume a chain's epochs at `now`, the time they last yielded, and
-        wake them at the next time they wait for."""
-        wake = next(epochs, None)
-        if wake is not None:
-            self._push(wake, self._step, epochs)
-
-    def _drain_queue(self) -> None:
-        while self._queue:
-            time_s, _, fn, args = heapq.heappop(self._queue)
-            fn(time_s, *args)
+    def _step(self, process: Iterator[float]) -> None:
+        """Resume a timed process and wake it at the next time it waits for,
+        unless that lies past the end of the run."""
+        wake = next(process, None)
+        if wake is not None and wake <= self._end:
+            self._seq += 1
+            heapq.heappush(self._queue, (wake, self._seq, process))
 
     # -- timing model ------------------------------------------------------
 
@@ -224,7 +228,7 @@ class Simulation:
         watch: set[str] = set()
 
         def publish(kind: str) -> None:
-            rt.pool.publish(propose_and_vote(kind, proposer, epoch))
+            rt.pool.publish(kind, epoch, proposer)
 
         now = 0.0
         for epoch, (slot_time, txn) in enumerate(rt.slots, 1):
@@ -262,7 +266,6 @@ class Simulation:
                 now = t0 + self._vote_s + 2.0 * timeout
                 yield now
                 rt.skipped += 1
-                rt.pool.drain(epoch)
                 continue
             else:
                 now = (t0 + self._vote_s + self._shard_stage_s(rt, 1)
@@ -293,7 +296,6 @@ class Simulation:
             publish(ev.DAG_SUBMISSION)
             self._confirmations(now)
             publish(ev.WEIGHT_UPDATE)
-            rt.pool.drain(epoch)
 
     def _stage_tips(self, rt: _ChainRuntime, epoch: int, payload: Transfers,
                     watch: set[str]) -> tuple[list[str], int]:
@@ -350,27 +352,36 @@ class Simulation:
             self.recorder.record_finality(bid, now - block.attach_time)
             self.recorder.record_confirmed(now)
             self.chains[block.proposer].confirmed_count += 1
-            self._to_ingest.append(bid)
+            self._to_ingest.append(block)
             if self.tracker is not None:
                 self.tracker.on_confirm(bid, now)
 
-    def _window(self, now: float, index: int) -> None:
-        if self._to_ingest:
+    def _windows(self) -> Iterator[float]:
+        """The ledger windows, one every `ledger_interval_s`: each ingests
+        the blocks confirmed since the last one."""
+        now = 0.0
+        # windows use their own epoch space: -1, -2, ...
+        for window_epoch in itertools.count(-1, -1):
+            now += self.cfg.ledger_interval_s
+            yield now
+            if not self._to_ingest:
+                continue
             # confirmed, so honest (`_confirmations`) and debited
-            self.book.ingest([self.dag.blocks[bid].payload
-                              for bid in self._to_ingest])
+            self.book.ingest([block.payload for block in self._to_ingest])
+            for block in self._to_ingest:
+                block.payload = None    # never a tip again: nothing reads it
             self._to_ingest.clear()
-            window_epoch = -(index + 1)     # windows use their own epoch space
             for rt in self.chains.values():
-                rt.pool.publish(propose_and_vote(
-                    ev.LEDGER_APPEND, self._proposer(rt, window_epoch),
-                    window_epoch))
-                rt.pool.drain(window_epoch)
-        self._push(now + self.cfg.ledger_interval_s, self._window, index + 1)
+                rt.pool.publish(ev.LEDGER_APPEND, window_epoch,
+                                self._proposer(rt, window_epoch))
 
-    def _sample(self, now: float) -> None:
-        self.recorder.sample_tip_pool(now, len(self.dag.tips))
-        self._push(now + self.cfg.tip_pool_sample_s, self._sample)
+    def _samples(self) -> Iterator[float]:
+        """The tip-pool samples, one every `tip_pool_sample_s`."""
+        now = 0.0
+        while True:
+            now += self.cfg.tip_pool_sample_s
+            yield now
+            self.recorder.sample_tip_pool(now, len(self.dag.tips))
 
     # -- top level ---------------------------------------------------------
 
@@ -386,28 +397,21 @@ class Simulation:
                 == sum(book.genesis.ravel().tolist()))
 
     def run(self) -> RunResult:
-        cfg = self.cfg
         for rt in self.chains.values():
-            self._step(0.0, self._epochs(rt))
-        self._push(cfg.ledger_interval_s, self._window, 0)
-        self._push(cfg.tip_pool_sample_s, self._sample)
-        self._drain_queue()
+            self._step(self._epochs(rt))
+        self._step(self._windows())
+        self._step(self._samples())
+        while self._queue:
+            self._step(heapq.heappop(self._queue)[2])
         if (not self.recorder.tip_pool
                 or self.recorder.tip_pool[-1][0] != round(self._end, 6)):
             self.recorder.sample_tip_pool(self._end, len(self.dag.tips))
         return RunResult(report=self._report(),
                          recorder=self.recorder,
-                         snapshot_lines=self.dag.snapshot_lines(),
-                         event_lines=self._event_lines(),
+                         pools=[rt.pool for rt in self.chains.values()],
                          states={c: self.book.state(c) for c in self.chains},
                          dag=self.dag,
                          tracker=self.tracker)
-
-    def _event_lines(self) -> list[str]:
-        lines: list[str] = []
-        for c in sorted(self.chains):
-            lines.extend(self.chains[c].pool.audit_lines())
-        return lines
 
     def _report(self) -> MetricsReport:
         cfg = self.cfg

@@ -5,8 +5,9 @@ each one: the member of the highest draw proposes, every member approves.
 A candidate's lottery draw is the SHA-256 digest of its key and the epoch,
 finished from a hash state that has already taken the key; draws compare as
 raw bytes. A committee is held as its proposer and its size.
-A chain's pool admits one event per kind to an open epoch, closes each epoch
-exactly once, and keeps every accepted event for the audit log.
+A chain's pool keeps each signed-off event as a (kind, epoch, proposer)
+tuple, in publish order, for the audit log; the engine's epoch generator
+fixes the stage order, so the pool checks none.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from json.encoder import encode_basestring_ascii as _json_str
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 # Event kinds, in pipeline order: one per stage step of a chain's epoch.
 PROPOSAL_FORMED = "proposal-formed"        # new transfer block assembled
@@ -114,68 +115,30 @@ def select_committee(candidates: Candidates, shared_seed, epoch: int,
 
 
 # ---------------------------------------------------------------------------
-# Proposal voting
-# ---------------------------------------------------------------------------
-
-class EventRecord(NamedTuple):
-    """One oracle event and its proposer."""
-
-    kind: str
-    epoch: int
-    proposer: str
-
-
-def propose_and_vote(kind: str, proposer: str, epoch: int) -> EventRecord:
-    """The committee's proposer proposes the event; the committee approves."""
-    if kind not in EVENT_KINDS:
-        raise EventError(f"unknown event kind {kind!r}")
-    return EventRecord(kind=kind, epoch=epoch, proposer=proposer)
-
-
-# ---------------------------------------------------------------------------
 # Per-chain event pools
 # ---------------------------------------------------------------------------
 
 @dataclass
 class EventPools:
-    """A chain's accepted events, approved by `approvals` members each, the
-    kinds each open epoch has published, and the epochs already drained."""
+    """A chain's signed-off events, approved by `approvals` members each."""
 
     chain: int
     approvals: int
-    audit: list[EventRecord] = field(default_factory=list)
-    open_kinds: dict[int, set[str]] = field(default_factory=dict)
-    drained: set[int] = field(default_factory=set)
+    audit: list[tuple[str, int, str]] = field(default_factory=list)
 
-    def publish(self, record: EventRecord) -> None:
-        """Record an event; an epoch admits one event per kind.
+    def publish(self, kind: str, epoch: int, proposer: str) -> None:
+        """Record an event the committee's proposer proposed at `epoch`."""
+        self.audit.append((kind, epoch, proposer))
 
-        A rejected event leaves the pool unchanged."""
-        if record.epoch in self.drained:
-            raise EventError(f"epoch {record.epoch} already drained")
-        kinds = self.open_kinds.setdefault(record.epoch, set())
-        if record.kind in kinds:
-            raise EventError(f"second active {record.kind!r} event "
-                             f"for epoch {record.epoch}")
-        kinds.add(record.kind)
-        self.audit.append(record)
-
-    def drain(self, epoch: int) -> None:
-        """Close the epoch, exactly once."""
-        if epoch in self.drained:
-            raise EventError(f"epoch {epoch} drained twice")
-        self.open_kinds.pop(epoch, None)
-        self.drained.add(epoch)
-
-    def audit_lines(self) -> list[str]:
+    def audit_lines(self) -> Iterator[str]:
         """Event log export: one compact record per published event.
 
         Each line is the JSON object with keys in sorted order, as
         `json.dumps(..., sort_keys=True)` writes it.
         """
         outcome = _json_str(ACTIVE)
-        return [f'{{"approve": {self.approvals}, "attempts": 1, '
+        return (f'{{"approve": {self.approvals}, "attempts": 1, '
                 f'"chain": {self.chain}, "epoch": {epoch}, '
                 f'"kind": {_json_str(kind)}, "outcome": {outcome}, '
                 f'"proposer": {_json_str(proposer)}, "reject": 0}}'
-                for kind, epoch, proposer in self.audit]
+                for kind, epoch, proposer in self.audit)

@@ -6,7 +6,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -98,8 +98,8 @@ class MetricsReport:
 
 
 def write_artifacts(out_dir: str | Path, recorder: SeriesRecorder,
-                    report: MetricsReport, snapshot_lines: Sequence[str],
-                    event_lines: Sequence[str]) -> None:
+                    report: MetricsReport, snapshot_lines: Iterable[str],
+                    event_lines: Iterable[str]) -> None:
     """Write the CSV/JSON/snapshot/event-log artifact set for one run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -395,7 +395,7 @@ def test_snapshot_lines_cover_all_blocks_in_attach_order():
     led.attach("b", 1, 2, ["a"], time=2.0)
     led.attach("c", 2, 2, ["a"], time=2.0)
     led.update_confirmations(now=3.0)
-    lines = led.snapshot_lines()
+    lines = list(led.snapshot_lines())
     assert len(lines) == 4
     assert lines[0].startswith("genesis - 0 - confirmed")
     fields = lines[1].split()

@@ -18,7 +18,8 @@ from chainmesh.balances import (FlowAggregates, LedgerBook,
 from chainmesh.coding import plan_groups
 from chainmesh.config import ScenarioConfig, replace
 from chainmesh.engine import Simulation, run_scenario
-from chainmesh.events import EVENT_KINDS, LEDGER_APPEND
+from chainmesh.dag import DagLedger
+from chainmesh.events import EVENT_KINDS, LEDGER_APPEND, EventPools
 from chainmesh.roles import build_fleet
 
 ARTIFACTS = ["tip_pool.csv", "finality.csv", "throughput.csv",
@@ -61,7 +62,7 @@ def test_changing_the_seed_changes_the_artifacts():
     # ledger itself (not just the seed stamp) must change with the seed
     a = run_scenario(quick(spam_fraction=0.55, duration_min=2.0, seed=0), "s")
     b = run_scenario(quick(spam_fraction=0.55, duration_min=2.0, seed=1), "s")
-    assert a.snapshot_lines != b.snapshot_lines
+    assert list(a.snapshot_lines) != list(b.snapshot_lines)
 
 
 def test_one_committee_draw_per_chain_and_epoch(monkeypatch):
@@ -74,14 +75,14 @@ def test_one_committee_draw_per_chain_and_epoch(monkeypatch):
 
     monkeypatch.setattr(engine, "select_committee", counting)
     sim = Simulation(quick(spam_fraction=0.55, tip_sample=2))
-    result = sim.run()
+    lines = list(sim.run().event_lines)
     published = set()
-    for line in result.event_lines:
+    for line in lines:
         rec = json.loads(line)
         published.add((sim.chains[rec["chain"]].committee_seed, rec["epoch"]))
     assert set(draws) == published
     assert set(draws.values()) == {1}
-    assert len(result.event_lines) > len(draws)     # committees were reused
+    assert len(lines) > len(draws)      # committees were reused
 
 
 def test_every_logged_proposer_holds_the_highest_draw(tmp_path):
@@ -124,7 +125,7 @@ def test_committee_keys_are_built_at_the_first_draw_not_at_set_up(
         return vrf_key(secret, shared_seed)
 
     monkeypatch.setattr(ev, "vrf_key", counting)
-    assert sim.run().event_lines
+    assert list(sim.run().event_lines)
     # each chain keys its fleet once, for its own seed, whatever the epochs
     assert set(keys) == {rt.committee_seed for rt in sim.chains.values()}
     assert set(keys.values()) == {cfg.fleet_size}
@@ -241,6 +242,39 @@ def test_the_book_equals_a_dense_state_replay_at_every_window(monkeypatch):
     for c, s in states.items():
         assert net_balances(s).tolist() == \
             net_balances(result.states[c]).tolist()
+
+
+def test_a_window_releases_the_payloads_it_ingests(monkeypatch):
+    # every payload stays with its block until a window has landed it in the
+    # book; a tip is never ingested, so every tip keeps its payload
+    cfg = quick(spam_fraction=0.3, duration_min=2.0,
+                double_spend={"pairs": 3, "regular": 6})
+    attached, ingested = {}, []
+    attach, ingest = DagLedger.attach, LedgerBook.ingest
+
+    def keep_attached(dag, block_id, *args, **kw):
+        block = attach(dag, block_id, *args, **kw)
+        attached[block_id] = block.payload
+        return block
+
+    def keep_ingested(book, blocks):
+        ingested.extend(blocks)
+        ingest(book, blocks)
+
+    monkeypatch.setattr(DagLedger, "attach", keep_attached)
+    monkeypatch.setattr(LedgerBook, "ingest", keep_ingested)
+    result = Simulation(cfg).run()
+    assert result.tracker.labeled        # tips were sighted conflicting
+    landed = {id(t) for t in ingested}
+    released = {bid for bid, t in attached.items() if id(t) in landed}
+    assert len(released) == len(ingested) > 10
+    for bid, payload in attached.items():
+        block = result.dag.blocks[bid]
+        if bid in released:
+            assert block.payload is None, bid
+        else:
+            assert block.payload is payload is not None, bid
+    assert result.dag.tips and result.dag.tips.isdisjoint(released)
 
 
 #: ledger amounts near the top of int64
@@ -428,6 +462,36 @@ def test_artifact_files_round_trip(tmp_path, base_run):
     rows = (out / "tip_pool.csv").read_text().strip().splitlines()
     assert rows[0] == "time_s,count"
     assert len(rows) - 1 == 60          # one per sample second through the end
+
+
+def test_artifact_lines_read_twice_equal_the_written_files(tmp_path):
+    result = run_scenario(quick(spam_fraction=0.35), "twice", tmp_path)
+    for name, attr in (("events.log", "event_lines"),
+                       ("dag_snapshot.txt", "snapshot_lines")):
+        lines = list(getattr(result, attr))
+        assert lines and list(getattr(result, attr)) == lines, name
+        assert "".join(line + "\n" for line in lines) == \
+            (tmp_path / name).read_text(), name
+
+
+def test_run_formats_no_artifact_line(monkeypatch):
+    calls = Counter()
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def counted(*args, **kw):
+            calls[name] += 1
+            return method(*args, **kw)
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(EventPools, "audit_lines")
+    counting(DagLedger, "snapshot_lines")
+    cfg = quick()
+    result = Simulation(cfg).run()
+    assert not calls
+    assert list(result.event_lines) and list(result.snapshot_lines)
+    assert calls == {"audit_lines": cfg.chains, "snapshot_lines": 1}
 
 
 @pytest.mark.parametrize("k", [2, 4])

@@ -9,8 +9,8 @@ import pytest
 
 from chainmesh import events as ev
 from chainmesh.events import (ACTIVE, EVENT_KINDS, Candidates, EventError,
-                              EventPools, EventRecord, propose_and_vote,
-                              select_committee, vrf_draws, vrf_key)
+                              EventPools, select_committee, vrf_draws,
+                              vrf_key)
 
 GOLDEN_VRF = 0x345577A51D70ABAF4DAB85F42FC6BA8856914BDBBF25C3652F551AC03719F359
 
@@ -131,95 +131,53 @@ class TestSelectCommittee:
 
 class TestProposeAndVote:
     def test_unanimous_first_proposer_active(self):
-        rec = propose_and_vote(ev.DAG_SUBMISSION, "m0", 4)
-        assert rec == EventRecord(kind=ev.DAG_SUBMISSION, epoch=4,
-                                  proposer="m0")
+        # the proposer's first proposal passes: every member approves
+        pool = EventPools(chain=0, approvals=4)
+        pool.publish(ev.DAG_SUBMISSION, 4, "m0")
+        data = json.loads(next(pool.audit_lines()))
+        assert (data["proposer"], data["attempts"], data["outcome"]) == \
+            ("m0", 1, ACTIVE)
+        assert (data["approve"], data["reject"]) == (4, 0)
 
     def test_single_member_committee(self):
         pool = EventPools(chain=0, approvals=1)
-        pool.publish(propose_and_vote(ev.LEDGER_APPEND, "solo", -1))
-        data = json.loads(pool.audit_lines()[0])
+        pool.publish(ev.LEDGER_APPEND, -1, "solo")
+        data = json.loads(next(pool.audit_lines()))
         assert data["proposer"] == "solo" and data["approve"] == 1
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(EventError):
-            propose_and_vote("nonsense", "a", 0)
 
 
 # ---------------------------------------------------------------------------
 # Event pools
 # ---------------------------------------------------------------------------
 
-def make_record(kind, epoch):
-    return EventRecord(kind=kind, epoch=epoch, proposer="m0")
-
-
 def make_pool(chain=0):
     return EventPools(chain=chain, approvals=2)
 
 
+def publish(pool, kind, epoch):
+    pool.publish(kind, epoch, "m0")
+
+
 class TestEventPools:
-    def test_full_epoch_drains_all_seven(self):
+    def test_full_epoch_keeps_all_seven_in_publish_order(self):
         pool = make_pool()
         for kind in EVENT_KINDS:
-            pool.publish(make_record(kind, epoch=3))
-        assert pool.open_kinds == {3: set(EVENT_KINDS)}
-        assert pool.drain(3) is None
-        assert pool.open_kinds == {}
-        assert pool.drained == {3}
-        assert [r.kind for r in pool.audit] == list(EVENT_KINDS)
-
-    def test_stalled_epoch_drains_only_active(self):
-        pool = make_pool()
-        for kind in EVENT_KINDS[:3]:
-            pool.publish(make_record(kind, epoch=0))
-        pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
-        assert pool.open_kinds[0] == set(EVENT_KINDS[:3])
-        pool.drain(0)
-        assert pool.open_kinds == {1: {ev.PROPOSAL_FORMED}}
-        assert pool.drained == {0}
-
-    def test_double_drain_is_a_sequencing_error(self):
-        pool = make_pool()
-        pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
-        pool.drain(1)
-        with pytest.raises(EventError, match="twice"):
-            pool.drain(1)
-
-    def test_second_active_event_same_kind_and_epoch_rejected(self):
-        pool = make_pool()
-        pool.publish(make_record(ev.DAG_SUBMISSION, epoch=2))
-        with pytest.raises(EventError, match="second active"):
-            pool.publish(make_record(ev.DAG_SUBMISSION, epoch=2))
-
-    def test_publish_after_drain_rejected(self):
-        pool = make_pool()
-        pool.drain(5)
-        with pytest.raises(EventError, match="drained"):
-            pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=5))
+            publish(pool, kind, epoch=3)
+        assert pool.audit == [(kind, 3, "m0") for kind in EVENT_KINDS]
+        assert [json.loads(line)["kind"]
+                for line in pool.audit_lines()] == list(EVENT_KINDS)
 
     def test_same_kind_different_epochs_coexist(self):
         pool = make_pool()
-        pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
-        pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=2))
-        assert pool.open_kinds == {1: {ev.PROPOSAL_FORMED},
-                                   2: {ev.PROPOSAL_FORMED}}
-
-    def test_rejected_publish_leaves_the_pool_unchanged(self):
-        pool = make_pool()
-        pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
-        with pytest.raises(EventError, match="second active"):
-            pool.publish(make_record(ev.PROPOSAL_FORMED, epoch=1))
-        pool.drain(1)
-        with pytest.raises(EventError, match="drained"):
-            pool.publish(make_record(ev.PROPOSAL_RESULTS, epoch=1))
-        assert len(pool.audit_lines()) == 1
-        assert (pool.open_kinds, pool.drained) == ({}, {1})
+        publish(pool, ev.PROPOSAL_FORMED, epoch=1)
+        publish(pool, ev.PROPOSAL_FORMED, epoch=2)
+        assert pool.audit == [(ev.PROPOSAL_FORMED, 1, "m0"),
+                              (ev.PROPOSAL_FORMED, 2, "m0")]
 
     def test_audit_lines_are_json_with_tally(self):
         pool = make_pool(chain=4)
-        pool.publish(make_record(ev.TIP_RESULTS, epoch=9))
-        line = pool.audit_lines()[0]
+        publish(pool, ev.TIP_RESULTS, epoch=9)
+        [line] = pool.audit_lines()
         data = json.loads(line)
         assert data == {"chain": 4, "epoch": 9, "kind": ev.TIP_RESULTS,
                         "proposer": "m0", "approve": 2, "reject": 0,
@@ -232,14 +190,13 @@ class TestEventPools:
             pool = EventPools(chain=3, approvals=approvals)
             for epoch, (kind, proposer) in enumerate(zip(EVENT_KINDS,
                                                          proposers)):
-                pool.publish(EventRecord(kind=kind, epoch=epoch - 2,
-                                         proposer=proposer))
+                pool.publish(kind, epoch - 2, proposer)
             expected = [json.dumps({
-                "chain": 3, "epoch": rec.epoch, "kind": rec.kind,
-                "proposer": rec.proposer, "approve": approvals, "reject": 0,
+                "chain": 3, "epoch": epoch, "kind": kind,
+                "proposer": proposer, "approve": approvals, "reject": 0,
                 "attempts": 1, "outcome": ACTIVE}, sort_keys=True)
-                for rec in pool.audit]
-            assert pool.audit_lines() == expected
+                for kind, epoch, proposer in pool.audit]
+            assert list(pool.audit_lines()) == expected
             assert [json.loads(line)["proposer"]
                     for line in expected] == proposers
 

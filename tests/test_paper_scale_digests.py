@@ -19,7 +19,17 @@ with the attached and confirmed block counts:
 - a 4-minute run over two chains, where every block pays the one other
   chain;
 - a 4-minute spam run (30% spam) over 64 chains, whose blocks carry many
-  distinct chain masks and so pin the stake each mask confers.
+  distinct chain masks and so pin the stake each mask confers;
+- two runs whose ledger-window and tip-pool cadences are not binary
+  fractions (0.7 s and 0.3 s, 0.6 s and 0.3 s): their times accumulate
+  rounding, and at 0.6/0.3 windows, samples and epochs fall due at equal
+  times, so the event queue's order among them is pinned;
+- a run with 10-second ledger windows, whose first window falls due with
+  chain 9's first slot: both wake-ups are queued as the run starts, so the
+  order in which the run queues its processes is pinned;
+- a coded fleet of 21 at straggler rate 0.5, where no layout exists and
+  every epoch of every chain is skipped: only the windows and the tip-pool
+  samples run.
 
 Together they take about three seconds.
 """
@@ -73,6 +83,22 @@ PINS = {
         {"chains": 64, "spam_fraction": 0.3, "duration_min": 4.0},
         "277ba9829d053c8478f64e9b0b1505cf22fc220bcf0aa54b3624d6add189139b",
         237, 124),
+    "intervals-0.7-0.3": (
+        {"ledger_interval_s": 0.7, "tip_pool_sample_s": 0.3},
+        "cf95e228314b3b4b013a2ab78aafd1a2d6f99a849b70d324a10c4ea220b0bb9a",
+        118, 112),
+    "intervals-0.6-0.3": (
+        {"ledger_interval_s": 0.6, "tip_pool_sample_s": 0.3},
+        "2893417a62683ccb0c34076a6587b7634e2242ee46c029b6f4d5f599460069b5",
+        118, 112),
+    "window-ties-first-slot": (
+        {"ledger_interval_s": 10.0},
+        "55f0e55846b5c942d4a86788f2bf8c72a89a8cb605ab022ace09ea42693241a3",
+        118, 112),
+    "coded-fleet21-all-skip": (
+        {"fleet_size": 21, "straggler_fraction": 0.5},
+        "9ffe4587f06912af83fb972b5fca379b158f020811dd37dcc4b318ec0fc75408",
+        0, 0),
 }
 
 

@@ -32,6 +32,10 @@ UNBOUND = {
                              "ledger book; criterion 9 reads the oracle",
     "dag.assemble_confirmed_superblock": "no artifact read the super-block, "
                                          "so its assembly was deleted",
+    "events.propose_and_vote": "a pool records each event as a bare "
+                               "(kind, epoch, proposer) tuple",
+    "events.drain": "the epoch generator fixes the stage order, so pools "
+                    "keep no per-epoch state to close",
 }
 
 
