@@ -47,6 +47,21 @@ class RunManifest:
     out_dir: str | None = None
 
 
+def _scenario(label: str, cfg: ScenarioConfig,
+              seeds: object) -> ManifestScenario:
+    """A scenario run once per seed of a non-empty list of distinct integers,
+    each of which `cfg` accepts."""
+    if (not isinstance(seeds, list) or not seeds
+            or any(not isinstance(s, int) or isinstance(s, bool)
+                   for s in seeds)
+            or len(set(seeds)) != len(seeds)):
+        raise ConfigError(f"scenario {label!r}: 'seeds' must be a "
+                          "non-empty list of distinct integers")
+    for seed in seeds:
+        replace(cfg, seed=seed)
+    return ManifestScenario(label=label, seeds=tuple(seeds), config=cfg)
+
+
 def load_manifest(path: str | Path) -> RunManifest:
     """Parse and validate a batch manifest document."""
     try:
@@ -82,19 +97,11 @@ def load_manifest(path: str | Path) -> RunManifest:
         # the rest of the batch still runs
         try:
             cfg = config_from_mapping(entry.get("config", {}))
-            seeds = entry.get("seeds", [cfg.seed])
-            if (not isinstance(seeds, list) or not seeds
-                    or any(not isinstance(s, int) or isinstance(s, bool)
-                           for s in seeds)
-                    or len(set(seeds)) != len(seeds)):
-                raise ConfigError(f"scenario {label!r}: 'seeds' must be a "
-                                  "non-empty list of distinct integers")
+            scenarios.append(_scenario(label, cfg,
+                                       entry.get("seeds", [cfg.seed])))
         except ConfigError as exc:
             scenarios.append(ManifestScenario(label=label, seeds=(),
                                               config=None, error=str(exc)))
-            continue
-        scenarios.append(ManifestScenario(label=label, seeds=tuple(seeds),
-                                          config=cfg))
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("'out_dir' must be a string path")
@@ -173,16 +180,11 @@ def run_batch(scenarios: Sequence[ManifestScenario], out: Path,
                                    "error": f"validation: {scen.error}"}
             continue
         for seed in scen.seeds:
+            # `_scenario` validated every seed, so a run fails only at run time
             try:
-                cfg = replace(scen.config, seed=seed)
-                result = run_scenario(cfg, scen.label,
+                result = run_scenario(replace(scen.config, seed=seed),
+                                      scen.label,
                                       out / scen.label / f"seed-{seed:03d}")
-            except ConfigError as exc:
-                error = f"validation: {exc}"
-                worst = max(worst, EXIT_VALIDATION)
-                print(f"error: {scen.label} seed={seed}: {error}",
-                      file=sys.stderr)
-                break
             except Exception as exc:            # isolate, keep the batch going
                 error = f"runtime: {exc}"
                 worst = max(worst, EXIT_RUNTIME)
@@ -231,22 +233,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_preset(args: argparse.Namespace) -> int:
+    seeds = args.seeds or list(DEFAULT_SEEDS)
     try:
-        seeds = tuple(args.seeds) if args.seeds else DEFAULT_SEEDS
-        runs = build_preset(args.name, paper_scale=args.paper_scale,
-                            seeds=seeds)
+        scenarios = [_scenario(label, cfg, seeds) for label, cfg in
+                     build_preset(args.name, args.paper_scale).items()]
     except (KeyError, ConfigError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
-    by_label: dict[str, list[int]] = {}
-    configs: dict[str, ScenarioConfig] = {}
-    for run in runs:
-        by_label.setdefault(run.label, []).append(run.config.seed)
-        configs[run.label] = run.config
-    scenarios = [ManifestScenario(label=label, seeds=tuple(seeds),
-                                  config=configs[label])
-                 for label, seeds in by_label.items()]
     out = resolve_out_dir(args.out) / args.name
     return run_batch(scenarios, out, quiet=args.quiet)
 

@@ -3,17 +3,18 @@
 A conflicting pair is two blocks carrying the same transaction id. The
 earlier-attached block passes; the later one is a conflict candidate. The
 first honest chain whose tip batch sights a candidate labels it, and the DAG
-never offers it as a tip again, so no block approves it. The sighting chain
-then claims the observation on each of its proposals until one of them
-confirms, which is when the detection becomes final ledger knowledge.
-Carriers are drawn from the honest slots of `injection_window`, which config
-validation reads too, so every accepted plan fits.
+never offers it as a tip again, so no block approves it. The tracker keeps
+each chain's sightings and ties them to each of the chain's proposals until
+one of them confirms, which is when the detection becomes final ledger
+knowledge. Carriers are keyed by (chain, epoch), drawn from the honest slots
+of `injection_window` in time order; config validation reads the window
+too, so every accepted plan fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,9 +25,9 @@ class InjectionError(Exception):
 
 @dataclass(frozen=True)
 class InjectionPlan:
-    """Which issuance slots carry which transaction ids."""
+    """Which honest slots carry which transaction ids."""
 
-    carriers: Mapping[int, str]     # honest-slot index -> transaction id
+    carriers: Mapping[tuple[int, int], str]     # (chain, epoch) -> txn id
     pair_ids: tuple[str, ...]
     regular_ids: tuple[str, ...]
 
@@ -41,30 +42,35 @@ def injection_window(honest_slots: int) -> range:
     return range(lo, max(lo, int(INJECTION_WINDOW[1] * honest_slots)))
 
 
-def plan_injections(slot_chains: Sequence[int], pairs: int, regular: int,
-                    rng: np.random.Generator) -> InjectionPlan:
+def plan_injections(honest_slots: Mapping[int, Sequence[float]], pairs: int,
+                    regular: int, rng: np.random.Generator) -> InjectionPlan:
     """Choose carrier slots for conflicting pairs and regular tagged blocks.
 
-    `slot_chains` lists the proposing chain of each honest issuance slot in
-    time order. Carriers are drawn from `INJECTION_WINDOW` of the run so
-    detections can complete before it ends; the two slots of a pair land on
-    different chains whenever possible.
+    `honest_slots` maps each honest chain to its slot times; the chain's
+    n-th slot is its epoch n. Carriers are drawn from `INJECTION_WINDOW` of
+    the honest slots in time order, so detections can complete before the
+    run ends; the two slots of a pair land on different chains whenever
+    possible.
     """
+    # the (chain, epoch) of every honest slot, in time order
+    order = [slot for _, slot in sorted(
+        (t, (chain, epoch)) for chain, times in honest_slots.items()
+        for epoch, t in enumerate(times, 1))]
     need = 2 * pairs + regular
-    eligible = injection_window(len(slot_chains))
+    eligible = injection_window(len(order))
     if need > len(eligible):
         raise InjectionError(f"{need} carrier slots needed but only "
                              f"{len(eligible)} fall in the injection window")
     picked = sorted(int(i) for i in rng.choice(np.asarray(eligible),
                                                size=need, replace=False))
-    carriers: dict[int, str] = {}
+    carriers: dict[tuple[int, int], str] = {}
     pair_ids = []
-    pool = list(picked)
+    pool = [order[i] for i in picked]
     for p in range(pairs):
         first = pool.pop(0)
         # prefer a partner on a different chain
         partner_pos = next((i for i, s in enumerate(pool)
-                            if slot_chains[s] != slot_chains[first]), 0)
+                            if s[0] != first[0]), 0)
         second = pool.pop(partner_pos)
         tid = f"pair-{p:03d}"
         pair_ids.append(tid)
@@ -87,6 +93,8 @@ class ConflictTracker:
     candidates: dict[str, str] = field(default_factory=dict)   # block -> txn
     second_attach: dict[str, float] = field(default_factory=dict)
     labeled: set[str] = field(default_factory=set)
+    #: chain -> candidates it sighted whose detection is not yet final
+    sightings: dict[int, set[str]] = field(default_factory=dict)
     _claims: dict[str, list[str]] = field(default_factory=dict)
     detections: dict[str, float] = field(default_factory=dict)  # txn -> time
 
@@ -98,22 +106,26 @@ class ConflictTracker:
         else:
             self.first_carrier[txn] = block_id
 
-    def inspect_tip(self, block_id: str) -> bool:
-        """Label a sighted conflict candidate; True if the tip is conflicting."""
+    def inspect_tip(self, chain: int, block_id: str) -> bool:
+        """Label a conflict candidate that `chain` sighted among its tips;
+        True if the tip is conflicting."""
         if block_id in self.candidates:
             self.labeled.add(block_id)
+            self.sightings.setdefault(chain, set()).add(block_id)
             return True
         return False
 
-    def claim(self, claimer_block: str, watched: Iterable[str]) -> set[str]:
-        """Tie a chain's sighted, still-undetected conflicts to its proposal,
-        and return them; the first claimer to confirm finalises them."""
-        pending = {b for b in watched
+    def claim(self, chain: int, block_id: str) -> None:
+        """Tie the chain's sighted, still-undetected conflicts to its
+        proposal `block_id`; the first claimer to confirm finalises them.
+        Every proposal re-claims them, so a claimer that never confirms
+        strands none."""
+        pending = {b for b in self.sightings.get(chain, ())
                    if self.candidates[b] not in self.detections}
+        self.sightings[chain] = pending
         if pending:
-            self._claims[claimer_block] = [self.candidates[b]
-                                           for b in sorted(pending)]
-        return pending
+            self._claims[block_id] = [self.candidates[b]
+                                      for b in sorted(pending)]
 
     def on_confirm(self, block_id: str, time_s: float) -> None:
         """A claiming proposal confirmed: its observations are now final."""

@@ -1,10 +1,13 @@
 """Deterministic discrete-event simulator tying every layer together.
 
-Each chain runs a staged epoch pipeline driven by issuance slots: form a
-transfer proposal, shard it across the worker fleet (coded or plain
-partitions), validate, pick and check foreign tips, attach to the shared DAG,
-and update confirmations; a committee drawn as the epoch opens signs off on
-each stage event. A chain runs one epoch at a time. Every timed process --
+Each chain runs a staged epoch pipeline, one epoch per slot of its own
+issuance schedule: form a transfer proposal, shard it across the worker
+fleet (coded or plain partitions), validate, pick and check foreign tips,
+attach to the shared DAG, and update confirmations; a committee drawn as the
+epoch opens signs off on each stage event. A chain runs one epoch at a time.
+A block carries the transaction id the injection plan keys to its (chain,
+epoch); the conflict tracker, present in every run, keeps which conflicts
+each chain has sighted and claims them on its proposals. Every timed process --
 a chain's epochs, the ledger windows, the tip-pool samples -- is one
 generator, resumed by the event queue at each time it waits for. A tip
 sighted invalid or conflicting is excluded in the DAG for good.
@@ -24,7 +27,7 @@ import hashlib
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -35,7 +38,7 @@ from .balances import (CumulativeState, LedgerBook, Transfers,
 from .coding import CodingError, plan_groups
 from .config import ScenarioConfig
 from .dag import GENESIS_ID, ChainWeights, DagBlock, DagLedger
-from .doublespend import ConflictTracker, InjectionPlan, plan_injections
+from .doublespend import ConflictTracker, plan_injections
 from .events import Candidates, EventPools, select_committee
 from .metrics import MetricsReport, SeriesRecorder, gini
 from .roles import (build_fleet, make_invalid_block, make_valid_block,
@@ -61,7 +64,7 @@ class _ChainRuntime:
     candidates: Candidates
     committee_seed: str
     dests: tuple[int, ...]          # destination chains, cycled by epoch
-    slots: list = field(default_factory=list)   # (time_s, txn_id | None)
+    slots: list[float]              # slot time of each epoch
     confirmed_count: int = 0
     intra_done: int = 0
     skipped: int = 0
@@ -77,7 +80,7 @@ class RunResult:
     pools: list[EventPools]         # in chain order
     states: dict[int, CumulativeState]
     dag: DagLedger
-    tracker: ConflictTracker | None
+    tracker: ConflictTracker
 
     @property
     def event_lines(self) -> Iterator[str]:
@@ -103,20 +106,25 @@ class Simulation:
         self.recorder = SeriesRecorder()
         self.dag = DagLedger(ChainWeights.equal(cfg.chains),
                              eta=cfg.confirm_threshold)
-        self.tracker: ConflictTracker | None = None
+        self.tracker = ConflictTracker()
         self._to_ingest: list[DagBlock] = []
         self.book = LedgerBook(np.full((cfg.chains, cfg.accounts),
                                        cfg.genesis_balance, dtype=np.int64))
         self._committee_size = cfg.committee_size()
-        self._setup_chains()
-        self._setup_injection()
+        self._setup()
 
     # -- construction ------------------------------------------------------
 
-    def _setup_chains(self) -> None:
+    def _setup(self) -> None:
         cfg = self.cfg
-        adversarial = set(cfg.adversarial_chains())
+        adversarial = cfg.adversarial_chains()
         honest = cfg.honest_chains()
+        slots = schedule_issuance(cfg.issuance_rate, cfg.spam_fraction,
+                                  honest, adversarial, cfg.duration_min)
+        ds = cfg.double_spend
+        self.injection = plan_injections(
+            {c: slots[c] for c in honest}, ds.pairs, ds.regular,
+            np.random.default_rng(derive_seed(cfg.seed, "inject")))
         self.chains: dict[int, _ChainRuntime] = {}
         for c in range(cfg.chains):
             rng = np.random.default_rng(derive_seed(cfg.seed, "fleet", c))
@@ -140,6 +148,7 @@ class Simulation:
                 honest=c not in adversarial,
                 dests=(tuple(d for d in range(cfg.chains) if d != c)
                        if c not in adversarial else honest),
+                slots=slots[c],
                 worker_rows=rows,
                 pool=EventPools(chain=c, approvals=self._committee_size),
                 candidates=Candidates([f"c{c}n{i}"
@@ -147,25 +156,6 @@ class Simulation:
                 committee_seed=f"{cfg.seed}|committee|{c}",
                 missing_rows=missing,
             )
-
-    def _setup_injection(self) -> None:
-        cfg = self.cfg
-        slots = schedule_issuance(cfg.issuance_rate, cfg.spam_fraction,
-                                  cfg.honest_chains(),
-                                  cfg.adversarial_chains(), cfg.duration_min)
-        ds = cfg.double_spend
-        self.injection: InjectionPlan | None = None
-        if ds.pairs or ds.regular:
-            rng = np.random.default_rng(derive_seed(cfg.seed, "inject"))
-            self.injection = plan_injections(
-                [s.chain for s in slots if s.honest], ds.pairs, ds.regular,
-                rng)
-            self.tracker = ConflictTracker()
-        carriers = self.injection.carriers if self.injection else {}
-        honest_idx = itertools.count()  # carriers are keyed by honest slot
-        for s in slots:
-            txn = carriers.get(next(honest_idx)) if s.honest else None
-            self.chains[s.chain].slots.append((s.time_s, txn))
 
     # -- scheduler ---------------------------------------------------------
 
@@ -223,15 +213,12 @@ class Simulation:
         time the pipeline waits for, at which `_step` resumes it."""
         cfg = self.cfg
         first_block: str | None = None
-        # labeled conflict candidates this chain has sighted but whose
-        # detection has not yet been finalised by any confirmed proposal
-        watch: set[str] = set()
 
         def publish(kind: str) -> None:
             rt.pool.publish(kind, epoch, proposer)
 
         now = 0.0
-        for epoch, (slot_time, txn) in enumerate(rt.slots, 1):
+        for epoch, slot_time in enumerate(rt.slots, 1):
             if slot_time > now:
                 yield slot_time
                 now = slot_time
@@ -273,7 +260,7 @@ class Simulation:
                 yield now
                 rt.intra_done += 1
                 publish(ev.PROPOSAL_RESULTS)
-                parents, tips = self._stage_tips(rt, epoch, payload, watch)
+                parents, tips = self._stage_tips(rt, epoch, payload)
                 publish(ev.TIP_BATCH_FORMED)
                 now = (now + self._vote_s + self._shard_stage_s(rt, tips)
                        + 2.0 * self._vote_s)
@@ -287,21 +274,18 @@ class Simulation:
             self.dag.attach(block_id, proposer=rt.chain, epoch=epoch,
                             parents=parents, payload=payload, time=now)
             first_block = first_block or block_id
-            if self.tracker is not None:
-                if txn:
-                    self.tracker.register_attach(block_id, txn, now)
-                # carry every still-unresolved sighting on this proposal
-                # too: a claimer that never confirms must not strand it
-                watch = self.tracker.claim(block_id, watch)
+            txn = self.injection.carriers.get((rt.chain, epoch))
+            if txn:
+                self.tracker.register_attach(block_id, txn, now)
+            self.tracker.claim(rt.chain, block_id)
             publish(ev.DAG_SUBMISSION)
             self._confirmations(now)
             publish(ev.WEIGHT_UPDATE)
 
-    def _stage_tips(self, rt: _ChainRuntime, epoch: int, payload: Transfers,
-                    watch: set[str]) -> tuple[list[str], int]:
+    def _stage_tips(self, rt: _ChainRuntime, epoch: int, payload: Transfers
+                    ) -> tuple[list[str], int]:
         """Debit the validated proposal, then pick and check foreign tips:
-        returns the approvable ones and the batch size; conflicting tips
-        join `watch`."""
+        returns the approvable ones and the batch size."""
         # honest proposals are drawn within the net balance: none is zeroed
         result = validate_block(payload, self.book)
         if result.any_zeroed:
@@ -325,10 +309,7 @@ class Simulation:
                 if verdict != self.chains[src].honest:
                     raise SimulationError(
                         f"tip verdict for {bid} disagrees with ground truth")
-                conflicting = (self.tracker is not None
-                               and self.tracker.inspect_tip(bid))
-                if conflicting:
-                    watch.add(bid)
+                conflicting = self.tracker.inspect_tip(rt.chain, bid)
                 if verdict and not conflicting:
                     parents.append(bid)
                 else:
@@ -353,8 +334,7 @@ class Simulation:
             self.recorder.record_confirmed(now)
             self.chains[block.proposer].confirmed_count += 1
             self._to_ingest.append(block)
-            if self.tracker is not None:
-                self.tracker.on_confirm(bid, now)
+            self.tracker.on_confirm(bid, now)
 
     def _windows(self) -> Iterator[float]:
         """The ledger windows, one every `ledger_interval_s`: each ingests
@@ -423,10 +403,9 @@ class Simulation:
         pools = [c for _, c in self.recorder.tip_pool]
         counts = [self.chains[c].confirmed_count
                   for c in range(cfg.chains)]
-        ds = None
-        if self.injection is not None and self.tracker is not None:
-            ds = self.tracker.score(self.injection.pair_ids,
-                                    self.injection.regular_ids)
+        plan = self.injection
+        ds = (self.tracker.score(plan.pair_ids, plan.regular_ids)
+              if plan.carriers else None)
         return MetricsReport(
             scenario=self.scenario,
             seed=cfg.seed,

@@ -26,9 +26,6 @@ DAG_SUBMISSION = "dag-submission"          # validated block ready to attach
 WEIGHT_UPDATE = "weight-update"            # approval weights recomputed
 LEDGER_APPEND = "ledger-append"            # confirmed super-block chosen
 
-EVENT_KINDS = (PROPOSAL_FORMED, PROPOSAL_RESULTS, TIP_BATCH_FORMED,
-               TIP_RESULTS, DAG_SUBMISSION, WEIGHT_UPDATE, LEDGER_APPEND)
-
 ACTIVE = "active"
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -78,22 +78,10 @@ class MetricsReport:
     double_spend: Mapping[str, float] | None = None
 
     def to_mapping(self) -> dict:
-        data = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "duration_min": self.duration_min,
-            "intra_blocks_per_min": self.intra_blocks_per_min,
-            "inter_blocks_per_min": self.inter_blocks_per_min,
-            "confirmed_blocks": self.confirmed_blocks,
-            "attached_blocks": self.attached_blocks,
-            "mean_finality_s": self.mean_finality_s,
-            "mean_tip_pool": self.mean_tip_pool,
-            "final_tip_pool": self.final_tip_pool,
-            "confirmation_gini": self.confirmation_gini,
-            "conservation_ok": self.conservation_ok,
-        }
-        if self.double_spend is not None:
-            data["double_spend"] = dict(self.double_spend)
+        """Every field by name; a run without double-spend has no entry."""
+        data = asdict(self)
+        if self.double_spend is None:
+            del data["double_spend"]
         return data
 
 

@@ -10,8 +10,6 @@ default; `paper_scale` switches to the full fleet and account sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import ScenarioConfig, replace
 
 DEFAULT_SEEDS = (0, 1, 2)
@@ -20,14 +18,6 @@ DEFAULT_SEEDS = (0, 1, 2)
 #: laptop-sized fleet while keeping every protocol parameter intact
 DESK_FLEET, PAPER_FLEET = 20, 100
 DESK_ACCOUNTS, PAPER_ACCOUNTS = 100, 1000
-
-
-@dataclass(frozen=True)
-class PresetRun:
-    """One scenario of a preset; runs sharing a label differ only by seed."""
-
-    label: str
-    config: ScenarioConfig
 
 
 def _base(paper_scale: bool, **kw) -> ScenarioConfig:
@@ -121,14 +111,11 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILDERS))
 
 
-def build_preset(name: str, paper_scale: bool = False,
-                 seeds: tuple[int, ...] = DEFAULT_SEEDS) -> tuple[PresetRun, ...]:
-    """Expand one preset into its (scenario, seed) runs."""
+def build_preset(name: str,
+                 paper_scale: bool = False) -> dict[str, ScenarioConfig]:
+    """Expand one preset into its scenarios: one config per label, each run
+    once per seed."""
     if name not in _BUILDERS:
         known = ", ".join(preset_names())
         raise KeyError(f"unknown preset {name!r}; choose one of: {known}")
-    runs = []
-    for label, cfg in _BUILDERS[name](paper_scale):
-        for seed in seeds:
-            runs.append(PresetRun(label=label, config=replace(cfg, seed=seed)))
-    return tuple(runs)
+    return dict(_BUILDERS[name](paper_scale))

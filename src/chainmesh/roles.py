@@ -4,12 +4,13 @@ Each chain runs a fleet of worker/committee nodes, all of stake 1. A fleet
 is its straggler profile: one straggling likelihood per node, of which the
 configured fraction with the highest likelihoods are stragglers that
 silently drop their shard tasks. Adversarial chains pad valid-looking
-transfer blocks with overspending rows.
+transfer blocks with overspending rows. Issuance deals each faction's
+evenly spaced slots round-robin over its chains, so each chain gets its own
+list of slot times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -112,13 +113,6 @@ def make_valid_block(dest: int, balances: np.ndarray,
 # Issuance scheduling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IssuanceSlot:
-    time_s: float
-    chain: int
-    honest: bool
-
-
 def stream_slots(rate_per_min: float, duration_min: float) -> int:
     """Slot count of one issuance stream, rounding halves to even."""
     return int(round(duration_min * rate_per_min))
@@ -127,14 +121,15 @@ def stream_slots(rate_per_min: float, duration_min: float) -> int:
 def schedule_issuance(rate_per_min: float, spam_fraction: float,
                       honest_chains: Sequence[int],
                       adversarial_chains: Sequence[int],
-                      duration_min: float) -> list[IssuanceSlot]:
-    """Fixed-cadence block slots split between the two factions.
+                      duration_min: float) -> dict[int, list[float]]:
+    """Fixed-cadence slot times of each chain, split between the factions.
 
     The honest faction issues at (1 - spam_fraction) * rate and the
     adversarial faction at spam_fraction * rate, each stream evenly spaced
     and dealt round-robin over its chains. Slot i of a stream with per-minute
     rate r lands at i * 60 / r seconds, for i = 1 .. round(duration * r),
-    rounding halves to even.
+    rounding halves to even. Every chain of both factions has an entry, in
+    time order and possibly empty.
     """
     if rate_per_min <= 0:
         raise RoleError("issuance rate must be positive")
@@ -144,18 +139,13 @@ def schedule_issuance(rate_per_min: float, spam_fraction: float,
         raise RoleError("spam fraction positive but no adversarial chains")
     if spam_fraction < 1 and not honest_chains:
         raise RoleError("honest rate positive but no honest chains")
-    slots: list[IssuanceSlot] = []
-
-    def stream(rate: float, chains: Sequence[int], honest: bool) -> None:
+    slots: dict[int, list[float]] = {
+        c: [] for c in (*honest_chains, *adversarial_chains)}
+    for rate, chains in ((rate_per_min * (1.0 - spam_fraction), honest_chains),
+                         (rate_per_min * spam_fraction, adversarial_chains)):
         if rate <= 0 or not chains:
-            return
+            continue
         period = 60.0 / rate
         for i in range(1, stream_slots(rate, duration_min) + 1):
-            chain = chains[(i - 1) % len(chains)]
-            slots.append(IssuanceSlot(time_s=i * period, chain=chain,
-                                      honest=honest))
-
-    stream(rate_per_min * (1.0 - spam_fraction), honest_chains, True)
-    stream(rate_per_min * spam_fraction, adversarial_chains, False)
-    slots.sort(key=lambda s: (s.time_s, not s.honest, s.chain))
+            slots[chains[(i - 1) % len(chains)]].append(i * period)
     return slots

@@ -205,6 +205,27 @@ def test_preset_seed_override(tmp_path):
     assert rep["seed"] == 7
 
 
+@pytest.mark.parametrize("seeds", [["0", "0"], ["-1"]])
+def test_preset_rejects_a_bad_seed_list_before_writing(tmp_path, capsys,
+                                                        seeds):
+    out = tmp_path / "out"
+    assert main(["preset", "tip-pool-k2", "--out", str(out), "--seeds",
+                 *seeds, "--quiet"]) == EXIT_VALIDATION
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_rejects_a_negative_seed_before_any_run(tmp_path):
+    p = write_manifest(tmp_path / "m.json",
+                       [{"label": "a", "seeds": [0, -1], "config": TINY}])
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out), "--quiet"]) == \
+        EXIT_VALIDATION
+    assert not (out / "a").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["scenarios"]["a"]["runs"] == 0
+
+
 def test_unknown_preset_name_exits_one(capsys):
     assert main(["preset", "nope", "--out", "x"]) == EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -245,22 +266,19 @@ def test_catalog_names_cover_every_experiment_family():
 @pytest.mark.parametrize("paper_scale", [False, True])
 def test_every_preset_config_validates(paper_scale):
     for name in preset_names():
-        runs = build_preset(name, paper_scale=paper_scale, seeds=(0,))
-        assert runs
-        for run in runs:        # construction already validated every field
-            assert run.config.chains >= 2
+        configs = build_preset(name, paper_scale=paper_scale)
+        assert configs
+        for cfg in configs.values():   # construction validated every field
+            assert cfg.chains >= 2
 
 
 def test_paper_scale_restores_full_fleet_and_accounts():
-    desk = build_preset("tip-pool-k2", seeds=(0,))
-    full = build_preset("tip-pool-k2", paper_scale=True, seeds=(0,))
-    assert desk[0].config.fleet_size == 20
-    assert desk[0].config.accounts == 100
-    assert full[0].config.fleet_size == 100
-    assert full[0].config.accounts == 1000
-    sizes = {run.label: run.config.fleet_size
-             for run in build_preset("inter-scalability", paper_scale=True,
-                                     seeds=(0,))}
+    desk = build_preset("tip-pool-k2")["k2-spam35"]
+    full = build_preset("tip-pool-k2", paper_scale=True)["k2-spam35"]
+    assert (desk.fleet_size, desk.accounts) == (20, 100)
+    assert (full.fleet_size, full.accounts) == (100, 1000)
+    sizes = {label: cfg.fleet_size for label, cfg in
+             build_preset("inter-scalability", paper_scale=True).items()}
     assert sizes == {"fleet100": 100, "fleet200": 200}
 
 

@@ -236,9 +236,9 @@ class TestValidation:
             return True
 
         room = next(n for n in range(1000) if not valid(n + 1))
-        honest = [s.chain for s in schedule_issuance(
-            rate, spam, base.honest_chains(), base.adversarial_chains(),
-            duration) if s.honest]
+        slots = schedule_issuance(rate, spam, base.honest_chains(),
+                                  base.adversarial_chains(), duration)
+        honest = {c: slots[c] for c in base.honest_chains()}
         if room:
             plan_injections(honest, 0, room, np.random.default_rng(0))
         with pytest.raises(InjectionError):

@@ -19,11 +19,16 @@ from chainmesh.coding import plan_groups
 from chainmesh.config import ScenarioConfig, replace
 from chainmesh.engine import Simulation, run_scenario
 from chainmesh.dag import DagLedger
-from chainmesh.events import EVENT_KINDS, LEDGER_APPEND, EventPools
+from chainmesh.events import LEDGER_APPEND, EventPools
 from chainmesh.roles import build_fleet
 
 ARTIFACTS = ["tip_pool.csv", "finality.csv", "throughput.csv",
              "metrics.json", "dag_snapshot.txt", "events.log"]
+
+#: every event kind: the six epoch stages, then the ledger-window append
+EVENT_KINDS = (ev.PROPOSAL_FORMED, ev.PROPOSAL_RESULTS, ev.TIP_BATCH_FORMED,
+               ev.TIP_RESULTS, ev.DAG_SUBMISSION, ev.WEIGHT_UPDATE,
+               LEDGER_APPEND)
 
 
 def quick(**kw) -> ScenarioConfig:
@@ -498,8 +503,8 @@ def test_run_formats_no_artifact_line(monkeypatch):
 def test_labeled_candidates_are_never_approved_nor_confirmed(k):
     from chainmesh.dag import CONFIRMED
     from chainmesh.presets import build_preset
-    (run,) = build_preset(f"double-spend-k{k}", seeds=(0,))
-    res = run_scenario(run.config, "ds")
+    (cfg,) = build_preset(f"double-spend-k{k}").values()
+    res = run_scenario(cfg, "ds")
     labeled = set(res.tracker.labeled)
     assert labeled                       # the check below is not vacuous
     for bid, block in res.dag.blocks.items():

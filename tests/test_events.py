@@ -8,9 +8,13 @@ from fractions import Fraction
 import pytest
 
 from chainmesh import events as ev
-from chainmesh.events import (ACTIVE, EVENT_KINDS, Candidates, EventError,
-                              EventPools, select_committee, vrf_draws,
-                              vrf_key)
+from chainmesh.events import (ACTIVE, Candidates, EventError, EventPools,
+                              select_committee, vrf_draws, vrf_key)
+
+#: every event kind, in pipeline order
+EVENT_KINDS = (ev.PROPOSAL_FORMED, ev.PROPOSAL_RESULTS, ev.TIP_BATCH_FORMED,
+               ev.TIP_RESULTS, ev.DAG_SUBMISSION, ev.WEIGHT_UPDATE,
+               ev.LEDGER_APPEND)
 
 GOLDEN_VRF = 0x345577A51D70ABAF4DAB85F42FC6BA8856914BDBBF25C3652F551AC03719F359
 

@@ -10,7 +10,12 @@ Every field of a dataclass defined under `src/chainmesh/` must be read by
 name somewhere in `src/`: loaded as an attribute, or updated in place
 (`x.f += 1` reads `x.f`). A bare name, such as a local variable or a
 keyword argument's value, is not a field read, nor is setting a field by
-keyword or by assignment. Exceptions go in `UNREAD_FIELDS` with a reason.
+keyword or by assignment. A dataclass whose own method passes `self` to
+`asdict` reads every field. Exceptions go in `UNREAD_FIELDS` with a reason.
+
+Every public module-level constant under `src/chainmesh/` must be loaded
+somewhere in `src/`, as a bare name or as a module attribute. Its own
+assignment stores the name, so only loads count.
 
 References are matched by bare name, so the checks can miss dead code whose
 name is reused elsewhere; they never flag live code.
@@ -100,12 +105,22 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _reads_every_field(node: ast.ClassDef) -> bool:
+    """Whether a method of the class passes `self` to `asdict`."""
+    return any(isinstance(call, ast.Call)
+               and isinstance(call.func, ast.Name) and call.func.id == "asdict"
+               and any(isinstance(arg, ast.Name) and arg.id == "self"
+                       for arg in call.args)
+               for call in ast.walk(node))
+
+
 def _dataclass_fields() -> set[str]:
     """Annotated fields of every dataclass under src, qualified."""
     fields: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node) \
+                    and not _reads_every_field(node):
                 fields.update(f"{node.name}.{item.target.id}"
                               for item in node.body
                               if isinstance(item, ast.AnnAssign)
@@ -141,3 +156,43 @@ def test_every_src_dataclass_field_is_read_in_src():
 def test_every_unread_field_entry_is_still_unread():
     stale = sorted(set(UNREAD_FIELDS) - _unread_fields())
     assert not stale, f"UNREAD_FIELDS entries now read by src or gone: {stale}"
+
+
+def _public_constants() -> set[str]:
+    """Public names a src module assigns at module level, qualified."""
+    consts: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            consts.update(f"{path.stem}.{name.id}" for target in targets
+                          for name in ast.walk(target)
+                          if isinstance(name, ast.Name)
+                          and not name.id.startswith("_"))
+    return consts
+
+
+def _names_loaded_in_src() -> set[str]:
+    names: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_no_public_src_constant_is_used_only_by_tests():
+    loaded = _names_loaded_in_src()
+    unused = sorted(q for q in _public_constants()
+                    if q.rsplit(".", 1)[-1] not in loaded)
+    assert not unused, (
+        f"public src constants no src code loads: {unused}; delete them, "
+        "or move them into the tests that read them")

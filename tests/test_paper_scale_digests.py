@@ -29,7 +29,13 @@ with the attached and confirmed block counts:
   order in which the run queues its processes is pinned;
 - a coded fleet of 21 at straggler rate 0.5, where no layout exists and
   every epoch of every chain is skipped: only the windows and the tip-pool
-  samples run.
+  samples run;
+- a 3-minute spam run (30% spam) over 7 chains with five double-spend pairs
+  and twenty tagged regular transactions, whose 105 honest slots split
+  unevenly (18 or 17 per honest chain), so the carriers' chains pin the
+  round-robin deal;
+- a 1-minute run at 4 blocks per minute with one double-spend pair, where
+  only 4 of the 10 honest chains get a slot and the rest issue nothing.
 
 Together they take about three seconds.
 """
@@ -99,6 +105,16 @@ PINS = {
         {"fleet_size": 21, "straggler_fraction": 0.5},
         "9ffe4587f06912af83fb972b5fca379b158f020811dd37dcc4b318ec0fc75408",
         0, 0),
+    "chains7-uneven-slots-doublespend-3m": (
+        {"chains": 7, "spam_fraction": 0.3, "issuance_rate": 50.0,
+         "duration_min": 3.0, "double_spend": {"pairs": 5, "regular": 20}},
+        "0d968a8a4586723a0acda3b6f0c1a166cce320823776e60656475066121615b9",
+        148, 84),
+    "slotless-honest-chains-1m": (
+        {"issuance_rate": 4.0, "duration_min": 1.0,
+         "double_spend": {"pairs": 1}},
+        "0cff577670620919379b466843a4d097831215a6be9da5510e1bce8d4e53b836",
+        3, 0),
 }
 
 

@@ -272,36 +272,40 @@ class TestOverspendOverflow:
 class TestScheduleIssuance:
     def test_total_count_rate_times_duration(self):
         slots = schedule_issuance(100.0, 0.0, [0, 1, 2], [], 5.0)
-        assert len(slots) == 500
-        assert all(s.honest for s in slots)
+        assert sum(map(len, slots.values())) == 500
 
     def test_faction_split_matches_spam_fraction(self):
         slots = schedule_issuance(100.0, 0.55, [0, 1], [2, 3], 1.0)
-        adversarial = [s for s in slots if not s.honest]
-        honest = [s for s in slots if s.honest]
-        assert len(adversarial) == 55
-        assert len(honest) == 45
+        assert len(slots[2]) + len(slots[3]) == 55
+        assert len(slots[0]) + len(slots[1]) == 45
 
     def test_round_robin_is_even_within_one(self):
         slots = schedule_issuance(90.0, 0.0, [0, 1, 2, 3], [], 1.0)
-        counts = {}
-        for s in slots:
-            counts[s.chain] = counts.get(s.chain, 0) + 1
-        assert max(counts.values()) - min(counts.values()) <= 1
+        counts = [len(times) for times in slots.values()]
+        assert max(counts) - min(counts) <= 1
+
+    def test_round_robin_deals_the_stream_in_turn(self):
+        slots = schedule_issuance(60.0, 0.0, [0, 1, 2], [], 0.1)
+        assert slots == {0: [1.0, 4.0], 1: [2.0, 5.0], 2: [3.0, 6.0]}
 
     def test_even_spacing_within_each_stream(self):
         slots = schedule_issuance(60.0, 0.5, [0], [1], 1.0)
-        h = [s.time_s for s in slots if s.honest]
-        gaps = {round(b - a, 9) for a, b in zip(h, h[1:])}
-        assert gaps == {2.0}
+        for times in slots.values():
+            gaps = {round(b - a, 9) for a, b in zip(times, times[1:])}
+            assert gaps == {2.0}
 
     def test_sorted_by_time(self):
         slots = schedule_issuance(77.0, 0.3, [0, 1], [2], 2.0)
-        times = [s.time_s for s in slots]
-        assert times == sorted(times)
+        for times in slots.values():
+            assert times == sorted(times)
+
+    def test_every_chain_has_an_entry_possibly_empty(self):
+        slots = schedule_issuance(3.0, 0.0, [0, 1, 2, 3, 4], [5], 1.0)
+        assert slots == {0: [20.0], 1: [40.0], 2: [60.0], 3: [], 4: [],
+                         5: []}
 
     def test_zero_spam_needs_no_adversarial_chains(self):
-        assert schedule_issuance(10.0, 0.0, [0], [], 1.0)
+        assert schedule_issuance(10.0, 0.0, [0], [], 1.0)[0]
 
     def test_spam_without_adversarial_chains_rejected(self):
         with pytest.raises(RoleError):
