@@ -7,10 +7,17 @@ chain j sends to account receivers[k] on chain l. A block carries one
 
 The engine keeps every chain's totals in one `LedgerBook`, updated in place:
 a proposal debit holds its spend as outstanding, and a ledger window moves
-its confirmed blocks' spend to spent and credits their destinations.
-Validation reads net balances, which count the outstanding spend: a chain's
-own proposal must fit in them, while a foreign tip, whose spend its chain
-already holds as outstanding, is judged with that spend released.
+its confirmed blocks' spend to spent, credits their destinations and
+refreshes each chain's held balance, genesis + received - spent. A net
+balance is the held balance less the outstanding spend. A chain's own
+proposal must fit its net balances; a foreign tip, whose spend its chain
+already holds as outstanding, is judged against the held balances, since
+its own outstanding spend cancels out.
+
+Validation and debits work on a block's own rows: its distinct sending
+accounts and the total each one spends. A drawn block's senders are already
+distinct and increasing, so its amounts are that spend; only a block with
+repeated senders is summed per sender, with the overflow check.
 
 A `CumulativeState` folds one chain's per-epoch `FlowAggregates` -- inflow,
 confirmed outflow and the proposed spend, which each epoch replaces -- as
@@ -72,7 +79,7 @@ def _as_amounts(values, ndim: int) -> np.ndarray:
     return _frozen(arr.copy())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transfers:
     """One block's transfers from chain `source` to chain `dest`.
 
@@ -227,11 +234,13 @@ class LedgerBook:
     """Every chain's exact totals, updated in place as int64 rows of shape
     (chains, accounts): `received` confirmed transfers credited, `spent`
     the chain's own confirmed transfers and `outstanding` its proposed,
-    unconfirmed spend.
+    unconfirmed spend. `held` is the confirmed balance, genesis + received
+    - spent, refreshed at each window.
 
     genesis + received fits int64 by the check at each window, and so does
     spent + outstanding: a debit fits the net balance and a window only
-    moves spend from outstanding to spent.
+    moves spend from outstanding to spent. For the same reason no held or
+    net balance is negative while every debit has passed validation.
     """
 
     def __init__(self, genesis):
@@ -239,36 +248,49 @@ class LedgerBook:
         self.received = np.zeros(self.genesis.shape, dtype=np.int64)
         self.spent = np.zeros(self.genesis.shape, dtype=np.int64)
         self.outstanding = np.zeros(self.genesis.shape, dtype=np.int64)
+        self.held = self.genesis.copy()
         self.windows = 0                # windows ingested so far
 
     @property
     def accounts(self) -> int:
         return self.genesis.shape[1]
 
-    def net(self, chain: int | None = None) -> np.ndarray:
-        """One chain's net balances, or every chain's as rows; a chain
-        outside [0, chains) raises instead of wrapping to another's row."""
-        if chain is not None and not 0 <= chain < len(self.genesis):
+    def check_chain(self, chain: int) -> None:
+        """Raise for a chain outside [0, chains), which indexing would wrap
+        round to another chain's row or fail on unnamed."""
+        if not 0 <= chain < len(self.genesis):
             raise LedgerError(f"no ledger state for chain {chain}")
-        rows = slice(None) if chain is None else chain
-        return (self.genesis[rows] + self.received[rows]
-                - self.spent[rows] - self.outstanding[rows])
 
-    def debit(self, chain: int, spend: np.ndarray) -> None:
-        """Hold a proposal's per-account spend as outstanding; the spend must
-        have passed `validate_block`, so it fits the net balance."""
-        self.outstanding[chain] += spend
+    def net(self, chain: int | None = None) -> np.ndarray:
+        """One chain's net balances, or every chain's as rows."""
+        if chain is None:
+            return self.held - self.outstanding
+        self.check_chain(chain)
+        return self.held[chain] - self.outstanding[chain]
+
+    def debit(self, chain: int, spenders: np.ndarray,
+              spend: np.ndarray) -> None:
+        """Hold a proposal's spend as outstanding: `spend[k]` for the
+        distinct account `spenders[k]`, as `validate_block` found them. The
+        spend must have passed that validation, so it fits the net balance."""
+        self.check_chain(chain)
+        row = self.outstanding[chain]
+        row[spenders] += spend
 
     def ingest(self, blocks: Sequence[Transfers]) -> None:
         """Land one window's confirmed blocks: each moves its spend from its
         source chain's outstanding to spent and credits its destination.
 
-        Nothing lands when a sum leaves int64 (LedgerOverflowError) or a
-        block spends more than its chain holds as outstanding (LedgerError).
+        Nothing lands when a block names a chain outside the book or spends
+        more than its chain holds as outstanding (LedgerError), or when a
+        sum leaves int64 (LedgerOverflowError).
         """
+        for t in blocks:
+            self.check_chain(t.source)
+            self.check_chain(t.dest)
         sizes = [len(t.amounts) for t in blocks]
         amounts = np.concatenate([t.amounts for t in blocks])
-        held = _sum_at(self.genesis + self.received, (
+        credited = _sum_at(self.genesis + self.received, (
             np.repeat([t.dest for t in blocks], sizes),
             np.concatenate([t.receivers for t in blocks])),
             amounts, f"a balance at ledger window {self.windows}")
@@ -278,9 +300,10 @@ class LedgerBook:
             amounts, f"a confirmed spend at ledger window {self.windows}")
         if (outflow > self.outstanding).any():
             raise LedgerError("a window confirms spend no proposal held")
-        np.subtract(held, self.genesis, out=self.received)
+        np.subtract(credited, self.genesis, out=self.received)
         self.spent += outflow
         self.outstanding -= outflow
+        np.subtract(credited, self.spent, out=self.held)
         self.windows += 1
 
     def state(self, chain: int) -> CumulativeState:
@@ -292,27 +315,39 @@ class LedgerBook:
             last_proposed=self.outstanding[chain][:, None])
 
 
-def proposed_outflow(t: Transfers, accounts: int) -> np.ndarray:
-    """Total proposed spend per sending account; past int64 it raises
-    LedgerOverflowError."""
+def _spend(t: Transfers, book: LedgerBook) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sending accounts of a proposal, increasing, and the
+    total each one spends; a total past int64 raises LedgerOverflowError."""
+    book.check_chain(t.source)
+    book.check_chain(t.dest)
     if t.dest == t.source:
         raise LedgerError("intra-chain transfer rejected in proposal")
-    if (t.senders >= accounts).any() or (t.receivers >= accounts).any():
-        raise LedgerError(f"account index out of range for {accounts} accounts")
-    return _sum_at(np.zeros(accounts, dtype=np.int64), t.senders, t.amounts,
-                   f"proposed spend of an account on chain {t.source}")
+    accounts = book.accounts
+    senders = t.senders.tolist()
+    if max(senders, default=-1) >= accounts or \
+            max(t.receivers.tolist(), default=-1) >= accounts:
+        raise LedgerError(
+            f"account index out of range for {accounts} accounts")
+    # distinct and increasing, as blocks are drawn
+    if len(set(senders)) == len(senders) and senders == sorted(senders):
+        return t.senders, t.amounts
+    spenders, index = np.unique(t.senders, return_inverse=True)
+    return spenders, _sum_at(
+        np.zeros(len(spenders), dtype=np.int64), index, t.amounts,
+        f"proposed spend of an account on chain {t.source}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationResult:
-    """Outcome of validating a proposed transfer set."""
+    """Outcome of validating a proposed transfer set, on its own rows."""
 
-    valid_rows: np.ndarray          # bool per account
-    proposed: np.ndarray            # per-account spend of the proposal
+    spenders: np.ndarray            # distinct sending accounts, increasing
+    spend: np.ndarray               # each spender's total proposed spend
+    valid: np.ndarray               # bool per spender: the spend fits
 
     @property
     def any_zeroed(self) -> bool:
-        return not bool(self.valid_rows.all())
+        return not all(self.valid.tolist())
 
 
 def validate_block(proposed: Transfers, book: LedgerBook) -> ValidationResult:
@@ -322,9 +357,11 @@ def validate_block(proposed: Transfers, book: LedgerBook) -> ValidationResult:
     outstanding spend the book already holds for the source chain: an
     account whose net balance it would overdraw is an invalid row.
     """
-    net = book.net(proposed.source)
-    spend = proposed_outflow(proposed, book.accounts)
-    return ValidationResult(valid_rows=net - spend >= 0, proposed=spend)
+    spenders, spend = _spend(proposed, book)
+    c = proposed.source
+    net = book.held[c][spenders] - book.outstanding[c][spenders]
+    return ValidationResult(spenders=spenders, spend=spend,
+                            valid=net >= spend)
 
 
 def validate_tip_payloads(tips: Sequence[Transfers],
@@ -341,11 +378,11 @@ def validate_tip_payloads(tips: Sequence[Transfers],
         if tip.source in seen:
             raise LedgerError(f"two tips from chain {tip.source} in one batch")
         seen.add(tip.source)
-        net = book.net(tip.source)
-        spend = proposed_outflow(tip, book.accounts)
+        spenders, spend = _spend(tip, book)
         # an honest chain debits its proposal as outstanding spend before the
-        # block attaches: release the stored outstanding spend and charge the
-        # tip's in its place, so the tip is judged on confirmed flows alone
-        w = net + book.outstanding[tip.source] - spend
-        verdicts.append(bool((w[spend > 0] >= 0).all()))
+        # block attaches: releasing the stored outstanding spend from the net
+        # balance leaves the held balance, against which the tip is judged
+        held = book.held[tip.source][spenders].tolist()
+        verdicts.append(all(h >= s for h, s in zip(held, spend.tolist())
+                            if s))
     return verdicts

@@ -80,7 +80,7 @@ class ChainWeights:
         return self.weights[chain]
 
 
-@dataclass
+@dataclass(slots=True)
 class DagBlock:
     """One ledger block and its bookkeeping.
 
@@ -133,29 +133,36 @@ class DagLedger:
         """Add a block approving `parents`; errors leave the ledger unchanged."""
         if block_id in self.blocks:
             raise DagError(f"duplicate block id {block_id!r}")
-        if not 0 <= proposer < len(self.weights):
+        if not 0 <= proposer < len(self._stakes):
             raise DagError(f"proposer chain {proposer} out of range")
         parent_ids = tuple(sorted(set(parents)))
         if not parent_ids:
             raise DagError("a block must approve at least one parent")
+        approved = []
+        depth = 0
         for p in parent_ids:
-            if p not in self.blocks:
+            parent = self.blocks.get(p)
+            if parent is None:
                 raise DagError(f"unknown parent {p!r}")
+            approved.append(parent)
+            if parent.depth > depth:
+                depth = parent.depth
         block = DagBlock(id=block_id, proposer=proposer, epoch=epoch,
                          parents=parent_ids, payload=payload, attach_time=time,
-                         depth=1 + max(self.blocks[p].depth for p in parent_ids))
+                         depth=depth + 1)
         self.blocks[block_id] = block
         self.tips.add(block_id)
         insort(self._eligible, block_id)
-        for p in parent_ids:
-            parent = self.blocks[p]
+        for p, parent in zip(parent_ids, approved):
             if parent.status == TIP:
                 parent.status = UNCONFIRMED
                 self.tips.discard(p)
                 self.exclude(p)
         # push the proposer's chain and stake to the block and its ancestors
         bit, stake = 1 << proposer, self._stakes[proposer]
-        stack = [block_id]
+        block.chains, block.stake = bit, stake
+        self._grown.add(block_id)
+        stack = list(parent_ids)
         while stack:
             b = self.blocks[stack.pop()]
             if b.chains & bit:
@@ -206,9 +213,10 @@ class DagLedger:
 
     def exclude(self, block_id: str) -> None:
         """Never offer `block_id` as a tip again, e.g. once sighted invalid."""
-        i = bisect_left(self._eligible, block_id)
-        if self._eligible[i:i + 1] == [block_id]:
-            del self._eligible[i]
+        eligible = self._eligible
+        i = bisect_left(eligible, block_id)
+        if i < len(eligible) and eligible[i] == block_id:
+            del eligible[i]
 
     def select_tips(self, k: int, rng: random.Random) -> list[str]:
         """Uniform sample of min(k, #tips) tips not excluded; [] when none is."""

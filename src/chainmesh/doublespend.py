@@ -120,7 +120,10 @@ class ConflictTracker:
         proposal `block_id`; the first claimer to confirm finalises them.
         Every proposal re-claims them, so a claimer that never confirms
         strands none."""
-        pending = {b for b in self.sightings.get(chain, ())
+        sighted = self.sightings.get(chain)
+        if not sighted:
+            return
+        pending = {b for b in sighted
                    if self.candidates[b] not in self.detections}
         self.sightings[chain] = pending
         if pending:

@@ -100,8 +100,6 @@ class Simulation:
     def __init__(self, cfg: ScenarioConfig, scenario: str = "scenario"):
         self.cfg = cfg
         self.scenario = scenario
-        self._queue: list = []
-        self._seq = 0
         self._end = cfg.duration_min * 60.0
         self.recorder = SeriesRecorder()
         self.dag = DagLedger(ChainWeights.equal(cfg.chains),
@@ -111,6 +109,7 @@ class Simulation:
         self.book = LedgerBook(np.full((cfg.chains, cfg.accounts),
                                        cfg.genesis_balance, dtype=np.int64))
         self._committee_size = cfg.committee_size()
+        self._draw_bounds: dict = {}    # the draws' bounds, by block shape
         self._setup()
 
     # -- construction ------------------------------------------------------
@@ -157,16 +156,6 @@ class Simulation:
                 missing_rows=missing,
             )
 
-    # -- scheduler ---------------------------------------------------------
-
-    def _step(self, process: Iterator[float]) -> None:
-        """Resume a timed process and wake it at the next time it waits for,
-        unless that lies past the end of the run."""
-        wake = next(process, None)
-        if wake is not None and wake <= self._end:
-            self._seq += 1
-            heapq.heappush(self._queue, (wake, self._seq, process))
-
     # -- timing model ------------------------------------------------------
 
     def _transfer_s(self, nbytes: float) -> float:
@@ -210,13 +199,14 @@ class Simulation:
 
     def _epochs(self, rt: _ChainRuntime) -> Iterator[float]:
         """The chain's epochs, one at a time and in slot order; yields each
-        time the pipeline waits for, at which `_step` resumes it."""
+        time the pipeline waits for, at which `run` resumes it."""
         cfg = self.cfg
+        vote_s = self._vote_s
+        publish = rt.pool.publish
+        # the shard stage of 0 .. tip_sample jobs; none without a layout
+        stage_s = () if rt.worker_rows is None else tuple(
+            self._shard_stage_s(rt, f) for f in range(cfg.tip_sample + 1))
         first_block: str | None = None
-
-        def publish(kind: str) -> None:
-            rt.pool.publish(kind, epoch, proposer)
-
         now = 0.0
         for epoch, slot_time in enumerate(rt.slots, 1):
             if slot_time > now:
@@ -231,16 +221,17 @@ class Simulation:
                 payload = make_valid_block(
                     dest=dest, balances=self.book.net(rt.chain), rng=rng,
                     source=rt.chain, active_rows=cfg.active_rows,
-                    amount_max=cfg.amount_max)
+                    amount_max=cfg.amount_max, bounds=self._draw_bounds)
             else:
                 payload = make_invalid_block(
                     dest=dest, balances=self.book.net(rt.chain),
                     invalid_tx_fraction=cfg.invalid_tx_fraction, rng=rng,
-                    source=rt.chain, active_rows=cfg.active_rows)
-            publish(ev.PROPOSAL_FORMED)
+                    source=rt.chain, active_rows=cfg.active_rows,
+                    bounds=self._draw_bounds)
+            publish(ev.PROPOSAL_FORMED, epoch, proposer)
 
             if not rt.honest:
-                now = t0 + 3.0 * self._vote_s
+                now = t0 + 3.0 * vote_s
                 yield now
                 # stale single parent: the chain's own first block, else
                 # genesis -- approving an already-covered ancestor removes
@@ -250,22 +241,22 @@ class Simulation:
                 # a coded fleet without a layout has nothing to decode: one
                 # re-poll, then the stage times out and the chain moves on
                 timeout = cfg.task_timeout_ms / 1000.0
-                now = t0 + self._vote_s + 2.0 * timeout
+                now = t0 + vote_s + 2.0 * timeout
                 yield now
                 rt.skipped += 1
                 continue
             else:
-                now = (t0 + self._vote_s + self._shard_stage_s(rt, 1)
-                       + self._vote_s)
+                now = t0 + vote_s + stage_s[1] + vote_s
                 yield now
                 rt.intra_done += 1
-                publish(ev.PROPOSAL_RESULTS)
-                parents, tips = self._stage_tips(rt, epoch, payload)
-                publish(ev.TIP_BATCH_FORMED)
-                now = (now + self._vote_s + self._shard_stage_s(rt, tips)
-                       + 2.0 * self._vote_s)
+                publish(ev.PROPOSAL_RESULTS, epoch, proposer)
+                parents, tips = self._stage_tips(
+                    rt, payload, random.Random(derive_seed(
+                        cfg.seed, "tips", rt.chain, epoch)))
+                publish(ev.TIP_BATCH_FORMED, epoch, proposer)
+                now = now + vote_s + stage_s[tips] + 2.0 * vote_s
                 yield now
-                publish(ev.TIP_RESULTS)
+                publish(ev.TIP_RESULTS, epoch, proposer)
                 # every checked tip failed: fall back to the deepest
                 # confirmed block as of attach time
                 parents = parents or [self.dag.deepest_confirmed()]
@@ -278,23 +269,21 @@ class Simulation:
             if txn:
                 self.tracker.register_attach(block_id, txn, now)
             self.tracker.claim(rt.chain, block_id)
-            publish(ev.DAG_SUBMISSION)
+            publish(ev.DAG_SUBMISSION, epoch, proposer)
             self._confirmations(now)
-            publish(ev.WEIGHT_UPDATE)
+            publish(ev.WEIGHT_UPDATE, epoch, proposer)
 
-    def _stage_tips(self, rt: _ChainRuntime, epoch: int, payload: Transfers
-                    ) -> tuple[list[str], int]:
-        """Debit the validated proposal, then pick and check foreign tips:
-        returns the approvable ones and the batch size."""
+    def _stage_tips(self, rt: _ChainRuntime, payload: Transfers,
+                    rng: random.Random) -> tuple[list[str], int]:
+        """Debit the validated proposal, then pick foreign tips with `rng`
+        and check them: returns the approvable ones and the batch size."""
         # honest proposals are drawn within the net balance: none is zeroed
         result = validate_block(payload, self.book)
         if result.any_zeroed:
             raise SimulationError(
                 f"honest proposal of chain {rt.chain} failed validation")
-        self.book.debit(rt.chain, result.proposed)
+        self.book.debit(rt.chain, result.spenders, result.spend)
 
-        rng = random.Random(derive_seed(self.cfg.seed, "tips", rt.chain,
-                                        epoch))
         selected = self.dag.select_tips(self.cfg.tip_sample, rng)
         batch: dict[int, str] = {}      # one tip per source chain
         for bid in selected:
@@ -377,12 +366,19 @@ class Simulation:
                 == sum(book.genesis.ravel().tolist()))
 
     def run(self) -> RunResult:
-        for rt in self.chains.values():
-            self._step(self._epochs(rt))
-        self._step(self._windows())
-        self._step(self._samples())
-        while self._queue:
-            self._step(heapq.heappop(self._queue)[2])
+        # the event queue: each timed process starts at time 0, in this
+        # order, and is resumed at each time it waits for, unless that lies
+        # past the end of the run; equal times resume in the order queued
+        queue = [(0.0, i, process) for i, process in enumerate((
+            *(self._epochs(rt) for rt in self.chains.values()),
+            self._windows(), self._samples()))]
+        order = itertools.count(len(queue))
+        end = self._end
+        while queue:
+            process = heapq.heappop(queue)[2]
+            wake = next(process, None)
+            if wake is not None and wake <= end:
+                heapq.heappush(queue, (wake, next(order), process))
         if (not self.recorder.tip_pool
                 or self.recorder.tip_pool[-1][0] != round(self._end, 6)):
             self.recorder.sample_tip_pool(self._end, len(self.dag.tips))

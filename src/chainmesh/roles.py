@@ -42,43 +42,60 @@ def build_fleet(size: int, straggler_fraction: float,
 # Adversarial block construction
 # ---------------------------------------------------------------------------
 
-#: an overspending row spends its balance plus this plus a draw below 100,
-#: more than any inflow can add before the row is validated
+#: an overspending row spends its balance plus this plus a draw below
+#: `_OVERSPEND_DRAWS`, more than any inflow can add before it is validated
 OVERSPEND_MARGIN = 1_000_000_000
+_OVERSPEND_DRAWS = 100
+
+
+def _draw_bounds(accounts: int, rows: int, n_bad: int,
+                 amount_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high bounds of one block's draws, interleaved row by
+    row: a receiver in [0, accounts), then an amount, which overspending
+    rows (the first n_bad) draw from [0, 100) and the others from
+    [1, amount_max]. One `integers` call over them draws the same values,
+    in order, as one call per value."""
+    low = np.zeros((rows, 2), dtype=np.int64)
+    high = np.full((rows, 2), accounts, dtype=np.int64)
+    low[n_bad:, 1] = 1
+    high[:n_bad, 1] = _OVERSPEND_DRAWS
+    high[n_bad:, 1] = amount_max + 1
+    for arr in (low, high):
+        arr.setflags(write=False)       # shared by every block of a run
+    return low, high
 
 
 def _draw_block(dest: int, balances: np.ndarray, invalid_tx_fraction: float,
                 rng: np.random.Generator, source: int, active_rows: int,
-                amount_max: int) -> Transfers:
+                amount_max: int, bounds: dict) -> Transfers:
     if source == dest:
         raise RoleError("transfer block must target a different chain")
     if not 0.0 <= invalid_tx_fraction <= 1.0:
         raise RoleError("invalid_tx_fraction must be within [0, 1]")
     balances = np.asarray(balances, dtype=np.int64)
     m = len(balances)
-    funded = np.flatnonzero(balances > 0)
+    funded = (balances > 0).nonzero()[0]
     rows = min(active_rows, len(funded))
     senders = rng.choice(funded, size=rows, replace=False)
-    senders.sort()
+    senders.sort()                      # distinct and increasing
     n_bad = int(invalid_tx_fraction * rows)             # floor
-    # Row by row a receiver in [0, m), then an amount draw: overspending rows
-    # (the first n_bad) draw from [0, 100), the others from [1, amount_max].
-    # One call over the interleaved bounds draws the same values, in order.
-    low = np.zeros((rows, 2), dtype=np.int64)
-    high = np.full((rows, 2), m, dtype=np.int64)
-    low[n_bad:, 1] = 1
-    high[:n_bad, 1] = 100
-    high[n_bad:, 1] = amount_max + 1
-    draws = rng.integers(low, high)
+    key = (m, rows, n_bad, amount_max)
+    if key not in bounds:
+        bounds[key] = _draw_bounds(*key)
+    draws = rng.integers(*bounds[key])
     held = balances[senders]
     # funded balances and honest draws are at least 1; bad rows follow
     amounts = np.minimum(held, draws[:, 1])
     if n_bad:
         bad, extra = held[:n_bad], draws[:n_bad, 1]
-        if (bad > INT64_MAX - OVERSPEND_MARGIN - extra).any():
+        # the largest balance settles nearly every block; only near the
+        # int64 limit are the rows compared one by one
+        top = max(bad.tolist())
+        if (top + OVERSPEND_MARGIN + _OVERSPEND_DRAWS - 1 > INT64_MAX
+                and (bad > INT64_MAX - OVERSPEND_MARGIN - extra).any()):
             raise LedgerOverflowError(
                 f"overspending row of chain {source} on a balance of "
-                f"{int(bad.max())} exceeds int64")
+                f"{top} exceeds int64")
         amounts[:n_bad] = bad + OVERSPEND_MARGIN + extra
     receivers = draws[:, 0].copy()
     for arr in (senders, receivers, amounts):
@@ -89,24 +106,29 @@ def _draw_block(dest: int, balances: np.ndarray, invalid_tx_fraction: float,
 
 def make_invalid_block(dest: int, balances: np.ndarray,
                        invalid_tx_fraction: float, rng: np.random.Generator,
-                       source: int, active_rows: int) -> Transfers:
+                       source: int, active_rows: int,
+                       bounds: dict) -> Transfers:
     """Build a transfer block mixing valid rows with overspending ones.
 
-    Rows are drawn from accounts that currently hold funds. A
+    Rows are drawn from accounts that currently hold funds, each at most
+    once, and listed in increasing account order. A
     floor(invalid_tx_fraction * active) subset spends more than its account
     holds; the rest spend within balance. With fraction 1.0 every populated
-    row overspends.
+    row overspends. `bounds` keeps the draw bounds for the next block of
+    the same shape; a run passes one dict to all its draws.
     """
     return _draw_block(dest, balances, invalid_tx_fraction, rng, source,
-                       active_rows, amount_max=10)
+                       active_rows, amount_max=10, bounds=bounds)
 
 
 def make_valid_block(dest: int, balances: np.ndarray,
                      rng: np.random.Generator, source: int,
-                     active_rows: int, amount_max: int = 10) -> Transfers:
-    """Build an honest transfer block: every populated row spends in budget."""
+                     active_rows: int, bounds: dict,
+                     amount_max: int = 10) -> Transfers:
+    """Build an honest transfer block: every populated row spends in
+    budget. Rows and `bounds` are as in `make_invalid_block`."""
     return _draw_block(dest, balances, 0.0, rng, source, active_rows,
-                       amount_max)
+                       amount_max, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,33 @@ def book(*genesis):
 
 
 def debit_kept(b, t):
-    """Debit the spend of `t`, a block validation kept, on its chain."""
-    b.debit(t.source, dense(t, b.accounts).sum(axis=1))
+    """Debit the spend of `t`, a block validation kept, on its chain: the
+    dense per-account spend, every account a row."""
+    b.debit(t.source, np.arange(b.accounts), dense(t, b.accounts).sum(axis=1))
+
+
+def valid_rows(res, m):
+    """A validation result's verdicts as one bool per account; an account
+    that spends nothing is valid."""
+    out = np.ones(m, dtype=bool)
+    out[res.spenders] = res.valid
+    return out
+
+
+def proposed(res, m):
+    """A validation result's spend as one total per account."""
+    out = np.zeros(m, dtype=np.int64)
+    out[res.spenders] = res.spend
+    return out
+
+
+def proposed_outflow(t, m):
+    """The dense formulation of a proposal's spend: the total of each of
+    the m accounts, in Python ints, so a total past int64 shows as such."""
+    out = [0] * m
+    for sender, amount in zip(t.senders.tolist(), t.amounts.tolist()):
+        out[sender] += amount
+    return out
 
 
 def random_amounts(rng, m, lo=0, hi=9):
@@ -54,12 +79,12 @@ def zero_flows(chain, m, epoch):
                               outflow_confirmed=z, outflow_proposed=z)
 
 
-def zero_invalid_rows(t, valid_rows):
+def zero_invalid_rows(t, valid):
     """`t` without the triplets of the senders validation rejected.
 
     The engine raises on any invalid row of its own proposals; traces that
     go on past one drop its triplets from the block."""
-    keep = valid_rows[t.senders]
+    keep = valid[t.senders]
     return bal.Transfers(source=t.source, dest=t.dest,
                          senders=t.senders[keep], receivers=t.receivers[keep],
                          amounts=t.amounts[keep])
@@ -147,10 +172,11 @@ def test_affordable_spend_copied_verbatim():
     b = book([10, 10], [0, 0])
     prop = tm(0, 1, [[0, 7], [0, 0]])
     res = bal.validate_block(prop, b)
-    assert res.valid_rows.all()
+    assert valid_rows(res, 2).all()
     assert not res.any_zeroed
-    assert res.proposed.tolist() == [7, 0]
-    kept = zero_invalid_rows(prop, res.valid_rows)
+    assert proposed(res, 2).tolist() == proposed_outflow(prop, 2) == [7, 0]
+    assert (res.spenders.tolist(), res.spend.tolist()) == ([0], [7])
+    kept = zero_invalid_rows(prop, valid_rows(res, 2))
     assert np.array_equal(dense(kept, 2), dense(prop, 2))
 
 
@@ -181,9 +207,9 @@ def test_mixed_block_zeroes_exactly_the_overspending_rows():
         prop = tm(0, 1 + epoch % 2, random_amounts(rng, m, 0, 4))
         res = bal.validate_block(prop, b)
         want = oracle_valid_rows(b.state(0), dense(prop, m))
-        assert np.array_equal(res.proposed, dense(prop, m).sum(axis=1))
-        assert list(res.valid_rows) == want
-        kept = zero_invalid_rows(prop, res.valid_rows)
+        assert np.array_equal(proposed(res, m), dense(prop, m).sum(axis=1))
+        assert list(valid_rows(res, m)) == want
+        kept = zero_invalid_rows(prop, valid_rows(res, m))
         for acct in range(m):
             if want[acct]:
                 assert np.array_equal(dense(kept, m)[acct], dense(prop, m)[acct])
@@ -200,11 +226,11 @@ def test_validation_is_idempotent():
     prop = tm(0, 1, random_amounts(rng, m, 0, 8))
     once = bal.validate_block(prop, b)
     assert once.any_zeroed
-    kept = zero_invalid_rows(prop, once.valid_rows)
+    kept = zero_invalid_rows(prop, valid_rows(once, m))
     twice = bal.validate_block(kept, b)
     assert not twice.any_zeroed
-    assert np.array_equal(twice.proposed,
-                          np.where(once.valid_rows, once.proposed, 0))
+    assert np.array_equal(proposed(twice, m),
+                          np.where(valid_rows(once, m), proposed(once, m), 0))
 
 
 def test_zeroing_soundness_balances_stay_non_negative():
@@ -213,7 +239,7 @@ def test_zeroing_soundness_balances_stay_non_negative():
     b = book([rng.randint(0, 25) for _ in range(m)], [0] * m)
     prop = tm(0, 1, random_amounts(rng, m, 0, 10))
     res = bal.validate_block(prop, b)
-    kept = zero_invalid_rows(prop, res.valid_rows)
+    kept = zero_invalid_rows(prop, valid_rows(res, m))
     debit_kept(b, kept)
     assert (b.net(0) >= 0).all()
 
@@ -234,6 +260,23 @@ def test_overspending_tip_is_invalid():
     assert bal.validate_tip_payloads([tip], book([0, 0], [10, 0])) == [False]
 
 
+def test_a_tip_is_judged_on_its_spending_rows_only():
+    # an unchecked debit overdraws account 0; a window lands it, so the held
+    # balance is -5; a tip that names account 0 but spends nothing from it
+    # is still judged by account 1 alone
+    b = book([5, 5], [0, 0])
+    b.debit(0, np.array([0]), np.array([10]))
+    b.ingest([bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
+                            amounts=[10])])
+    assert b.held[0].tolist() == [-5, 5]
+    tip = bal.Transfers(source=0, dest=1, senders=[0, 1], receivers=[0, 0],
+                        amounts=[0, 5])
+    assert bal.validate_tip_payloads([tip], b) == [True]
+    tip = bal.Transfers(source=0, dest=1, senders=[0, 1], receivers=[0, 0],
+                        amounts=[0, 6])
+    assert bal.validate_tip_payloads([tip], b) == [False]
+
+
 def test_two_tips_from_one_chain_rejected():
     tips = [tm(1, 0, [[0]]), tm(1, 2, [[0]])]
     with pytest.raises(bal.LedgerError):
@@ -252,6 +295,84 @@ def test_tip_or_block_from_a_chain_outside_the_book_raises(source):
         bal.validate_block(t, b)
 
 
+@pytest.mark.parametrize("dest", [-1, 2, 7])
+def test_a_transfer_to_a_chain_outside_the_book_raises(dest):
+    # dest -1 would credit the last chain's row and dest 7 fail unnamed
+    b = book([5], [5])
+    t = bal.Transfers(source=0, dest=dest, senders=[0], receivers=[0],
+                      amounts=[1])
+    with pytest.raises(bal.LedgerError, match="no ledger state"):
+        bal.validate_block(t, b)
+    with pytest.raises(bal.LedgerError, match="no ledger state"):
+        bal.validate_tip_payloads([t], b)
+    b.debit(0, np.array([0]), np.array([1]))
+    with pytest.raises(bal.LedgerError, match="no ledger state"):
+        b.ingest([t])
+    assert not b.received.any() and not b.spent.any()
+    assert b.outstanding.tolist() == [[1], [0]] and b.windows == 0
+
+
+@pytest.mark.parametrize("chain", [-1, -2, 2])
+def test_a_debit_on_a_chain_outside_the_book_raises(chain):
+    b = book([5], [5])
+    with pytest.raises(bal.LedgerError, match="no ledger state"):
+        b.debit(chain, np.array([0]), np.array([1]))
+    assert not b.outstanding.any()
+
+
+def test_the_row_path_equals_the_dense_spend_oracle():
+    """Validation and debits on a proposal's own rows agree with the dense
+    per-account formulation, over drawn proposals: distinct and repeated
+    senders, empty ones, and amounts up to INT64_MAX."""
+    rng = random.Random(2020)
+    top = bal.INT64_MAX
+    m = 6
+    raised = kept = 0
+    for trial in range(60):
+        b = book(*([rng.choice([0, rng.randint(1, 50), rng.randint(0, top)])
+                     for _ in range(m)] for _ in range(3)))
+        for _ in range(8):
+            shape = rng.choice(["distinct", "repeated", "empty"])
+            if shape == "distinct":
+                senders = sorted(rng.sample(range(m), rng.randint(1, m)))
+            elif shape == "repeated":
+                senders = [rng.randrange(m) for _ in range(rng.randint(2, 9))]
+                senders[1] = senders[0]
+            else:
+                senders = []
+            amounts = [rng.choice([rng.randint(0, 20), rng.randint(0, top),
+                                   top]) for _ in senders]
+            t = bal.Transfers(source=0, dest=rng.choice([1, 2]),
+                              senders=senders,
+                              receivers=[rng.randrange(m) for _ in senders],
+                              amounts=amounts)
+            want = proposed_outflow(t, m)
+            if max(want, default=0) > top:
+                raised += 1
+                with pytest.raises(bal.LedgerOverflowError):
+                    bal.validate_block(t, b)
+                with pytest.raises(bal.LedgerOverflowError):
+                    bal.validate_tip_payloads([t], b)
+                continue
+            net = b.net(0).tolist()
+            held = (b.net(0) + b.outstanding[0]).tolist()
+            res = bal.validate_block(t, b)
+            assert res.spenders.tolist() == sorted(set(senders))
+            assert proposed(res, m).tolist() == want
+            assert valid_rows(res, m).tolist() == [
+                net[a] - want[a] >= 0 for a in range(m)]
+            assert bal.validate_tip_payloads([t], b) == [all(
+                held[a] - want[a] >= 0 for a in range(m) if want[a] > 0)]
+            if res.any_zeroed:
+                continue
+            kept += 1
+            before = b.outstanding.tolist()
+            b.debit(0, res.spenders, res.spend)
+            assert b.outstanding.tolist() == [
+                [o + w for o, w in zip(before[0], want)], *before[1:]]
+    assert raised > 10 and kept > 100
+
+
 def test_batch_verdicts_match_per_account_oracle():
     rng = random.Random(202)
     m = 4
@@ -259,7 +380,7 @@ def test_batch_verdicts_match_per_account_oracle():
     for c in range(4):
         prop = tm(c, (c + 1) % 4, random_amounts(rng, m))
         res = bal.validate_block(prop, b)
-        debit_kept(b, zero_invalid_rows(prop, res.valid_rows))
+        debit_kept(b, zero_invalid_rows(prop, valid_rows(res, m)))
     tips = [tm(c, (c + 2) % 4, random_amounts(rng, m, 0, 5))
             for c in range(4)]
     got = bal.validate_tip_payloads(tips, b)
@@ -292,7 +413,7 @@ def test_token_conservation_over_validated_multi_chain_trace():
             dest = (c + 1 + epoch % (n_chains - 1)) % n_chains
             raw = tm(c, dest, random_amounts(rng, m, 0, 6))
             res = bal.validate_block(raw, b)
-            pending.append(zero_invalid_rows(raw, res.valid_rows))
+            pending.append(zero_invalid_rows(raw, valid_rows(res, m)))
             debit_kept(b, pending[-1])
         net_total = sum(b.net().ravel().tolist())
         in_flight = sum(b.outstanding.ravel().tolist())
@@ -364,14 +485,15 @@ def test_dense_and_summed_states_agree_every_epoch():
 
         raw = random_transfers(rng, 0, 1 + epoch % 2, m, 30)
         res = bal.validate_block(raw, b)
-        assert res.valid_rows.tolist() == oracle_valid_rows(full, dense(raw, m))
-        assert np.array_equal(res.proposed, dense(raw, m).sum(axis=1))
-        spending = res.proposed > 0
+        assert valid_rows(res, m).tolist() == oracle_valid_rows(full,
+                                                                dense(raw, m))
+        assert np.array_equal(proposed(res, m), dense(raw, m).sum(axis=1))
+        spending = proposed(res, m) > 0
         tip_ok = np.array(oracle_valid_rows(full, dense(raw, m), release=True))
         assert bal.validate_tip_payloads([raw], b) == [
             bool(tip_ok[spending].all())]
 
-        pending = zero_invalid_rows(raw, res.valid_rows)
+        pending = zero_invalid_rows(raw, valid_rows(res, m))
         debit_kept(b, pending)
         outstanding = outstanding + dense(pending, m)
         states = [fold(s, zero, zero, outstanding) for s in states]
@@ -479,15 +601,15 @@ def test_summed_spend_beyond_int64_raises_a_named_overflow_error():
         bal.validate_tip_payloads([t], b)
     with pytest.raises(bal.LedgerOverflowError):
         bal.validate_block(t, b)
-    with pytest.raises(bal.LedgerOverflowError):
-        bal.proposed_outflow(t, 2)
     # the largest entries alone would overflow; the per-sender sums do not
     fits = bal.Transfers(source=0, dest=1, senders=[0, 1],
                          receivers=[0, 0], amounts=[bal.INT64_MAX, 5])
-    assert bal.proposed_outflow(fits, 2).tolist() == [bal.INT64_MAX, 5]
+    assert proposed(bal.validate_block(fits, b), 2).tolist() == \
+        [bal.INT64_MAX, 5]
     top = bal.Transfers(source=0, dest=1, senders=[0, 0],
                         receivers=[0, 1], amounts=[bal.INT64_MAX - 1, 1])
-    assert bal.proposed_outflow(top, 2).tolist() == [bal.INT64_MAX, 0]
+    assert proposed(bal.validate_block(top, b), 2).tolist() == \
+        [bal.INT64_MAX, 0]
 
 
 def test_checked_arrays_are_shared_not_copied():
@@ -523,13 +645,13 @@ def test_writable_or_borrowed_arrays_are_still_checked():
 def test_validation_against_available_funds():
     # outstanding spend of 2 and 1 leaves net balances of 3 and 4
     b = book([5, 5], [0, 0])
-    b.debit(0, np.array([2, 1]))
+    b.debit(0, np.array([0, 1]), np.array([2, 1]))
     assert b.net(0).tolist() == [3, 4]
     assert bal.net_balances(b.state(0)).tolist() == [3, 4]
     t = bal.Transfers(source=0, dest=1, senders=[0, 1],
                       receivers=[0, 0], amounts=[4, 4])
     res = bal.validate_block(t, b)
-    assert res.valid_rows.tolist() == [False, True]
+    assert valid_rows(res, 2).tolist() == [False, True]
     # the same spend as a foreign tip takes the outstanding spend's place
     assert bal.validate_tip_payloads([t], b) == [True]
 
@@ -558,7 +680,7 @@ def test_a_window_confirming_spend_no_proposal_held_lands_nothing():
     b = book([10], [0])
     t = bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
                       amounts=[4])
-    b.debit(0, np.array([3]))
+    b.debit(0, np.array([0]), np.array([3]))
     with pytest.raises(bal.LedgerError):
         b.ingest([t])
     assert not b.received.any() and not b.spent.any()

@@ -185,7 +185,8 @@ def test_honest_net_balances_never_negative(spam_run):
 
 def test_the_book_equals_a_dense_state_replay_at_every_window(monkeypatch):
     """Every debit and window the book takes, replayed per chain through MxM
-    `update_cumulative`, gives the book's rows after every window."""
+    `update_cumulative`, gives the book's rows, its held balances among
+    them, after every window."""
     cfg = quick(spam_fraction=0.3, duration_min=2.0,
                 double_spend={"pairs": 3, "regular": 6})
     sim = Simulation(cfg)
@@ -208,13 +209,16 @@ def test_the_book_equals_a_dense_state_replay_at_every_window(monkeypatch):
         validated[proposed.source] = proposed
         return validate(proposed, book)
 
-    def replay_debit(book, chain, spend):
+    def replay_debit(book, chain, spenders, spend):
         t = validated.pop(chain)
         block = np.zeros((m, m), dtype=np.int64)
         np.add.at(block, (t.senders, t.receivers), t.amounts)
-        assert block.sum(axis=1).tolist() == spend.tolist()
+        # the rows debited hold the same spend as the dense oracle
+        debited = np.zeros(m, dtype=np.int64)
+        debited[spenders] = spend
+        assert block.sum(axis=1).tolist() == debited.tolist()
         fold(chain, zero, zero, states[chain].last_proposed + block)
-        debit(book, chain, spend)
+        debit(book, chain, spenders, spend)
 
     def replay_ingest(book, blocks):
         ingest(book, blocks)
@@ -234,6 +238,9 @@ def test_the_book_equals_a_dense_state_replay_at_every_window(monkeypatch):
                 (book.spent[c] + book.outstanding[c]).tolist()
             assert s.last_proposed.sum(axis=1).tolist() == \
                 book.outstanding[c].tolist()
+            # held: the net balance with the outstanding spend released
+            assert (net_balances(s) + s.last_proposed.sum(axis=1)).tolist() \
+                == book.held[c].tolist()
         windows.append(len(blocks))
 
     monkeypatch.setattr(engine, "validate_block", validate_and_keep)
