@@ -3,21 +3,19 @@
 Token movement between chains is tracked as transfer triplets: triplet k of
 a `Transfers` from chain j to chain l is the amount account senders[k] on
 chain j sends to account receivers[k] on chain l. A block carries one
-`Transfers`.
+`Transfers`, whose senders are strictly increasing, checked once as it is
+built: each sending account has one triplet, so the amounts are the block's
+spend per sending account.
 
 The engine keeps every chain's totals in one `LedgerBook`, updated in place:
 a proposal debit holds its spend as outstanding, and a ledger window moves
 its confirmed blocks' spend to spent, credits their destinations and
 refreshes each chain's held balance, genesis + received - spent. A net
 balance is the held balance less the outstanding spend. A chain's own
-proposal must fit its net balances; a foreign tip, whose spend its chain
-already holds as outstanding, is judged against the held balances, since
-its own outstanding spend cancels out.
-
-Validation and debits work on a block's own rows: its distinct sending
-accounts and the total each one spends. A drawn block's senders are already
-distinct and increasing, so its amounts are that spend; only a block with
-repeated senders is summed per sender, with the overflow check.
+proposal must fit its net balances, and the book refuses a debit that does
+not, so no net or held balance is ever negative. A foreign tip, whose spend
+its chain already holds as outstanding, is judged against the held
+balances, since its own outstanding spend cancels out.
 
 A `CumulativeState` folds one chain's per-epoch `FlowAggregates` -- inflow,
 confirmed outflow and the proposed spend, which each epoch replaces -- as
@@ -84,7 +82,8 @@ class Transfers:
     """One block's transfers from chain `source` to chain `dest`.
 
     Equal-length triplet vectors: account senders[k] on `source` pays
-    amounts[k] to account receivers[k] on `dest`.
+    amounts[k] to account receivers[k] on `dest`. Senders are strictly
+    increasing, so amounts[k] is all that senders[k] spends in the block.
     """
 
     source: int
@@ -98,6 +97,8 @@ class Transfers:
             object.__setattr__(self, name, _as_amounts(getattr(self, name), ndim=1))
         if not self.senders.shape == self.receivers.shape == self.amounts.shape:
             raise LedgerError("transfer triplet vectors must have equal length")
+        if (self.senders[1:] <= self.senders[:-1]).any():
+            raise LedgerError("transfer senders must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -238,9 +239,9 @@ class LedgerBook:
     - spent, refreshed at each window.
 
     genesis + received fits int64 by the check at each window, and so does
-    spent + outstanding: a debit fits the net balance and a window only
+    spent + outstanding: a debit must fit the net balance and a window only
     moves spend from outstanding to spent. For the same reason no held or
-    net balance is negative while every debit has passed validation.
+    net balance is ever negative.
     """
 
     def __init__(self, genesis):
@@ -268,14 +269,16 @@ class LedgerBook:
         self.check_chain(chain)
         return self.held[chain] - self.outstanding[chain]
 
-    def debit(self, chain: int, spenders: np.ndarray,
-              spend: np.ndarray) -> None:
-        """Hold a proposal's spend as outstanding: `spend[k]` for the
-        distinct account `spenders[k]`, as `validate_block` found them. The
-        spend must have passed that validation, so it fits the net balance."""
-        self.check_chain(chain)
-        row = self.outstanding[chain]
-        row[spenders] += spend
+    def debit(self, t: Transfers) -> None:
+        """Hold block `t`'s spend as outstanding on its source chain.
+
+        A block that `validate_block` does not find valid in every row
+        raises LedgerError, and nothing is held.
+        """
+        if not validate_block(t, self).all():
+            raise LedgerError(
+                f"a debit would overdraw a net balance on chain {t.source}")
+        self.outstanding[t.source][t.senders] += t.amounts
 
     def ingest(self, blocks: Sequence[Transfers]) -> None:
         """Land one window's confirmed blocks: each moves its spend from its
@@ -315,74 +318,47 @@ class LedgerBook:
             last_proposed=self.outstanding[chain][:, None])
 
 
-def _spend(t: Transfers, book: LedgerBook) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct sending accounts of a proposal, increasing, and the
-    total each one spends; a total past int64 raises LedgerOverflowError."""
+def _check_rows(t: Transfers, book: LedgerBook) -> None:
+    """Raise LedgerError unless `t` moves tokens between two distinct
+    chains of the book, among accounts it holds."""
     book.check_chain(t.source)
     book.check_chain(t.dest)
     if t.dest == t.source:
         raise LedgerError("intra-chain transfer rejected in proposal")
     accounts = book.accounts
-    senders = t.senders.tolist()
-    if max(senders, default=-1) >= accounts or \
+    if max(t.senders.tolist(), default=-1) >= accounts or \
             max(t.receivers.tolist(), default=-1) >= accounts:
         raise LedgerError(
             f"account index out of range for {accounts} accounts")
-    # distinct and increasing, as blocks are drawn
-    if len(set(senders)) == len(senders) and senders == sorted(senders):
-        return t.senders, t.amounts
-    spenders, index = np.unique(t.senders, return_inverse=True)
-    return spenders, _sum_at(
-        np.zeros(len(spenders), dtype=np.int64), index, t.amounts,
-        f"proposed spend of an account on chain {t.source}")
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationResult:
-    """Outcome of validating a proposed transfer set, on its own rows."""
+def validate_block(proposed: Transfers, book: LedgerBook) -> np.ndarray:
+    """One bool per triplet: whether its sender's net balance covers it.
 
-    spenders: np.ndarray            # distinct sending accounts, increasing
-    spend: np.ndarray               # each spender's total proposed spend
-    valid: np.ndarray               # bool per spender: the spend fits
-
-    @property
-    def any_zeroed(self) -> bool:
-        return not all(self.valid.tolist())
-
-
-def validate_block(proposed: Transfers, book: LedgerBook) -> ValidationResult:
-    """Judge each account's entire proposed spend against its net balance.
-
-    The spend is summed over the account's triplets and added to the
-    outstanding spend the book already holds for the source chain: an
-    account whose net balance it would overdraw is an invalid row.
+    A sender has one triplet, so its amount is the account's whole spend,
+    added to the outstanding spend the book already holds for the source
+    chain: an account whose net balance it would overdraw is an invalid row.
     """
-    spenders, spend = _spend(proposed, book)
-    c = proposed.source
-    net = book.held[c][spenders] - book.outstanding[c][spenders]
-    return ValidationResult(spenders=spenders, spend=spend,
-                            valid=net >= spend)
+    _check_rows(proposed, book)
+    rows, c = proposed.senders, proposed.source
+    return book.held[c][rows] - book.outstanding[c][rows] >= proposed.amounts
 
 
 def validate_tip_payloads(tips: Sequence[Transfers],
                           book: LedgerBook) -> list[bool]:
     """Block-level verdicts for foreign tips against the validator's ledger view.
 
-    Each tip's proposed spend is the sum of its triplets per sending account;
-    the verdict is valid only if every account with a nonzero spend stays
-    non-negative. At most one tip per source chain may appear in a batch.
+    A tip is valid if every sender's held balance covers its amount. An
+    honest chain debits its proposal as outstanding spend before the block
+    attaches: releasing that spend from the net balance leaves the held
+    balance, which is never negative, so a row spending nothing always
+    passes. At most one tip per source chain may appear in a batch.
     """
-    seen: set[int] = set()
-    verdicts: list[bool] = []
+    verdicts: dict[int, bool] = {}          # source chain -> verdict
     for tip in tips:
-        if tip.source in seen:
+        if tip.source in verdicts:
             raise LedgerError(f"two tips from chain {tip.source} in one batch")
-        seen.add(tip.source)
-        spenders, spend = _spend(tip, book)
-        # an honest chain debits its proposal as outstanding spend before the
-        # block attaches: releasing the stored outstanding spend from the net
-        # balance leaves the held balance, against which the tip is judged
-        held = book.held[tip.source][spenders].tolist()
-        verdicts.append(all(h >= s for h, s in zip(held, spend.tolist())
-                            if s))
-    return verdicts
+        _check_rows(tip, book)
+        verdicts[tip.source] = bool(
+            (book.held[tip.source][tip.senders] >= tip.amounts).all())
+    return list(verdicts.values())

@@ -277,12 +277,11 @@ class Simulation:
                     rng: random.Random) -> tuple[list[str], int]:
         """Debit the validated proposal, then pick foreign tips with `rng`
         and check them: returns the approvable ones and the batch size."""
-        # honest proposals are drawn within the net balance: none is zeroed
-        result = validate_block(payload, self.book)
-        if result.any_zeroed:
+        # honest proposals are drawn within the net balance: every row is valid
+        if not validate_block(payload, self.book).all():
             raise SimulationError(
                 f"honest proposal of chain {rt.chain} failed validation")
-        self.book.debit(rt.chain, result.spenders, result.spend)
+        self.book.debit(payload)
 
         selected = self.dag.select_tips(self.cfg.tip_sample, rng)
         batch: dict[int, str] = {}      # one tip per source chain

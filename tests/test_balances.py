@@ -5,16 +5,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainmesh import balances as bal
+from chainmesh.roles import make_invalid_block
 
 
 def tm(source, dest, amounts):
-    """Transfers holding the nonzero entries of a dense m x m amount matrix."""
+    """Transfers of the row totals of a dense m x m amount matrix: one
+    triplet per sending account, paid to the row's first nonzero column."""
     a = np.array(amounts, dtype=np.int64)
-    senders, receivers = np.nonzero(a)
+    senders = np.flatnonzero(a.any(axis=1))
     return bal.Transfers(source=source, dest=dest, senders=senders,
-                         receivers=receivers, amounts=a[senders, receivers])
+                         receivers=(a[senders] != 0).argmax(axis=1),
+                         amounts=a[senders].sum(axis=1))
 
 
 def dense(t, m):
@@ -29,24 +34,11 @@ def book(*genesis):
     return bal.LedgerBook(np.array(genesis, dtype=np.int64))
 
 
-def debit_kept(b, t):
-    """Debit the spend of `t`, a block validation kept, on its chain: the
-    dense per-account spend, every account a row."""
-    b.debit(t.source, np.arange(b.accounts), dense(t, b.accounts).sum(axis=1))
-
-
-def valid_rows(res, m):
-    """A validation result's verdicts as one bool per account; an account
-    that spends nothing is valid."""
+def valid_rows(t, res, m):
+    """The per-triplet verdicts `res` on block `t` as one bool per account;
+    an account that spends nothing is valid."""
     out = np.ones(m, dtype=bool)
-    out[res.spenders] = res.valid
-    return out
-
-
-def proposed(res, m):
-    """A validation result's spend as one total per account."""
-    out = np.zeros(m, dtype=np.int64)
-    out[res.spenders] = res.spend
+    out[t.senders] = res
     return out
 
 
@@ -79,12 +71,11 @@ def zero_flows(chain, m, epoch):
                               outflow_confirmed=z, outflow_proposed=z)
 
 
-def zero_invalid_rows(t, valid):
-    """`t` without the triplets of the senders validation rejected.
+def zero_invalid_rows(t, keep):
+    """`t` without the triplets whose verdict in `keep` is False.
 
     The engine raises on any invalid row of its own proposals; traces that
     go on past one drop its triplets from the block."""
-    keep = valid[t.senders]
     return bal.Transfers(source=t.source, dest=t.dest,
                          senders=t.senders[keep], receivers=t.receivers[keep],
                          amounts=t.amounts[keep])
@@ -172,11 +163,10 @@ def test_affordable_spend_copied_verbatim():
     b = book([10, 10], [0, 0])
     prop = tm(0, 1, [[0, 7], [0, 0]])
     res = bal.validate_block(prop, b)
-    assert valid_rows(res, 2).all()
-    assert not res.any_zeroed
-    assert proposed(res, 2).tolist() == proposed_outflow(prop, 2) == [7, 0]
-    assert (res.spenders.tolist(), res.spend.tolist()) == ([0], [7])
-    kept = zero_invalid_rows(prop, valid_rows(res, 2))
+    assert res.tolist() == [True]
+    assert proposed_outflow(prop, 2) == [7, 0]
+    assert (prop.senders.tolist(), prop.amounts.tolist()) == ([0], [7])
+    kept = zero_invalid_rows(prop, res)
     assert np.array_equal(dense(kept, 2), dense(prop, 2))
 
 
@@ -207,16 +197,15 @@ def test_mixed_block_zeroes_exactly_the_overspending_rows():
         prop = tm(0, 1 + epoch % 2, random_amounts(rng, m, 0, 4))
         res = bal.validate_block(prop, b)
         want = oracle_valid_rows(b.state(0), dense(prop, m))
-        assert np.array_equal(proposed(res, m), dense(prop, m).sum(axis=1))
-        assert list(valid_rows(res, m)) == want
-        kept = zero_invalid_rows(prop, valid_rows(res, m))
+        assert list(valid_rows(prop, res, m)) == want
+        kept = zero_invalid_rows(prop, res)
         for acct in range(m):
             if want[acct]:
                 assert np.array_equal(dense(kept, m)[acct], dense(prop, m)[acct])
             else:
                 assert not dense(kept, m)[acct].any()
         # debit the validated proposal so epochs differ
-        debit_kept(b, kept)
+        b.debit(kept)
 
 
 def test_validation_is_idempotent():
@@ -225,12 +214,13 @@ def test_validation_is_idempotent():
     b = book([rng.randint(0, 20) for _ in range(m)], [0] * m)
     prop = tm(0, 1, random_amounts(rng, m, 0, 8))
     once = bal.validate_block(prop, b)
-    assert once.any_zeroed
-    kept = zero_invalid_rows(prop, valid_rows(once, m))
+    assert not once.all()
+    kept = zero_invalid_rows(prop, once)
     twice = bal.validate_block(kept, b)
-    assert not twice.any_zeroed
-    assert np.array_equal(proposed(twice, m),
-                          np.where(valid_rows(once, m), proposed(once, m), 0))
+    assert twice.all()
+    assert np.array_equal(
+        proposed_outflow(kept, m),
+        np.where(valid_rows(prop, once, m), proposed_outflow(prop, m), 0))
 
 
 def test_zeroing_soundness_balances_stay_non_negative():
@@ -238,9 +228,8 @@ def test_zeroing_soundness_balances_stay_non_negative():
     m = 5
     b = book([rng.randint(0, 25) for _ in range(m)], [0] * m)
     prop = tm(0, 1, random_amounts(rng, m, 0, 10))
-    res = bal.validate_block(prop, b)
-    kept = zero_invalid_rows(prop, valid_rows(res, m))
-    debit_kept(b, kept)
+    kept = zero_invalid_rows(prop, bal.validate_block(prop, b))
+    b.debit(kept)
     assert (b.net(0) >= 0).all()
 
 
@@ -254,21 +243,35 @@ def test_empty_tip_payload_is_valid():
 
 
 def test_overspending_tip_is_invalid():
-    # each triplet fits the balance of 10; their sum of 14 does not
-    tip = bal.Transfers(source=1, dest=0, senders=[0, 0], receivers=[0, 1],
-                        amounts=[7, 7])
+    # two triplets of 7 from one account, each within its balance of 10,
+    # cannot be built: an account sends one triplet, the sum of 14, which
+    # does not fit
+    with pytest.raises(bal.LedgerError, match="strictly increasing"):
+        bal.Transfers(source=1, dest=0, senders=[0, 0], receivers=[0, 1],
+                      amounts=[7, 7])
+    tip = bal.Transfers(source=1, dest=0, senders=[0], receivers=[0],
+                        amounts=[14])
     assert bal.validate_tip_payloads([tip], book([0, 0], [10, 0])) == [False]
 
 
 def test_a_tip_is_judged_on_its_spending_rows_only():
-    # an unchecked debit overdraws account 0; a window lands it, so the held
-    # balance is -5; a tip that names account 0 but spends nothing from it
-    # is still judged by account 1 alone
+    # the book refuses a debit past a net balance, so no held balance is
+    # negative: account 0 is spent down to 0 instead, and a tip that names
+    # it but spends nothing from it is judged by account 1 alone
     b = book([5, 5], [0, 0])
-    b.debit(0, np.array([0]), np.array([10]))
-    b.ingest([bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
-                            amounts=[10])])
-    assert b.held[0].tolist() == [-5, 5]
+    spend_all = bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
+                              amounts=[5])
+    b.debit(spend_all)
+    for over in (spend_all, bal.Transfers(source=0, dest=1, senders=[0, 1],
+                                          receivers=[0, 0], amounts=[1, 1])):
+        with pytest.raises(bal.LedgerError, match="overdraw"):
+            b.debit(over)
+        assert b.outstanding.tolist() == [[5, 0], [0, 0]]
+    b.ingest([spend_all])
+    assert b.held[0].tolist() == [0, 5]
+    empty = bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
+                          amounts=[0])
+    assert bal.validate_tip_payloads([empty], b) == [True]
     tip = bal.Transfers(source=0, dest=1, senders=[0, 1], receivers=[0, 0],
                         amounts=[0, 5])
     assert bal.validate_tip_payloads([tip], b) == [True]
@@ -305,7 +308,10 @@ def test_a_transfer_to_a_chain_outside_the_book_raises(dest):
         bal.validate_block(t, b)
     with pytest.raises(bal.LedgerError, match="no ledger state"):
         bal.validate_tip_payloads([t], b)
-    b.debit(0, np.array([0]), np.array([1]))
+    with pytest.raises(bal.LedgerError, match="no ledger state"):
+        b.debit(t)
+    b.debit(bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
+                          amounts=[1]))
     with pytest.raises(bal.LedgerError, match="no ledger state"):
         b.ingest([t])
     assert not b.received.any() and not b.spent.any()
@@ -315,19 +321,21 @@ def test_a_transfer_to_a_chain_outside_the_book_raises(dest):
 @pytest.mark.parametrize("chain", [-1, -2, 2])
 def test_a_debit_on_a_chain_outside_the_book_raises(chain):
     b = book([5], [5])
+    t = bal.Transfers(source=chain, dest=0, senders=[0], receivers=[0],
+                      amounts=[1])
     with pytest.raises(bal.LedgerError, match="no ledger state"):
-        b.debit(chain, np.array([0]), np.array([1]))
+        b.debit(t)
     assert not b.outstanding.any()
 
 
 def test_the_row_path_equals_the_dense_spend_oracle():
     """Validation and debits on a proposal's own rows agree with the dense
-    per-account formulation, over drawn proposals: distinct and repeated
-    senders, empty ones, and amounts up to INT64_MAX."""
+    per-account formulation, over drawn proposals: distinct senders, empty
+    ones, and amounts up to INT64_MAX. Repeated senders cannot be built."""
     rng = random.Random(2020)
     top = bal.INT64_MAX
     m = 6
-    raised = kept = 0
+    rejected = refused = kept = 0
     for trial in range(60):
         b = book(*([rng.choice([0, rng.randint(1, 50), rng.randint(0, top)])
                      for _ in range(m)] for _ in range(3)))
@@ -340,37 +348,39 @@ def test_the_row_path_equals_the_dense_spend_oracle():
                 senders[1] = senders[0]
             else:
                 senders = []
-            amounts = [rng.choice([rng.randint(0, 20), rng.randint(0, top),
-                                   top]) for _ in senders]
-            t = bal.Transfers(source=0, dest=rng.choice([1, 2]),
-                              senders=senders,
-                              receivers=[rng.randrange(m) for _ in senders],
-                              amounts=amounts)
-            want = proposed_outflow(t, m)
-            if max(want, default=0) > top:
-                raised += 1
-                with pytest.raises(bal.LedgerOverflowError):
-                    bal.validate_block(t, b)
-                with pytest.raises(bal.LedgerOverflowError):
-                    bal.validate_tip_payloads([t], b)
+            triplets = dict(source=0, dest=rng.choice([1, 2]),
+                            senders=senders,
+                            receivers=[rng.randrange(m) for _ in senders],
+                            amounts=[rng.choice([rng.randint(0, 20),
+                                                 rng.randint(0, top), top])
+                                     for _ in senders])
+            if shape == "repeated":
+                rejected += 1
+                with pytest.raises(bal.LedgerError,
+                                   match="strictly increasing"):
+                    bal.Transfers(**triplets)
                 continue
+            t = bal.Transfers(**triplets)
+            want = proposed_outflow(t, m)
             net = b.net(0).tolist()
             held = (b.net(0) + b.outstanding[0]).tolist()
             res = bal.validate_block(t, b)
-            assert res.spenders.tolist() == sorted(set(senders))
-            assert proposed(res, m).tolist() == want
-            assert valid_rows(res, m).tolist() == [
+            assert valid_rows(t, res, m).tolist() == [
                 net[a] - want[a] >= 0 for a in range(m)]
             assert bal.validate_tip_payloads([t], b) == [all(
                 held[a] - want[a] >= 0 for a in range(m) if want[a] > 0)]
-            if res.any_zeroed:
+            before = b.outstanding.tolist()
+            if not res.all():
+                refused += 1
+                with pytest.raises(bal.LedgerError, match="overdraw"):
+                    b.debit(t)
+                assert b.outstanding.tolist() == before
                 continue
             kept += 1
-            before = b.outstanding.tolist()
-            b.debit(0, res.spenders, res.spend)
+            b.debit(t)
             assert b.outstanding.tolist() == [
                 [o + w for o, w in zip(before[0], want)], *before[1:]]
-    assert raised > 10 and kept > 100
+    assert rejected > 100 and refused > 50 and kept > 100
 
 
 def test_batch_verdicts_match_per_account_oracle():
@@ -379,8 +389,7 @@ def test_batch_verdicts_match_per_account_oracle():
     b = book(*([rng.randint(0, 40) for _ in range(m)] for _ in range(4)))
     for c in range(4):
         prop = tm(c, (c + 1) % 4, random_amounts(rng, m))
-        res = bal.validate_block(prop, b)
-        debit_kept(b, zero_invalid_rows(prop, valid_rows(res, m)))
+        b.debit(zero_invalid_rows(prop, bal.validate_block(prop, b)))
     tips = [tm(c, (c + 2) % 4, random_amounts(rng, m, 0, 5))
             for c in range(4)]
     got = bal.validate_tip_payloads(tips, b)
@@ -412,9 +421,8 @@ def test_token_conservation_over_validated_multi_chain_trace():
         for c in range(n_chains):
             dest = (c + 1 + epoch % (n_chains - 1)) % n_chains
             raw = tm(c, dest, random_amounts(rng, m, 0, 6))
-            res = bal.validate_block(raw, b)
-            pending.append(zero_invalid_rows(raw, valid_rows(res, m)))
-            debit_kept(b, pending[-1])
+            pending.append(zero_invalid_rows(raw, bal.validate_block(raw, b)))
+            b.debit(pending[-1])
         net_total = sum(b.net().ravel().tolist())
         in_flight = sum(b.outstanding.ravel().tolist())
         assert net_total + in_flight == total_genesis
@@ -467,7 +475,7 @@ def test_dense_and_summed_states_agree_every_epoch():
         # stay outstanding while the next proposal is validated
         incoming = [random_transfers(rng, src, 0, m, 9) for src in (1, 2)]
         for t in incoming:
-            debit_kept(b, t)
+            b.debit(t)
         confirmed = zero
         if pending is not None and pending.dest == 1:
             confirmed = dense(pending, m)
@@ -485,16 +493,15 @@ def test_dense_and_summed_states_agree_every_epoch():
 
         raw = random_transfers(rng, 0, 1 + epoch % 2, m, 30)
         res = bal.validate_block(raw, b)
-        assert valid_rows(res, m).tolist() == oracle_valid_rows(full,
-                                                                dense(raw, m))
-        assert np.array_equal(proposed(res, m), dense(raw, m).sum(axis=1))
-        spending = proposed(res, m) > 0
+        assert valid_rows(raw, res, m).tolist() == \
+            oracle_valid_rows(full, dense(raw, m))
+        spending = np.array(proposed_outflow(raw, m)) > 0
         tip_ok = np.array(oracle_valid_rows(full, dense(raw, m), release=True))
         assert bal.validate_tip_payloads([raw], b) == [
             bool(tip_ok[spending].all())]
 
-        pending = zero_invalid_rows(raw, valid_rows(res, m))
-        debit_kept(b, pending)
+        pending = zero_invalid_rows(raw, res)
+        b.debit(pending)
         outstanding = outstanding + dense(pending, m)
         states = [fold(s, zero, zero, outstanding) for s in states]
     for s in states:
@@ -592,24 +599,28 @@ def test_amount_beyond_int64_raises_a_named_overflow_error():
 
 
 def test_summed_spend_beyond_int64_raises_a_named_overflow_error():
-    # two 2**62 transfers from one account sum to 2**63, which int64 would
-    # read as -2**63: a negative spend that no overdraft check looks at
-    b = book([5, 0], [0, 0])
-    t = bal.Transfers(source=0, dest=1, senders=[0, 0],
+    # two 2**62 transfers from one account would sum to 2**63, which int64
+    # reads as -2**63; an account sends one triplet, so no block holds them
+    with pytest.raises(bal.LedgerError, match="strictly increasing"):
+        bal.Transfers(source=0, dest=1, senders=[0, 0],
                       receivers=[0, 1], amounts=[2**62, 2**62])
+    # a block's spend is its amounts, never summed; the spend that can still
+    # pass int64 is an overspending draw's, balance plus margin, which the
+    # draw raises as a named overflow (tests/test_roles.py,
+    # TestOverspendOverflow)
     with pytest.raises(bal.LedgerOverflowError):
-        bal.validate_tip_payloads([t], b)
-    with pytest.raises(bal.LedgerOverflowError):
-        bal.validate_block(t, b)
-    # the largest entries alone would overflow; the per-sender sums do not
-    fits = bal.Transfers(source=0, dest=1, senders=[0, 1],
-                         receivers=[0, 0], amounts=[bal.INT64_MAX, 5])
-    assert proposed(bal.validate_block(fits, b), 2).tolist() == \
-        [bal.INT64_MAX, 5]
-    top = bal.Transfers(source=0, dest=1, senders=[0, 0],
-                        receivers=[0, 1], amounts=[bal.INT64_MAX - 1, 1])
-    assert proposed(bal.validate_block(top, b), 2).tolist() == \
-        [bal.INT64_MAX, 0]
+        make_invalid_block(1, np.array([bal.INT64_MAX - 10**9]), 1.0,
+                           np.random.default_rng(0), source=0,
+                           active_rows=1, bounds={})
+    # amounts at the top of int64 are judged exactly
+    top = bal.Transfers(source=0, dest=1, senders=[0, 1],
+                        receivers=[0, 0], amounts=[bal.INT64_MAX, 5])
+    assert bal.validate_block(top, book([5, 0], [0, 0])).tolist() == \
+        [False, False]
+    b = book([bal.INT64_MAX, 5], [0, 0])
+    assert bal.validate_block(top, b).tolist() == [True, True]
+    b.debit(top)
+    assert b.net(0).tolist() == [0, 0]
 
 
 def test_checked_arrays_are_shared_not_copied():
@@ -645,13 +656,13 @@ def test_writable_or_borrowed_arrays_are_still_checked():
 def test_validation_against_available_funds():
     # outstanding spend of 2 and 1 leaves net balances of 3 and 4
     b = book([5, 5], [0, 0])
-    b.debit(0, np.array([0, 1]), np.array([2, 1]))
+    b.debit(bal.Transfers(source=0, dest=1, senders=[0, 1],
+                          receivers=[1, 1], amounts=[2, 1]))
     assert b.net(0).tolist() == [3, 4]
     assert bal.net_balances(b.state(0)).tolist() == [3, 4]
     t = bal.Transfers(source=0, dest=1, senders=[0, 1],
                       receivers=[0, 0], amounts=[4, 4])
-    res = bal.validate_block(t, b)
-    assert valid_rows(res, 2).tolist() == [False, True]
+    assert bal.validate_block(t, b).tolist() == [False, True]
     # the same spend as a foreign tip takes the outstanding spend's place
     assert bal.validate_tip_payloads([t], b) == [True]
 
@@ -661,11 +672,16 @@ def test_validation_against_available_funds():
 # ---------------------------------------------------------------------------
 
 def test_a_window_moves_confirmed_spend_and_credits_the_destination():
+    # two blocks of one chain land in one window: account 0 spends in both,
+    # and both pay account 1 of chain 2
     b = book([10, 10], [0, 0], [0, 0])
-    t = bal.Transfers(source=0, dest=2, senders=[0, 0, 1],
-                      receivers=[1, 1, 0], amounts=[3, 4, 2])
-    debit_kept(b, t)
-    b.ingest([t])
+    blocks = [bal.Transfers(source=0, dest=2, senders=[0, 1],
+                            receivers=[1, 0], amounts=[3, 2]),
+              bal.Transfers(source=0, dest=2, senders=[0], receivers=[1],
+                            amounts=[4])]
+    for t in blocks:
+        b.debit(t)
+    b.ingest(blocks)
     assert b.spent.tolist() == [[7, 2], [0, 0], [0, 0]]
     assert b.received.tolist() == [[0, 0], [0, 0], [2, 7]]
     assert not b.outstanding.any()
@@ -680,7 +696,8 @@ def test_a_window_confirming_spend_no_proposal_held_lands_nothing():
     b = book([10], [0])
     t = bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
                       amounts=[4])
-    b.debit(0, np.array([0]), np.array([3]))
+    b.debit(bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
+                          amounts=[3]))
     with pytest.raises(bal.LedgerError):
         b.ingest([t])
     assert not b.received.any() and not b.spent.any()
@@ -694,32 +711,109 @@ def test_a_window_whose_inflow_sum_wraps_raises_a_named_overflow_error():
     blocks = [bal.Transfers(source=c, dest=0, senders=[0], receivers=[0],
                             amounts=[2**61]) for c in range(1, 5)]
     for t in blocks:
-        debit_kept(b, t)
+        b.debit(t)
     with pytest.raises(bal.LedgerOverflowError):
         b.ingest(blocks)
     assert not b.received.any() and not b.spent.any()
     # three of them fit the flow, but not on top of chain 0's genesis
     b = book(*[[2**61]] * 4)
     for t in blocks[:3]:
-        debit_kept(b, t)
+        b.debit(t)
     with pytest.raises(bal.LedgerOverflowError):
         b.ingest(blocks[:3])
     assert not b.received.any()
 
 
 def test_the_largest_window_that_fits_lands_exactly():
-    # the count-times-largest bounds are inconclusive; the exact sums fit
+    # the count-times-largest bounds are inconclusive; the exact sums fit.
+    # Each window lands two blocks of chain 1, both spent by its account 0
     top = bal.INT64_MAX
+
+    def land(b, receivers, amounts):
+        blocks = [bal.Transfers(source=1, dest=0, senders=[0],
+                                receivers=[r], amounts=[a])
+                  for r, a in zip(receivers, amounts)]
+        for t in blocks:
+            b.debit(t)
+        b.ingest(blocks)
+
     b = book([0, 0], [top, 0])
-    t = bal.Transfers(source=1, dest=0, senders=[0, 0], receivers=[0, 1],
-                      amounts=[top - 5, 5])
-    debit_kept(b, t)
-    b.ingest([t])
+    land(b, [0, 1], [top - 5, 5])
     assert b.net(0).tolist() == [top - 5, 5]
     assert b.net(1).tolist() == [0, 0]
     b = book([1, 0], [top - 1, 0])
-    t = bal.Transfers(source=1, dest=0, senders=[0, 0], receivers=[0, 0],
-                      amounts=[top - 2, 1])
-    debit_kept(b, t)
-    b.ingest([t])
+    land(b, [0, 0], [top - 2, 1])
     assert b.net(0).tolist() == [top, 0]
+
+
+# ---------------------------------------------------------------------------
+# Properties, over drawn senders, books and blocks
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+#: an amount: small, anywhere in int64, or its largest value
+AMOUNT = st.one_of(st.integers(0, 30), st.integers(0, bal.INT64_MAX),
+                   st.just(bal.INT64_MAX))
+
+
+@PROPERTY
+@given(st.one_of(st.lists(st.integers(0, 9), max_size=6),
+                 st.sets(st.integers(0, 9), max_size=6).map(sorted)))
+def test_transfers_accept_exactly_the_strictly_increasing_senders(senders):
+    n = len(senders)
+    triplets = dict(source=0, dest=1, senders=senders, receivers=[0] * n,
+                    amounts=[1] * n)
+    if all(a < b for a, b in zip(senders, senders[1:])):
+        assert bal.Transfers(**triplets).senders.tolist() == senders
+    else:
+        with pytest.raises(bal.LedgerError, match="strictly increasing"):
+            bal.Transfers(**triplets)
+
+
+@st.composite
+def book_and_block(draw):
+    """A two-chain book whose chain 0 holds an outstanding debit, landed by
+    a window or not, and a block from chain 0 that may overdraw."""
+    m = draw(st.integers(1, 6))
+    genesis = draw(st.lists(AMOUNT, min_size=m, max_size=m))
+    b = bal.LedgerBook(np.array([genesis, [0] * m], dtype=np.int64))
+    senders = sorted(draw(st.sets(st.integers(0, m - 1))))
+    prior = bal.Transfers(
+        source=0, dest=1, senders=senders,
+        receivers=[draw(st.integers(0, m - 1)) for _ in senders],
+        amounts=[draw(st.integers(0, genesis[a])) for a in senders])
+    b.debit(prior)
+    if draw(st.booleans()):
+        b.ingest([prior])
+    senders = sorted(draw(st.sets(st.integers(0, m - 1))))
+    block = bal.Transfers(
+        source=0, dest=1, senders=senders,
+        receivers=[draw(st.integers(0, m - 1)) for _ in senders],
+        amounts=[draw(AMOUNT) for _ in senders])
+    return b, block
+
+
+@PROPERTY
+@given(book_and_block())
+def test_validation_tip_check_and_debit_agree_with_the_dense_oracle(drawn):
+    b, t = drawn
+    m = b.accounts
+    want = proposed_outflow(t, m)
+    net = b.net(0).tolist()
+    held = b.held[0].tolist()
+    res = bal.validate_block(t, b)
+    assert valid_rows(t, res, m).tolist() == [
+        net[a] >= want[a] for a in range(m)]
+    assert bal.validate_tip_payloads([t], b) == [all(
+        held[a] >= want[a] for a in range(m) if want[a])]
+    before = b.outstanding.tolist()
+    if res.all():
+        b.debit(t)
+        assert b.outstanding.tolist() == [
+            [o + w for o, w in zip(before[0], want)], before[1]]
+    else:
+        with pytest.raises(bal.LedgerError, match="overdraw"):
+            b.debit(t)
+        assert b.outstanding.tolist() == before
+    assert (b.net() >= 0).all()

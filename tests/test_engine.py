@@ -209,16 +209,16 @@ def test_the_book_equals_a_dense_state_replay_at_every_window(monkeypatch):
         validated[proposed.source] = proposed
         return validate(proposed, book)
 
-    def replay_debit(book, chain, spenders, spend):
-        t = validated.pop(chain)
+    def replay_debit(book, t):
+        assert t is validated.pop(t.source)
         block = np.zeros((m, m), dtype=np.int64)
         np.add.at(block, (t.senders, t.receivers), t.amounts)
         # the rows debited hold the same spend as the dense oracle
         debited = np.zeros(m, dtype=np.int64)
-        debited[spenders] = spend
+        debited[t.senders] = t.amounts
         assert block.sum(axis=1).tolist() == debited.tolist()
-        fold(chain, zero, zero, states[chain].last_proposed + block)
-        debit(book, chain, spenders, spend)
+        fold(t.source, zero, zero, states[t.source].last_proposed + block)
+        debit(book, t)
 
     def replay_ingest(book, blocks):
         ingest(book, blocks)

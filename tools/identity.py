@@ -34,6 +34,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import DEADLINE_S                      # noqa: E402
+
 PINS_FILE = ROOT / "tests" / "test_paper_scale_digests.py"
 
 PRESET_SEEDS = (0, 1, 2)
@@ -43,8 +47,6 @@ EXTRA_RUNS = (
     ("paper-coded-1m", "paper-coded-1m", 6),
     ("chains160-8m", {"chains": 160, "duration_min": 8.0}, 0),
 )
-#: the whole command must finish within this many seconds
-DEADLINE_S = 170.0
 
 
 def _pins() -> dict[str, dict]:
@@ -75,7 +77,6 @@ def corpus() -> list[tuple[str, dict, int]]:
 def run_side(tree: Path, work: Path, runs: list) -> dict[str, list]:
     """Run the corpus on the checkout at `tree`; name -> [digest,
     attached, confirmed], or ["error", message]."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(tree / "src"))
     from child import artifact_digest
 
