@@ -3,19 +3,22 @@
 Token movement between chains is tracked as transfer triplets: triplet k of
 a `Transfers` from chain j to chain l is the amount account senders[k] on
 chain j sends to account receivers[k] on chain l. A block carries one
-`Transfers`, whose senders are strictly increasing, checked once as it is
-built: each sending account has one triplet, so the amounts are the block's
-spend per sending account.
+`Transfers`, which checks, once as it is built, everything true of the
+block alone: its triplets are non-negative int64 of equal length, it moves
+tokens to another chain, and its senders are strictly increasing, so each
+sending account has one triplet and the amounts are the block's spend per
+sending account. It keeps read-only copies of its arrays.
 
 The engine keeps every chain's totals in one `LedgerBook`, updated in place:
 a proposal debit holds its spend as outstanding, and a ledger window moves
 its confirmed blocks' spend to spent, credits their destinations and
 refreshes each chain's held balance, genesis + received - spent. A net
-balance is the held balance less the outstanding spend. A chain's own
-proposal must fit its net balances, and the book refuses a debit that does
-not, so no net or held balance is ever negative. A foreign tip, whose spend
-its chain already holds as outstanding, is judged against the held
-balances, since its own outstanding spend cancels out.
+balance is the held balance less the outstanding spend. `LedgerBook.debit`
+is a proposal's one check: it refuses a block that names a chain or account
+outside the book or does not fit its net balances, so no net or held
+balance is ever negative. A foreign tip, whose spend its chain already
+holds as outstanding, is judged against the held balances, since its own
+outstanding spend cancels out.
 
 A `CumulativeState` folds one chain's per-epoch `FlowAggregates` -- inflow,
 confirmed outflow and the proposed spend, which each epoch replaces -- as
@@ -49,32 +52,19 @@ class LedgerOverflowError(LedgerError):
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 def _as_amounts(values, ndim: int) -> np.ndarray:
-    """`values` as a read-only, non-negative int64 array of `ndim` dimensions.
-
-    A read-only int64 array that owns its memory is taken as it is: that is
-    how this module leaves every array it has checked, so an array one
-    ledger object already holds is neither checked nor copied again. Code
-    that builds such an array itself vouches that it is non-negative.
-    """
-    if (type(values) is np.ndarray and values.dtype == np.int64
-            and values.ndim == ndim and not values.flags.writeable
-            and values.base is None):
-        return values
+    """A read-only, non-negative int64 copy of `values`, of `ndim`
+    dimensions, whatever `values` is and however it is flagged."""
     try:
-        arr = np.asarray(values, dtype=np.int64)
+        arr = np.array(values, dtype=np.int64)
     except OverflowError as exc:
         raise LedgerOverflowError("amount or account index exceeds int64") from exc
     if arr.ndim != ndim:
         raise LedgerError(f"expected a {ndim}-D int64 array, got shape {arr.shape}")
-    if (arr < 0).any():
+    if arr.min(initial=0) < 0:
         raise LedgerError("amounts and account indices must be non-negative")
-    return _frozen(arr.copy())
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,8 +72,8 @@ class Transfers:
     """One block's transfers from chain `source` to chain `dest`.
 
     Equal-length triplet vectors: account senders[k] on `source` pays
-    amounts[k] to account receivers[k] on `dest`. Senders are strictly
-    increasing, so amounts[k] is all that senders[k] spends in the block.
+    amounts[k] to account receivers[k] on `dest`, another chain. Senders are
+    strictly increasing, so amounts[k] is all that senders[k] spends.
     """
 
     source: int
@@ -93,6 +83,8 @@ class Transfers:
     amounts: np.ndarray
 
     def __post_init__(self):
+        if self.source == self.dest:
+            raise LedgerError("intra-chain transfer rejected")
         for name in ("senders", "receivers", "amounts"):
             object.__setattr__(self, name, _as_amounts(getattr(self, name), ndim=1))
         if not self.senders.shape == self.receivers.shape == self.amounts.shape:
@@ -218,11 +210,9 @@ def update_cumulative(state: CumulativeState, flows: FlowAggregates) -> Cumulati
     if (w_in < 0).any() or (spent < 0).any() or (w_out < 0).any():
         raise LedgerOverflowError(
             f"chain {state.chain} totals at epoch {flows.epoch} exceed int64")
-    w_out -= state.last_proposed
-    if (w_out < 0).any():
-        raise LedgerError("amounts and account indices must be non-negative")
+    # a shrunk proposal leaves a negative entry, which the state refuses
     return CumulativeState(chain=state.chain, epoch=flows.epoch, genesis=state.genesis,
-                           w_in=_frozen(w_in), w_out=_frozen(w_out),
+                           w_in=w_in, w_out=w_out - state.last_proposed,
                            last_proposed=flows.outflow_proposed)
 
 
@@ -270,11 +260,10 @@ class LedgerBook:
         return self.held[chain] - self.outstanding[chain]
 
     def debit(self, t: Transfers) -> None:
-        """Hold block `t`'s spend as outstanding on its source chain.
-
-        A block that `validate_block` does not find valid in every row
-        raises LedgerError, and nothing is held.
-        """
+        """Check proposal `t` and hold its spend as outstanding on its
+        source chain: the proposal's one check. A block that
+        `validate_block` does not find valid in every row raises
+        LedgerError, and nothing is held."""
         if not validate_block(t, self).all():
             raise LedgerError(
                 f"a debit would overdraw a net balance on chain {t.source}")
@@ -319,12 +308,10 @@ class LedgerBook:
 
 
 def _check_rows(t: Transfers, book: LedgerBook) -> None:
-    """Raise LedgerError unless `t` moves tokens between two distinct
-    chains of the book, among accounts it holds."""
+    """Raise LedgerError unless `t` moves tokens between chains of the
+    book, among accounts it holds."""
     book.check_chain(t.source)
     book.check_chain(t.dest)
-    if t.dest == t.source:
-        raise LedgerError("intra-chain transfer rejected in proposal")
     accounts = book.accounts
     if max(t.senders.tolist(), default=-1) >= accounts or \
             max(t.receivers.tolist(), default=-1) >= accounts:
@@ -346,19 +333,15 @@ def validate_block(proposed: Transfers, book: LedgerBook) -> np.ndarray:
 
 def validate_tip_payloads(tips: Sequence[Transfers],
                           book: LedgerBook) -> list[bool]:
-    """Block-level verdicts for foreign tips against the validator's ledger view.
+    """One verdict per foreign tip against the validator's ledger view.
 
     A tip is valid if every sender's held balance covers its amount. An
     honest chain debits its proposal as outstanding spend before the block
     attaches: releasing that spend from the net balance leaves the held
     balance, which is never negative, so a row spending nothing always
-    passes. At most one tip per source chain may appear in a batch.
+    passes.
     """
-    verdicts: dict[int, bool] = {}          # source chain -> verdict
     for tip in tips:
-        if tip.source in verdicts:
-            raise LedgerError(f"two tips from chain {tip.source} in one batch")
         _check_rows(tip, book)
-        verdicts[tip.source] = bool(
-            (book.held[tip.source][tip.senders] >= tip.amounts).all())
-    return list(verdicts.values())
+    return [bool((book.held[tip.source][tip.senders] >= tip.amounts).all())
+            for tip in tips]

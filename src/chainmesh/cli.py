@@ -27,6 +27,7 @@ from .presets import DEFAULT_SEEDS, build_preset, preset_names
 
 ENV_OUT = "CHAINMESH_OUT"
 DEFAULT_OUT = "chainmesh-runs"
+SUMMARY = "summary.json"            # the batch summary, beside the labels
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -90,6 +91,8 @@ def load_manifest(path: str | Path) -> RunManifest:
         if not isinstance(label, str) or not label or "/" in label \
                 or label.startswith("."):
             raise ConfigError(f"scenario #{i} needs a plain 'label' string")
+        if label == SUMMARY:
+            raise ConfigError(f"scenario label {label!r} names the summary")
         if label in labels:
             raise ConfigError(f"duplicate scenario label {label!r}")
         labels.add(label)
@@ -215,7 +218,7 @@ def run_batch(scenarios: Sequence[ManifestScenario], out: Path,
             "status": "ok" if error is None else "failed",
             "error": error,
         }
-    (out / "summary.json").write_text(
+    (out / SUMMARY).write_text(
         json.dumps({"scenarios": summary}, indent=2, sort_keys=True) + "\n")
     return worst
 

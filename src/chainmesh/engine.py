@@ -34,7 +34,7 @@ import numpy as np
 
 from . import events as ev
 from .balances import (CumulativeState, LedgerBook, Transfers,
-                       validate_block, validate_tip_payloads)
+                       validate_tip_payloads)
 from .coding import CodingError, plan_groups
 from .config import ScenarioConfig
 from .dag import GENESIS_ID, ChainWeights, DagBlock, DagLedger
@@ -109,7 +109,6 @@ class Simulation:
         self.book = LedgerBook(np.full((cfg.chains, cfg.accounts),
                                        cfg.genesis_balance, dtype=np.int64))
         self._committee_size = cfg.committee_size()
-        self._draw_bounds: dict = {}    # the draws' bounds, by block shape
         self._setup()
 
     # -- construction ------------------------------------------------------
@@ -221,13 +220,12 @@ class Simulation:
                 payload = make_valid_block(
                     dest=dest, balances=self.book.net(rt.chain), rng=rng,
                     source=rt.chain, active_rows=cfg.active_rows,
-                    amount_max=cfg.amount_max, bounds=self._draw_bounds)
+                    amount_max=cfg.amount_max)
             else:
                 payload = make_invalid_block(
                     dest=dest, balances=self.book.net(rt.chain),
                     invalid_tx_fraction=cfg.invalid_tx_fraction, rng=rng,
-                    source=rt.chain, active_rows=cfg.active_rows,
-                    bounds=self._draw_bounds)
+                    source=rt.chain, active_rows=cfg.active_rows)
             publish(ev.PROPOSAL_FORMED, epoch, proposer)
 
             if not rt.honest:
@@ -275,12 +273,9 @@ class Simulation:
 
     def _stage_tips(self, rt: _ChainRuntime, payload: Transfers,
                     rng: random.Random) -> tuple[list[str], int]:
-        """Debit the validated proposal, then pick foreign tips with `rng`
-        and check them: returns the approvable ones and the batch size."""
-        # honest proposals are drawn within the net balance: every row is valid
-        if not validate_block(payload, self.book).all():
-            raise SimulationError(
-                f"honest proposal of chain {rt.chain} failed validation")
+        """Debit the proposal, then pick foreign tips with `rng` and check
+        them: returns the approvable ones and the batch size."""
+        # drawn within the net balance, so the book's one check passes it
         self.book.debit(payload)
 
         selected = self.dag.select_tips(self.cfg.tip_sample, rng)

@@ -4,13 +4,16 @@ Each chain runs a fleet of worker/committee nodes, all of stake 1. A fleet
 is its straggler profile: one straggling likelihood per node, of which the
 configured fraction with the highest likelihoods are stragglers that
 silently drop their shard tasks. Adversarial chains pad valid-looking
-transfer blocks with overspending rows. Issuance deals each faction's
+transfer blocks with overspending rows. A block is drawn from its chain's
+balances and handed to `Transfers`, which checks it; the draw bounds of
+each block shape are built once per process. Issuance deals each faction's
 evenly spaced slots round-robin over its chains, so each chain gets its own
 list of slot times.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -48,28 +51,28 @@ OVERSPEND_MARGIN = 1_000_000_000
 _OVERSPEND_DRAWS = 100
 
 
+@functools.lru_cache
 def _draw_bounds(accounts: int, rows: int, n_bad: int,
                  amount_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The low and high bounds of one block's draws, interleaved row by
     row: a receiver in [0, accounts), then an amount, which overspending
     rows (the first n_bad) draw from [0, 100) and the others from
     [1, amount_max]. One `integers` call over them draws the same values,
-    in order, as one call per value."""
+    in order, as one call per value. Memoised: a pure function of its
+    arguments, shared by every block of that shape."""
     low = np.zeros((rows, 2), dtype=np.int64)
     high = np.full((rows, 2), accounts, dtype=np.int64)
     low[n_bad:, 1] = 1
     high[:n_bad, 1] = _OVERSPEND_DRAWS
     high[n_bad:, 1] = amount_max + 1
     for arr in (low, high):
-        arr.setflags(write=False)       # shared by every block of a run
+        arr.setflags(write=False)       # shared by every block of a shape
     return low, high
 
 
 def _draw_block(dest: int, balances: np.ndarray, invalid_tx_fraction: float,
                 rng: np.random.Generator, source: int, active_rows: int,
-                amount_max: int, bounds: dict) -> Transfers:
-    if source == dest:
-        raise RoleError("transfer block must target a different chain")
+                amount_max: int) -> Transfers:
     if not 0.0 <= invalid_tx_fraction <= 1.0:
         raise RoleError("invalid_tx_fraction must be within [0, 1]")
     balances = np.asarray(balances, dtype=np.int64)
@@ -79,10 +82,7 @@ def _draw_block(dest: int, balances: np.ndarray, invalid_tx_fraction: float,
     senders = rng.choice(funded, size=rows, replace=False)
     senders.sort()                      # distinct and increasing
     n_bad = int(invalid_tx_fraction * rows)             # floor
-    key = (m, rows, n_bad, amount_max)
-    if key not in bounds:
-        bounds[key] = _draw_bounds(*key)
-    draws = rng.integers(*bounds[key])
+    draws = rng.integers(*_draw_bounds(m, rows, n_bad, amount_max))
     held = balances[senders]
     # funded balances and honest draws are at least 1; bad rows follow
     amounts = np.minimum(held, draws[:, 1])
@@ -97,38 +97,32 @@ def _draw_block(dest: int, balances: np.ndarray, invalid_tx_fraction: float,
                 f"overspending row of chain {source} on a balance of "
                 f"{top} exceeds int64")
         amounts[:n_bad] = bad + OVERSPEND_MARGIN + extra
-    receivers = draws[:, 0].copy()
-    for arr in (senders, receivers, amounts):
-        arr.setflags(write=False)       # non-negative by construction
     return Transfers(source=source, dest=dest, senders=senders,
-                     receivers=receivers, amounts=amounts)
+                     receivers=draws[:, 0], amounts=amounts)
 
 
 def make_invalid_block(dest: int, balances: np.ndarray,
                        invalid_tx_fraction: float, rng: np.random.Generator,
-                       source: int, active_rows: int,
-                       bounds: dict) -> Transfers:
+                       source: int, active_rows: int) -> Transfers:
     """Build a transfer block mixing valid rows with overspending ones.
 
     Rows are drawn from accounts that currently hold funds, each at most
     once, and listed in increasing account order. A
     floor(invalid_tx_fraction * active) subset spends more than its account
     holds; the rest spend within balance. With fraction 1.0 every populated
-    row overspends. `bounds` keeps the draw bounds for the next block of
-    the same shape; a run passes one dict to all its draws.
+    row overspends.
     """
     return _draw_block(dest, balances, invalid_tx_fraction, rng, source,
-                       active_rows, amount_max=10, bounds=bounds)
+                       active_rows, amount_max=10)
 
 
 def make_valid_block(dest: int, balances: np.ndarray,
                      rng: np.random.Generator, source: int,
-                     active_rows: int, bounds: dict,
-                     amount_max: int = 10) -> Transfers:
+                     active_rows: int, amount_max: int = 10) -> Transfers:
     """Build an honest transfer block: every populated row spends in
-    budget. Rows and `bounds` are as in `make_invalid_block`."""
+    budget. Rows are as in `make_invalid_block`."""
     return _draw_block(dest, balances, 0.0, rng, source, active_rows,
-                       amount_max, bounds)
+                       amount_max)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainmesh import balances as bal
@@ -280,10 +280,11 @@ def test_a_tip_is_judged_on_its_spending_rows_only():
     assert bal.validate_tip_payloads([tip], b) == [False]
 
 
-def test_two_tips_from_one_chain_rejected():
-    tips = [tm(1, 0, [[0]]), tm(1, 2, [[0]])]
-    with pytest.raises(bal.LedgerError):
-        bal.validate_tip_payloads(tips, book([0], [5], [0]))
+def test_two_tips_from_one_chain_get_a_verdict_each():
+    # the engine's batch keeps one tip per chain; the check judges each tip
+    tips = [tm(1, 0, [[5]]), tm(1, 2, [[6]])]
+    assert bal.validate_tip_payloads(tips, book([0], [5], [0])) == \
+        [True, False]
 
 
 @pytest.mark.parametrize("source", [-1, -3, 3])
@@ -611,7 +612,7 @@ def test_summed_spend_beyond_int64_raises_a_named_overflow_error():
     with pytest.raises(bal.LedgerOverflowError):
         make_invalid_block(1, np.array([bal.INT64_MAX - 10**9]), 1.0,
                            np.random.default_rng(0), source=0,
-                           active_rows=1, bounds={})
+                           active_rows=1)
     # amounts at the top of int64 are judged exactly
     top = bal.Transfers(source=0, dest=1, senders=[0, 1],
                         receivers=[0, 0], amounts=[bal.INT64_MAX, 5])
@@ -623,18 +624,21 @@ def test_summed_spend_beyond_int64_raises_a_named_overflow_error():
     assert b.net(0).tolist() == [0, 0]
 
 
-def test_checked_arrays_are_shared_not_copied():
+def test_checked_arrays_are_read_only_copies():
+    # every array is checked and copied as it is taken, even one another
+    # ledger object already holds, so no two objects share one
     s = bal.new_state(0, [5, 7])
     flows = zero_flows(0, 2, 1)
     s2 = bal.update_cumulative(s, flows)
-    assert s2.genesis is s.genesis
-    assert s2.last_proposed is flows.outflow_proposed
-    for arr in (s2.w_in, s2.w_out):
+    assert s2.genesis is not s.genesis and s2.genesis.tolist() == [5, 7]
+    assert s2.last_proposed is not flows.outflow_proposed
+    for arr in (s2.genesis, s2.w_in, s2.w_out, s2.last_proposed):
         assert not arr.flags.writeable
     t = tm(0, 1, [[0, 3], [2, 0]])
     again = bal.Transfers(source=0, dest=1, senders=t.senders,
                           receivers=t.receivers, amounts=t.amounts)
-    assert again.amounts is t.amounts
+    assert again.amounts is not t.amounts
+    assert again.amounts.tolist() == t.amounts.tolist() == [3, 2]
 
 
 def test_writable_or_borrowed_arrays_are_still_checked():
@@ -757,18 +761,65 @@ AMOUNT = st.one_of(st.integers(0, 30), st.integers(0, bal.INT64_MAX),
                    st.just(bal.INT64_MAX))
 
 
+def owned(values, read_only):
+    """`values` as an int64 array that owns its memory, read-only or not."""
+    arr = np.array(values, dtype=np.int64)
+    arr.setflags(write=not read_only)
+    return arr
+
+
+#: an entry of a drawn block or genesis row: a few negative, most not
+ENTRY = st.integers(-5, 30)
+
+
 @PROPERTY
-@given(st.one_of(st.lists(st.integers(0, 9), max_size=6),
-                 st.sets(st.integers(0, 9), max_size=6).map(sorted)))
-def test_transfers_accept_exactly_the_strictly_increasing_senders(senders):
+@given(st.one_of(st.lists(st.integers(-3, 9), max_size=6),
+                 st.sets(st.integers(-3, 9), max_size=6).map(sorted)),
+       st.lists(ENTRY, max_size=6), st.sampled_from([0, 1]), st.booleans(),
+       st.lists(ENTRY, min_size=1, max_size=4))
+@example([0], [-5], 1, True, [10])          # a read-only negative amount
+@example([-3], [1], 1, True, [5, 5, 5])     # a read-only negative sender
+@example([0], [1], 0, True, [5])            # a read-only intra-chain block
+def test_transfers_accept_exactly_the_strictly_increasing_senders(
+        senders, amounts, dest, read_only, genesis):
+    # a block and a genesis are checked whatever their arrays' flags: a
+    # negative entry, an intra-chain block and unsorted senders are refused
     n = len(senders)
-    triplets = dict(source=0, dest=1, senders=senders, receivers=[0] * n,
-                    amounts=[1] * n)
-    if all(a < b for a, b in zip(senders, senders[1:])):
-        assert bal.Transfers(**triplets).senders.tolist() == senders
+    amounts = (amounts + [1] * n)[:n]
+    triplets = dict(source=0, dest=dest, senders=owned(senders, read_only),
+                    receivers=owned([0] * n, read_only),
+                    amounts=owned(amounts, read_only))
+    if dest == 0:
+        refused = "intra-chain"
+    elif min(senders + amounts, default=0) < 0:
+        refused = "non-negative"
+    elif any(a >= b for a, b in zip(senders, senders[1:])):
+        refused = "strictly increasing"
     else:
-        with pytest.raises(bal.LedgerError, match="strictly increasing"):
+        refused = None
+    if refused:
+        with pytest.raises(bal.LedgerError, match=refused):
             bal.Transfers(**triplets)
+    else:
+        t = bal.Transfers(**triplets)
+        assert (t.senders.tolist(), t.amounts.tolist()) == (senders, amounts)
+        for name, given_arr in triplets.items():
+            if name in ("senders", "receivers", "amounts"):
+                arr = getattr(t, name)
+                assert arr is not given_arr and not arr.flags.writeable
+    rows = owned([genesis, genesis], read_only)
+    if min(genesis) < 0:
+        with pytest.raises(bal.LedgerError, match="non-negative"):
+            bal.LedgerBook(rows)
+        return
+    b = bal.LedgerBook(rows)
+    if not refused:
+        try:
+            b.debit(t)
+        except bal.LedgerError:
+            assert b.outstanding.tolist() == [[0] * len(genesis)] * 2
+    # a debit never leaves a net balance negative or above the held one
+    assert (b.net() >= 0).all() and (b.net() <= b.held).all()
 
 
 @st.composite

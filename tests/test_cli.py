@@ -53,6 +53,8 @@ def test_manifest_defaults_seeds_to_config_seed(tmp_path):
     json.dumps({"scenarios": [{"label": "a/b"}]}),
     json.dumps({"scenarios": [{"label": "a"}, {"label": "a"}]}),
     json.dumps({"scenarios": [{"label": "a"}], "out_dir": 7}),
+    # its directory would take the place of the batch summary file
+    json.dumps({"scenarios": [{"label": "summary.json"}]}),
 ])
 def test_malformed_manifests_are_rejected(tmp_path, doc):
     p = tmp_path / "m.json"

@@ -1,7 +1,6 @@
 """Scenario configuration loading, defaults, and validation."""
 
 import json
-import random
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from chainmesh.balances import LedgerOverflowError
 from chainmesh.doublespend import InjectionError, plan_injections
 from chainmesh.engine import Simulation
 from chainmesh.roles import schedule_issuance
+from fuzz_configs import fuzz_configs
 
 
 class TestDefaults:
@@ -281,46 +281,13 @@ class TestDerivedViews:
 
 # -- every config that validates runs ----------------------------------------
 
-#: values at and near each field's bounds; durations are drawn separately
-FUZZ_VALUES = {
-    "chains": (2, 3, 4, 10),
-    "fleet_size": (1, 2, 3, 10, 21, 40),
-    "accounts": (1, 2, 3, 10, 100),
-    "tip_sample": (1, 2, 5),
-    "straggler_fraction": (0.0, 0.05, 0.5, 0.95, 1.0),
-    "confirm_threshold": (0.01, 0.34, 0.5, 0.5000001, 0.67, 1.0),
-    "spam_fraction": (0.0, 0.0, 0.01, 0.5, 0.99, 1.0),
-    "adversary_fraction": (0.0, 0.1, 0.5, 1.0),
-    "invalid_tx_fraction": (0.0, 0.1, 0.5, 1.0),
-    "coding": (True, False),
-    "issuance_rate": (1.0, 7.0, 60.0, 240.0),
-    "genesis_balance": (0, 1, 2, 1000, 2**62),
-    "active_rows": (0, 1, 2, 10),
-    "amount_max": (1, 2, 10, 2**40),
-    "link_latency_ms": (0.001, 100.0),
-    "bandwidth_mbps": (0.01, 20.0),
-    "task_timeout_ms": (0.001, 500.0),
-    "worker_ms_per_row": (0.001, 2.0),
-    "fallback_ms_per_row": (0.001, 40.0),
-    "ledger_interval_s": (0.5, 5.0),
-    "tip_pool_sample_s": (0.25, 1.0),
-    "seed": (0, 1, 2**40),
-}
-
-
 def test_every_config_that_validates_runs_with_conservation():
     """Seeded fuzz: a config is rejected by name, overflows by name, or runs.
 
     Double-spend counts reach past the injection window of short runs."""
-    rng = random.Random(20240611)
     outcomes = dict.fromkeys(("rejected", "double_spend", "overflow", "ran"),
                              0)
-    for _ in range(100):
-        data = {name: rng.choice(values)
-                for name, values in FUZZ_VALUES.items()}
-        data["duration_min"] = round(rng.uniform(0.1, 0.25), 3)
-        data["double_spend"] = {"pairs": rng.choice((0,) * 6 + (1, 3)),
-                                "regular": rng.choice((0,) * 6 + (2, 20))}
+    for data in fuzz_configs():
         try:
             cfg = config_from_mapping(data)
         except ConfigError as exc:

@@ -36,6 +36,7 @@ UNBOUND = {
                                "(kind, epoch, proposer) tuple",
     "events.drain": "the epoch generator fixes the stage order, so pools "
                     "keep no per-epoch state to close",
+    "balances.validate_block": "LedgerBook.debit is the proposal's one check",
 }
 
 

@@ -11,7 +11,11 @@ corpus:
 - every `PINS` config of `tests/test_paper_scale_digests.py` at seeds 0
   and 3;
 - `paper-coded-1m` at seed 6, whose group planner is the slowest to set up;
-- 160 chains at 8 minutes.
+- 160 chains at 8 minutes;
+- the 100 seeded fuzz configs of `tests/fuzz_configs.py`, at and near each
+  field's bounds: one account, blocks with no rows, spam share 1.0, named
+  overflows and configs that fail validation, whose error type and message
+  are compared.
 
 Each run is compared by the SHA-256 over its six artifacts, computed by
 `artifact_digest` of `perfbench/child.py`, and by its attached and confirmed
@@ -35,7 +39,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from fuzz_configs import fuzz_configs           # noqa: E402
 from run import DEADLINE_S                      # noqa: E402
 
 PINS_FILE = ROOT / "tests" / "test_paper_scale_digests.py"
@@ -69,6 +75,9 @@ def corpus() -> list[tuple[str, dict, int]]:
         if isinstance(overrides, str):
             overrides = pins[overrides]
         runs.append((f"extra/{name}/seed-{seed}", overrides, seed))
+    for i, data in enumerate(fuzz_configs()):
+        overrides = {k: v for k, v in data.items() if k != "seed"}
+        runs.append((f"fuzz/{i:02d}", overrides, data["seed"]))
     return runs
 
 
