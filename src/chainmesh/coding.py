@@ -23,7 +23,7 @@ the exact data or raises; it never returns a wrong slice.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -69,10 +69,17 @@ class StragglerProfile:
         return cls(probabilities=tuple(float(p) for p in probabilities),
                    fraction=float(fraction))
 
+    @functools.cached_property
+    def _rate(self) -> tuple[int, int]:
+        # the rate as written, not its binary float: 0.35 of 90 is 31.5
+        rate = Fraction(str(self.fraction))
+        return rate.numerator, rate.denominator
+
     def straggler_count(self, size: int | None = None) -> int:
         """The design rate's share of `size` (default: all), .5 rounding up."""
         size = len(self.probabilities) if size is None else size
-        return math.floor(Fraction(str(self.fraction)) * size + Fraction(1, 2))
+        num, den = self._rate
+        return (2 * num * size + den) // (2 * den)
 
     def straggler_set(self) -> tuple[int, ...]:
         """Fleet-wide designated stragglers: highest p first, ties by low index."""
@@ -128,19 +135,22 @@ def binary_group_sizes(n: int) -> tuple[int, ...]:
 
 
 def _apportion_rows(total: int, sizes: Sequence[int], n: int) -> list[int]:
-    # Largest-remainder split of `total` rows proportional to group sizes.
-    shares = [Fraction(total * s, n) for s in sizes]
-    rows = [int(sh) for sh in shares]
-    remainders = [sh - r for sh, r in zip(shares, rows)]
+    # Largest-remainder split of `total` rows proportional to group sizes;
+    # every share has denominator n, so remainders compare as integers.
+    rows, remainders = zip(*(divmod(total * s, n) for s in sizes))
+    rows = list(rows)
     short = total - sum(rows)
-    order = sorted(range(len(sizes)), key=lambda i: (-remainders[i], i))
+    # a stable sort keeps equal remainders in group order
+    order = sorted(range(len(sizes)), key=remainders.__getitem__,
+                   reverse=True)
     for i in order[:short]:
         rows[i] += 1
     return rows
 
 
 def _group_frozen_positions(probs: Sequence[float], count: int) -> list[int]:
-    order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
+    # highest probability first; the stable sort breaks ties to low index
+    order = sorted(range(len(probs)), key=probs.__getitem__, reverse=True)
     return sorted(order[:count])
 
 
@@ -150,9 +160,15 @@ def _repair_frozen(size: int, probs: Sequence[float],
 
     Some highest-probability sets make the +-1 block H[F, F] singular (e.g.
     positions {1, 2} of a 4-group); the code must be planned around a
-    set it can actually absorb. Candidates are tried in decreasing total
-    probability: the original set, then single swaps, then pair swaps, then a
-    leading-positions fallback that is always absorbable.
+    set it can actually absorb. Candidates are tried in tiers: the original
+    set; then single swaps in decreasing total probability, ties by the
+    position swapped out, then the one swapped in; then pair swaps in
+    `combinations` order of the positions out, then of the positions in;
+    then a leading-positions fallback that is always absorbable.
+
+    A swap of k positions changes k rows and k columns of H[F, F], so it
+    raises the rank by at most 2k. A tier that cannot reach rank s from the
+    original set's rank is skipped without being built.
     """
     cand = tuple(sorted(candidate))
     s = len(cand)
@@ -161,22 +177,26 @@ def _repair_frozen(size: int, probs: Sequence[float],
 
     # Losing exactly F is decodable iff H[F, F] is nonsingular (Jacobi's
     # complementary-minor identity, since H^-1 = H/n): an s x s test.
-    if _pins_lost(cand, cand):
+    rank, _ = _bareiss(_frozen_by_lost(cand, cand), s)
+    if rank == s:
         return cand
     inside = set(cand)
     outside = [p for p in range(size) if p not in inside]
-    swaps = sorted(((probs[o] - probs[i], i, o) for i in cand for o in outside),
-                   key=lambda t: (-t[0], t[1], t[2]))
-    for _, i, o in swaps:
-        trial = tuple(sorted(inside - {i} | {o}))
-        if _pins_lost(trial, trial):
-            return trial
-    for (i1, i2), (o1, o2) in ((pi, po)
-                               for pi in combinations(cand, 2)
-                               for po in combinations(outside, 2)):
-        trial = tuple(sorted(inside - {i1, i2} | {o1, o2}))
-        if _pins_lost(trial, trial):
-            return trial
+    if rank + 2 >= s:
+        # probs[i] - probs[o] is exactly -(probs[o] - probs[i]): ascending
+        # tuples give decreasing gain, then low i, then low o
+        for _, i, o in sorted((probs[i] - probs[o], i, o)
+                              for i in cand for o in outside):
+            trial = tuple(sorted(inside - {i} | {o}))
+            if _pins_lost(trial, trial):
+                return trial
+    if rank + 4 >= s:
+        for (i1, i2), (o1, o2) in ((pi, po)
+                                   for pi in combinations(cand, 2)
+                                   for po in combinations(outside, 2)):
+            trial = tuple(sorted(inside - {i1, i2} | {o1, o2}))
+            if _pins_lost(trial, trial):
+                return trial
     fallback = tuple(range(s))
     if not _pins_lost(fallback, fallback):
         raise CodingError(f"no absorbable straggler set of size {s} in group of {size}")
@@ -267,49 +287,61 @@ def hadamard(blocks: np.ndarray) -> np.ndarray:
 # The frozen-by-lost system
 # ---------------------------------------------------------------------------
 
-def _h_sign(row: int, col: int) -> int:
-    # Entry of the unnormalized Sylvester-Hadamard matrix: (-1)^popcount(row & col).
-    return -1 if (row & col).bit_count() & 1 else 1
-
-
-def _bareiss(rows: list[list[int]], ncols: int, jordan: bool = False) -> int:
+def _bareiss(rows: list[list[int]], ncols: int,
+             jordan: bool = False) -> tuple[int, int]:
     """Fraction-free elimination of the leading `ncols` columns, in place.
 
     Each step maps row_i to (pivot * row_i - row_i[c] * pivot_row) // prev,
     a division that is always exact (Bareiss, 1968): every entry stays a minor
-    of the row-permuted input. Forward mode clears below each pivot; `jordan`
-    clears above as well, leaving det * I in the leading block, so the tail
-    columns of row t hold det times the row combination that isolates unknown
-    t. Returns det, the last pivot, or 0 when some column has no pivot (rank
-    below `ncols`, which includes fewer rows than `ncols`).
+    of the row-permuted input. A column with no pivot left is skipped, so the
+    pivots taken count the rank of those columns. Forward mode clears below
+    each pivot; `jordan` clears above as well. At full rank that leaves
+    det * I in the leading block, so the tail columns of row t hold det times
+    the row combination that isolates unknown t. Returns the rank and the
+    last pivot, which is det when the rank is `ncols` (never with fewer rows
+    than `ncols`).
     """
     prev = 1
+    rank = 0
+    n = len(rows)
     for c in range(ncols):
-        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            return 0
-        rows[c], rows[piv] = rows[piv], rows[c]
-        p = rows[c]
+        for piv in range(rank, n):
+            if rows[piv][c]:
+                break
+        else:
+            continue                    # no pivot left in column c
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
         pc = p[c]
-        for i in range(0 if jordan else c + 1, len(rows)):
-            if i != c:
-                f = rows[i][c]
-                rows[i] = [(pc * a - f * b) // prev for a, b in zip(rows[i], p)]
+        # below the pivot row every column left of c is zero already
+        lo = 0 if jordan else c
+        tail = p[lo:]
+        for i in range(0 if jordan else rank + 1, n):
+            if i != rank:
+                row = rows[i]
+                f = row[c]
+                row[lo:] = [(pc * a - f * b) // prev
+                            for a, b in zip(row[lo:], tail)]
         prev = pc
-    return prev
+        rank += 1
+    return rank, prev
 
 
 def _frozen_by_lost(frozen: Sequence[int], lost: Sequence[int],
                     augment: bool = False) -> list[list[int]]:
-    """Rows of H[F, L], followed by an |F| x |F| identity when `augment`."""
+    """Rows of H[F, L], followed by an |F| x |F| identity when `augment`.
+
+    Entry (f, p) of the unnormalized Sylvester-Hadamard matrix H is
+    (-1)^popcount(f & p).
+    """
     eye = range(len(frozen)) if augment else ()
-    return [[_h_sign(f, p) for p in lost] + [int(t == i) for t in eye]
-            for i, f in enumerate(frozen)]
+    return [[-1 if (f & p).bit_count() & 1 else 1 for p in lost]
+            + [int(t == i) for t in eye] for i, f in enumerate(frozen)]
 
 
 def _pins_lost(frozen: Sequence[int], lost: Sequence[int]) -> bool:
     """True when H[F, L] has full column rank, so H[F, :] y = 0 fixes y_L."""
-    return _bareiss(_frozen_by_lost(frozen, lost), len(lost)) != 0
+    return _bareiss(_frozen_by_lost(frozen, lost), len(lost))[0] == len(lost)
 
 
 def _lost_positions(received: Iterable[int], size: int) -> list[int]:
@@ -358,8 +390,8 @@ def decode(received: Mapping[int, np.ndarray], group: GroupSpec) -> np.ndarray:
     lost = _lost_positions(received, n)
     k = len(lost)
     rows = _frozen_by_lost(frozen, lost, augment=True)
-    det = _bareiss(rows, k, jordan=True)
-    if not det:
+    rank, det = _bareiss(rows, k, jordan=True)
+    if rank < k:
         raise NotDecodableError("received blocks do not determine the data")
     y = np.zeros((n, r, cols), dtype=object)
     for p, v in received.items():

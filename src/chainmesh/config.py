@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
 
+from .balances import INT64_MAX
 from .doublespend import injection_window
 from .roles import stream_slots
 
@@ -115,6 +116,9 @@ _BOUNDS = (
      lambda v: v >= 1, "at least 1"),
     (("genesis_balance", "active_rows", "seed"),
      lambda v: v >= 0, "non-negative"),
+    # balances are int64, and an honest amount is drawn below amount_max + 1
+    (("genesis_balance",), lambda v: v <= INT64_MAX, "at most 2**63 - 1"),
+    (("amount_max",), lambda v: v < INT64_MAX, "at most 2**63 - 2"),
     (("straggler_fraction", "spam_fraction", "adversary_fraction",
       "invalid_tx_fraction"), lambda v: 0 <= v <= 1, "within [0, 1]"),
     (("confirm_threshold",), lambda v: 0 < v <= 1, "within (0, 1]"),

@@ -14,6 +14,7 @@ too, so every accepted plan fits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,6 +32,10 @@ class InjectionPlan:
     pair_ids: tuple[str, ...]
     regular_ids: tuple[str, ...]
 
+
+#: the plan of a run that injects nothing
+NO_INJECTIONS = InjectionPlan(carriers=MappingProxyType({}), pair_ids=(),
+                              regular_ids=())
 
 #: share of the honest slots, from and to, that carriers are drawn from
 INJECTION_WINDOW = (0.1, 0.5)
@@ -50,13 +55,16 @@ def plan_injections(honest_slots: Mapping[int, Sequence[float]], pairs: int,
     n-th slot is its epoch n. Carriers are drawn from `INJECTION_WINDOW` of
     the honest slots in time order, so detections can complete before the
     run ends; the two slots of a pair land on different chains whenever
-    possible.
+    possible. Without carriers the plan is `NO_INJECTIONS`, and `rng` is
+    not drawn from.
     """
+    need = 2 * pairs + regular
+    if not need:
+        return NO_INJECTIONS
     # the (chain, epoch) of every honest slot, in time order
     order = [slot for _, slot in sorted(
         (t, (chain, epoch)) for chain, times in honest_slots.items()
         for epoch, t in enumerate(times, 1))]
-    need = 2 * pairs + regular
     eligible = injection_window(len(order))
     if need > len(eligible):
         raise InjectionError(f"{need} carrier slots needed but only "

@@ -38,7 +38,7 @@ from .balances import (CumulativeState, LedgerBook, Transfers,
 from .coding import CodingError, plan_groups
 from .config import ScenarioConfig
 from .dag import GENESIS_ID, ChainWeights, DagBlock, DagLedger
-from .doublespend import ConflictTracker, plan_injections
+from .doublespend import NO_INJECTIONS, ConflictTracker, plan_injections
 from .events import Candidates, EventPools, select_committee
 from .metrics import MetricsReport, SeriesRecorder, gini
 from .roles import (build_fleet, make_invalid_block, make_valid_block,
@@ -120,9 +120,11 @@ class Simulation:
         slots = schedule_issuance(cfg.issuance_rate, cfg.spam_fraction,
                                   honest, adversarial, cfg.duration_min)
         ds = cfg.double_spend
-        self.injection = plan_injections(
-            {c: slots[c] for c in honest}, ds.pairs, ds.regular,
-            np.random.default_rng(derive_seed(cfg.seed, "inject")))
+        self.injection = NO_INJECTIONS
+        if ds.pairs or ds.regular:
+            self.injection = plan_injections(
+                {c: slots[c] for c in honest}, ds.pairs, ds.regular,
+                np.random.default_rng(derive_seed(cfg.seed, "inject")))
         self.chains: dict[int, _ChainRuntime] = {}
         for c in range(cfg.chains):
             rng = np.random.default_rng(derive_seed(cfg.seed, "fleet", c))

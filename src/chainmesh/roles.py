@@ -142,10 +142,11 @@ def schedule_issuance(rate_per_min: float, spam_fraction: float,
 
     The honest faction issues at (1 - spam_fraction) * rate and the
     adversarial faction at spam_fraction * rate, each stream evenly spaced
-    and dealt round-robin over its chains. Slot i of a stream with per-minute
-    rate r lands at i * 60 / r seconds, for i = 1 .. round(duration * r),
-    rounding halves to even. Every chain of both factions has an entry, in
-    time order and possibly empty.
+    and dealt round-robin over its C chains: the k-th chain, from 0, takes
+    slots k + 1, k + 1 + C, ... as one stride. Slot i of a stream with
+    per-minute rate r lands at i * 60 / r seconds, for
+    i = 1 .. round(duration * r), rounding halves to even. Every chain of
+    both factions has an entry, in time order and possibly empty.
     """
     if rate_per_min <= 0:
         raise RoleError("issuance rate must be positive")
@@ -162,6 +163,8 @@ def schedule_issuance(rate_per_min: float, spam_fraction: float,
         if rate <= 0 or not chains:
             continue
         period = 60.0 / rate
-        for i in range(1, stream_slots(rate, duration_min) + 1):
-            slots[chains[(i - 1) % len(chains)]].append(i * period)
+        total = stream_slots(rate, duration_min)
+        for k, c in enumerate(chains):
+            slots[c] += [i * period
+                         for i in range(k + 1, total + 1, len(chains))]
     return slots

@@ -3,7 +3,8 @@
 `fuzz_configs()` draws 100 config mappings from one fixed seed: each field
 takes one of `FUZZ_VALUES`, values at and near its bounds, and each run a
 short duration and a double-spend plan whose counts reach past the
-injection window of short runs. Some configs fail validation on purpose.
+injection window of short runs. The fixed `INT64_EDGES` follow them. Some
+configs fail validation on purpose.
 `tests/test_config.py` runs every config that validates, and
 `tools/identity.py` adds all of them to its corpus. The module is pure
 Python and imports nothing from `chainmesh`, so both sides of an identity
@@ -42,9 +43,22 @@ FUZZ_VALUES = {
 }
 
 
+#: the int64 edges of the ledger's two sizing fields, each a short run at
+#: seed 0: the largest genesis balance overflows by name, plain and with
+#: spam; the largest honest amount runs; one past either fails validation
+INT64_EDGES = (
+    {"genesis_balance": 2**63 - 1},
+    {"genesis_balance": 2**63 - 1, "spam_fraction": 0.5},
+    {"amount_max": 2**63 - 2},
+    {"genesis_balance": 2**63},
+    {"amount_max": 2**63 - 1},
+)
+
+
 def fuzz_configs(count: int = 100,
                  seed: int = 20240611) -> Iterator[dict]:
-    """The fuzz corpus: `count` config mappings drawn from `seed`."""
+    """The fuzz corpus: `count` config mappings drawn from `seed`, then
+    `INT64_EDGES`."""
     rng = random.Random(seed)
     for _ in range(count):
         data = {name: rng.choice(values)
@@ -53,3 +67,5 @@ def fuzz_configs(count: int = 100,
         data["double_spend"] = {"pairs": rng.choice((0,) * 6 + (1, 3)),
                                 "regular": rng.choice((0,) * 6 + (2, 20))}
         yield data
+    for edge in INT64_EDGES:
+        yield {**edge, "duration_min": 0.2, "seed": 0}

@@ -255,6 +255,23 @@ def test_validate_rejects_bad_values_and_missing_files(tmp_path, capsys):
         EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("field,value", [("genesis_balance", 2**63),
+                                         ("amount_max", 2**63 - 1)])
+def test_int64_sized_values_fail_validation_before_any_run(
+        tmp_path, capsys, field, value):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({field: value}))
+    assert main(["validate", str(p)]) == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    m = write_manifest(tmp_path / "m.json",
+                       [{"label": "a", "config": {**TINY, field: value}}])
+    out = tmp_path / "out"
+    assert main(["run", str(m), "--out", str(out), "--quiet"]) == \
+        EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    assert not (out / "a").exists()
+
+
 # -- preset catalog ---------------------------------------------------------
 
 def test_catalog_names_cover_every_experiment_family():

@@ -1,5 +1,6 @@
 """Coded worker-fleet layer: planning, butterfly transform, erasure decoding."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -77,6 +78,10 @@ def test_plan_row_apportionment_is_exact_for_uneven_splits():
     plan = coding.plan_groups(6, 10, profile)
     assert sum(g.rows for g in plan.groups) == 10
     assert [g.rows for g in plan.groups] == [7, 3]   # 40/6 -> 6.67, 20/6 -> 3.33
+    # 112/21, 28/21 and 7/21 leave equal remainders: the first group wins
+    profile = coding.StragglerProfile.from_probabilities([0.0] * 21, 0.0)
+    assert [g.rows for g in coding.plan_groups(21, 7, profile).groups] == \
+        [6, 1, 0]
 
 
 def test_frozen_positions_are_highest_probability_members():
@@ -113,6 +118,11 @@ def test_straggler_count_rounds_half_up():
     assert profile.straggler_count(2) == 1     # 0.5 rounds up
     assert profile.straggler_count(4) == 1
     assert profile.straggler_count(8) == 2
+    # the rate as written: 0.35 * 90 and 0.29 * 50 are exact halves that
+    # binary floats put below .5
+    for rate, size, count in ((0.3, 5, 2), (0.35, 90, 32), (0.29, 50, 15)):
+        profile = coding.StragglerProfile.from_probabilities([0.2], rate)
+        assert profile.straggler_count(size) == count
 
 
 def test_straggler_set_takes_highest_probabilities_ties_to_lower_index():
@@ -296,7 +306,7 @@ def test_decode_solves_patterns_that_stall_cell_peeling():
     x = np.array([[1, 7], [2, 5], [9, 0], [4, 4]], dtype=np.int64)
     blocks = coding.hadamard(coding.expand(x, g))
     received = {1: blocks[1], 2: blocks[2]}
-    assert coding._bareiss(coding._frozen_by_lost((0, 2), (0, 3)), 2) == -2
+    assert coding._bareiss(coding._frozen_by_lost((0, 2), (0, 3)), 2) == (2, -2)
     assert coding.decodable([1, 2], g)
     assert np.array_equal(coding.decode(received, g), x)
 
@@ -531,7 +541,7 @@ def test_eliminations_build_no_fractions(monkeypatch):
     frozen = PAPER_FROZEN[0][0]
     assert coding._pins_lost(frozen, frozen)
     assert not coding._pins_lost((1, 2), (1, 2))
-    # the planner's repair walks every single swap and into the pair swaps
+    # the planner's repair reaches the pair swaps
     candidate = coding._group_frozen_positions(probs, 6)
     assert coding._repair_frozen(64, probs, candidate) == PAPER_FROZEN_SEED6[7][0]
     nprng = np.random.default_rng(11)
@@ -551,6 +561,103 @@ def test_eliminations_build_no_fractions(monkeypatch):
     shards = {1: blocks[1], 2: blocks[2] + 1}
     with pytest.raises(coding.ShardCorruptionError, match="non-integer"):
         coding.decode(shards, g)
+
+
+# ---------------------------------------------------------------------------
+# The planner's rank bound
+# ---------------------------------------------------------------------------
+
+def unpruned_repair(size, probs, candidate):
+    """The frozen-set repair walking every tier in full: the original set,
+    every single swap by decreasing total probability, every pair swap in
+    `combinations` order, then the leading positions. Returns the set and
+    the number of sets tested."""
+    cand = tuple(sorted(candidate))
+    inside = set(cand)
+    outside = [p for p in range(size) if p not in inside]
+    singles = sorted(((probs[o] - probs[i], i, o)
+                      for i in cand for o in outside),
+                     key=lambda t: (-t[0], t[1], t[2]))
+    trials = itertools.chain(
+        [inside], (inside - {i} | {o} for _, i, o in singles),
+        (inside - set(pi) | set(po)
+         for pi in itertools.combinations(cand, 2)
+         for po in itertools.combinations(outside, 2)))
+    for tested, trial in enumerate(trials, 1):
+        trial = tuple(sorted(trial))
+        if not cand or coding._pins_lost(trial, trial):
+            return trial, tested
+    return tuple(range(len(cand))), tested + 1
+
+
+def repair_cases():
+    """(size, probs, top set) of seeded random groups of 4 to 128 at rates
+    0.1 and 0.3, then of the 64-groups of the pinned seed-6 chains."""
+    for size in (4, 8, 16, 32, 64, 128):
+        for rate in (0.1, 0.3):
+            for seed in range(40):
+                rng = random.Random(seed)
+                probs = [rng.random() for _ in range(size)]
+                profile = coding.StragglerProfile.from_probabilities(probs,
+                                                                     rate)
+                yield size, probs, coding._group_frozen_positions(
+                    probs, profile.straggler_count(size))
+    for chain in sorted(PAPER_FROZEN_SEED6):
+        probs = paper_profile(chain, seed=6).probabilities[:64]
+        yield 64, probs, coding._group_frozen_positions(probs, 6)
+
+
+def test_the_rank_bound_picks_the_frozen_sets_of_the_unpruned_walk():
+    past_singles = 0
+    for size, probs, top in repair_cases():
+        want, tested = unpruned_repair(size, probs, top)
+        assert coding._repair_frozen(size, probs, top) == want, (size, top)
+        past_singles += tested > 1 + len(top) * (size - len(top))
+    # the pair tier, which the bound reaches without the singles, is walked
+    assert past_singles >= 3
+
+
+@pytest.mark.parametrize("size,s", [(16, 8), (32, 8), (32, 12)])
+def test_no_single_swap_decodes_a_set_two_ranks_short(size, s):
+    # random sets, not top-probability ones: ranks 3 and 4 short are common
+    # enough to draw, and the repair must still match the unpruned walk
+    rng = random.Random(size * 100 + s)
+    h = dense_hadamard(size)
+    short = 0
+    while short < 4:
+        frozen = sorted(rng.sample(range(size), s))
+        rank, _ = coding._bareiss(coding._frozen_by_lost(frozen, frozen), s)
+        assert rank == np.linalg.matrix_rank(h[np.ix_(frozen, frozen)])
+        if rank + 2 >= s:
+            continue
+        short += 1
+        outside = [p for p in range(size) if p not in frozen]
+        for i in frozen:
+            for o in outside:
+                trial = sorted(set(frozen) - {i} | {o})
+                assert not coding._pins_lost(trial, trial)
+        probs = [rng.random() for _ in range(size)]
+        assert coding._repair_frozen(size, probs, frozen) == \
+            unpruned_repair(size, probs, frozen)[0]
+
+
+def test_planning_a_rank_deficient_fleet_takes_few_eliminations(monkeypatch):
+    # fleet 200, seed 0, chain 1: the 128-group's top set is three ranks
+    # short, so no single swap can decode it; walking them all took 1502
+    eliminations = 0
+    bareiss = coding._bareiss
+
+    def counted(*args):
+        nonlocal eliminations
+        eliminations += 1
+        return bareiss(*args)
+
+    profile = build_fleet(200, PAPER_CFG.straggler_fraction,
+                          np.random.default_rng(derive_seed(0, "fleet", 1)))
+    monkeypatch.setattr(coding, "_bareiss", counted)
+    plan = coding.plan_groups(200, 1000, profile)
+    assert [g.size for g in plan.groups] == [128, 64, 8]
+    assert eliminations <= 20
 
 
 # ---------------------------------------------------------------------------

@@ -93,12 +93,20 @@ class TestValidation:
         ("link_latency_ms", 0.0),
         ("bandwidth_mbps", -5.0),
         ("seed", -1),
+        ("genesis_balance", 2**63),     # once crashed the run's np.full
+        ("amount_max", 2**63 - 1),      # once crashed its draw bounds
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             config_from_mapping({field: value})
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(**{field: value})
+
+    def test_the_largest_int64_balance_and_amount_validate(self):
+        cfg = config_from_mapping({"genesis_balance": 2**63 - 1,
+                                   "amount_max": 2**63 - 2})
+        assert (cfg.genesis_balance, cfg.amount_max) == (2**63 - 1,
+                                                         2**63 - 2)
 
     def test_negative_double_spend_rejected(self):
         with pytest.raises(ConfigError, match="double_spend"):
@@ -301,5 +309,7 @@ def test_every_config_that_validates_runs_with_conservation():
             continue
         assert result.report.conservation_ok, data
         outcomes["ran"] += 1
-    # the fuzz reaches the window rule, and a third of the configs run
-    assert outcomes["double_spend"] and outcomes["ran"] >= 30, outcomes
+    # the fuzz reaches the window rule and a named overflow, and a third of
+    # the configs run
+    assert outcomes["double_spend"] and outcomes["overflow"] >= 1, outcomes
+    assert outcomes["ran"] >= 30, outcomes

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from chainmesh.doublespend import (ConflictTracker, InjectionError,
-                                   plan_injections)
+from chainmesh.config import ScenarioConfig
+from chainmesh.doublespend import (NO_INJECTIONS, ConflictTracker,
+                                   InjectionError, plan_injections)
+from chainmesh.engine import Simulation
 
 
 # -- planning ---------------------------------------------------------------
@@ -92,10 +94,13 @@ def test_plan_skips_chains_without_slots():
 
 def test_plan_without_carriers_is_empty():
     for slots in ({0: [1.0, 2.0]}, {0: [], 1: []}):
-        plan = plan_injections(slots, pairs=0, regular=0,
-                               rng=np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        plan = plan_injections(slots, pairs=0, regular=0, rng=rng)
         assert (dict(plan.carriers), plan.pair_ids, plan.regular_ids) == \
             ({}, (), ())
+        assert plan is NO_INJECTIONS and rng.bit_generator.state == state
+    assert Simulation(ScenarioConfig()).injection is NO_INJECTIONS
 
 
 def test_plan_window_too_small_raises():

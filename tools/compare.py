@@ -1,6 +1,7 @@
-"""Compare the run time of two commits on one benchmark workload.
+"""Compare the run or set-up time of two commits on one benchmark workload.
 
     python3 tools/compare.py PARENT CHANGE --workload W [--pairs N] [--seed S]
+                             [--metric run_s|setup_s]
 
 Both commits are exported with `git archive` from the repository this script
 lives in. Each pair runs the workload once on each side, every run in a fresh
@@ -10,13 +11,17 @@ in the machine's load falls on both sides alike (Kalibera and Jones,
 "Rigorous Benchmarking in Reasonable Time", ISMM 2013). The workload's
 config comes from this script's checkout, so both sides run the same one.
 
-For each side it prints the median and quartiles of `run_s`, which the child
-times by wall clock, and of the child's CPU time, user plus system, taken
-from `getrusage(RUSAGE_CHILDREN)` before and after the child. CPU time counts
+For each side it prints the median and quartiles of the metric, timed by
+wall clock in the child (`run_s`, or `setup_s`: the median of the child's
+set-up samples), and of the child's CPU time, user plus system, taken from
+`getrusage(RUSAGE_CHILDREN)` before and after the child. CPU time counts
 the whole child, imports and set-up included, and is less sensitive than wall
-time to other tenants of a shared machine. Then, for both metrics, the pairs
-the change won and the ratio of the medians, change over parent. A pair whose
-two artifact digests differ is reported, and the exit code is then 1.
+time to other tenants of a shared machine. Then, for both, the pairs the
+change won and the ratio of the medians, change over parent. Last comes the
+verdict on the metric: a gain is shown only when the change won at least
+nine tenths of the pairs, ties counting for neither, and the medians differ
+by more than the parent's interquartile range. A pair whose two artifact
+digests differ is reported, and the exit code is then 1.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ def run_child(tree: Path, config: dict, seed: int, out: Path) -> dict:
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     record["cpu_s"] = ((after.ru_utime - before.ru_utime)
                        + (after.ru_stime - before.ru_stime))
+    record["setup_s"] = statistics.median(record["setup_s"])
     return record
 
 
@@ -64,10 +70,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def report(runs: dict[str, list[dict]]) -> list[str]:
-    """Median and quartiles per side, pairs won and ratio of medians."""
+def won(runs: dict[str, list[dict]], metric: str) -> int:
+    """Pairs in which the change read lower; ties count for neither."""
+    return sum(c[metric] < p[metric]
+               for p, c in zip(runs["parent"], runs["change"]))
+
+
+def report(runs: dict[str, list[dict]], claimed: str) -> list[str]:
+    """Median and quartiles per side, pairs won and ratio of medians, of
+    `claimed` and of CPU time; then the verdict on `claimed`."""
     lines = []
-    for metric in ("run_s", "cpu_s"):
+    pairs = len(runs["parent"])
+    for metric in (claimed, "cpu_s"):
         medians = {}
         for side, records in runs.items():
             q1, median, q3 = quartiles([r[metric] for r in records])
@@ -75,24 +89,32 @@ def report(runs: dict[str, list[dict]]) -> list[str]:
             lines.append(f"{side:7s} {metric}  median {median:.4f}  "
                          f"q1 {q1:.4f}  q3 {q3:.4f}  "
                          f"(q3 - q1 = {(q3 - q1) / median:.1%} of median)")
-        won = sum(c[metric] < p[metric]
-                  for p, c in zip(runs["parent"], runs["change"]))
         ratio = medians["change"] / medians["parent"]
-        lines.append(f"{metric}: change won {won} of {len(runs['parent'])} "
+        lines.append(f"{metric}: change won {won(runs, metric)} of {pairs} "
                      f"pairs; ratio of medians {ratio:.3f} "
                      f"({ratio - 1:+.1%})")
+    q1, median, q3 = quartiles([r[claimed] for r in runs["parent"]])
+    gap = median - statistics.median(r[claimed] for r in runs["change"])
+    wins = won(runs, claimed)
+    shown = 10 * wins >= 9 * pairs and gap > q3 - q1
+    lines.append(f"verdict on {claimed}: won {wins} of {pairs} pairs "
+                 f"(need 9 in 10); median gap {gap:.4f} against the "
+                 f"parent's q3 - q1 {q3 - q1:.4f}: gain "
+                 f"{'shown' if shown else 'NOT shown'}")
     return lines
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="Compare the run time of two commits on one workload "
-                    "in alternating fresh-process pairs.")
+        description="Compare the run or set-up time of two commits on one "
+                    "workload in alternating fresh-process pairs.")
     parser.add_argument("parent", help="parent commit")
     parser.add_argument("change", help="changed commit")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--metric", choices=("run_s", "setup_s"),
+                        default="run_s", help="the timing compared")
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -122,11 +144,12 @@ def main() -> int:
             p, c = runs["parent"][-1], runs["change"][-1]
             same = p["digest"] == c["digest"]
             mismatched += not same
-            print(f"pair {pair:2d}: run_s parent {p['run_s']:.4f} change "
-                  f"{c['run_s']:.4f}; cpu_s parent {p['cpu_s']:.4f} change "
+            m = args.metric
+            print(f"pair {pair:2d}: {m} parent {p[m]:.4f} change "
+                  f"{c[m]:.4f}; cpu_s parent {p['cpu_s']:.4f} change "
                   f"{c['cpu_s']:.4f}"
                   + ("" if same else "; DIGESTS DIFFER"), flush=True)
-    for line in report(runs):
+    for line in report(runs, args.metric):
         print(line)
     return 1 if mismatched else 0
 

@@ -10,26 +10,29 @@ corpus:
   own `chainmesh preset` command;
 - every `PINS` config of `tests/test_paper_scale_digests.py` at seeds 0
   and 3;
-- `paper-coded-1m` at seed 6, whose group planner is the slowest to set up;
+- `paper-coded-1m` at seed 6, whose group planner reaches its pair swaps;
 - 160 chains at 8 minutes;
-- the 100 seeded fuzz configs of `tests/fuzz_configs.py`, at and near each
-  field's bounds: one account, blocks with no rows, spam share 1.0, named
-  overflows and configs that fail validation, whose error type and message
-  are compared.
+- the 100 seeded fuzz configs of `tests/fuzz_configs.py` and its int64
+  edges, at and near each field's bounds: one account, blocks with no rows,
+  spam share 1.0, named overflows and configs that fail validation, whose
+  error type and message are compared.
 
 Each run is compared by the SHA-256 over its six artifacts, computed by
 `artifact_digest` of `perfbench/child.py`, and by its attached and confirmed
-block counts. Every run whose digest or counts differ, or that exists or
-fails on one side only, is printed; the exit code is then 1. It is 0 when
-every run matches, and 2 when a commit cannot be exported or a side fails
-as a whole. The corpus and the digest come from this script's checkout, so
-both sides are measured alike.
+block counts; a run beside the presets also by a SHA-256 over the final
+ledger states of its `RunResult.states`, which no artifact prints. Every run
+whose digest or counts differ, or that exists or fails on one side only, is
+printed; the exit code is then 1. It is 0 when every run matches, and 2
+when a commit cannot be exported or a side fails as a whole. The corpus and
+the digests come from this script's checkout, so both sides are measured
+alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import subprocess
 import sys
@@ -83,9 +86,23 @@ def corpus() -> list[tuple[str, dict, int]]:
 
 # -- one side ---------------------------------------------------------------
 
+def states_digest(states: dict) -> str:
+    """SHA-256 over each chain's final `CumulativeState`, in chain order."""
+    h = hashlib.sha256()
+    for chain in sorted(states):
+        state = states[chain]
+        h.update(f"{chain} {state.epoch}\n".encode())
+        for name in ("genesis", "w_in", "w_out", "last_proposed"):
+            values = getattr(state, name)
+            h.update(f"{name} {values.shape}\n".encode())
+            h.update(values.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
 def run_side(tree: Path, work: Path, runs: list) -> dict[str, list]:
     """Run the corpus on the checkout at `tree`; name -> [digest,
-    attached, confirmed], or ["error", message]."""
+    attached, confirmed], with the states digest beside the presets, or
+    ["error", message]."""
     sys.path.insert(0, str(tree / "src"))
     from child import artifact_digest
 
@@ -101,10 +118,10 @@ def run_side(tree: Path, work: Path, runs: list) -> dict[str, list]:
 
     results: dict[str, list] = {}
 
-    def record(name: str, out: Path) -> None:
+    def record(name: str, out: Path, *extra: str) -> None:
         metrics = json.loads((out / "metrics.json").read_text())
         results[name] = [artifact_digest(out)[0], metrics["attached_blocks"],
-                         metrics["confirmed_blocks"]]
+                         metrics["confirmed_blocks"], *extra]
 
     for scale in ("desk", "paper"):
         flags = ["--paper-scale"] if scale == "paper" else []
@@ -121,12 +138,12 @@ def run_side(tree: Path, work: Path, runs: list) -> dict[str, list]:
     for i, (name, overrides, seed) in enumerate(runs):
         out = work / "runs" / str(i)
         try:
-            run_scenario(config_from_mapping({**overrides, "seed": seed}),
-                         out_dir=out)
+            result = run_scenario(
+                config_from_mapping({**overrides, "seed": seed}), out_dir=out)
         except Exception as exc:        # a failing run is a difference
             results[name] = ["error", f"{type(exc).__name__}: {exc}"]
             continue
-        record(name, out)
+        record(name, out, states_digest(result.states))
     return results
 
 
