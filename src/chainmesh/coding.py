@@ -24,8 +24,9 @@ the exact data or raises; it never returns a wrong slice.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -44,6 +45,14 @@ class ShardCorruptionError(CodingError):
     """Returned blocks are inconsistent with any valid data assignment."""
 
 
+def written_ratio(value) -> tuple[int, int]:
+    """`value` as (numerator, denominator) in lowest terms, a float as written
+    (0.35 is 7/20, not its binary value): `Fraction(str(value))` unparsed."""
+    if isinstance(value, float):
+        return Decimal(str(value)).as_integer_ratio()
+    return value.as_integer_ratio()
+
+
 # ---------------------------------------------------------------------------
 # Fleet profile and group planning
 # ---------------------------------------------------------------------------
@@ -56,9 +65,12 @@ class StragglerProfile:
     fraction: float
 
     def __post_init__(self):
-        if not self.probabilities:
+        probs = self.probabilities
+        if not probs:
             raise CodingError("profile needs at least one worker")
-        if any(p < 0 or p > 1 for p in self.probabilities):
+        # min and max may step over a NaN, which compares false both ways
+        if not (0.0 <= min(probs) and max(probs) <= 1.0
+                and not math.isnan(sum(probs))):
             raise CodingError("straggler probabilities must lie in [0, 1]")
         if not 0 <= self.fraction <= 1:
             raise CodingError("straggler fraction must lie in [0, 1]")
@@ -66,14 +78,12 @@ class StragglerProfile:
     @classmethod
     def from_probabilities(cls, probabilities: Sequence[float],
                            fraction: float) -> "StragglerProfile":
-        return cls(probabilities=tuple(float(p) for p in probabilities),
+        return cls(probabilities=tuple(map(float, probabilities)),
                    fraction=float(fraction))
 
     @functools.cached_property
     def _rate(self) -> tuple[int, int]:
-        # the rate as written, not its binary float: 0.35 of 90 is 31.5
-        rate = Fraction(str(self.fraction))
-        return rate.numerator, rate.denominator
+        return written_ratio(self.fraction)
 
     def straggler_count(self, size: int | None = None) -> int:
         """The design rate's share of `size` (default: all), .5 rounding up."""
@@ -123,15 +133,7 @@ def binary_group_sizes(n: int) -> tuple[int, ...]:
     """Powers of two summing to n, largest first (100 -> 64, 32, 4)."""
     if n < 1:
         raise CodingError("worker count must be positive")
-    sizes = []
-    bit = 1 << (n.bit_length() - 1)
-    remaining = n
-    while remaining:
-        if bit <= remaining:
-            sizes.append(bit)
-            remaining -= bit
-        bit >>= 1
-    return tuple(sizes)
+    return tuple(1 << b for b in reversed(range(n.bit_length())) if n >> b & 1)
 
 
 def _apportion_rows(total: int, sizes: Sequence[int], n: int) -> list[int]:
@@ -376,14 +378,12 @@ def decode(received: Mapping[int, np.ndarray], group: GroupSpec) -> np.ndarray:
     CodingError for a decoded value outside int64; never returns a wrong slice.
     """
     r = group.rows_per_block
-    cols = None
-    for v in received.values():
-        cols = np.asarray(v).shape[-1]
-        break
-    if cols is None:
+    first = next(iter(received.values()), None)
+    if first is None:
         if group.rows == 0:
             return np.zeros((0, 0), dtype=np.int64)
         raise NotDecodableError("no blocks received")
+    cols = np.asarray(first).shape[-1]
     if group.rows == 0:
         return np.zeros((0, cols), dtype=np.int64)
     n, frozen = group.size, list(group.frozen)

@@ -6,11 +6,11 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
 
 from .balances import INT64_MAX
+from .coding import written_ratio
 from .doublespend import injection_window
 from .roles import stream_slots
 
@@ -151,7 +151,8 @@ def _check(cfg: ScenarioConfig) -> None:
                * min(cfg.active_rows, cfg.accounts)) < 1:
             raise ConfigError("invalid_tx_fraction times min(active_rows, "
                               "accounts) must reach 1 with spam")
-        if Fraction(str(cfg.confirm_threshold)) <= Fraction(1, cfg.chains):
+        num, den = written_ratio(cfg.confirm_threshold)
+        if num * cfg.chains <= den:
             raise ConfigError("confirm_threshold must exceed one chain's "
                               "stake share 1/chains with spam")
     # carriers ride on honest slots, the stream `schedule_issuance` draws at

@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .balances import Transfers
+from .coding import written_ratio
 
 TIP = "tip"
 UNCONFIRMED = "unconfirmed"
@@ -41,12 +42,6 @@ class DagError(Exception):
     """Structural error in the block ledger."""
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class ChainWeights:
     """Positive per-chain stake weights, normalized to sum to one."""
@@ -56,18 +51,21 @@ class ChainWeights:
     def __post_init__(self):
         if not self.weights:
             raise DagError("at least one chain weight required")
-        if any(w <= 0 for w in self.weights):
+        # checked as integer numerators over the common denominator
+        denom = math.lcm(*(w.denominator for w in self.weights))
+        nums = [w.numerator * (denom // w.denominator) for w in self.weights]
+        if min(nums) <= 0:
             raise DagError("chain weights must be positive")
-        if sum(self.weights) != 1:
+        if sum(nums) != denom:
             raise DagError("chain weights must sum to exactly 1")
 
     @classmethod
     def equal(cls, n: int) -> "ChainWeights":
-        return cls(tuple(Fraction(1, n) for _ in range(n)))
+        return cls((Fraction(1, n),) * n)
 
     @classmethod
     def from_values(cls, values: Sequence) -> "ChainWeights":
-        fracs = [_as_fraction(v) for v in values]
+        fracs = [Fraction(*written_ratio(v)) for v in values]
         total = sum(fracs)
         if total <= 0:
             raise DagError("chain weights must have a positive total")
@@ -107,14 +105,15 @@ class DagLedger:
 
     def __init__(self, weights: ChainWeights, eta):
         self.weights = weights
-        self.eta = _as_fraction(eta)
-        if not 0 < self.eta <= 1:
+        eta_num, eta_den = written_ratio(eta)
+        if not 0 < eta_num <= eta_den:
             raise DagError("confirmation threshold must lie in (0, 1]")
         # stakes and threshold as integer numerators over one denominator
-        self._denom = math.lcm(self.eta.denominator,
-                               *(w.denominator for w in weights.weights))
-        self._stakes = [int(w * self._denom) for w in weights.weights]
-        self._threshold = int(self.eta * self._denom)
+        self._denom = denom = math.lcm(
+            eta_den, *(w.denominator for w in weights.weights))
+        self._stakes = [w.numerator * (denom // w.denominator)
+                        for w in weights.weights]
+        self._threshold = eta_num * (denom // eta_den)
         genesis = DagBlock(id=GENESIS_ID, proposer=None, epoch=0, parents=(),
                            payload=None, attach_time=0.0,
                            status=CONFIRMED, chains=0, depth=0)

@@ -126,7 +126,12 @@ class Simulation:
                 {c: slots[c] for c in honest}, ds.pairs, ds.regular,
                 np.random.default_rng(derive_seed(cfg.seed, "inject")))
         self.chains: dict[int, _ChainRuntime] = {}
+        # a chain's node ids are its prefix "c{c}n" before each index
+        # string; dealt from the index strings in sorted order, by one join
+        # and split, they come in sorted order
+        tails = sorted(map(str, range(cfg.fleet_size)))
         for c in range(cfg.chains):
+            prefix = f"c{c}n"
             rng = np.random.default_rng(derive_seed(cfg.seed, "fleet", c))
             profile = build_fleet(cfg.fleet_size, cfg.straggler_fraction, rng)
             missing = 0
@@ -141,8 +146,10 @@ class Simulation:
             else:
                 base, extra = divmod(cfg.accounts, cfg.fleet_size)
                 rows = base + (extra > 0)
-                missing = sum(base + (i < extra)
-                              for i in profile.straggler_set())
+                # on an even split, which workers go silent does not matter
+                missing = (sum(base + (i < extra)
+                               for i in profile.straggler_set()) if extra
+                           else base * profile.straggler_count())
             self.chains[c] = _ChainRuntime(
                 chain=c,
                 honest=c not in adversarial,
@@ -151,8 +158,8 @@ class Simulation:
                 slots=slots[c],
                 worker_rows=rows,
                 pool=EventPools(chain=c, approvals=self._committee_size),
-                candidates=Candidates([f"c{c}n{i}"
-                                       for i in range(cfg.fleet_size)]),
+                candidates=Candidates(
+                    (prefix + f" {prefix}".join(tails)).split()),
                 committee_seed=f"{cfg.seed}|committee|{c}",
                 missing_rows=missing,
             )

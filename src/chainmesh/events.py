@@ -38,25 +38,25 @@ class EventError(Exception):
 # ---------------------------------------------------------------------------
 
 def _to_bytes(value) -> bytes:
-    if isinstance(value, bytes):
-        return value
-    return str(value).encode()
+    return value if isinstance(value, bytes) else str(value).encode()
 
 
-def vrf_key(node_secret, shared_seed) -> bytes:
-    """A node's lottery key under `shared_seed`: the `secret | seed |`
-    prefix that every epoch's draw hashes before the epoch."""
-    return b"%s|%s|" % (_to_bytes(node_secret), _to_bytes(shared_seed))
+def vrf_keys(node_secrets: Sequence, shared_seed) -> list[bytes]:
+    """Each node's lottery key under `shared_seed`: the `secret | seed |`
+    prefix that every epoch's draw hashes before the epoch. The seed is
+    encoded once for all of them."""
+    tail = b"|%s|" % _to_bytes(shared_seed)
+    return [_to_bytes(secret) + tail for secret in node_secrets]
 
 
 def vrf_draws(states: Sequence, epoch: int) -> list[bytes]:
     """Deterministic lottery draw of each keyed state at `epoch`.
 
-    A state is a SHA-256 that has hashed one node's `vrf_key`; the node's
-    draw is the 32-byte digest sha256(secret | seed | epoch), taken from a
-    copy so the state serves every epoch. Big-endian digests of one length
-    order as the 256-bit integers they encode. Verification is
-    recomputation.
+    A state is a SHA-256 that has hashed one node's key from `vrf_keys`;
+    the node's draw is the 32-byte digest sha256(secret | seed | epoch),
+    taken from a copy so the state serves every epoch. Big-endian digests
+    of one length order as the 256-bit integers they encode. Verification
+    is recomputation.
     """
     e = b"%d" % epoch
     draws = []
@@ -89,8 +89,8 @@ class Candidates:
         if states is None:
             if len(set(self.node_ids)) < len(self.node_ids):
                 raise EventError("duplicate candidate node id")
-            states = tuple(hashlib.sha256(vrf_key(node_id, shared_seed))
-                           for node_id in self.node_ids)
+            states = tuple(map(hashlib.sha256,
+                               vrf_keys(self.node_ids, shared_seed)))
             self._keys[shared_seed] = states
         return states
 

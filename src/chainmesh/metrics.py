@@ -91,26 +91,20 @@ def write_artifacts(out_dir: str | Path, recorder: SeriesRecorder,
     """Write the CSV/JSON/snapshot/event-log artifact set for one run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "tip_pool.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "count"])
-        w.writerows(recorder.tip_pool)
-    with open(out / "finality.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["block_id", "seconds"])
-        w.writerows(recorder.finality)
-    with open(out / "throughput.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["minute", "confirmed"])
-        for minute, count in enumerate(per_minute(recorder.confirmed_times,
-                                                  report.duration_min)):
-            w.writerow([minute, count])
+    throughput = enumerate(per_minute(recorder.confirmed_times,
+                                      report.duration_min))
+    for name, header, rows in (
+            ("tip_pool.csv", ("time_s", "count"), recorder.tip_pool),
+            ("finality.csv", ("block_id", "seconds"), recorder.finality),
+            ("throughput.csv", ("minute", "confirmed"), throughput)):
+        with open(out / name, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
     with open(out / "metrics.json", "w") as fh:
         json.dump(report.to_mapping(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(out / "dag_snapshot.txt", "w") as fh:
-        for line in snapshot_lines:
-            fh.write(line + "\n")
-    with open(out / "events.log", "w") as fh:
-        for line in event_lines:
-            fh.write(line + "\n")
+    for name, lines in (("dag_snapshot.txt", snapshot_lines),
+                        ("events.log", event_lines)):
+        with open(out / name, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)

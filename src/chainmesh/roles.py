@@ -30,14 +30,13 @@ def build_fleet(size: int, straggler_fraction: float,
                 rng: np.random.Generator) -> StragglerProfile:
     """Draw a fleet's straggling likelihoods; the worst fraction go silent.
 
-    Per-node straggle probabilities are drawn uniformly. The profile's
-    straggler set (the highest-probability nodes, count rounded half-up)
-    never responds; the remaining nodes always respond in time.
+    Per-node straggle probabilities are drawn uniformly from [0, 1). The
+    profile's straggler set (the highest-probability nodes, count rounded
+    half-up) never responds; the remaining nodes always respond in time.
     """
     if size < 1:
         raise RoleError("fleet needs at least one node")
-    probs = rng.uniform(0.0, 1.0, size=size).tolist()
-    return StragglerProfile(probabilities=tuple(probs),
+    return StragglerProfile(probabilities=tuple(rng.random(size).tolist()),
                             fraction=straggler_fraction)
 
 

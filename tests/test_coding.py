@@ -1,7 +1,9 @@
 """Coded worker-fleet layer: planning, butterfly transform, erasure decoding."""
 
 import itertools
+import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +125,28 @@ def test_straggler_count_rounds_half_up():
     for rate, size, count in ((0.3, 5, 2), (0.35, 90, 32), (0.29, 50, 15)):
         profile = coding.StragglerProfile.from_probabilities([0.2], rate)
         assert profile.straggler_count(size) == count
+
+
+@pytest.mark.parametrize("probs", [[0.2, math.nan], [math.nan, -1.0],
+                                   [math.nan], [0.5, 1.5], [-0.1, 0.5]])
+def test_a_likelihood_outside_the_unit_interval_or_nan_is_refused(probs):
+    with pytest.raises(coding.CodingError, match="lie in"):
+        coding.StragglerProfile.from_probabilities(probs, 0.5)
+
+
+def test_the_written_ratio_equals_the_fraction_of_the_written_float():
+    rng = random.Random(20)
+    floats = [rng.random() for _ in range(10_000)]
+    # doubles of every exponent, from random bit patterns
+    floats += [abs(struct.unpack("<d", rng.randbytes(8))[0])
+               for _ in range(10_000)]
+    floats += [0.35, 1e-05, 5e-324, 0.9999999999999999, 0.0, 1.0, 0.67]
+    for x in floats:
+        if math.isfinite(x):
+            f = Fraction(str(x))
+            assert coding.written_ratio(x) == (f.numerator, f.denominator)
+    assert coding.written_ratio(3) == (3, 1)
+    assert coding.written_ratio(Fraction(6, 4)) == (3, 2)
 
 
 def test_straggler_set_takes_highest_probabilities_ties_to_lower_index():
@@ -537,7 +561,7 @@ def test_eliminations_build_no_fractions(monkeypatch):
         raise AssertionError("elimination built a Fraction")
 
     probs = paper_profile(7, seed=6).probabilities[:64]
-    monkeypatch.setattr(coding, "Fraction", no_fraction)
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
     frozen = PAPER_FROZEN[0][0]
     assert coding._pins_lost(frozen, frozen)
     assert not coding._pins_lost((1, 2), (1, 2))

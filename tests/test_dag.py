@@ -50,6 +50,19 @@ def test_weights_validate():
     assert sum(w.weights) == 1
 
 
+def test_weights_a_hair_over_one_are_refused():
+    with pytest.raises(dag.DagError, match="sum to exactly 1"):
+        dag.ChainWeights((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**30)))
+
+
+def test_stakes_are_the_weights_over_the_common_denominator():
+    w = dag.ChainWeights.from_values((1, 2, 3.5))
+    assert w.weights == (Fraction(2, 13), Fraction(4, 13), Fraction(7, 13))
+    ledger = dag.DagLedger(w, eta=0.67)
+    assert ledger._stakes == [int(x * ledger._denom) for x in w.weights]
+    assert ledger._threshold == int(Fraction(67, 100) * ledger._denom)
+
+
 # ---------------------------------------------------------------------------
 # Attachment and status
 # ---------------------------------------------------------------------------

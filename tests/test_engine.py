@@ -116,20 +116,20 @@ def test_committee_keys_are_built_at_the_first_draw_not_at_set_up(
     def no_hashing(*args):
         raise AssertionError("lottery hashing during set-up")
 
-    monkeypatch.setattr(ev, "vrf_key", no_hashing)
+    monkeypatch.setattr(ev, "vrf_keys", no_hashing)
     monkeypatch.setattr(ev, "vrf_draws", no_hashing)
     cfg = quick(duration_min=0.5)
     sim = Simulation(cfg)
     monkeypatch.undo()
 
     keys = Counter()
-    vrf_key = ev.vrf_key
+    vrf_keys = ev.vrf_keys
 
-    def counting(secret, shared_seed):
-        keys[shared_seed] += 1
-        return vrf_key(secret, shared_seed)
+    def counting(secrets, shared_seed):
+        keys[shared_seed] += len(secrets)
+        return vrf_keys(secrets, shared_seed)
 
-    monkeypatch.setattr(ev, "vrf_key", counting)
+    monkeypatch.setattr(ev, "vrf_keys", counting)
     assert list(sim.run().event_lines)
     # each chain keys its fleet once, for its own seed, whatever the epochs
     assert set(keys) == {rt.committee_seed for rt in sim.chains.values()}
@@ -425,6 +425,25 @@ def test_plain_shard_rows_follow_the_uneven_split():
         assert len(silent) == 2
         assert rt.worker_rows == 15
         assert rt.missing_rows == sum(15 if i < 2 else 14 for i in silent)
+
+
+def test_plain_shard_rows_on_an_even_split_count_every_silent_worker():
+    # 1000 rows over 100 workers: every worker holds 10
+    sim = Simulation(quick(fleet_size=100, accounts=1000, coding=False))
+    for rt in sim.chains.values():
+        rng = np.random.default_rng(
+            engine.derive_seed(0, "fleet", rt.chain))
+        silent = build_fleet(100, 0.1, rng).straggler_set()
+        assert rt.worker_rows == 10
+        assert rt.missing_rows == sum(10 for _ in silent) == 100
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000])
+def test_candidate_node_ids_are_each_chains_ids_in_sorted_order(n):
+    sim = Simulation(quick(fleet_size=n, coding=False, chains=3))
+    for c, rt in sim.chains.items():
+        assert rt.candidates.node_ids == tuple(
+            sorted(f"c{c}n{i}" for i in range(n)))
 
 
 def test_candidate_node_ids_are_unique_and_chain_scoped():

@@ -9,7 +9,7 @@ import pytest
 
 from chainmesh import events as ev
 from chainmesh.events import (ACTIVE, Candidates, EventError, EventPools,
-                              select_committee, vrf_draws, vrf_key)
+                              select_committee, vrf_draws, vrf_keys)
 
 #: every event kind, in pipeline order
 EVENT_KINDS = (ev.PROPOSAL_FORMED, ev.PROPOSAL_RESULTS, ev.TIP_BATCH_FORMED,
@@ -22,7 +22,7 @@ GOLDEN_VRF = 0x345577A51D70ABAF4DAB85F42FC6BA8856914BDBBF25C3652F551AC03719F359
 def vrf_output(node_secret, shared_seed, epoch):
     """One node's lottery draw as an integer, through the keyed state the
     committee draw uses."""
-    state = hashlib.sha256(vrf_key(node_secret, shared_seed))
+    state = hashlib.sha256(vrf_keys([node_secret], shared_seed)[0])
     return int.from_bytes(vrf_draws([state], epoch)[0], "big")
 
 
@@ -63,7 +63,7 @@ class TestVrfOutput:
 
     @pytest.mark.parametrize("epoch", [0, 7, 123456, -1, -42])
     def test_draw_is_the_digest_of_id_seed_and_epoch(self, epoch):
-        state = hashlib.sha256(vrf_key("c0n10", "0|committee|0"))
+        state = hashlib.sha256(vrf_keys(["c0n10"], "0|committee|0")[0])
         digest = hashlib.sha256(f"c0n10|0|committee|0|{epoch}".encode())
         assert vrf_draws([state], epoch) == [digest.digest()]
 
@@ -219,7 +219,8 @@ class TestCandidates:
                 scores, key=scores.__getitem__)
 
     def test_one_call_draws_every_key_as_single_draws(self):
-        states = [hashlib.sha256(vrf_key(f"n{i}", "seed")) for i in range(20)]
+        states = list(map(hashlib.sha256,
+                          vrf_keys([f"n{i}" for i in range(20)], "seed")))
         assert vrf_draws(states, 11) == [vrf_draws([s], 11)[0]
                                          for s in states]
         assert vrf_draws([], 11) == []
@@ -242,7 +243,7 @@ class TestCandidates:
         def no_new_state(*args):
             raise AssertionError("SHA-256 state built from key bytes")
 
-        monkeypatch.setattr(ev, "vrf_key", no_new_state)
+        monkeypatch.setattr(ev, "vrf_keys", no_new_state)
         monkeypatch.setattr(ev.hashlib, "sha256", no_new_state)
         later = [select_committee(cands, "seed", e, 5) for e in (1, -1, 0)]
         monkeypatch.undo()

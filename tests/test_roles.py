@@ -41,6 +41,13 @@ class TestBuildFleet:
                              if i not in silent)
         assert worst_silent >= best_responder
 
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_likelihoods_are_the_uniform_unit_draws(self, seed):
+        # the same stream as `uniform(0, 1)`, value for value
+        profile = build_fleet(1000, 0.1, rng(seed))
+        assert profile.probabilities == tuple(
+            rng(seed).uniform(0.0, 1.0, size=1000).tolist())
+
     def test_zero_fraction_everyone_responds(self):
         assert build_fleet(15, 0.0, rng()).straggler_set() == ()
 

@@ -20,8 +20,10 @@ time to other tenants of a shared machine. Then, for both, the pairs the
 change won and the ratio of the medians, change over parent. Last comes the
 verdict on the metric: a gain is shown only when the change won at least
 nine tenths of the pairs, ties counting for neither, and the medians differ
-by more than the parent's interquartile range. A pair whose two artifact
-digests differ is reported, and the exit code is then 1.
+by more than the parent's interquartile range, computed on the unrounded
+times. Times print to 4 significant digits, so a set-up of about a
+millisecond reads 0.001134, not 0.0011. A pair whose two artifact digests
+differ is reported, and the exit code is then 1.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ def report(runs: dict[str, list[dict]], claimed: str) -> list[str]:
         for side, records in runs.items():
             q1, median, q3 = quartiles([r[metric] for r in records])
             medians[side] = median
-            lines.append(f"{side:7s} {metric}  median {median:.4f}  "
-                         f"q1 {q1:.4f}  q3 {q3:.4f}  "
+            lines.append(f"{side:7s} {metric}  median {median:.4g}  "
+                         f"q1 {q1:.4g}  q3 {q3:.4g}  "
                          f"(q3 - q1 = {(q3 - q1) / median:.1%} of median)")
         ratio = medians["change"] / medians["parent"]
         lines.append(f"{metric}: change won {won(runs, metric)} of {pairs} "
@@ -98,8 +100,8 @@ def report(runs: dict[str, list[dict]], claimed: str) -> list[str]:
     wins = won(runs, claimed)
     shown = 10 * wins >= 9 * pairs and gap > q3 - q1
     lines.append(f"verdict on {claimed}: won {wins} of {pairs} pairs "
-                 f"(need 9 in 10); median gap {gap:.4f} against the "
-                 f"parent's q3 - q1 {q3 - q1:.4f}: gain "
+                 f"(need 9 in 10); median gap {gap:.4g} against the "
+                 f"parent's q3 - q1 {q3 - q1:.4g}: gain "
                  f"{'shown' if shown else 'NOT shown'}")
     return lines
 
@@ -145,9 +147,9 @@ def main() -> int:
             same = p["digest"] == c["digest"]
             mismatched += not same
             m = args.metric
-            print(f"pair {pair:2d}: {m} parent {p[m]:.4f} change "
-                  f"{c[m]:.4f}; cpu_s parent {p['cpu_s']:.4f} change "
-                  f"{c['cpu_s']:.4f}"
+            print(f"pair {pair:2d}: {m} parent {p[m]:.4g} change "
+                  f"{c[m]:.4g}; cpu_s parent {p['cpu_s']:.4g} change "
+                  f"{c['cpu_s']:.4g}"
                   + ("" if same else "; DIGESTS DIFFER"), flush=True)
     for line in report(runs, args.metric):
         print(line)
