@@ -9,8 +9,8 @@ stake-weighted aggregated approval weight.
 
 __version__ = "0.1.0"
 
-from .config import ScenarioConfig, load_config, save_config
+from .config import ScenarioConfig, load_config
 from .engine import RunResult, Simulation, run_scenario
 
-__all__ = ["ScenarioConfig", "load_config", "save_config",
-           "RunResult", "Simulation", "run_scenario", "__version__"]
+__all__ = ["ScenarioConfig", "load_config", "RunResult", "Simulation",
+           "run_scenario", "__version__"]

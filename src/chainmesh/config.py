@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -135,8 +135,10 @@ def _check(cfg: ScenarioConfig) -> None:
         for name in names:
             if not ok(getattr(cfg, name)):
                 raise ConfigError(f"{name} must be {bound}")
-    if not math.isfinite(cfg.issuance_rate * cfg.duration_min):
-        raise ConfigError("issuance_rate times duration_min must be finite")
+    # a stream of more than sys.maxsize slots has no length
+    if not cfg.issuance_rate * cfg.duration_min <= sys.maxsize:
+        raise ConfigError("issuance_rate times duration_min must be finite "
+                          "and at most sys.maxsize slots")
     ds = cfg.double_spend
     if ds.pairs < 0 or ds.regular < 0:
         raise ConfigError("double_spend counts must be non-negative")
@@ -205,16 +207,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from None
     return config_from_mapping(data)
-
-
-def config_to_mapping(cfg: ScenarioConfig) -> dict[str, Any]:
-    data = dataclasses.asdict(cfg)
-    return data
-
-
-def save_config(cfg: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_mapping(cfg), indent=2,
-                                     sort_keys=True) + "\n")
 
 
 def replace(cfg: ScenarioConfig, **changes) -> ScenarioConfig:

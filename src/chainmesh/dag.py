@@ -51,6 +51,9 @@ class ChainWeights:
     def __post_init__(self):
         if not self.weights:
             raise DagError("at least one chain weight required")
+        if not all(isinstance(w, (int, Fraction)) for w in self.weights):
+            raise DagError("chain weights must be ints or Fractions; "
+                           "ChainWeights.from_values takes other numbers")
         # checked as integer numerators over the common denominator
         denom = math.lcm(*(w.denominator for w in self.weights))
         nums = [w.numerator * (denom // w.denominator) for w in self.weights]
@@ -70,9 +73,6 @@ class ChainWeights:
         if total <= 0:
             raise DagError("chain weights must have a positive total")
         return cls(tuple(f / total for f in fracs))
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
     def __getitem__(self, chain: int) -> Fraction:
         return self.weights[chain]

@@ -360,11 +360,7 @@ class Simulation:
     def conservation_holds(self) -> bool:
         """Exact identity in Python ints: supply = nets + outstanding spend."""
         book = self.book
-        nets = book.net()
-        honest = [rt.honest for rt in self.chains.values()]
-        if (nets[honest] < 0).any():
-            return False
-        return (sum(nets.ravel().tolist())
+        return (sum(book.net().ravel().tolist())
                 + sum(book.outstanding.ravel().tolist())
                 == sum(book.genesis.ravel().tolist()))
 

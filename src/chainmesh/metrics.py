@@ -18,8 +18,6 @@ def gini(values: Sequence[float]) -> float | None:
     participant holds everything.
     """
     x = np.asarray(list(values), dtype=float)
-    if x.size == 0:
-        return None
     if np.any(x < 0):
         raise ValueError("dispersion is defined for non-negative values")
     total = x.sum()

@@ -3,8 +3,8 @@
 `fuzz_configs()` draws 100 config mappings from one fixed seed: each field
 takes one of `FUZZ_VALUES`, values at and near its bounds, and each run a
 short duration and a double-spend plan whose counts reach past the
-injection window of short runs. The fixed `INT64_EDGES` follow them. Some
-configs fail validation on purpose.
+injection window of short runs. The fixed `INT64_EDGES` and
+`INT_FRACTIONS` follow them. Some configs fail validation on purpose.
 `tests/test_config.py` runs every config that validates, and
 `tools/identity.py` adds all of them to its corpus. The module is pure
 Python and imports nothing from `chainmesh`, so both sides of an identity
@@ -54,11 +54,19 @@ INT64_EDGES = (
     {"amount_max": 2**63 - 1},
 )
 
+#: fractions given as ints, which the exact parse of a written ratio reads
+#: as they are: a straggler profile and a DAG threshold, plain and with spam,
+#: where validation parses the threshold too
+INT_FRACTIONS = (
+    {"straggler_fraction": 0, "confirm_threshold": 1},
+    {"straggler_fraction": 0, "confirm_threshold": 1, "spam_fraction": 0.5},
+)
+
 
 def fuzz_configs(count: int = 100,
                  seed: int = 20240611) -> Iterator[dict]:
     """The fuzz corpus: `count` config mappings drawn from `seed`, then
-    `INT64_EDGES`."""
+    `INT64_EDGES` and `INT_FRACTIONS`."""
     rng = random.Random(seed)
     for _ in range(count):
         data = {name: rng.choice(values)
@@ -67,5 +75,5 @@ def fuzz_configs(count: int = 100,
         data["double_spend"] = {"pairs": rng.choice((0,) * 6 + (1, 3)),
                                 "regular": rng.choice((0,) * 6 + (2, 20))}
         yield data
-    for edge in INT64_EDGES:
+    for edge in INT64_EDGES + INT_FRACTIONS:
         yield {**edge, "duration_min": 0.2, "seed": 0}

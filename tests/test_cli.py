@@ -1,5 +1,6 @@
 """Command line interface: manifests, presets, validation, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from chainmesh.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
                            load_manifest, main, resolve_out_dir)
-from chainmesh.config import ConfigError, ScenarioConfig, save_config
+from chainmesh.config import ConfigError, ScenarioConfig
 from chainmesh.presets import build_preset, preset_names
 
 ARTIFACTS = ["tip_pool.csv", "finality.csv", "throughput.csv",
@@ -238,7 +239,7 @@ def test_unknown_preset_name_exits_one(capsys):
 
 def test_validate_accepts_a_good_config(tmp_path, capsys):
     p = tmp_path / "c.json"
-    save_config(ScenarioConfig(), p)
+    p.write_text(json.dumps(dataclasses.asdict(ScenarioConfig())))
     assert main(["validate", str(p)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "ok" in out and "committee_size=2" in out

@@ -684,6 +684,32 @@ def test_planning_a_rank_deficient_fleet_takes_few_eliminations(monkeypatch):
     assert eliminations <= 20
 
 
+def test_a_self_orthogonal_set_falls_back_to_the_leading_positions(
+        monkeypatch):
+    # every two of these positions AND to an even popcount, so H[F, F] is
+    # all ones, of rank 1: both swap tiers are out of reach of rank 8
+    frozen = (0, 3, 12, 15, 48, 51, 60, 63)
+    assert coding._bareiss(coding._frozen_by_lost(frozen, frozen), 8)[0] == 1
+    eliminations = 0
+    bareiss = coding._bareiss
+
+    def counted(*args):
+        nonlocal eliminations
+        eliminations += 1
+        return bareiss(*args)
+
+    monkeypatch.setattr(coding, "_bareiss", counted)
+    assert coding._repair_frozen(64, [0.5] * 64, frozen) == tuple(range(8))
+    # the original set's rank, then the fallback's check: no swap is tried
+    assert eliminations == 2
+
+
+def test_the_leading_positions_are_absorbable_in_groups_up_to_128():
+    # so the fallback's CodingError cannot be raised in such a group
+    for s in range(1, 129):
+        assert coding._pins_lost(range(s), range(s)), s
+
+
 # ---------------------------------------------------------------------------
 # Coded worker stores, linearity
 # ---------------------------------------------------------------------------

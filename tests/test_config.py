@@ -1,13 +1,13 @@
 """Scenario configuration loading, defaults, and validation."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from chainmesh.config import (ConfigError, DoubleSpendPlan, ScenarioConfig,
-                              config_from_mapping, config_to_mapping,
-                              load_config, replace, save_config)
+                              config_from_mapping, load_config, replace)
 from chainmesh.cli import EXIT_VALIDATION, main
 from chainmesh.balances import LedgerOverflowError
 from chainmesh.doublespend import InjectionError, plan_injections
@@ -37,7 +37,7 @@ class TestLoadConfig:
         cfg = replace(ScenarioConfig(), chains=4, seed=9,
                       double_spend={"pairs": 3, "regular": 12})
         path = tmp_path / "scenario.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert load_config(path) == cfg
 
     def test_loads_partial_file_with_defaults(self, tmp_path):
@@ -77,7 +77,7 @@ class TestLoadConfig:
 
     def test_mapping_round_trip(self):
         cfg = replace(ScenarioConfig(), spam_fraction=0.4, tip_sample=4)
-        assert config_from_mapping(config_to_mapping(cfg)) == cfg
+        assert config_from_mapping(dataclasses.asdict(cfg)) == cfg
 
 
 class TestValidation:
@@ -164,8 +164,10 @@ class TestValidation:
         ("confirm_threshold", {"chains": 4, "confirm_threshold": 0.25}),
         # an infinite slot count raised a bare OverflowError at set-up
         ("issuance_rate", {"issuance_rate": 1e200, "duration_min": 1e200}),
+        # so did a finite one whose injection window has no length
+        ("issuance_rate", {"issuance_rate": 1e10, "duration_min": 1e10}),
     ], ids=["one-chain", "one-account", "unfunded", "threshold-half",
-            "threshold-quarter", "infinite-slots"])
+            "threshold-quarter", "infinite-slots", "slots-past-maxsize"])
     def test_a_config_the_run_would_reject_fails_validation(
             self, tmp_path, field, changes):
         data = {"spam_fraction": 0.3, "duration_min": 0.5, **changes}

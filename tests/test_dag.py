@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -53,6 +54,16 @@ def test_weights_validate():
 def test_weights_a_hair_over_one_are_refused():
     with pytest.raises(dag.DagError, match="sum to exactly 1"):
         dag.ChainWeights((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**30)))
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (Fraction(1, 2), 0.5),
+                                     (Decimal("0.5"), Decimal("0.5"))])
+def test_weights_that_are_not_exact_are_refused_by_name(weights):
+    # floats once raised a bare AttributeError on `.denominator`
+    with pytest.raises(dag.DagError, match="from_values"):
+        dag.ChainWeights(weights)
+    assert dag.ChainWeights.from_values(weights).weights == \
+        (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_stakes_are_the_weights_over_the_common_denominator():

@@ -12,10 +12,10 @@ corpus:
   and 3;
 - `paper-coded-1m` at seed 6, whose group planner reaches its pair swaps;
 - 160 chains at 8 minutes;
-- the 100 seeded fuzz configs of `tests/fuzz_configs.py` and its int64
-  edges, at and near each field's bounds: one account, blocks with no rows,
-  spam share 1.0, named overflows and configs that fail validation, whose
-  error type and message are compared.
+- the 100 seeded fuzz configs of `tests/fuzz_configs.py`, its int64 edges
+  and its int-valued fractions, at and near each field's bounds: one
+  account, blocks with no rows, spam share 1.0, named overflows and configs
+  that fail validation, whose error type and message are compared.
 
 Each run is compared by the SHA-256 over its six artifacts, computed by
 `artifact_digest` of `perfbench/child.py`, and by its attached and confirmed
