@@ -57,6 +57,12 @@ def written_ratio(value) -> tuple[int, int]:
 # Fleet profile and group planning
 # ---------------------------------------------------------------------------
 
+def straggler_count(size: int, rate: tuple[int, int]) -> int:
+    """The `written_ratio` rate's share of `size`, .5 rounding up."""
+    num, den = rate
+    return (2 * num * size + den) // (2 * den)
+
+
 @dataclass(frozen=True)
 class StragglerProfile:
     """Per-worker straggling likelihoods plus the design straggler rate."""
@@ -87,9 +93,8 @@ class StragglerProfile:
 
     def straggler_count(self, size: int | None = None) -> int:
         """The design rate's share of `size` (default: all), .5 rounding up."""
-        size = len(self.probabilities) if size is None else size
-        num, den = self._rate
-        return (2 * num * size + den) // (2 * den)
+        return straggler_count(
+            len(self.probabilities) if size is None else size, self._rate)
 
     def straggler_set(self) -> tuple[int, ...]:
         """Fleet-wide designated stragglers: highest p first, ties by low index."""
@@ -211,9 +216,7 @@ def plan_groups(n: int, total_rows: int, profile: StragglerProfile) -> GroupPlan
         raise CodingError(f"profile covers {len(profile.probabilities)} workers, fleet has {n}")
     sizes = binary_group_sizes(n)
     rows = _apportion_rows(total_rows, sizes, n)
-    groups = []
-    start = 0
-    row_start = 0
+    groups, start, row_start = [], 0, 0
     for gi, (size, r) in enumerate(zip(sizes, rows)):
         members = tuple(range(start, start + size))
         probs = profile.probabilities[start:start + size]

@@ -31,11 +31,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from numpy.random import default_rng    # numpy loads it at its first use
 
 from . import events as ev
 from .balances import (CumulativeState, LedgerBook, Transfers,
                        validate_tip_payloads)
-from .coding import CodingError, plan_groups
+from .coding import CodingError, plan_groups, straggler_count, written_ratio
 from .config import ScenarioConfig
 from .dag import GENESIS_ID, ChainWeights, DagBlock, DagLedger
 from .doublespend import NO_INJECTIONS, ConflictTracker, plan_injections
@@ -124,16 +125,22 @@ class Simulation:
         if ds.pairs or ds.regular:
             self.injection = plan_injections(
                 {c: slots[c] for c in honest}, ds.pairs, ds.regular,
-                np.random.default_rng(derive_seed(cfg.seed, "inject")))
+                default_rng(derive_seed(cfg.seed, "inject")))
         self.chains: dict[int, _ChainRuntime] = {}
         # a chain's node ids are its prefix "c{c}n" before each index
         # string; dealt from the index strings in sorted order, by one join
         # and split, they come in sorted order
         tails = sorted(map(str, range(cfg.fleet_size)))
+        # a fleet is drawn only where the planner or an uneven split reads it
+        base, extra = divmod(cfg.accounts, cfg.fleet_size)
+        silent = straggler_count(cfg.fleet_size,
+                                 written_ratio(cfg.straggler_fraction))
         for c in range(cfg.chains):
             prefix = f"c{c}n"
-            rng = np.random.default_rng(derive_seed(cfg.seed, "fleet", c))
-            profile = build_fleet(cfg.fleet_size, cfg.straggler_fraction, rng)
+            if cfg.coding or extra:
+                rng = default_rng(derive_seed(cfg.seed, "fleet", c))
+                profile = build_fleet(cfg.fleet_size, cfg.straggler_fraction,
+                                      rng)
             missing = 0
             if cfg.coding:
                 # the planner freezes the worst predicted responders: those
@@ -144,12 +151,9 @@ class Simulation:
                 except CodingError:
                     rows = None     # no layout absorbs the silent set
             else:
-                base, extra = divmod(cfg.accounts, cfg.fleet_size)
-                rows = base + (extra > 0)
-                # on an even split, which workers go silent does not matter
-                missing = (sum(base + (i < extra)
-                               for i in profile.straggler_set()) if extra
-                           else base * profile.straggler_count())
+                rows = base + (extra > 0)   # the first `extra` hold one more
+                missing = base * silent + (extra and sum(
+                    i < extra for i in profile.straggler_set()))
             self.chains[c] = _ChainRuntime(
                 chain=c,
                 honest=c not in adversarial,
@@ -223,7 +227,7 @@ class Simulation:
             t0 = now
             proposer = self._proposer(rt, epoch)
             dest = rt.dests[(epoch - 1) % len(rt.dests)]
-            rng = np.random.default_rng(derive_seed(
+            rng = default_rng(derive_seed(
                 cfg.seed, "payload" if rt.honest else "spam", rt.chain, epoch))
             if rt.honest:
                 payload = make_valid_block(
@@ -396,8 +400,7 @@ class Simulation:
         attached = len(self.dag.blocks) - 1
         finals = [s for _, s in self.recorder.finality]
         pools = [c for _, c in self.recorder.tip_pool]
-        counts = [self.chains[c].confirmed_count
-                  for c in range(cfg.chains)]
+        counts = [self.chains[c].confirmed_count for c in range(cfg.chains)]
         plan = self.injection
         ds = (self.tracker.score(plan.pair_ids, plan.regular_ids)
               if plan.carriers else None)

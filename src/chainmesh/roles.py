@@ -6,9 +6,9 @@ configured fraction with the highest likelihoods are stragglers that
 silently drop their shard tasks. Adversarial chains pad valid-looking
 transfer blocks with overspending rows. A block is drawn from its chain's
 balances and handed to `Transfers`, which checks it; the draw bounds of
-each block shape are built once per process. Issuance deals each faction's
-evenly spaced slots round-robin over its chains, so each chain gets its own
-list of slot times.
+each block shape are built once per process; the engine draws a fleet
+only where its likelihoods are read. Issuance deals each faction's evenly
+spaced slot times, one vector, round-robin over its chains as strides.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ def schedule_issuance(rate_per_min: float, spam_fraction: float,
                          (rate_per_min * spam_fraction, adversarial_chains)):
         if rate <= 0 or not chains:
             continue
-        period = 60.0 / rate
-        total = stream_slots(rate, duration_min)
+        # the floats of i * period: exact ints below 2**53, same rounding
+        times = (np.arange(1, stream_slots(rate, duration_min) + 1)
+                 * (60.0 / rate)).tolist()
         for k, c in enumerate(chains):
-            slots[c] += [i * period
-                         for i in range(k + 1, total + 1, len(chains))]
+            slots[c] = times[k::len(chains)]
     return slots

@@ -4,8 +4,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,6 +440,59 @@ def test_plain_shard_rows_on_an_even_split_count_every_silent_worker():
         silent = build_fleet(100, 0.1, rng).straggler_set()
         assert rt.worker_rows == 10
         assert rt.missing_rows == sum(10 for _ in silent) == 100
+
+
+@pytest.mark.parametrize("overrides,drawn", [
+    ({"coding": False}, False),                         # 100 rows over 20
+    ({"fleet_size": 100, "accounts": 1000, "coding": False}, False),
+    ({"coding": True}, True),                           # the planner reads it
+    ({"fleet_size": 7, "accounts": 100, "coding": False,
+      "straggler_fraction": 0.3}, True),                # ranked stragglers
+])
+def test_a_fleet_is_drawn_only_where_its_likelihoods_are_read(
+        monkeypatch, overrides, drawn):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_fleet(*args)
+
+    monkeypatch.setattr(engine, "build_fleet", counted)
+    sim = Simulation(quick(**overrides))
+    assert len(calls) == (sim.cfg.chains if drawn else 0)
+
+
+LAZY_IMPORT_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+import chainmesh.engine, chainmesh.metrics
+from chainmesh.config import config_from_mapping
+cfgs = [config_from_mapping({"duration_min": 0.5, **o})
+        for o in json.loads(sys.argv[1])]
+with tempfile.TemporaryDirectory() as tmp:
+    before = set(sys.modules)
+    for i, cfg in enumerate(cfgs):
+        res = chainmesh.engine.Simulation(cfg).run()
+        chainmesh.metrics.write_artifacts(
+            Path(tmp) / str(i), res.recorder, res.report,
+            res.snapshot_lines, res.event_lines)
+    print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_no_set_up_run_or_write_imports_a_module():
+    # numpy loads `numpy.random` at its first use: the engine loads it as
+    # it is imported, so no set-up or run pays for it
+    overrides = [{"coding": True, "double_spend": {"pairs": 1, "regular": 1},
+                  "spam_fraction": 0.3},
+                 {"coding": False},
+                 {"coding": False, "fleet_size": 7}]
+    src = Path(engine.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT_PROBE, json.dumps(overrides)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, check=True)
+    assert json.loads(proc.stdout) == []
 
 
 @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000])

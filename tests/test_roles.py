@@ -354,3 +354,25 @@ class TestScheduleIssuance:
     def test_bad_rate_rejected(self):
         with pytest.raises(RoleError):
             schedule_issuance(0.0, 0.0, [0], [], 1.0)
+
+    def test_slots_are_the_floats_of_slot_index_times_period(self):
+        # the oracle: chain k of C takes slots k + 1, k + 1 + C, ... of its
+        # faction's stream, slot i at the Python float i * (60 / rate)
+        grid = np.random.default_rng(27)
+        rates = (1.0, 7.0, 60.0, 60 * 0.45, 240.0, 1e3 / 7)
+        for rate, spam in itertools.product(rates, (0.0, 0.55, 1.0)):
+            for _ in range(12):
+                minutes = float(grid.uniform(0.5, 300.0))
+                honest = list(range(int(grid.integers(1, 41))))
+                adversarial = list(range(len(honest), len(honest)
+                                         + int(grid.integers(1, 41))))
+                slots = schedule_issuance(rate, spam, honest, adversarial,
+                                          minutes)
+                for share, chains in ((rate * (1.0 - spam), honest),
+                                      (rate * spam, adversarial)):
+                    total = int(round(minutes * share)) if share else 0
+                    for k, c in enumerate(chains):
+                        want = [i * (60.0 / share)
+                                for i in range(k + 1, total + 1, len(chains))]
+                        assert slots[c] == want, (rate, spam, minutes, c)
+                        assert all(type(x) is float for x in slots[c])

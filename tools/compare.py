@@ -1,7 +1,7 @@
 """Compare the run or set-up time of two commits on one benchmark workload.
 
     python3 tools/compare.py PARENT CHANGE --workload W [--pairs N] [--seed S]
-                             [--metric run_s|setup_s]
+                             [--metric run_s|setup_s] [--record PATH]
 
 Both commits are exported with `git archive` from the repository this script
 lives in. Each pair runs the workload once on each side, every run in a fresh
@@ -24,13 +24,25 @@ by more than the parent's interquartile range, computed on the unrounded
 times. Times print to 4 significant digits, so a set-up of about a
 millisecond reads 0.001134, not 0.0011. A pair whose two artifact digests
 differ is reported, and the exit code is then 1.
+
+With `--record PATH` the comparison is also written as JSON, in the layout
+of `BENCH_14.json`: `what` (the change's commit subject), `parent` and
+`change` (their commits), `host`, `method`, `summary` (per side the median,
+quartiles and count of the metric, of CPU time, of the other timings and of
+the peak RSS, with the pairs won, the ratio of medians and the verdict of
+each) and `runs` (every child record, with its pair, side and whether it
+ran first). A record that already exists at PATH, for
+the same two commits, gains this comparison as its next session, so one
+file collects the workloads, seeds and metrics of one change.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
 import resource
 import statistics
 import subprocess
@@ -63,6 +75,7 @@ def run_child(tree: Path, config: dict, seed: int, out: Path) -> dict:
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     record["cpu_s"] = ((after.ru_utime - before.ru_utime)
                        + (after.ru_stime - before.ru_stime))
+    record["setup_samples_s"] = record["setup_s"]
     record["setup_s"] = statistics.median(record["setup_s"])
     return record
 
@@ -78,32 +91,95 @@ def won(runs: dict[str, list[dict]], metric: str) -> int:
                for p, c in zip(runs["parent"], runs["change"]))
 
 
-def report(runs: dict[str, list[dict]], claimed: str) -> list[str]:
+def summarize(runs: dict[str, list[dict]], metric: str) -> dict:
+    """Median, quartiles and count per side, pairs won, ratio of medians
+    and the verdict on `metric`: a gain is shown when the change won at
+    least nine tenths of the pairs and the medians differ by more than the
+    parent's interquartile range."""
+    entry: dict = {"metric": metric}
+    for side, records in runs.items():
+        q1, median, q3 = quartiles([r[metric] for r in records])
+        entry[side] = {"median": median, "q1": q1, "q3": q3,
+                       "n": len(records)}
+    parent, change = entry["parent"], entry["change"]
+    pairs, wins = len(runs["parent"]), won(runs, metric)
+    gap = parent["median"] - change["median"]
+    shown = 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"]
+    entry.update(change_better_pairs=wins, pairs=pairs,
+                 ratio=change["median"] / parent["median"], gap=gap,
+                 verdict="gain shown" if shown else "gain NOT shown")
+    return entry
+
+
+def report(summaries: list[dict]) -> list[str]:
     """Median and quartiles per side, pairs won and ratio of medians, of
-    `claimed` and of CPU time; then the verdict on `claimed`."""
+    each summary; then the verdict on the first, the claimed metric."""
     lines = []
-    pairs = len(runs["parent"])
-    for metric in (claimed, "cpu_s"):
-        medians = {}
-        for side, records in runs.items():
-            q1, median, q3 = quartiles([r[metric] for r in records])
-            medians[side] = median
-            lines.append(f"{side:7s} {metric}  median {median:.4g}  "
-                         f"q1 {q1:.4g}  q3 {q3:.4g}  "
-                         f"(q3 - q1 = {(q3 - q1) / median:.1%} of median)")
-        ratio = medians["change"] / medians["parent"]
-        lines.append(f"{metric}: change won {won(runs, metric)} of {pairs} "
-                     f"pairs; ratio of medians {ratio:.3f} "
-                     f"({ratio - 1:+.1%})")
-    q1, median, q3 = quartiles([r[claimed] for r in runs["parent"]])
-    gap = median - statistics.median(r[claimed] for r in runs["change"])
-    wins = won(runs, claimed)
-    shown = 10 * wins >= 9 * pairs and gap > q3 - q1
-    lines.append(f"verdict on {claimed}: won {wins} of {pairs} pairs "
-                 f"(need 9 in 10); median gap {gap:.4g} against the "
-                 f"parent's q3 - q1 {q3 - q1:.4g}: gain "
-                 f"{'shown' if shown else 'NOT shown'}")
+    for entry in summaries:
+        metric = entry["metric"]
+        for side in ("parent", "change"):
+            s = entry[side]
+            lines.append(f"{side:7s} {metric}  median {s['median']:.4g}  "
+                         f"q1 {s['q1']:.4g}  q3 {s['q3']:.4g}  (q3 - q1 = "
+                         f"{(s['q3'] - s['q1']) / s['median']:.1%} of "
+                         "median)")
+        ratio = entry["ratio"]
+        lines.append(f"{metric}: change won {entry['change_better_pairs']} "
+                     f"of {entry['pairs']} pairs; ratio of medians "
+                     f"{ratio:.3f} ({ratio - 1:+.1%})")
+    claimed = summaries[0]
+    parent = claimed["parent"]
+    lines.append(f"verdict on {claimed['metric']}: won "
+                 f"{claimed['change_better_pairs']} of {claimed['pairs']} "
+                 f"pairs (need 9 in 10); median gap {claimed['gap']:.4g} "
+                 f"against the parent's q3 - q1 "
+                 f"{parent['q3'] - parent['q1']:.4g}: "
+                 f"{claimed['verdict']}")
     return lines
+
+
+#: the child's measures summarised in a record beside the claimed one
+RECORDED = ("setup_s", "run_s", "wall_s", "peak_rss_mb")
+
+METHOD = ("Each session is one run of tools/compare.py: pairs of fresh "
+          "perfbench/child.py processes, one per side, from git archive "
+          "exports of both commits, run one at a time with every numeric "
+          "library held to one thread; the parent runs first in odd pairs "
+          "and the change first in even ones. A child builds the scenario "
+          "up to five times (setup_s is the median of those set-ups, "
+          "setup_samples_s each one), then runs it once (run_s) and writes "
+          "its artifacts; cpu_s is the child's user plus system time. A "
+          "summary entry's verdict reads 'gain shown' when the change won "
+          "at least nine tenths of the pairs and the medians differ by more "
+          "than the parent's q3 - q1.")
+
+
+def open_record(path: Path, shas: dict[str, str]) -> dict:
+    """The record at `path` of the commits `shas`, or a new one."""
+    if path.exists():
+        data = json.loads(path.read_text())
+        if {side: data[side]["sha"] for side in shas} != shas:
+            raise ValueError(f"{path} records other commits")
+        return data
+    subject = subprocess.run(
+        ["git", "-C", str(ROOT), "log", "-1", "--format=%s", shas["change"]],
+        capture_output=True, text=True, check=True).stdout.strip()
+    return {"what": subject, **{side: {"sha": sha}
+                                for side, sha in shas.items()},
+            "host": {"python": platform.python_version(),
+                     "numpy": importlib.metadata.version("numpy"),
+                     "cores": os.cpu_count(),
+                     "machine": f"{platform.system()} {platform.machine()}"},
+            "method": METHOD, "summary": [], "runs": []}
+
+
+def add_session(data: dict, session: dict, summaries: list[dict],
+                runs: list[dict]) -> None:
+    """Append one comparison to the record as its next session."""
+    session = {**session, "session": 1 + max(
+        (e["session"] for e in data["summary"]), default=0)}
+    data["summary"] += [{**session, **entry} for entry in summaries]
+    data["runs"] += [{**session, **run} for run in runs]
 
 
 def main() -> int:
@@ -117,12 +193,18 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--metric", choices=("run_s", "setup_s"),
                         default="run_s", help="the timing compared")
+    parser.add_argument("--record", type=Path, metavar="PATH",
+                        help="also write the comparison as JSON to PATH, "
+                             "or add it to the record of the same commits "
+                             "there")
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
 
     config = WORKLOADS[args.workload]["config"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    ordered: list[dict] = []        # every run, in the order it ran
+    shas: dict[str, str] = {}
     mismatched = 0
     with tempfile.TemporaryDirectory(prefix="chainmesh-compare-") as tmp:
         tmp = Path(tmp)
@@ -135,7 +217,14 @@ def main() -> int:
                       file=sys.stderr)
                 return 2
             trees[side] = tmp / side
+            shas[side] = sha
             print(f"{side}: {rev} = {sha}")
+        if args.record is not None:
+            try:
+                data = open_record(args.record, shas)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         print(f"workload {args.workload}, seed {args.seed}, "
               f"{args.pairs} pairs")
         for pair in range(1, args.pairs + 1):
@@ -143,6 +232,9 @@ def main() -> int:
             for side in order:
                 runs[side].append(run_child(trees[side], config, args.seed,
                                             tmp / "out"))
+                ordered.append({"pair": pair, "side": side,
+                                "first": side == order[0],
+                                "result": runs[side][-1]})
             p, c = runs["parent"][-1], runs["change"][-1]
             same = p["digest"] == c["digest"]
             mismatched += not same
@@ -151,8 +243,17 @@ def main() -> int:
                   f"{c[m]:.4g}; cpu_s parent {p['cpu_s']:.4g} change "
                   f"{c['cpu_s']:.4g}"
                   + ("" if same else "; DIGESTS DIFFER"), flush=True)
-    for line in report(runs, args.metric):
+    summaries = [summarize(runs, metric) for metric in (args.metric, "cpu_s")]
+    for line in report(summaries):
         print(line)
+    if args.record is not None:
+        # the record also summarises every other timing and the peak RSS
+        summaries += [summarize(runs, metric) for metric in RECORDED
+                      if metric != args.metric]
+        add_session(data, {"workload": args.workload, "seed": args.seed,
+                           "claimed": args.metric}, summaries, ordered)
+        args.record.write_text(json.dumps(data, indent=1) + "\n")
+        print(f"recorded in {args.record}")
     return 1 if mismatched else 0
 
 
