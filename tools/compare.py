@@ -31,9 +31,9 @@ of `BENCH_14.json`: `what` (the change's commit subject), `parent` and
 quartiles and count of the metric, of CPU time, of the other timings and of
 the peak RSS, with the pairs won, the ratio of medians and the verdict of
 each) and `runs` (every child record, with its pair, side and whether it
-ran first). A record that already exists at PATH, for
-the same two commits, gains this comparison as its next session, so one
-file collects the workloads, seeds and metrics of one change.
+ran first). A record that already exists at PATH, for the same two commits,
+gains this comparison as its next session, so one file collects the
+workloads, seeds and metrics of one change.
 """
 
 from __future__ import annotations
