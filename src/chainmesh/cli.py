@@ -113,14 +113,8 @@ def load_manifest(path: str | Path) -> RunManifest:
 
 def resolve_out_dir(flag_value: str | None,
                     manifest_value: str | None = None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    if manifest_value:
-        return Path(manifest_value)
-    env = os.environ.get(ENV_OUT)
-    if env:
-        return Path(env)
-    return Path(DEFAULT_OUT)
+    return Path(flag_value or manifest_value or os.environ.get(ENV_OUT)
+                or DEFAULT_OUT)
 
 
 def _ensure_writable(out: Path) -> None:

@@ -91,15 +91,11 @@ class StragglerProfile:
     def _rate(self) -> tuple[int, int]:
         return written_ratio(self.fraction)
 
-    def straggler_count(self, size: int | None = None) -> int:
-        """The design rate's share of `size` (default: all), .5 rounding up."""
-        return straggler_count(
-            len(self.probabilities) if size is None else size, self._rate)
-
     def straggler_set(self) -> tuple[int, ...]:
         """Fleet-wide designated stragglers: highest p first, ties by low index."""
-        return tuple(_group_frozen_positions(self.probabilities,
-                                             self.straggler_count()))
+        probs = self.probabilities
+        return tuple(_group_frozen_positions(
+            probs, straggler_count(len(probs), self._rate)))
 
 
 @dataclass(frozen=True)
@@ -120,10 +116,7 @@ class GroupSpec:
 
     @property
     def rows_per_block(self) -> int:
-        k = self.size - len(self.frozen)
-        if k == 0:
-            raise CodingError(f"group {self.index} has no data positions")
-        return -(-self.rows // k) if self.rows else 0
+        return block_rows(self.size, self.rows, len(self.frozen))
 
 
 @dataclass(frozen=True)
@@ -141,18 +134,31 @@ def binary_group_sizes(n: int) -> tuple[int, ...]:
     return tuple(1 << b for b in reversed(range(n.bit_length())) if n >> b & 1)
 
 
-def _apportion_rows(total: int, sizes: Sequence[int], n: int) -> list[int]:
-    # Largest-remainder split of `total` rows proportional to group sizes;
-    # every share has denominator n, so remainders compare as integers.
-    rows, remainders = zip(*(divmod(total * s, n) for s in sizes))
+def group_layout(n: int, total_rows: int,
+                 rate: tuple[int, int]) -> list[tuple[int, int, int]]:
+    """Each group's (size, rows, frozen count): the binary sizes of n, the
+    largest-remainder split of the rows and each size's `straggler_count`.
+    A count below the size always has an absorbable set, the leading
+    positions at worst: in H_2m = [[H_m, H_m], [H_m, -H_m]] the Schur
+    complement of H_m in the leading block L_{m+t}, 0 < t <= m, is -2 L_t,
+    so det L_{m+t} = det H_m (-2)^t det L_t != 0 by induction from L_1 = 1."""
+    sizes = binary_group_sizes(n)
+    # every share has denominator n, so remainders compare as integers; a
+    # stable sort keeps equal remainders in group order
+    rows, remainders = zip(*(divmod(total_rows * s, n) for s in sizes))
     rows = list(rows)
-    short = total - sum(rows)
-    # a stable sort keeps equal remainders in group order
     order = sorted(range(len(sizes)), key=remainders.__getitem__,
                    reverse=True)
-    for i in order[:short]:
+    for i in order[:total_rows - sum(rows)]:
         rows[i] += 1
-    return rows
+    return list(zip(sizes, rows, (straggler_count(s, rate) for s in sizes)))
+
+
+def block_rows(size: int, rows: int, frozen: int) -> int:
+    """Rows per coded block: `rows` over the data positions, rounded up."""
+    if frozen >= size:
+        raise CodingError(f"group of {size} cannot freeze {frozen} positions")
+    return -(-rows // (size - frozen))
 
 
 def _group_frozen_positions(probs: Sequence[float], count: int) -> list[int]:
@@ -214,15 +220,12 @@ def plan_groups(n: int, total_rows: int, profile: StragglerProfile) -> GroupPlan
     """Lay out groups, row slices, and per-group frozen positions for a fleet."""
     if len(profile.probabilities) != n:
         raise CodingError(f"profile covers {len(profile.probabilities)} workers, fleet has {n}")
-    sizes = binary_group_sizes(n)
-    rows = _apportion_rows(total_rows, sizes, n)
     groups, start, row_start = [], 0, 0
-    for gi, (size, r) in enumerate(zip(sizes, rows)):
+    for gi, (size, r, s) in enumerate(group_layout(n, total_rows,
+                                                   profile._rate)):
         members = tuple(range(start, start + size))
         probs = profile.probabilities[start:start + size]
-        s = profile.straggler_count(size)
-        if s >= size:
-            raise CodingError(f"group of {size} cannot freeze {s} positions")
+        block_rows(size, r, s)          # raises without a data position
         frozen = _repair_frozen(size, probs, _group_frozen_positions(probs, s))
         groups.append(GroupSpec(index=gi, size=size, members=members,
                                 rows=r, row_start=row_start, frozen=frozen))
@@ -249,11 +252,9 @@ def expand(matrix: np.ndarray, group: GroupSpec) -> np.ndarray:
     cols = matrix.shape[1]
     blocks = np.zeros((group.size, r, cols), dtype=np.int64)
     data = group.data_positions
-    if r:
-        padded = np.zeros((len(data) * r, cols), dtype=np.int64)
-        padded[:group.rows] = matrix
-        for bi, pos in enumerate(data):
-            blocks[pos] = padded[bi * r:(bi + 1) * r]
+    padded = np.zeros((len(data) * r, cols), dtype=np.int64)
+    padded[:group.rows] = matrix
+    blocks[list(data)] = padded.reshape(len(data), r, cols)
     return blocks
 
 

@@ -36,7 +36,8 @@ from numpy.random import default_rng    # numpy loads it at its first use
 from . import events as ev
 from .balances import (CumulativeState, LedgerBook, Transfers,
                        validate_tip_payloads)
-from .coding import CodingError, plan_groups, straggler_count, written_ratio
+from .coding import (CodingError, block_rows, group_layout, straggler_count,
+                     written_ratio)
 from .config import ScenarioConfig
 from .dag import GENESIS_ID, ChainWeights, DagBlock, DagLedger
 from .doublespend import NO_INJECTIONS, ConflictTracker, plan_injections
@@ -110,6 +111,7 @@ class Simulation:
         self.book = LedgerBook(np.full((cfg.chains, cfg.accounts),
                                        cfg.genesis_balance, dtype=np.int64))
         self._committee_size = cfg.committee_size()
+        self._bounds: dict = {}         # the block draws' bounds, by shape
         self._setup()
 
     # -- construction ------------------------------------------------------
@@ -131,29 +133,28 @@ class Simulation:
         # string; dealt from the index strings in sorted order, by one join
         # and split, they come in sorted order
         tails = sorted(map(str, range(cfg.fleet_size)))
-        # a fleet is drawn only where the planner or an uneven split reads it
+        # a run reads the same of every chain's fleet, but for the ranked
+        # straggler set of an uneven plain split, the one fleet it draws
+        rate = written_ratio(cfg.straggler_fraction)
         base, extra = divmod(cfg.accounts, cfg.fleet_size)
-        silent = straggler_count(cfg.fleet_size,
-                                 written_ratio(cfg.straggler_fraction))
+        if cfg.coding:
+            # the largest block sets the round; no data position, no layout
+            try:
+                rows, silent = max(block_rows(*g) for g in group_layout(
+                    cfg.fleet_size, cfg.accounts, rate)), 0
+            except CodingError:
+                rows, silent = None, 0
+        else:
+            rows = base + (extra > 0)       # the first `extra` hold one more
+            silent = base * straggler_count(cfg.fleet_size, rate)
         for c in range(cfg.chains):
             prefix = f"c{c}n"
-            if cfg.coding or extra:
-                rng = default_rng(derive_seed(cfg.seed, "fleet", c))
+            missing = silent
+            if extra and not cfg.coding:
                 profile = build_fleet(cfg.fleet_size, cfg.straggler_fraction,
-                                      rng)
-            missing = 0
-            if cfg.coding:
-                # the planner freezes the worst predicted responders: those
-                # designated positions are exactly the nodes that go silent
-                try:
-                    plan = plan_groups(cfg.fleet_size, cfg.accounts, profile)
-                    rows = max(g.rows_per_block for g in plan.groups)
-                except CodingError:
-                    rows = None     # no layout absorbs the silent set
-            else:
-                rows = base + (extra > 0)   # the first `extra` hold one more
-                missing = base * silent + (extra and sum(
-                    i < extra for i in profile.straggler_set()))
+                                      default_rng(derive_seed(cfg.seed,
+                                                              "fleet", c)))
+                missing += sum(i < extra for i in profile.straggler_set())
             self.chains[c] = _ChainRuntime(
                 chain=c,
                 honest=c not in adversarial,
@@ -184,9 +185,9 @@ class Simulation:
 
         The round lasts as long as the largest job: no term of it decreases
         as the rows grow. Coded fleets wait for every data position; their
-        silent nodes sit at frozen positions, so the designed reception
-        always decodes. Plain fleets fall back to central recomputation of
-        the silent partitions after the task timeout.
+        silent nodes sit at frozen positions, which change no block size,
+        so the designed reception always decodes. Plain fleets fall back to
+        central recomputation of the silent partitions after the timeout.
         """
         cfg = self.cfg
         if factor <= 0:
@@ -233,12 +234,13 @@ class Simulation:
                 payload = make_valid_block(
                     dest=dest, balances=self.book.net(rt.chain), rng=rng,
                     source=rt.chain, active_rows=cfg.active_rows,
-                    amount_max=cfg.amount_max)
+                    bounds=self._bounds, amount_max=cfg.amount_max)
             else:
                 payload = make_invalid_block(
                     dest=dest, balances=self.book.net(rt.chain),
                     invalid_tx_fraction=cfg.invalid_tx_fraction, rng=rng,
-                    source=rt.chain, active_rows=cfg.active_rows)
+                    source=rt.chain, active_rows=cfg.active_rows,
+                    bounds=self._bounds)
             publish(ev.PROPOSAL_FORMED, epoch, proposer)
 
             if not rt.honest:

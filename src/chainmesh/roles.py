@@ -6,14 +6,13 @@ configured fraction with the highest likelihoods are stragglers that
 silently drop their shard tasks. Adversarial chains pad valid-looking
 transfer blocks with overspending rows. A block is drawn from its chain's
 balances and handed to `Transfers`, which checks it; the draw bounds of
-each block shape are built once per process; the engine draws a fleet
-only where its likelihoods are read. Issuance deals each faction's evenly
+each block shape are built once per run's memo; a fleet is drawn only to
+rank an uneven split's stragglers. Issuance deals each faction's evenly
 spaced slot times, one vector, round-robin over its chains as strides.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 import numpy as np
@@ -50,15 +49,14 @@ OVERSPEND_MARGIN = 1_000_000_000
 _OVERSPEND_DRAWS = 100
 
 
-@functools.lru_cache
 def _draw_bounds(accounts: int, rows: int, n_bad: int,
                  amount_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The low and high bounds of one block's draws, interleaved row by
     row: a receiver in [0, accounts), then an amount, which overspending
     rows (the first n_bad) draw from [0, 100) and the others from
     [1, amount_max]. One `integers` call over them draws the same values,
-    in order, as one call per value. Memoised: a pure function of its
-    arguments, shared by every block of that shape."""
+    in order, as one call per value. A pure function of its arguments,
+    kept in the caller's memo for every block of that shape."""
     low = np.zeros((rows, 2), dtype=np.int64)
     high = np.full((rows, 2), accounts, dtype=np.int64)
     low[n_bad:, 1] = 1
@@ -71,7 +69,7 @@ def _draw_bounds(accounts: int, rows: int, n_bad: int,
 
 def _draw_block(dest: int, balances: np.ndarray, invalid_tx_fraction: float,
                 rng: np.random.Generator, source: int, active_rows: int,
-                amount_max: int) -> Transfers:
+                amount_max: int, bounds: dict) -> Transfers:
     if not 0.0 <= invalid_tx_fraction <= 1.0:
         raise RoleError("invalid_tx_fraction must be within [0, 1]")
     balances = np.asarray(balances, dtype=np.int64)
@@ -81,7 +79,10 @@ def _draw_block(dest: int, balances: np.ndarray, invalid_tx_fraction: float,
     senders = rng.choice(funded, size=rows, replace=False)
     senders.sort()                      # distinct and increasing
     n_bad = int(invalid_tx_fraction * rows)             # floor
-    draws = rng.integers(*_draw_bounds(m, rows, n_bad, amount_max))
+    key = (m, rows, n_bad, amount_max)
+    if key not in bounds:
+        bounds[key] = _draw_bounds(*key)
+    draws = rng.integers(*bounds[key])
     held = balances[senders]
     # funded balances and honest draws are at least 1; bad rows follow
     amounts = np.minimum(held, draws[:, 1])
@@ -102,26 +103,28 @@ def _draw_block(dest: int, balances: np.ndarray, invalid_tx_fraction: float,
 
 def make_invalid_block(dest: int, balances: np.ndarray,
                        invalid_tx_fraction: float, rng: np.random.Generator,
-                       source: int, active_rows: int) -> Transfers:
+                       source: int, active_rows: int,
+                       bounds: dict) -> Transfers:
     """Build a transfer block mixing valid rows with overspending ones.
 
     Rows are drawn from accounts that currently hold funds, each at most
     once, and listed in increasing account order. A
     floor(invalid_tx_fraction * active) subset spends more than its account
     holds; the rest spend within balance. With fraction 1.0 every populated
-    row overspends.
+    row overspends. `bounds` keeps the draw bounds of each block shape.
     """
     return _draw_block(dest, balances, invalid_tx_fraction, rng, source,
-                       active_rows, amount_max=10)
+                       active_rows, 10, bounds)
 
 
 def make_valid_block(dest: int, balances: np.ndarray,
                      rng: np.random.Generator, source: int,
-                     active_rows: int, amount_max: int = 10) -> Transfers:
+                     active_rows: int, bounds: dict,
+                     amount_max: int = 10) -> Transfers:
     """Build an honest transfer block: every populated row spends in
-    budget. Rows are as in `make_invalid_block`."""
+    budget. Rows and `bounds` are as in `make_invalid_block`."""
     return _draw_block(dest, balances, 0.0, rng, source, active_rows,
-                       amount_max)
+                       amount_max, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -612,7 +612,7 @@ def test_summed_spend_beyond_int64_raises_a_named_overflow_error():
     with pytest.raises(bal.LedgerOverflowError):
         make_invalid_block(1, np.array([bal.INT64_MAX - 10**9]), 1.0,
                            np.random.default_rng(0), source=0,
-                           active_rows=1)
+                           active_rows=1, bounds={})
     # amounts at the top of int64 are judged exactly
     top = bal.Transfers(source=0, dest=1, senders=[0, 1],
                         receivers=[0, 0], amounts=[bal.INT64_MAX, 5])

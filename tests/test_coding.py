@@ -116,15 +116,18 @@ def test_frozen_set_repaired_when_top_probability_set_is_unusable():
 
 
 def test_straggler_count_rounds_half_up():
-    profile = coding.StragglerProfile.from_probabilities([0.2] * 2, fraction=0.25)
-    assert profile.straggler_count(2) == 1     # 0.5 rounds up
-    assert profile.straggler_count(4) == 1
-    assert profile.straggler_count(8) == 2
+    quarter = coding.written_ratio(0.25)
+    assert coding.straggler_count(2, quarter) == 1     # 0.5 rounds up
+    assert coding.straggler_count(4, quarter) == 1
+    assert coding.straggler_count(8, quarter) == 2
     # the rate as written: 0.35 * 90 and 0.29 * 50 are exact halves that
     # binary floats put below .5
     for rate, size, count in ((0.3, 5, 2), (0.35, 90, 32), (0.29, 50, 15)):
-        profile = coding.StragglerProfile.from_probabilities([0.2], rate)
-        assert profile.straggler_count(size) == count
+        assert coding.straggler_count(size, coding.written_ratio(rate)) \
+            == count
+        profile = coding.StragglerProfile.from_probabilities([0.2] * size,
+                                                             rate)
+        assert len(profile.straggler_set()) == count
 
 
 @pytest.mark.parametrize("probs", [[0.2, math.nan], [math.nan, -1.0],
@@ -152,7 +155,7 @@ def test_the_written_ratio_equals_the_fraction_of_the_written_float():
 def test_straggler_set_takes_highest_probabilities_ties_to_lower_index():
     profile = coding.StragglerProfile.from_probabilities(
         [0.5, 0.9, 0.5, 0.5, 0.1], fraction=0.5)
-    assert profile.straggler_count() == 3          # 2.5 rounds up
+    assert len(profile.straggler_set()) == 3       # 2.5 rounds up
     assert profile.straggler_set() == (0, 1, 2)
 
 
@@ -622,10 +625,9 @@ def repair_cases():
             for seed in range(40):
                 rng = random.Random(seed)
                 probs = [rng.random() for _ in range(size)]
-                profile = coding.StragglerProfile.from_probabilities(probs,
-                                                                     rate)
                 yield size, probs, coding._group_frozen_positions(
-                    probs, profile.straggler_count(size))
+                    probs, coding.straggler_count(size,
+                                                  coding.written_ratio(rate)))
     for chain in sorted(PAPER_FROZEN_SEED6):
         probs = paper_profile(chain, seed=6).probabilities[:64]
         yield 64, probs, coding._group_frozen_positions(probs, 6)
@@ -708,6 +710,43 @@ def test_the_leading_positions_are_absorbable_in_groups_up_to_128():
     # so the fallback's CodingError cannot be raised in such a group
     for s in range(1, 129):
         assert coding._pins_lost(range(s), range(s)), s
+
+
+def test_the_leading_minors_follow_the_schur_recurrence():
+    # det L_{m+t} = det H_m * (-2)^t * det L_t for 0 < t <= m, exactly.
+    # Forward Bareiss takes pivot k, det L_k, from row k unless a zero
+    # pivot made it swap rows, which would show as an entry above the
+    # diagonal of the eliminated identity block
+    n = 128
+    rows = coding._frozen_by_lost(range(n), range(n), augment=True)
+    rank, last = coding._bareiss(rows, n)
+    assert rank == n
+    assert not any(rows[k][n + j] for k in range(n) for j in range(k + 1, n))
+    det = {k: rows[k - 1][k - 1] for k in range(1, n + 1)}
+    assert det[n] == last and all(det.values())
+    for m in (1, 2, 4, 8, 16, 32, 64):
+        for t in range(1, m + 1):
+            assert det[m + t] == det[m] * (-2) ** t * det[t], (m, t)
+
+
+def test_every_leading_minor_up_to_512_is_nonzero_mod_a_prime():
+    # elimination without pivoting: pivot k is det L_k / det L_{k-1} mod p,
+    # so no zero pivot certifies every leading minor nonzero over Q
+    p = 2 ** 31 - 1                     # a prime: products fit int64
+    n = 512
+    idx = np.arange(n)
+    popcount = np.zeros((n, n), dtype=np.int64)
+    both = idx[:, None] & idx[None, :]
+    while both.any():
+        popcount += both & 1
+        both >>= 1
+    a = np.where(popcount & 1, p - 1, 1).astype(np.int64)
+    for k in range(n):
+        pivot = int(a[k, k])
+        assert pivot, k + 1
+        factors = a[k + 1:, k] * pow(pivot, -1, p) % p
+        a[k + 1:, k:] = (a[k + 1:, k:]
+                         - factors[:, None] * a[k, k:][None, :] % p) % p
 
 
 # ---------------------------------------------------------------------------

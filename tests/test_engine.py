@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainmesh import engine
+from chainmesh import coding, engine
 from chainmesh import events as ev
 from chainmesh.balances import (FlowAggregates, LedgerBook,
                                 LedgerOverflowError, net_balances, new_state,
                                 update_cumulative)
-from chainmesh.coding import plan_groups
+from chainmesh.coding import CodingError, plan_groups
 from chainmesh.config import ScenarioConfig, replace
 from chainmesh.engine import Simulation, run_scenario
 from chainmesh.dag import DagLedger
@@ -445,9 +445,11 @@ def test_plain_shard_rows_on_an_even_split_count_every_silent_worker():
 @pytest.mark.parametrize("overrides,drawn", [
     ({"coding": False}, False),                         # 100 rows over 20
     ({"fleet_size": 100, "accounts": 1000, "coding": False}, False),
-    ({"coding": True}, True),                           # the planner reads it
+    ({"coding": True}, False),                          # the layout alone
     ({"fleet_size": 7, "accounts": 100, "coding": False,
       "straggler_fraction": 0.3}, True),                # ranked stragglers
+    ({"fleet_size": 7, "accounts": 100, "coding": True,
+      "straggler_fraction": 0.3}, False),
 ])
 def test_a_fleet_is_drawn_only_where_its_likelihoods_are_read(
         monkeypatch, overrides, drawn):
@@ -460,6 +462,54 @@ def test_a_fleet_is_drawn_only_where_its_likelihoods_are_read(
     monkeypatch.setattr(engine, "build_fleet", counted)
     sim = Simulation(quick(**overrides))
     assert len(calls) == (sim.cfg.chains if drawn else 0)
+
+
+def test_a_coded_run_never_plans_its_groups(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a run planned its frozen sets")
+
+    for name in ("plan_groups", "_repair_frozen"):
+        monkeypatch.setattr(coding, name, refuse)
+    monkeypatch.setattr(engine, "plan_groups", refuse, raising=False)
+    res = run_scenario(quick(coding=True, straggler_fraction=0.3), "coded")
+    assert res.report.intra_blocks_per_min > 0
+
+
+def layout_cases():
+    """(fleet, accounts, rate) of a seeded grid: every account count at
+    fleets 1 to 40, 64, 100 and 128 and rates 0 to 1, stalls among them."""
+    rng = np.random.default_rng(28)
+    rates = (0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9, 1.0)
+    for accounts in (1, 7, 100, 1000):
+        for fleet in (1, 2, 3, 5, 20, 21, 37, 64, 100, 128):
+            yield fleet, accounts, float(rng.choice(rates))
+        for _ in range(12):
+            yield int(rng.integers(1, 41)), accounts, float(rng.choice(rates))
+
+
+def test_the_coded_layout_equals_the_planners():
+    # the planner on a drawn profile is the oracle of the engine's rows
+    stalls = 0
+    for seed, (fleet, accounts, rate) in enumerate(layout_cases()):
+        cfg = quick(chains=2, fleet_size=fleet, accounts=accounts,
+                    straggler_fraction=rate, coding=True, seed=seed)
+        sim = Simulation(cfg)
+        profile = build_fleet(fleet, rate, np.random.default_rng(
+            engine.derive_seed(seed, "fleet", 0)))
+        try:
+            groups = plan_groups(fleet, accounts, profile).groups
+        except CodingError:
+            want = None
+            stalls += 1
+        else:
+            want = max(g.rows_per_block for g in groups)
+            for g in groups:
+                assert g.rows_per_block == math.ceil(
+                    g.rows / len(g.data_positions))
+        for rt in sim.chains.values():
+            assert rt.worker_rows == want, (fleet, accounts, rate)
+            assert rt.missing_rows == 0
+    assert stalls
 
 
 LAZY_IMPORT_PROBE = """

@@ -1,10 +1,13 @@
 """Fleet construction, straggler silence, adversarial blocks, issuance."""
 
+import importlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainmesh
 from chainmesh.balances import (INT64_MAX, LedgerError, LedgerOverflowError,
                                Transfers)
 from chainmesh.roles import (OVERSPEND_MARGIN, RoleError, _draw_block,
@@ -86,7 +89,7 @@ class TestMakeInvalidBlock:
         balances = np.full(20, 50, dtype=np.int64)
         tm = make_invalid_block(dest=1, balances=balances,
                                 invalid_tx_fraction=1.0, rng=rng(2),
-                                source=0, active_rows=8)
+                                source=0, active_rows=8, bounds={})
         assert active_row_count(tm, 20) == 8
         assert len(overspending_rows(tm, balances)) == 8
 
@@ -94,7 +97,7 @@ class TestMakeInvalidBlock:
         balances = np.full(30, 50, dtype=np.int64)
         tm = make_invalid_block(dest=2, balances=balances,
                                 invalid_tx_fraction=0.5, rng=rng(5),
-                                source=0, active_rows=10)
+                                source=0, active_rows=10, bounds={})
         assert active_row_count(tm, 30) == 10
         assert len(overspending_rows(tm, balances)) == 5
 
@@ -102,7 +105,7 @@ class TestMakeInvalidBlock:
         balances = np.full(10, 50, dtype=np.int64)
         tm = make_invalid_block(dest=1, balances=balances,
                                 invalid_tx_fraction=0.0, rng=rng(0),
-                                source=0, active_rows=6)
+                                source=0, active_rows=6, bounds={})
         assert overspending_rows(tm, balances) == set()
 
     def test_rows_limited_to_funded_accounts(self):
@@ -110,7 +113,7 @@ class TestMakeInvalidBlock:
         balances[[2, 5]] = 7
         tm = make_invalid_block(dest=1, balances=balances,
                                 invalid_tx_fraction=1.0, rng=rng(0),
-                                source=0, active_rows=5)
+                                source=0, active_rows=5, bounds={})
         spent = dense(tm, 10).sum(axis=1)
         assert set(np.nonzero(spent)[0]) <= {2, 5}
 
@@ -120,30 +123,33 @@ class TestMakeInvalidBlock:
             make_invalid_block(dest=0,
                                balances=np.ones(4, dtype=np.int64),
                                invalid_tx_fraction=0.5, rng=rng(), source=0,
-                               active_rows=2)
+                               active_rows=2, bounds={})
 
 
 class TestMakeValidBlock:
     def test_every_row_within_budget(self):
         balances = np.arange(1, 21, dtype=np.int64)
         tm = make_valid_block(dest=1, balances=balances, rng=rng(4),
-                              source=0, active_rows=12)
+                              source=0, active_rows=12, bounds={})
         spent = dense(tm, 20).sum(axis=1)
         assert np.all(spent <= balances)
         assert active_row_count(tm, 20) == 12
 
     def test_deterministic_under_same_rng_seed(self):
         balances = np.full(15, 9, dtype=np.int64)
-        a = make_valid_block(1, balances, rng(9), source=0, active_rows=5)
-        b = make_valid_block(1, balances, rng(9), source=0, active_rows=5)
+        a = make_valid_block(1, balances, rng(9), source=0, active_rows=5,
+                             bounds={})
+        b = make_valid_block(1, balances, rng(9), source=0, active_rows=5,
+                             bounds={})
         assert np.array_equal(dense(a, 15), dense(b, 15))
 
     def test_same_draw_as_an_invalid_block_with_fraction_zero(self):
         balances = np.array([0, 3, 50, 7, 0, 12, 1, 40, 9, 2], dtype=np.int64)
         a = make_valid_block(1, balances, rng(11), source=0,
-                             active_rows=6, amount_max=10)
+                             active_rows=6, amount_max=10, bounds={})
         b = make_invalid_block(1, balances, invalid_tx_fraction=0.0,
-                               rng=rng(11), source=0, active_rows=6)
+                               rng=rng(11), source=0, active_rows=6,
+                               bounds={})
         for field in ("senders", "receivers", "amounts"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert len(a.senders) == 6
@@ -184,7 +190,7 @@ class TestDrawBlockOracle:
             balances[setup.random(accounts) < 0.2] = 0      # some unfunded
             a, b = rng(seed), rng(seed)
             got = _draw_block(1, balances, fraction, a, 0, rows,
-                              amount_max)
+                              amount_max, {})
             want = per_row_draw(1, balances, fraction, b, 0, rows,
                                 amount_max)
             for field in ("senders", "receivers", "amounts"):
@@ -198,34 +204,40 @@ class TestDrawBlockOracle:
                 range(40), (0.0, 0.5, 1.0), (1, 4, 10, 60)):
             setup = np.random.default_rng([seed, rows])
             balances = setup.integers(0, 5, size=50)
-            tm = _draw_block(1, balances, fraction, rng(seed), 0, rows, 10)
+            tm = _draw_block(1, balances, fraction, rng(seed), 0, rows,
+                             10, {})
             assert (np.diff(tm.senders) > 0).all(), (seed, fraction, rows)
 
     def test_a_shared_bounds_memo_draws_the_same_blocks(self):
-        # one memo serves every block of the process, whatever its shape
-        _draw_bounds.cache_clear()
+        # one memo serves every block of a run, whatever its shape; no src
+        # module keeps one of its own, which would outlive the run
+        for path in sorted(Path(chainmesh.__file__).parent.glob("*.py")):
+            module = importlib.import_module(f"chainmesh.{path.stem}")
+            assert not [name for name, value in vars(module).items()
+                        if hasattr(value, "cache_clear")], module.__name__
+        bounds = {}
         cases = list(itertools.product(range(6), (0.0, 0.5), (0, 3, 10),
                                        (1, 10)))
         for seed, fraction, rows, amount_max in cases:
             balances = np.random.default_rng(seed).integers(0, 9, size=20)
             a, b = rng(seed), rng(seed)
-            got = _draw_block(1, balances, fraction, a, 0, rows, amount_max)
+            got = _draw_block(1, balances, fraction, a, 0, rows, amount_max,
+                              bounds)
             want = per_row_draw(1, balances, fraction, b, 0, rows,
                                 amount_max)
             for field in ("senders", "receivers", "amounts"):
                 assert np.array_equal(getattr(got, field),
                                       getattr(want, field)), field
             assert a.integers(0, 2**62) == b.integers(0, 2**62)
-        memo = _draw_bounds.cache_info()
-        assert memo.hits and memo.currsize < len(cases)
-        for _, fraction, rows, amount_max in cases:
-            for arr in _draw_bounds(20, rows, int(fraction * rows),
-                                    amount_max):
-                assert not arr.flags.writeable
+        assert len(bounds) < len(cases)         # shapes met again reuse it
+        for key, (low, high) in bounds.items():
+            assert all(np.array_equal(x, y)
+                       for x, y in zip((low, high), _draw_bounds(*key)))
+            assert not low.flags.writeable and not high.flags.writeable
 
     def test_arrays_are_read_only_int64(self):
         tm = make_valid_block(1, np.full(9, 5), rng(1), source=0,
-                              active_rows=4)
+                              active_rows=4, bounds={})
         for arr in (tm.senders, tm.receivers, tm.amounts):
             assert arr.dtype == np.int64 and not arr.flags.writeable
 
@@ -267,7 +279,7 @@ class TestDrawBlockTwoPassOracle:
             balances[setup.choice(50, size=funded, replace=False)] = \
                 setup.integers(1, 30, size=funded)
             a, b = rng(seed), rng(seed)
-            got = _draw_block(1, balances, fraction, a, 0, 10, 10)
+            got = _draw_block(1, balances, fraction, a, 0, 10, 10, {})
             want = two_pass_draw(1, balances, fraction, b, 0, 10, 10)
             for field in ("senders", "receivers", "amounts"):
                 assert np.array_equal(getattr(got, field),
@@ -281,13 +293,13 @@ class TestDrawBlockTwoPassOracle:
         near = np.full(4, self.NEAR, dtype=np.int64)
         for seed in range(20):
             with pytest.raises(LedgerOverflowError):
-                _draw_block(1, near, 0.5, rng(seed), 0, 4, 10)
+                _draw_block(1, near, 0.5, rng(seed), 0, 4, 10, {})
 
     def test_honest_block_near_the_int64_limit_is_drawn(self):
         near = np.full(4, self.NEAR, dtype=np.int64)
         for seed in range(20):
             tm = make_valid_block(1, near, rng(seed), source=0,
-                                  active_rows=4)
+                                  active_rows=4, bounds={})
             assert 1 <= tm.amounts.min() and tm.amounts.max() <= 10
 
 
@@ -296,12 +308,14 @@ class TestOverspendOverflow:
         balances = np.array([INT64_MAX - 1_000_000_000, 5], dtype=np.int64)
         with pytest.raises(LedgerOverflowError):
             make_invalid_block(1, balances, invalid_tx_fraction=1.0,
-                               rng=rng(0), source=0, active_rows=2)
+                               rng=rng(0), source=0, active_rows=2,
+                               bounds={})
 
     def test_overspend_that_reaches_int64_max_exactly_is_drawn(self):
         top = INT64_MAX - 1_000_000_000 - 99
         tm = make_invalid_block(1, np.array([top]), invalid_tx_fraction=1.0,
-                                rng=rng(0), source=0, active_rows=1)
+                                rng=rng(0), source=0, active_rows=1,
+                                bounds={})
         assert top + 1_000_000_000 <= int(tm.amounts[0]) <= INT64_MAX
 
 

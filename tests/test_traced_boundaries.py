@@ -37,6 +37,8 @@ UNBOUND = {
     "events.drain": "the epoch generator fixes the stage order, so pools "
                     "keep no per-epoch state to close",
     "balances.validate_block": "LedgerBook.debit is the proposal's one check",
+    "coding.plan_groups": "a run reads only the coded group layout, the "
+                          "same on every chain; the planner is its oracle",
 }
 
 

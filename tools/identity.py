@@ -10,8 +10,13 @@ corpus:
   own `chainmesh preset` command;
 - every `PINS` config of `tests/test_paper_scale_digests.py` at seeds 0
   and 3;
-- `paper-coded-1m` at seed 6, whose group planner reaches its pair swaps;
+- `paper-coded-1m` at seed 6, whose fleets the group planner freezes by
+  pair swaps;
 - 160 chains at 8 minutes;
+- coded runs of 1 minute at fleet 1000 and `straggler_fraction` 0.3,
+  where each of ten chains freezes 154 positions of a 512-group, and of two
+  stalls, where a group cannot freeze its stragglers: fleet 1 at 0.5 and
+  fleet 20 at 1.0;
 - the 100 seeded fuzz configs of `tests/fuzz_configs.py`, its int64 edges
   and its int-valued fractions, at and near each field's bounds: one
   account, blocks with no rows, spam share 1.0, named overflows and configs
@@ -55,6 +60,13 @@ PIN_SEEDS = (0, 3)
 EXTRA_RUNS = (
     ("paper-coded-1m", "paper-coded-1m", 6),
     ("chains160-8m", {"chains": 160, "duration_min": 8.0}, 0),
+    ("coded-fleet1000-r30-1m", {"fleet_size": 1000, "coding": True,
+                                "straggler_fraction": 0.3,
+                                "duration_min": 1.0}, 0),
+    ("coded-fleet1-r50-stall", {"fleet_size": 1, "coding": True,
+                                "straggler_fraction": 0.5}, 0),
+    ("coded-fleet20-r100-stall", {"fleet_size": 20, "coding": True,
+                                  "straggler_fraction": 1.0}, 0),
 )
 
 
