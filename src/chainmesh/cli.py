@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .config import (ConfigError, ScenarioConfig, config_from_mapping,
-                     load_config, replace)
+                     known_fields, load_config, read_json, replace)
 from .engine import run_scenario
 from .presets import DEFAULT_SEEDS, build_preset, preset_names
 
@@ -65,28 +65,16 @@ def _scenario(label: str, cfg: ScenarioConfig,
 
 def load_manifest(path: str | Path) -> RunManifest:
     """Parse and validate a batch manifest document."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(raw, Mapping):
-        raise ConfigError("manifest must be a JSON object")
-    unknown = set(raw) - {"scenarios", "out_dir"}
-    if unknown:
-        raise ConfigError(f"unknown manifest fields: {sorted(unknown)}")
+    raw = known_fields(read_json(path, "manifest"), {"scenarios", "out_dir"},
+                       "manifest")
     entries = raw.get("scenarios")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("manifest needs a non-empty 'scenarios' list")
     scenarios = []
     labels: set[str] = set()
     for i, entry in enumerate(entries):
-        if not isinstance(entry, Mapping):
-            raise ConfigError(f"scenario #{i} must be an object")
-        bad = set(entry) - {"label", "seeds", "config"}
-        if bad:
-            raise ConfigError(f"scenario #{i}: unknown fields {sorted(bad)}")
+        entry = known_fields(entry, {"label", "seeds", "config"},
+                             f"scenario #{i}")
         label = entry.get("label")
         if not isinstance(label, str) or not label or "/" in label \
                 or label.startswith("."):
@@ -169,13 +157,10 @@ def run_batch(scenarios: Sequence[ManifestScenario], out: Path,
     for scen in scenarios:
         reports = []
         error: str | None = None
-        if scen.error is not None:
+        if scen.error is not None:      # it has no seeds to run
+            error = f"validation: {scen.error}"
             worst = max(worst, EXIT_VALIDATION)
-            print(f"error: {scen.label}: validation: {scen.error}",
-                  file=sys.stderr)
-            summary[scen.label] = {"runs": 0, "status": "failed",
-                                   "error": f"validation: {scen.error}"}
-            continue
+            print(f"error: {scen.label}: {error}", file=sys.stderr)
         for seed in scen.seeds:
             # `_scenario` validated every seed, so a run fails only at run time
             try:
@@ -220,34 +205,21 @@ def run_batch(scenarios: Sequence[ManifestScenario], out: Path,
 # -- verbs ------------------------------------------------------------------
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        manifest = load_manifest(args.manifest)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    manifest = load_manifest(args.manifest)
     out = resolve_out_dir(args.out, manifest.out_dir)
     return run_batch(manifest.scenarios, out, quiet=args.quiet)
 
 
 def cmd_preset(args: argparse.Namespace) -> int:
     seeds = args.seeds or list(DEFAULT_SEEDS)
-    try:
-        scenarios = [_scenario(label, cfg, seeds) for label, cfg in
-                     build_preset(args.name, args.paper_scale).items()]
-    except (KeyError, ConfigError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_VALIDATION
+    scenarios = [_scenario(label, cfg, seeds) for label, cfg in
+                 build_preset(args.name, args.paper_scale).items()]
     out = resolve_out_dir(args.out) / args.name
     return run_batch(scenarios, out, quiet=args.quiet)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    cfg = load_config(args.config)
     print(f"ok: {args.config}")
     print(f"  chains={cfg.chains} fleet={cfg.fleet_size} "
           f"accounts={cfg.accounts} tip_sample={cfg.tip_sample}")
@@ -291,7 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:          # every verb's one validation exit
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

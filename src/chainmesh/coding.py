@@ -210,10 +210,8 @@ def _repair_frozen(size: int, probs: Sequence[float],
             trial = tuple(sorted(inside - {i1, i2} | {o1, o2}))
             if _pins_lost(trial, trial):
                 return trial
-    fallback = tuple(range(s))
-    if not _pins_lost(fallback, fallback):
-        raise CodingError(f"no absorbable straggler set of size {s} in group of {size}")
-    return fallback
+    # absorbable: `group_layout` proves every leading minor nonzero
+    return tuple(range(s))
 
 
 def plan_groups(n: int, total_rows: int, profile: StragglerProfile) -> GroupPlan:

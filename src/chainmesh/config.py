@@ -114,6 +114,9 @@ _BOUNDS = (
     (("chains",), lambda v: v >= 2, "at least 2"),
     (("fleet_size", "accounts", "tip_sample", "amount_max"),
      lambda v: v >= 1, "at least 1"),
+    # a count past sys.maxsize sizes no array and bounds no range
+    (("chains", "fleet_size", "accounts", "tip_sample"),
+     lambda v: v <= sys.maxsize, "at most sys.maxsize"),
     (("genesis_balance", "active_rows", "seed"),
      lambda v: v >= 0, "non-negative"),
     # balances are int64, and an honest amount is drawn below amount_max + 1
@@ -168,50 +171,45 @@ def _check(cfg: ScenarioConfig) -> None:
                           "injection window")
 
 
-def _known(data: Mapping, names: set[str], prefix: str = "") -> Mapping:
-    """`data`, once no key of it falls outside `names`."""
-    unknown = sorted(set(data) - names)
+def known_fields(data: object, names: set[str], what: str,
+                 prefix: str = "") -> Mapping:
+    """`data`, once it is a JSON object with no key outside `names`; `what`
+    names it in errors, and `prefix` qualifies its keys."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(map(str, set(data) - names))
     if unknown:
-        raise ConfigError(f"unknown configuration field "
-                          f"{prefix + unknown[0]!r}")
+        raise ConfigError(f"unknown {what} field {prefix + unknown[0]!r}")
     return data
 
 
-def _plan(ds: Mapping) -> DoubleSpendPlan:
-    return DoubleSpendPlan(**_known(ds, _DS_FIELDS, "double_spend."))
-
-
-def config_from_mapping(data: Mapping[str, Any]) -> ScenarioConfig:
-    """Build a validated config; unknown fields are rejected by name."""
-    if not isinstance(data, Mapping):
-        raise ConfigError("configuration must be a JSON object")
-    kwargs = dict(_known(data, _FIELD_NAMES))
-    if "double_spend" in kwargs:
-        if not isinstance(kwargs["double_spend"], Mapping):
-            raise ConfigError("double_spend must be an object")
-        kwargs["double_spend"] = _plan(kwargs["double_spend"])
+def read_json(path: str | Path, what: str) -> Any:
+    """The JSON document in the UTF-8 file at `path`; `what` names it in
+    errors."""
     try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def load_config(path: str | Path) -> ScenarioConfig:
-    """Load and validate a JSON scenario file."""
-    try:
-        text = Path(path).read_text()
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read configuration: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON: {exc}") from None
-    return config_from_mapping(data)
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def replace(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
     """Validated copy-with-changes; unknown fields are rejected by name."""
-    _known(changes, _FIELD_NAMES)
+    known_fields(changes, _FIELD_NAMES, "configuration")
     if isinstance(changes.get("double_spend"), Mapping):
-        changes["double_spend"] = _plan(changes["double_spend"])
+        changes["double_spend"] = DoubleSpendPlan(**known_fields(
+            changes["double_spend"], _DS_FIELDS, "configuration",
+            "double_spend."))
     return dataclasses.replace(cfg, **changes)
+
+
+def config_from_mapping(data: object) -> ScenarioConfig:
+    """Build a validated config; unknown fields are rejected by name."""
+    return replace(ScenarioConfig(),
+                   **known_fields(data, _FIELD_NAMES, "configuration"))
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    """Load and validate a JSON scenario file."""
+    return config_from_mapping(read_json(path, "configuration"))

@@ -56,10 +56,12 @@ def test_manifest_defaults_seeds_to_config_seed(tmp_path):
     json.dumps({"scenarios": [{"label": "a"}], "out_dir": 7}),
     # its directory would take the place of the batch summary file
     json.dumps({"scenarios": [{"label": "summary.json"}]}),
+    # not UTF-8: once a bare UnicodeDecodeError
+    b'\xff\xfe{"scenarios": [{"label": "a"}]}',
 ])
 def test_malformed_manifests_are_rejected(tmp_path, doc):
     p = tmp_path / "m.json"
-    p.write_text(doc)
+    p.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     with pytest.raises(ConfigError):
         load_manifest(p)
 
@@ -160,6 +162,10 @@ def test_validate_rejects_a_mistyped_value(tmp_path, capsys):
 def test_run_rejects_missing_manifest(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == EXIT_VALIDATION
     assert "error" in capsys.readouterr().err
+    p = tmp_path / "m.json"
+    p.write_bytes(b"\xff\xfe{}")
+    assert main(["run", str(p)]) == EXIT_VALIDATION
+    assert f"manifest {p} is not valid JSON" in capsys.readouterr().err
 
 
 def test_unwritable_out_dir_fails_before_any_run(tmp_path, capsys):
@@ -254,6 +260,10 @@ def test_validate_rejects_bad_values_and_missing_files(tmp_path, capsys):
     assert "vote_timeout_ms" in capsys.readouterr().err
     assert main(["validate", str(tmp_path / "absent.json")]) == \
         EXIT_VALIDATION
+    p.write_bytes(b"\xff\xfe{}")         # not UTF-8
+    assert main(["validate", str(p)]) == EXIT_VALIDATION
+    assert f"configuration {p} is not valid JSON" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field,value", [("genesis_balance", 2**63),

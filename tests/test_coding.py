@@ -702,14 +702,9 @@ def test_a_self_orthogonal_set_falls_back_to_the_leading_positions(
 
     monkeypatch.setattr(coding, "_bareiss", counted)
     assert coding._repair_frozen(64, [0.5] * 64, frozen) == tuple(range(8))
-    # the original set's rank, then the fallback's check: no swap is tried
-    assert eliminations == 2
-
-
-def test_the_leading_positions_are_absorbable_in_groups_up_to_128():
-    # so the fallback's CodingError cannot be raised in such a group
-    for s in range(1, 129):
-        assert coding._pins_lost(range(s), range(s)), s
+    # the original set's rank only: no swap is tried, and the fallback,
+    # absorbable by the leading minors below, is not checked again
+    assert eliminations == 1
 
 
 def test_the_leading_minors_follow_the_schur_recurrence():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -67,9 +68,11 @@ class TestLoadConfig:
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{nope")
-        with pytest.raises(ConfigError, match="JSON"):
-            load_config(path)
+        # not UTF-8: once a bare UnicodeDecodeError
+        for data in (b"{nope", b'\xff\xfe{"chains": 3}'):
+            path.write_bytes(data)
+            with pytest.raises(ConfigError, match="JSON"):
+                load_config(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -95,6 +98,12 @@ class TestValidation:
         ("seed", -1),
         ("genesis_balance", 2**63),     # once crashed the run's np.full
         ("amount_max", 2**63 - 1),      # once crashed its draw bounds
+        # once a bare OverflowError or ValueError from set-up's np.full
+        ("chains", 10**19),
+        ("accounts", 10**19),
+        # once a set-up and a first epoch that never finished
+        ("fleet_size", sys.maxsize + 1),
+        ("tip_sample", sys.maxsize + 1),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -107,6 +116,12 @@ class TestValidation:
                                    "amount_max": 2**63 - 2})
         assert (cfg.genesis_balance, cfg.amount_max) == (2**63 - 1,
                                                          2**63 - 2)
+
+    def test_the_largest_indexable_counts_validate(self):
+        # validation only: a run of this size cannot be held
+        for name in ("chains", "fleet_size", "accounts", "tip_sample"):
+            assert getattr(config_from_mapping({name: sys.maxsize}),
+                           name) == sys.maxsize
 
     def test_negative_double_spend_rejected(self):
         with pytest.raises(ConfigError, match="double_spend"):

@@ -10,13 +10,14 @@ corpus:
   own `chainmesh preset` command;
 - every `PINS` config of `tests/test_paper_scale_digests.py` at seeds 0
   and 3;
-- `paper-coded-1m` at seed 6, whose fleets the group planner freezes by
-  pair swaps;
+- `paper-coded-1m` at seed 6, a second seed of the paper-scale coded run:
+  a run draws no coded fleet, so its group layout is seed 0's, and only
+  its issuance, committee and transfer draws differ;
 - 160 chains at 8 minutes;
 - coded runs of 1 minute at fleet 1000 and `straggler_fraction` 0.3,
-  where each of ten chains freezes 154 positions of a 512-group, and of two
-  stalls, where a group cannot freeze its stragglers: fleet 1 at 0.5 and
-  fleet 20 at 1.0;
+  whose 512-group has 154 frozen positions in the layout every chain reads,
+  and of two stalls, where a group has no data position, so no chain has a
+  layout: fleet 1 at 0.5 and fleet 20 at 1.0;
 - the 100 seeded fuzz configs of `tests/fuzz_configs.py`, its int64 edges
   and its int-valued fractions, at and near each field's bounds: one
   account, blocks with no rows, spam share 1.0, named overflows and configs
