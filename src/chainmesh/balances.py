@@ -53,16 +53,26 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _as_amounts(values, ndim: int) -> np.ndarray:
-    """A read-only, non-negative int64 copy of `values`, of `ndim`
-    dimensions, whatever `values` is and however it is flagged."""
+    """A read-only, non-negative int64 copy of the integers `values`, of
+    `ndim` dimensions, however it is flagged. Anything else with an entry
+    raises LedgerError, and an int past int64 LedgerOverflowError."""
     try:
-        arr = np.array(values, dtype=np.int64)
-    except OverflowError as exc:
-        raise LedgerOverflowError("amount or account index exceeds int64") from exc
+        arr = np.array(values)
+    except ValueError as exc:
+        raise LedgerError(f"amounts must form a regular array: {exc}") from exc
+    if not arr.size:                # no entry, whatever its dtype
+        arr = arr.astype(np.int64)
+    kind = arr.dtype.kind
+    # numpy holds an int past int64 as uint64 or as a Python int object
+    if not (kind in "iu" or kind == "O" and set(map(type, arr.flat)) <= {int}):
+        raise LedgerError(f"amounts must be integers, not {arr.dtype}")
     if arr.ndim != ndim:
         raise LedgerError(f"expected a {ndim}-D int64 array, got shape {arr.shape}")
     if arr.min(initial=0) < 0:
         raise LedgerError("amounts and account indices must be non-negative")
+    if kind != "i" and arr.max(initial=0) > INT64_MAX:
+        raise LedgerOverflowError("amount or account index exceeds int64")
+    arr = arr.astype(np.int64, copy=False)
     arr.setflags(write=False)
     return arr
 
@@ -260,14 +270,16 @@ class LedgerBook:
         return self.held[chain] - self.outstanding[chain]
 
     def debit(self, t: Transfers) -> None:
-        """Check proposal `t` and hold its spend as outstanding on its
-        source chain: the proposal's one check. A block that
-        `validate_block` does not find valid in every row raises
-        LedgerError, and nothing is held."""
-        if not validate_block(t, self).all():
+        """Hold proposal `t`'s spend as outstanding on its source chain: the
+        proposal's one check. Each sender's amount, its whole spend, must
+        fit its net balance; a block that overdraws one, or names a chain or
+        account outside the book, raises LedgerError, and nothing is held."""
+        _check_rows(t, self)
+        rows, c = t.senders, t.source
+        if (self.held[c][rows] - self.outstanding[c][rows] < t.amounts).any():
             raise LedgerError(
-                f"a debit would overdraw a net balance on chain {t.source}")
-        self.outstanding[t.source][t.senders] += t.amounts
+                f"a debit would overdraw a net balance on chain {c}")
+        self.outstanding[c][rows] += t.amounts
 
     def ingest(self, blocks: Sequence[Transfers]) -> None:
         """Land one window's confirmed blocks: each moves its spend from its
@@ -317,18 +329,6 @@ def _check_rows(t: Transfers, book: LedgerBook) -> None:
             max(t.receivers.tolist(), default=-1) >= accounts:
         raise LedgerError(
             f"account index out of range for {accounts} accounts")
-
-
-def validate_block(proposed: Transfers, book: LedgerBook) -> np.ndarray:
-    """One bool per triplet: whether its sender's net balance covers it.
-
-    A sender has one triplet, so its amount is the account's whole spend,
-    added to the outstanding spend the book already holds for the source
-    chain: an account whose net balance it would overdraw is an invalid row.
-    """
-    _check_rows(proposed, book)
-    rows, c = proposed.senders, proposed.source
-    return book.held[c][rows] - book.outstanding[c][rows] >= proposed.amounts
 
 
 def validate_tip_payloads(tips: Sequence[Transfers],

@@ -23,10 +23,10 @@ the exact data or raises; it never returns a wrong slice.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -45,12 +45,15 @@ class ShardCorruptionError(CodingError):
     """Returned blocks are inconsistent with any valid data assignment."""
 
 
-def written_ratio(value) -> tuple[int, int]:
+def written_ratio(value, error=CodingError) -> tuple[int, int]:
     """`value` as (numerator, denominator) in lowest terms, a float as written
-    (0.35 is 7/20, not its binary value): `Fraction(str(value))` unparsed."""
-    if isinstance(value, float):
+    (0.35 is 7/20, not its binary value): `Fraction(str(value))` unparsed.
+    Anything but an int, Fraction or finite float or Decimal raises `error`."""
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio()
+    if isinstance(value, (float, Decimal)) and Decimal(str(value)).is_finite():
         return Decimal(str(value)).as_integer_ratio()
-    return value.as_integer_ratio()
+    raise error(f"{value!r} is not an int, a Fraction or a finite number")
 
 
 # ---------------------------------------------------------------------------
@@ -74,22 +77,22 @@ class StragglerProfile:
         probs = self.probabilities
         if not probs:
             raise CodingError("profile needs at least one worker")
+        if not all(isinstance(p, (int, float, Fraction)) for p in probs):
+            raise CodingError("straggler probabilities must be numbers")
         # min and max may step over a NaN, which compares false both ways
         if not (0.0 <= min(probs) and max(probs) <= 1.0
                 and not math.isnan(sum(probs))):
             raise CodingError("straggler probabilities must lie in [0, 1]")
-        if not 0 <= self.fraction <= 1:
+        num, den = written_ratio(self.fraction)
+        if not 0 <= num <= den:
             raise CodingError("straggler fraction must lie in [0, 1]")
+        object.__setattr__(self, "_rate", (num, den))
 
     @classmethod
     def from_probabilities(cls, probabilities: Sequence[float],
                            fraction: float) -> "StragglerProfile":
         return cls(probabilities=tuple(map(float, probabilities)),
                    fraction=float(fraction))
-
-    @functools.cached_property
-    def _rate(self) -> tuple[int, int]:
-        return written_ratio(self.fraction)
 
     def straggler_set(self) -> tuple[int, ...]:
         """Fleet-wide designated stragglers: highest p first, ties by low index."""

@@ -68,7 +68,7 @@ class ChainWeights:
 
     @classmethod
     def from_values(cls, values: Sequence) -> "ChainWeights":
-        fracs = [Fraction(*written_ratio(v)) for v in values]
+        fracs = [Fraction(*written_ratio(v, DagError)) for v in values]
         total = sum(fracs)
         if total <= 0:
             raise DagError("chain weights must have a positive total")
@@ -105,7 +105,7 @@ class DagLedger:
 
     def __init__(self, weights: ChainWeights, eta):
         self.weights = weights
-        eta_num, eta_den = written_ratio(eta)
+        eta_num, eta_den = written_ratio(eta, DagError)
         if not 0 < eta_num <= eta_den:
             raise DagError("confirmation threshold must lie in (0, 1]")
         # stakes and threshold as integer numerators over one denominator

@@ -1,10 +1,10 @@
 """Conflicting-spend injection, first-seen detection, and scoring.
 
 A conflicting pair is two blocks carrying the same transaction id. The
-earlier-attached block passes; the later one is a conflict candidate. The
-first honest chain whose tip batch sights a candidate labels it, and the DAG
-never offers it as a tip again, so no block approves it. The tracker keeps
-each chain's sightings and ties them to each of the chain's proposals until
+earlier-attached block passes; the later one is a conflict candidate. Once
+an honest chain's tip batch sights a candidate, the DAG never offers it as
+a tip again, so no block approves it. The tracker keeps the transaction ids
+each chain has sighted and ties them to each of the chain's proposals until
 one of them confirms, which is when the detection becomes final ledger
 knowledge. Carriers are keyed by (chain, epoch), drawn from the honest slots
 of `injection_window` in time order; config validation reads the window
@@ -95,33 +95,32 @@ def plan_injections(honest_slots: Mapping[int, Sequence[float]], pairs: int,
 
 @dataclass
 class ConflictTracker:
-    """First-seen conflict registry shared by every honest validator."""
+    """First-seen conflict registry shared by every honest validator; it
+    keeps only what detection reads."""
 
-    first_carrier: dict[str, str] = field(default_factory=dict)
+    seen: set[str] = field(default_factory=set)     # txn ids attached
     candidates: dict[str, str] = field(default_factory=dict)   # block -> txn
     second_attach: dict[str, float] = field(default_factory=dict)
-    labeled: set[str] = field(default_factory=set)
-    #: chain -> candidates it sighted whose detection is not yet final
+    #: chain -> txn ids of the candidates it sighted, not yet detected
     sightings: dict[int, set[str]] = field(default_factory=dict)
     _claims: dict[str, list[str]] = field(default_factory=dict)
     detections: dict[str, float] = field(default_factory=dict)  # txn -> time
 
     def register_attach(self, block_id: str, txn: str, time_s: float) -> None:
         """Record a block's transaction id; a repeat makes it a candidate."""
-        if txn in self.first_carrier:
+        if txn in self.seen:
             self.candidates[block_id] = txn
             self.second_attach.setdefault(txn, time_s)
         else:
-            self.first_carrier[txn] = block_id
+            self.seen.add(txn)
 
     def inspect_tip(self, chain: int, block_id: str) -> bool:
-        """Label a conflict candidate that `chain` sighted among its tips;
+        """Note a conflict candidate that `chain` sighted among its tips;
         True if the tip is conflicting."""
-        if block_id in self.candidates:
-            self.labeled.add(block_id)
-            self.sightings.setdefault(chain, set()).add(block_id)
-            return True
-        return False
+        txn = self.candidates.get(block_id)
+        if txn is not None:
+            self.sightings.setdefault(chain, set()).add(txn)
+        return txn is not None
 
     def claim(self, chain: int, block_id: str) -> None:
         """Tie the chain's sighted, still-undetected conflicts to its
@@ -131,12 +130,10 @@ class ConflictTracker:
         sighted = self.sightings.get(chain)
         if not sighted:
             return
-        pending = {b for b in sighted
-                   if self.candidates[b] not in self.detections}
+        pending = sighted - self.detections.keys()
         self.sightings[chain] = pending
         if pending:
-            self._claims[block_id] = [self.candidates[b]
-                                      for b in sorted(pending)]
+            self._claims[block_id] = sorted(pending)
 
     def on_confirm(self, block_id: str, time_s: float) -> None:
         """A claiming proposal confirmed: its observations are now final."""
@@ -149,17 +146,14 @@ class ConflictTracker:
         detected = [tid for tid in pair_ids if tid in self.detections]
         delays = [self.detections[t] - self.second_attach[t]
                   for t in detected]
-        regular_blocks = [self.first_carrier[tid] for tid in regular_ids
-                          if tid in self.first_carrier]
-        false_alarms = sum(1 for b in regular_blocks if b in self.labeled)
+        # no false alarm: a regular id's one carrier is never a candidate
         out = {
             "pairs": float(pairs),
             "regular": float(len(regular_ids)),
             "detected": float(len(detected)),
             "p_detect": (len(detected) / pairs) if pairs else 1.0,
-            "false_alarms": float(false_alarms),
-            "p_false_alarm": (false_alarms / len(regular_ids))
-            if regular_ids else 0.0,
+            "false_alarms": 0.0,
+            "p_false_alarm": 0.0,
         }
         if delays:
             out["mean_delay_s"] = float(np.mean(delays))

@@ -216,9 +216,10 @@ class Simulation:
         cfg = self.cfg
         vote_s = self._vote_s
         publish = rt.pool.publish
-        # the shard stage of 0 .. tip_sample jobs; none without a layout
+        # the shard stage of 0 .. tip_sample jobs, at most one per chain
         stage_s = () if rt.worker_rows is None else tuple(
-            self._shard_stage_s(rt, f) for f in range(cfg.tip_sample + 1))
+            self._shard_stage_s(rt, f)
+            for f in range(min(cfg.tip_sample, cfg.chains) + 1))
         first_block: str | None = None
         now = 0.0
         for epoch, slot_time in enumerate(rt.slots, 1):

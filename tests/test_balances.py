@@ -34,6 +34,12 @@ def book(*genesis):
     return bal.LedgerBook(np.array(genesis, dtype=np.int64))
 
 
+def covered(t, b):
+    """One bool per triplet of `t`: whether its sender's net balance in
+    book `b` covers it, the comparison `LedgerBook.debit` makes."""
+    return b.net(t.source)[t.senders] >= t.amounts
+
+
 def valid_rows(t, res, m):
     """The per-triplet verdicts `res` on block `t` as one bool per account;
     an account that spends nothing is valid."""
@@ -156,18 +162,17 @@ def test_net_balances_sender_and_receiver_sides():
 
 
 # ---------------------------------------------------------------------------
-# validate_block
+# debit, the proposal's one check
 # ---------------------------------------------------------------------------
 
 def test_affordable_spend_copied_verbatim():
     b = book([10, 10], [0, 0])
     prop = tm(0, 1, [[0, 7], [0, 0]])
-    res = bal.validate_block(prop, b)
-    assert res.tolist() == [True]
     assert proposed_outflow(prop, 2) == [7, 0]
     assert (prop.senders.tolist(), prop.amounts.tolist()) == ([0], [7])
-    kept = zero_invalid_rows(prop, res)
-    assert np.array_equal(dense(kept, 2), dense(prop, 2))
+    b.debit(prop)
+    assert b.outstanding.tolist() == [[7, 0], [0, 0]]
+    assert b.net(0).tolist() == [3, 10]
 
 
 def oracle_valid_rows(state, proposal_total, release=False):
@@ -195,9 +200,12 @@ def test_mixed_block_zeroes_exactly_the_overspending_rows():
     b = book([rng.randint(0, 30) for _ in range(m)], [0] * m, [0] * m)
     for epoch in range(1, 4):
         prop = tm(0, 1 + epoch % 2, random_amounts(rng, m, 0, 4))
-        res = bal.validate_block(prop, b)
+        res = covered(prop, b)
         want = oracle_valid_rows(b.state(0), dense(prop, m))
         assert list(valid_rows(prop, res, m)) == want
+        if not all(want):
+            with pytest.raises(bal.LedgerError, match="overdraw"):
+                b.debit(prop)
         kept = zero_invalid_rows(prop, res)
         for acct in range(m):
             if want[acct]:
@@ -213,13 +221,14 @@ def test_validation_is_idempotent():
     m = 5
     b = book([rng.randint(0, 20) for _ in range(m)], [0] * m)
     prop = tm(0, 1, random_amounts(rng, m, 0, 8))
-    once = bal.validate_block(prop, b)
+    once = covered(prop, b)
     assert not once.all()
+    with pytest.raises(bal.LedgerError, match="overdraw"):
+        b.debit(prop)
     kept = zero_invalid_rows(prop, once)
-    twice = bal.validate_block(kept, b)
-    assert twice.all()
+    b.debit(kept)
     assert np.array_equal(
-        proposed_outflow(kept, m),
+        b.outstanding[0],
         np.where(valid_rows(prop, once, m), proposed_outflow(prop, m), 0))
 
 
@@ -228,7 +237,7 @@ def test_zeroing_soundness_balances_stay_non_negative():
     m = 5
     b = book([rng.randint(0, 25) for _ in range(m)], [0] * m)
     prop = tm(0, 1, random_amounts(rng, m, 0, 10))
-    kept = zero_invalid_rows(prop, bal.validate_block(prop, b))
+    kept = zero_invalid_rows(prop, covered(prop, b))
     b.debit(kept)
     assert (b.net(0) >= 0).all()
 
@@ -296,7 +305,8 @@ def test_tip_or_block_from_a_chain_outside_the_book_raises(source):
     with pytest.raises(bal.LedgerError, match="no ledger state"):
         bal.validate_tip_payloads([t], b)
     with pytest.raises(bal.LedgerError, match="no ledger state"):
-        bal.validate_block(t, b)
+        b.debit(t)
+    assert not b.outstanding.any()
 
 
 @pytest.mark.parametrize("dest", [-1, 2, 7])
@@ -305,8 +315,6 @@ def test_a_transfer_to_a_chain_outside_the_book_raises(dest):
     b = book([5], [5])
     t = bal.Transfers(source=0, dest=dest, senders=[0], receivers=[0],
                       amounts=[1])
-    with pytest.raises(bal.LedgerError, match="no ledger state"):
-        bal.validate_block(t, b)
     with pytest.raises(bal.LedgerError, match="no ledger state"):
         bal.validate_tip_payloads([t], b)
     with pytest.raises(bal.LedgerError, match="no ledger state"):
@@ -330,7 +338,7 @@ def test_a_debit_on_a_chain_outside_the_book_raises(chain):
 
 
 def test_the_row_path_equals_the_dense_spend_oracle():
-    """Validation and debits on a proposal's own rows agree with the dense
+    """Debits and tip checks on a proposal's own rows agree with the dense
     per-account formulation, over drawn proposals: distinct senders, empty
     ones, and amounts up to INT64_MAX. Repeated senders cannot be built."""
     rng = random.Random(2020)
@@ -365,13 +373,10 @@ def test_the_row_path_equals_the_dense_spend_oracle():
             want = proposed_outflow(t, m)
             net = b.net(0).tolist()
             held = (b.net(0) + b.outstanding[0]).tolist()
-            res = bal.validate_block(t, b)
-            assert valid_rows(t, res, m).tolist() == [
-                net[a] - want[a] >= 0 for a in range(m)]
             assert bal.validate_tip_payloads([t], b) == [all(
                 held[a] - want[a] >= 0 for a in range(m) if want[a] > 0)]
             before = b.outstanding.tolist()
-            if not res.all():
+            if not all(net[a] - want[a] >= 0 for a in range(m)):
                 refused += 1
                 with pytest.raises(bal.LedgerError, match="overdraw"):
                     b.debit(t)
@@ -390,7 +395,7 @@ def test_batch_verdicts_match_per_account_oracle():
     b = book(*([rng.randint(0, 40) for _ in range(m)] for _ in range(4)))
     for c in range(4):
         prop = tm(c, (c + 1) % 4, random_amounts(rng, m))
-        b.debit(zero_invalid_rows(prop, bal.validate_block(prop, b)))
+        b.debit(zero_invalid_rows(prop, covered(prop, b)))
     tips = [tm(c, (c + 2) % 4, random_amounts(rng, m, 0, 5))
             for c in range(4)]
     got = bal.validate_tip_payloads(tips, b)
@@ -422,7 +427,7 @@ def test_token_conservation_over_validated_multi_chain_trace():
         for c in range(n_chains):
             dest = (c + 1 + epoch % (n_chains - 1)) % n_chains
             raw = tm(c, dest, random_amounts(rng, m, 0, 6))
-            pending.append(zero_invalid_rows(raw, bal.validate_block(raw, b)))
+            pending.append(zero_invalid_rows(raw, covered(raw, b)))
             b.debit(pending[-1])
         net_total = sum(b.net().ravel().tolist())
         in_flight = sum(b.outstanding.ravel().tolist())
@@ -461,8 +466,8 @@ def fold(state, inflow, confirmed, proposed):
 
 def test_dense_and_summed_states_agree_every_epoch():
     # the MxM and summed states fed the same flows agree with each other
-    # and with the book's rows, and validation on the book agrees with the
-    # per-account oracle on the MxM state
+    # and with the book's rows, and the book's net balances, which debit
+    # checks, agree with the per-account oracle on the MxM state
     rng = random.Random(808)
     m = 6
     genesis = [rng.randint(0, 30) for _ in range(m)]
@@ -493,9 +498,12 @@ def test_dense_and_summed_states_agree_every_epoch():
         assert np.array_equal(summed.last_proposed[:, 0], b.outstanding[0])
 
         raw = random_transfers(rng, 0, 1 + epoch % 2, m, 30)
-        res = bal.validate_block(raw, b)
+        res = covered(raw, b)
         assert valid_rows(raw, res, m).tolist() == \
             oracle_valid_rows(full, dense(raw, m))
+        if not res.all():
+            with pytest.raises(bal.LedgerError, match="overdraw"):
+                b.debit(raw)
         spending = np.array(proposed_outflow(raw, m)) > 0
         tip_ok = np.array(oracle_valid_rows(full, dense(raw, m), release=True))
         assert bal.validate_tip_payloads([raw], b) == [
@@ -522,10 +530,11 @@ def test_out_of_range_sender_or_receiver_raises():
     for senders, receivers in (([m], [0]), ([0], [m])):
         t = bal.Transfers(source=0, dest=1, senders=senders,
                           receivers=receivers, amounts=[1])
-        with pytest.raises(bal.LedgerError):
-            bal.validate_block(t, b)
-        with pytest.raises(bal.LedgerError):
+        with pytest.raises(bal.LedgerError, match="out of range"):
+            b.debit(t)
+        with pytest.raises(bal.LedgerError, match="out of range"):
             bal.validate_tip_payloads([t], b)
+        assert not b.outstanding.any()
 
 
 def test_malformed_triplets_and_totals_rejected_structurally():
@@ -599,6 +608,51 @@ def test_amount_beyond_int64_raises_a_named_overflow_error():
                       amounts=[2**63])
 
 
+NOT_INTEGERS = (bal.LedgerError, "must be integers")
+
+
+@pytest.mark.parametrize("values, refused", [
+    ([7], None),
+    (np.array([7], dtype=np.uint8), None),
+    (np.array([7], dtype=object), None),
+    ([], None),
+    (np.array([], dtype=float), None),
+    (np.array([], dtype=bool), None),
+    (np.array([], dtype=str), None),
+    ([1.5], NOT_INTEGERS),
+    ([7.0], NOT_INTEGERS),
+    (["7"], NOT_INTEGERS),
+    ([True], NOT_INTEGERS),
+    ([float("nan")], NOT_INTEGERS),
+    ([None], NOT_INTEGERS),
+    (None, NOT_INTEGERS),
+    ([[1], [1, 2]], (bal.LedgerError, "regular array")),
+    ([2**63], (bal.LedgerOverflowError, "exceeds int64")),
+    ([2**64], (bal.LedgerOverflowError, "exceeds int64")),
+], ids=["int", "uint8", "object-int", "empty", "empty-float", "empty-bool",
+        "empty-str", "float", "integral-float", "str", "bool", "nan",
+        "none-entry", "none", "ragged", "2**63", "2**64"])
+def test_amounts_are_exactly_the_integers_given(values, refused):
+    # a transfer and a genesis hold exactly the integers they are given:
+    # a float, bool or string is never rounded or parsed into one, and an
+    # empty input of any dtype is the empty int64 array
+    build = (lambda: bal.Transfers(source=0, dest=1, senders=values,
+                                   receivers=values, amounts=values),
+             lambda: bal.LedgerBook([values, values]))
+    for make in build:
+        if refused:
+            error, match = refused
+            with pytest.raises(error, match=match):
+                make()
+    if refused:
+        return
+    want = np.asarray(values).tolist()
+    t, b = (make() for make in build)
+    for arr in (t.senders, t.receivers, t.amounts):
+        assert arr.dtype == np.int64 and arr.tolist() == want
+    assert b.genesis.dtype == np.int64 and b.genesis.tolist() == [want] * 2
+
+
 def test_summed_spend_beyond_int64_raises_a_named_overflow_error():
     # two 2**62 transfers from one account would sum to 2**63, which int64
     # reads as -2**63; an account sends one triplet, so no block holds them
@@ -616,10 +670,12 @@ def test_summed_spend_beyond_int64_raises_a_named_overflow_error():
     # amounts at the top of int64 are judged exactly
     top = bal.Transfers(source=0, dest=1, senders=[0, 1],
                         receivers=[0, 0], amounts=[bal.INT64_MAX, 5])
-    assert bal.validate_block(top, book([5, 0], [0, 0])).tolist() == \
-        [False, False]
+    short = book([5, 0], [0, 0])
+    assert covered(top, short).tolist() == [False, False]
+    with pytest.raises(bal.LedgerError, match="overdraw"):
+        short.debit(top)
     b = book([bal.INT64_MAX, 5], [0, 0])
-    assert bal.validate_block(top, b).tolist() == [True, True]
+    assert covered(top, b).tolist() == [True, True]
     b.debit(top)
     assert b.net(0).tolist() == [0, 0]
 
@@ -666,7 +722,10 @@ def test_validation_against_available_funds():
     assert bal.net_balances(b.state(0)).tolist() == [3, 4]
     t = bal.Transfers(source=0, dest=1, senders=[0, 1],
                       receivers=[0, 0], amounts=[4, 4])
-    assert bal.validate_block(t, b).tolist() == [False, True]
+    assert covered(t, b).tolist() == [False, True]
+    with pytest.raises(bal.LedgerError, match="overdraw"):
+        b.debit(t)
+    assert b.net(0).tolist() == [3, 4]
     # the same spend as a foreign tip takes the outstanding spend's place
     assert bal.validate_tip_payloads([t], b) == [True]
 
@@ -853,13 +912,10 @@ def test_validation_tip_check_and_debit_agree_with_the_dense_oracle(drawn):
     want = proposed_outflow(t, m)
     net = b.net(0).tolist()
     held = b.held[0].tolist()
-    res = bal.validate_block(t, b)
-    assert valid_rows(t, res, m).tolist() == [
-        net[a] >= want[a] for a in range(m)]
     assert bal.validate_tip_payloads([t], b) == [all(
         held[a] >= want[a] for a in range(m) if want[a])]
     before = b.outstanding.tolist()
-    if res.all():
+    if all(net[a] >= want[a] for a in range(m)):
         b.debit(t)
         assert b.outstanding.tolist() == [
             [o + w for o, w in zip(before[0], want)], before[1]]

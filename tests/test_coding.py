@@ -137,6 +137,23 @@ def test_a_likelihood_outside_the_unit_interval_or_nan_is_refused(probs):
         coding.StragglerProfile.from_probabilities(probs, 0.5)
 
 
+@pytest.mark.parametrize("probs, fraction", [
+    (("a",), 0.1), ((None,), 0.1), ((0.2, "0.3"), 0.1), ((0.2,), "0.1"),
+    ((0.2,), None), ((0.2,), math.nan), ((0.2,), math.inf), ((0.2,), -0.1),
+    ((0.2,), 1.5),
+], ids=["str-likelihood", "none-likelihood", "one-str-likelihood",
+        "str-fraction", "none-fraction", "nan-fraction", "inf-fraction",
+        "negative-fraction", "fraction-above-one"])
+def test_a_profile_of_anything_but_numbers_in_range_raises_a_coding_error(
+        probs, fraction):
+    # these once raised a bare TypeError from comparing a string or None
+    with pytest.raises(coding.CodingError):
+        coding.StragglerProfile(probs, fraction)
+    if not isinstance(fraction, float):
+        with pytest.raises(coding.CodingError, match="finite number"):
+            coding.written_ratio(fraction)
+
+
 def test_the_written_ratio_equals_the_fraction_of_the_written_float():
     rng = random.Random(20)
     floats = [rng.random() for _ in range(10_000)]

@@ -66,6 +66,20 @@ def test_weights_that_are_not_exact_are_refused_by_name(weights):
         (Fraction(1, 2), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("value", [
+    "0.5", None, math.nan, math.inf, -math.inf, Decimal("NaN"),
+    Decimal("Infinity"), [0.5],
+], ids=["str", "none", "nan", "inf", "-inf", "decimal-nan", "decimal-inf",
+        "list"])
+def test_a_threshold_or_weight_that_is_not_a_finite_number_raises_a_dag_error(
+        value):
+    # these once raised a bare AttributeError, ValueError or OverflowError
+    with pytest.raises(dag.DagError, match="finite number"):
+        dag.DagLedger(dag.ChainWeights.equal(2), eta=value)
+    with pytest.raises(dag.DagError, match="finite number"):
+        dag.ChainWeights.from_values([value, 1])
+
+
 def test_stakes_are_the_weights_over_the_common_denominator():
     w = dag.ChainWeights.from_values((1, 2, 3.5))
     assert w.weights == (Fraction(2, 13), Fraction(4, 13), Fraction(7, 13))

@@ -1,7 +1,11 @@
 """Injection planning and conflict detection bookkeeping."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainmesh.config import ScenarioConfig
 from chainmesh.doublespend import (NO_INJECTIONS, ConflictTracker,
@@ -127,7 +131,7 @@ def test_second_carrier_becomes_candidate():
     tr = ConflictTracker()
     tr.register_attach("A1", "pair-0", 10.0)
     tr.register_attach("B1", "pair-0", 11.5)
-    assert tr.first_carrier["pair-0"] == "A1"
+    assert tr.seen == {"pair-0"}
     assert tr.candidates == {"B1": "pair-0"}
     assert tr.second_attach["pair-0"] == 11.5
 
@@ -138,8 +142,7 @@ def test_inspection_labels_candidates_only():
     tr.register_attach("B1", "pair-0", 2.0)
     assert tr.inspect_tip(3, "A1") is False          # earlier carrier passes
     assert tr.inspect_tip(3, "B1") is True
-    assert tr.labeled == {"B1"}
-    assert tr.sightings == {3: {"B1"}}
+    assert tr.sightings == {3: {"pair-0"}}
 
 
 def test_detection_completes_when_claimer_confirms():
@@ -229,13 +232,12 @@ def test_score_counts_misses_and_false_alarms():
     tr.register_attach("B1", "pair-0", 2.0)    # candidate, never sighted
     tr.register_attach("A2", "pair-1", 3.0)
     tr.register_attach("X", "pair-1", 4.0)
-    tr.inspect_tip(0, "X")                     # labeled, never claimed
+    tr.inspect_tip(0, "X")                     # sighted, never claimed
     tr.register_attach("R0", "tx-0", 5.0)
-    tr.labeled.add("R0")                       # a labeled regular carrier
+    assert tr.inspect_tip(0, "R0") is False    # a regular carrier passes
     s = tr.score(["pair-0", "pair-1"], ["tx-0", "tx-1"])
-    assert s["p_detect"] == 0.0                # labels alone are not detection
-    assert s["false_alarms"] == 1.0
-    assert s["p_false_alarm"] == 0.5
+    assert s["p_detect"] == 0.0                # sightings alone are not detection
+    assert s["false_alarms"] == s["p_false_alarm"] == 0.0
     assert "mean_delay_s" not in s
 
 
@@ -244,3 +246,116 @@ def test_score_handles_empty_inputs():
     s = tr.score([], [])
     assert s["p_detect"] == 1.0
     assert s["p_false_alarm"] == 0.0
+
+
+# -- the tracker against the one that labelled every sighted block ----------
+
+@dataclass
+class LabellingTracker:
+    """The conflict tracker as it was before it was slimmed: it kept the
+    first carrier of each transaction id, labelled every sighted candidate
+    block and counted a regular id's labelled carrier as a false alarm."""
+
+    first_carrier: dict = field(default_factory=dict)
+    candidates: dict = field(default_factory=dict)
+    second_attach: dict = field(default_factory=dict)
+    labeled: set = field(default_factory=set)
+    sightings: dict = field(default_factory=dict)
+    _claims: dict = field(default_factory=dict)
+    detections: dict = field(default_factory=dict)
+
+    def register_attach(self, block_id, txn, time_s):
+        if txn in self.first_carrier:
+            self.candidates[block_id] = txn
+            self.second_attach.setdefault(txn, time_s)
+        else:
+            self.first_carrier[txn] = block_id
+
+    def inspect_tip(self, chain, block_id):
+        if block_id in self.candidates:
+            self.labeled.add(block_id)
+            self.sightings.setdefault(chain, set()).add(block_id)
+            return True
+        return False
+
+    def claim(self, chain, block_id):
+        sighted = self.sightings.get(chain)
+        if not sighted:
+            return
+        pending = {b for b in sighted
+                   if self.candidates[b] not in self.detections}
+        self.sightings[chain] = pending
+        if pending:
+            self._claims[block_id] = [self.candidates[b]
+                                      for b in sorted(pending)]
+
+    def on_confirm(self, block_id, time_s):
+        for tid in self._claims.pop(block_id, ()):
+            self.detections.setdefault(tid, time_s)
+
+    def score(self, pair_ids, regular_ids):
+        pairs = len(pair_ids)
+        detected = [tid for tid in pair_ids if tid in self.detections]
+        delays = [self.detections[t] - self.second_attach[t]
+                  for t in detected]
+        regular_blocks = [self.first_carrier[tid] for tid in regular_ids
+                          if tid in self.first_carrier]
+        false_alarms = sum(1 for b in regular_blocks if b in self.labeled)
+        out = {
+            "pairs": float(pairs),
+            "regular": float(len(regular_ids)),
+            "detected": float(len(detected)),
+            "p_detect": (len(detected) / pairs) if pairs else 1.0,
+            "false_alarms": float(false_alarms),
+            "p_false_alarm": (false_alarms / len(regular_ids))
+            if regular_ids else 0.0,
+        }
+        if delays:
+            out["mean_delay_s"] = float(np.mean(delays))
+            out["max_delay_s"] = float(np.max(delays))
+        return out
+
+
+PAIR_IDS = ("pair-0", "pair-1")
+REGULAR_IDS = ("tx-0", "tx-1")
+TIME = st.integers(0, 60).map(float)
+#: one step of the engine's protocol; a block index counts back from the
+#: latest attached block, and past the first names a block never attached
+OPERATION = st.one_of(
+    st.tuples(st.just("attach"), st.integers(0, 2),
+              st.sampled_from((None,) + PAIR_IDS + REGULAR_IDS), TIME),
+    st.tuples(st.just("inspect"), st.integers(0, 2), st.integers(0, 6)),
+    st.tuples(st.just("confirm"), st.integers(0, 6), TIME))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(OPERATION, min_size=20, max_size=80))
+def test_the_slim_tracker_detects_exactly_as_the_labelling_one(operations):
+    # as in the engine, every block attaches once, under a fresh id,
+    # registers its transaction id if it carries one, and then claims its
+    # chain's sightings
+    slim, full = ConflictTracker(), LabellingTracker()
+    blocks: list[str] = []
+
+    def block(i):
+        return blocks[-1 - i] if i < len(blocks) else f"x{i}"
+
+    for op in operations:
+        if op[0] == "attach":
+            _, chain, txn, time_s = op
+            blocks.append(f"b{len(blocks)}")
+            for tr in (slim, full):
+                if txn is not None:
+                    tr.register_attach(blocks[-1], txn, time_s)
+                tr.claim(chain, blocks[-1])
+        elif op[0] == "inspect":
+            assert slim.inspect_tip(op[1], block(op[2])) == \
+                full.inspect_tip(op[1], block(op[2]))
+        else:
+            for tr in (slim, full):
+                tr.on_confirm(block(op[1]), op[2])
+        assert slim.detections == full.detections
+        assert slim.candidates == full.candidates
+    score = slim.score(PAIR_IDS, REGULAR_IDS)
+    assert score == full.score(PAIR_IDS, REGULAR_IDS)
+    assert score["false_alarms"] == 0.0

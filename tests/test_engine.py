@@ -272,7 +272,7 @@ def test_a_window_releases_the_payloads_it_ingests(monkeypatch):
     monkeypatch.setattr(DagLedger, "attach", keep_attached)
     monkeypatch.setattr(LedgerBook, "ingest", keep_ingested)
     result = Simulation(cfg).run()
-    assert result.tracker.labeled        # tips were sighted conflicting
+    assert result.tracker.detections     # tips were sighted conflicting
     landed = {id(t) for t in ingested}
     released = {bid for bid, t in attached.items() if id(t) in landed}
     assert len(released) == len(ingested) > 10
@@ -416,6 +416,21 @@ def test_coded_shard_stage_lasts_as_long_as_the_slowest_group(fleet,
         for factor in range(1, 6):
             assert (sim._shard_stage_s(rt, factor)
                     == slowest_group_stage_s(sim, c, factor))
+
+
+def test_the_stage_table_is_sized_by_the_largest_tip_batch():
+    # a tip batch keeps one tip per source chain, so a tip_sample far above
+    # chains forms no larger batch and builds no larger table of stage
+    # durations: its traced peak stays within twice that of tip_sample 2
+    peaks = []
+    for tip_sample in (2, 10**5):
+        tracemalloc.start()
+        try:
+            run_scenario(quick(duration_min=0.1, tip_sample=tip_sample))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_plain_shard_rows_follow_the_uneven_split():
@@ -630,11 +645,13 @@ def test_labeled_candidates_are_never_approved_nor_confirmed(k):
     from chainmesh.presets import build_preset
     (cfg,) = build_preset(f"double-spend-k{k}").values()
     res = run_scenario(cfg, "ds")
-    labeled = set(res.tracker.labeled)
-    assert labeled                       # the check below is not vacuous
+    # a candidate is sighted in the first tip batch that holds it, so none
+    # is ever approved
+    conflicting = set(res.tracker.candidates)
+    assert res.tracker.detections        # the check below is not vacuous
     for bid, block in res.dag.blocks.items():
-        assert not labeled & set(block.parents), bid
-        if bid in labeled:
+        assert not conflicting & set(block.parents), bid
+        if bid in conflicting:
             assert block.status != CONFIRMED, bid
 
 

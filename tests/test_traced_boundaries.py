@@ -36,7 +36,8 @@ UNBOUND = {
                                "(kind, epoch, proposer) tuple",
     "events.drain": "the epoch generator fixes the stage order, so pools "
                     "keep no per-epoch state to close",
-    "balances.validate_block": "LedgerBook.debit is the proposal's one check",
+    "balances.validate_block": "folded into LedgerBook.debit, the "
+                               "proposal's one check and spend verdict",
     "coding.plan_groups": "a run reads only the coded group layout, the "
                           "same on every chain; the planner is its oracle",
 }

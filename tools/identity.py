@@ -18,6 +18,8 @@ corpus:
   whose 512-group has 154 frozen positions in the layout every chain reads,
   and of two stalls, where a group has no data position, so no chain has a
   layout: fleet 1 at 0.5 and fleet 20 at 1.0;
+- the desk default at `tip_sample` 10000, far above its chains, so that a
+  tip batch is bounded by the chains and not by `tip_sample`;
 - the 100 seeded fuzz configs of `tests/fuzz_configs.py`, its int64 edges
   and its int-valued fractions, at and near each field's bounds: one
   account, blocks with no rows, spam share 1.0, named overflows and configs
@@ -68,6 +70,7 @@ EXTRA_RUNS = (
                                 "straggler_fraction": 0.5}, 0),
     ("coded-fleet20-r100-stall", {"fleet_size": 20, "coding": True,
                                   "straggler_fraction": 1.0}, 0),
+    ("tip-sample10000", {"tip_sample": 10000}, 0),
 )
 
 
