@@ -65,7 +65,12 @@ def _as_amounts(values, ndim: int) -> np.ndarray:
     kind = arr.dtype.kind
     # numpy holds an int past int64 as uint64 or as a Python int object
     if not (kind in "iu" or kind == "O" and set(map(type, arr.flat)) <= {int}):
-        raise LedgerError(f"amounts must be integers, not {arr.dtype}")
+        # numpy infers float64 only for ints that share no integer dtype,
+        # which takes a negative one and one past int64, such as [-1, 2**63]
+        raise LedgerError(
+            "amounts and account indices must be non-negative"
+            if set(map(type, np.array(values, dtype=object).flat)) <= {int}
+            else f"amounts must be integers, not {arr.dtype}")
     if arr.ndim != ndim:
         raise LedgerError(f"expected a {ndim}-D int64 array, got shape {arr.shape}")
     if arr.min(initial=0) < 0:

@@ -629,9 +629,12 @@ NOT_INTEGERS = (bal.LedgerError, "must be integers")
     ([[1], [1, 2]], (bal.LedgerError, "regular array")),
     ([2**63], (bal.LedgerOverflowError, "exceeds int64")),
     ([2**64], (bal.LedgerOverflowError, "exceeds int64")),
+    ([-1, 2**63], (bal.LedgerError, "non-negative")),
+    ([2**63, -1], (bal.LedgerError, "non-negative")),
 ], ids=["int", "uint8", "object-int", "empty", "empty-float", "empty-bool",
         "empty-str", "float", "integral-float", "str", "bool", "nan",
-        "none-entry", "none", "ragged", "2**63", "2**64"])
+        "none-entry", "none", "ragged", "2**63", "2**64", "-1,2**63",
+        "2**63,-1"])
 def test_amounts_are_exactly_the_integers_given(values, refused):
     # a transfer and a genesis hold exactly the integers they are given:
     # a float, bool or string is never rounded or parsed into one, and an

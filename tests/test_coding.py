@@ -14,42 +14,13 @@ from chainmesh import coding
 from chainmesh.config import ScenarioConfig
 from chainmesh.engine import derive_seed
 from chainmesh.roles import build_fleet
+from test_acceptance import dense_hadamard, rank_oracle
 
 
 def make_group(size, frozen, rows, index=0, start=0):
     return coding.GroupSpec(index=index, size=size,
                             members=tuple(range(start, start + size)),
                             rows=rows, row_start=0, frozen=tuple(sorted(frozen)))
-
-
-def dense_hadamard(n):
-    h = np.array([[1]], dtype=np.int64)
-    while h.shape[0] < n:
-        h = np.kron(np.array([[1, 1], [1, -1]], dtype=np.int64), h)
-    return h
-
-
-def rank_oracle(n, frozen, received):
-    """Independent solvability check by exact fraction elimination."""
-    data = [i for i in range(n) if i not in set(frozen)]
-    rec = sorted(set(received))
-    if len(rec) < len(data):
-        return False
-    h = dense_hadamard(n)
-    rows = [[Fraction(int(h[r, c])) for c in data] for r in rec]
-    rank = 0
-    for c in range(len(data)):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            return False
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][c]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c] / pivot
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

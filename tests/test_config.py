@@ -14,7 +14,7 @@ from chainmesh.balances import LedgerOverflowError
 from chainmesh.doublespend import InjectionError, plan_injections
 from chainmesh.engine import Simulation
 from chainmesh.roles import schedule_issuance
-from fuzz_configs import fuzz_configs
+from corpus import fuzz_configs
 
 
 class TestDefaults:

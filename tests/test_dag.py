@@ -9,32 +9,11 @@ from itertools import combinations
 import pytest
 
 from chainmesh import dag
+from test_acceptance import brute_force_weight
 
 
 def equal_ledger(n, eta=Fraction(67, 100)):
     return dag.DagLedger(dag.ChainWeights.equal(n), eta)
-
-
-def brute_force_weight(ledger, block_id):
-    """Independent reachability oracle: walk children edges, collect chains."""
-    if block_id == dag.GENESIS_ID:
-        return Fraction(1)
-    children = {bid: [] for bid in ledger.blocks}
-    for bid, block in ledger.blocks.items():
-        for p in block.parents:
-            children[p].append(bid)
-    seen, stack = set(), [block_id]
-    chains = set()
-    while stack:
-        bid = stack.pop()
-        if bid in seen:
-            continue
-        seen.add(bid)
-        proposer = ledger.blocks[bid].proposer
-        if proposer is not None:
-            chains.add(proposer)
-        stack.extend(children[bid])
-    return sum((ledger.weights[c] for c in chains), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ when the command line front end gets to it, never when a test calls it:
 
 - `preset <name> --seeds 0 --out DIR` for every desk preset, and
   `preset nosuch`;
-- one `run` manifest, with an `out_dir`, holding every `PINS` config at
-  seed 0, `paper-coded-1m` at seed 6 and the fuzz corpus of
-  `tests/fuzz_configs.py`, whose configs that fail validation and named
-  overflows become the failure records they are;
+- one `run` manifest, with an `out_dir`, holding every run of
+  `tests/corpus.py` at its first seed, whose fuzz configs that fail
+  validation and named overflows become the failure records they are;
 - `validate` on a config file;
 - a small `run` once under `$CHAINMESH_OUT` and once into the default
   directory under the working directory.
@@ -41,8 +40,7 @@ import chainmesh
 from chainmesh.cli import (ENV_OUT, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
                            main)
 from chainmesh.presets import preset_names
-from fuzz_configs import fuzz_configs
-from test_paper_scale_digests import PINS
+from corpus import RUNS
 
 SRC = Path(chainmesh.__file__).parent
 
@@ -208,14 +206,8 @@ def _corpus(tmp: Path, monkeypatch) -> None:
                      "--out", str(tmp / "presets")]) == EXIT_OK, name
     assert main(["preset", "nosuch"]) == EXIT_VALIDATION
 
-    scenarios = [{"label": f"pin-{name}", "seeds": [0], "config": pin[0]}
-                 for name, pin in sorted(PINS.items())]
-    # a second paper-scale coded seed: its group layout is seed 0's, since
-    # a run draws no coded fleet, and only its draws differ
-    scenarios.append({"label": "paper-coded-1m-seed6", "seeds": [6],
-                      "config": PINS["paper-coded-1m"][0]})
-    scenarios += [{"label": f"fuzz-{i:03d}", "config": data}
-                  for i, data in enumerate(fuzz_configs())]
+    scenarios = [{"label": run.name, "seeds": [run.seeds[0]],
+                  "config": run.overrides} for run in RUNS]
     manifest = tmp / "manifest.json"
     manifest.write_text(json.dumps({"scenarios": scenarios,
                                     "out_dir": str(tmp / "manifest")}))

@@ -3,16 +3,17 @@
 `perfbench/tracer.py` wraps names bound in `chainmesh.engine` and methods of
 classes bound there. A boundary that a refactor removed or renamed is
 recorded as absent when a traced run installs the wrappers, so its
-per-layer metrics quietly read zero. This test reads the tracer's two
-tables from its source, without importing or editing it, and fails on every
-such boundary, and on one the engine binds but never calls, whose wrapper
-would never run. Exceptions go in `UNBOUND` with a reason; an entry fails once
-its name is bound again or the tracer no longer lists it.
+per-layer metrics quietly read zero. This test loads the tracer's two
+tables from its file, without editing it, and fails on every such boundary,
+and on one the engine binds but never calls, whose wrapper would never run.
+Exceptions go in `UNBOUND` with a reason; an entry fails once its name is
+bound again or the tracer no longer lists it.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -44,19 +45,11 @@ UNBOUND = {
 
 
 def _tracer_tables() -> tuple[dict, dict]:
-    """The tracer's `ENGINE_NAMES` and `ENGINE_METHODS` literals."""
-    tables = {}
-    for node in ast.parse(TRACER.read_text()).body:
-        if isinstance(node, ast.Assign):
-            target = node.targets[0]
-        elif isinstance(node, ast.AnnAssign):
-            target = node.target
-        else:
-            continue
-        if isinstance(target, ast.Name) and \
-                target.id in ("ENGINE_NAMES", "ENGINE_METHODS"):
-            tables[target.id] = ast.literal_eval(node.value)
-    return tables["ENGINE_NAMES"], tables["ENGINE_METHODS"]
+    """The tracer's `ENGINE_NAMES` and `ENGINE_METHODS` tables."""
+    spec = importlib.util.spec_from_file_location("tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.ENGINE_NAMES, tracer.ENGINE_METHODS
 
 
 def _unbound() -> set[str]:
