@@ -11,14 +11,14 @@ sending account. It keeps read-only copies of its arrays.
 
 The engine keeps every chain's totals in one `LedgerBook`, updated in place:
 a proposal debit holds its spend as outstanding, and a ledger window moves
-its confirmed blocks' spend to spent, credits their destinations and
-refreshes each chain's held balance, genesis + received - spent. A net
-balance is the held balance less the outstanding spend. `LedgerBook.debit`
-is a proposal's one check: it refuses a block that names a chain or account
-outside the book or does not fit its net balances, so no net or held
-balance is ever negative. A foreign tip, whose spend its chain already
-holds as outstanding, is judged against the held balances, since its own
-outstanding spend cancels out.
+its confirmed blocks' spend to spent and credits their destinations' held
+balance, genesis + received - spent, so what a chain received is derived,
+never stored. A net balance is the held balance less the outstanding spend.
+`LedgerBook.debit` is a proposal's one check: it refuses a block that names
+a chain or account outside the book or does not fit its net balances, so no
+net or held balance is ever negative. A foreign tip, whose spend its chain
+already holds as outstanding, is judged against the held balances, since
+its own outstanding spend cancels out.
 
 A `CumulativeState` folds one chain's per-epoch `FlowAggregates` -- inflow,
 confirmed outflow and the proposed spend, which each epoch replaces -- as
@@ -71,6 +71,10 @@ def _as_amounts(values, ndim: int) -> np.ndarray:
             "amounts and account indices must be non-negative"
             if set(map(type, np.array(values, dtype=object).flat)) <= {int}
             else f"amounts must be integers, not {arr.dtype}")
+    # numpy silently turns a bool among a sequence's ints into an int
+    if not isinstance(values, np.ndarray) and any(isinstance(
+            v, (bool, np.bool_)) for v in np.array(values, dtype=object).flat):
+        raise LedgerError("amounts must be integers, not bool")
     if arr.ndim != ndim:
         raise LedgerError(f"expected a {ndim}-D int64 array, got shape {arr.shape}")
     if arr.min(initial=0) < 0:
@@ -238,12 +242,13 @@ def net_balances(state: CumulativeState) -> np.ndarray:
 
 class LedgerBook:
     """Every chain's exact totals, updated in place as int64 rows of shape
-    (chains, accounts): `received` confirmed transfers credited, `spent`
-    the chain's own confirmed transfers and `outstanding` its proposed,
-    unconfirmed spend. `held` is the confirmed balance, genesis + received
-    - spent, refreshed at each window.
+    (chains, accounts): `spent` the chain's own confirmed transfers,
+    `outstanding` its proposed, unconfirmed spend and `held` its confirmed
+    balance, genesis + received - spent, where received is the confirmed
+    transfers credited to it. A window credits held + spent, which is
+    genesis + received, so the book keeps no received row of its own.
 
-    genesis + received fits int64 by the check at each window, and so does
+    held + spent fits int64 by the check at each window, and so does
     spent + outstanding: a debit must fit the net balance and a window only
     moves spend from outstanding to spent. For the same reason no held or
     net balance is ever negative.
@@ -251,7 +256,6 @@ class LedgerBook:
 
     def __init__(self, genesis):
         self.genesis = _as_amounts(genesis, ndim=2)
-        self.received = np.zeros(self.genesis.shape, dtype=np.int64)
         self.spent = np.zeros(self.genesis.shape, dtype=np.int64)
         self.outstanding = np.zeros(self.genesis.shape, dtype=np.int64)
         self.held = self.genesis.copy()
@@ -267,10 +271,8 @@ class LedgerBook:
         if not 0 <= chain < len(self.genesis):
             raise LedgerError(f"no ledger state for chain {chain}")
 
-    def net(self, chain: int | None = None) -> np.ndarray:
-        """One chain's net balances, or every chain's as rows."""
-        if chain is None:
-            return self.held - self.outstanding
+    def net(self, chain: int) -> np.ndarray:
+        """One chain's net balances."""
         self.check_chain(chain)
         return self.held[chain] - self.outstanding[chain]
 
@@ -299,7 +301,7 @@ class LedgerBook:
             self.check_chain(t.dest)
         sizes = [len(t.amounts) for t in blocks]
         amounts = np.concatenate([t.amounts for t in blocks])
-        credited = _sum_at(self.genesis + self.received, (
+        credited = _sum_at(self.held + self.spent, (
             np.repeat([t.dest for t in blocks], sizes),
             np.concatenate([t.receivers for t in blocks])),
             amounts, f"a balance at ledger window {self.windows}")
@@ -309,7 +311,6 @@ class LedgerBook:
             amounts, f"a confirmed spend at ledger window {self.windows}")
         if (outflow > self.outstanding).any():
             raise LedgerError("a window confirms spend no proposal held")
-        np.subtract(credited, self.genesis, out=self.received)
         self.spent += outflow
         self.outstanding -= outflow
         np.subtract(credited, self.spent, out=self.held)
@@ -319,7 +320,8 @@ class LedgerBook:
         """One chain's totals as a summed state through the latest window."""
         return CumulativeState(
             chain=chain, epoch=self.windows, genesis=self.genesis[chain],
-            w_in=self.received[chain][None, :],
+            w_in=(self.held[chain] + self.spent[chain]
+                  - self.genesis[chain])[None, :],
             w_out=(self.spent[chain] + self.outstanding[chain])[:, None],
             last_proposed=self.outstanding[chain][:, None])
 

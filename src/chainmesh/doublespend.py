@@ -55,12 +55,10 @@ def plan_injections(honest_slots: Mapping[int, Sequence[float]], pairs: int,
     n-th slot is its epoch n. Carriers are drawn from `INJECTION_WINDOW` of
     the honest slots in time order, so detections can complete before the
     run ends; the two slots of a pair land on different chains whenever
-    possible. Without carriers the plan is `NO_INJECTIONS`, and `rng` is
-    not drawn from.
+    possible. The engine calls it only for a run with carriers, so a run
+    without builds no generator; its plan is `NO_INJECTIONS`.
     """
     need = 2 * pairs + regular
-    if not need:
-        return NO_INJECTIONS
     # the (chain, epoch) of every honest slot, in time order
     order = [slot for _, slot in sorted(
         (t, (chain, epoch)) for chain, times in honest_slots.items()

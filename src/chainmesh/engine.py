@@ -15,6 +15,8 @@ Confirmed blocks are ingested into the exact cross-chain ledger book at
 fixed ledger windows, where every chain's committee signs off on the append;
 an ingested block's payload is released. Only honest chains propose valid
 blocks: that cross-checks every tip verdict, confirmation and ingestion.
+The report reads each run fact from its one holder: the balances from the
+book, each chain's confirmations from the DAG, the series from the recorder.
 The run keeps each event as a tuple; the `events.log` and DAG snapshot lines
 are formatted only as they are written. All randomness flows from
 purpose-keyed streams of the scenario seed, so a rerun reproduces every
@@ -27,6 +29,7 @@ import hashlib
 import heapq
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -39,7 +42,7 @@ from .balances import (CumulativeState, LedgerBook, Transfers,
 from .coding import (CodingError, block_rows, group_layout, straggler_count,
                      written_ratio)
 from .config import ScenarioConfig
-from .dag import GENESIS_ID, ChainWeights, DagBlock, DagLedger
+from .dag import CONFIRMED, GENESIS_ID, ChainWeights, DagBlock, DagLedger
 from .doublespend import NO_INJECTIONS, ConflictTracker, plan_injections
 from .events import Candidates, EventPools, select_committee
 from .metrics import MetricsReport, SeriesRecorder, gini
@@ -61,13 +64,11 @@ def derive_seed(seed: int, *keys) -> int:
 class _ChainRuntime:
     chain: int
     honest: bool
-    worker_rows: int | None         # largest job; None: no coded layout
     pool: EventPools
     candidates: Candidates
     committee_seed: str
     dests: tuple[int, ...]          # destination chains, cycled by epoch
     slots: list[float]              # slot time of each epoch
-    confirmed_count: int = 0
     intra_done: int = 0
     skipped: int = 0
     missing_rows: int = 0           # rows of silent workers on a plain fleet
@@ -82,7 +83,6 @@ class RunResult:
     pools: list[EventPools]         # in chain order
     states: dict[int, CumulativeState]
     dag: DagLedger
-    tracker: ConflictTracker
 
     @property
     def event_lines(self) -> Iterator[str]:
@@ -103,7 +103,7 @@ class Simulation:
         self.cfg = cfg
         self.scenario = scenario
         self._end = cfg.duration_min * 60.0
-        self.recorder = SeriesRecorder()
+        self.recorder = SeriesRecorder(cfg.duration_min)
         self.dag = DagLedger(ChainWeights.equal(cfg.chains),
                              eta=cfg.confirm_threshold)
         self.tracker = ConflictTracker()
@@ -147,6 +147,7 @@ class Simulation:
         else:
             rows = base + (extra > 0)       # the first `extra` hold one more
             silent = base * straggler_count(cfg.fleet_size, rate)
+        self.worker_rows = rows     # each chain's largest job; None: no layout
         for c in range(cfg.chains):
             prefix = f"c{c}n"
             missing = silent
@@ -161,7 +162,6 @@ class Simulation:
                 dests=(tuple(d for d in range(cfg.chains) if d != c)
                        if c not in adversarial else honest),
                 slots=slots[c],
-                worker_rows=rows,
                 pool=EventPools(chain=c, approvals=self._committee_size),
                 candidates=Candidates(
                     (prefix + f" {prefix}".join(tails)).split()),
@@ -192,7 +192,7 @@ class Simulation:
         cfg = self.cfg
         if factor <= 0:
             return 0.0
-        rows = factor * rt.worker_rows
+        rows = factor * self.worker_rows
         nominal = (self._transfer_s(8.0 * 3 * rows * cfg.accounts)
                    + rows * cfg.worker_ms_per_row / 1000.0
                    + self._transfer_s(8.0 * 2 * rows * cfg.accounts))
@@ -217,7 +217,7 @@ class Simulation:
         vote_s = self._vote_s
         publish = rt.pool.publish
         # the shard stage of 0 .. tip_sample jobs, at most one per chain
-        stage_s = () if rt.worker_rows is None else tuple(
+        stage_s = () if self.worker_rows is None else tuple(
             self._shard_stage_s(rt, f)
             for f in range(min(cfg.tip_sample, cfg.chains) + 1))
         first_block: str | None = None
@@ -228,38 +228,36 @@ class Simulation:
                 now = slot_time
             t0 = now
             proposer = self._proposer(rt, epoch)
+            publish(ev.PROPOSAL_FORMED, epoch, proposer)
+            if rt.honest and self.worker_rows is None:
+                # no coded layout, nothing to draw or decode: one re-poll,
+                # then the stage times out and the chain moves on
+                timeout = cfg.task_timeout_ms / 1000.0
+                now = t0 + vote_s + 2.0 * timeout
+                yield now
+                rt.skipped += 1
+                continue
+            # drawn within the net balances at t0, before the first wait
             dest = rt.dests[(epoch - 1) % len(rt.dests)]
             rng = default_rng(derive_seed(
                 cfg.seed, "payload" if rt.honest else "spam", rt.chain, epoch))
-            if rt.honest:
-                payload = make_valid_block(
-                    dest=dest, balances=self.book.net(rt.chain), rng=rng,
-                    source=rt.chain, active_rows=cfg.active_rows,
-                    bounds=self._bounds, amount_max=cfg.amount_max)
-            else:
+            if not rt.honest:
                 payload = make_invalid_block(
                     dest=dest, balances=self.book.net(rt.chain),
                     invalid_tx_fraction=cfg.invalid_tx_fraction, rng=rng,
                     source=rt.chain, active_rows=cfg.active_rows,
                     bounds=self._bounds)
-            publish(ev.PROPOSAL_FORMED, epoch, proposer)
-
-            if not rt.honest:
                 now = t0 + 3.0 * vote_s
                 yield now
                 # stale single parent: the chain's own first block, else
                 # genesis -- approving an already-covered ancestor removes
                 # nothing from the pool
                 parents = [first_block or GENESIS_ID]
-            elif rt.worker_rows is None:
-                # a coded fleet without a layout has nothing to decode: one
-                # re-poll, then the stage times out and the chain moves on
-                timeout = cfg.task_timeout_ms / 1000.0
-                now = t0 + vote_s + 2.0 * timeout
-                yield now
-                rt.skipped += 1
-                continue
             else:
+                payload = make_valid_block(
+                    dest=dest, balances=self.book.net(rt.chain), rng=rng,
+                    source=rt.chain, active_rows=cfg.active_rows,
+                    bounds=self._bounds, amount_max=cfg.amount_max)
                 now = t0 + vote_s + stage_s[1] + vote_s
                 yield now
                 rt.intra_done += 1
@@ -331,7 +329,6 @@ class Simulation:
                 raise SimulationError(f"invalid block {bid} confirmed")
             self.recorder.record_finality(bid, now - block.attach_time)
             self.recorder.record_confirmed(now)
-            self.chains[block.proposer].confirmed_count += 1
             self._to_ingest.append(block)
             self.tracker.on_confirm(bid, now)
 
@@ -367,7 +364,7 @@ class Simulation:
     def conservation_holds(self) -> bool:
         """Exact identity in Python ints: supply = nets + outstanding spend."""
         book = self.book
-        return (sum(book.net().ravel().tolist())
+        return (sum((book.held - book.outstanding).ravel().tolist())
                 + sum(book.outstanding.ravel().tolist())
                 == sum(book.genesis.ravel().tolist()))
 
@@ -392,18 +389,20 @@ class Simulation:
                          recorder=self.recorder,
                          pools=[rt.pool for rt in self.chains.values()],
                          states={c: self.book.state(c) for c in self.chains},
-                         dag=self.dag,
-                         tracker=self.tracker)
+                         dag=self.dag)
 
     def _report(self) -> MetricsReport:
         cfg = self.cfg
         intra = sum(rt.intra_done for rt in self.chains.values()
                     if rt.honest)
-        confirmed = sum(rt.confirmed_count for rt in self.chains.values())
+        # confirmed blocks per chain; genesis, proposed by none, is left out
+        by_chain = Counter(b.proposer for b in self.dag.blocks.values()
+                           if b.status == CONFIRMED)
+        counts = [by_chain[c] for c in range(cfg.chains)]
+        confirmed = sum(counts)
         attached = len(self.dag.blocks) - 1
         finals = [s for _, s in self.recorder.finality]
         pools = [c for _, c in self.recorder.tip_pool]
-        counts = [self.chains[c].confirmed_count for c in range(cfg.chains)]
         plan = self.injection
         ds = (self.tracker.score(plan.pair_ids, plan.regular_ids)
               if plan.carriers else None)

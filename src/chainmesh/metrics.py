@@ -1,10 +1,14 @@
-"""Run metrics: throughput, finality, tip-pool series, and dispersion."""
+"""Run metrics: throughput, finality, tip-pool series, and dispersion.
+
+A run's `SeriesRecorder` keeps each series in the form its artifact prints:
+the confirmations as per-minute counts, not as their times."""
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -30,13 +34,16 @@ def gini(values: Sequence[float]) -> float | None:
     return float((2.0 * (ranks * x).sum() - (n + 1) * x.sum()) / (n * x.sum()))
 
 
-@dataclass
 class SeriesRecorder:
-    """Accumulates the time series a run exports as CSV artifacts."""
+    """Accumulates the series a run of `duration_min` minutes exports as CSV
+    artifacts: the tip-pool samples, each confirmed block's finality, and
+    the blocks confirmed in each whole minute, counted as they confirm; a
+    confirmation past the last minute counts in it."""
 
-    tip_pool: list[tuple[float, int]] = field(default_factory=list)
-    finality: list[tuple[str, float]] = field(default_factory=list)
-    confirmed_times: list[float] = field(default_factory=list)
+    def __init__(self, duration_min: float):
+        self.tip_pool: list[tuple[float, int]] = []
+        self.finality: list[tuple[str, float]] = []
+        self.throughput = [0] * max(1, math.ceil(duration_min))
 
     def sample_tip_pool(self, time_s: float, count: int) -> None:
         self.tip_pool.append((round(float(time_s), 6), int(count)))
@@ -45,16 +52,8 @@ class SeriesRecorder:
         self.finality.append((block_id, round(float(seconds), 6)))
 
     def record_confirmed(self, time_s: float) -> None:
-        self.confirmed_times.append(float(time_s))
-
-
-def per_minute(times_s: Sequence[float], duration_min: float) -> list[int]:
-    """Bucket event times into whole-minute counts over the run."""
-    buckets = [0] * max(1, int(np.ceil(duration_min)))
-    for t in times_s:
-        idx = min(len(buckets) - 1, int(t // 60.0))
-        buckets[idx] += 1
-    return buckets
+        last = len(self.throughput) - 1
+        self.throughput[min(last, int(time_s // 60.0))] += 1
 
 
 @dataclass(frozen=True)
@@ -89,12 +88,11 @@ def write_artifacts(out_dir: str | Path, recorder: SeriesRecorder,
     """Write the CSV/JSON/snapshot/event-log artifact set for one run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    throughput = enumerate(per_minute(recorder.confirmed_times,
-                                      report.duration_min))
     for name, header, rows in (
             ("tip_pool.csv", ("time_s", "count"), recorder.tip_pool),
             ("finality.csv", ("block_id", "seconds"), recorder.finality),
-            ("throughput.csv", ("minute", "confirmed"), throughput)):
+            ("throughput.csv", ("minute", "confirmed"),
+             enumerate(recorder.throughput))):
         with open(out / name, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)

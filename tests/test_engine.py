@@ -20,11 +20,13 @@ from chainmesh.balances import (FlowAggregates, LedgerBook,
                                 LedgerOverflowError, net_balances, new_state,
                                 update_cumulative)
 from chainmesh.coding import CodingError, plan_groups
-from chainmesh.config import ScenarioConfig, replace
+from chainmesh.config import ScenarioConfig, config_from_mapping, replace
 from chainmesh.engine import Simulation, run_scenario
 from chainmesh.dag import DagLedger
 from chainmesh.events import LEDGER_APPEND, EventPools
-from chainmesh.roles import build_fleet
+from chainmesh.metrics import SeriesRecorder
+from chainmesh.roles import build_fleet, make_valid_block
+from corpus import PINS
 
 ARTIFACTS = ["tip_pool.csv", "finality.csv", "throughput.csv",
              "metrics.json", "dag_snapshot.txt", "events.log"]
@@ -231,7 +233,7 @@ def test_the_book_equals_a_dense_state_replay_at_every_window(monkeypatch):
                  s.last_proposed - confirmed[c])
             s = states[c]
             assert (s.genesis + s.w_in.sum(axis=0)).tolist() == \
-                (book.genesis[c] + book.received[c]).tolist()
+                (book.held[c] + book.spent[c]).tolist()
             assert s.w_out.sum(axis=1).tolist() == \
                 (book.spent[c] + book.outstanding[c]).tolist()
             assert s.last_proposed.sum(axis=1).tolist() == \
@@ -271,8 +273,9 @@ def test_a_window_releases_the_payloads_it_ingests(monkeypatch):
 
     monkeypatch.setattr(DagLedger, "attach", keep_attached)
     monkeypatch.setattr(LedgerBook, "ingest", keep_ingested)
-    result = Simulation(cfg).run()
-    assert result.tracker.detections     # tips were sighted conflicting
+    sim = Simulation(cfg)
+    result = sim.run()
+    assert sim.tracker.detections        # tips were sighted conflicting
     landed = {id(t) for t in ingested}
     released = {bid for bid, t in attached.items() if id(t) in landed}
     assert len(released) == len(ingested) > 10
@@ -310,8 +313,16 @@ def test_extreme_amounts_run_or_stop_on_a_named_overflow():
 
 # -- inter-chain ledger -----------------------------------------------------
 
-def test_every_chain_appends_at_every_superblock_window():
+def test_every_chain_appends_at_every_superblock_window(monkeypatch):
     cfg = quick(chains=2, duration_min=2.0)
+    times = []
+    record = SeriesRecorder.record_confirmed
+
+    def keep_time(recorder, time_s):
+        times.append(time_s)
+        record(recorder, time_s)
+
+    monkeypatch.setattr(SeriesRecorder, "record_confirmed", keep_time)
     res = run_scenario(cfg, "pair")
     appends = {0: [], 1: []}
     for line in res.event_lines:
@@ -321,7 +332,6 @@ def test_every_chain_appends_at_every_superblock_window():
     # window i runs at (i + 1) intervals and appends at epoch -(i + 1), but
     # only if it ingests blocks: those confirmed since the window before
     interval = cfg.ledger_interval_s
-    times = res.recorder.confirmed_times
     assert all(t % interval for t in times)     # no tie with a window
     windows = {math.ceil(t / interval) for t in times}
     want = sorted((-w for w in windows
@@ -375,6 +385,23 @@ def test_total_silence_stalls_the_coded_fleet():
         assert res.report.attached_blocks == 0, (fleet, frac)
         assert res.report.confirmed_blocks == 0, (fleet, frac)
         assert res.report.conservation_ok, (fleet, frac)
+
+
+def test_a_stalled_coded_epoch_draws_no_block(monkeypatch):
+    # an honest chain without a coded layout times out at every epoch,
+    # before it would build a payload, so it draws none
+    calls = []
+
+    def counted(**kw):
+        calls.append(kw)
+        return make_valid_block(**kw)
+
+    monkeypatch.setattr(engine, "make_valid_block", counted)
+    overrides = PINS["coded-fleet21-all-skip"][0]
+    res = run_scenario(config_from_mapping(overrides), "skip")
+    kinds = Counter(json.loads(line)["kind"] for line in res.event_lines)
+    assert kinds[ev.PROPOSAL_FORMED] > 0         # the epochs did run
+    assert res.report.attached_blocks == 0 and len(calls) == 0
 
 
 def test_total_silence_uncoded_limps_through_fallback():
@@ -442,7 +469,7 @@ def test_plain_shard_rows_follow_the_uneven_split():
             engine.derive_seed(0, "fleet", rt.chain))
         silent = build_fleet(7, 0.3, rng).straggler_set()
         assert len(silent) == 2
-        assert rt.worker_rows == 15
+        assert sim.worker_rows == 15
         assert rt.missing_rows == sum(15 if i < 2 else 14 for i in silent)
 
 
@@ -453,7 +480,7 @@ def test_plain_shard_rows_on_an_even_split_count_every_silent_worker():
         rng = np.random.default_rng(
             engine.derive_seed(0, "fleet", rt.chain))
         silent = build_fleet(100, 0.1, rng).straggler_set()
-        assert rt.worker_rows == 10
+        assert sim.worker_rows == 10
         assert rt.missing_rows == sum(10 for _ in silent) == 100
 
 
@@ -521,8 +548,8 @@ def test_the_coded_layout_equals_the_planners():
             for g in groups:
                 assert g.rows_per_block == math.ceil(
                     g.rows / len(g.data_positions))
+        assert sim.worker_rows == want, (fleet, accounts, rate)
         for rt in sim.chains.values():
-            assert rt.worker_rows == want, (fleet, accounts, rate)
             assert rt.missing_rows == 0
     assert stalls
 
@@ -644,11 +671,12 @@ def test_labeled_candidates_are_never_approved_nor_confirmed(k):
     from chainmesh.dag import CONFIRMED
     from chainmesh.presets import build_preset
     (cfg,) = build_preset(f"double-spend-k{k}").values()
-    res = run_scenario(cfg, "ds")
+    sim = Simulation(cfg, "ds")
+    res = sim.run()
     # a candidate is sighted in the first tip batch that holds it, so none
     # is ever approved
-    conflicting = set(res.tracker.candidates)
-    assert res.tracker.detections        # the check below is not vacuous
+    conflicting = set(sim.tracker.candidates)
+    assert sim.tracker.detections        # the check below is not vacuous
     for bid, block in res.dag.blocks.items():
         assert not conflicting & set(block.parents), bid
         if bid in conflicting:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chainmesh.metrics import (MetricsReport, SeriesRecorder, gini,
-                               per_minute, write_artifacts)
+                               write_artifacts)
 
 
 def gini_naive(values):
@@ -55,15 +55,23 @@ class TestGini:
         assert gini(x) == pytest.approx(gini([v * 1000 for v in x]))
 
 
+def confirmed_per_minute(times_s, duration_min):
+    rec = SeriesRecorder(duration_min)
+    for t in times_s:
+        rec.record_confirmed(t)
+    return rec.throughput
+
+
 class TestPerMinute:
     def test_buckets_by_minute(self):
-        assert per_minute([1.0, 59.9, 60.0, 61.0, 150.0], 3.0) == [2, 2, 1]
+        assert confirmed_per_minute([1.0, 59.9, 60.0, 61.0, 150.0], 3.0) \
+            == [2, 2, 1]
 
     def test_overflow_clips_into_last_bucket(self):
-        assert per_minute([179.0, 185.0], 3.0) == [0, 0, 2]
+        assert confirmed_per_minute([179.0, 185.0], 3.0) == [0, 0, 2]
 
     def test_empty(self):
-        assert per_minute([], 2.0) == [0, 0]
+        assert confirmed_per_minute([], 2.0) == [0, 0]
 
 
 def make_report(**over):
@@ -78,7 +86,7 @@ def make_report(**over):
 
 class TestArtifacts:
     def test_writes_full_artifact_set(self, tmp_path):
-        rec = SeriesRecorder()
+        rec = SeriesRecorder(2.0)
         rec.sample_tip_pool(0.5, 3)
         rec.sample_tip_pool(1.5, 4)
         rec.record_finality("b1", 2.25)
@@ -92,7 +100,7 @@ class TestArtifacts:
                          "metrics.json", "dag_snapshot.txt", "events.log"}
 
     def test_csv_headers_and_rows(self, tmp_path):
-        rec = SeriesRecorder()
+        rec = SeriesRecorder(2.0)
         rec.sample_tip_pool(1.0, 7)
         rec.record_finality("blk", 3.5)
         rec.record_confirmed(61.0)
@@ -108,7 +116,7 @@ class TestArtifacts:
         assert rows == [["minute", "confirmed"], ["0", "0"], ["1", "1"]]
 
     def test_metrics_json_sorted_and_complete(self, tmp_path):
-        rec = SeriesRecorder()
+        rec = SeriesRecorder(2.0)
         report = make_report(double_spend={"detected": 9.0})
         write_artifacts(tmp_path, rec, report, [], [])
         text = (tmp_path / "metrics.json").read_text()
@@ -119,7 +127,7 @@ class TestArtifacts:
         assert keys == sorted(keys)
 
     def test_snapshot_and_event_log_lines(self, tmp_path):
-        rec = SeriesRecorder()
+        rec = SeriesRecorder(2.0)
         write_artifacts(tmp_path, rec, make_report(), ["line-a", "line-b"],
                         ["{\"e\": 1}"])
         assert (tmp_path / "dag_snapshot.txt").read_text() == "line-a\nline-b\n"
