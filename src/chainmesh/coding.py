@@ -184,7 +184,7 @@ def _repair_frozen(size: int, probs: Sequence[float],
 
     A swap of k positions changes k rows and k columns of H[F, F], so it
     raises the rank by at most 2k. A tier that cannot reach rank s from the
-    original set's rank is skipped without being built.
+    original set's rank is passed over without being built.
     """
     cand = tuple(sorted(candidate))
     s = len(cand)
@@ -300,8 +300,8 @@ def _bareiss(rows: list[list[int]], ncols: int,
 
     Each step maps row_i to (pivot * row_i - row_i[c] * pivot_row) // prev,
     a division that is always exact (Bareiss, 1968): every entry stays a minor
-    of the row-permuted input. A column with no pivot left is skipped, so the
-    pivots taken count the rank of those columns. Forward mode clears below
+    of the row-permuted input. A column with no pivot left is passed over, so
+    the pivots taken count the rank of those columns. Forward mode clears below
     each pivot; `jordan` clears above as well. At full rank that leaves
     det * I in the leading block, so the tail columns of row t hold det times
     the row combination that isolates unknown t. Returns the rank and the

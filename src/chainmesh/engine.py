@@ -69,8 +69,6 @@ class _ChainRuntime:
     committee_seed: str
     dests: tuple[int, ...]          # destination chains, cycled by epoch
     slots: list[float]              # slot time of each epoch
-    intra_done: int = 0
-    skipped: int = 0
     missing_rows: int = 0           # rows of silent workers on a plain fleet
 
 
@@ -235,7 +233,6 @@ class Simulation:
                 timeout = cfg.task_timeout_ms / 1000.0
                 now = t0 + vote_s + 2.0 * timeout
                 yield now
-                rt.skipped += 1
                 continue
             # drawn within the net balances at t0, before the first wait
             dest = rt.dests[(epoch - 1) % len(rt.dests)]
@@ -260,7 +257,6 @@ class Simulation:
                     bounds=self._bounds, amount_max=cfg.amount_max)
                 now = t0 + vote_s + stage_s[1] + vote_s
                 yield now
-                rt.intra_done += 1
                 publish(ev.PROPOSAL_RESULTS, epoch, proposer)
                 parents, tips = self._stage_tips(
                     rt, payload, random.Random(derive_seed(
@@ -393,8 +389,9 @@ class Simulation:
 
     def _report(self) -> MetricsReport:
         cfg = self.cfg
-        intra = sum(rt.intra_done for rt in self.chains.values()
-                    if rt.honest)
+        # only an honest chain's epoch publishes its proposal's results
+        intra = sum(kind == ev.PROPOSAL_RESULTS for rt in self.chains.values()
+                    for kind, _, _ in rt.pool.audit)
         # confirmed blocks per chain; genesis, proposed by none, is left out
         by_chain = Counter(b.proposer for b in self.dag.blocks.values()
                            if b.status == CONFIRMED)

@@ -1,18 +1,20 @@
 """No `src` dataclass field or constant may exist only for the tests.
 
 Every field of a dataclass defined under `src/chainmesh/` must be read by
-name somewhere in `src/`: loaded as an attribute, or updated in place
-(`x.f += 1` reads `x.f`). A bare name, such as a local variable or a
-keyword argument's value, is not a field read, nor is setting a field by
-keyword or by assignment. A dataclass whose own method passes `self` to
-`asdict` reads every field. Exceptions go in `UNREAD_FIELDS` with a reason.
+name somewhere in `src/`, loaded as an attribute. Inside the body of a
+class `C`, `self.f` reads only `C.f`; any other `x.f` reads every field
+named `f`. A bare name, such as a local variable or a keyword argument's
+value, is not a field read, nor is setting a field by keyword, by
+assignment or in place (`x.f += 1` only writes a counter). A dataclass
+whose own method passes `self` to `asdict` reads every field. Exceptions go
+in `UNREAD_FIELDS` with a reason.
 
 Every public module-level constant under `src/chainmesh/` must be loaded
 somewhere in `src/`, as a bare name or as a module attribute. Its own
 assignment stores the name, so only loads count.
 
-References are matched by bare name, so the checks can miss dead code whose
-name is reused elsewhere; they never flag live code. Functions and methods
+References other than `self.f` are matched by bare name, so the checks can
+miss dead code whose name is reused elsewhere; they never flag live code. Functions and methods
 are left to `tests/test_reach.py`, which requires every line of them to be
 reached by the program itself; line reach cannot see a field or a constant
 that is stored but never read.
@@ -65,21 +67,29 @@ def _dataclass_fields() -> set[str]:
 
 
 def _names_read_in_src() -> set[str]:
+    """Attributes src loads: "C.f" for `self.f` in the body of class `C`,
+    the bare "f" for any other `x.f`."""
     names: set[str] = set()
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) \
+                    and isinstance(child.ctx, ast.Load):
+                own = (cls is not None and isinstance(child.value, ast.Name)
+                       and child.value.id == "self")
+                names.add(f"{cls}.{child.attr}" if own else child.attr)
+            visit(child, child.name if isinstance(child, ast.ClassDef)
+                  else cls)
+
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.AugAssign):
-                node = node.target
-            elif not isinstance(getattr(node, "ctx", None), ast.Load):
-                continue
-            if isinstance(node, ast.Attribute):
-                names.add(node.attr)
+        visit(ast.parse(path.read_text()), None)
     return names
 
 
 def _unread_fields() -> set[str]:
     read = _names_read_in_src()
-    return {q for q in _dataclass_fields() if q.rsplit(".", 1)[-1] not in read}
+    return {q for q in _dataclass_fields()
+            if q not in read and q.rsplit(".", 1)[-1] not in read}
 
 
 def test_every_src_dataclass_field_is_read_in_src():

@@ -4,16 +4,15 @@
 
 Both commits are exported with `git archive` from the repository this script
 lives in, and each is run in one fresh process, the two side by side. The
-corpus is every preset at desk and paper scale, seeds 0-2, run through each
-side's own `chainmesh preset` command, and every run of `tests/corpus.py` at
-each of its seeds: the pinned configs, the extra runs and the seeded fuzz
-configs, whose configs that fail validation are compared by error type and
-message.
+corpus is every preset at desk and paper scale, seeds 0-2, each run as
+`chainmesh preset` runs it, and every run of `tests/corpus.py` at each of
+its seeds: the pinned configs, the extra runs and the seeded fuzz configs,
+whose configs that fail validation are compared by error type and message.
 
 Each run is compared by `artifact_digest`, the SHA-256 over its six
-artifacts, and by its attached and confirmed block counts; a run of the
-corpus also by `states_digest`, a SHA-256 over the final ledger states of its
-`RunResult.states`, which no artifact prints. Every run whose digest or
+artifacts, by its attached and confirmed block counts, and by
+`states_digest`, a SHA-256 over the final ledger states of its
+`RunResult.states`, which no artifact prints. Every run whose digests or
 counts differ, or that exists or fails on one side only, is printed; the
 exit code is then 1. It is 0 when every run matches, and 2 when a commit
 cannot be exported or a side fails as a whole. The corpus and the digests
@@ -28,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,48 +43,44 @@ PRESET_SEEDS = (0, 1, 2)
 # -- one side ---------------------------------------------------------------
 
 def run_side(tree: Path, work: Path, runs: list) -> dict[str, list]:
-    """Run the corpus on the checkout at `tree`; name -> [digest,
-    attached, confirmed], with the states digest beside the presets, or
-    ["error", message]."""
+    """Run every preset and corpus run on the checkout at `tree`; name ->
+    [artifact digest, attached, confirmed, states digest], or ["error",
+    message]."""
     sys.path.insert(0, str(tree / "src"))
     import chainmesh
-    from chainmesh.cli import main
-    from chainmesh.config import config_from_mapping
+    from chainmesh.config import config_from_mapping, replace
     from chainmesh.engine import run_scenario
-    from chainmesh.presets import preset_names
+    from chainmesh.presets import build_preset, preset_names
     if Path(chainmesh.__file__).resolve().parent != \
             (tree / "src" / "chainmesh").resolve():
         raise SystemExit(f"chainmesh imported from {chainmesh.__file__}, "
                          f"not from {tree}")
 
     results: dict[str, list] = {}
-
-    def record(name: str, out: Path, *extra: str) -> None:
-        metrics = json.loads((out / "metrics.json").read_text())
-        results[name] = [artifact_digest(out), metrics["attached_blocks"],
-                         metrics["confirmed_blocks"], *extra]
-
+    todo = []       # (name, config thunk, scenario name), in run order
     for scale in ("desk", "paper"):
-        flags = ["--paper-scale"] if scale == "paper" else []
         for preset in preset_names():
-            out = work / scale
-            code = main(["preset", preset, "--out", str(out), "--quiet",
-                         "--seeds", *map(str, PRESET_SEEDS), *flags])
-            if code:
-                results[f"preset/{scale}/{preset}"] = ["error",
-                                                       f"exit {code}"]
-            for run in sorted((out / preset).glob("*/seed-*")):
-                record(f"preset/{scale}/{preset}/{run.parent.name}/"
-                       f"{run.name}", run)
-    for i, (name, overrides, seed) in enumerate(runs):
-        out = work / "runs" / str(i)
+            name = f"preset/{scale}/{preset}"
+            try:
+                built = build_preset(preset, scale == "paper")
+            except Exception as exc:    # a failing preset is a difference
+                results[name] = ["error", f"{type(exc).__name__}: {exc}"]
+                continue
+            todo += [(f"{name}/{label}/seed-{s:03d}",
+                      partial(replace, cfg, seed=s), label)
+                     for label, cfg in built.items() for s in PRESET_SEEDS]
+    todo += [(name, partial(config_from_mapping, {**overrides, "seed": seed}),
+              "scenario") for name, overrides, seed in runs]
+    for i, (name, config, scenario) in enumerate(todo):
+        out = work / str(i)
         try:
-            result = run_scenario(
-                config_from_mapping({**overrides, "seed": seed}), out_dir=out)
+            result = run_scenario(config(), scenario, out)
         except Exception as exc:        # a failing run is a difference
             results[name] = ["error", f"{type(exc).__name__}: {exc}"]
             continue
-        record(name, out, states_digest(result.states))
+        results[name] = [artifact_digest(out), result.report.attached_blocks,
+                         result.report.confirmed_blocks,
+                         states_digest(result.states)]
     return results
 
 
@@ -174,7 +170,9 @@ def main() -> int:
     diffs = compare(results["parent"], results["change"])
     for line in diffs:
         print(line)
-    print(f"{len(results['change'])} runs, {len(diffs)} differ, "
+    change = results["change"].values()
+    print(f"{len(change)} runs ({sum(len(r) == 4 for r in change)} with "
+          f"ledger states), {len(diffs)} differ, "
           f"{time.monotonic() - start:.1f} s")
     return 1 if diffs else 0
 
