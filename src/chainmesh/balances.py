@@ -7,7 +7,8 @@ chain j sends to account receivers[k] on chain l. A block carries one
 block alone: its triplets are non-negative int64 of equal length, it moves
 tokens to another chain, and its senders are strictly increasing, so each
 sending account has one triplet and the amounts are the block's spend per
-sending account. It keeps read-only copies of its arrays.
+sending account. It keeps one read-only (3, k) copy of its triplets, whose
+rows are its senders, receivers and amounts.
 
 The engine keeps every chain's totals in one `LedgerBook`, updated in place:
 a proposal debit holds its spend as outstanding, and a ledger window moves
@@ -32,6 +33,7 @@ exact int64; no floats anywhere. A total that would leave int64 raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -52,9 +54,19 @@ class LedgerOverflowError(LedgerError):
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def _holds_bool(values) -> bool:
+    """Whether a bool, or an array of bools, is among `values`, at any
+    depth of lists and tuples: numpy would turn it into an int."""
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_)) or (
+        isinstance(values, np.ndarray) and values.dtype.kind == "b")
+
+
 def _as_amounts(values, ndim: int) -> np.ndarray:
     """A read-only, non-negative int64 copy of the integers `values`, of
-    `ndim` dimensions, however it is flagged. Anything else with an entry
+    `ndim` dimensions, however it is flagged; `values` may be an array, or
+    a list or tuple of arrays or sequences. Anything else with an entry
     raises LedgerError, and an int past int64 LedgerOverflowError."""
     try:
         arr = np.array(values)
@@ -62,54 +74,67 @@ def _as_amounts(values, ndim: int) -> np.ndarray:
         raise LedgerError(f"amounts must form a regular array: {exc}") from exc
     if not arr.size:                # no entry, whatever its dtype
         arr = arr.astype(np.int64)
-    kind = arr.dtype.kind
-    # numpy holds an int past int64 as uint64 or as a Python int object
-    if not (kind in "iu" or kind == "O" and set(map(type, arr.flat)) <= {int}):
-        # numpy infers float64 only for ints that share no integer dtype,
-        # which takes a negative one and one past int64, such as [-1, 2**63]
-        raise LedgerError(
-            "amounts and account indices must be non-negative"
-            if set(map(type, np.array(values, dtype=object).flat)) <= {int}
-            else f"amounts must be integers, not {arr.dtype}")
-    # numpy silently turns a bool among a sequence's ints into an int
-    if not isinstance(values, np.ndarray) and any(isinstance(
-            v, (bool, np.bool_)) for v in np.array(values, dtype=object).flat):
+    given, ints = arr.dtype, arr.dtype.kind in "iu"
+    # numpy holds an int past int64 as uint64 or as a Python int object, and
+    # ints it fits in no one integer dtype, such as [1, 2**63], [-1, 2**63]
+    # or an int64 and a uint64 array, as float64: those are taken entry by
+    # entry, as objects
+    arr = arr if ints else np.array(values, dtype=object)
+    types = () if ints else set(map(type, arr.flat))
+    if types and not all(map(np.issubdtype, types, repeat(np.integer))):
+        raise LedgerError(f"amounts must be integers, not {given}")
+    # numpy silently turns a bool among ints into an int
+    if ints and arr.size and _holds_bool(values):
         raise LedgerError("amounts must be integers, not bool")
     if arr.ndim != ndim:
         raise LedgerError(f"expected a {ndim}-D int64 array, got shape {arr.shape}")
     if arr.min(initial=0) < 0:
         raise LedgerError("amounts and account indices must be non-negative")
-    if kind != "i" and arr.max(initial=0) > INT64_MAX:
+    if arr.dtype.kind != "i" and arr.max(initial=0) > INT64_MAX:
         raise LedgerOverflowError("amount or account index exceeds int64")
     arr = arr.astype(np.int64, copy=False)
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Transfers:
     """One block's transfers from chain `source` to chain `dest`.
 
-    Equal-length triplet vectors: account senders[k] on `source` pays
-    amounts[k] to account receivers[k] on `dest`, another chain. Senders are
-    strictly increasing, so amounts[k] is all that senders[k] spends.
+    Equal-length triplet vectors, the rows of `triplets`: account
+    senders[k] on `source` pays amounts[k] to account receivers[k] on
+    `dest`, another chain. Senders are strictly increasing, so amounts[k]
+    is all that senders[k] spends. Built from the three vectors, which are
+    checked together, as one (3, k) array, and read back as its row views.
     """
 
     source: int
     dest: int
-    senders: np.ndarray
-    receivers: np.ndarray
-    amounts: np.ndarray
+    triplets: np.ndarray
 
-    def __post_init__(self):
-        if self.source == self.dest:
+    def __init__(self, source: int, dest: int, senders, receivers, amounts):
+        if source == dest:
             raise LedgerError("intra-chain transfer rejected")
-        for name in ("senders", "receivers", "amounts"):
-            object.__setattr__(self, name, _as_amounts(getattr(self, name), ndim=1))
-        if not self.senders.shape == self.receivers.shape == self.amounts.shape:
-            raise LedgerError("transfer triplet vectors must have equal length")
-        if (self.senders[1:] <= self.senders[:-1]).any():
+        # three 1-D vectors of one length stack to (3, k); any others stack
+        # to another shape or are ragged, which `_as_amounts` refuses
+        triplets = _as_amounts((senders, receivers, amounts), ndim=2)
+        if (triplets[0, 1:] <= triplets[0, :-1]).any():
             raise LedgerError("transfer senders must be strictly increasing")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "dest", dest)
+        object.__setattr__(self, "triplets", triplets)
+
+    @property
+    def senders(self) -> np.ndarray:
+        return self.triplets[0]
+
+    @property
+    def receivers(self) -> np.ndarray:
+        return self.triplets[1]
+
+    @property
+    def amounts(self) -> np.ndarray:
+        return self.triplets[2]
 
 
 @dataclass(frozen=True)
@@ -282,11 +307,11 @@ class LedgerBook:
         fit its net balance; a block that overdraws one, or names a chain or
         account outside the book, raises LedgerError, and nothing is held."""
         _check_rows(t, self)
-        rows, c = t.senders, t.source
-        if (self.held[c][rows] - self.outstanding[c][rows] < t.amounts).any():
+        rows, amounts, c = t.senders, t.amounts, t.source
+        if (self.held[c][rows] - self.outstanding[c][rows] < amounts).any():
             raise LedgerError(
                 f"a debit would overdraw a net balance on chain {c}")
-        self.outstanding[c][rows] += t.amounts
+        self.outstanding[c][rows] += amounts
 
     def ingest(self, blocks: Sequence[Transfers]) -> None:
         """Land one window's confirmed blocks: each moves its spend from its
@@ -299,15 +324,14 @@ class LedgerBook:
         for t in blocks:
             self.check_chain(t.source)
             self.check_chain(t.dest)
-        sizes = [len(t.amounts) for t in blocks]
-        amounts = np.concatenate([t.amounts for t in blocks])
+        sizes = [t.triplets.shape[1] for t in blocks]
+        senders, receivers, amounts = np.concatenate(
+            [t.triplets for t in blocks], axis=1)
         credited = _sum_at(self.held + self.spent, (
-            np.repeat([t.dest for t in blocks], sizes),
-            np.concatenate([t.receivers for t in blocks])),
+            np.repeat([t.dest for t in blocks], sizes), receivers),
             amounts, f"a balance at ledger window {self.windows}")
         outflow = _sum_at(np.zeros_like(self.spent), (
-            np.repeat([t.source for t in blocks], sizes),
-            np.concatenate([t.senders for t in blocks])),
+            np.repeat([t.source for t in blocks], sizes), senders),
             amounts, f"a confirmed spend at ledger window {self.windows}")
         if (outflow > self.outstanding).any():
             raise LedgerError("a window confirms spend no proposal held")

@@ -84,8 +84,9 @@ class DagBlock:
 
     `chains` is the bitmask of chains contributing stake to this block:
     its own proposer plus the proposers of everything in its future cone.
-    `stake` is their summed stake numerator. `payload` is None on genesis
-    and on every block a ledger window has ingested.
+    `stake` is their summed stake numerator. `payload` is None on genesis,
+    on every block a ledger window has ingested and on every tip the engine
+    excluded as invalid or conflicting.
     """
 
     id: str

@@ -10,17 +10,19 @@ epoch); the conflict tracker, present in every run, keeps which conflicts
 each chain has sighted and claims them on its proposals. Every timed process --
 a chain's epochs, the ledger windows, the tip-pool samples -- is one
 generator, resumed by the event queue at each time it waits for. A tip
-sighted invalid or conflicting is excluded in the DAG for good.
+sighted invalid or conflicting is excluded in the DAG for good, and its
+payload is released: it is never sampled, confirmed or ingested again.
 Confirmed blocks are ingested into the exact cross-chain ledger book at
 fixed ledger windows, where every chain's committee signs off on the append;
 an ingested block's payload is released. Only honest chains propose valid
 blocks: that cross-checks every tip verdict, confirmation and ingestion.
 The report reads each run fact from its one holder: the balances from the
 book, each chain's confirmations from the DAG, the series from the recorder.
-The run keeps each event as a tuple; the `events.log` and DAG snapshot lines
-are formatted only as they are written. All randomness flows from
-purpose-keyed streams of the scenario seed, so a rerun reproduces every
-artifact byte for byte.
+The run keeps its events and series in flat columns and each chain's slot
+times as one array of floats; the `events.log` and DAG snapshot lines are
+formatted only as they are written, and the end-of-run ledger states only
+as they are read. All randomness flows from purpose-keyed streams of the
+scenario seed, so a rerun reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import hashlib
 import heapq
 import itertools
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -68,7 +71,7 @@ class _ChainRuntime:
     candidates: Candidates
     committee_seed: str
     dests: tuple[int, ...]          # destination chains, cycled by epoch
-    slots: list[float]              # slot time of each epoch
+    slots: array                    # slot time of each epoch
     missing_rows: int = 0           # rows of silent workers on a plain fleet
 
 
@@ -79,8 +82,14 @@ class RunResult:
     report: MetricsReport
     recorder: SeriesRecorder
     pools: list[EventPools]         # in chain order
-    states: dict[int, CumulativeState]
+    book: LedgerBook
     dag: DagLedger
+
+    @property
+    def states(self) -> dict[int, CumulativeState]:
+        """Each chain's end-of-run totals as a summed state; built afresh
+        on each read."""
+        return {c: self.book.state(c) for c in range(len(self.book.genesis))}
 
     @property
     def event_lines(self) -> Iterator[str]:
@@ -294,10 +303,11 @@ class Simulation:
             batch.setdefault(self.dag.blocks[bid].proposer, bid)
         parents: list[str] = []
         if batch:
+            blocks = [self.dag.blocks[b] for b in batch.values()]
             verdicts = validate_tip_payloads(
-                [self.dag.blocks[b].payload for b in batch.values()],
-                self.book)
-            for (src, bid), verdict in zip(batch.items(), verdicts):
+                [block.payload for block in blocks], self.book)
+            for (src, bid), block, verdict in zip(batch.items(), blocks,
+                                                  verdicts):
                 # only honest chains propose valid blocks
                 if verdict != self.chains[src].honest:
                     raise SimulationError(
@@ -308,8 +318,11 @@ class Simulation:
                 else:
                     # verdicts are deterministic and shared: a tip sighted
                     # invalid or conflicting is never sampled again, so it
-                    # wastes one approval slot in total, not one per epoch
+                    # wastes one approval slot in total, not one per epoch;
+                    # it is never confirmed or ingested, so nothing reads
+                    # its payload again
                     self.dag.exclude(bid)
+                    block.payload = None
         else:
             # no tip to check: fall back to the deepest confirmed block
             parents = [self.dag.deepest_confirmed()]
@@ -378,28 +391,28 @@ class Simulation:
             wake = next(process, None)
             if wake is not None and wake <= end:
                 heapq.heappush(queue, (wake, next(order), process))
-        if (not self.recorder.tip_pool
-                or self.recorder.tip_pool[-1][0] != round(self._end, 6)):
+        times = self.recorder.tip_times
+        if not times or times[-1] != round(self._end, 6):
             self.recorder.sample_tip_pool(self._end, len(self.dag.tips))
         return RunResult(report=self._report(),
                          recorder=self.recorder,
                          pools=[rt.pool for rt in self.chains.values()],
-                         states={c: self.book.state(c) for c in self.chains},
+                         book=self.book,
                          dag=self.dag)
 
     def _report(self) -> MetricsReport:
         cfg = self.cfg
         # only an honest chain's epoch publishes its proposal's results
-        intra = sum(kind == ev.PROPOSAL_RESULTS for rt in self.chains.values()
-                    for kind, _, _ in rt.pool.audit)
+        code = ev.KIND_CODES[ev.PROPOSAL_RESULTS]
+        intra = sum(rt.pool.kinds.count(code) for rt in self.chains.values())
         # confirmed blocks per chain; genesis, proposed by none, is left out
         by_chain = Counter(b.proposer for b in self.dag.blocks.values()
                            if b.status == CONFIRMED)
         counts = [by_chain[c] for c in range(cfg.chains)]
         confirmed = sum(counts)
         attached = len(self.dag.blocks) - 1
-        finals = [s for _, s in self.recorder.finality]
-        pools = [c for _, c in self.recorder.tip_pool]
+        finals = self.recorder.finality_s
+        pools = self.recorder.tip_counts
         plan = self.injection
         ds = (self.tracker.score(plan.pair_ids, plan.regular_ids)
               if plan.carriers else None)

@@ -5,16 +5,17 @@ each one: the member of the highest draw proposes, every member approves.
 A candidate's lottery draw is the SHA-256 digest of its key and the epoch,
 finished from a hash state that has already taken the key; draws compare as
 raw bytes. A committee is held as its proposer and its size.
-A chain's pool keeps each signed-off event as a (kind, epoch, proposer)
-tuple, in publish order, for the audit log; the engine's epoch generator
-fixes the stage order, so the pool checks none.
+A chain's pool keeps its signed-off events in publish order, for the audit
+log, as three flat columns: a byte code of each event's kind, its epoch,
+and the index of its proposer among the proposers the pool has seen; the
+engine's epoch generator fixes the stage order, so the pool checks none.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from json.encoder import encode_basestring_ascii as _json_str
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 # Event kinds, in pipeline order: one per stage step of a chain's epoch.
@@ -25,6 +26,11 @@ TIP_RESULTS = "tip-results"                # worker results for the tips ready
 DAG_SUBMISSION = "dag-submission"          # validated block ready to attach
 WEIGHT_UPDATE = "weight-update"            # approval weights recomputed
 LEDGER_APPEND = "ledger-append"            # confirmed super-block chosen
+
+#: every event kind; a pool keeps each event's kind as its index here
+KINDS = (PROPOSAL_FORMED, PROPOSAL_RESULTS, TIP_BATCH_FORMED, TIP_RESULTS,
+         DAG_SUBMISSION, WEIGHT_UPDATE, LEDGER_APPEND)
+KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 ACTIVE = "active"
 
@@ -115,27 +121,41 @@ def select_committee(candidates: Candidates, shared_seed, epoch: int,
 # Per-chain event pools
 # ---------------------------------------------------------------------------
 
-@dataclass
 class EventPools:
-    """A chain's signed-off events, approved by `approvals` members each."""
+    """A chain's signed-off events, approved by `approvals` members each.
 
-    chain: int
-    approvals: int
-    audit: list[tuple[str, int, str]] = field(default_factory=list)
+    `kinds` holds each event's code in `KIND_CODES`, in publish order;
+    beside it, `_epochs` holds its epoch and `_proposers` the index of its
+    proposer in `_index`, which numbers each proposer as first seen.
+    """
+
+    def __init__(self, chain: int, approvals: int):
+        self.chain = chain
+        self.approvals = approvals
+        self.kinds = bytearray()
+        self._epochs = array("q")
+        self._proposers = array("i")
+        self._index: dict[str, int] = {}
 
     def publish(self, kind: str, epoch: int, proposer: str) -> None:
         """Record an event the committee's proposer proposed at `epoch`."""
-        self.audit.append((kind, epoch, proposer))
+        self.kinds.append(KIND_CODES[kind])
+        self._epochs.append(epoch)
+        self._proposers.append(
+            self._index.setdefault(proposer, len(self._index)))
 
     def audit_lines(self) -> Iterator[str]:
         """Event log export: one compact record per published event.
 
         Each line is the JSON object with keys in sorted order, as
-        `json.dumps(..., sort_keys=True)` writes it.
+        `json.dumps(..., sort_keys=True)` writes it. Each kind and each
+        proposer is escaped once, not once per line.
         """
-        outcome = _json_str(ACTIVE)
-        return (f'{{"approve": {self.approvals}, "attempts": 1, '
-                f'"chain": {self.chain}, "epoch": {epoch}, '
-                f'"kind": {_json_str(kind)}, "outcome": {outcome}, '
-                f'"proposer": {_json_str(proposer)}, "reject": 0}}'
-                for kind, epoch, proposer in self.audit)
+        head = (f'{{"approve": {self.approvals}, "attempts": 1, '
+                f'"chain": {self.chain}, "epoch": ')
+        kinds = [f', "kind": {_json_str(kind)}, "outcome": '
+                 f'{_json_str(ACTIVE)}, "proposer": ' for kind in KINDS]
+        names = [f'{_json_str(name)}, "reject": 0}}' for name in self._index]
+        return (f"{head}{epoch}{kinds[kind]}{names[proposer]}"
+                for kind, epoch, proposer in zip(
+                    self.kinds, self._epochs, self._proposers))

@@ -1,13 +1,15 @@
 """Run metrics: throughput, finality, tip-pool series, and dispersion.
 
 A run's `SeriesRecorder` keeps each series in the form its artifact prints:
-the confirmations as per-minute counts, not as their times."""
+the confirmations as per-minute counts, not as their times, and the
+tip-pool samples and finality seconds as flat columns of machine numbers."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -38,18 +40,24 @@ class SeriesRecorder:
     """Accumulates the series a run of `duration_min` minutes exports as CSV
     artifacts: the tip-pool samples, each confirmed block's finality, and
     the blocks confirmed in each whole minute, counted as they confirm; a
-    confirmation past the last minute counts in it."""
+    confirmation past the last minute counts in it. Each sample and each
+    finality is kept as its own value, column by column, not folded into
+    a running sum."""
 
     def __init__(self, duration_min: float):
-        self.tip_pool: list[tuple[float, int]] = []
-        self.finality: list[tuple[str, float]] = []
+        self.tip_times = array("d")         # seconds of each sample
+        self.tip_counts = array("q")        # tip-pool size at each sample
+        self.finality_ids: list[str] = []   # each confirmed block's id
+        self.finality_s = array("d")        # and its seconds to confirm
         self.throughput = [0] * max(1, math.ceil(duration_min))
 
     def sample_tip_pool(self, time_s: float, count: int) -> None:
-        self.tip_pool.append((round(float(time_s), 6), int(count)))
+        self.tip_times.append(round(float(time_s), 6))
+        self.tip_counts.append(int(count))
 
     def record_finality(self, block_id: str, seconds: float) -> None:
-        self.finality.append((block_id, round(float(seconds), 6)))
+        self.finality_ids.append(block_id)
+        self.finality_s.append(round(float(seconds), 6))
 
     def record_confirmed(self, time_s: float) -> None:
         last = len(self.throughput) - 1
@@ -89,8 +97,10 @@ def write_artifacts(out_dir: str | Path, recorder: SeriesRecorder,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, header, rows in (
-            ("tip_pool.csv", ("time_s", "count"), recorder.tip_pool),
-            ("finality.csv", ("block_id", "seconds"), recorder.finality),
+            ("tip_pool.csv", ("time_s", "count"),
+             zip(recorder.tip_times, recorder.tip_counts)),
+            ("finality.csv", ("block_id", "seconds"),
+             zip(recorder.finality_ids, recorder.finality_s)),
             ("throughput.csv", ("minute", "confirmed"),
              enumerate(recorder.throughput))):
         with open(out / name, "w", newline="") as fh:

@@ -8,11 +8,13 @@ transfer blocks with overspending rows. A block is drawn from its chain's
 balances and handed to `Transfers`, which checks it; the draw bounds of
 each block shape are built once per run's memo; a fleet is drawn only to
 rank an uneven split's stragglers. Issuance deals each faction's evenly
-spaced slot times, one vector, round-robin over its chains as strides.
+spaced slot times, one vector, round-robin over its chains as strides, each
+chain's held as one array of machine floats.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -139,7 +141,7 @@ def stream_slots(rate_per_min: float, duration_min: float) -> int:
 def schedule_issuance(rate_per_min: float, spam_fraction: float,
                       honest_chains: Sequence[int],
                       adversarial_chains: Sequence[int],
-                      duration_min: float) -> dict[int, list[float]]:
+                      duration_min: float) -> dict[int, array]:
     """Fixed-cadence slot times of each chain, split between the factions.
 
     The honest faction issues at (1 - spam_fraction) * rate and the
@@ -148,7 +150,8 @@ def schedule_issuance(rate_per_min: float, spam_fraction: float,
     slots k + 1, k + 1 + C, ... as one stride. Slot i of a stream with
     per-minute rate r lands at i * 60 / r seconds, for
     i = 1 .. round(duration * r), rounding halves to even. Every chain of
-    both factions has an entry, in time order and possibly empty.
+    both factions has an entry, an `array('d')` in time order and possibly
+    empty.
     """
     if rate_per_min <= 0:
         raise RoleError("issuance rate must be positive")
@@ -158,15 +161,14 @@ def schedule_issuance(rate_per_min: float, spam_fraction: float,
         raise RoleError("spam fraction positive but no adversarial chains")
     if spam_fraction < 1 and not honest_chains:
         raise RoleError("honest rate positive but no honest chains")
-    slots: dict[int, list[float]] = {
-        c: [] for c in (*honest_chains, *adversarial_chains)}
+    slots = {c: array("d") for c in (*honest_chains, *adversarial_chains)}
     for rate, chains in ((rate_per_min * (1.0 - spam_fraction), honest_chains),
                          (rate_per_min * spam_fraction, adversarial_chains)):
         if rate <= 0 or not chains:
             continue
         # the floats of i * period: exact ints below 2**53, same rounding
-        times = (np.arange(1, stream_slots(rate, duration_min) + 1)
-                 * (60.0 / rate)).tolist()
+        count = stream_slots(rate, duration_min)
+        times = array("d", (np.arange(1, count + 1) * (60.0 / rate)).tobytes())
         for k, c in enumerate(chains):
             slots[c] = times[k::len(chains)]
     return slots

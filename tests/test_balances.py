@@ -636,13 +636,14 @@ NOT_INTEGERS = (bal.LedgerError, "must be integers")
     ([[1], [1, 2]], (bal.LedgerError, "regular array")),
     ([2**63], (bal.LedgerOverflowError, "exceeds int64")),
     ([2**64], (bal.LedgerOverflowError, "exceeds int64")),
+    ([1, 2**63], (bal.LedgerOverflowError, "exceeds int64")),
     ([-1, 2**63], (bal.LedgerError, "non-negative")),
     ([2**63, -1], (bal.LedgerError, "non-negative")),
 ], ids=["int", "uint8", "object-int", "empty", "empty-float", "empty-bool",
         "empty-str", "float", "integral-float", "str", "bool", "bool-int",
         "int-np-bool", "nan",
-        "none-entry", "none", "ragged", "2**63", "2**64", "-1,2**63",
-        "2**63,-1"])
+        "none-entry", "none", "ragged", "2**63", "2**64", "1,2**63",
+        "-1,2**63", "2**63,-1"])
 def test_amounts_are_exactly_the_integers_given(values, refused):
     # a transfer and a genesis hold exactly the integers they are given:
     # a float, bool or string is never rounded or parsed into one, and an
@@ -662,6 +663,36 @@ def test_amounts_are_exactly_the_integers_given(values, refused):
     for arr in (t.senders, t.receivers, t.amounts):
         assert arr.dtype == np.int64 and arr.tolist() == want
     assert b.genesis.dtype == np.int64 and b.genesis.tolist() == [want] * 2
+
+
+@pytest.mark.parametrize("senders, receivers, amounts, refused", [
+    (np.array([0, 1]), np.array([True, False]), [1, 1], NOT_INTEGERS),
+    ([0, 1], [0, 0], np.array([1, 1], dtype=bool), NOT_INTEGERS),
+    (np.array([0, 1], dtype=np.uint64), np.array([2, 3]), [1, 1], None),
+    (np.array([0, 1]), [0, 0], [1, 2**63],
+     (bal.LedgerOverflowError, "exceeds int64")),
+    (np.array([0, 1]), [0, 0], [1, -1], (bal.LedgerError, "non-negative")),
+    (np.array([0, 1]), [0, 0], [1.0, 2.0], NOT_INTEGERS),
+], ids=["bool-receivers", "bool-amounts", "uint64-with-int64",
+        "past-int64-with-int64", "negative-with-int64", "floats-with-ints"])
+def test_triplets_of_mixed_kinds_are_judged_as_each_vector_alone(
+        senders, receivers, amounts, refused):
+    # the three vectors are checked in one pass, as one stacked array, which
+    # numpy may hold in a dtype none of them has (an int64 and a uint64
+    # vector stack as float64, a bool vector among ints as int64); the
+    # verdict is still the one each vector would get on its own
+    def build():
+        return bal.Transfers(source=0, dest=1, senders=senders,
+                             receivers=receivers, amounts=amounts)
+
+    if refused:
+        error, match = refused
+        with pytest.raises(error, match=match):
+            build()
+        return
+    t = build()
+    assert t.triplets.dtype == np.int64 and not t.triplets.flags.writeable
+    assert t.triplets.tolist() == [list(senders), list(receivers), amounts]
 
 
 def test_summed_spend_beyond_int64_raises_a_named_overflow_error():
@@ -705,6 +736,8 @@ def test_checked_arrays_are_read_only_copies():
     again = bal.Transfers(source=0, dest=1, senders=t.senders,
                           receivers=t.receivers, amounts=t.amounts)
     assert again.amounts is not t.amounts
+    assert not np.shares_memory(again.triplets, t.triplets)
+    assert not again.triplets.flags.writeable
     assert again.amounts.tolist() == t.amounts.tolist() == [3, 2]
 
 

@@ -156,9 +156,19 @@ def test_conservation_identity_is_exact(base_run):
     assert base_run.report.conservation_ok is True
 
 
-def test_state_and_payloads_are_sized_to_their_content():
+def test_state_and_payloads_are_sized_to_their_content(monkeypatch):
     m = 1000
     cfg = quick(accounts=m, spam_fraction=0.35)
+    # every payload as it attaches: a window or an exclusion releases it
+    payloads = []
+    attach = DagLedger.attach
+
+    def keep_payload(dag, *args, **kw):
+        block = attach(dag, *args, **kw)
+        payloads.append(block.payload)
+        return block
+
+    monkeypatch.setattr(DagLedger, "attach", keep_payload)
     tracemalloc.start()
     try:
         result = run_scenario(cfg, "sized")
@@ -170,12 +180,12 @@ def test_state_and_payloads_are_sized_to_their_content():
     for state in result.states.values():
         assert state.w_in.shape == (1, m)
         assert state.w_out.shape == state.last_proposed.shape == (m, 1)
-    payloads = [b.payload for b in result.dag.blocks.values()
-                if b.payload is not None]
+    assert len(payloads) == result.report.attached_blocks
     honest = set(cfg.honest_chains())
     assert {p.source in honest for p in payloads} == {True, False}
     for payload in payloads:
         assert len(payload.senders) <= cfg.active_rows
+        assert payload.triplets.shape == (3, len(payload.senders))
 
 
 def test_conservation_holds_under_spam_and_conflicts(spam_run):
@@ -254,13 +264,13 @@ def test_the_book_equals_a_dense_state_replay_at_every_window(monkeypatch):
             net_balances(result.states[c]).tolist()
 
 
-def test_a_window_releases_the_payloads_it_ingests(monkeypatch):
-    # every payload stays with its block until a window has landed it in the
-    # book; a tip is never ingested, so every tip keeps its payload
-    cfg = quick(spam_fraction=0.3, duration_min=2.0,
-                double_spend={"pairs": 3, "regular": 6})
-    attached, ingested = {}, []
+def watch_payloads(monkeypatch, cfg):
+    """Run `cfg`, keeping each block's payload as it attaches, the
+    payloads each window ingests, and the ids of the tips the engine
+    excluded: those it checked and found invalid or conflicting."""
+    attached, ingested, checked = {}, [], {}
     attach, ingest = DagLedger.attach, LedgerBook.ingest
+    validate = engine.validate_tip_payloads
 
     def keep_attached(dag, block_id, *args, **kw):
         block = attach(dag, block_id, *args, **kw)
@@ -271,21 +281,62 @@ def test_a_window_releases_the_payloads_it_ingests(monkeypatch):
         ingested.extend(blocks)
         ingest(book, blocks)
 
+    def keep_verdicts(tips, book):
+        verdicts = validate(tips, book)
+        checked.update(zip(map(id, tips), verdicts))
+        return verdicts
+
     monkeypatch.setattr(DagLedger, "attach", keep_attached)
     monkeypatch.setattr(LedgerBook, "ingest", keep_ingested)
+    monkeypatch.setattr(engine, "validate_tip_payloads", keep_verdicts)
     sim = Simulation(cfg)
     result = sim.run()
+    excluded = {bid for bid, t in attached.items() if id(t) in checked
+                and (not checked[id(t)] or bid in sim.tracker.candidates)}
+    return sim, result, attached, ingested, excluded
+
+
+#: spam and conflicting pairs, so tips are excluded both ways
+EXCLUDING = quick(spam_fraction=0.3, duration_min=2.0,
+                  double_spend={"pairs": 3, "regular": 6})
+
+
+def test_a_window_releases_the_payloads_it_ingests(monkeypatch):
+    # every payload stays with its block until a window has landed it in the
+    # book, or until the block is excluded as an invalid or conflicting tip
+    sim, result, attached, ingested, excluded = watch_payloads(
+        monkeypatch, EXCLUDING)
     assert sim.tracker.detections        # tips were sighted conflicting
     landed = {id(t) for t in ingested}
-    released = {bid for bid, t in attached.items() if id(t) in landed}
-    assert len(released) == len(ingested) > 10
+    ingested_ids = {bid for bid, t in attached.items() if id(t) in landed}
+    assert len(ingested_ids) == len(ingested) > 10
+    assert excluded and excluded.isdisjoint(ingested_ids)
+    released = ingested_ids | excluded
     for bid, payload in attached.items():
         block = result.dag.blocks[bid]
         if bid in released:
             assert block.payload is None, bid
         else:
             assert block.payload is payload is not None, bid
-    assert result.dag.tips and result.dag.tips.isdisjoint(released)
+    assert result.dag.tips and result.dag.tips.isdisjoint(ingested_ids)
+
+
+def test_an_excluded_tip_is_released_and_never_confirmed_nor_ingested(
+        monkeypatch):
+    from chainmesh.dag import CONFIRMED
+    sim, result, attached, ingested, excluded = watch_payloads(
+        monkeypatch, EXCLUDING)
+    adversarial = set(EXCLUDING.adversarial_chains())
+    blocks = result.dag.blocks
+    # both kinds of exclusion happen: invalid spam and conflicting pairs
+    assert {blocks[bid].proposer in adversarial for bid in excluded} == {
+        True, False}
+    assert excluded & set(sim.tracker.candidates)
+    landed = {id(t) for t in ingested}
+    for bid in excluded:
+        assert blocks[bid].payload is None, bid
+        assert blocks[bid].status != CONFIRMED, bid
+        assert id(attached[bid]) not in landed, bid
 
 
 #: ledger amounts near the top of int64
@@ -664,6 +715,28 @@ def test_run_formats_no_artifact_line(monkeypatch):
     assert not calls
     assert list(result.event_lines) and list(result.snapshot_lines)
     assert calls == {"audit_lines": cfg.chains, "snapshot_lines": 1}
+
+
+def test_run_builds_no_ledger_state_until_read(monkeypatch):
+    calls = Counter()
+    state = LedgerBook.state
+
+    def counted(book, chain):
+        calls[chain] += 1
+        return state(book, chain)
+
+    monkeypatch.setattr(LedgerBook, "state", counted)
+    cfg = quick()
+    result = Simulation(cfg).run()
+    assert not calls
+    states = result.states
+    assert list(states) == list(range(cfg.chains))
+    assert calls == Counter(range(cfg.chains))
+    # each read builds them afresh, from the book as the run left it
+    again = result.states
+    for c, s in states.items():
+        assert again[c] is not s and again[c].epoch == s.epoch
+        assert again[c].w_in.tolist() == s.w_in.tolist()
 
 
 @pytest.mark.parametrize("k", [2, 4])

@@ -162,21 +162,27 @@ def publish(pool, kind, epoch):
     pool.publish(kind, epoch, "m0")
 
 
+def audit(pool):
+    """The (kind, epoch, proposer) of each event in the pool's log."""
+    return [(rec["kind"], rec["epoch"], rec["proposer"])
+            for rec in map(json.loads, pool.audit_lines())]
+
+
 class TestEventPools:
     def test_full_epoch_keeps_all_seven_in_publish_order(self):
         pool = make_pool()
         for kind in EVENT_KINDS:
             publish(pool, kind, epoch=3)
-        assert pool.audit == [(kind, 3, "m0") for kind in EVENT_KINDS]
-        assert [json.loads(line)["kind"]
-                for line in pool.audit_lines()] == list(EVENT_KINDS)
+        assert audit(pool) == [(kind, 3, "m0") for kind in EVENT_KINDS]
+        # the kind codes the engine counts from
+        assert [ev.KINDS[code] for code in pool.kinds] == list(EVENT_KINDS)
 
     def test_same_kind_different_epochs_coexist(self):
         pool = make_pool()
         publish(pool, ev.PROPOSAL_FORMED, epoch=1)
         publish(pool, ev.PROPOSAL_FORMED, epoch=2)
-        assert pool.audit == [(ev.PROPOSAL_FORMED, 1, "m0"),
-                              (ev.PROPOSAL_FORMED, 2, "m0")]
+        assert audit(pool) == [(ev.PROPOSAL_FORMED, 1, "m0"),
+                               (ev.PROPOSAL_FORMED, 2, "m0")]
 
     def test_audit_lines_are_json_with_tally(self):
         pool = make_pool(chain=4)
@@ -190,19 +196,21 @@ class TestEventPools:
     def test_audit_lines_equal_sorted_json_dumps(self):
         proposers = ["m0", 'quo"te', "back\\slash", "né中\U0001f600",
                      "tab\tnew\nline"]
+        # every kind once; the proposers come round again, out of order
+        events = [(kind, epoch - 2, proposers[epoch * 3 % len(proposers)])
+                  for epoch, kind in enumerate(EVENT_KINDS)]
         for approvals in (1, 3, 12):
             pool = EventPools(chain=3, approvals=approvals)
-            for epoch, (kind, proposer) in enumerate(zip(EVENT_KINDS,
-                                                         proposers)):
-                pool.publish(kind, epoch - 2, proposer)
+            for event in events:
+                pool.publish(*event)
             expected = [json.dumps({
                 "chain": 3, "epoch": epoch, "kind": kind,
                 "proposer": proposer, "approve": approvals, "reject": 0,
                 "attempts": 1, "outcome": ACTIVE}, sort_keys=True)
-                for kind, epoch, proposer in pool.audit]
+                for kind, epoch, proposer in events]
             assert list(pool.audit_lines()) == expected
-            assert [json.loads(line)["proposer"]
-                    for line in expected] == proposers
+            assert [json.loads(line)["proposer"] for line in expected] == [
+                proposer for _, _, proposer in events]
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "chainmesh"
 #: "Class.field" of a src dataclass that src never reads -> why it stays
 UNREAD_FIELDS = {
     "GroupSpec.members": "acceptance criterion 1 builds GroupSpec with it",
-    "RunResult.states": "acceptance criterion 9 and the benchmark's child "
-                        "process read the end-of-run states",
 }
 
 

@@ -53,6 +53,9 @@ C2 = "oracle of acceptance criterion 2, coded-ledger-equivalence"
 C3 = "oracle of acceptance criterion 3, aggregated-weight-oracle"
 C9 = "oracle of acceptance criterion 9, exact-conservation"
 LAYOUT = "oracle of the engine's coded layout and of criteria 1-2"
+STATES = ("the end-of-run ledger states, built only when read: by "
+          "acceptance criterion 9, tools/identity.py and the benchmark's "
+          "tracer")
 
 #: "module.qualname" of a src function -> (its exact count of unreached
 #: lines, why they stay)
@@ -82,14 +85,16 @@ UNREACHED = {
     "coding._frozen_by_lost": (4, LAYOUT),
     "coding._bareiss": (23, LAYOUT),
     "coding.GroupSpec.rows_per_block": (2, LAYOUT),
-    "balances._as_amounts": (
-        1, "the bool check of a Python sequence: the program passes only "
-           "ndarrays, whose one dtype the check before it reads; "
-           "tests/test_balances.py passes lists"),
     "balances._sums_fit": (
-        4, "the exact re-check, for when the bound from the largest "
-           "entries is inconclusive: sums near the int64 limit, which "
-           "tests/test_balances.py reaches"),
+        8, "the int64 check of CumulativeState, which a run builds only "
+           "when RunResult.states is read; its exact re-check runs only "
+           "for sums near the int64 limit, which tests/test_balances.py "
+           "reaches"),
+    "balances.CumulativeState.__post_init__": (
+        9, C2 + "; and the state type of " + STATES),
+    "balances.CumulativeState.accounts": (2, "helper of CumulativeState"),
+    "balances.LedgerBook.state": (7, STATES),
+    "engine.RunResult.states": (2, STATES),
 }
 
 

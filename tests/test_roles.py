@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,11 @@ class TestOverspendOverflow:
 # Issuance schedule
 # ---------------------------------------------------------------------------
 
+def as_lists(slots):
+    """Each chain's slot times as a list."""
+    return {c: times.tolist() for c, times in slots.items()}
+
+
 class TestScheduleIssuance:
     def test_total_count_rate_times_duration(self):
         slots = schedule_issuance(100.0, 0.0, [0, 1, 2], [], 5.0)
@@ -340,7 +346,11 @@ class TestScheduleIssuance:
 
     def test_round_robin_deals_the_stream_in_turn(self):
         slots = schedule_issuance(60.0, 0.0, [0, 1, 2], [], 0.1)
-        assert slots == {0: [1.0, 4.0], 1: [2.0, 5.0], 2: [3.0, 6.0]}
+        # each chain's slot times are one array of machine floats
+        assert {type(t) for t in slots.values()} == {array}
+        assert {t.typecode for t in slots.values()} == {"d"}
+        assert as_lists(slots) == {0: [1.0, 4.0], 1: [2.0, 5.0],
+                                   2: [3.0, 6.0]}
 
     def test_even_spacing_within_each_stream(self):
         slots = schedule_issuance(60.0, 0.5, [0], [1], 1.0)
@@ -351,12 +361,12 @@ class TestScheduleIssuance:
     def test_sorted_by_time(self):
         slots = schedule_issuance(77.0, 0.3, [0, 1], [2], 2.0)
         for times in slots.values():
-            assert times == sorted(times)
+            assert list(times) == sorted(times)
 
     def test_every_chain_has_an_entry_possibly_empty(self):
         slots = schedule_issuance(3.0, 0.0, [0, 1, 2, 3, 4], [5], 1.0)
-        assert slots == {0: [20.0], 1: [40.0], 2: [60.0], 3: [], 4: [],
-                         5: []}
+        assert as_lists(slots) == {0: [20.0], 1: [40.0], 2: [60.0], 3: [],
+                                   4: [], 5: []}
 
     def test_zero_spam_needs_no_adversarial_chains(self):
         assert schedule_issuance(10.0, 0.0, [0], [], 1.0)[0]
@@ -388,5 +398,6 @@ class TestScheduleIssuance:
                     for k, c in enumerate(chains):
                         want = [i * (60.0 / share)
                                 for i in range(k + 1, total + 1, len(chains))]
-                        assert slots[c] == want, (rate, spam, minutes, c)
+                        assert slots[c].tolist() == want, \
+                            (rate, spam, minutes, c)
                         assert all(type(x) is float for x in slots[c])
