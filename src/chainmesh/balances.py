@@ -319,8 +319,10 @@ class LedgerBook:
 
         Nothing lands when a block names a chain outside the book or spends
         more than its chain holds as outstanding (LedgerError), or when a
-        sum leaves int64 (LedgerOverflowError).
+        sum leaves int64 (LedgerOverflowError). An empty window is not one.
         """
+        if not blocks:
+            return
         for t in blocks:
             self.check_chain(t.source)
             self.check_chain(t.dest)

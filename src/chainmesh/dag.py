@@ -11,9 +11,10 @@ Approver stake is maintained incrementally: each block carries a bitmask of
 contributing chains and their summed stake numerator, over one common
 denominator. A new block's chain is pushed to its ancestors on attach, pruned
 where already present (a chain present on a block is always present on all of
-that block's ancestors), and its stake added where its bit is set. Only
-blocks whose mask grew since the last pass can newly confirm, so only those
-are checked. Reachability walks are reserved for test oracles.
+that block's ancestors), and its stake added where its bit is set; genesis
+carries every chain from the start, so no push passes it. Only blocks whose
+mask grew since the last pass can newly confirm, so only those are checked.
+Reachability walks are reserved for test oracles.
 
 The eligible tips, those not excluded, are kept as a sorted list updated on
 attach, approval, confirmation and exclusion; selection never rescans tips.
@@ -64,7 +65,7 @@ class ChainWeights:
 
     @classmethod
     def equal(cls, n: int) -> "ChainWeights":
-        return cls((Fraction(1, n),) * n)
+        return cls(tuple(Fraction(1, n) for _ in range(n)))
 
     @classmethod
     def from_values(cls, values: Sequence) -> "ChainWeights":
@@ -89,7 +90,6 @@ class DagBlock:
     excluded as invalid or conflicting.
     """
 
-    id: str
     proposer: int | None
     epoch: int
     parents: tuple[str, ...]
@@ -115,10 +115,10 @@ class DagLedger:
         self._stakes = [w.numerator * (denom // w.denominator)
                         for w in weights.weights]
         self._threshold = eta_num * (denom // eta_den)
-        genesis = DagBlock(id=GENESIS_ID, proposer=None, epoch=0, parents=(),
-                           payload=None, attach_time=0.0,
-                           status=CONFIRMED, chains=0, depth=0)
-        # in attach order, which the snapshot follows
+        genesis = DagBlock(proposer=None, epoch=0, parents=(), payload=None,
+                           attach_time=0.0, status=CONFIRMED,
+                           chains=(1 << len(self._stakes)) - 1, stake=denom)
+        # keyed by id, in attach order, which the snapshot follows
         self.blocks: dict[str, DagBlock] = {GENESIS_ID: genesis}
         self.tips: set[str] = set()
         self._eligible: list[str] = []  # sorted tips not excluded
@@ -147,7 +147,7 @@ class DagLedger:
             approved.append(parent)
             if parent.depth > depth:
                 depth = parent.depth
-        block = DagBlock(id=block_id, proposer=proposer, epoch=epoch,
+        block = DagBlock(proposer=proposer, epoch=epoch,
                          parents=parent_ids, payload=payload, attach_time=time,
                          depth=depth + 1)
         self.blocks[block_id] = block
@@ -164,12 +164,13 @@ class DagLedger:
         self._grown.add(block_id)
         stack = list(parent_ids)
         while stack:
-            b = self.blocks[stack.pop()]
+            bid = stack.pop()
+            b = self.blocks[bid]
             if b.chains & bit:
                 continue            # ancestors already carry this chain
             b.chains |= bit
             b.stake += stake
-            self._grown.add(b.id)
+            self._grown.add(bid)
             stack.extend(b.parents)
         return block
 
@@ -180,8 +181,6 @@ class DagLedger:
         block = self.blocks.get(block_id)
         if block is None:
             raise DagError(f"unknown block {block_id!r}")
-        if block_id == GENESIS_ID:
-            return Fraction(1)
         return Fraction(block.stake, self._denom)
 
     def update_confirmations(self, now: float = 0.0) -> set[str]:
@@ -191,7 +190,8 @@ class DagLedger:
         `now` is unread: the engine records finality. Criterion 3 passes it.
         """
         newly: set[str] = set()
-        deepest = self.blocks[self._deepest]
+        deepest_id = self._deepest
+        deepest = self.blocks[deepest_id]
         for bid in self._grown:
             block = self.blocks[bid]
             if block.status != CONFIRMED and block.stake >= self._threshold:
@@ -199,10 +199,10 @@ class DagLedger:
                 self.tips.discard(bid)
                 self.exclude(bid)
                 newly.add(bid)
-                if (-block.depth, bid) < (-deepest.depth, deepest.id):
-                    deepest = block
+                if (-block.depth, bid) < (-deepest.depth, deepest_id):
+                    deepest_id, deepest = bid, block
         self._grown.clear()
-        self._deepest = deepest.id
+        self._deepest = deepest_id
         return newly
 
     # -- parent selection --------------------------------------------------
@@ -223,8 +223,7 @@ class DagLedger:
         if k < 1:
             raise DagError("parent count must be at least 1")
         pool = self._eligible
-        take = min(k, len(pool))
-        return sorted(rng.sample(pool, take)) if take < len(pool) else pool[:]
+        return sorted(rng.sample(pool, min(k, len(pool))))
 
     # -- accounting views --------------------------------------------------
 
@@ -234,6 +233,6 @@ class DagLedger:
             aw = self.aggregated_weight(bid)
             proposer = "-" if b.proposer is None else str(b.proposer)
             parents = ",".join(b.parents) if b.parents else "-"
-            yield (f"{b.id} {proposer} {b.epoch} {parents} "
+            yield (f"{bid} {proposer} {b.epoch} {parents} "
                    f"{b.status} {aw.numerator}/{aw.denominator}")
 

@@ -4,11 +4,11 @@ A conflicting pair is two blocks carrying the same transaction id. The
 earlier-attached block passes; the later one is a conflict candidate. Once
 an honest chain's tip batch sights a candidate, the DAG never offers it as
 a tip again, so no block approves it. The tracker keeps the transaction ids
-each chain has sighted and ties them to each of the chain's proposals until
-one of them confirms, which is when the detection becomes final ledger
-knowledge. Carriers are keyed by (chain, epoch), drawn from the honest slots
-of `injection_window` in time order; config validation reads the window
-too, so every accepted plan fits.
+each chain has sighted, with the epoch it sighted them at; the chain's
+first block of that epoch or later to confirm makes the detection final
+ledger knowledge. Carriers are keyed by (chain, epoch), drawn from the
+honest slots of `injection_window` in time order; config validation reads
+the window too, so every accepted plan fits.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ class ConflictTracker:
     seen: set[str] = field(default_factory=set)     # txn ids attached
     candidates: dict[str, str] = field(default_factory=dict)   # block -> txn
     second_attach: dict[str, float] = field(default_factory=dict)
-    #: chain -> txn ids of the candidates it sighted, not yet detected
-    sightings: dict[int, set[str]] = field(default_factory=dict)
-    _claims: dict[str, list[str]] = field(default_factory=dict)
+    #: chain -> (epoch, txn id) of each candidate it sighted and no block of
+    #: that epoch or later has confirmed, in epoch order
+    sightings: dict[int, list[tuple[int, str]]] = field(default_factory=dict)
     detections: dict[str, float] = field(default_factory=dict)  # txn -> time
 
     def register_attach(self, block_id: str, txn: str, time_s: float) -> None:
@@ -112,31 +112,20 @@ class ConflictTracker:
         else:
             self.seen.add(txn)
 
-    def inspect_tip(self, chain: int, block_id: str) -> bool:
-        """Note a conflict candidate that `chain` sighted among its tips;
-        True if the tip is conflicting."""
+    def inspect_tip(self, chain: int, epoch: int, block_id: str) -> bool:
+        """Note a conflict candidate that `chain` sighted among its tips at
+        `epoch`, its latest; True if the tip is conflicting."""
         txn = self.candidates.get(block_id)
         if txn is not None:
-            self.sightings.setdefault(chain, set()).add(txn)
+            self.sightings.setdefault(chain, []).append((epoch, txn))
         return txn is not None
 
-    def claim(self, chain: int, block_id: str) -> None:
-        """Tie the chain's sighted, still-undetected conflicts to its
-        proposal `block_id`; the first claimer to confirm finalises them.
-        Every proposal re-claims them, so a claimer that never confirms
-        strands none."""
+    def on_confirm(self, chain: int, epoch: int, time_s: float) -> None:
+        """The chain's block of `epoch` confirmed: what the chain sighted by
+        that epoch is now final; an earlier detection stands."""
         sighted = self.sightings.get(chain)
-        if not sighted:
-            return
-        pending = sighted - self.detections.keys()
-        self.sightings[chain] = pending
-        if pending:
-            self._claims[block_id] = sorted(pending)
-
-    def on_confirm(self, block_id: str, time_s: float) -> None:
-        """A claiming proposal confirmed: its observations are now final."""
-        for tid in self._claims.pop(block_id, ()):
-            self.detections.setdefault(tid, time_s)
+        while sighted and sighted[0][0] <= epoch:
+            self.detections.setdefault(sighted.pop(0)[1], time_s)
 
     def score(self, pair_ids: Sequence[str], regular_ids: Sequence[str]
               ) -> dict[str, float]:

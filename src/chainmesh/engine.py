@@ -7,7 +7,8 @@ attach to the shared DAG, and update confirmations; a committee drawn as the
 epoch opens signs off on each stage event. A chain runs one epoch at a time.
 A block carries the transaction id the injection plan keys to its (chain,
 epoch); the conflict tracker, present in every run, keeps which conflicts
-each chain has sighted and claims them on its proposals. Every timed process --
+each chain has sighted at which epoch, and finalises them when a block of
+that chain and epoch or later confirms. Every timed process --
 a chain's epochs, the ledger windows, the tip-pool samples -- is one
 generator, resumed by the event queue at each time it waits for. A tip
 sighted invalid or conflicting is excluded in the DAG for good, and its
@@ -117,7 +118,6 @@ class Simulation:
         self._to_ingest: list[DagBlock] = []
         self.book = LedgerBook(np.full((cfg.chains, cfg.accounts),
                                        cfg.genesis_balance, dtype=np.int64))
-        self._committee_size = cfg.committee_size()
         self._bounds: dict = {}         # the block draws' bounds, by shape
         self._setup()
 
@@ -169,7 +169,7 @@ class Simulation:
                 dests=(tuple(d for d in range(cfg.chains) if d != c)
                        if c not in adversarial else honest),
                 slots=slots[c],
-                pool=EventPools(chain=c, approvals=self._committee_size),
+                pool=EventPools(chain=c, approvals=cfg.committee_size()),
                 candidates=Candidates(
                     (prefix + f" {prefix}".join(tails)).split()),
                 committee_seed=f"{cfg.seed}|committee|{c}",
@@ -212,8 +212,7 @@ class Simulation:
     # -- committee helpers -------------------------------------------------
 
     def _proposer(self, rt: _ChainRuntime, epoch: int) -> str:
-        return select_committee(rt.candidates, rt.committee_seed, epoch,
-                                self._committee_size)
+        return select_committee(rt.candidates, rt.committee_seed, epoch)
 
     # -- chain pipeline ----------------------------------------------------
 
@@ -268,7 +267,7 @@ class Simulation:
                 yield now
                 publish(ev.PROPOSAL_RESULTS, epoch, proposer)
                 parents, tips = self._stage_tips(
-                    rt, payload, random.Random(derive_seed(
+                    rt, epoch, payload, random.Random(derive_seed(
                         cfg.seed, "tips", rt.chain, epoch)))
                 publish(ev.TIP_BATCH_FORMED, epoch, proposer)
                 now = now + vote_s + stage_s[tips] + 2.0 * vote_s
@@ -285,15 +284,14 @@ class Simulation:
             txn = self.injection.carriers.get((rt.chain, epoch))
             if txn:
                 self.tracker.register_attach(block_id, txn, now)
-            self.tracker.claim(rt.chain, block_id)
             publish(ev.DAG_SUBMISSION, epoch, proposer)
             self._confirmations(now)
             publish(ev.WEIGHT_UPDATE, epoch, proposer)
 
-    def _stage_tips(self, rt: _ChainRuntime, payload: Transfers,
+    def _stage_tips(self, rt: _ChainRuntime, epoch: int, payload: Transfers,
                     rng: random.Random) -> tuple[list[str], int]:
-        """Debit the proposal, then pick foreign tips with `rng` and check
-        them: returns the approvable ones and the batch size."""
+        """Debit the proposal of `epoch`, then pick foreign tips with `rng`
+        and check them: returns the approvable ones and the batch size."""
         # drawn within the net balance, so the book's one check passes it
         self.book.debit(payload)
 
@@ -312,7 +310,7 @@ class Simulation:
                 if verdict != self.chains[src].honest:
                     raise SimulationError(
                         f"tip verdict for {bid} disagrees with ground truth")
-                conflicting = self.tracker.inspect_tip(rt.chain, bid)
+                conflicting = self.tracker.inspect_tip(rt.chain, epoch, bid)
                 if verdict and not conflicting:
                     parents.append(bid)
                 else:
@@ -339,7 +337,7 @@ class Simulation:
             self.recorder.record_finality(bid, now - block.attach_time)
             self.recorder.record_confirmed(now)
             self._to_ingest.append(block)
-            self.tracker.on_confirm(bid, now)
+            self.tracker.on_confirm(block.proposer, block.epoch, now)
 
     def _windows(self) -> Iterator[float]:
         """The ledger windows, one every `ledger_interval_s`: each ingests
@@ -349,10 +347,10 @@ class Simulation:
         for window_epoch in itertools.count(-1, -1):
             now += self.cfg.ledger_interval_s
             yield now
+            # confirmed, so honest and debited; an empty window lands nothing
+            self.book.ingest([block.payload for block in self._to_ingest])
             if not self._to_ingest:
                 continue
-            # confirmed, so honest (`_confirmations`) and debited
-            self.book.ingest([block.payload for block in self._to_ingest])
             for block in self._to_ingest:
                 block.payload = None    # never a tip again: nothing reads it
             self._to_ingest.clear()

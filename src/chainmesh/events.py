@@ -4,11 +4,12 @@ An oracle turns stage outputs into events; a lottery committee signs off on
 each one: the member of the highest draw proposes, every member approves.
 A candidate's lottery draw is the SHA-256 digest of its key and the epoch,
 finished from a hash state that has already taken the key; draws compare as
-raw bytes. A committee is held as its proposer and its size.
-A chain's pool keeps its signed-off events in publish order, for the audit
-log, as three flat columns: a byte code of each event's kind, its epoch,
-and the index of its proposer among the proposers the pool has seen; the
-engine's epoch generator fixes the stage order, so the pool checks none.
+raw bytes. A committee is held as its proposer, the highest draw of all
+candidates; its size is only the approval count its events print. A chain's
+pool keeps its signed-off events in publish order, for the audit log, as
+three flat columns: a byte code of each event's kind, its epoch, and the
+index of its proposer among the proposers the pool has seen; the engine's
+epoch generator fixes the stage order, so the pool checks none.
 """
 
 from __future__ import annotations
@@ -86,9 +87,6 @@ class Candidates:
         self.node_ids = tuple(sorted(node_ids))
         self._keys: dict[object, tuple] = {}
 
-    def __len__(self) -> int:
-        return len(self.node_ids)
-
     def keys(self, shared_seed) -> tuple:
         """SHA-256 state of every candidate's key under `shared_seed`."""
         states = self._keys.get(shared_seed)
@@ -101,17 +99,11 @@ class Candidates:
         return states
 
 
-def select_committee(candidates: Candidates, shared_seed, epoch: int,
-                     committee_size: int) -> str:
-    """The proposer of a `committee_size` committee: the highest draw.
+def select_committee(candidates: Candidates, shared_seed, epoch: int) -> str:
+    """The committee's proposer: the candidate of the highest draw.
 
     Ties break to the lower node id.
     """
-    if committee_size < 1:
-        raise EventError("committee size must be at least 1")
-    if committee_size > len(candidates):
-        raise EventError(f"committee of {committee_size} from "
-                         f"{len(candidates)} candidates")
     draws = vrf_draws(candidates.keys(shared_seed), epoch)
     # index finds the first of equal draws, so node-id order breaks ties
     return candidates.node_ids[draws.index(max(draws))]

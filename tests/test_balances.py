@@ -813,6 +813,21 @@ def test_a_window_confirming_spend_no_proposal_held_lands_nothing():
     assert b.windows == 0
 
 
+def test_a_window_of_no_block_lands_nothing_and_is_not_counted():
+    # it once raised numpy's bare "need at least one array to concatenate"
+    b = book([10, 10], [0, 0])
+    t = bal.Transfers(source=0, dest=1, senders=[0], receivers=[1],
+                      amounts=[4])
+    b.debit(t)
+    before = [x.copy() for x in (b.held, b.spent, b.outstanding)]
+    b.ingest([])
+    assert all((x == y).all()
+               for x, y in zip((b.held, b.spent, b.outstanding), before))
+    assert b.windows == 0
+    b.ingest([t])
+    assert b.windows == 1
+
+
 def test_a_window_whose_inflow_sum_wraps_raises_a_named_overflow_error():
     # four 2**61 transfers into one account sum to 2**63, which np.add.at
     # would wrap to -2**63 before any check saw it

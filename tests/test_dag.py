@@ -30,6 +30,13 @@ def test_weights_validate():
     assert sum(w.weights) == 1
 
 
+def test_equal_weights_of_no_chain_are_refused_by_name():
+    # it once raised a bare ZeroDivisionError
+    with pytest.raises(dag.DagError, match="at least one chain weight"):
+        dag.ChainWeights.equal(0)
+    assert dag.ChainWeights.equal(3).weights == (Fraction(1, 3),) * 3
+
+
 def test_weights_a_hair_over_one_are_refused():
     with pytest.raises(dag.DagError, match="sum to exactly 1"):
         dag.ChainWeights((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**30)))
@@ -387,7 +394,7 @@ def test_eligible_pool_matches_a_rescan_through_a_spam_trace():
                 excluded.add(args[0])
             calls[name] += 1
             out = method(*args, **kwargs)
-            # k above the pool size takes the whole pool, drawing nothing
+            # k above the pool size samples the whole pool, then sorts it
             pool = led.select_tips(len(led.blocks), random.Random(0))
             assert pool == sorted(led.tips - excluded), name
             return out

@@ -138,19 +138,19 @@ def test_inspection_labels_candidates_only():
     tr = ConflictTracker()
     tr.register_attach("A1", "pair-0", 1.0)
     tr.register_attach("B1", "pair-0", 2.0)
-    assert tr.inspect_tip(3, "A1") is False          # earlier carrier passes
-    assert tr.inspect_tip(3, "B1") is True
-    assert tr.sightings == {3: {"pair-0"}}
+    assert tr.inspect_tip(3, 7, "A1") is False       # earlier carrier passes
+    assert tr.inspect_tip(3, 7, "B1") is True
+    assert tr.sightings == {3: [(7, "pair-0")]}
 
 
 def test_detection_completes_when_claimer_confirms():
     tr = ConflictTracker()
     tr.register_attach("A1", "pair-0", 1.0)
     tr.register_attach("B1", "pair-0", 4.0)
-    tr.inspect_tip(2, "B1")
-    tr.claim(2, "C9")
+    tr.inspect_tip(2, 9, "B1")
+    tr.on_confirm(2, 8, 10.0)                  # proposed before the sighting
     assert "pair-0" not in tr.detections
-    tr.on_confirm("C9", 12.5)
+    tr.on_confirm(2, 9, 12.5)
     assert tr.detections["pair-0"] == 12.5
 
 
@@ -158,12 +158,10 @@ def test_only_the_sighting_chain_claims():
     tr = ConflictTracker()
     tr.register_attach("A1", "p", 1.0)
     tr.register_attach("B1", "p", 2.0)
-    tr.inspect_tip(1, "B1")
-    tr.claim(0, "X1")                          # chain 0 sighted nothing
-    tr.on_confirm("X1", 5.0)
+    tr.inspect_tip(1, 3, "B1")
+    tr.on_confirm(0, 3, 5.0)                   # chain 0 sighted nothing
     assert tr.detections == {}
-    tr.claim(1, "Y1")
-    tr.on_confirm("Y1", 6.0)
+    tr.on_confirm(1, 3, 6.0)
     assert tr.detections == {"p": 6.0}
 
 
@@ -171,14 +169,12 @@ def test_claims_ride_until_one_claimer_confirms():
     tr = ConflictTracker()
     tr.register_attach("A1", "p", 1.0)
     tr.register_attach("B1", "p", 2.0)
-    tr.inspect_tip(4, "B1")
-    tr.claim(4, "L1")                          # L1 never confirms
-    tr.claim(4, "L2")                          # next proposal re-claims
-    tr.on_confirm("L2", 9.0)
+    tr.inspect_tip(4, 1, "B1")
+    # the block of epoch 1 has not confirmed; a later one confirms first
+    tr.on_confirm(4, 2, 9.0)
     assert tr.detections["p"] == 9.0
-    tr.claim(4, "L3")                          # resolved: nothing to carry
-    assert "L3" not in tr._claims and tr.sightings[4] == set()
-    tr.on_confirm("L1", 15.0)                  # late confirm cannot override
+    assert tr.sightings[4] == []               # resolved: nothing to carry
+    tr.on_confirm(4, 1, 15.0)                  # late confirm cannot override
     assert tr.detections["p"] == 9.0
 
 
@@ -186,20 +182,18 @@ def test_resolved_conflicts_are_not_reclaimed():
     tr = ConflictTracker()
     tr.register_attach("A1", "p", 1.0)
     tr.register_attach("B1", "p", 2.0)
-    tr.inspect_tip(0, "B1")
-    tr.inspect_tip(1, "B1")                    # a second chain sights it
-    tr.claim(0, "L1")
-    tr.on_confirm("L1", 6.0)
-    tr.claim(1, "L2")                          # after resolution: no claim
-    tr.on_confirm("L2", 7.0)
+    tr.inspect_tip(0, 1, "B1")
+    tr.inspect_tip(1, 1, "B1")                 # a second chain sights it
+    tr.on_confirm(0, 1, 6.0)
+    tr.on_confirm(1, 1, 7.0)                   # after resolution
     assert tr.detections["p"] == 6.0
-    assert tr._claims == {}
+    assert tr.sightings == {0: [], 1: []}
 
 
 def test_confirming_an_unrelated_block_records_nothing():
     tr = ConflictTracker()
     tr.register_attach("A1", "p", 1.0)
-    tr.on_confirm("A1", 5.0)
+    tr.on_confirm(0, 1, 5.0)
     assert tr.detections == {}
 
 
@@ -210,12 +204,10 @@ def test_score_full_detection():
     tr.register_attach("A2", "pair-1", 20.0)
     tr.register_attach("B2", "pair-1", 21.0)
     tr.register_attach("R1", "tx-0", 30.0)
-    tr.inspect_tip(0, "B1")
-    tr.inspect_tip(1, "B2")
-    tr.claim(0, "L1")
-    tr.claim(1, "L2")
-    tr.on_confirm("L1", 18.0)                  # delay 18 - 12 = 6
-    tr.on_confirm("L2", 31.0)                  # delay 31 - 21 = 10
+    tr.inspect_tip(0, 1, "B1")
+    tr.inspect_tip(1, 1, "B2")
+    tr.on_confirm(0, 1, 18.0)                  # delay 18 - 12 = 6
+    tr.on_confirm(1, 1, 31.0)                  # delay 31 - 21 = 10
     s = tr.score(["pair-0", "pair-1"], ["tx-0"])
     assert s["p_detect"] == 1.0
     assert s["p_false_alarm"] == 0.0
@@ -230,9 +222,9 @@ def test_score_counts_misses_and_false_alarms():
     tr.register_attach("B1", "pair-0", 2.0)    # candidate, never sighted
     tr.register_attach("A2", "pair-1", 3.0)
     tr.register_attach("X", "pair-1", 4.0)
-    tr.inspect_tip(0, "X")                     # sighted, never claimed
+    tr.inspect_tip(0, 1, "X")                  # sighted, never confirmed
     tr.register_attach("R0", "tx-0", 5.0)
-    assert tr.inspect_tip(0, "R0") is False    # a regular carrier passes
+    assert tr.inspect_tip(0, 1, "R0") is False  # a regular carrier passes
     s = tr.score(["pair-0", "pair-1"], ["tx-0", "tx-1"])
     assert s["p_detect"] == 0.0                # sightings alone are not detection
     assert s["false_alarms"] == s["p_false_alarm"] == 0.0
@@ -252,7 +244,9 @@ def test_score_handles_empty_inputs():
 class LabellingTracker:
     """The conflict tracker as it was before it was slimmed: it kept the
     first carrier of each transaction id, labelled every sighted candidate
-    block and counted a regular id's labelled carrier as a false alarm."""
+    block, counted a regular id's labelled carrier as a false alarm, and
+    had each of a chain's blocks claim the chain's undetected sightings as
+    it attached, so that the first claimer to confirm finalised them."""
 
     first_carrier: dict = field(default_factory=dict)
     candidates: dict = field(default_factory=dict)
@@ -326,34 +320,64 @@ OPERATION = st.one_of(
     st.tuples(st.just("confirm"), st.integers(0, 6), TIME))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(st.lists(OPERATION, min_size=20, max_size=80))
-def test_the_slim_tracker_detects_exactly_as_the_labelling_one(operations):
-    # as in the engine, every block attaches once, under a fresh id,
-    # registers its transaction id if it carries one, and then claims its
-    # chain's sightings
+def replay_on_both(operations):
+    """Run `operations` through the slim tracker and the labelling one,
+    checking after each step that they agree.
+
+    As in the engine, every block attaches once, under a fresh id, as its
+    chain's next epoch, and registers its transaction id if it carries one;
+    the labelling tracker then has it claim its chain's sightings. A chain
+    inspects tips as part of its next epoch, so the slim tracker tags each
+    sighting with that epoch, and is told of a confirmation by the block's
+    (chain, epoch)."""
     slim, full = ConflictTracker(), LabellingTracker()
-    blocks: list[str] = []
+    blocks: list[tuple[str, int, int]] = []    # (id, chain, epoch)
+    epochs = [0, 0, 0]                         # each chain's latest epoch
 
     def block(i):
-        return blocks[-1 - i] if i < len(blocks) else f"x{i}"
+        return blocks[-1 - i] if i < len(blocks) else (f"x{i}", None, None)
 
     for op in operations:
         if op[0] == "attach":
             _, chain, txn, time_s = op
-            blocks.append(f"b{len(blocks)}")
+            epochs[chain] += 1
+            blocks.append((f"b{len(blocks)}", chain, epochs[chain]))
             for tr in (slim, full):
                 if txn is not None:
-                    tr.register_attach(blocks[-1], txn, time_s)
-                tr.claim(chain, blocks[-1])
+                    tr.register_attach(blocks[-1][0], txn, time_s)
+            full.claim(chain, blocks[-1][0])
         elif op[0] == "inspect":
-            assert slim.inspect_tip(op[1], block(op[2])) == \
-                full.inspect_tip(op[1], block(op[2]))
+            _, chain, i = op
+            bid = block(i)[0]
+            assert slim.inspect_tip(chain, epochs[chain] + 1, bid) == \
+                full.inspect_tip(chain, bid)
         else:
-            for tr in (slim, full):
-                tr.on_confirm(block(op[1]), op[2])
+            bid, chain, epoch = block(op[1])
+            full.on_confirm(bid, op[2])
+            if chain is not None:
+                slim.on_confirm(chain, epoch, op[2])
         assert slim.detections == full.detections
         assert slim.candidates == full.candidates
     score = slim.score(PAIR_IDS, REGULAR_IDS)
     assert score == full.score(PAIR_IDS, REGULAR_IDS)
     assert score["false_alarms"] == 0.0
+    return slim
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(OPERATION, min_size=20, max_size=80))
+def test_the_slim_tracker_detects_exactly_as_the_labelling_one(operations):
+    replay_on_both(operations)
+
+
+def test_a_later_block_that_confirms_first_detects_as_the_earlier_claim():
+    # chain 1 sights the pair's second carrier in its epochs 1 and 2; its
+    # block of epoch 2 confirms before that of epoch 1
+    slim = replay_on_both([
+        ("attach", 0, "pair-0", 1.0), ("attach", 2, "pair-0", 2.0),
+        ("inspect", 1, 0), ("attach", 1, None, 3.0),
+        ("attach", 0, "pair-1", 4.0), ("attach", 2, "pair-1", 5.0),
+        ("inspect", 1, 0), ("attach", 1, None, 6.0),
+        ("confirm", 0, 9.0), ("confirm", 3, 12.0)])
+    assert slim.detections == {"pair-0": 9.0, "pair-1": 9.0}
+    assert slim.sightings[1] == []

@@ -80,7 +80,7 @@ class TestSelectCommittee:
     def test_rank_strictly_descending_scores(self):
         # the proposer heads the descending ranking: no draw beats its own
         cands = equal_candidates(100)
-        proposer = select_committee(cands, "seed", 0, 10)
+        proposer = select_committee(cands, "seed", 0)
         all_scores = {nid: vrf_output(nid, "seed", 0)
                       for nid in cands.node_ids}
         assert all_scores[proposer] == max(all_scores.values())
@@ -93,18 +93,10 @@ class TestSelectCommittee:
         low, high = bytes(32), b"\x09" + bytes(31)
         monkeypatch.setattr(ev, "vrf_draws",
                             lambda states, epoch: [high, low, high])
-        assert select_committee(Candidates(["b", "c", "a"]), "s", 0, 3) == "a"
+        assert select_committee(Candidates(["b", "c", "a"]), "s", 0) == "a"
         monkeypatch.setattr(ev, "vrf_draws",
                             lambda states, epoch: [low, high, high])
-        assert select_committee(Candidates(["b", "c", "a"]), "s", 0, 1) == "b"
-
-    def test_oversized_committee_rejected(self):
-        with pytest.raises(EventError):
-            select_committee(equal_candidates(3), "s", 0, 4)
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(EventError):
-            select_committee(equal_candidates(3), "s", 0, 0)
+        assert select_committee(Candidates(["b", "c", "a"]), "s", 0) == "b"
 
     def test_integer_scores_rank_like_fraction_scores(self):
         # ids like c0n2 and c0n10, whose string order is not their index
@@ -118,13 +110,10 @@ class TestSelectCommittee:
             old = {nid: Fraction(reference_draw(nid, "seed", epoch), 1 << 256)
                    for nid in cands}
             top = min(old, key=lambda nid: (-old[nid], nid))
-            candidates = Candidates(cands)
-            for size in range(1, len(cands) + 1):
-                assert select_committee(candidates, "seed", epoch,
-                                        size) == top
+            assert select_committee(Candidates(cands), "seed", epoch) == top
 
     def test_epoch_rotates_committee(self):
-        proposers = {select_committee(equal_candidates(100), "seed", e, 10)
+        proposers = {select_committee(equal_candidates(100), "seed", e)
                      for e in range(20)}
         assert len(proposers) > 1
 
@@ -223,7 +212,7 @@ class TestCandidates:
         for epoch in (0, 1, 99, -4):
             scores = {nid: vrf_output(nid, "seed", epoch)
                       for nid in cands.node_ids}
-            assert select_committee(cands, "seed", epoch, 3) == max(
+            assert select_committee(cands, "seed", epoch) == max(
                 scores, key=scores.__getitem__)
 
     def test_one_call_draws_every_key_as_single_draws(self):
@@ -246,21 +235,21 @@ class TestCandidates:
 
     def test_a_later_epoch_only_copies_the_stored_states(self, monkeypatch):
         cands = equal_candidates(20)
-        first = select_committee(cands, "seed", 0, 5)
+        first = select_committee(cands, "seed", 0)
 
         def no_new_state(*args):
             raise AssertionError("SHA-256 state built from key bytes")
 
         monkeypatch.setattr(ev, "vrf_keys", no_new_state)
         monkeypatch.setattr(ev.hashlib, "sha256", no_new_state)
-        later = [select_committee(cands, "seed", e, 5) for e in (1, -1, 0)]
+        later = [select_committee(cands, "seed", e) for e in (1, -1, 0)]
         monkeypatch.undo()
         # the copies leave the stored states as they were: epoch 0 again
         # draws what it drew first
         assert [first] + later == [
-            select_committee(equal_candidates(20), "seed", e, 5)
+            select_committee(equal_candidates(20), "seed", e)
             for e in (0, 1, -1, 0)]
 
     def test_duplicate_node_id_rejected(self):
         with pytest.raises(EventError, match="duplicate"):
-            select_committee(Candidates(["a", "a"]), "s", 0, 1)
+            select_committee(Candidates(["a", "a"]), "s", 0)

@@ -105,5 +105,4 @@ def test_select_committee_keeps_the_argument_positions_the_tracer_reads():
     # seed and the epoch, so those positions may not move
     assert "args[1:3]" in TRACER.read_text()
     params = list(inspect.signature(engine.select_committee).parameters)
-    assert params[:4] == ["candidates", "shared_seed", "epoch",
-                          "committee_size"]
+    assert params[:3] == ["candidates", "shared_seed", "epoch"]
