@@ -15,11 +15,12 @@ a proposal debit holds its spend as outstanding, and a ledger window moves
 its confirmed blocks' spend to spent and credits their destinations' held
 balance, genesis + received - spent, so what a chain received is derived,
 never stored. A net balance is the held balance less the outstanding spend.
-`LedgerBook.debit` is a proposal's one check: it refuses a block that names
-a chain or account outside the book or does not fit its net balances, so no
-net or held balance is ever negative. A foreign tip, whose spend its chain
-already holds as outstanding, is judged against the held balances, since
-its own outstanding spend cancels out.
+`LedgerBook.debit` is a proposal's one check: it refuses a block that does
+not fit its net balances, so no net or held balance is ever negative. A
+debit, a window and the tip check each run one row check, which refuses a
+block naming a chain or account outside the book. A foreign tip, whose
+spend its chain already holds as outstanding, is judged against the held
+balances, since its own outstanding spend cancels out.
 
 A `CumulativeState` folds one chain's per-epoch `FlowAggregates` -- inflow,
 confirmed outflow and the proposed spend, which each epoch replaces -- as
@@ -317,15 +318,15 @@ class LedgerBook:
         """Land one window's confirmed blocks: each moves its spend from its
         source chain's outstanding to spent and credits its destination.
 
-        Nothing lands when a block names a chain outside the book or spends
-        more than its chain holds as outstanding (LedgerError), or when a
-        sum leaves int64 (LedgerOverflowError). An empty window is not one.
+        Nothing lands when a block names a chain or account outside the
+        book or spends more than its chain holds as outstanding
+        (LedgerError), or when a sum leaves int64 (LedgerOverflowError).
+        An empty window is not one.
         """
         if not blocks:
             return
         for t in blocks:
-            self.check_chain(t.source)
-            self.check_chain(t.dest)
+            _check_rows(t, self)
         sizes = [t.triplets.shape[1] for t in blocks]
         senders, receivers, amounts = np.concatenate(
             [t.triplets for t in blocks], axis=1)
@@ -344,6 +345,7 @@ class LedgerBook:
 
     def state(self, chain: int) -> CumulativeState:
         """One chain's totals as a summed state through the latest window."""
+        self.check_chain(chain)
         return CumulativeState(
             chain=chain, epoch=self.windows, genesis=self.genesis[chain],
             w_in=(self.held[chain] + self.spent[chain]

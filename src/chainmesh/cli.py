@@ -114,28 +114,20 @@ def _ensure_writable(out: Path) -> None:
 
 
 def _aggregate(reports: Sequence[Mapping]) -> dict:
-    """Per-metric mean over a scenario's seed runs."""
-    skip = {"scenario", "seed"}
-    numeric: dict[str, list[float]] = {}
-    bools: dict[str, list[bool]] = {}
-    nested: dict[str, list[Mapping]] = {}
-    for rep in reports:
-        for key, value in rep.items():
-            if key in skip or value is None:
-                continue
-            if isinstance(value, bool):
-                bools.setdefault(key, []).append(value)
-            elif isinstance(value, (int, float)):
-                numeric.setdefault(key, []).append(float(value))
-            elif isinstance(value, Mapping):
-                nested.setdefault(key, []).append(value)
+    """Each metric over a scenario's seed runs, skipping the runs that
+    report None: a flag holds if it holds in every run, a mapping is
+    aggregated key by key, and a number is its mean, summed in run order."""
     out: dict = {}
-    for key, values in numeric.items():
-        out[key] = sum(values) / len(values)
-    for key, values in bools.items():
-        out[key] = all(values)
-    for key, maps in nested.items():
-        out[key] = _aggregate(maps)
+    for key in dict.fromkeys(key for rep in reports for key in rep):
+        values = [rep[key] for rep in reports if rep.get(key) is not None]
+        if key in ("scenario", "seed") or not values:
+            continue
+        if isinstance(values[0], bool):
+            out[key] = all(values)
+        elif isinstance(values[0], Mapping):
+            out[key] = _aggregate(values)
+        elif isinstance(values[0], (int, float)):
+            out[key] = sum(map(float, values)) / len(values)
     return out
 
 

@@ -133,8 +133,11 @@ class DagLedger:
         """Add a block approving `parents`; errors leave the ledger unchanged."""
         if block_id in self.blocks:
             raise DagError(f"duplicate block id {block_id!r}")
-        if not 0 <= proposer < len(self._stakes):
-            raise DagError(f"proposer chain {proposer} out of range")
+        # an int only: `1 << proposer` fails unnamed on a numpy int or float
+        if type(proposer) is not int or not 0 <= proposer < len(self._stakes):
+            raise DagError(f"proposer {proposer!r} is no chain index in "
+                           f"[0, {len(self._stakes)})")
+        bit, stake = 1 << proposer, self._stakes[proposer]
         parent_ids = tuple(sorted(set(parents)))
         if not parent_ids:
             raise DagError("a block must approve at least one parent")
@@ -149,7 +152,7 @@ class DagLedger:
                 depth = parent.depth
         block = DagBlock(proposer=proposer, epoch=epoch,
                          parents=parent_ids, payload=payload, attach_time=time,
-                         depth=depth + 1)
+                         chains=bit, stake=stake, depth=depth + 1)
         self.blocks[block_id] = block
         self.tips.add(block_id)
         insort(self._eligible, block_id)
@@ -158,9 +161,7 @@ class DagLedger:
                 parent.status = UNCONFIRMED
                 self.tips.discard(p)
                 self.exclude(p)
-        # push the proposer's chain and stake to the block and its ancestors
-        bit, stake = 1 << proposer, self._stakes[proposer]
-        block.chains, block.stake = bit, stake
+        # push the proposer's chain and stake to the block's ancestors
         self._grown.add(block_id)
         stack = list(parent_ids)
         while stack:

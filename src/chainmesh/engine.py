@@ -8,17 +8,18 @@ epoch opens signs off on each stage event. A chain runs one epoch at a time.
 A block carries the transaction id the injection plan keys to its (chain,
 epoch); the conflict tracker, present in every run, keeps which conflicts
 each chain has sighted at which epoch, and finalises them when a block of
-that chain and epoch or later confirms. Every timed process --
-a chain's epochs, the ledger windows, the tip-pool samples -- is one
-generator, resumed by the event queue at each time it waits for. A tip
-sighted invalid or conflicting is excluded in the DAG for good, and its
-payload is released: it is never sampled, confirmed or ingested again.
-Confirmed blocks are ingested into the exact cross-chain ledger book at
-fixed ledger windows, where every chain's committee signs off on the append;
-an ingested block's payload is released. Only honest chains propose valid
+that chain and epoch or later confirms. Every timed process -- a chain's
+epochs, the ledger windows, the tip-pool samples -- is one generator,
+resumed by the event queue at each time it waits for. A tip sighted invalid
+or conflicting is excluded in the DAG for good, and its payload is
+released: it is never sampled, confirmed or ingested again. Confirmed
+blocks are ingested into the exact cross-chain ledger book at fixed ledger
+windows, where every chain's committee signs off on the append; an
+ingested block's payload is released. Only honest chains propose valid
 blocks: that cross-checks every tip verdict, confirmation and ingestion.
 The report reads each run fact from its one holder: the balances from the
-book, each chain's confirmations from the DAG, the series from the recorder.
+book, whose held balances must still sum to the genesis supply, each
+chain's confirmations from the DAG, the series from the recorder.
 The run keeps its events and series in flat columns and each chain's slot
 times as one array of floats; the `events.log` and DAG snapshot lines are
 formatted only as they are written, and the end-of-run ledger states only
@@ -183,10 +184,6 @@ class Simulation:
         return cfg.link_latency_ms / 1000.0 + nbytes / (cfg.bandwidth_mbps
                                                         * 125000.0)
 
-    @property
-    def _vote_s(self) -> float:
-        return 2.0 * self.cfg.link_latency_ms / 1000.0
-
     def _shard_stage_s(self, rt: _ChainRuntime, factor: int) -> float:
         """Worker round duration for `factor` matrix-sized jobs.
 
@@ -209,18 +206,13 @@ class Simulation:
             return max(nominal, fallback)
         return nominal
 
-    # -- committee helpers -------------------------------------------------
-
-    def _proposer(self, rt: _ChainRuntime, epoch: int) -> str:
-        return select_committee(rt.candidates, rt.committee_seed, epoch)
-
     # -- chain pipeline ----------------------------------------------------
 
     def _epochs(self, rt: _ChainRuntime) -> Iterator[float]:
         """The chain's epochs, one at a time and in slot order; yields each
         time the pipeline waits for, at which `run` resumes it."""
         cfg = self.cfg
-        vote_s = self._vote_s
+        vote_s = 2.0 * cfg.link_latency_ms / 1000.0
         publish = rt.pool.publish
         # the shard stage of 0 .. tip_sample jobs, at most one per chain
         stage_s = () if self.worker_rows is None else tuple(
@@ -233,7 +225,8 @@ class Simulation:
                 yield slot_time
                 now = slot_time
             t0 = now
-            proposer = self._proposer(rt, epoch)
+            proposer = select_committee(rt.candidates, rt.committee_seed,
+                                        epoch)
             publish(ev.PROPOSAL_FORMED, epoch, proposer)
             if rt.honest and self.worker_rows is None:
                 # no coded layout, nothing to draw or decode: one re-poll,
@@ -355,8 +348,9 @@ class Simulation:
                 block.payload = None    # never a tip again: nothing reads it
             self._to_ingest.clear()
             for rt in self.chains.values():
-                rt.pool.publish(ev.LEDGER_APPEND, window_epoch,
-                                self._proposer(rt, window_epoch))
+                proposer = select_committee(rt.candidates, rt.committee_seed,
+                                            window_epoch)
+                rt.pool.publish(ev.LEDGER_APPEND, window_epoch, proposer)
 
     def _samples(self) -> Iterator[float]:
         """The tip-pool samples, one every `tip_pool_sample_s`."""
@@ -367,13 +361,6 @@ class Simulation:
             self.recorder.sample_tip_pool(now, len(self.dag.tips))
 
     # -- top level ---------------------------------------------------------
-
-    def conservation_holds(self) -> bool:
-        """Exact identity in Python ints: supply = nets + outstanding spend."""
-        book = self.book
-        return (sum((book.held - book.outstanding).ravel().tolist())
-                + sum(book.outstanding.ravel().tolist())
-                == sum(book.genesis.ravel().tolist()))
 
     def run(self) -> RunResult:
         # the event queue: each timed process starts at time 0, in this
@@ -426,7 +413,9 @@ class Simulation:
             mean_tip_pool=(float(np.mean(pools)) if pools else None),
             final_tip_pool=(pools[-1] if pools else None),
             confirmation_gini=gini(counts),
-            conservation_ok=self.conservation_holds(),
+            # in Python ints: held, nets + outstanding, sums to the supply
+            conservation_ok=(sum(self.book.held.ravel().tolist())
+                             == sum(self.book.genesis.ravel().tolist())),
             double_spend=ds,
         )
 

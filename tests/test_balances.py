@@ -532,6 +532,10 @@ def test_dense_flows_on_a_summed_state_raise():
 def test_out_of_range_sender_or_receiver_raises():
     m = 3
     b = book([5] * m, [5] * m)
+    good = bal.Transfers(source=0, dest=1, senders=[0], receivers=[0],
+                         amounts=[1])
+    b.debit(good)
+    before = [x.copy() for x in (b.held, b.spent, b.outstanding)]
     for senders, receivers in (([m], [0]), ([0], [m])):
         t = bal.Transfers(source=0, dest=1, senders=senders,
                           receivers=receivers, amounts=[1])
@@ -539,7 +543,13 @@ def test_out_of_range_sender_or_receiver_raises():
             b.debit(t)
         with pytest.raises(bal.LedgerError, match="out of range"):
             bal.validate_tip_payloads([t], b)
-        assert not b.outstanding.any()
+        # a window once raised numpy's bare IndexError; its sound block
+        # lands no more than the bad one
+        with pytest.raises(bal.LedgerError, match="out of range"):
+            b.ingest([good, t])
+        assert all((x == y).all()
+                   for x, y in zip((b.held, b.spent, b.outstanding), before))
+        assert b.windows == 0
 
 
 def test_malformed_triplets_and_totals_rejected_structurally():
@@ -826,6 +836,14 @@ def test_a_window_of_no_block_lands_nothing_and_is_not_counted():
     assert b.windows == 0
     b.ingest([t])
     assert b.windows == 1
+
+
+@pytest.mark.parametrize("chain", [-1, -2, 2])
+def test_the_state_of_a_chain_outside_the_book_raises(chain):
+    # state(-1) once gave the last chain's totals labelled as chain -1
+    b = book([5], [5])
+    with pytest.raises(bal.LedgerError, match="no ledger state"):
+        b.state(chain)
 
 
 def test_a_window_whose_inflow_sum_wraps_raises_a_named_overflow_error():

@@ -8,12 +8,10 @@ import sys
 import pytest
 
 from chainmesh.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
-                           load_manifest, main, resolve_out_dir)
+                           _aggregate, load_manifest, main, resolve_out_dir)
 from chainmesh.config import ConfigError, ScenarioConfig
 from chainmesh.presets import build_preset, preset_names
-
-ARTIFACTS = ["tip_pool.csv", "finality.csv", "throughput.csv",
-             "metrics.json", "dag_snapshot.txt", "events.log"]
+from corpus import ARTIFACTS
 
 
 def write_manifest(path, scenarios, **extra):
@@ -120,6 +118,31 @@ def test_run_writes_artifacts_aggregate_and_summary(tmp_path):
     assert agg["mean"]["intra_blocks_per_min"] > 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["scenarios"]["a"]["status"] == "ok"
+
+
+def test_aggregate_skips_none_and_sums_each_mean_in_run_order():
+    reports = [
+        {"scenario": "s", "seed": 0, "mean_finality_s": None,
+         "conservation_ok": True, "final_tip_pool": 3,
+         "confirmation_gini": 1e16,
+         "double_spend": {"p_detect": 1.0, "mean_delay_s": 2.0}},
+        {"scenario": "s", "seed": 1, "mean_finality_s": 4.0,
+         "conservation_ok": False, "final_tip_pool": 4,
+         "confirmation_gini": -1e16},
+        {"scenario": "s", "seed": 2, "mean_finality_s": 6.0,
+         "conservation_ok": True, "final_tip_pool": 5,
+         "confirmation_gini": 1.0, "double_spend": {"p_detect": 0.5}},
+    ]
+    assert _aggregate(reports) == {
+        "mean_finality_s": 5.0,         # the None run is left out
+        "conservation_ok": False,       # a flag must hold in every run
+        "final_tip_pool": 4.0,
+        # 1e16 - 1e16 + 1.0 in run order; sorted, the 1.0 is lost
+        "confirmation_gini": 1.0 / 3,
+        # over the runs that report it, key by key
+        "double_spend": {"p_detect": 0.75, "mean_delay_s": 2.0},
+    }
+    assert sum(sorted([1e16, -1e16, 1.0])) != 1.0
 
 
 def test_run_isolates_invalid_scenarios_and_exits_one(tmp_path, capsys):

@@ -6,6 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from chainmesh import dag
@@ -92,6 +93,23 @@ def test_attach_unknown_parent_leaves_ledger_unchanged():
         led.attach("a", proposer=0, epoch=1, parents=["nope"], time=1.0)
     assert "a" not in led.blocks
     assert led.tips == set()
+
+
+@pytest.mark.parametrize("proposer", [np.int64(65), 1.0, True, 70, -1],
+                         ids=["np.int64", "float", "bool", "past-last",
+                              "negative"])
+def test_a_refused_proposer_leaves_the_ledger_unchanged(proposer):
+    # np.int64(65) once raised a bare OverflowError and 1.0 a bare
+    # TypeError, with the block already attached and its parent approved
+    led = equal_ledger(70, Fraction(1, 2))
+    led.attach("a", 0, 1, [dag.GENESIS_ID])
+    before = list(led.snapshot_lines())
+    with pytest.raises(dag.DagError, match="no chain index"):
+        led.attach("b", proposer, 1, ["a"])
+    assert list(led.snapshot_lines()) == before
+    assert led.tips == {"a"}
+    assert led.select_tips(2, random.Random(0)) == ["a"]
+    assert led.update_confirmations() == set()
 
 
 def test_attach_duplicate_id_rejected():

@@ -26,15 +26,7 @@ from chainmesh.dag import DagLedger
 from chainmesh.events import LEDGER_APPEND, EventPools
 from chainmesh.metrics import SeriesRecorder
 from chainmesh.roles import build_fleet, make_valid_block
-from corpus import PINS
-
-ARTIFACTS = ["tip_pool.csv", "finality.csv", "throughput.csv",
-             "metrics.json", "dag_snapshot.txt", "events.log"]
-
-#: every event kind: the six epoch stages, then the ledger-window append
-EVENT_KINDS = (ev.PROPOSAL_FORMED, ev.PROPOSAL_RESULTS, ev.TIP_BATCH_FORMED,
-               ev.TIP_RESULTS, ev.DAG_SUBMISSION, ev.WEIGHT_UPDATE,
-               LEDGER_APPEND)
+from corpus import ARTIFACTS, PINS
 
 
 def quick(**kw) -> ScenarioConfig:
@@ -114,7 +106,7 @@ def test_every_logged_proposer_holds_the_highest_draw(tmp_path):
         assert rec["approve"] == cfg.committee_size() == 3
         kinds.add(rec["kind"])
     # every kind shows up, window epochs included
-    assert kinds == set(EVENT_KINDS)
+    assert kinds == set(ev.KINDS)
 
 
 def test_committee_keys_are_built_at_the_first_draw_not_at_set_up(
@@ -671,7 +663,7 @@ def test_event_log_is_json_with_known_kinds(base_run):
         kinds.add(rec["kind"])
         chains.add(rec["chain"])
         assert rec["outcome"] in {"active", "discarded"}
-    assert kinds <= set(EVENT_KINDS)
+    assert kinds <= set(ev.KINDS)
     assert chains == set(range(quick().chains))
 
 

@@ -93,7 +93,7 @@ UNREACHED = {
     "balances.CumulativeState.__post_init__": (
         9, C2 + "; and the state type of " + STATES),
     "balances.CumulativeState.accounts": (2, "helper of CumulativeState"),
-    "balances.LedgerBook.state": (7, STATES),
+    "balances.LedgerBook.state": (8, STATES),
     "engine.RunResult.states": (2, STATES),
 }
 
