@@ -4,11 +4,12 @@ Token movement between chains is tracked as transfer triplets: triplet k of
 a `Transfers` from chain j to chain l is the amount account senders[k] on
 chain j sends to account receivers[k] on chain l. A block carries one
 `Transfers`, which checks, once as it is built, everything true of the
-block alone: its triplets are non-negative int64 of equal length, it moves
-tokens to another chain, and its senders are strictly increasing, so each
-sending account has one triplet and the amounts are the block's spend per
-sending account. It keeps one read-only (3, k) copy of its triplets, whose
-rows are its senders, receivers and amounts.
+block alone: its chains are ints, its triplets are non-negative int64 of
+equal length, it moves tokens to another chain, and its senders are
+strictly increasing, so each sending account has one triplet and the
+amounts are the block's spend per sending account. It keeps one read-only
+(3, k) copy of its triplets, whose rows are its senders, receivers and
+amounts.
 
 The engine keeps every chain's totals in one `LedgerBook`, updated in place:
 a proposal debit holds its spend as outstanding, and a ledger window moves
@@ -27,7 +28,8 @@ confirmed outflow and the proposed spend, which each epoch replaces -- as
 MxM matrices, as coded workers store them, or summed (w_in 1xM, w_out Mx1),
 as the book reports them after a run; `update_cumulative` and
 `net_balances` are the oracle the book is tested against. All arithmetic is
-exact int64; no floats anywhere. A total that would leave int64 raises
+exact int64; no floats anywhere. One guard, `_sum_at`, bounds every total
+onto accounts, a window's or a state's: one that would leave int64 raises
 `LedgerOverflowError` before it is stored, so reading balances never wraps.
 """
 
@@ -114,6 +116,8 @@ class Transfers:
     triplets: np.ndarray
 
     def __init__(self, source: int, dest: int, senders, receivers, amounts):
+        if type(source) is not int or type(dest) is not int:
+            raise LedgerError(f"chains {source!r} and {dest!r} must be ints")
         if source == dest:
             raise LedgerError("intra-chain transfer rejected")
         # three 1-D vectors of one length stack to (3, k); any others stack
@@ -177,40 +181,26 @@ class CumulativeState:
         shapes = (self.w_in.shape, self.w_out.shape, self.last_proposed.shape)
         if shapes not in (((m, m),) * 3, ((1, m), (m, 1), (m, 1))):
             raise LedgerError(f"totals of shapes {shapes} are neither MxM nor 1xM/Mx1")
-        if not (_sums_fit(self.w_in, axis=0, base=self.genesis)
-                and _sums_fit(self.w_out, axis=1)):
-            raise LedgerOverflowError(
-                f"chain {self.chain} balances at epoch {self.epoch} exceed int64")
+        k = len(self.w_in)      # counterparties: w_in is kxM, w_out Mxk
+        _sum_at(self.genesis, np.tile(np.arange(m), k), self.w_in.ravel(),
+                f"a balance of chain {self.chain} at epoch {self.epoch}")
+        _sum_at(np.zeros(m, dtype=np.int64), np.repeat(np.arange(m), k),
+                self.w_out.ravel(),
+                f"a spend of chain {self.chain} at epoch {self.epoch}")
 
     @property
     def accounts(self) -> int:
         return self.genesis.shape[0]
 
 
-def _sums_fit(terms: np.ndarray, axis: int,
-              base: np.ndarray | None = None) -> bool:
-    """Whether base + terms.sum(axis) stays within int64; no entry is negative.
-
-    A bound from the largest entries settles nearly every case; only when it
-    is inconclusive are the sums taken exactly, over Python ints.
-    """
-    top = int(base.max(initial=0)) if base is not None else 0
-    if top + terms.shape[axis] * int(terms.max(initial=0)) <= INT64_MAX:
-        return True
-    exact = terms.astype(object).sum(axis=axis)
-    if base is not None:
-        exact = exact + base.astype(object)
-    return exact.max(initial=0) <= INT64_MAX
-
-
 def _sum_at(base: np.ndarray, index, amounts: np.ndarray,
             what: str) -> np.ndarray:
     """A copy of the non-negative `base` with `amounts` added at `index`.
 
-    An entry past int64 raises LedgerOverflowError naming `what`. As in
-    `_sums_fit`, the largest base entry plus the count times the largest
-    amount settles nearly every case; only when it is inconclusive are the
-    sums taken exactly.
+    An entry past int64 raises LedgerOverflowError naming `what`. The
+    largest base entry plus the count times the largest amount settles
+    nearly every case; only when it is inconclusive are the sums taken
+    exactly.
     """
     total = base.copy()
     np.add.at(total, index, amounts)
@@ -292,10 +282,10 @@ class LedgerBook:
         return self.genesis.shape[1]
 
     def check_chain(self, chain: int) -> None:
-        """Raise for a chain outside [0, chains), which indexing would wrap
-        round to another chain's row or fail on unnamed."""
-        if not 0 <= chain < len(self.genesis):
-            raise LedgerError(f"no ledger state for chain {chain}")
+        """Raise for a chain that is no int in [0, chains), which indexing
+        would wrap round, read as a mask (a bool) or fail on unnamed."""
+        if type(chain) is not int or not 0 <= chain < len(self.genesis):
+            raise LedgerError(f"no ledger state for chain {chain!r}")
 
     def net(self, chain: int) -> np.ndarray:
         """One chain's net balances."""

@@ -7,13 +7,13 @@ Verbs:
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure. The default
 output directory comes from --out, then the manifest, then $CHAINMESH_OUT,
-then ./chainmesh-runs.
+then ./chainmesh-runs. Each scenario holds one validated config per seed,
+built once as it is loaded, and the batch runs those configs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 from .config import (ConfigError, ScenarioConfig, config_from_mapping,
                      known_fields, load_config, read_json, replace)
 from .engine import run_scenario
+from .metrics import write_json
 from .presets import DEFAULT_SEEDS, build_preset, preset_names
 
 ENV_OUT = "CHAINMESH_OUT"
@@ -37,8 +38,7 @@ EXIT_RUNTIME = 2
 @dataclass(frozen=True)
 class ManifestScenario:
     label: str
-    seeds: tuple[int, ...]
-    config: ScenarioConfig | None
+    configs: tuple[ScenarioConfig, ...]     # validated, one per listed seed
     error: str | None = None        # validation failure captured at load time
 
 
@@ -50,17 +50,15 @@ class RunManifest:
 
 def _scenario(label: str, cfg: ScenarioConfig,
               seeds: object) -> ManifestScenario:
-    """A scenario run once per seed of a non-empty list of distinct integers,
-    each of which `cfg` accepts."""
+    """A scenario of `cfg` at each seed of a non-empty list of distinct
+    integers, each config validated as it is built."""
     if (not isinstance(seeds, list) or not seeds
             or any(not isinstance(s, int) or isinstance(s, bool)
                    for s in seeds)
             or len(set(seeds)) != len(seeds)):
         raise ConfigError(f"scenario {label!r}: 'seeds' must be a "
                           "non-empty list of distinct integers")
-    for seed in seeds:
-        replace(cfg, seed=seed)
-    return ManifestScenario(label=label, seeds=tuple(seeds), config=cfg)
+    return ManifestScenario(label, tuple(replace(cfg, seed=s) for s in seeds))
 
 
 def load_manifest(path: str | Path) -> RunManifest:
@@ -91,8 +89,8 @@ def load_manifest(path: str | Path) -> RunManifest:
             scenarios.append(_scenario(label, cfg,
                                        entry.get("seeds", [cfg.seed])))
         except ConfigError as exc:
-            scenarios.append(ManifestScenario(label=label, seeds=(),
-                                              config=None, error=str(exc)))
+            scenarios.append(ManifestScenario(label=label, configs=(),
+                                              error=str(exc)))
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("'out_dir' must be a string path")
@@ -149,27 +147,26 @@ def run_batch(scenarios: Sequence[ManifestScenario], out: Path,
     for scen in scenarios:
         reports = []
         error: str | None = None
-        if scen.error is not None:      # it has no seeds to run
+        if scen.error is not None:      # it has no configs to run
             error = f"validation: {scen.error}"
             worst = max(worst, EXIT_VALIDATION)
             print(f"error: {scen.label}: {error}", file=sys.stderr)
-        for seed in scen.seeds:
-            # `_scenario` validated every seed, so a run fails only at run time
+        for cfg in scen.configs:
+            # `_scenario` validated each config: a run fails only at run time
             try:
-                result = run_scenario(replace(scen.config, seed=seed),
-                                      scen.label,
-                                      out / scen.label / f"seed-{seed:03d}")
+                result = run_scenario(
+                    cfg, scen.label, out / scen.label / f"seed-{cfg.seed:03d}")
             except Exception as exc:            # isolate, keep the batch going
                 error = f"runtime: {exc}"
                 worst = max(worst, EXIT_RUNTIME)
-                print(f"error: {scen.label} seed={seed}: {error}",
+                print(f"error: {scen.label} seed={cfg.seed}: {error}",
                       file=sys.stderr)
                 break
             rep = result.report.to_mapping()
             reports.append(rep)
             if not quiet:
                 gini = rep["confirmation_gini"]
-                print(f"{scen.label} seed={seed}: "
+                print(f"{scen.label} seed={cfg.seed}: "
                       f"intra={rep['intra_blocks_per_min']:.1f}/min "
                       f"inter={rep['inter_blocks_per_min']:.1f}/min "
                       f"finality={rep['mean_finality_s'] or 0:.1f}s "
@@ -178,19 +175,17 @@ def run_batch(scenarios: Sequence[ManifestScenario], out: Path,
                       f"conserved={rep['conservation_ok']}")
         if reports:
             agg = {"label": scen.label,
-                   "seeds": list(scen.seeds[:len(reports)]),
+                   "seeds": [cfg.seed for cfg in scen.configs[:len(reports)]],
                    "runs": len(reports),
                    "mean": _aggregate(reports)}
             (out / scen.label).mkdir(parents=True, exist_ok=True)
-            (out / scen.label / "aggregate.json").write_text(
-                json.dumps(agg, indent=2, sort_keys=True) + "\n")
+            write_json(out / scen.label / "aggregate.json", agg)
         summary[scen.label] = {
             "runs": len(reports),
             "status": "ok" if error is None else "failed",
             "error": error,
         }
-    (out / SUMMARY).write_text(
-        json.dumps({"scenarios": summary}, indent=2, sort_keys=True) + "\n")
+    write_json(out / SUMMARY, {"scenarios": summary})
     return worst
 
 

@@ -50,7 +50,7 @@ from .config import ScenarioConfig
 from .dag import CONFIRMED, GENESIS_ID, ChainWeights, DagBlock, DagLedger
 from .doublespend import NO_INJECTIONS, ConflictTracker, plan_injections
 from .events import Candidates, EventPools, select_committee
-from .metrics import MetricsReport, SeriesRecorder, gini
+from .metrics import MetricsReport, SeriesRecorder, gini, write_artifacts
 from .roles import (build_fleet, make_invalid_block, make_valid_block,
                     schedule_issuance)
 
@@ -426,7 +426,6 @@ def run_scenario(cfg: ScenarioConfig, scenario: str = "scenario",
     sim = Simulation(cfg, scenario=scenario)
     result = sim.run()
     if out_dir is not None:
-        from .metrics import write_artifacts
         write_artifacts(out_dir, result.recorder, result.report,
                         result.snapshot_lines, result.event_lines)
     return result

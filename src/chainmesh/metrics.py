@@ -2,7 +2,8 @@
 
 A run's `SeriesRecorder` keeps each series in the form its artifact prints:
 the confirmations as per-minute counts, not as their times, and the
-tip-pool samples and finality seconds as flat columns of machine numbers."""
+tip-pool samples and finality seconds as flat columns of machine numbers.
+`write_json` writes every JSON file, of a run and of a batch."""
 
 from __future__ import annotations
 
@@ -90,6 +91,11 @@ class MetricsReport:
         return data
 
 
+def write_json(path: str | Path, data: Mapping) -> None:
+    """Write `data` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 def write_artifacts(out_dir: str | Path, recorder: SeriesRecorder,
                     report: MetricsReport, snapshot_lines: Iterable[str],
                     event_lines: Iterable[str]) -> None:
@@ -107,9 +113,7 @@ def write_artifacts(out_dir: str | Path, recorder: SeriesRecorder,
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(rows)
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(report.to_mapping(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "metrics.json", report.to_mapping())
     for name, lines in (("dag_snapshot.txt", snapshot_lines),
                         ("events.log", event_lines)):
         with open(out / name, "w") as fh:

@@ -567,17 +567,20 @@ def test_malformed_triplets_and_totals_rejected_structurally():
 # ---------------------------------------------------------------------------
 
 def test_state_whose_net_balance_would_wrap_raises():
-    # genesis + w_in = 2**63 would read back as net balance -2**63
-    with pytest.raises(bal.LedgerOverflowError):
-        bal.CumulativeState(chain=0, epoch=0, genesis=[2**62],
+    # genesis + w_in = 2**63 would read back as net balance -2**63; the
+    # error names the chain and the epoch
+    balance = "a balance of chain 2 at epoch 7 exceeds int64"
+    with pytest.raises(bal.LedgerOverflowError, match=balance):
+        bal.CumulativeState(chain=2, epoch=7, genesis=[2**62],
                             w_in=[[2**62]], w_out=[[0]], last_proposed=[[0]])
-    with pytest.raises(bal.LedgerOverflowError):
-        bal.CumulativeState(chain=0, epoch=0, genesis=[0, 0],
+    with pytest.raises(bal.LedgerOverflowError, match=balance):
+        bal.CumulativeState(chain=2, epoch=7, genesis=[0, 0],
                             w_in=[[2**62, 0], [2**62, 0]],
                             w_out=[[0, 0], [0, 0]],
                             last_proposed=[[0, 0], [0, 0]])
-    with pytest.raises(bal.LedgerOverflowError):
-        bal.CumulativeState(chain=0, epoch=0, genesis=[0, 0],
+    with pytest.raises(bal.LedgerOverflowError,
+                       match="a spend of chain 2 at epoch 7 exceeds int64"):
+        bal.CumulativeState(chain=2, epoch=7, genesis=[0, 0],
                             w_in=[[0, 0], [0, 0]],
                             w_out=[[2**62, 2**62], [0, 0]],
                             last_proposed=[[0, 0], [0, 0]])
@@ -838,12 +841,37 @@ def test_a_window_of_no_block_lands_nothing_and_is_not_counted():
     assert b.windows == 1
 
 
-@pytest.mark.parametrize("chain", [-1, -2, 2])
+NO_INTS = [pytest.param(1.5, id="float"), pytest.param(True, id="bool"),
+           pytest.param(np.int64(1), id="np.int64")]
+
+
+@pytest.mark.parametrize("chain", [-1, -2, 2, *NO_INTS])
 def test_the_state_of_a_chain_outside_the_book_raises(chain):
-    # state(-1) once gave the last chain's totals labelled as chain -1
+    # state(-1) once gave the last chain's totals labelled as chain -1;
+    # net(1.5) and state(1.5) raised numpy's bare IndexError, and net(True)
+    # returned every chain's balances: numpy reads a bool index as a mask
     b = book([5], [5])
     with pytest.raises(bal.LedgerError, match="no ledger state"):
         b.state(chain)
+    with pytest.raises(bal.LedgerError, match="no ledger state"):
+        b.net(chain)
+
+
+@pytest.mark.parametrize("chain", NO_INTS)
+def test_a_transfer_between_chains_that_are_no_ints_is_refused(chain):
+    for source, dest in ((chain, 2), (2, chain)):
+        with pytest.raises(bal.LedgerError, match="must be ints"):
+            bal.Transfers(source=source, dest=dest, senders=[0],
+                          receivers=[0], amounts=[1])
+
+
+@pytest.mark.parametrize("chain", NO_INTS)
+def test_a_debit_of_a_block_from_a_chain_that_is_no_int_holds_nothing(chain):
+    b = book([5], [5], [5])
+    with pytest.raises(bal.LedgerError, match="must be ints"):
+        b.debit(bal.Transfers(source=chain, dest=2, senders=[0],
+                              receivers=[0], amounts=[1]))
+    assert not b.outstanding.any()
 
 
 def test_a_window_whose_inflow_sum_wraps_raises_a_named_overflow_error():

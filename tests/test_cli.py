@@ -33,14 +33,17 @@ def test_manifest_round_trip(tmp_path):
     man = load_manifest(p)
     assert man.out_dir == "somewhere"
     assert man.scenarios[0].label == "a"
-    assert man.scenarios[0].seeds == (3, 4)
-    assert man.scenarios[0].config.duration_min == 0.5
+    # one validated config per seed, the manifest's config at that seed
+    configs = man.scenarios[0].configs
+    assert [cfg.seed for cfg in configs] == [3, 4]
+    assert [cfg.duration_min for cfg in configs] == [0.5, 0.5]
 
 
 def test_manifest_defaults_seeds_to_config_seed(tmp_path):
     p = write_manifest(tmp_path / "m.json",
                        [{"label": "a", "config": dict(TINY, seed=9)}])
-    assert load_manifest(p).scenarios[0].seeds == (9,)
+    configs = load_manifest(p).scenarios[0].configs
+    assert [cfg.seed for cfg in configs] == [9]
 
 
 @pytest.mark.parametrize("doc", [

@@ -85,13 +85,8 @@ UNREACHED = {
     "coding._frozen_by_lost": (4, LAYOUT),
     "coding._bareiss": (23, LAYOUT),
     "coding.GroupSpec.rows_per_block": (2, LAYOUT),
-    "balances._sums_fit": (
-        8, "the int64 check of CumulativeState, which a run builds only "
-           "when RunResult.states is read; its exact re-check runs only "
-           "for sums near the int64 limit, which tests/test_balances.py "
-           "reaches"),
     "balances.CumulativeState.__post_init__": (
-        9, C2 + "; and the state type of " + STATES),
+        13, C2 + "; and the state type of " + STATES),
     "balances.CumulativeState.accounts": (2, "helper of CumulativeState"),
     "balances.LedgerBook.state": (8, STATES),
     "engine.RunResult.states": (2, STATES),

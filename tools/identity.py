@@ -4,10 +4,11 @@
 
 Both commits are exported with `git archive` from the repository this script
 lives in, and each is run in one fresh process, the two side by side. The
-corpus is every preset at desk and paper scale, seeds 0-2, each run as
-`chainmesh preset` runs it, and every run of `tests/corpus.py` at each of
-its seeds: the pinned configs, the extra runs and the seeded fuzz configs,
-whose configs that fail validation are compared by error type and message.
+corpus is every preset at desk and paper scale, at that side's
+`DEFAULT_SEEDS`, each run as `chainmesh preset` runs it, and every run of
+`tests/corpus.py` at each of its seeds: the pinned configs, the extra runs
+and the seeded fuzz configs, whose configs that fail validation are
+compared by error type and message.
 
 Each run is compared by `artifact_digest`, the SHA-256 over its six
 artifacts, by its attached and confirmed block counts, and by
@@ -37,8 +38,6 @@ sys.path.insert(0, str(ROOT / "tests"))
 from corpus import RUNS, artifact_digest, states_digest    # noqa: E402
 from run import DEADLINE_S                                  # noqa: E402
 
-PRESET_SEEDS = (0, 1, 2)
-
 
 # -- one side ---------------------------------------------------------------
 
@@ -50,7 +49,7 @@ def run_side(tree: Path, work: Path, runs: list) -> dict[str, list]:
     import chainmesh
     from chainmesh.config import config_from_mapping, replace
     from chainmesh.engine import run_scenario
-    from chainmesh.presets import build_preset, preset_names
+    from chainmesh.presets import DEFAULT_SEEDS, build_preset, preset_names
     if Path(chainmesh.__file__).resolve().parent != \
             (tree / "src" / "chainmesh").resolve():
         raise SystemExit(f"chainmesh imported from {chainmesh.__file__}, "
@@ -68,7 +67,7 @@ def run_side(tree: Path, work: Path, runs: list) -> dict[str, list]:
                 continue
             todo += [(f"{name}/{label}/seed-{s:03d}",
                       partial(replace, cfg, seed=s), label)
-                     for label, cfg in built.items() for s in PRESET_SEEDS]
+                     for label, cfg in built.items() for s in DEFAULT_SEEDS]
     todo += [(name, partial(config_from_mapping, {**overrides, "seed": seed}),
               "scenario") for name, overrides, seed in runs]
     for i, (name, config, scenario) in enumerate(todo):
