@@ -215,7 +215,7 @@ def _sum_at(base: np.ndarray, index, amounts: np.ndarray,
 
 def new_state(chain: int, genesis) -> CumulativeState:
     """Fresh MxM state at epoch 0; the genesis allocation is modeled as epoch-0 inflow."""
-    g = np.asarray(genesis, dtype=np.int64)
+    g = _as_amounts(genesis, ndim=1)
     m = g.shape[0]
     zero = np.zeros((m, m), dtype=np.int64)
     return CumulativeState(chain=chain, epoch=0, genesis=g,

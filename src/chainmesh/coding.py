@@ -48,8 +48,8 @@ class ShardCorruptionError(CodingError):
 def written_ratio(value, error=CodingError) -> tuple[int, int]:
     """`value` as (numerator, denominator) in lowest terms, a float as written
     (0.35 is 7/20, not its binary value): `Fraction(str(value))` unparsed.
-    Anything but an int, Fraction or finite float or Decimal raises `error`."""
-    if isinstance(value, (int, Fraction)):
+    A bool or anything not an int, Fraction or finite number raises `error`."""
+    if isinstance(value, (int, Fraction)) and type(value) is not bool:
         return value.as_integer_ratio()
     if isinstance(value, (float, Decimal)) and Decimal(str(value)).is_finite():
         return Decimal(str(value)).as_integer_ratio()
@@ -239,13 +239,26 @@ def plan_groups(n: int, total_rows: int, profile: StragglerProfile) -> GroupPlan
 # Expansion and butterfly transform
 # ---------------------------------------------------------------------------
 
+def _as_int64(values, error=CodingError) -> np.ndarray:
+    """`values` as int64; a bool or an entry no int64 holds raises `error`."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values.astype(np.int64)      # no entry is a bool or too wide
+    try:
+        arr = np.array(values, dtype=object)
+        if all(type(v) is int or isinstance(v, np.integer) for v in arr.flat):
+            return arr.astype(np.int64)
+    except (ValueError, OverflowError):
+        pass
+    raise error("values must be integers that fit int64")
+
+
 def expand(matrix: np.ndarray, group: GroupSpec) -> np.ndarray:
     """Pack a slice into block positions: data at non-frozen slots, zeros at frozen.
 
     Returns an (n_k, r, cols) int64 array; input rows are zero-padded up to a
     multiple of the data-position count.
     """
-    matrix = np.asarray(matrix, dtype=np.int64)
+    matrix = _as_int64(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != group.rows:
         raise CodingError(f"expected {group.rows} rows for group {group.index}, "
                           f"got shape {matrix.shape}")
@@ -283,7 +296,7 @@ def hadamard(blocks: np.ndarray) -> np.ndarray:
     Runs in int64 and raises CodingError when an output could leave the int64
     range, i.e. when max|blocks| exceeds (2**63 - 1) // n.
     """
-    blocks = np.array(blocks, dtype=np.int64)
+    blocks = _as_int64(blocks)
     if blocks.size and max(int(blocks.max()),
                            -int(blocks.min())) > (2 ** 63 - 1) // blocks.shape[0]:
         raise CodingError("butterfly output overflows 64-bit range")
@@ -400,7 +413,7 @@ def decode(received: Mapping[int, np.ndarray], group: GroupSpec) -> np.ndarray:
         raise NotDecodableError("received blocks do not determine the data")
     y = np.zeros((n, r, cols), dtype=object)
     for p, v in received.items():
-        v = np.asarray(v, dtype=np.int64)
+        v = _as_int64(v, ShardCorruptionError)
         if v.shape != (r, cols):
             raise CodingError(f"block at position {p} has shape {v.shape}, "
                               f"expected {(r, cols)}")
@@ -421,10 +434,7 @@ def decode(received: Mapping[int, np.ndarray], group: GroupSpec) -> np.ndarray:
     data = np.concatenate([x[p] for p in group.data_positions], axis=0)
     if data[group.rows:].any():
         raise ShardCorruptionError("nonzero padding rows after decode")
-    data = data[:group.rows]
-    if data.size and (data.max() >= 2 ** 63 or data.min() < -2 ** 63):
-        raise CodingError("decoded block overflows 64-bit range")
-    return data.astype(np.int64)
+    return _as_int64(data[:group.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +464,7 @@ class CodedLedgerImage:
         Codes every group before storing any, so an error leaves the image
         unchanged.
         """
-        mats = [np.asarray(m, dtype=np.int64)
+        mats = [_as_int64(m)
                 for m in (inflow, outflow_confirmed, delta_proposed)]
         if any(m.shape != mats[0].shape for m in mats):
             raise CodingError("epoch matrices must share one shape")

@@ -7,14 +7,15 @@ reachable along parent edges, plus its own -- meets the confirmation
 threshold. Each chain's stake counts once no matter how many of its blocks
 approve, so no chain can push its own blocks over the threshold by itself.
 
-Approver stake is maintained incrementally: each block carries a bitmask of
-contributing chains and their summed stake numerator, over one common
-denominator. A new block's chain is pushed to its ancestors on attach, pruned
-where already present (a chain present on a block is always present on all of
-that block's ancestors), and its stake added where its bit is set; genesis
-carries every chain from the start, so no push passes it. Only blocks whose
-mask grew since the last pass can newly confirm, so only those are checked.
-Reachability walks are reserved for test oracles.
+A chain's weight is its integer stake's share of all stakes. The ledger scales
+stakes and threshold to integers over their smallest common denominator and
+keeps approver stake incrementally: each block carries a bitmask of
+contributing chains and their summed stake. A new block's chain is pushed to
+its ancestors on attach, pruned where already present (a chain present on a
+block is always present on all of that block's ancestors), and its stake added
+where its bit is set; genesis carries every chain from the start, so no push
+passes it. Only blocks whose mask grew since the last pass can newly confirm,
+so only those are checked. Reachability walks are reserved for test oracles.
 
 The eligible tips, those not excluded, are kept as a sorted list updated on
 attach, approval, confirmation and exclusion; selection never rescans tips.
@@ -45,38 +46,28 @@ class DagError(Exception):
 
 @dataclass(frozen=True)
 class ChainWeights:
-    """Positive per-chain stake weights, normalized to sum to one."""
+    """One positive int stake per chain; a weight is its share of the sum."""
 
-    weights: tuple[Fraction, ...]
+    stakes: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.weights:
-            raise DagError("at least one chain weight required")
-        if not all(isinstance(w, (int, Fraction)) for w in self.weights):
-            raise DagError("chain weights must be ints or Fractions; "
+        if not self.stakes or not all(type(s) is int and s > 0
+                                      for s in self.stakes):
+            raise DagError("at least one positive int stake required; "
                            "ChainWeights.from_values takes other numbers")
-        # checked as integer numerators over the common denominator
-        denom = math.lcm(*(w.denominator for w in self.weights))
-        nums = [w.numerator * (denom // w.denominator) for w in self.weights]
-        if min(nums) <= 0:
-            raise DagError("chain weights must be positive")
-        if sum(nums) != denom:
-            raise DagError("chain weights must sum to exactly 1")
 
     @classmethod
     def equal(cls, n: int) -> "ChainWeights":
-        return cls(tuple(Fraction(1, n) for _ in range(n)))
+        return cls((1,) * n)
 
     @classmethod
     def from_values(cls, values: Sequence) -> "ChainWeights":
-        fracs = [Fraction(*written_ratio(v, DagError)) for v in values]
-        total = sum(fracs)
-        if total <= 0:
-            raise DagError("chain weights must have a positive total")
-        return cls(tuple(f / total for f in fracs))
+        ratios = [written_ratio(v, DagError) for v in values]
+        denom = math.lcm(*(den for _, den in ratios))
+        return cls(tuple(num * (denom // den) for num, den in ratios))
 
     def __getitem__(self, chain: int) -> Fraction:
-        return self.weights[chain]
+        return Fraction(self.stakes[chain], sum(self.stakes))
 
 
 @dataclass(slots=True)
@@ -85,7 +76,7 @@ class DagBlock:
 
     `chains` is the bitmask of chains contributing stake to this block:
     its own proposer plus the proposers of everything in its future cone.
-    `stake` is their summed stake numerator. `payload` is None on genesis,
+    `stake` is their summed scaled stake. `payload` is None on genesis,
     on every block a ledger window has ingested and on every tip the engine
     excluded as invalid or conflicting.
     """
@@ -109,11 +100,10 @@ class DagLedger:
         eta_num, eta_den = written_ratio(eta, DagError)
         if not 0 < eta_num <= eta_den:
             raise DagError("confirmation threshold must lie in (0, 1]")
-        # stakes and threshold as integer numerators over one denominator
-        self._denom = denom = math.lcm(
-            eta_den, *(w.denominator for w in weights.weights))
-        self._stakes = [w.numerator * (denom // w.denominator)
-                        for w in weights.weights]
+        # stakes and threshold as integers over their smallest denominator
+        total = sum(weights.stakes)
+        self._denom = denom = math.lcm(eta_den, total)
+        self._stakes = [s * (denom // total) for s in weights.stakes]
         self._threshold = eta_num * (denom // eta_den)
         genesis = DagBlock(proposer=None, epoch=0, parents=(), payload=None,
                            attach_time=0.0, status=CONFIRMED,

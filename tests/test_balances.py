@@ -678,6 +678,21 @@ def test_amounts_are_exactly_the_integers_given(values, refused):
     assert b.genesis.dtype == np.int64 and b.genesis.tolist() == [want] * 2
 
 
+@pytest.mark.parametrize("genesis, refused", [
+    ([1.5, 2], NOT_INTEGERS),
+    ([True, 3], NOT_INTEGERS),
+    ([2**63], (bal.LedgerOverflowError, "exceeds int64")),
+    ("ab", NOT_INTEGERS),
+], ids=["float", "bool", "2**63", "str"])
+def test_a_fresh_state_takes_its_genesis_through_the_amount_check(
+        genesis, refused):
+    # these were once truncated to [1, 2] and [1, 3], or raised a bare
+    # OverflowError or ValueError
+    error, match = refused
+    with pytest.raises(error, match=match):
+        bal.new_state(0, genesis)
+
+
 @pytest.mark.parametrize("senders, receivers, amounts, refused", [
     (np.array([0, 1]), np.array([True, False]), [1, 1], NOT_INTEGERS),
     ([0, 1], [0, 0], np.array([1, 1], dtype=bool), NOT_INTEGERS),

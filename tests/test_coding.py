@@ -111,10 +111,10 @@ def test_a_likelihood_outside_the_unit_interval_or_nan_is_refused(probs):
 @pytest.mark.parametrize("probs, fraction", [
     (("a",), 0.1), ((None,), 0.1), ((0.2, "0.3"), 0.1), ((0.2,), "0.1"),
     ((0.2,), None), ((0.2,), math.nan), ((0.2,), math.inf), ((0.2,), -0.1),
-    ((0.2,), 1.5),
+    ((0.2,), 1.5), ((0.1, 0.9), True),
 ], ids=["str-likelihood", "none-likelihood", "one-str-likelihood",
         "str-fraction", "none-fraction", "nan-fraction", "inf-fraction",
-        "negative-fraction", "fraction-above-one"])
+        "negative-fraction", "fraction-above-one", "bool-fraction"])
 def test_a_profile_of_anything_but_numbers_in_range_raises_a_coding_error(
         probs, fraction):
     # these once raised a bare TypeError from comparing a string or None
@@ -420,6 +420,45 @@ def test_decode_insufficient_blocks_raises():
         coding.decode({0: blocks[0], 1: blocks[1]}, g)
     with pytest.raises(coding.NotDecodableError):
         coding.decode({}, g)
+
+
+def test_a_decoded_value_outside_int64_raises_a_coding_error():
+    # consistent int64 shards whose data leaves int64: no shard is corrupt
+    g = make_group(8, (0, 1, 2, 4), rows=4)
+    big = 2 ** 63 - 2
+    shards = {0: [[big]], 1: [[big]], 2: [[0]], 4: [[big]]}
+    with pytest.raises(coding.CodingError, match="int64") as raised:
+        coding.decode(shards, g)
+    assert type(raised.value) is coding.CodingError
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 2 ** 63, -2 ** 63 - 1, "a"],
+                         ids=["float", "bool", "above-int64", "below-int64",
+                              "str"])
+def test_the_coded_oracle_refuses_anything_but_int64_integers_by_name(bad):
+    # a float or a bool was once held truncated, as [[1]], and an int past
+    # int64 or a string raised a bare OverflowError or ValueError
+    g = make_group(2, (1,), rows=1)
+    with pytest.raises(coding.CodingError, match="int64"):
+        coding.expand([[bad]], g)
+    with pytest.raises(coding.CodingError, match="int64"):
+        coding.hadamard([[[bad]], [[0]]])
+    image = coding.CodedLedgerImage(coding.GroupPlan(1, (g,)), cols=1)
+    with pytest.raises(coding.CodingError, match="int64"):
+        image.apply_epoch([[0]], [[bad]], [[0]])
+    assert not any(w.any() for w in image.w_in + image.w_out)
+    # a bad shard is corrupt, but only once the positions decode
+    with pytest.raises(coding.ShardCorruptionError, match="int64"):
+        coding.decode({0: [[bad]]}, g)
+    with pytest.raises(coding.NotDecodableError):
+        coding.decode({0: [[bad]]}, make_group(2, (), rows=2))
+    # integers of either sign within int64 pass, in lists or arrays
+    low = [[-2 ** 63]]
+    assert coding.expand(low, g)[0].tolist() == low
+    assert coding.hadamard(np.array([[[-3]], [[2]]], dtype=np.int8)).tolist() \
+        == [[[-1]], [[-5]]]
+    assert coding.hadamard(np.array([[[3]], [[2]]], dtype=np.uint64)).tolist() \
+        == [[[5]], [[1]]]
 
 
 # ---------------------------------------------------------------------------

@@ -23,24 +23,29 @@ def equal_ledger(n, eta=Fraction(67, 100)):
 
 def test_weights_validate():
     with pytest.raises(dag.DagError):
-        dag.ChainWeights((Fraction(1, 2), Fraction(1, 3)))
+        dag.ChainWeights((1, 0))
     with pytest.raises(dag.DagError):
-        dag.ChainWeights((Fraction(3, 2), Fraction(-1, 2)))
+        dag.ChainWeights((3, -1))
+    # only an int is a stake: not a bool, nor an exact Fraction
+    for stakes in ((True, 1), (Fraction(1, 2), Fraction(1, 2))):
+        with pytest.raises(dag.DagError, match="from_values"):
+            dag.ChainWeights(stakes)
+    for values in ([0, 0], [1, -1], []):
+        with pytest.raises(dag.DagError, match="positive int stake"):
+            dag.ChainWeights.from_values(values)
     w = dag.ChainWeights.from_values([2, 1, 1])
+    assert w.stakes == (2, 1, 1)
     assert w[0] == Fraction(1, 2)
-    assert sum(w.weights) == 1
+    assert sum(w[c] for c in range(3)) == 1
 
 
 def test_equal_weights_of_no_chain_are_refused_by_name():
     # it once raised a bare ZeroDivisionError
-    with pytest.raises(dag.DagError, match="at least one chain weight"):
+    with pytest.raises(dag.DagError, match="at least one positive int stake"):
         dag.ChainWeights.equal(0)
-    assert dag.ChainWeights.equal(3).weights == (Fraction(1, 3),) * 3
-
-
-def test_weights_a_hair_over_one_are_refused():
-    with pytest.raises(dag.DagError, match="sum to exactly 1"):
-        dag.ChainWeights((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**30)))
+    w = dag.ChainWeights.equal(3)
+    assert w.stakes == (1, 1, 1)
+    assert [w[c] for c in range(3)] == [Fraction(1, 3)] * 3
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (Fraction(1, 2), 0.5),
@@ -49,15 +54,14 @@ def test_weights_that_are_not_exact_are_refused_by_name(weights):
     # floats once raised a bare AttributeError on `.denominator`
     with pytest.raises(dag.DagError, match="from_values"):
         dag.ChainWeights(weights)
-    assert dag.ChainWeights.from_values(weights).weights == \
-        (Fraction(1, 2), Fraction(1, 2))
+    assert dag.ChainWeights.from_values(weights).stakes == (1, 1)
 
 
 @pytest.mark.parametrize("value", [
     "0.5", None, math.nan, math.inf, -math.inf, Decimal("NaN"),
-    Decimal("Infinity"), [0.5],
+    Decimal("Infinity"), [0.5], True,
 ], ids=["str", "none", "nan", "inf", "-inf", "decimal-nan", "decimal-inf",
-        "list"])
+        "list", "bool"])
 def test_a_threshold_or_weight_that_is_not_a_finite_number_raises_a_dag_error(
         value):
     # these once raised a bare AttributeError, ValueError or OverflowError
@@ -69,10 +73,17 @@ def test_a_threshold_or_weight_that_is_not_a_finite_number_raises_a_dag_error(
 
 def test_stakes_are_the_weights_over_the_common_denominator():
     w = dag.ChainWeights.from_values((1, 2, 3.5))
-    assert w.weights == (Fraction(2, 13), Fraction(4, 13), Fraction(7, 13))
+    assert w.stakes == (2, 4, 7)
+    assert [w[c] for c in range(3)] == [Fraction(2, 13), Fraction(4, 13),
+                                        Fraction(7, 13)]
     ledger = dag.DagLedger(w, eta=0.67)
-    assert ledger._stakes == [int(x * ledger._denom) for x in w.weights]
+    assert ledger._denom == 1300        # lcm(100, 2 + 4 + 7)
+    assert ledger._stakes == [int(w[c] * ledger._denom) for c in range(3)]
     assert ledger._threshold == int(Fraction(67, 100) * ledger._denom)
+    # the engine's equal weights: ten chains of stake 10 over 100
+    ledger = equal_ledger(10)
+    assert (ledger._denom, ledger._stakes, ledger._threshold) == \
+        (100, [10] * 10, 67)
 
 
 # ---------------------------------------------------------------------------

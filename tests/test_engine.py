@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +526,25 @@ def test_plain_shard_rows_on_an_even_split_count_every_silent_worker():
         silent = build_fleet(100, 0.1, rng).straggler_set()
         assert sim.worker_rows == 10
         assert rt.missing_rows == sum(10 for _ in silent) == 100
+
+
+@pytest.mark.parametrize("overrides", [{}, PINS["paper-plain-2m"][0]],
+                         ids=["desk", "paper-plain-2m"])
+def test_set_up_builds_no_fraction(monkeypatch, overrides):
+    # chain stakes are ints from the weights to the DAG's threshold; a
+    # Fraction per chain once cost set-up time on every run
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    cfg = replace(ScenarioConfig(), **overrides)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    Simulation(cfg)
+    monkeypatch.undo()
+    assert not built
 
 
 @pytest.mark.parametrize("overrides,drawn", [
