@@ -28,9 +28,9 @@ confirmed outflow and the proposed spend, which each epoch replaces -- as
 MxM matrices, as coded workers store them, or summed (w_in 1xM, w_out Mx1),
 as the book reports them after a run; `update_cumulative` and
 `net_balances` are the oracle the book is tested against. All arithmetic is
-exact int64; no floats anywhere. One guard, `_sum_at`, bounds every total
-onto accounts, a window's or a state's: one that would leave int64 raises
-`LedgerOverflowError` before it is stored, so reading balances never wraps.
+exact int64; no floats anywhere. One guard, `_sum_at`, bounds every total,
+of either sign: a window's, a state's, an update's, a spam row's and a coded
+store's. One that would leave int64 raises a named error before it is stored.
 """
 
 from __future__ import annotations
@@ -193,23 +193,25 @@ class CumulativeState:
         return self.genesis.shape[0]
 
 
-def _sum_at(base: np.ndarray, index, amounts: np.ndarray,
-            what: str) -> np.ndarray:
-    """A copy of the non-negative `base` with `amounts` added at `index`.
+def _sum_at(base: np.ndarray, index, amounts: np.ndarray, what: str,
+            error=LedgerOverflowError) -> np.ndarray:
+    """A copy of `base` with `amounts` added at `index`, of either sign.
 
-    An entry past int64 raises LedgerOverflowError naming `what`. The
-    largest base entry plus the count times the largest amount settles
-    nearly every case; only when it is inconclusive are the sums taken
-    exactly.
+    An entry outside int64 raises `error` naming `what`. The largest
+    magnitude in `base` plus the count times the largest in `amounts`
+    settles nearly every case; only when it is inconclusive are the sums
+    taken exactly.
     """
     total = base.copy()
     np.add.at(total, index, amounts)
-    if (int(base.max(initial=0)) + len(amounts) * int(amounts.max(initial=0))
-            > INT64_MAX):
+    reach = [max(int(a.max(initial=0)), -int(a.min(initial=0)))
+             for a in (base, amounts)]
+    if reach[0] + len(amounts) * reach[1] > INT64_MAX:
         exact = base.astype(object)
         np.add.at(exact, index, amounts.astype(object))
-        if exact.max(initial=0) > INT64_MAX:
-            raise LedgerOverflowError(f"{what} exceeds int64")
+        if not -INT64_MAX - 1 <= exact.min(initial=0) \
+                <= exact.max(initial=0) <= INT64_MAX:
+            raise error(f"{what} exceeds int64")
     return total
 
 
@@ -238,13 +240,10 @@ def update_cumulative(state: CumulativeState, flows: FlowAggregates) -> Cumulati
     if (flows.inflow.shape, flows.outflow_confirmed.shape, flows.outflow_proposed.shape) \
             != (state.w_in.shape, state.w_out.shape, state.w_out.shape):
         raise LedgerError("flows differ in shape from the state's totals")
-    w_in = state.w_in + flows.inflow
-    spent = state.w_out + flows.outflow_confirmed
-    w_out = spent + flows.outflow_proposed
-    # every operand so far is non-negative, so a sum past int64 wraps negative
-    if (w_in < 0).any() or (spent < 0).any() or (w_out < 0).any():
-        raise LedgerOverflowError(
-            f"chain {state.chain} totals at epoch {flows.epoch} exceed int64")
+    what = f"a total of chain {state.chain} at epoch {flows.epoch}"
+    w_in = _sum_at(state.w_in, slice(None), flows.inflow, what)
+    spent = _sum_at(state.w_out, slice(None), flows.outflow_confirmed, what)
+    w_out = _sum_at(spent, slice(None), flows.outflow_proposed, what)
     # a shrunk proposal leaves a negative entry, which the state refuses
     return CumulativeState(chain=state.chain, epoch=flows.epoch, genesis=state.genesis,
                            w_in=w_in, w_out=w_out - state.last_proposed,

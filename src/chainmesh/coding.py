@@ -32,6 +32,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .balances import _sum_at
+
 
 class CodingError(Exception):
     """Structural error in the coding layer."""
@@ -77,7 +79,8 @@ class StragglerProfile:
         probs = self.probabilities
         if not probs:
             raise CodingError("profile needs at least one worker")
-        if not all(isinstance(p, (int, float, Fraction)) for p in probs):
+        if not all(isinstance(p, (int, float, Fraction)) and type(p) is not bool
+                   for p in probs):
             raise CodingError("straggler probabilities must be numbers")
         # min and max may step over a NaN, which compares false both ways
         if not (0.0 <= min(probs) and max(probs) <= 1.0
@@ -396,14 +399,6 @@ def decode(received: Mapping[int, np.ndarray], group: GroupSpec) -> np.ndarray:
     CodingError for a decoded value outside int64; never returns a wrong slice.
     """
     r = group.rows_per_block
-    first = next(iter(received.values()), None)
-    if first is None:
-        if group.rows == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        raise NotDecodableError("no blocks received")
-    cols = np.asarray(first).shape[-1]
-    if group.rows == 0:
-        return np.zeros((0, cols), dtype=np.int64)
     n, frozen = group.size, list(group.frozen)
     lost = _lost_positions(received, n)
     k = len(lost)
@@ -411,9 +406,14 @@ def decode(received: Mapping[int, np.ndarray], group: GroupSpec) -> np.ndarray:
     rank, det = _bareiss(rows, k, jordan=True)
     if rank < k:
         raise NotDecodableError("received blocks do not determine the data")
+    shards = {p: _as_int64(v, ShardCorruptionError)
+              for p, v in received.items()}
+    first = next(iter(shards.values()))
+    if not first.ndim:
+        raise ShardCorruptionError("a block with no axis is corrupt")
+    cols = first.shape[-1]
     y = np.zeros((n, r, cols), dtype=object)
-    for p, v in received.items():
-        v = _as_int64(v, ShardCorruptionError)
+    for p, v in shards.items():
         if v.shape != (r, cols):
             raise CodingError(f"block at position {p} has shape {v.shape}, "
                               f"expected {(r, cols)}")
@@ -446,9 +446,9 @@ class CodedLedgerImage:
 
     `w_in[k][p]` and `w_out[k][p]` are what the worker at block position p of
     group k stores: coded totals of shape (rows_per_block, cols). Updates are
-    linear, so each store is the running sum of the coded rows sent to it;
-    frozen positions receive nothing and stay zero. Decoding from the
-    designated-survivor subset must reproduce the central totals bit for bit.
+    linear, so each store is the running sum of the coded rows sent to it,
+    taken by the ledger's int64 guard; frozen positions stay zero. Decoding
+    from the designated survivors must reproduce the central totals exactly.
     """
 
     def __init__(self, plan: GroupPlan, cols: int):
@@ -461,8 +461,8 @@ class CodedLedgerImage:
     def apply_epoch(self, inflow, outflow_confirmed, delta_proposed) -> None:
         """Fold one epoch's coded flows into the stores at the data positions.
 
-        Codes every group before storing any, so an error leaves the image
-        unchanged.
+        Codes and folds every group before storing any, so an error (a total
+        leaving int64 among them) leaves the image unchanged.
         """
         mats = [_as_int64(m)
                 for m in (inflow, outflow_confirmed, delta_proposed)]
@@ -471,13 +471,17 @@ class CodedLedgerImage:
         if mats[0].shape != (self.plan.total_rows, self.cols):
             raise CodingError(f"image holds {(self.plan.total_rows, self.cols)}, "
                               f"matrices have {mats[0].shape}")
-        coded = [[hadamard(expand(m[g.row_start:g.row_start + g.rows], g))
-                  for m in mats] for g in self.plan.groups]
-        for g, (a, b, d), w_in, w_out in zip(self.plan.groups, coded,
-                                              self.w_in, self.w_out):
+        folded = []
+        for g, w_in, w_out in zip(self.plan.groups, self.w_in, self.w_out):
             data = list(g.data_positions)
-            w_in[data] += a[data]
-            w_out[data] += b[data] + d[data]
+            a, b, d = (hadamard(expand(m[g.row_start:g.row_start + g.rows], g))
+                       for m in mats)
+            what = f"a coded store of group {g.index}"
+            spent = _sum_at(w_out, data, b[data], what, CodingError)
+            folded.append((_sum_at(w_in, data, a[data], what, CodingError),
+                           _sum_at(spent, data, d[data], what, CodingError)))
+        self.w_in = [w for w, _ in folded]
+        self.w_out = [w for _, w in folded]
 
     def decode_totals(self) -> tuple[np.ndarray, np.ndarray]:
         """Reassemble (w_in, w_out), decoding each group from its data positions."""

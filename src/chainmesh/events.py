@@ -93,6 +93,8 @@ class Candidates:
         if states is None:
             if len(set(self.node_ids)) < len(self.node_ids):
                 raise EventError("duplicate candidate node id")
+            if not self.node_ids:
+                raise EventError("a committee draw needs a candidate")
             states = tuple(map(hashlib.sha256,
                                vrf_keys(self.node_ids, shared_seed)))
             self._keys[shared_seed] = states

@@ -4,12 +4,12 @@ Each chain runs a fleet of worker/committee nodes, all of stake 1. A fleet
 is its straggler profile: one straggling likelihood per node, of which the
 configured fraction with the highest likelihoods are stragglers that
 silently drop their shard tasks. Adversarial chains pad valid-looking
-transfer blocks with overspending rows. A block is drawn from its chain's
-balances and handed to `Transfers`, which checks it; the draw bounds of
-each block shape are built once per run's memo; a fleet is drawn only to
-rank an uneven split's stragglers. Issuance deals each faction's evenly
-spaced slot times, one vector, round-robin over its chains as strides, each
-chain's held as one array of machine floats.
+transfer blocks with overspending rows, summed by the ledger's int64 guard.
+A block is drawn from its chain's balances and handed to `Transfers`, which
+checks it; the draw bounds of each block shape are built once per run's
+memo; a fleet is drawn only to rank an uneven split's stragglers. Issuance
+deals each faction's evenly spaced slot times, one vector, round-robin over
+its chains as strides, each chain's held as one array of machine floats.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .balances import INT64_MAX, LedgerOverflowError, Transfers
+from .balances import Transfers, _sum_at
 from .coding import StragglerProfile
 
 
@@ -89,16 +89,11 @@ def _draw_block(dest: int, balances: np.ndarray, invalid_tx_fraction: float,
     # funded balances and honest draws are at least 1; bad rows follow
     amounts = np.minimum(held, draws[:, 1])
     if n_bad:
-        bad, extra = held[:n_bad], draws[:n_bad, 1]
-        # the largest balance settles nearly every block; only near the
-        # int64 limit are the rows compared one by one
-        top = max(bad.tolist())
-        if (top + OVERSPEND_MARGIN + _OVERSPEND_DRAWS - 1 > INT64_MAX
-                and (bad > INT64_MAX - OVERSPEND_MARGIN - extra).any()):
-            raise LedgerOverflowError(
-                f"overspending row of chain {source} on a balance of "
-                f"{top} exceeds int64")
-        amounts[:n_bad] = bad + OVERSPEND_MARGIN + extra
+        bad = held[:n_bad]
+        amounts[:n_bad] = _sum_at(
+            bad, slice(None), draws[:n_bad, 1] + OVERSPEND_MARGIN,
+            f"overspending row of chain {source} on a balance of "
+            f"{max(bad.tolist())}")
     return Transfers(source=source, dest=dest, senders=senders,
                      receivers=draws[:, 0], amounts=amounts)
 

@@ -1046,3 +1046,58 @@ def test_validation_tip_check_and_debit_agree_with_the_dense_oracle(drawn):
             b.debit(t)
         assert b.outstanding.tolist() == before
     assert (nets(b) >= 0).all()
+
+
+
+#: an int64 entry of either sign: small, anywhere, or near either limit
+SIGNED = st.one_of(st.integers(-30, 30),
+                   st.integers(-bal.INT64_MAX - 1, bal.INT64_MAX),
+                   st.integers(bal.INT64_MAX - 30, bal.INT64_MAX),
+                   st.integers(-bal.INT64_MAX - 1, -bal.INT64_MAX + 30))
+
+
+@st.composite
+def sums_at(draw):
+    """A base, an index and amounts for `_sum_at`: a 1-D base with a list
+    of indices that may repeat, or a 2-D base added to at slice(None)."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        shape, index, count = (n, 2), slice(None), 2 * n
+    else:
+        index = draw(st.lists(st.integers(0, n - 1), max_size=6))
+        shape, count = (n,), len(index)
+    size = int(np.prod(shape))
+    base = draw(st.lists(SIGNED, min_size=size, max_size=size))
+    amounts = draw(st.lists(SIGNED, min_size=count, max_size=count))
+    return (np.array(base, dtype=np.int64).reshape(shape), index,
+            np.array(amounts, dtype=np.int64).reshape(-1, *shape[1:]))
+
+
+@PROPERTY
+@given(sums_at())
+@example((np.array([-2**62]), [0, 0], np.array([-2**62, -2**62])))
+@example((np.array([2**61]), [0, 0, 0], np.array([2**61] * 3)))
+def test_the_one_guard_sums_exactly_or_raises_by_name(drawn):
+    # the guard of the book, the update fold, the spam rows and the coded
+    # stores, against Python-int sums: once a total of either sign past
+    # int64 came back wrapped
+    base, index, amounts = drawn
+    want = base.tolist()
+    if isinstance(index, slice):
+        want = [[b + a for b, a in zip(rb, ra)]
+                for rb, ra in zip(want, amounts.tolist())]
+        flat = [v for row in want for v in row]
+    else:
+        for i, a in zip(index, amounts.tolist()):
+            want[i] += a
+        flat = want
+    before = base.copy()
+    if all(-bal.INT64_MAX - 1 <= v <= bal.INT64_MAX for v in flat):
+        assert bal._sum_at(base, index, amounts, "a total").tolist() == want
+    else:
+        with pytest.raises(bal.LedgerOverflowError,
+                           match="^a total exceeds int64$"):
+            bal._sum_at(base, index, amounts, "a total")
+        with pytest.raises(KeyError):
+            bal._sum_at(base, index, amounts, "a total", error=KeyError)
+    assert np.array_equal(base, before)

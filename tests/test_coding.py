@@ -111,10 +111,11 @@ def test_a_likelihood_outside_the_unit_interval_or_nan_is_refused(probs):
 @pytest.mark.parametrize("probs, fraction", [
     (("a",), 0.1), ((None,), 0.1), ((0.2, "0.3"), 0.1), ((0.2,), "0.1"),
     ((0.2,), None), ((0.2,), math.nan), ((0.2,), math.inf), ((0.2,), -0.1),
-    ((0.2,), 1.5), ((0.1, 0.9), True),
+    ((0.2,), 1.5), ((0.1, 0.9), True), ((True, 0.5), 0.5),
 ], ids=["str-likelihood", "none-likelihood", "one-str-likelihood",
         "str-fraction", "none-fraction", "nan-fraction", "inf-fraction",
-        "negative-fraction", "fraction-above-one", "bool-fraction"])
+        "negative-fraction", "fraction-above-one", "bool-fraction",
+        "bool-likelihood"])
 def test_a_profile_of_anything_but_numbers_in_range_raises_a_coding_error(
         probs, fraction):
     # these once raised a bare TypeError from comparing a string or None
@@ -420,6 +421,18 @@ def test_decode_insufficient_blocks_raises():
         coding.decode({0: blocks[0], 1: blocks[1]}, g)
     with pytest.raises(coding.NotDecodableError):
         coding.decode({}, g)
+
+
+@pytest.mark.parametrize("shard", [5, [[1], [1, 2]]],
+                         ids=["no-axis", "ragged"])
+def test_a_shard_of_no_block_shape_is_judged_after_the_verdict(shard):
+    # both once raised a bare IndexError or ValueError, read before the
+    # decodability verdict
+    with pytest.raises(coding.CodingError) as raised:
+        coding.decode({0: shard}, make_group(2, (1,), rows=1))
+    assert not isinstance(raised.value, coding.NotDecodableError)
+    with pytest.raises(coding.NotDecodableError):
+        coding.decode({0: shard}, make_group(2, (), rows=2))
 
 
 def test_a_decoded_value_outside_int64_raises_a_coding_error():
@@ -888,6 +901,23 @@ def test_apply_epoch_error_leaves_the_stores_unchanged():
         image.apply_epoch(ok, big, ok)
     assert all(np.array_equal(w, v)
                for w, v in zip(image.w_in + image.w_out, before))
+
+
+def test_a_coded_fold_that_would_leave_int64_raises_and_stores_nothing():
+    # the fourth fold of 2**61 into one store reaches 2**63, which the
+    # stores once wrapped to -2**63 and decoded as such
+    image = coding.CodedLedgerImage(
+        coding.GroupPlan(1, (make_group(2, (1,), rows=1),)), cols=1)
+    for _ in range(3):
+        image.apply_epoch([[2**61]], [[2**61]], [[0]])
+    before = [w.copy() for w in image.w_in + image.w_out]
+    for flows in (([[2**61]], [[0]], [[0]]), ([[0]], [[2**61]], [[0]]),
+                  ([[0]], [[0]], [[2**61]])):
+        with pytest.raises(coding.CodingError, match="exceeds int64"):
+            image.apply_epoch(*flows)
+        assert all(np.array_equal(w, v)
+                   for w, v in zip(image.w_in + image.w_out, before))
+    assert [t.tolist() for t in image.decode_totals()] == [[[3 * 2**61]]] * 2
 
 
 def test_five_epoch_worker_trace_equals_encoding_the_aggregate():

@@ -229,6 +229,11 @@ class TestCandidates:
         assert [s.digest() for s in cands.keys("t")] != \
             [s.digest() for s in keys]
 
+    def test_a_draw_over_no_candidate_raises_by_name(self):
+        # max() of no draws once raised a bare ValueError
+        with pytest.raises(EventError, match="needs a candidate"):
+            select_committee(Candidates([]), "s", 1)
+
     def test_candidates_are_held_in_node_id_order(self):
         cands = Candidates(["c0n10", "c0n2", "c0n1"])
         assert cands.node_ids == ("c0n1", "c0n10", "c0n2")

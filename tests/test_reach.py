@@ -61,7 +61,7 @@ STATES = ("the end-of-run ledger states, built only when read: by "
 #: lines, why they stay)
 UNREACHED = {
     "coding.decodable": (2, C1),
-    "coding.decode": (33, C1),
+    "coding.decode": (30, C1),
     "coding.expand": (11, C1 + ": encodes the data blocks"),
     "coding.hadamard": (5, C1 + ": encodes the data blocks"),
     "coding._butterfly": (10, "the transform of hadamard and decode"),
@@ -71,7 +71,7 @@ UNREACHED = {
     "coding.GroupSpec.data_positions": (3, "helper of expand and decode"),
     "coding.StragglerProfile.from_probabilities": (3, C1 + " and " + C2),
     "coding.CodedLedgerImage.__init__": (6, C2),
-    "coding.CodedLedgerImage.apply_epoch": (12, C2),
+    "coding.CodedLedgerImage.apply_epoch": (16, C2),
     "coding.CodedLedgerImage.decode_totals": (9, C2),
     "dag.ChainWeights.from_values": (4, C3),
     "dag.ChainWeights.__getitem__": (2, C3 + ": it reads ledger.weights[c]"),

@@ -307,7 +307,10 @@ class TestDrawBlockTwoPassOracle:
 class TestOverspendOverflow:
     def test_overspend_past_int64_raises_a_named_error(self):
         balances = np.array([INT64_MAX - 1_000_000_000, 5], dtype=np.int64)
-        with pytest.raises(LedgerOverflowError):
+        # worded as the corpus's fuzz runs print it
+        with pytest.raises(LedgerOverflowError, match=(
+                "^overspending row of chain 0 on a balance of "
+                f"{INT64_MAX - 1_000_000_000} exceeds int64$")):
             make_invalid_block(1, balances, invalid_tx_fraction=1.0,
                                rng=rng(0), source=0, active_rows=2,
                                bounds={})

@@ -16,24 +16,26 @@ wall clock in the child (`run_s`, or `setup_s`: the median of the child's
 set-up samples), and of the child's CPU time, user plus system, taken from
 `getrusage(RUSAGE_CHILDREN)` before and after the child. CPU time counts
 the whole child, imports and set-up included, and is less sensitive than wall
-time to other tenants of a shared machine. Then, for both, the pairs the
-change won and the ratio of the medians, change over parent. Last comes the
-verdict on the metric: a gain is shown only when the change won at least
-nine tenths of the pairs, ties counting for neither, and the medians differ
-by more than the parent's interquartile range, computed on the unrounded
-times. Times print to 4 significant digits, so a set-up of about a
-millisecond reads 0.001134, not 0.0011. A pair whose two artifact digests
-differ is reported, and the exit code is then 1.
+time to other tenants of a shared machine. The same readings give the child's
+minor and major page faults, `minflt` and `majflt`, which tell a change in
+where the heap lies, trimmed and faulted back in, from a change in the code.
+Then, for both, the pairs the change won and the ratio of the medians, change
+over parent. Last comes the verdict on the metric: a gain is shown only when
+the change won at least nine tenths of the pairs, ties counting for neither,
+and the medians differ by more than the parent's interquartile range,
+computed on the unrounded times. Times print to 4 significant digits, so a
+set-up of about a millisecond reads 0.001134, not 0.0011. A pair whose two
+artifact digests differ is reported, and the exit code is then 1.
 
 With `--record PATH` the comparison is also written as JSON, in the layout
 of `BENCH_14.json`: `what` (the change's commit subject), `parent` and
 `change` (their commits), `host`, `method`, `summary` (per side the median,
-quartiles and count of the metric, of CPU time, of the other timings and of
-the peak RSS, with the pairs won, the ratio of medians and the verdict of
-each) and `runs` (every child record, with its pair, side and whether it
-ran first). A record that already exists at PATH, for the same two commits,
-gains this comparison as its next session, so one file collects the
-workloads, seeds and metrics of one change.
+quartiles and count of the metric, of CPU time, of the other timings, of
+the peak RSS and of the minor faults, with the pairs won, the ratio of
+medians and the verdict of each) and `runs` (every child record, with its
+pair, side and whether it ran first). A record that already exists at PATH,
+for the same two commits, gains this comparison as its next session, so one
+file collects the workloads, seeds and metrics of one change.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ from workloads import WORKLOADS              # noqa: E402
 
 def run_child(tree: Path, config: dict, seed: int, out: Path) -> dict:
     """One run of the checkout at `tree`: the child's JSON record, with its
-    CPU time added as `cpu_s`."""
+    CPU time added as `cpu_s` and its page faults as `minflt` and
+    `majflt`."""
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     env.pop("PYTHONPATH", None)
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -75,6 +78,8 @@ def run_child(tree: Path, config: dict, seed: int, out: Path) -> dict:
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     record["cpu_s"] = ((after.ru_utime - before.ru_utime)
                        + (after.ru_stime - before.ru_stime))
+    record["minflt"] = after.ru_minflt - before.ru_minflt
+    record["majflt"] = after.ru_majflt - before.ru_majflt
     record["setup_samples_s"] = record["setup_s"]
     record["setup_s"] = statistics.median(record["setup_s"])
     return record
@@ -138,8 +143,9 @@ def report(summaries: list[dict]) -> list[str]:
     return lines
 
 
-#: the child's measures summarised in a record beside the claimed one
-RECORDED = ("setup_s", "run_s", "wall_s", "peak_rss_mb")
+#: the child's measures summarised in a record beside the claimed one;
+#: not `majflt`, whose median is usually 0, so no ratio of medians exists
+RECORDED = ("setup_s", "run_s", "wall_s", "peak_rss_mb", "minflt")
 
 METHOD = ("Each session is one run of tools/compare.py: pairs of fresh "
           "perfbench/child.py processes, one per side, from git archive "
@@ -148,8 +154,9 @@ METHOD = ("Each session is one run of tools/compare.py: pairs of fresh "
           "and the change first in even ones. A child builds the scenario "
           "up to five times (setup_s is the median of those set-ups, "
           "setup_samples_s each one), then runs it once (run_s) and writes "
-          "its artifacts; cpu_s is the child's user plus system time. A "
-          "summary entry's verdict reads 'gain shown' when the change won "
+          "its artifacts; cpu_s is the child's user plus system time, and "
+          "minflt and majflt its minor and major page faults. A summary "
+          "entry's verdict reads 'gain shown' when the change won "
           "at least nine tenths of the pairs and the medians differ by more "
           "than the parent's q3 - q1.")
 
